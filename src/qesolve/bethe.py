@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -122,19 +121,14 @@ def _roots_of(roots_or_rootset):
     return np.asarray(roots_or_rootset, dtype=complex)
 
 
-def compute_w_coefficients(ode: PolyODE, roots, conj_tol: float = 1e-8):
-    """W coefficients (w0..w4) that admit S(t) = prod (t - t_i) as solution.
+def _closing_w(ode: PolyODE, n: int, s1, s2, s3, s4, pair):
+    """Closing formulas: W coefficients (w0..w4) from the root power sums.
 
-    Evaluates the closing formulas on the root power sums; every term either
-    carries a factor n or a root sum, so n = 0 returns all zeros.
+    Works elementwise, so the sums may be floats or per-row arrays; w4
+    depends on n alone and stays a scalar.
     """
-    arr = _roots_of(roots)
-    n = len(arr)
     p0, p1, p2, p3, p4 = ode.p
     q0, q1, q2, q3, q4, q5 = ode.q
-    if n == 0:
-        return (0.0, 0.0, 0.0, 0.0, 0.0)
-    s1, s2, s3, s4, pair = _power_sums(arr, conj_tol)
     w4 = -n * q5
     w3 = -q5 * s1 - n * q4
     w2 = -q5 * s2 - q4 * s1 - n * (n - 1) * p4 - n * q3
@@ -157,6 +151,27 @@ def compute_w_coefficients(ode: PolyODE, roots, conj_tol: float = 1e-8):
     return (w0, w1, w2, w3, w4)
 
 
+def compute_w_coefficients(ode: PolyODE, roots, conj_tol: float = 1e-8):
+    """W coefficients (w0..w4) that admit S(t) = prod (t - t_i) as solution.
+
+    Evaluates the closing formulas on the root power sums; every term either
+    carries a factor n or a root sum, so n = 0 returns all zeros.
+    """
+    arr = _roots_of(roots)
+    if len(arr) == 0:
+        return (0.0, 0.0, 0.0, 0.0, 0.0)
+    return _closing_w(ode, len(arr), *_power_sums(arr, conj_tol))
+
+
+def _separation(roots: np.ndarray) -> float:
+    """Smallest distance between two roots (inf for fewer than two)."""
+    n = len(roots)
+    if n < 2:
+        return math.inf
+    diff = roots[:, None] - roots[None, :]
+    return float(np.min(np.abs(diff[~np.eye(n, dtype=bool)])))
+
+
 def bae_residuals(
     ode: PolyODE,
     roots,
@@ -169,21 +184,13 @@ def bae_residuals(
     Complex roots give complex residuals; callers usually take the max norm.
     """
     arr = _roots_of(roots)
-    n = len(arr)
-    if n == 0:
+    if len(arr) == 0:
         return np.zeros(0, dtype=complex)
-    pv = polyval(ode.p, arr)
-    if np.min(np.abs(pv)) < denom_tol:
+    if np.min(np.abs(polyval(ode.p, arr))) < denom_tol:
         raise DenominatorBlowup("a root coincides with a zero of P(t)")
-    if n > 1:
-        diff = arr[:, None] - arr[None, :]
-        off = ~np.eye(n, dtype=bool)
-        if np.min(np.abs(diff[off])) < sep_tol:
-            raise DenominatorBlowup("roots are closer than sep_tol")
-        pair_term = np.where(off, 2.0 / np.where(off, diff, 1.0), 0.0).sum(axis=1)
-    else:
-        pair_term = np.zeros(1, dtype=complex)
-    return pair_term + polyval(ode.q, arr) / pv
+    if _separation(arr) < sep_tol:
+        raise DenominatorBlowup("roots are closer than sep_tol")
+    return _residual_batch(ode, arr[None, :])[0]
 
 
 def verify_polynomial_identity(ode: PolyODE, roots) -> float:
@@ -224,25 +231,10 @@ def verify_polynomial_identity(ode: PolyODE, roots) -> float:
 # ----------------------------------------------------------------------
 
 
-def _rational_tables(ode: PolyODE):
-    return ode.p, polyder(ode.p), ode.q, polyder(ode.q)
-
-
-def _rational(tables, t):
-    """Q/P and d/dt (Q/P) at complex t (vectorized)."""
-    p, pd, q, qd = tables
-    pv = polyval(p, t)
-    qv = polyval(q, t)
-    pdv = polyval(pd, t)
-    qdv = polyval(qd, t)
-    f = qv / pv
-    fp = (qdv * pv - qv * pdv) / (pv * pv)
-    return f, fp
-
-
-def _residual_batch(tables, T: np.ndarray) -> np.ndarray:
+def _residual_batch(ode: PolyODE, T: np.ndarray) -> np.ndarray:
+    """Residue conditions, one row of roots per row of T."""
     m, n = T.shape
-    f, _ = _rational(tables, T)
+    f = polyval(ode.q, T) / polyval(ode.p, T)
     if n == 1:
         return f
     diff = T[:, :, None] - T[:, None, :]
@@ -252,9 +244,10 @@ def _residual_batch(tables, T: np.ndarray) -> np.ndarray:
     return 2.0 * inv.sum(axis=2) + f
 
 
-def _jacobian_batch(tables, T: np.ndarray) -> np.ndarray:
+def _jacobian_batch(ode: PolyODE, T: np.ndarray) -> np.ndarray:
     m, n = T.shape
-    _, fp = _rational(tables, T)
+    pv, qv = polyval(ode.p, T), polyval(ode.q, T)
+    fp = (polyval(polyder(ode.q), T) * pv - qv * polyval(polyder(ode.p), T)) / (pv * pv)
     if n == 1:
         return fp[:, :, None]
     diff = T[:, :, None] - T[:, None, :]
@@ -267,6 +260,18 @@ def _jacobian_batch(tables, T: np.ndarray) -> np.ndarray:
     return jac
 
 
+def _newton_steps(J: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Newton steps J^-1 R for a batch of rows.
+
+    A singular row makes the batched solve fail for every row, so the batch
+    falls back to per-row least squares and the other rows keep their steps.
+    """
+    try:
+        return np.linalg.solve(J, R[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        return np.array([np.linalg.lstsq(Ji, Ri, rcond=None)[0] for Ji, Ri in zip(J, R)])
+
+
 def _newton_batch(ode: PolyODE, starts: np.ndarray, cfg: SolverConfig) -> np.ndarray:
     """Damped Newton on all starts simultaneously; returns converged rows.
 
@@ -274,13 +279,12 @@ def _newton_batch(ode: PolyODE, starts: np.ndarray, cfg: SolverConfig) -> np.nda
     re-evaluates rows that still reject their step; rows that cannot make
     progress after repeated halvings are dropped.
     """
-    tables = _rational_tables(ode)
     T = starts.copy()
     m, n = T.shape
     inner_tol = min(1e-13, cfg.bae_tol * 1e-2)
     radius = _escape_radius(cfg)
     with np.errstate(all="ignore"):
-        R = _residual_batch(tables, T)
+        R = _residual_batch(ode, T)
         norms = np.max(np.abs(R), axis=1)
         alive = np.isfinite(norms)
         done = alive & (norms < inner_tol)
@@ -289,13 +293,7 @@ def _newton_batch(ode: PolyODE, starts: np.ndarray, cfg: SolverConfig) -> np.nda
             if not act.any():
                 break
             Ta, Ra = T[act], R[act]
-            J = _jacobian_batch(tables, Ta)
-            try:
-                step = np.linalg.solve(J, Ra[..., None])[..., 0]
-            except np.linalg.LinAlgError:
-                step = np.array(
-                    [np.linalg.lstsq(Ji, Ri, rcond=None)[0] for Ji, Ri in zip(J, Ra)]
-                )
+            step = _newton_steps(_jacobian_batch(ode, Ta), Ra)
             # Cap runaway steps before damping.
             mags = np.max(np.abs(step), axis=1)
             cap = 10.0 * (1.0 + np.max(np.abs(Ta), axis=1))
@@ -304,7 +302,7 @@ def _newton_batch(ode: PolyODE, starts: np.ndarray, cfg: SolverConfig) -> np.nda
             base = np.sum(np.abs(Ra) ** 2, axis=1)
             lam = np.ones(len(step))
             trial = Ta - step
-            Rt = _residual_batch(tables, trial)
+            Rt = _residual_batch(ode, trial)
             ok = np.isfinite(np.sum(np.abs(Rt) ** 2, axis=1)) & (
                 np.sum(np.abs(Rt) ** 2, axis=1) <= base * (1.0 - 1e-4 * lam) + 1e-300
             )
@@ -314,7 +312,7 @@ def _newton_batch(ode: PolyODE, starts: np.ndarray, cfg: SolverConfig) -> np.nda
                 idx = np.nonzero(~ok)[0]
                 lam[idx] *= 0.5
                 trial[idx] = Ta[idx] - lam[idx, None] * step[idx]
-                Rt[idx] = _residual_batch(tables, trial[idx])
+                Rt[idx] = _residual_batch(ode, trial[idx])
                 val = np.sum(np.abs(Rt[idx]) ** 2, axis=1)
                 ok[idx] = np.isfinite(val) & (
                     val <= base[idx] * (1.0 - 1e-4 * lam[idx]) + 1e-300
@@ -354,29 +352,6 @@ def _coefficient_residual(ode: PolyODE, A: np.ndarray) -> np.ndarray:
     p2 = e[:, 1] * p1 - 2.0 * e[:, 2]
     p3 = e[:, 1] * p2 - e[:, 2] * p1 + 3.0 * e[:, 3]
     p4 = e[:, 1] * p3 - e[:, 2] * p2 + e[:, 3] * p1 - 4.0 * e[:, 4]
-    pair = e[:, 2]
-    p0_, p1_, p2_, p3_, p4_ = ode.p
-    q0_, q1_, q2_, q3_, q4_, q5_ = ode.q
-    w = np.empty((m, 5))
-    w[:, 4] = -n * q5_
-    w[:, 3] = -q5_ * p1 - n * q4_
-    w[:, 2] = -q5_ * p2 - q4_ * p1 - n * (n - 1) * p4_ - n * q3_
-    w[:, 1] = (
-        -q5_ * p3
-        - q4_ * p2
-        - (2.0 * (n - 1) * p4_ + q3_) * p1
-        - n * (n - 1) * p3_
-        - n * q2_
-    )
-    w[:, 0] = (
-        -q5_ * p4
-        - q4_ * p3
-        - (q3_ + 2.0 * (n - 1) * p4_) * p2
-        - 2.0 * p4_ * pair
-        - (2.0 * (n - 1) * p3_ + q2_) * p1
-        - n * (n - 1) * p2_
-        - n * q1_
-    )
     total = np.zeros((m, n + 5))
     for k, c in enumerate(ode.p):
         if c != 0.0 and S2.shape[1]:
@@ -384,8 +359,8 @@ def _coefficient_residual(ode: PolyODE, A: np.ndarray) -> np.ndarray:
     for k, c in enumerate(ode.q):
         if c != 0.0:
             total[:, k : k + S1.shape[1]] += c * S1
-    for k in range(5):
-        total[:, k : k + n + 1] += w[:, k : k + 1] * S
+    for k, wk in enumerate(_closing_w(ode, n, p1, p2, p3, p4, e[:, 2])):
+        total[:, k : k + n + 1] += np.reshape(wk, (-1, 1)) * S
     return total[:, :n]
 
 
@@ -408,10 +383,7 @@ def _coefficient_newton(ode: PolyODE, starts: np.ndarray, cfg: SolverConfig) -> 
                 Ah = Aa.copy()
                 Ah[:, j] += h
                 J[:, :, j] = (_coefficient_residual(ode, Ah) - Ra) / h[:, None]
-            try:
-                step = np.linalg.solve(J, Ra[..., None])[..., 0]
-            except np.linalg.LinAlgError:
-                break
+            step = _newton_steps(J, Ra)
             base = np.sum(Ra * Ra, axis=1)
             lam = np.ones(len(step))
             trial = Aa - step
@@ -488,15 +460,9 @@ def _escape_radius(cfg: SolverConfig) -> float:
 def _accept_candidate(ode: PolyODE, roots: np.ndarray, cfg: SolverConfig):
     """Apply distinctness, conjugation-closure, denominator and identity
     filters; every accepted set passes both independent checks."""
-    n = len(roots)
     if np.max(np.abs(roots)) > _escape_radius(cfg):
         return None
-    if n > 1:
-        diff = roots[:, None] - roots[None, :]
-        off = ~np.eye(n, dtype=bool)
-        sep = float(np.min(np.abs(diff[off])))
-    else:
-        sep = math.inf
+    sep = _separation(roots)
     if sep <= cfg.sep_tol:
         return None
     if np.min(np.abs(polyval(ode.p, roots))) < cfg.denom_tol:
@@ -558,16 +524,15 @@ def solve_bae(
         reps.append(ordered)
     # Polish each representative with undamped Newton until the step (a
     # direct estimate of the remaining root error) is at rounding level.
-    tables = _rational_tables(ode)
     results = []
     with np.errstate(all="ignore"):
         for rep in reps:
             T = rep[None, :].copy()
             for _ in range(8):
-                R = _residual_batch(tables, T)
+                R = _residual_batch(ode, T)
                 if not np.all(np.isfinite(R)):
                     break
-                J = _jacobian_batch(tables, T)
+                J = _jacobian_batch(ode, T)
                 try:
                     step = np.linalg.solve(J, R[..., None])[..., 0]
                 except np.linalg.LinAlgError:

@@ -21,7 +21,7 @@ with s2d = sqrt(2 d), s2h = sqrt(2 h), fh = (f - g^2/(4h)) / s2h.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Mapping
 
@@ -32,6 +32,8 @@ from .bethe import (
     RootSet,
     SolverConfig,
     Variable,
+    _accept_candidate,
+    _newton_batch,
     _power_sums,
     bae_residuals,
     compute_w_coefficients,
@@ -68,6 +70,8 @@ _FREE_KEYS = {
     (Family.OCTIC, Case.COULOMBIC): ("a", "e", "f", "g", "h"),
     (Family.DECATIC, Case.HARMONIC): ("omega", "b", "c", "d"),
 }
+# Families whose match_ell solve derives omega instead of taking it.
+_MATCH_ELL_FAMILIES = (Family.SEXTIC, Family.DECATIC)
 
 
 @dataclass(frozen=True)
@@ -102,10 +106,7 @@ class FamilyProblem:
             )
         expected = set(_FREE_KEYS[key])
         got = set(self.free)
-        if self.family is Family.DECATIC and self.match_ell:
-            expected.discard("omega")
-            got.discard("omega")
-        if self.family is Family.SEXTIC and self.match_ell:
+        if self.match_ell and self.family in _MATCH_ELL_FAMILIES:
             expected.discard("omega")
             got.discard("omega")
         if got != expected:
@@ -123,27 +124,12 @@ def _require(cond: bool, constraint: str):
 
 def _validate_problem(problem: FamilyProblem):
     f = problem.free
-    fam, case = problem.family, problem.case
-    if fam is Family.QUARTIC:
-        _require(f["d"] > 0, "d > 0")
-        if case is Case.HARMONIC:
-            _require(f["omega"] > 0, "omega > 0")
-        else:
-            _require(f["a"] < 0, "a < 0")
-    elif fam is Family.SEXTIC:
-        _require(f["d"] > 0, "d > 0")
-        if not problem.match_ell:
-            _require(f["omega"] > 0, "omega > 0")
-    elif fam is Family.OCTIC:
-        _require(f["h"] > 0, "h > 0")
-        if case is Case.HARMONIC:
-            _require(f["omega"] > 0, "omega > 0")
-        else:
-            _require(f["a"] < 0, "a < 0")
-    elif fam is Family.DECATIC:
-        _require(f["d"] > 0, "d > 0")
-        if not problem.match_ell:
-            _require(f["omega"] > 0, "omega > 0")
+    top = "h" if problem.family is Family.OCTIC else "d"
+    _require(f[top] > 0, f"{top} > 0")
+    if problem.case is Case.COULOMBIC:
+        _require(f["a"] < 0, "a < 0")
+    elif not (problem.match_ell and problem.family in _MATCH_ELL_FAMILIES):
+        _require(f["omega"] > 0, "omega > 0")
 
 
 @dataclass(frozen=True)
@@ -292,6 +278,23 @@ def _sums(roots: RootSet, conj_tol: float = 1e-8):
     return tuple(_power_sums(arr, conj_tol))
 
 
+def _l_half_sq(problem: FamilyProblem, omega: float, s1: float) -> float:
+    """(l+1/2)^2 of a sextic or decatic branch with root sum s1 at omega.
+
+    Negative (infeasible) values are returned as they are.
+    """
+    n = problem.n
+    if problem.family is Family.SEXTIC:
+        s2d, xi, _, _ = _sextic_rates(problem, omega)
+        return 4.0 * n * (n + 1.0 + xi) + (xi + 1.0) ** 2 - 2.0 * omega * (s2d + 2.0 * s1)
+    s2d, _, eta, _ = _decatic_rates(problem, omega)
+    return (
+        (eta - 0.5) ** 2
+        + 4.0 * n * (n + eta - 0.5)
+        - 2.0 * omega * (problem.free["c"] / s2d + 2.0 * s1)
+    )
+
+
 def derive_parameters(
     problem: FamilyProblem,
     roots: RootSet,
@@ -340,7 +343,7 @@ def derive_parameters(
     if fam is Family.SEXTIC:
         s2d, xi, lead, w = _sextic_rates(problem, omega)
         energy = w * (2.0 * n + 2.0 + xi)
-        l2 = 4.0 * n * (n + 1.0 + xi) + (xi + 1.0) ** 2 - 2.0 * w * (s2d + 2.0 * s1)
+        l2 = _l_half_sq(problem, w, s1)
         if l2 < 0:
             raise ConstraintInfeasible(f"derived (l+1/2)^2 = {l2} < 0")
         derived = {"l_half_sq": l2, "ell": -0.5 + math.sqrt(l2)}
@@ -390,11 +393,7 @@ def derive_parameters(
         c = problem.free["c"]
         d = problem.free["d"]
         energy = w * (2.0 * n + eta + 0.5)
-        l2 = (
-            (eta - 0.5) ** 2
-            + 4.0 * n * (n + eta - 0.5)
-            - 2.0 * w * (c / s2d + 2.0 * s1)
-        )
+        l2 = _l_half_sq(problem, w, s1)
         if l2 < 0:
             raise ConstraintInfeasible(f"derived (l+1/2)^2 = {l2} < 0")
         a = (
@@ -460,7 +459,7 @@ def solve_family_detailed(
     problem: FamilyProblem, cfg: SolverConfig = SolverConfig()
 ) -> tuple[list[QESSolution], list[BranchFailure]]:
     """solve_family plus a record of skipped branches (for scans)."""
-    if problem.match_ell and problem.family in (Family.SEXTIC, Family.DECATIC):
+    if problem.match_ell and problem.family in _MATCH_ELL_FAMILIES:
         return _solve_match_ell(problem, cfg)
     solutions: list[QESSolution] = []
     failures: list[BranchFailure] = []
@@ -489,46 +488,14 @@ def solve_family(
 # ----------------------------------------------------------------------
 
 
-def _l2_of_branch(problem, omega, roots):
-    """Derived (l+1/2)^2 at given omega and roots, infeasible values allowed."""
-    s1 = _sums(roots)[0]
-    if problem.family is Family.SEXTIC:
-        s2d, xi, _, _ = _sextic_rates(problem, omega)
-        n = problem.n
-        return 4.0 * n * (n + 1.0 + xi) + (xi + 1.0) ** 2 - 2.0 * omega * (
-            s2d + 2.0 * s1
-        )
-    s2d, _, eta, _ = _decatic_rates(problem, omega)
-    n = problem.n
-    c = problem.free["c"]
-    return (
-        (eta - 0.5) ** 2
-        + 4.0 * n * (n + eta - 0.5)
-        - 2.0 * omega * (c / s2d + 2.0 * s1)
-    )
-
-
 def _track_branch_step(problem, omega, prev_roots: RootSet, cfg) -> RootSet | None:
     """Re-solve the root system at a nearby omega, warm-started Newton."""
     ode, variable = build_ode(problem, omega)
     n = problem.n
     if n == 0:
         return RootSet(0, (), variable, 0.0, math.inf)
-    from .bethe import _accept_candidate, _newton_batch
-
     start = np.array([prev_roots.roots], dtype=complex)
-    local = SolverConfig(
-        seed=cfg.seed,
-        starts=1,
-        box=cfg.box,
-        max_iter=60,
-        bae_tol=cfg.bae_tol,
-        sep_tol=cfg.sep_tol,
-        conj_tol=cfg.conj_tol,
-        dedup_tol=cfg.dedup_tol,
-        denom_tol=cfg.denom_tol,
-    )
-    rows = _newton_batch(ode, start, local)
+    rows = _newton_batch(ode, start, replace(cfg, starts=1, max_iter=60))
     if len(rows) == 0:
         return None
     accepted = _accept_candidate(ode, rows[0], cfg)
@@ -590,7 +557,7 @@ def _solve_match_ell(problem: FamilyProblem, cfg: SolverConfig):
             roots = tracker.goto(omega)
             if roots is None:
                 return None
-            return _l2_of_branch(problem, omega, roots) - target
+            return _l_half_sq(problem, omega, _sums(roots)[0]) - target
 
         f0 = mismatch(omega0)
         bracket = None
@@ -623,9 +590,9 @@ def _solve_match_ell(problem: FamilyProblem, cfg: SolverConfig):
             )
             continue
         lo, hi = bracket
-        flo = mismatch(lo)
+        flo = mismatch(lo)  # None when re-tracking back to lo loses the branch
         for _ in range(200):
-            if hi - lo <= 4.0 * math.ulp(max(abs(lo), abs(hi))):
+            if flo is None or hi - lo <= 4.0 * math.ulp(max(abs(lo), abs(hi))):
                 break
             mid = 0.5 * (lo + hi)
             fm = mismatch(mid)
@@ -637,7 +604,7 @@ def _solve_match_ell(problem: FamilyProblem, cfg: SolverConfig):
             else:
                 lo, flo = mid, fm
         omega_star = 0.5 * (lo + hi)
-        final = mismatch(omega_star)
+        final = None if flo is None else mismatch(omega_star)
         if final is None or abs(final) > 1e-8:
             failures.append(
                 BranchFailure(branch, "ConstraintInfeasible", "outer solve stalled")
@@ -731,48 +698,34 @@ def _reduction_target(problem: FamilyProblem, limit: ReductionLimit) -> FamilyPr
 
 
 def _quantities(sol: QESSolution, limit: ReductionLimit, octic_side: bool):
+    dv, free = sol.derived, sol.problem.free
+    a = dv.get("a", free.get("a"))
     if limit is ReductionLimit.TO_QUARTIC:
-        keys = ("energy", "a", "b", "c", "d", "exponent")
-        if octic_side:
-            dv = sol.derived
-            a = dv.get("a", sol.problem.free.get("a"))
-            return dict(
-                energy=sol.energy,
-                a=a,
-                b=dv["b"],
-                c=dv["c"],
-                d=dv["d"],
-                exponent=sol.waveform.leading_exponent,
-            )
-        dv = sol.derived
-        a = dv.get("a", sol.problem.free.get("a"))
+        c, d = (dv["c"], dv["d"]) if octic_side else (free["c"], free["d"])
         return dict(
             energy=sol.energy,
             a=a,
             b=dv["b"],
-            c=sol.problem.free["c"],
-            d=sol.problem.free["d"],
+            c=c,
+            d=d,
             exponent=sol.waveform.leading_exponent,
         )
     if octic_side:
-        dv = sol.derived
         ell = sol.problem.ell
-        l2_eff = ell * (ell + 1.0) + 2.0 * dv["b"] + 0.25
-        a = dv.get("a", sol.problem.free.get("a"))
         return dict(
             energy=sol.energy,
             a=a,
             c=dv["c"],
             d=dv["d"],
-            l_half_sq=l2_eff,
+            l_half_sq=ell * (ell + 1.0) + 2.0 * dv["b"] + 0.25,
             exponent=sol.waveform.leading_exponent,
         )
     return dict(
         energy=sol.energy,
         a=0.0,
         c=0.0,
-        d=sol.problem.free["e"],
-        l_half_sq=sol.derived["l_half_sq"],
+        d=free["e"],
+        l_half_sq=dv["l_half_sq"],
         exponent=sol.waveform.leading_exponent,
     )
 

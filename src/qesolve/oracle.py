@@ -50,18 +50,20 @@ class PotentialSpec:
             if self.inverse_powers[top] <= 0:
                 raise InvalidParameter("highest inverse-power coupling must be > 0")
 
-    def bracket(self, r: np.ndarray) -> np.ndarray:
-        """ell(ell+1)/r^2 + omega^2 r^2 + 2 V(r)."""
-        out = self.ell * (self.ell + 1.0) / (r * r) + self.omega**2 * r * r
+    def _add_two_v(self, out: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """out + 2 V(r), each term added onto `out` in turn: bracket() and
+        the FD diagonal built from it depend on this order for rounding."""
         for k, lam in self.inverse_powers.items():
             out = out + 2.0 * lam * r ** (-float(k))
         return out
 
+    def bracket(self, r: np.ndarray) -> np.ndarray:
+        """ell(ell+1)/r^2 + omega^2 r^2 + 2 V(r)."""
+        base = self.ell * (self.ell + 1.0) / (r * r) + self.omega**2 * r * r
+        return self._add_two_v(base, r)
+
     def two_v(self, r: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(r)
-        for k, lam in self.inverse_powers.items():
-            out = out + 2.0 * lam * r ** (-float(k))
-        return out
+        return self._add_two_v(np.zeros_like(r), r)
 
 
 def _coupling(solution: QESSolution, name: str) -> float:
@@ -323,8 +325,9 @@ def verify_solution(
         fine = FdGrid(coarse.r_min, coarse.r_max, 2 * 2400 + 1)
         delta = max(0.75, 0.02 * abs(two_e))
         window = (two_e - delta, two_e + delta)
-        ev_c = fd_spectrum(assemble_potential(solution), window, coarse)
-        ev_f = fd_spectrum(assemble_potential(solution), window, fine)
+        potential = assemble_potential(solution)
+        ev_c = fd_spectrum(potential, window, coarse)
+        ev_f = fd_spectrum(potential, window, fine)
         if not ev_c or not ev_f:
             report.add("fd_eigenvalue_error", math.inf, 5e-3 * scale, passed=False)
             report.notes.append("fd oracle: window contained no eigenvalue")

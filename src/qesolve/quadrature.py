@@ -8,7 +8,6 @@ accumulated estimate meets the target.
 from __future__ import annotations
 
 import heapq
-import math
 
 import numpy as np
 
@@ -107,15 +106,3 @@ def integrate_adaptive(
         if total_err < 1e-305:
             break
     return total_val, total_err
-
-
-def fixed_gauss_legendre(f, a: float, b: float, panels: int, order: int = 24):
-    """Composite fixed-resolution Gauss-Legendre rule (oracle-style)."""
-    x0, w0 = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(a, b, panels + 1)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        total += half * float(np.dot(w0, np.asarray(f(mid + half * x0), dtype=float)))
-    return total

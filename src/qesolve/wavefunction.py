@@ -127,19 +127,6 @@ def count_nodes(solution: QESSolution) -> int:
 # ----------------------------------------------------------------------
 
 
-def _check_integrable(solution: QESSolution):
-    wf = solution.waveform
-    c2 = wf.exp_coeffs.get(2, 0.0)
-    if c2 > 0 or (c2 == 0.0 and wf.exp_coeffs.get(1, 0.0) >= 0.0):
-        raise NotIntegrable("no decay at infinity")
-    neg = [p for p in wf.exp_coeffs if p < 0]
-    if neg:
-        if wf.exp_coeffs[min(neg)] >= 0.0:
-            raise NotIntegrable("no decay at the origin")
-    elif 2.0 * wf.leading_exponent <= -1.0:
-        raise NotIntegrable("|Psi|^2 not integrable at the origin")
-
-
 def _log_integrand(solution: QESSolution):
     def phi(u: np.ndarray) -> np.ndarray:
         r = np.exp(u)
@@ -156,7 +143,6 @@ def norm_quadrature(solution: QESSolution, rel_tol: float = 1e-10) -> float:
     60 of its maximum; the integrand vanishes super-exponentially past the
     cut on both sides.
     """
-    _check_integrable(solution)
     phi = _log_integrand(solution)
     lo, hi = -12.0, 12.0
     for _ in range(8):

@@ -14,6 +14,7 @@ from qesolve import (
     solve_bae,
     verify_polynomial_identity,
 )
+from qesolve.bethe import _coefficient_newton, _coefficient_starts, _make_starts, _newton_batch
 
 from conftest import max_abs
 
@@ -185,6 +186,33 @@ class TestSolveBae:
                 assert max_abs(bae_residuals(ode, s)) < 1e-10
                 w = compute_w_coefficients(ode, s)
                 assert verify_polynomial_identity(ode.with_w(w), s) < 1e-10
+
+
+class TestSingularNewtonStep:
+    @pytest.mark.parametrize(
+        "newton, make_starts",
+        [(_newton_batch, _make_starts), (_coefficient_newton, _coefficient_starts)],
+        ids=["root_space", "coefficient_space"],
+    )
+    def test_one_singular_row_leaves_the_others_converging(self, monkeypatch, newton, make_starts):
+        cfg = SolverConfig(seed=0, starts=40)
+        starts = make_starts(2, cfg)
+        others = newton(SEXTIC_ODE, starts[1:], cfg)
+        assert len(others) > 0
+        real_solve = np.linalg.solve
+        calls = []
+
+        def solve_with_singular_first_row(J, b):
+            if not calls:
+                J[0] = 0.0  # the batch's first Newton system turns singular
+            calls.append(len(J))
+            return real_solve(J, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solve_with_singular_first_row)
+        got = newton(SEXTIC_ODE, starts, cfg)
+        assert len(calls) > 1
+        for row in others:
+            assert min(max_abs(row - g) for g in got) < 1e-9
 
 
 class TestPolynomialIdentity:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from qesolve import (
     reduction_check,
     solve_family,
     solve_family_detailed,
+    verify_solution,
 )
 
 from conftest import (
@@ -31,6 +33,34 @@ from conftest import (
 )
 
 PLASTIC = 1.3247179572447460
+
+
+# (id, problem factory, the constraint it violates)
+VALIDATION_CASES = [
+    ("quartic-d", lambda: quartic_harmonic(d=-1.0), "d > 0"),
+    ("quartic-omega", lambda: quartic_harmonic(omega=0.0), "omega > 0"),
+    ("quartic-match_ell-omega", lambda: quartic_harmonic(omega=0.0, match_ell=True), "omega > 0"),
+    ("quartic-coulombic-a", lambda: quartic_coulombic(a=1.0), "a < 0"),
+    ("quartic-coulombic-d", lambda: quartic_coulombic(d=0.0), "d > 0"),
+    ("sextic-d", lambda: sextic(d=0.0), "d > 0"),
+    ("sextic-omega", lambda: sextic(omega=-1.0), "omega > 0"),
+    ("sextic-match_ell-d", lambda: sextic(d=-0.5, match_ell=True), "d > 0"),
+    ("octic-h", lambda: octic_harmonic(h=0.0), "h > 0"),
+    ("octic-omega", lambda: octic_harmonic(omega=0.0), "omega > 0"),
+    (
+        "octic-match_ell-omega",
+        lambda: FamilyProblem(
+            Family.OCTIC, Case.HARMONIC, 0, 0,
+            {"omega": 0.0, "e": 0.0, "f": 0.0, "g": 0.0, "h": 0.5}, True,
+        ),
+        "omega > 0",
+    ),
+    ("octic-coulombic-a", lambda: octic_coulombic(a=1.0), "a < 0"),
+    ("octic-coulombic-h", lambda: octic_coulombic(h=-0.5), "h > 0"),
+    ("decatic-d", lambda: decatic(d=0.0), "d > 0"),
+    ("decatic-omega", lambda: decatic(omega=0.0), "omega > 0"),
+    ("decatic-match_ell-d", lambda: decatic(d=-0.5, match_ell=True), "d > 0"),
+]
 
 
 class TestBuildOde:
@@ -59,15 +89,19 @@ class TestBuildOde:
         # beta = 2, B = a/(n+beta) = -1/2, so q4 = 2B = -1.
         assert ode.q == pytest.approx((2.0, 0.0, 0.0, 4.0, -1.0, 0.0), abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "make, rule",
+        [case[1:] for case in VALIDATION_CASES],
+        ids=[case[0] for case in VALIDATION_CASES],
+    )
+    def test_validation_table(self, make, rule):
+        # The top coupling (h for the octic, d otherwise) must be positive,
+        # coulombic cases need a < 0 and the others omega > 0; match_ell
+        # waives omega for the sextic and decatic only.
+        with pytest.raises(InvalidParameter, match=rf"^constraint violated: {re.escape(rule)}$"):
+            make()
+
     def test_validation_messages(self):
-        with pytest.raises(InvalidParameter, match="d > 0"):
-            quartic_harmonic(d=-1.0)
-        with pytest.raises(InvalidParameter, match="omega > 0"):
-            quartic_harmonic(omega=0.0)
-        with pytest.raises(InvalidParameter, match="a < 0"):
-            quartic_coulombic(a=1.0)
-        with pytest.raises(InvalidParameter, match="h > 0"):
-            octic_harmonic(h=0.0)
         with pytest.raises(InvalidCase):
             FamilyProblem(Family.SEXTIC, Case.COULOMBIC, 0, 0, {"a": -1.0, "e": 0.0, "d": 0.5})
         with pytest.raises(InvalidParameter, match="expects couplings"):
@@ -237,6 +271,21 @@ class TestDecatic:
             z1 = s.roots.roots[0]
             val = -(z1**3) + (3.0 + 1.0 / (8 * 0.5)) * z1**2 + z1 + 2 * 0.5
             assert abs(val) < 1e-10
+
+    def test_match_ell_branch_lost_at_bracket_end_is_recorded(self):
+        # Re-tracking one branch back to the lower end of its omega bracket
+        # fails here; the solve records that branch and keeps the others.
+        prob = decatic(
+            n=2,
+            b=0.04433974825910281,
+            c=0.7109152504047087,
+            d=0.34297060582762845,
+            match_ell=True,
+        )
+        solutions, failures = solve_family_detailed(prob, SolverConfig(seed=2026, starts=48))
+        assert len(solutions) >= 1
+        assert all(verify_solution(s).passed for s in solutions)
+        assert len(failures) == 1
 
     def test_default_mode_derives_ell(self, cfg_small):
         s = solve_family(decatic(n=0, omega=1.0, b=0.0, c=1.0, d=0.5), cfg_small)[0]

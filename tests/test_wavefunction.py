@@ -17,9 +17,21 @@ from qesolve import (
     norm_quadrature,
     solve_family,
 )
-from qesolve.quadrature import fixed_gauss_legendre, integrate_adaptive
+from qesolve.quadrature import integrate_adaptive
 
 from conftest import decatic, octic_harmonic, quartic_harmonic, sextic
+
+
+def fixed_gauss_legendre(f, a: float, b: float, panels: int, order: int = 24):
+    """Composite fixed-resolution Gauss-Legendre rule (oracle-style)."""
+    x0, w0 = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(a, b, panels + 1)
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (hi - lo)
+        mid = 0.5 * (hi + lo)
+        total += half * float(np.dot(w0, np.asarray(f(mid + half * x0), dtype=float)))
+    return total
 
 
 @pytest.fixture(scope="module")
