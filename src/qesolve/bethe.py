@@ -17,10 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral
 
 import numpy as np
 
-from .errors import DenominatorBlowup, NonRealCoefficients, NoSolutionFound
+from .errors import DenominatorBlowup, InvalidParameter, NonRealCoefficients, NoSolutionFound
 from .polynomials import poly_from_roots, polyadd, polyder, polymul, polyval
 
 
@@ -73,25 +74,42 @@ class RootSet:
         return np.array(self.roots, dtype=complex)
 
 
+# Half-width of the widest start box, the acceptance gates of a root set,
+# and the distance (max norm, canonical order) below which two are one branch.
+BOX = 20.0
+BAE_TOL = 1e-10
+IDENT_TOL = 1e-10
+SEP_TOL = 1e-8
+CONJ_TOL = 1e-8
+DENOM_TOL = 1e-12
+DEDUP_TOL = 1e-6
+# Beyond this, a small residual just means Q/P decayed along a diverging
+# Newton path (possible when deg Q < deg P), not that a solution exists.
+ESCAPE_RADIUS = 50.0 * BOX
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and multi-start settings for the Newton root search."""
+    """RNG seed and starts per pass of the multi-start Newton root search."""
 
     seed: int = 0
     starts: int = 200
-    box: float = 20.0
-    max_iter: int = 100
-    bae_tol: float = 1e-10
-    ident_tol: float = 1e-10
-    sep_tol: float = 1e-8
-    conj_tol: float = 1e-8
-    dedup_tol: float = 1e-6
-    denom_tol: float = 1e-12
+
+    def __post_init__(self):
+        if not isinstance(self.seed, Integral) or self.seed < 0:
+            raise InvalidParameter(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not isinstance(self.starts, Integral) or self.starts < 1:
+            raise InvalidParameter(f"starts must be a positive integer, got {self.starts!r}")
 
 
 def _canonical_order(roots: np.ndarray) -> np.ndarray:
     order = np.lexsort((roots.imag, roots.real))
     return roots[order]
+
+
+def _branch_key(roots) -> tuple:
+    """Canonical sort key of a branch: root real parts, then imaginary parts."""
+    return tuple(np.real(roots)) + tuple(np.imag(roots))
 
 
 def _power_sums(roots, conj_tol: float):
@@ -151,7 +169,7 @@ def _closing_w(ode: PolyODE, n: int, s1, s2, s3, s4, pair):
     return (w0, w1, w2, w3, w4)
 
 
-def compute_w_coefficients(ode: PolyODE, roots, conj_tol: float = 1e-8):
+def compute_w_coefficients(ode: PolyODE, roots, conj_tol: float = CONJ_TOL):
     """W coefficients (w0..w4) that admit S(t) = prod (t - t_i) as solution.
 
     Evaluates the closing formulas on the root power sums; every term either
@@ -175,8 +193,8 @@ def _separation(roots: np.ndarray) -> float:
 def bae_residuals(
     ode: PolyODE,
     roots,
-    denom_tol: float = 1e-12,
-    sep_tol: float = 1e-8,
+    denom_tol: float = DENOM_TOL,
+    sep_tol: float = SEP_TOL,
 ) -> np.ndarray:
     """Residuals sum_{j!=i} 2/(t_i - t_j) + Q(t_i)/P(t_i), one per root.
 
@@ -272,7 +290,7 @@ def _newton_steps(J: np.ndarray, R: np.ndarray) -> np.ndarray:
         return np.array([np.linalg.lstsq(Ji, Ri, rcond=None)[0] for Ji, Ri in zip(J, R)])
 
 
-def _newton_batch(ode: PolyODE, starts: np.ndarray, cfg: SolverConfig) -> np.ndarray:
+def _newton_batch(ode: PolyODE, starts: np.ndarray, max_iter: int) -> np.ndarray:
     """Damped Newton on all starts simultaneously; returns converged rows.
 
     Residuals are carried between iterations and the line search only
@@ -280,15 +298,12 @@ def _newton_batch(ode: PolyODE, starts: np.ndarray, cfg: SolverConfig) -> np.nda
     progress after repeated halvings are dropped.
     """
     T = starts.copy()
-    m, n = T.shape
-    inner_tol = min(1e-13, cfg.bae_tol * 1e-2)
-    radius = _escape_radius(cfg)
     with np.errstate(all="ignore"):
         R = _residual_batch(ode, T)
         norms = np.max(np.abs(R), axis=1)
         alive = np.isfinite(norms)
-        done = alive & (norms < inner_tol)
-        for _ in range(cfg.max_iter):
+        done = alive & (norms < 1e-13)
+        for _ in range(max_iter):
             act = alive & ~done
             if not act.any():
                 break
@@ -324,11 +339,11 @@ def _newton_batch(ode: PolyODE, starts: np.ndarray, cfg: SolverConfig) -> np.nda
             T[moved] = trial[ok]
             R[moved] = Rt[ok]
             norms[moved] = np.max(np.abs(Rt[ok]), axis=1)
-            escaped = np.max(np.abs(T[moved]), axis=1) > radius
+            escaped = np.max(np.abs(T[moved]), axis=1) > ESCAPE_RADIUS
             fresh = np.isfinite(norms[moved]) & ~escaped
             alive[moved] &= fresh
-            done[moved] = alive[moved] & (norms[moved] < inner_tol)
-    good = alive & np.isfinite(norms) & (norms < cfg.bae_tol)
+            done[moved] = alive[moved] & (norms[moved] < 1e-13)
+    good = alive & np.isfinite(norms) & (norms < BAE_TOL)
     return T[good]
 
 
@@ -364,13 +379,13 @@ def _coefficient_residual(ode: PolyODE, A: np.ndarray) -> np.ndarray:
     return total[:, :n]
 
 
-def _coefficient_newton(ode: PolyODE, starts: np.ndarray, cfg: SolverConfig) -> np.ndarray:
+def _coefficient_newton(ode: PolyODE, starts: np.ndarray, max_iter: int) -> np.ndarray:
     """Damped Newton on the coefficient-space system; Jacobian by forward
     differences (the system is polynomial and smooth)."""
     A = starts.copy()
     m, n = A.shape
     with np.errstate(all="ignore"):
-        for _ in range(cfg.max_iter):
+        for _ in range(max_iter):
             R = _coefficient_residual(ode, A)
             norms = np.max(np.abs(R), axis=1)
             act = np.isfinite(norms) & (norms >= 1e-13)
@@ -406,7 +421,7 @@ def _coefficient_starts(n: int, cfg: SolverConfig) -> np.ndarray:
     starts = np.empty((cfg.starts, n))
     for k in range(cfg.starts):
         rng = np.random.default_rng([cfg.seed, 1_000_003 + k])
-        box = cfg.box / (4.0 ** (k % 4))
+        box = BOX / (4.0 ** (k % 4))
         roots = []
         i = 0
         while i < n:
@@ -433,7 +448,7 @@ def _make_starts(n: int, cfg: SolverConfig) -> np.ndarray:
     starts = np.empty((cfg.starts, n), dtype=complex)
     for k in range(cfg.starts):
         rng = np.random.default_rng([cfg.seed, k])
-        box = cfg.box / (4.0 ** (k % 4))
+        box = BOX / (4.0 ** (k % 4))
         if n >= 2 and k % 3 == 2:
             # Conjugate-paired start: Newton preserves the symmetry, which
             # targets conjugation-closed solutions directly.
@@ -451,39 +466,53 @@ def _make_starts(n: int, cfg: SolverConfig) -> np.ndarray:
     return starts
 
 
-def _escape_radius(cfg: SolverConfig) -> float:
-    # Beyond this, a small residual just means Q/P decayed along a diverging
-    # Newton path (possible when deg Q < deg P), not that a solution exists.
-    return 50.0 * max(1.0, cfg.box)
-
-
-def _accept_candidate(ode: PolyODE, roots: np.ndarray, cfg: SolverConfig):
+def _accept_candidate(ode: PolyODE, roots: np.ndarray):
     """Apply distinctness, conjugation-closure, denominator and identity
     filters; every accepted set passes both independent checks."""
-    if np.max(np.abs(roots)) > _escape_radius(cfg):
+    if np.max(np.abs(roots)) > ESCAPE_RADIUS:
         return None
     sep = _separation(roots)
-    if sep <= cfg.sep_tol:
+    if sep <= SEP_TOL:
         return None
-    if np.min(np.abs(polyval(ode.p, roots))) < cfg.denom_tol:
+    if np.min(np.abs(polyval(ode.p, roots))) < DENOM_TOL:
         return None
     ordered = _canonical_order(roots)
     conj = _canonical_order(np.conj(roots))
-    if np.max(np.abs(ordered - conj)) > cfg.conj_tol:
+    if np.max(np.abs(ordered - conj)) > CONJ_TOL:
         return None
     try:
-        res = float(np.max(np.abs(bae_residuals(ode, ordered, cfg.denom_tol, cfg.sep_tol))))
+        res = float(np.max(np.abs(bae_residuals(ode, ordered))))
     except DenominatorBlowup:
         return None
-    if res >= cfg.bae_tol:
+    if res >= BAE_TOL:
         return None
     try:
-        w = compute_w_coefficients(ode, ordered, cfg.conj_tol)
-        if verify_polynomial_identity(ode.with_w(w), ordered) >= cfg.ident_tol:
+        w = compute_w_coefficients(ode, ordered)
+        if verify_polynomial_identity(ode.with_w(w), ordered) >= IDENT_TOL:
             return None
     except NonRealCoefficients:
         return None
     return ordered, res, sep
+
+
+def _polish(ode: PolyODE, roots: np.ndarray) -> np.ndarray:
+    """Undamped Newton until the step, a direct estimate of the root error,
+    is at rounding level; stops early where a step cannot be taken."""
+    T = roots[None, :]
+    for _ in range(8):
+        R = _residual_batch(ode, T)
+        if not np.all(np.isfinite(R)):
+            break
+        try:
+            step = np.linalg.solve(_jacobian_batch(ode, T), R[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            break
+        if not np.all(np.isfinite(step)):
+            break
+        T = T - step
+        if np.max(np.abs(step)) < 1e-15 * (1.0 + np.max(np.abs(T))):
+            break
+    return T[0]
 
 
 def solve_bae(
@@ -495,9 +524,9 @@ def solve_bae(
     """All distinct conjugate-closed solutions of the degree-n root system.
 
     Multi-start damped Newton with per-start RNG streams derived from
-    (seed, start index); converged points are deduplicated and the list is
-    sorted by the canonical key (sorted real parts, then imaginary parts),
-    so the output is deterministic for a fixed seed.
+    (seed, start index); converged rows are polished, filtered and
+    deduplicated, and the list is sorted by the canonical key (sorted real
+    parts, then imaginary parts), so the output is deterministic for a seed.
 
     Raises NoSolutionFound when n > 0 and no start converges at all.
     """
@@ -505,61 +534,30 @@ def solve_bae(
         raise ValueError("n must be non-negative")
     if n == 0:
         return [RootSet(0, (), variable, 0.0, math.inf)]
-    converged = list(_newton_batch(ode, _make_starts(n, cfg), cfg))
-    coeff_rows = _coefficient_newton(ode, _coefficient_starts(n, cfg), cfg)
-    for row in coeff_rows:
+    converged = list(_newton_batch(ode, _make_starts(n, cfg), max_iter=100))
+    for row in _coefficient_newton(ode, _coefficient_starts(n, cfg), max_iter=100):
         roots = np.roots(np.concatenate([row, [1.0]])[::-1])
         if np.all(np.isfinite(roots)):
             converged.append(roots.astype(complex))
     if len(converged) == 0:
         raise NoSolutionFound(f"no Newton start converged for n={n}")
-    # Deduplicate on canonically ordered roots.
-    reps: list[np.ndarray] = []
-    for row in converged:
-        ordered = _canonical_order(np.asarray(row))
-        if not np.all(np.isfinite(ordered)):
-            continue
-        if any(np.max(np.abs(ordered - r)) < cfg.dedup_tol for r in reps):
-            continue
-        reps.append(ordered)
-    # Polish each representative with undamped Newton until the step (a
-    # direct estimate of the remaining root error) is at rounding level.
-    results = []
+    found: list[tuple] = []
+
+    def known(roots: np.ndarray) -> bool:
+        return any(np.max(np.abs(roots - f[0])) < DEDUP_TOL for f in found)
+
+    # A row is skipped only once its branch is accepted, so a row that fails
+    # the filters cannot hide a nearby row that passes them.
     with np.errstate(all="ignore"):
-        for rep in reps:
-            T = rep[None, :].copy()
-            for _ in range(8):
-                R = _residual_batch(ode, T)
-                if not np.all(np.isfinite(R)):
-                    break
-                J = _jacobian_batch(ode, T)
-                try:
-                    step = np.linalg.solve(J, R[..., None])[..., 0]
-                except np.linalg.LinAlgError:
-                    break
-                if not np.all(np.isfinite(step)):
-                    break
-                T = T - step
-                if np.max(np.abs(step)) < 1e-15 * (1.0 + np.max(np.abs(T))):
-                    break
-            cand = T[0] if np.all(np.isfinite(T)) else rep
-            accepted = _accept_candidate(ode, cand, cfg)
-            if accepted is None:
-                accepted = _accept_candidate(ode, rep, cfg)
-            if accepted is not None:
-                results.append(accepted)
-    # Deduplicate again after polishing, then sort canonically.
-    final: list[tuple] = []
-    for ordered, res, sep in results:
-        if any(
-            np.max(np.abs(ordered - np.array(f[0]))) < cfg.dedup_tol for f in final
-        ):
-            continue
-        final.append((ordered, res, sep))
-    final.sort(
-        key=lambda item: tuple(item[0].real) + tuple(item[0].imag)
-    )
+        for row in converged:
+            raw = _canonical_order(row)
+            if known(raw):
+                continue
+            accepted = _accept_candidate(ode, _polish(ode, raw)) or _accept_candidate(ode, raw)
+            if accepted and not known(accepted[0]):
+                found.append(accepted)
+    found.sort(key=lambda item: _branch_key(item[0]))
     return [
         RootSet(n, tuple(complex(z) for z in ordered), variable, res, sep)
-        for ordered, res, sep in final
+        for ordered, res, sep in found
     ]

@@ -26,7 +26,7 @@ from .document import (
     loads_documents,
     solution_to_document,
 )
-from .errors import DocumentError, QesError
+from .errors import DocumentError, InvalidParameter, QesError
 from .families import (
     Case,
     Family,
@@ -74,7 +74,11 @@ def _build_problem(args) -> FamilyProblem:
 def _config(args) -> SolverConfig:
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("QES_SEED", "0"))
+        env = os.environ.get("QES_SEED", SolverConfig.seed)
+        try:
+            seed = int(env)
+        except ValueError:
+            raise InvalidParameter(f"QES_SEED must be an integer, got {env!r}") from None
     return SolverConfig(seed=seed, starts=args.starts)
 
 
@@ -158,6 +162,8 @@ def cmd_sample(args) -> int:
         raise DocumentError("rmin must be positive")
     if not args.rmax > args.rmin:
         raise DocumentError("rmax must exceed rmin")
+    if not -len(docs) <= args.index < len(docs):
+        raise DocumentError(f"--index {args.index} is out of range for {len(docs)} document(s)")
     solution = document_to_solution(docs[args.index])
     grid = np.geomspace(args.rmin, args.rmax, args.points)
     lines = ["r,log_abs_psi,sign,psi1_over_psi"]
@@ -245,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--param", action="append", metavar="NAME=VALUE")
         p.add_argument("--match-ell", dest="match_ell", action="store_true")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--starts", type=int, default=200)
+        p.add_argument("--starts", type=int, default=SolverConfig.starts)
         p.add_argument("--out", default=None)
 
     p_solve = sub.add_parser("solve", help="solve one family problem")

@@ -21,18 +21,20 @@ with s2d = sqrt(2 d), s2h = sqrt(2 h), fh = (f - g^2/(4h)) / s2h.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
 
 import numpy as np
 
 from .bethe import (
+    CONJ_TOL,
     PolyODE,
     RootSet,
     SolverConfig,
     Variable,
     _accept_candidate,
+    _branch_key,
     _newton_batch,
     _power_sums,
     bae_residuals,
@@ -271,11 +273,11 @@ def build_ode(problem: FamilyProblem, omega: float | None = None):
     raise InvalidCase(f"unknown family {fam}")
 
 
-def _sums(roots: RootSet, conj_tol: float = 1e-8):
+def _sums(roots: RootSet):
     arr = roots.as_array()
     if len(arr) == 0:
         return 0.0, 0.0, 0.0, 0.0, 0.0
-    return tuple(_power_sums(arr, conj_tol))
+    return tuple(_power_sums(arr, CONJ_TOL))
 
 
 def _l_half_sq(problem: FamilyProblem, omega: float, s1: float) -> float:
@@ -429,12 +431,11 @@ def derive_parameters(
 def _branch_solution(
     problem: FamilyProblem,
     roots: RootSet,
-    cfg: SolverConfig,
     omega: float | None = None,
 ) -> QESSolution:
     derived, energy, wave = derive_parameters(problem, roots, omega)
     ode, _ = build_ode(problem, omega)
-    w = compute_w_coefficients(ode, roots, cfg.conj_tol)
+    w = compute_w_coefficients(ode, roots)
     identity = verify_polynomial_identity(ode.with_w(w), roots)
     solution = QESSolution(
         problem,
@@ -470,7 +471,7 @@ def solve_family_detailed(
         return [], [BranchFailure(None, type(exc).__name__, str(exc))]
     for roots in branches:
         try:
-            solutions.append(_branch_solution(problem, roots, cfg))
+            solutions.append(_branch_solution(problem, roots))
         except (ConstraintInfeasible, InvalidExponent, InvalidParameter) as exc:
             failures.append(BranchFailure(roots, type(exc).__name__, str(exc)))
     return solutions, failures
@@ -488,17 +489,14 @@ def solve_family(
 # ----------------------------------------------------------------------
 
 
-def _track_branch_step(problem, omega, prev_roots: RootSet, cfg) -> RootSet | None:
+def _track_branch_step(problem, omega, prev_roots: RootSet) -> RootSet | None:
     """Re-solve the root system at a nearby omega, warm-started Newton."""
     ode, variable = build_ode(problem, omega)
-    n = problem.n
-    if n == 0:
-        return RootSet(0, (), variable, 0.0, math.inf)
     start = np.array([prev_roots.roots], dtype=complex)
-    rows = _newton_batch(ode, start, replace(cfg, starts=1, max_iter=60))
+    rows = _newton_batch(ode, start, max_iter=60)
     if len(rows) == 0:
         return None
-    accepted = _accept_candidate(ode, rows[0], cfg)
+    accepted = _accept_candidate(ode, rows[0])
     if accepted is None:
         return None
     ordered, res, sep = accepted
@@ -506,15 +504,14 @@ def _track_branch_step(problem, omega, prev_roots: RootSet, cfg) -> RootSet | No
     scale = 1.0 + max(float(np.max(np.abs(ordered))), float(np.max(np.abs(prev))))
     if np.max(np.abs(ordered - prev)) > 0.6 * scale:
         return None  # jumped to a different branch
-    return RootSet(n, tuple(complex(z) for z in ordered), variable, res, sep)
+    return RootSet(problem.n, tuple(complex(z) for z in ordered), variable, res, sep)
 
 
 class _BranchTracker:
     """Follow one root branch continuously in omega (small geometric hops)."""
 
-    def __init__(self, problem, omega0, roots0: RootSet, cfg):
+    def __init__(self, problem, omega0, roots0: RootSet):
         self.problem = problem
-        self.cfg = cfg
         self.omega = omega0
         self.roots = roots0
 
@@ -526,7 +523,7 @@ class _BranchTracker:
         roots, om_from = self.roots, self.omega
         for j in range(1, hops + 1):
             om = om_from * (omega / om_from) ** (j / hops)
-            roots = _track_branch_step(self.problem, om, roots, self.cfg)
+            roots = _track_branch_step(self.problem, om, roots)
             if roots is None:
                 return None
         self.omega, self.roots = omega, roots
@@ -551,7 +548,7 @@ def _solve_match_ell(problem: FamilyProblem, cfg: SolverConfig):
         return [], [BranchFailure(None, type(exc).__name__, str(exc))]
 
     for branch in branches:
-        tracker = _BranchTracker(problem, omega0, branch, cfg)
+        tracker = _BranchTracker(problem, omega0, branch)
 
         def mismatch(omega: float) -> float | None:
             roots = tracker.goto(omega)
@@ -611,13 +608,10 @@ def _solve_match_ell(problem: FamilyProblem, cfg: SolverConfig):
             )
             continue
         try:
-            solutions.append(_branch_solution(problem, tracker.roots, cfg, omega_star))
+            solutions.append(_branch_solution(problem, tracker.roots, omega_star))
         except (ConstraintInfeasible, InvalidExponent, InvalidParameter) as exc:
             failures.append(BranchFailure(branch, type(exc).__name__, str(exc)))
-    solutions.sort(
-        key=lambda s: tuple(np.array(s.roots.roots).real)
-        + tuple(np.array(s.roots.roots).imag)
-    )
+    solutions.sort(key=lambda s: _branch_key(s.roots.roots))
     return solutions, failures
 
 

@@ -16,6 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .bethe import BAE_TOL, IDENT_TOL
 from .bethe import Variable, bae_residuals, compute_w_coefficients, verify_polynomial_identity
 from .errors import GridInsufficient, InvalidParameter, MissingCoupling
 from .families import Case, Family, QESSolution, build_ode
@@ -281,8 +282,8 @@ class VerificationReport:
 def verify_solution(
     solution: QESSolution,
     level: VerifyLevel = VerifyLevel.FAST,
-    bae_tol: float = 1e-10,
-    ident_tol: float = 1e-10,
+    bae_tol: float = BAE_TOL,
+    ident_tol: float = IDENT_TOL,
     res_tol: float = 1e-9,
 ) -> VerificationReport:
     """Run the verification stack against a solution's stored fields.

@@ -2,10 +2,16 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qesolve import (
+    Case,
     DenominatorBlowup,
+    Family,
+    FamilyProblem,
     NonRealCoefficients,
+    NoSolutionFound,
     PolyODE,
     SolverConfig,
     Variable,
@@ -14,7 +20,9 @@ from qesolve import (
     solve_bae,
     verify_polynomial_identity,
 )
+from qesolve import bethe
 from qesolve.bethe import _coefficient_newton, _coefficient_starts, _make_starts, _newton_batch
+from qesolve.families import build_ode
 
 from conftest import max_abs
 
@@ -195,9 +203,8 @@ class TestSingularNewtonStep:
         ids=["root_space", "coefficient_space"],
     )
     def test_one_singular_row_leaves_the_others_converging(self, monkeypatch, newton, make_starts):
-        cfg = SolverConfig(seed=0, starts=40)
-        starts = make_starts(2, cfg)
-        others = newton(SEXTIC_ODE, starts[1:], cfg)
+        starts = make_starts(2, SolverConfig(seed=0, starts=40))
+        others = newton(SEXTIC_ODE, starts[1:], max_iter=100)
         assert len(others) > 0
         real_solve = np.linalg.solve
         calls = []
@@ -209,10 +216,79 @@ class TestSingularNewtonStep:
             return real_solve(J, b)
 
         monkeypatch.setattr(np.linalg, "solve", solve_with_singular_first_row)
-        got = newton(SEXTIC_ODE, starts, cfg)
+        got = newton(SEXTIC_ODE, starts, max_iter=100)
         assert len(calls) > 1
         for row in others:
             assert min(max_abs(row - g) for g in got) < 1e-9
+
+
+# Sextic draw 0 of the acceptance sweep at n = 5 (tests/test_acceptance.py,
+# SWEEP_CFG).  The sextic has exactly n + 1 = 6 branches, on very different
+# scales, and from 600 starts some clusters hold rows that fail the
+# acceptance filters next to rows that pass them.
+SWEEP_SEXTIC_N5 = FamilyProblem(
+    Family.SEXTIC,
+    Case.HARMONIC,
+    5,
+    0,
+    {"omega": 0.33662433368910255, "e": 0.8459174065892829, "d": 0.9717753714705291},
+)
+MANY_STARTS = SolverConfig(seed=2026, starts=600)
+
+
+def _sweep_sextic_branches(cfg=MANY_STARTS):
+    ode, variable = build_ode(SWEEP_SEXTIC_N5)
+    try:
+        return [s.as_array() for s in solve_bae(ode, 5, cfg, variable)]
+    except NoSolutionFound:
+        return []
+
+
+def _same_branch(a, b) -> bool:
+    return max_abs(a - b) < 1e-8
+
+
+@pytest.fixture(scope="module")
+def sweep_sextic_rows():
+    """The start rows of both Newton passes and the branches they give."""
+    n = SWEEP_SEXTIC_N5.n
+    return _make_starts(n, MANY_STARTS), _coefficient_starts(n, MANY_STARTS), _sweep_sextic_branches()
+
+
+def _branches_from_rows(root_rows, coeff_rows):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bethe, "_make_starts", lambda n, cfg: root_rows)
+        mp.setattr(bethe, "_coefficient_starts", lambda n, cfg: coeff_rows)
+        return _sweep_sextic_branches()
+
+
+class TestBranchSetIndependentOfStarts:
+    def test_more_starts_keep_every_branch(self):
+        few = _sweep_sextic_branches(SolverConfig(seed=2026, starts=48))
+        many = _sweep_sextic_branches()
+        assert len(few) == len(many) == 6
+        for a, b in zip(few, many):
+            assert _same_branch(a, b)
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        root_perm=st.permutations(range(MANY_STARTS.starts)),
+        coeff_perm=st.permutations(range(MANY_STARTS.starts)),
+    )
+    def test_permuted_starts_give_the_same_branches(self, sweep_sextic_rows, root_perm, coeff_perm):
+        root_rows, coeff_rows, full = sweep_sextic_rows
+        got = _branches_from_rows(root_rows[root_perm], coeff_rows[coeff_perm])
+        assert len(got) == len(full)
+        for a, b in zip(got, full):
+            assert _same_branch(a, b)
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(k_root=st.integers(1, MANY_STARTS.starts), k_coeff=st.integers(1, MANY_STARTS.starts))
+    def test_a_prefix_of_the_starts_gives_a_subset(self, sweep_sextic_rows, k_root, k_coeff):
+        root_rows, coeff_rows, full = sweep_sextic_rows
+        got = _branches_from_rows(root_rows[:k_root], coeff_rows[:k_coeff])
+        for a in got:
+            assert any(_same_branch(a, b) for b in full)
 
 
 class TestPolynomialIdentity:

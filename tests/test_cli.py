@@ -206,3 +206,24 @@ class TestSeedEnv:
         monkeypatch.delenv("QES_SEED")
         _, out_explicit, _ = run(capsys, *SOLVE_Q0, "--seed", "9")
         assert out_env == out_explicit
+
+
+@pytest.mark.parametrize(
+    "qes_seed, args",
+    [
+        (None, [*SOLVE_Q0, "--starts", "-3"]),
+        (None, [*SOLVE_Q0, "--starts", "0"]),
+        (None, [*SOLVE_Q0, "--seed", "-1"]),
+        ("1.5", SOLVE_Q0),
+        (None, ["sample", "DOC", "--rmin", "1", "--rmax", "2", "--index", "1"]),
+        (None, ["sample", "DOC", "--rmin", "1", "--rmax", "2", "--index", "-2"]),
+    ],
+    ids=["negative_starts", "zero_starts", "negative_seed", "non_integer_qes_seed", "index_past_end", "index_before_start"],
+)
+def test_bad_input_exits_with_an_error_line(qes_seed, args, q0_doc, monkeypatch, capsys):
+    if qes_seed is not None:
+        monkeypatch.setenv("QES_SEED", qes_seed)
+    code, out, err = run(capsys, *[str(q0_doc) if a == "DOC" else a for a in args])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
