@@ -83,6 +83,17 @@ SEP_TOL = 1e-8
 CONJ_TOL = 1e-8
 DENOM_TOL = 1e-12
 DEDUP_TOL = 1e-6
+# Newton stopping rules: a row has converged once its residual is below
+# NEWTON_FLOOR, or once its accepted step is at rounding level
+# (|step| <= ROUNDING_STEP * (1 + |x|), max norms) and its residual is below
+# its pass's output gate: BAE_TOL in root space, COEFF_TOL in coefficient
+# space.
+NEWTON_FLOOR = 1e-13
+COEFF_TOL = 1e-9
+ROUNDING_STEP = 1e-15
+# The largest imaginary part, relative to the largest coefficient, that the
+# polynomial identity lets S have.
+IMAG_TOL = 1e-8
 # Beyond this, a small residual just means Q/P decayed along a diverging
 # Newton path (possible when deg Q < deg P), not that a solution exists.
 ESCAPE_RADIUS = 50.0 * BOX
@@ -222,7 +233,7 @@ def verify_polynomial_identity(ode: PolyODE, roots) -> float:
     arr = _roots_of(roots)
     s = poly_from_roots(arr)
     scale_s = max(1.0, float(np.max(np.abs(s))))
-    if float(np.max(np.abs(s.imag))) > 1e-8 * scale_s:
+    if float(np.max(np.abs(s.imag))) > IMAG_TOL * scale_s:
         raise NonRealCoefficients("polynomial factor has complex coefficients")
     s = s.real
     s1 = np.asarray(polyder(s))
@@ -290,19 +301,25 @@ def _newton_steps(J: np.ndarray, R: np.ndarray) -> np.ndarray:
         return np.array([np.linalg.lstsq(Ji, Ri, rcond=None)[0] for Ji, Ri in zip(J, R)])
 
 
+def _at_rounding_level(x: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Per row: is the step dx, taken to reach x, at rounding level?"""
+    return np.max(np.abs(dx), axis=1) <= ROUNDING_STEP * (1.0 + np.max(np.abs(x), axis=1))
+
+
 def _newton_batch(ode: PolyODE, starts: np.ndarray, max_iter: int) -> np.ndarray:
     """Damped Newton on all starts simultaneously; returns converged rows.
 
     Residuals are carried between iterations and the line search only
     re-evaluates rows that still reject their step; rows that cannot make
-    progress after repeated halvings are dropped.
+    progress after repeated halvings are dropped, and rows that have
+    converged or settled at rounding level stop iterating.
     """
     T = starts.copy()
     with np.errstate(all="ignore"):
         R = _residual_batch(ode, T)
         norms = np.max(np.abs(R), axis=1)
         alive = np.isfinite(norms)
-        done = alive & (norms < 1e-13)
+        done = alive & (norms < NEWTON_FLOOR)
         for _ in range(max_iter):
             act = alive & ~done
             if not act.any():
@@ -342,7 +359,8 @@ def _newton_batch(ode: PolyODE, starts: np.ndarray, max_iter: int) -> np.ndarray
             escaped = np.max(np.abs(T[moved]), axis=1) > ESCAPE_RADIUS
             fresh = np.isfinite(norms[moved]) & ~escaped
             alive[moved] &= fresh
-            done[moved] = alive[moved] & (norms[moved] < 1e-13)
+            settled = _at_rounding_level(T[moved], lam[ok, None] * step[ok]) & (norms[moved] < BAE_TOL)
+            done[moved] = alive[moved] & ((norms[moved] < NEWTON_FLOOR) | settled)
     good = alive & np.isfinite(norms) & (norms < BAE_TOL)
     return T[good]
 
@@ -381,14 +399,23 @@ def _coefficient_residual(ode: PolyODE, A: np.ndarray) -> np.ndarray:
 
 def _coefficient_newton(ode: PolyODE, starts: np.ndarray, max_iter: int) -> np.ndarray:
     """Damped Newton on the coefficient-space system; Jacobian by forward
-    differences (the system is polynomial and smooth)."""
+    differences (the system is polynomial and smooth).
+
+    Residuals are carried between iterations, the line search re-evaluates
+    only the rows that still reject their step, and rows that have converged
+    or settled at rounding level stop iterating.  A row that rejects every
+    halving is dropped from the batch; it is still returned if its residual
+    is under the output gate.
+    """
     A = starts.copy()
-    m, n = A.shape
+    n = A.shape[1]
     with np.errstate(all="ignore"):
+        R = _coefficient_residual(ode, A)
+        norms = np.max(np.abs(R), axis=1)
+        alive = np.isfinite(norms)
+        done = alive & (norms < NEWTON_FLOOR)
         for _ in range(max_iter):
-            R = _coefficient_residual(ode, A)
-            norms = np.max(np.abs(R), axis=1)
-            act = np.isfinite(norms) & (norms >= 1e-13)
+            act = alive & ~done
             if not act.any():
                 break
             Aa, Ra = A[act], R[act]
@@ -402,18 +429,27 @@ def _coefficient_newton(ode: PolyODE, starts: np.ndarray, max_iter: int) -> np.n
             base = np.sum(Ra * Ra, axis=1)
             lam = np.ones(len(step))
             trial = Aa - step
-            for _bt in range(25):
-                Rt = _coefficient_residual(ode, trial)
-                val = np.sum(Rt * Rt, axis=1)
-                ok = np.isfinite(val) & (val <= base + 1e-300)
+            Rt = _coefficient_residual(ode, trial)
+            val = np.sum(Rt * Rt, axis=1)
+            ok = np.isfinite(val) & (val <= base + 1e-300)
+            for _bt in range(24):  # 25 trials: lam = 1, 1/2, ..., 2^-24
                 if ok.all():
                     break
-                lam = np.where(ok, lam, 0.5 * lam)
-                trial = Aa - lam[:, None] * step
-            A[act] = trial
-        R = _coefficient_residual(ode, A)
-        norms = np.max(np.abs(R), axis=1)
-    return A[np.isfinite(norms) & (norms < 1e-9)]
+                idx = np.nonzero(~ok)[0]
+                lam[idx] *= 0.5
+                trial[idx] = Aa[idx] - lam[idx, None] * step[idx]
+                Rt[idx] = _coefficient_residual(ode, trial[idx])
+                val = np.sum(Rt[idx] * Rt[idx], axis=1)
+                ok[idx] = np.isfinite(val) & (val <= base[idx] + 1e-300)
+            act_idx = np.nonzero(act)[0]
+            alive[act_idx[~ok]] = False
+            moved = act_idx[ok]
+            A[moved] = trial[ok]
+            R[moved] = Rt[ok]
+            norms[moved] = np.max(np.abs(Rt[ok]), axis=1)
+            settled = _at_rounding_level(A[moved], lam[ok, None] * step[ok]) & (norms[moved] < COEFF_TOL)
+            done[moved] = (norms[moved] < NEWTON_FLOOR) | settled
+    return A[np.isfinite(norms) & (norms < COEFF_TOL)]
 
 
 def _coefficient_starts(n: int, cfg: SolverConfig) -> np.ndarray:
@@ -510,7 +546,7 @@ def _polish(ode: PolyODE, roots: np.ndarray) -> np.ndarray:
         if not np.all(np.isfinite(step)):
             break
         T = T - step
-        if np.max(np.abs(step)) < 1e-15 * (1.0 + np.max(np.abs(T))):
+        if _at_rounding_level(T, step)[0]:
             break
     return T[0]
 

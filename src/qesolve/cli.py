@@ -162,6 +162,8 @@ def cmd_sample(args) -> int:
         raise DocumentError("rmin must be positive")
     if not args.rmax > args.rmin:
         raise DocumentError("rmax must exceed rmin")
+    if args.points < 1:
+        raise DocumentError(f"--points must be at least 1, got {args.points}")
     if not -len(docs) <= args.index < len(docs):
         raise DocumentError(f"--index {args.index} is out of range for {len(docs)} document(s)")
     solution = document_to_solution(docs[args.index])

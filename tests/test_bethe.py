@@ -23,6 +23,7 @@ from qesolve import (
 from qesolve import bethe
 from qesolve.bethe import _coefficient_newton, _coefficient_starts, _make_starts, _newton_batch
 from qesolve.families import build_ode
+from qesolve.polynomials import poly_from_roots
 
 from conftest import max_abs
 
@@ -289,6 +290,44 @@ class TestBranchSetIndependentOfStarts:
         got = _branches_from_rows(root_rows[:k_root], coeff_rows[:k_coeff])
         for a in got:
             assert any(_same_branch(a, b) for b in full)
+
+
+class TestNewtonStopsWhenSettled:
+    """Started at an accepted branch, each pass returns it within two steps.
+
+    The sextic's roots reach about 45 here, so the coefficients' rounding
+    floor lies above the absolute convergence floor; a pass must stop on a
+    rounding-level step instead of running out its iterations.
+    """
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        real_steps = bethe._newton_steps
+        calls = []
+
+        def counted(J, R):
+            calls.append(len(J))
+            return real_steps(J, R)
+
+        monkeypatch.setattr(bethe, "_newton_steps", counted)
+        return calls
+
+    def test_each_pass_returns_a_branch_it_starts_at(self, sweep_sextic_rows, steps):
+        ode, _ = build_ode(SWEEP_SEXTIC_N5)
+        full = sweep_sextic_rows[2]
+        assert len(full) == 6
+        for branch in full:
+            steps.clear()
+            coeffs = _coefficient_newton(ode, poly_from_roots(branch).real[None, :-1], max_iter=100)
+            assert len(steps) <= 2
+            assert len(coeffs) == 1
+            roots = np.roots(np.concatenate([coeffs[0], [1.0]])[::-1])
+            assert _same_branch(bethe._canonical_order(roots), branch)
+            steps.clear()
+            rows = _newton_batch(ode, branch[None, :], max_iter=100)
+            assert len(steps) <= 2
+            assert len(rows) == 1
+            assert _same_branch(bethe._canonical_order(rows[0]), branch)
 
 
 class TestPolynomialIdentity:

@@ -217,8 +217,13 @@ class TestSeedEnv:
         ("1.5", SOLVE_Q0),
         (None, ["sample", "DOC", "--rmin", "1", "--rmax", "2", "--index", "1"]),
         (None, ["sample", "DOC", "--rmin", "1", "--rmax", "2", "--index", "-2"]),
+        (None, ["sample", "DOC", "--rmin", "0.1", "--rmax", "2", "--points", "-2"]),
+        (None, ["sample", "DOC", "--rmin", "0.1", "--rmax", "2", "--points", "0"]),
     ],
-    ids=["negative_starts", "zero_starts", "negative_seed", "non_integer_qes_seed", "index_past_end", "index_before_start"],
+    ids=[
+        "negative_starts", "zero_starts", "negative_seed", "non_integer_qes_seed",
+        "index_past_end", "index_before_start", "negative_points", "zero_points",
+    ],
 )
 def test_bad_input_exits_with_an_error_line(qes_seed, args, q0_doc, monkeypatch, capsys):
     if qes_seed is not None:

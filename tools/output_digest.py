@@ -1,6 +1,8 @@
 """Print a digest of every `sweep` and `match_ell` benchmark operation.
 
     python3 tools/output_digest.py > digest.txt
+    python3 tools/output_digest.py --values > values.jsonl
+    python3 tools/output_digest.py --compare old.jsonl new.jsonl
 
 Run it in checkouts of two commits and `cmp` the outputs: a change meant
 to keep behaviour must print the same bytes.  It imports `src/qesolve` and
@@ -8,27 +10,99 @@ to keep behaviour must print the same bytes.  It imports `src/qesolve` and
 operation: its label, the number of branches, the sha256 of the solutions'
 documents with their FAST verification reports, and the failure records
 (or the exception the solve raised).
+
+With `--values` it prints one JSON line per operation instead: the label,
+the branch count, each branch's roots (as [re, im] pairs), energy and
+derived couplings as `repr` floats, and the failure records.  That tells a
+rounding-level change apart from a real one.  `--compare OLD NEW` reads two
+such files, line by line, and prints each operation whose line differs with
+its maximum relative root, energy and derived-coupling difference (each
+value's difference over max(1, |old value|)), or says what differs besides
+the values (branch count, failure records, a coupling's name).
 """
 
 import hashlib
+import json
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-import workloads  # noqa: E402
-from qesolve.document import dumps_documents, solution_to_document  # noqa: E402
-from qesolve.oracle import VerifyLevel, verify_solution  # noqa: E402
 
-for workload in (workloads.Sweep(), workloads.MatchEll()):
-    for op in workload.setup(seed=0, smoke=False):
-        try:
-            solutions, failures = workload.run(op)
-        except Exception as exc:  # a crash is part of the behaviour to compare
-            print(f"{op.label} | raised {type(exc).__name__}: {exc}")
+def _values(op_label, solutions, failures) -> str:
+    return json.dumps({
+        "op": op_label,
+        "branches": len(solutions),
+        "roots": [[[z.real, z.imag] for z in s.roots.roots] for s in solutions],
+        "energies": [s.energy for s in solutions],
+        "derived": [dict(sorted(s.derived.items())) for s in solutions],
+        "failures": [[f.error, f.detail] for f in failures],
+    })
+
+
+def digest(values: bool) -> None:
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import workloads
+    from qesolve.document import dumps_documents, solution_to_document
+    from qesolve.oracle import VerifyLevel, verify_solution
+
+    for workload in (workloads.Sweep(), workloads.MatchEll()):
+        for op in workload.setup(seed=0, smoke=False):
+            try:
+                solutions, failures = workload.run(op)
+            except Exception as exc:  # a crash is part of the behaviour to compare
+                print(f"{op.label} | raised {type(exc).__name__}: {exc}")
+                continue
+            if values:
+                print(_values(op.label, solutions, failures))
+                continue
+            docs = [solution_to_document(s, verify_solution(s, VerifyLevel.FAST)) for s in solutions]
+            sha = hashlib.sha256(dumps_documents(docs).encode()).hexdigest()
+            records = [(f.error, f.detail, f.roots and f.roots.roots) for f in failures]
+            print(f"{op.label} | {len(solutions)} | {sha} | {records}")
+
+
+def _max_rel(old, new) -> float:
+    """Largest |new - old| / max(1, |old|) over two equally nested lists."""
+    if isinstance(old, list):
+        return max((_max_rel(a, b) for a, b in zip(old, new)), default=0.0)
+    return abs(new - old) / max(1.0, abs(old))
+
+
+def compare(old_path: str, new_path: str) -> None:
+    old_lines = Path(old_path).read_text().splitlines()
+    new_lines = Path(new_path).read_text().splitlines()
+    if len(old_lines) != len(new_lines):
+        print(f"{len(old_lines)} operations against {len(new_lines)}")
+    changed = 0
+    for old_line, new_line in zip(old_lines, new_lines):
+        if old_line == new_line:
             continue
-        docs = [solution_to_document(s, verify_solution(s, VerifyLevel.FAST)) for s in solutions]
-        digest = hashlib.sha256(dumps_documents(docs).encode()).hexdigest()
-        records = [(f.error, f.detail, f.roots and f.roots.roots) for f in failures]
-        print(f"{op.label} | {len(solutions)} | {digest} | {records}")
+        changed += 1
+        try:
+            old, new = json.loads(old_line), json.loads(new_line)
+        except json.JSONDecodeError:
+            print(f"{old_line}\n  -> {new_line}")
+            continue
+        same = [old[k] == new[k] for k in ("op", "branches", "failures")]
+        keys = [list(d) for d in old["derived"]] == [list(d) for d in new["derived"]]
+        if not all(same) or not keys:
+            print(f"{old['op']} | differs beyond values:\n  {old_line}\n  -> {new_line}")
+            continue
+        derived_old = [list(d.values()) for d in old["derived"]]
+        derived_new = [list(d.values()) for d in new["derived"]]
+        print(
+            f"{old['op']} | roots {_max_rel(old['roots'], new['roots']):.2g}"
+            f" | energies {_max_rel(old['energies'], new['energies']):.2g}"
+            f" | derived {_max_rel(derived_old, derived_new):.2g}"
+        )
+    print(f"{changed} of {len(old_lines)} operations differ")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--compare"] and len(sys.argv) == 4:
+        compare(sys.argv[2], sys.argv[3])
+    elif sys.argv[1:] in ([], ["--values"]):
+        digest(values=bool(sys.argv[1:]))
+    else:
+        sys.exit(__doc__)
