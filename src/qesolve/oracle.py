@@ -203,6 +203,28 @@ def _sturm_counts(diag: np.ndarray, offdiag_sq: float, shifts: np.ndarray) -> np
     return counts
 
 
+# Bisection levels resolved by one Sturm pass: a pass counts the
+# 2**_LEVELS - 1 midpoints that bisection would compute over that many
+# levels.  A pass over the grid costs about the same for 63 shifts as for 1.
+_LEVELS = 6
+
+
+def _bisection_tree(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+    """Per interval, the midpoints bisection computes over its next
+    _LEVELS levels, in heap order (node i has children 2i+1 and 2i+2).
+    Each is 0.5 * (low + high) of its parent's ends, the float the
+    one-level loop would form."""
+    a, b = lows[:, None], highs[:, None]
+    mids = []
+    for _ in range(_LEVELS):
+        m = 0.5 * (a + b)
+        mids.append(m)
+        # The next level's intervals: (a, m) and (m, b), left to right.
+        a = np.stack([a, m], axis=-1).reshape(len(lows), -1)
+        b = np.stack([m, b], axis=-1).reshape(len(lows), -1)
+    return np.concatenate(mids, axis=1)
+
+
 def fd_spectrum(
     potential: PotentialSpec,
     energy_window: tuple,
@@ -212,31 +234,54 @@ def fd_spectrum(
     """All eigenvalues (as 2E) of the discretized operator in the window.
 
     Standard 3-point second difference on a uniform Dirichlet grid; the
-    eigenvalues are isolated and refined by Sturm-sequence bisection to
-    `tol` absolute.  Returns an empty list when the window holds none.
+    eigenvalues are isolated and refined by Sturm-sequence bisection until
+    every interval is at most `tol` wide, or none can be split further in
+    floating point.  One Sturm pass counts the midpoints of six bisection
+    levels at once; the result is bit for bit that of one level per pass.
+    Returns an empty list when the window holds none.  Raises
+    InvalidParameter for a window that is not finite with positive width,
+    or a `tol` that is not a finite positive number.
     """
     lo, hi = float(energy_window[0]), float(energy_window[1])
-    if not hi > lo:
-        raise InvalidParameter("energy window must have positive width")
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+        raise InvalidParameter("energy window must be finite with positive width")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise InvalidParameter("tol must be a finite positive number")
     n = grid.n_points
     r = np.linspace(grid.r_min, grid.r_max, n + 2)[1:-1]
     h = (grid.r_max - grid.r_min) / (n + 1)
     diag = 2.0 / (h * h) + potential.bracket(r)
     off_sq = 1.0 / h**4
-    c_lo = int(_sturm_counts(diag, off_sq, np.array([lo]))[0])
-    c_hi = int(_sturm_counts(diag, off_sq, np.array([hi]))[0])
+    # The first pass also counts lo and hi.  Every ordinal starts on the
+    # one tree of (lo, hi).
+    tree = _bisection_tree(np.array([lo]), np.array([hi]))
+    counts = _sturm_counts(diag, off_sq, np.concatenate([[lo, hi], tree[0]]))
+    c_lo, c_hi = int(counts[0]), int(counts[1])
     if c_hi == c_lo:
         return []
     ordinals = np.arange(c_lo + 1, c_hi + 1)
     lows = np.full(len(ordinals), lo)
     highs = np.full(len(ordinals), hi)
-    while np.max(highs - lows) > tol:
+    tree_counts = np.broadcast_to(counts[2:], (len(ordinals), len(counts) - 2))
+    rows = np.arange(len(ordinals))
+    node = np.zeros_like(ordinals)  # each ordinal's node for its next step
+    depth = 0
+    while True:
         mids = 0.5 * (lows + highs)
-        counts = _sturm_counts(diag, off_sq, mids)
-        below = counts >= ordinals
+        # The one-level loop's stop test, and a stop once no interval can be
+        # split in floating point: no later step would move a midpoint.
+        if not (np.max(highs - lows) > tol and np.any((lows < mids) & (mids < highs))):
+            return [float(x) for x in mids]
+        if depth == _LEVELS:
+            tree = _bisection_tree(lows, highs)
+            tree_counts = _sturm_counts(diag, off_sq, tree.ravel()).reshape(tree.shape)
+            node = np.zeros_like(ordinals)
+            depth = 0
+        below = tree_counts[rows, node] >= ordinals
         highs = np.where(below, mids, highs)
         lows = np.where(below, lows, mids)
-    return [float(x) for x in 0.5 * (lows + highs)]
+        node = 2 * node + 2 - below  # child (low, mid) if below, else (mid, high)
+        depth += 1
 
 
 # ----------------------------------------------------------------------

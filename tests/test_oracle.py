@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qesolve import (
     FdGrid,
@@ -19,7 +21,9 @@ from qesolve import (
     verify_solution,
 )
 
-from conftest import decatic, octic_harmonic, quartic_coulombic, quartic_harmonic, sextic
+from qesolve import oracle
+
+from conftest import decatic, octic_coulombic, octic_harmonic, quartic_coulombic, quartic_harmonic, sextic
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +142,126 @@ class TestFdSpectrum:
             FdGrid(0.0, 1.0, 3000)
         with pytest.raises(InvalidParameter):
             FdGrid(0.1, 1.0, 100)
+
+
+def _fd_matrix(potential, grid):
+    """Diagonal and squared off-diagonal of the FD operator."""
+    r = np.linspace(grid.r_min, grid.r_max, grid.n_points + 2)[1:-1]
+    h = (grid.r_max - grid.r_min) / (grid.n_points + 1)
+    return 2.0 / (h * h) + potential.bracket(r), 1.0 / h**4
+
+
+def _one_level_spectrum(potential, window, grid, tol=1e-12):
+    """Reference: Sturm bisection with one level (one `_sturm_counts` pass)
+    per step, as `fd_spectrum` refined before it counted six per pass."""
+    lo, hi = float(window[0]), float(window[1])
+    diag, off_sq = _fd_matrix(potential, grid)
+    c_lo, c_hi = (int(oracle._sturm_counts(diag, off_sq, np.array([x]))[0]) for x in (lo, hi))
+    ordinals = np.arange(c_lo + 1, c_hi + 1)
+    lows, highs = np.full(len(ordinals), lo), np.full(len(ordinals), hi)
+    while len(ordinals) and np.max(highs - lows) > tol:
+        mids = 0.5 * (lows + highs)
+        below = oracle._sturm_counts(diag, off_sq, mids) >= ordinals
+        highs, lows = np.where(below, mids, highs), np.where(below, lows, mids)
+    return [float(x) for x in 0.5 * (lows + highs)]
+
+
+def _run_counting(fn, *args):
+    """fn(*args), and the shifts of each `_sturm_counts` pass it made."""
+    passes = []
+    inner = oracle._sturm_counts
+
+    def counted(diag, off_sq, shifts):
+        passes.append(np.atleast_1d(shifts))
+        return inner(diag, off_sq, shifts)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_sturm_counts", counted)
+        return fn(*args), passes
+
+
+def _assert_same_as_one_level(potential, window, grid, tol=1e-12) -> list:
+    got, passes = _run_counting(fd_spectrum, potential, window, grid, tol)
+    want, ref_passes = _run_counting(_one_level_spectrum, potential, window, grid, tol)
+    assert got == want
+    # Every shift the one-level loop counts is counted, as the same float.
+    assert set(np.concatenate(ref_passes)) <= set(np.concatenate(passes))
+    return got
+
+
+class TestFdSpectrumMultisection:
+    """Six bisection levels per Sturm pass give the one-level result bit
+    for bit, in fewer passes."""
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @example(ell=0, omega=1.0, b=0.5, level=0, held=1, tol=1e-12, n_points=5000)
+    @example(ell=1, omega=1.3, b=0.2, level=2, held=7, tol=1e-12, n_points=3001)
+    @example(ell=2, omega=0.9, b=0.1, level=4, held=0, tol=1e-12, n_points=2000)
+    @given(
+        ell=st.integers(0, 2),
+        omega=st.floats(0.8, 1.5),
+        b=st.floats(0.01, 1.0),
+        level=st.integers(0, 4),
+        held=st.sampled_from([0, 1, 3, 7]),
+        tol=st.sampled_from([1e-6, 1e-12, "wide"]),
+        n_points=st.integers(2000, 5000),
+    )
+    def test_same_eigenvalues_as_one_level_bisection(self, ell, omega, b, level, held, tol, n_points):
+        # omega^2 r^2 plus 2b/r^2 on top of the centrifugal term: the levels
+        # are 2E_n = omega (4n + 2L + 3) with L(L+1) = ell(ell+1) + 2b, 4 omega
+        # apart, and the FD ones lie within 0.1 of a spacing of them.
+        big_l = -0.5 + math.sqrt((ell + 0.5) ** 2 + 2.0 * b)
+        levels = [omega * (4 * k + 2 * big_l + 3) for k in range(level + max(held, 1))]
+        gap = 4.0 * omega
+        if held == 0:
+            window = (levels[level] + 0.3 * gap, levels[level] + 0.7 * gap)
+        else:
+            window = (levels[level] - 0.4 * gap, levels[-1] + 0.4 * gap)
+        if tol == "wide":
+            tol = 2.0 * (window[1] - window[0])
+        pot = PotentialSpec(float(ell), omega, {2: b})
+        grid = FdGrid(1e-3, 12.0, n_points)
+        assert len(_assert_same_as_one_level(pot, window, grid, tol)) == held
+
+    def test_verify_pool_window_with_18_eigenvalues(self, cfg):
+        # The octic coulombic ground state of the spectral-oracle pool: its
+        # FULL-verification window holds 18 FD eigenvalues.
+        sol = solve_family(octic_coulombic(n=0), cfg)[0]
+        two_e = 2.0 * sol.energy
+        delta = max(0.75, 0.02 * abs(two_e))
+        window = (two_e - delta, two_e + delta)
+        pot, grid = assemble_potential(sol), default_fd_grid(sol, 2400)
+        assert len(_assert_same_as_one_level(pot, window, grid)) == 18
+
+    def test_passes_per_call(self):
+        pot, grid = PotentialSpec(0.0, 1.0, {}), FdGrid(1e-3, 12.0, 3000)
+        evs, passes = _run_counting(fd_spectrum, pot, (2.25, 3.75), grid)
+        assert len(evs) == 1
+        assert len(passes) <= 7  # 41 levels to 1e-12; one level per pass took 43
+        evs, passes = _run_counting(fd_spectrum, pot, (4.0, 6.0), grid)
+        assert evs == []
+        assert len(passes) == 1
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_tol_must_be_finite_positive(self, tol):
+        with pytest.raises(InvalidParameter):
+            fd_spectrum(PotentialSpec(0.0, 1.0, {}), (2.5, 3.5), FdGrid(1e-3, 12.0, 2000), tol)
+
+    @pytest.mark.parametrize("window", [(-math.inf, 3.5), (2.5, math.inf), (math.nan, 3.5), (3.5, 2.5)])
+    def test_window_must_be_finite(self, window):
+        with pytest.raises(InvalidParameter):
+            fd_spectrum(PotentialSpec(0.0, 1.0, {}), window, FdGrid(1e-3, 12.0, 2000))
+
+    def test_tol_below_float_spacing_ends_at_float_resolution(self):
+        # The one-level loop never ended here: 0.5 * (low + high) reaches an
+        # end of the interval before the width drops under the tolerance.
+        pot, grid = PotentialSpec(0.0, 1.0, {}), FdGrid(1e-3, 12.0, 2000)
+        (ev,) = fd_spectrum(pot, (2.5, 3.5), grid, 1e-20)
+        assert ev == pytest.approx(fd_spectrum(pot, (2.5, 3.5), grid)[0], abs=1e-12)
+        # ev and a float next to it bracket the eigenvalue.
+        shifts = np.array([np.nextafter(ev, -math.inf), ev, np.nextafter(ev, math.inf)])
+        below = list(oracle._sturm_counts(*_fd_matrix(pot, grid), shifts))
+        assert below in ([0, 0, 1], [0, 1, 1])
 
 
 class TestVerifySolution:

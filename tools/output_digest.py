@@ -3,6 +3,7 @@
     python3 tools/output_digest.py > digest.txt
     python3 tools/output_digest.py --values > values.jsonl
     python3 tools/output_digest.py --compare old.jsonl new.jsonl
+    python3 tools/output_digest.py --verify > verify.txt
 
 Run it in checkouts of two commits and `cmp` the outputs: a change meant
 to keep behaviour must print the same bytes.  It imports `src/qesolve` and
@@ -19,11 +20,17 @@ such files, line by line, and prints each operation whose line differs with
 its maximum relative root, energy and derived-coupling difference (each
 value's difference over max(1, |old value|)), or says what differs besides
 the values (branch count, failure records, a coupling's name).
+
+With `--verify` it digests the `verify` benchmark workload instead: one
+line per entry of `VERIFY_POOL` (in `perfbench/workloads.py`), with its
+label, the exit code of an in-process `qes verify DOC --out OUT` (FULL
+level, FD oracle included) and the sha256 of the document written to OUT.
 """
 
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,7 +48,6 @@ def _values(op_label, solutions, failures) -> str:
 
 
 def digest(values: bool) -> None:
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import workloads
     from qesolve.document import dumps_documents, solution_to_document
     from qesolve.oracle import VerifyLevel, verify_solution
@@ -60,6 +66,22 @@ def digest(values: bool) -> None:
             sha = hashlib.sha256(dumps_documents(docs).encode()).hexdigest()
             records = [(f.error, f.detail, f.roots and f.roots.roots) for f in failures]
             print(f"{op.label} | {len(solutions)} | {sha} | {records}")
+
+
+def verify_digest() -> None:
+    import workloads
+
+    with tempfile.TemporaryDirectory() as tmp:
+        workload = workloads.Verify(Path(tmp))
+        for op in workload.setup(seed=0, smoke=False):
+            try:
+                code, _ = workload.run(op)
+            except Exception as exc:  # a crash is part of the behaviour to compare
+                print(f"{op.label} | raised {type(exc).__name__}: {exc}")
+                continue
+            out = op.payload[2]
+            sha = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else "no output"
+            print(f"{op.label} | {code} | {sha}")
 
 
 def _max_rel(old, new) -> float:
@@ -100,8 +122,11 @@ def compare(old_path: str, new_path: str) -> None:
 
 
 if __name__ == "__main__":
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     if sys.argv[1:2] == ["--compare"] and len(sys.argv) == 4:
         compare(sys.argv[2], sys.argv[3])
+    elif sys.argv[1:] == ["--verify"]:
+        verify_digest()
     elif sys.argv[1:] in ([], ["--values"]):
         digest(values=bool(sys.argv[1:]))
     else:
