@@ -83,12 +83,13 @@ SEP_TOL = 1e-8
 CONJ_TOL = 1e-8
 DENOM_TOL = 1e-12
 DEDUP_TOL = 1e-6
-# Newton stopping rules: a row has converged once its residual is below
-# NEWTON_FLOOR, or once its accepted step is at rounding level
-# (|step| <= ROUNDING_STEP * (1 + |x|), max norms) and its residual is below
-# its pass's output gate: BAE_TOL in root space, COEFF_TOL in coefficient
-# space.
+# Newton stopping rules: a row takes at most NEWTON_ITERATIONS steps.  It
+# has converged once its residual is below NEWTON_FLOOR, or once its accepted
+# step is at rounding level (|step| <= ROUNDING_STEP * (1 + |x|), max norms)
+# and its residual is below its pass's output gate: BAE_TOL in root space,
+# COEFF_TOL in coefficient space.
 NEWTON_FLOOR = 1e-13
+NEWTON_ITERATIONS = 100
 COEFF_TOL = 1e-9
 ROUNDING_STEP = 1e-15
 # The largest imaginary part, relative to the largest coefficient, that the
@@ -306,7 +307,7 @@ def _at_rounding_level(x: np.ndarray, dx: np.ndarray) -> np.ndarray:
     return np.max(np.abs(dx), axis=1) <= ROUNDING_STEP * (1.0 + np.max(np.abs(x), axis=1))
 
 
-def _newton_batch(ode: PolyODE, starts: np.ndarray, max_iter: int) -> np.ndarray:
+def _newton_batch(ode: PolyODE, starts: np.ndarray) -> np.ndarray:
     """Damped Newton on all starts simultaneously; returns converged rows.
 
     Residuals are carried between iterations and the line search only
@@ -320,7 +321,7 @@ def _newton_batch(ode: PolyODE, starts: np.ndarray, max_iter: int) -> np.ndarray
         norms = np.max(np.abs(R), axis=1)
         alive = np.isfinite(norms)
         done = alive & (norms < NEWTON_FLOOR)
-        for _ in range(max_iter):
+        for _ in range(NEWTON_ITERATIONS):
             act = alive & ~done
             if not act.any():
                 break
@@ -335,9 +336,8 @@ def _newton_batch(ode: PolyODE, starts: np.ndarray, max_iter: int) -> np.ndarray
             lam = np.ones(len(step))
             trial = Ta - step
             Rt = _residual_batch(ode, trial)
-            ok = np.isfinite(np.sum(np.abs(Rt) ** 2, axis=1)) & (
-                np.sum(np.abs(Rt) ** 2, axis=1) <= base * (1.0 - 1e-4 * lam) + 1e-300
-            )
+            val = np.sum(np.abs(Rt) ** 2, axis=1)
+            ok = np.isfinite(val) & (val <= base * (1.0 - 1e-4 * lam) + 1e-300)
             for _bt in range(18):
                 if ok.all():
                     break
@@ -397,7 +397,7 @@ def _coefficient_residual(ode: PolyODE, A: np.ndarray) -> np.ndarray:
     return total[:, :n]
 
 
-def _coefficient_newton(ode: PolyODE, starts: np.ndarray, max_iter: int) -> np.ndarray:
+def _coefficient_newton(ode: PolyODE, starts: np.ndarray) -> np.ndarray:
     """Damped Newton on the coefficient-space system; Jacobian by forward
     differences (the system is polynomial and smooth).
 
@@ -414,7 +414,7 @@ def _coefficient_newton(ode: PolyODE, starts: np.ndarray, max_iter: int) -> np.n
         norms = np.max(np.abs(R), axis=1)
         alive = np.isfinite(norms)
         done = alive & (norms < NEWTON_FLOOR)
-        for _ in range(max_iter):
+        for _ in range(NEWTON_ITERATIONS):
             act = alive & ~done
             if not act.any():
                 break
@@ -503,23 +503,21 @@ def _make_starts(n: int, cfg: SolverConfig) -> np.ndarray:
 
 
 def _accept_candidate(ode: PolyODE, roots: np.ndarray):
-    """Apply distinctness, conjugation-closure, denominator and identity
-    filters; every accepted set passes both independent checks."""
+    """Pair each root with the root nearest its conjugate and make the pairs
+    exact (a root paired with itself exactly real), then apply the
+    distinctness, denominator, residual and identity filters to that set in
+    canonical order; every accepted set passes both independent checks."""
     if np.max(np.abs(roots)) > ESCAPE_RADIUS:
         return None
-    sep = _separation(roots)
-    if sep <= SEP_TOL:
+    partner = np.argmin(np.abs(roots[:, None] - np.conj(roots)), axis=1)
+    mirror = np.conj(roots[partner])
+    if np.any(partner[partner] != np.arange(len(roots))) or np.max(np.abs(roots - mirror)) > CONJ_TOL:
         return None
-    if np.min(np.abs(polyval(ode.p, roots))) < DENOM_TOL:
+    ordered = _canonical_order(0.5 * (roots + mirror))
+    sep = _separation(ordered)
+    if sep <= SEP_TOL or np.min(np.abs(polyval(ode.p, ordered))) < DENOM_TOL:
         return None
-    ordered = _canonical_order(roots)
-    conj = _canonical_order(np.conj(roots))
-    if np.max(np.abs(ordered - conj)) > CONJ_TOL:
-        return None
-    try:
-        res = float(np.max(np.abs(bae_residuals(ode, ordered))))
-    except DenominatorBlowup:
-        return None
+    res = float(np.max(np.abs(_residual_batch(ode, ordered[None, :]))))
     if res >= BAE_TOL:
         return None
     try:
@@ -570,8 +568,8 @@ def solve_bae(
         raise ValueError("n must be non-negative")
     if n == 0:
         return [RootSet(0, (), variable, 0.0, math.inf)]
-    converged = list(_newton_batch(ode, _make_starts(n, cfg), max_iter=100))
-    for row in _coefficient_newton(ode, _coefficient_starts(n, cfg), max_iter=100):
+    converged = list(_newton_batch(ode, _make_starts(n, cfg)))
+    for row in _coefficient_newton(ode, _coefficient_starts(n, cfg)):
         roots = np.roots(np.concatenate([row, [1.0]])[::-1])
         if np.all(np.isfinite(roots)):
             converged.append(roots.astype(complex))

@@ -59,15 +59,14 @@ def _parse_params(items) -> dict:
     return out
 
 
-def _build_problem(args) -> FamilyProblem:
-    free = _parse_params(args.param)
+def _build_problem(args, free: dict) -> FamilyProblem:
     return FamilyProblem(
         Family(args.family),
         Case(args.case),
         args.n,
         float(args.ell),
         free,
-        bool(getattr(args, "match_ell", False)),
+        args.match_ell,
     )
 
 
@@ -119,7 +118,7 @@ def _rows_to_csv(rows, columns) -> str:
 
 
 def cmd_solve(args) -> int:
-    problem = _build_problem(args)
+    problem = _build_problem(args, _parse_params(args.param))
     cfg = _config(args)
     solutions, failures = solve_family_detailed(problem, cfg)
     if not solutions:
@@ -208,15 +207,7 @@ def cmd_scan(args) -> int:
         free = dict(base)
         free[name] = float(value)
         try:
-            problem = FamilyProblem(
-                Family(args.family),
-                Case(args.case),
-                args.n,
-                float(args.ell),
-                free,
-                bool(args.match_ell),
-            )
-            solutions, failures = solve_family_detailed(problem, cfg)
+            solutions, failures = solve_family_detailed(_build_problem(args, free), cfg)
         except QesError as exc:
             rows.append({name: float(value), "error": type(exc).__name__})
             continue

@@ -35,7 +35,7 @@ from .bethe import (
     Variable,
     _accept_candidate,
     _branch_key,
-    _newton_batch,
+    _polish,
     _power_sums,
     bae_residuals,
     compute_w_coefficients,
@@ -459,21 +459,28 @@ def _branch_solution(
 def solve_family_detailed(
     problem: FamilyProblem, cfg: SolverConfig = SolverConfig()
 ) -> tuple[list[QESSolution], list[BranchFailure]]:
-    """solve_family plus a record of skipped branches (for scans)."""
-    if problem.match_ell and problem.family in _MATCH_ELL_FAMILIES:
-        return _solve_match_ell(problem, cfg)
-    solutions: list[QESSolution] = []
-    failures: list[BranchFailure] = []
-    ode, variable = build_ode(problem)
+    """solve_family plus a record of skipped branches (for scans).
+
+    In match-ell mode (sextic, decatic) the root system is solved at the
+    starting omega, and each branch is then followed in omega until its
+    derived ell is the requested one.
+    """
+    match = problem.match_ell and problem.family in _MATCH_ELL_FAMILIES
+    omega0 = float(problem.free.get("omega", 1.0)) if match else None
+    ode, variable = build_ode(problem, omega0)
     try:
         branches = solve_bae(ode, problem.n, cfg, variable)
     except NoSolutionFound as exc:
         return [], [BranchFailure(None, type(exc).__name__, str(exc))]
-    for roots in branches:
+    solutions: list[QESSolution] = []
+    failures: list[BranchFailure] = []
+    for branch in branches:
         try:
-            solutions.append(_branch_solution(problem, roots))
+            roots, omega = _match_ell(problem, branch, omega0) if match else (branch, None)
+            solutions.append(_branch_solution(problem, roots, omega))
         except (ConstraintInfeasible, InvalidExponent, InvalidParameter) as exc:
-            failures.append(BranchFailure(roots, type(exc).__name__, str(exc)))
+            failures.append(BranchFailure(branch, type(exc).__name__, str(exc)))
+    solutions.sort(key=lambda s: _branch_key(s.roots.roots))
     return solutions, failures
 
 
@@ -489,130 +496,86 @@ def solve_family(
 # ----------------------------------------------------------------------
 
 
-def _track_branch_step(problem, omega, prev_roots: RootSet) -> RootSet | None:
-    """Re-solve the root system at a nearby omega, warm-started Newton."""
-    ode, variable = build_ode(problem, omega)
-    start = np.array([prev_roots.roots], dtype=complex)
-    rows = _newton_batch(ode, start, max_iter=60)
-    if len(rows) == 0:
-        return None
-    accepted = _accept_candidate(ode, rows[0])
-    if accepted is None:
-        return None
-    ordered, res, sep = accepted
-    prev = np.array(prev_roots.roots)
-    scale = 1.0 + max(float(np.max(np.abs(ordered))), float(np.max(np.abs(prev))))
-    if np.max(np.abs(ordered - prev)) > 0.6 * scale:
-        return None  # jumped to a different branch
-    return RootSet(problem.n, tuple(complex(z) for z in ordered), variable, res, sep)
+def _follow(problem: FamilyProblem, roots: RootSet, om_from: float, om_to: float) -> RootSet | None:
+    """Carry a branch from om_from to om_to in geometric hops of at most a
+    factor e^0.2.  Each hop polishes the previous roots at the new omega and
+    accepts them with the root search's own filters; None when a hop is
+    rejected or jumps to a different branch."""
+    hops = math.ceil(abs(math.log(om_to / om_from)) / 0.2) if problem.n else 0
+    for j in range(1, hops + 1):
+        ode, variable = build_ode(problem, om_from * (om_to / om_from) ** (j / hops))
+        prev = roots.as_array()
+        with np.errstate(all="ignore"):
+            accepted = _accept_candidate(ode, _polish(ode, prev))
+        if accepted is None:
+            return None
+        ordered, res, sep = accepted
+        scale = 1.0 + max(float(np.max(np.abs(ordered))), float(np.max(np.abs(prev))))
+        if np.max(np.abs(ordered - prev)) > 0.6 * scale:
+            return None
+        roots = RootSet(problem.n, tuple(complex(z) for z in ordered), variable, res, sep)
+    return roots
 
 
-class _BranchTracker:
-    """Follow one root branch continuously in omega (small geometric hops)."""
+def _match_ell(problem: FamilyProblem, branch: RootSet, omega0: float) -> tuple[RootSet, float]:
+    """The branch and the omega at which its (l+1/2)^2 hits the requested ell.
 
-    def __init__(self, problem, omega0, roots0: RootSet):
-        self.problem = problem
-        self.omega = omega0
-        self.roots = roots0
-
-    def goto(self, omega: float) -> RootSet | None:
-        if self.problem.n == 0:
-            self.omega = omega
-            return self.roots
-        hops = max(1, math.ceil(abs(math.log(omega / self.omega)) / 0.2))
-        roots, om_from = self.roots, self.omega
-        for j in range(1, hops + 1):
-            om = om_from * (omega / om_from) ** (j / hops)
-            roots = _track_branch_step(self.problem, om, roots)
-            if roots is None:
-                return None
-        self.omega, self.roots = omega, roots
-        return roots
-
-
-def _solve_match_ell(problem: FamilyProblem, cfg: SolverConfig):
-    """Outer scalar solve on omega so that (l+1/2)^2 hits the requested ell.
-
-    Brackets the mismatch along each tracked branch (scanning down from the
-    starting omega, then up), then bisects the bracket to machine width.
+    Scans omega down from omega0 by factors of 0.8, then up by 1.25, both
+    times following the branch from omega0, until the mismatch changes
+    sign; then bisects the bracket to machine width.  Raises
+    ConstraintInfeasible when no bracket is found or the bisection stalls.
     """
     target = (problem.ell + 0.5) ** 2
     omega_min, omega_max = 1e-6, 1.0e3
-    omega0 = float(problem.free.get("omega", 1.0))
-    ode0, variable = build_ode(problem, omega0)
-    solutions: list[QESSolution] = []
-    failures: list[BranchFailure] = []
-    try:
-        branches = solve_bae(ode0, problem.n, cfg, variable)
-    except NoSolutionFound as exc:
-        return [], [BranchFailure(None, type(exc).__name__, str(exc))]
+    roots, omega = branch, omega0
 
-    for branch in branches:
-        tracker = _BranchTracker(problem, omega0, branch)
+    def mismatch(om: float) -> float | None:
+        """Follow the branch from the last omega reached to om."""
+        nonlocal roots, omega
+        moved = _follow(problem, roots, omega, om)
+        if moved is None:
+            return None
+        roots, omega = moved, om
+        return _l_half_sq(problem, om, _sums(moved)[0]) - target
 
-        def mismatch(omega: float) -> float | None:
-            roots = tracker.goto(omega)
-            if roots is None:
-                return None
-            return _l_half_sq(problem, omega, _sums(roots)[0]) - target
-
-        f0 = mismatch(omega0)
-        bracket = None
-        if f0 is not None:
-            if f0 == 0.0:
-                bracket = (omega0, omega0)
-            else:
-                for direction in (0.8, 1.25):
-                    om_prev, f_prev = omega0, f0
-                    tracker.goto(omega0)
-                    om = omega0
-                    while omega_min <= om * direction <= omega_max:
-                        om = om * direction
-                        f = mismatch(om)
-                        if f is None:
-                            break
-                        if f_prev * f <= 0.0:
-                            bracket = (min(om_prev, om), max(om_prev, om))
-                            break
-                        om_prev, f_prev = om, f
-                    if bracket is not None:
-                        break
-        if bracket is None:
-            failures.append(
-                BranchFailure(
-                    branch,
-                    "ConstraintInfeasible",
-                    "no omega in (0, 1e3] matches the requested ell on this branch",
-                )
-            )
-            continue
-        lo, hi = bracket
-        flo = mismatch(lo)  # None when re-tracking back to lo loses the branch
-        for _ in range(200):
-            if flo is None or hi - lo <= 4.0 * math.ulp(max(abs(lo), abs(hi))):
+    f0 = mismatch(omega0)
+    bracket = (omega0, omega0) if f0 == 0.0 else None
+    for direction in (0.8, 1.25):
+        if bracket is not None:
+            break
+        roots, omega = branch, omega0
+        om = om_prev = omega0
+        f_prev = f0
+        while omega_min <= om * direction <= omega_max:
+            om *= direction
+            f = mismatch(om)
+            if f is None:
                 break
-            mid = 0.5 * (lo + hi)
-            fm = mismatch(mid)
-            if fm is None or fm == 0.0:
-                lo = hi = mid
+            if f_prev * f <= 0.0:
+                bracket = (min(om_prev, om), max(om_prev, om))
                 break
-            if flo * fm <= 0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-        omega_star = 0.5 * (lo + hi)
-        final = None if flo is None else mismatch(omega_star)
-        if final is None or abs(final) > 1e-8:
-            failures.append(
-                BranchFailure(branch, "ConstraintInfeasible", "outer solve stalled")
-            )
-            continue
-        try:
-            solutions.append(_branch_solution(problem, tracker.roots, omega_star))
-        except (ConstraintInfeasible, InvalidExponent, InvalidParameter) as exc:
-            failures.append(BranchFailure(branch, type(exc).__name__, str(exc)))
-    solutions.sort(key=lambda s: _branch_key(s.roots.roots))
-    return solutions, failures
+            om_prev, f_prev = om, f
+    if bracket is None:
+        raise ConstraintInfeasible("no omega in (0, 1e3] matches the requested ell on this branch")
+    lo, hi = bracket
+    flo = mismatch(lo)  # None when carrying the branch back to lo loses it
+    for _ in range(200):
+        if flo is None or hi - lo <= 4.0 * math.ulp(max(abs(lo), abs(hi))):
+            break
+        mid = 0.5 * (lo + hi)
+        fm = mismatch(mid)
+        if fm is None or fm == 0.0:
+            lo = hi = mid
+            break
+        if flo * fm <= 0:
+            hi = mid
+        else:
+            lo, flo = mid, fm
+    omega_star = 0.5 * (lo + hi)
+    final = None if flo is None else mismatch(omega_star)
+    if final is None or abs(final) > 1e-8:
+        raise ConstraintInfeasible("outer solve stalled")
+    return roots, omega_star
 
 
 # ----------------------------------------------------------------------

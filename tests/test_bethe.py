@@ -197,6 +197,35 @@ class TestSolveBae:
                 assert verify_polynomial_identity(ode.with_w(w), s) < 1e-10
 
 
+class TestConjugatePairs:
+    """A conjugate pair whose two real parts differ by one ulp is one pair."""
+
+    @pytest.fixture(scope="class")
+    def pair_branch(self):
+        # Sextic n = 3 branch [-0.2124 -+ 0.1055i, 6.526].
+        sets = solve_bae(SEXTIC_ODE, 3, SolverConfig(seed=0, starts=80), Variable.T_EQ_R2)
+        branch = next(s.as_array() for s in sets if abs(s.roots[-1] - 6.526) < 1e-3)
+        assert abs(branch[0].imag) > 0.1
+        return branch
+
+    @pytest.mark.parametrize("member", [0, 1])
+    @pytest.mark.parametrize("toward", [-np.inf, np.inf])
+    def test_pair_one_ulp_apart_is_accepted(self, pair_branch, member, toward):
+        exact = bethe._accept_candidate(SEXTIC_ODE, pair_branch)
+        nudged = pair_branch.copy()
+        nudged[member] = complex(np.nextafter(nudged[member].real, toward), nudged[member].imag)
+        accepted = bethe._accept_candidate(SEXTIC_ODE, nudged)
+        assert exact is not None and accepted is not None
+        roots = accepted[0]
+        assert roots[0] == np.conj(roots[1]) and roots[2].imag == 0.0
+        assert max_abs(roots - exact[0]) < bethe.DEDUP_TOL
+
+    def test_a_set_not_closed_under_conjugation_is_rejected(self, pair_branch):
+        lopsided = pair_branch.copy()
+        lopsided[0] += 1e-6j
+        assert bethe._accept_candidate(SEXTIC_ODE, lopsided) is None
+
+
 class TestSingularNewtonStep:
     @pytest.mark.parametrize(
         "newton, make_starts",
@@ -205,7 +234,7 @@ class TestSingularNewtonStep:
     )
     def test_one_singular_row_leaves_the_others_converging(self, monkeypatch, newton, make_starts):
         starts = make_starts(2, SolverConfig(seed=0, starts=40))
-        others = newton(SEXTIC_ODE, starts[1:], max_iter=100)
+        others = newton(SEXTIC_ODE, starts[1:])
         assert len(others) > 0
         real_solve = np.linalg.solve
         calls = []
@@ -217,7 +246,7 @@ class TestSingularNewtonStep:
             return real_solve(J, b)
 
         monkeypatch.setattr(np.linalg, "solve", solve_with_singular_first_row)
-        got = newton(SEXTIC_ODE, starts, max_iter=100)
+        got = newton(SEXTIC_ODE, starts)
         assert len(calls) > 1
         for row in others:
             assert min(max_abs(row - g) for g in got) < 1e-9
@@ -318,13 +347,13 @@ class TestNewtonStopsWhenSettled:
         assert len(full) == 6
         for branch in full:
             steps.clear()
-            coeffs = _coefficient_newton(ode, poly_from_roots(branch).real[None, :-1], max_iter=100)
+            coeffs = _coefficient_newton(ode, poly_from_roots(branch).real[None, :-1])
             assert len(steps) <= 2
             assert len(coeffs) == 1
             roots = np.roots(np.concatenate([coeffs[0], [1.0]])[::-1])
             assert _same_branch(bethe._canonical_order(roots), branch)
             steps.clear()
-            rows = _newton_batch(ode, branch[None, :], max_iter=100)
+            rows = _newton_batch(ode, branch[None, :])
             assert len(steps) <= 2
             assert len(rows) == 1
             assert _same_branch(bethe._canonical_order(rows[0]), branch)

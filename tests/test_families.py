@@ -21,6 +21,7 @@ from qesolve import (
     solve_family_detailed,
     verify_solution,
 )
+from qesolve import families
 
 from conftest import (
     decatic,
@@ -201,6 +202,16 @@ class TestSextic:
         assert s.derived["omega"] == pytest.approx(1.0, abs=1e-12)
         assert s.energy == pytest.approx(2.5, abs=1e-12)
 
+    def test_match_ell_matches_every_branch(self):
+        # The sextic has exactly n + 1 branches, and each one, followed in
+        # omega, reaches the requested ell.
+        prob = sextic(n=3, e=-0.08210087335611532, d=1.3674567281270278, match_ell=True)
+        solutions, failures = solve_family_detailed(prob, SolverConfig(seed=2026, starts=48))
+        assert failures == []
+        assert len(solutions) == 4
+        for s in solutions:
+            assert abs(s.derived["ell"]) <= 1e-9
+
     def test_positive_root_feasible_at_small_omega(self, cfg):
         # Small omega keeps (l+1/2)^2 positive on the positive-root branch.
         sols = solve_family(sextic(n=1, omega=0.1, e=1.0, d=0.5), cfg)
@@ -272,20 +283,42 @@ class TestDecatic:
             val = -(z1**3) + (3.0 + 1.0 / (8 * 0.5)) * z1**2 + z1 + 2 * 0.5
             assert abs(val) < 1e-10
 
-    def test_match_ell_branch_lost_at_bracket_end_is_recorded(self):
-        # Re-tracking one branch back to the lower end of its omega bracket
-        # fails here; the solve records that branch and keeps the others.
-        prob = decatic(
-            n=2,
-            b=0.04433974825910281,
-            c=0.7109152504047087,
-            d=0.34297060582762845,
-            match_ell=True,
-        )
-        solutions, failures = solve_family_detailed(prob, SolverConfig(seed=2026, starts=48))
-        assert len(solutions) >= 1
+    # Its outer solve carries one branch back to the lower end of an omega
+    # bracket found scanning up.
+    BRACKET_END = decatic(
+        n=2,
+        b=0.04433974825910281,
+        c=0.7109152504047087,
+        d=0.34297060582762845,
+        match_ell=True,
+    )
+
+    def test_match_ell_matches_the_branch_carried_to_a_bracket_end(self):
+        solutions, failures = solve_family_detailed(self.BRACKET_END, SolverConfig(seed=2026, starts=48))
+        assert failures == []
+        assert len(solutions) == 2
         assert all(verify_solution(s).passed for s in solutions)
-        assert len(failures) == 1
+
+    def test_match_ell_branch_lost_at_bracket_end_is_recorded(self, monkeypatch):
+        # Fail the first hop back over the previous hop: that only happens
+        # when the bisection starts from an upward bracket's lower end.
+        real_follow = families._follow
+        calls, failed = [], []
+
+        def follow(problem, roots, om_from, om_to):
+            back = bool(calls) and calls[-1] == (om_to, om_from) and om_to < om_from
+            calls.append((om_from, om_to))
+            if back and not failed:
+                failed.append(om_to)
+                return None
+            return real_follow(problem, roots, om_from, om_to)
+
+        monkeypatch.setattr(families, "_follow", follow)
+        solutions, failures = solve_family_detailed(self.BRACKET_END, SolverConfig(seed=2026, starts=48))
+        assert len(failed) == 1
+        assert [(f.error, f.detail) for f in failures] == [("ConstraintInfeasible", "outer solve stalled")]
+        assert len(solutions) == 1
+        assert verify_solution(solutions[0]).passed
 
     def test_default_mode_derives_ell(self, cfg_small):
         s = solve_family(decatic(n=0, omega=1.0, b=0.0, c=1.0, d=0.5), cfg_small)[0]

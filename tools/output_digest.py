@@ -19,7 +19,9 @@ rounding-level change apart from a real one.  `--compare OLD NEW` reads two
 such files, line by line, and prints each operation whose line differs with
 its maximum relative root, energy and derived-coupling difference (each
 value's difference over max(1, |old value|)), or says what differs besides
-the values (branch count, failure records, a coupling's name).
+the values (branch count, failure records, a coupling's name).  Its last
+line lists the operations whose branch count fell and those whose count
+rose, so `grep '^branch count'` checks that no operation lost a branch.
 
 With `--verify` it digests the `verify` benchmark workload instead: one
 line per entry of `VERIFY_POOL` (in `perfbench/workloads.py`), with its
@@ -97,6 +99,7 @@ def compare(old_path: str, new_path: str) -> None:
     if len(old_lines) != len(new_lines):
         print(f"{len(old_lines)} operations against {len(new_lines)}")
     changed = 0
+    moved = {"fell": [], "rose": []}
     for old_line, new_line in zip(old_lines, new_lines):
         if old_line == new_line:
             continue
@@ -106,6 +109,9 @@ def compare(old_path: str, new_path: str) -> None:
         except json.JSONDecodeError:
             print(f"{old_line}\n  -> {new_line}")
             continue
+        if old["branches"] != new["branches"]:
+            way = "fell" if new["branches"] < old["branches"] else "rose"
+            moved[way].append(f"{old['op']} ({old['branches']} -> {new['branches']})")
         same = [old[k] == new[k] for k in ("op", "branches", "failures")]
         keys = [list(d) for d in old["derived"]] == [list(d) for d in new["derived"]]
         if not all(same) or not keys:
@@ -119,6 +125,9 @@ def compare(old_path: str, new_path: str) -> None:
             f" | derived {_max_rel(derived_old, derived_new):.2g}"
         )
     print(f"{changed} of {len(old_lines)} operations differ")
+    print("branch count " + "; ".join(
+        f"{way} in {len(ops)}: {', '.join(ops) or '-'}" for way, ops in moved.items()
+    ))
 
 
 if __name__ == "__main__":
