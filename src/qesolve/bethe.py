@@ -7,9 +7,10 @@ the roots satisfy the residue conditions
 
     sum_{j != i} 2 / (t_i - t_j) + Q(t_i) / P(t_i) = 0,    i = 1..n,
 
-and W is assembled from the root power sums.  The module solves the root
-system by batched multi-start damped Newton and verifies candidate solutions
-by exact polynomial arithmetic.
+and W is assembled from the root power sums.  The module enumerates the
+solutions as eigenvectors when w0 is the only root-dependent W coefficient,
+searches for them by batched multi-start damped Newton otherwise, and
+verifies candidate solutions by exact polynomial arithmetic.
 """
 
 from __future__ import annotations
@@ -102,7 +103,8 @@ ESCAPE_RADIUS = 50.0 * BOX
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """RNG seed and starts per pass of the multi-start Newton root search."""
+    """RNG seed and starts per pass of the multi-start Newton root search
+    (no effect on an ODE whose branches are enumerated, see solve_bae)."""
 
     seed: int = 0
     starts: int = 200
@@ -549,6 +551,28 @@ def _polish(ode: PolyODE, roots: np.ndarray) -> np.ndarray:
     return T[0]
 
 
+def _eigen_rows(ode: PolyODE, n: int) -> list[np.ndarray]:
+    """Candidate root rows, one per eigenvector, of an ODE with p4 = q3 =
+    q4 = q5 = 0.
+
+    On polynomials of degree n, P D^2 + Q D + w1 t (w1 fixed by n) is an
+    (n+1)x(n+1) band matrix M, and S = sum c_k t^k solves the ODE with
+    W = w1 t + w0 exactly when M c = -w0 c.  So every degree-n branch is an
+    eigenvector with a nonzero top coefficient, and its roots are those of S.
+    """
+    w1 = _closing_w(ode, n, 0.0, 0.0, 0.0, 0.0, 0.0)[1]
+    k = np.arange(n + 1)
+    # Row d + 2 holds the coefficient of t^d; column k is the image of t^k.
+    band = np.zeros((n + 4, n + 1))
+    for j in range(4):
+        band[k + j, k] += ode.p[j] * k * (k - 1.0)
+    for j in range(3):
+        band[k + j + 1, k] += ode.q[j] * k
+    band[k + 3, k] += w1
+    _, vecs = np.linalg.eig(band[2 : n + 3])
+    return [np.roots(c[::-1]).astype(complex) for c in vecs.T if c[-1] != 0.0]
+
+
 def solve_bae(
     ode: PolyODE,
     n: int,
@@ -557,24 +581,38 @@ def solve_bae(
 ) -> list[RootSet]:
     """All distinct conjugate-closed solutions of the degree-n root system.
 
-    Multi-start damped Newton with per-start RNG streams derived from
-    (seed, start index); converged rows are polished, filtered and
-    deduplicated, and the list is sorted by the canonical key (sorted real
-    parts, then imaginary parts), so the output is deterministic for a seed.
+    When w0 is the only W coefficient that depends on the roots (p4 = q3 =
+    q4 = q5 = 0, as for the sextic and coulombic quartic working ODEs), the
+    candidates are the eigenvectors of the (n+1)x(n+1) matrix of the ODE on
+    polynomials of degree n (`_eigen_rows`), and `cfg` has no effect.  For
+    those two families the matrix is tridiagonal with positive off-diagonal
+    products, so its n + 1 eigenvalues are real and simple, the enumeration
+    is complete and the promise above holds.  Every other ODE is searched by
+    multi-start damped Newton with per-start RNG streams derived from
+    (seed, start index), which may miss a branch.  Candidates are polished,
+    filtered and deduplicated, and the list is sorted by the canonical key
+    (sorted real parts, then imaginary parts), so the output is
+    deterministic for a seed.
 
-    Raises NoSolutionFound when n > 0 and no start converges at all.
+    Raises NoSolutionFound when n > 0 and no Newton start converges, or no
+    enumerated candidate is accepted.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     if n == 0:
         return [RootSet(0, (), variable, 0.0, math.inf)]
-    converged = list(_newton_batch(ode, _make_starts(n, cfg)))
-    for row in _coefficient_newton(ode, _coefficient_starts(n, cfg)):
-        roots = np.roots(np.concatenate([row, [1.0]])[::-1])
-        if np.all(np.isfinite(roots)):
-            converged.append(roots.astype(complex))
-    if len(converged) == 0:
-        raise NoSolutionFound(f"no Newton start converged for n={n}")
+    # The closing formulas leave w0 as the only root-dependent coefficient.
+    enumerated = ode.p[4] == 0.0 and not any(ode.q[3:])
+    if enumerated:
+        converged = _eigen_rows(ode, n)
+    else:
+        converged = list(_newton_batch(ode, _make_starts(n, cfg)))
+        for row in _coefficient_newton(ode, _coefficient_starts(n, cfg)):
+            roots = np.roots(np.concatenate([row, [1.0]])[::-1])
+            if np.all(np.isfinite(roots)):
+                converged.append(roots.astype(complex))
+        if len(converged) == 0:
+            raise NoSolutionFound(f"no Newton start converged for n={n}")
     found: list[tuple] = []
 
     def known(roots: np.ndarray) -> bool:
@@ -590,6 +628,8 @@ def solve_bae(
             accepted = _accept_candidate(ode, _polish(ode, raw)) or _accept_candidate(ode, raw)
             if accepted and not known(accepted[0]):
                 found.append(accepted)
+    if enumerated and not found:
+        raise NoSolutionFound(f"no eigenvector of the degree-{n} matrix is a branch")
     found.sort(key=lambda item: _branch_key(item[0]))
     return [
         RootSet(n, tuple(complex(z) for z in ordered), variable, res, sep)

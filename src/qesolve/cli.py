@@ -243,8 +243,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ell", type=float, default=0.0)
         p.add_argument("--param", action="append", metavar="NAME=VALUE")
         p.add_argument("--match-ell", dest="match_ell", action="store_true")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--starts", type=int, default=SolverConfig.starts)
+        p.add_argument(
+            "--seed", type=int, default=None,
+            help="seed of the Newton root search (default: QES_SEED, else 0); "
+            "no effect on sextic or coulombic quartic problems, whose branches are enumerated",
+        )
+        p.add_argument(
+            "--starts", type=int, default=SolverConfig.starts,
+            help="starts per Newton pass (default: %(default)s); "
+            "no effect on sextic or coulombic quartic problems, whose branches are enumerated",
+        )
         p.add_argument("--out", default=None)
 
     p_solve = sub.add_parser("solve", help="solve one family problem")

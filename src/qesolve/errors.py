@@ -26,7 +26,8 @@ class DenominatorBlowup(QesError):
 
 
 class NoSolutionFound(QesError):
-    """No Newton start converged for the root system."""
+    """No Newton start converged for the root system, or no enumerated
+    candidate passed the acceptance filters."""
 
 
 class ConstraintInfeasible(QesError):

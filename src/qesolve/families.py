@@ -523,7 +523,8 @@ def _match_ell(problem: FamilyProblem, branch: RootSet, omega0: float) -> tuple[
     Scans omega down from omega0 by factors of 0.8, then up by 1.25, both
     times following the branch from omega0, until the mismatch changes
     sign; then bisects the bracket to machine width.  Raises
-    ConstraintInfeasible when no bracket is found or the bisection stalls.
+    ConstraintInfeasible when no bracket is found (saying where the branch
+    was lost if a scan was cut short) or the bisection stalls.
     """
     target = (problem.ell + 0.5) ** 2
     omega_min, omega_max = 1e-6, 1.0e3
@@ -540,6 +541,7 @@ def _match_ell(problem: FamilyProblem, branch: RootSet, omega0: float) -> tuple[
 
     f0 = mismatch(omega0)
     bracket = (omega0, omega0) if f0 == 0.0 else None
+    lost = []  # the scan step that lost the branch, per direction
     for direction in (0.8, 1.25):
         if bracket is not None:
             break
@@ -550,12 +552,15 @@ def _match_ell(problem: FamilyProblem, branch: RootSet, omega0: float) -> tuple[
             om *= direction
             f = mismatch(om)
             if f is None:
+                lost.append(f"between omega = {om_prev:.6g} and {om:.6g}")
                 break
             if f_prev * f <= 0.0:
                 bracket = (min(om_prev, om), max(om_prev, om))
                 break
             om_prev, f_prev = om, f
     if bracket is None:
+        if lost:
+            raise ConstraintInfeasible(f"branch lost {' and '.join(lost)} while scanning for the requested ell")
         raise ConstraintInfeasible("no omega in (0, 1e3] matches the requested ell on this branch")
     lo, hi = bracket
     flo = mismatch(lo)  # None when carrying the branch back to lo loses it

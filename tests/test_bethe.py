@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qesolve import (
-    Case,
     DenominatorBlowup,
     Family,
     FamilyProblem,
@@ -26,6 +25,7 @@ from qesolve.families import build_ode
 from qesolve.polynomials import poly_from_roots
 
 from conftest import max_abs
+from test_acceptance import _FAMILY_CASES, SWEEP_CFG, _draw_couplings
 
 # Working ODE of the inverse-quartic oscillator with omega=1, c=0, sqrt(2d)=1:
 # P = t^2, Q = 2(-t^3 + t + 1).
@@ -252,51 +252,116 @@ class TestSingularNewtonStep:
             assert min(max_abs(row - g) for g in got) < 1e-9
 
 
-# Sextic draw 0 of the acceptance sweep at n = 5 (tests/test_acceptance.py,
-# SWEEP_CFG).  The sextic has exactly n + 1 = 6 branches, on very different
-# scales, and from 600 starts some clusters hold rows that fail the
-# acceptance filters next to rows that pass them.
-SWEEP_SEXTIC_N5 = FamilyProblem(
-    Family.SEXTIC,
-    Case.HARMONIC,
-    5,
-    0,
-    {"omega": 0.33662433368910255, "e": 0.8459174065892829, "d": 0.9717753714705291},
-)
 MANY_STARTS = SolverConfig(seed=2026, starts=600)
 
 
-def _sweep_sextic_branches(cfg=MANY_STARTS):
-    ode, variable = build_ode(SWEEP_SEXTIC_N5)
-    try:
-        return [s.as_array() for s in solve_bae(ode, 5, cfg, variable)]
-    except NoSolutionFound:
-        return []
+def _sweep_problem(family: Family, draw: int, n: int) -> FamilyProblem:
+    """Coupling draw `draw` of `family` in the acceptance sweep, at degree n."""
+    cases = _FAMILY_CASES[family]
+    rng = np.random.default_rng(sum(map(ord, family.value)))
+    for k in range(draw + 1):
+        free, ell = _draw_couplings(family, cases[k % len(cases)], rng)
+    return FamilyProblem(family, cases[draw % len(cases)], n, ell, free)
+
+
+def _solve(problem: FamilyProblem, cfg: SolverConfig):
+    ode, variable = build_ode(problem)
+    return solve_bae(ode, problem.n, cfg, variable)
 
 
 def _same_branch(a, b) -> bool:
     return max_abs(a - b) < 1e-8
 
 
+# Operations of the acceptance sweep, (family, draw, n), for which the
+# 48-start Newton search of SWEEP_CFG returned fewer than n + 1 branches.
+NEWTON_SHORT = [
+    (Family.SEXTIC, 1, 5),
+    (Family.SEXTIC, 11, 5),
+    (Family.SEXTIC, 12, 5),
+    (Family.SEXTIC, 17, 5),
+    (Family.SEXTIC, 19, 5),
+    (Family.QUARTIC, 1, 5),
+]
+# The enumerated draws of the acceptance sweep: every sextic draw, and the
+# coulombic quartic ones (omega = 0, so q3 = 0).
+ENUMERATED = [(Family.SEXTIC, draw) for draw in range(20)] + [(Family.QUARTIC, draw) for draw in range(1, 20, 2)]
+
+
+class TestEnumeration:
+    """The n + 1 branches come from the ODE's (n+1)x(n+1) matrix."""
+
+    @pytest.mark.parametrize("family, draw, n", NEWTON_SHORT)
+    def test_operation_newton_left_short_gets_every_branch(self, family, draw, n):
+        assert len(_solve(_sweep_problem(family, draw, n), SWEEP_CFG)) == n + 1
+
+    @pytest.mark.parametrize("family, draw", ENUMERATED)
+    def test_n_plus_one_branches_whatever_the_starts(self, family, draw):
+        for n in range(1, 6):
+            problem = _sweep_problem(family, draw, n)
+            few = _solve(problem, SolverConfig(seed=0, starts=1))
+            assert len(few) == n + 1
+            assert few == _solve(problem, MANY_STARTS)
+
+    @pytest.mark.parametrize("family, draw", ENUMERATED)
+    def test_every_branch_newton_accepts_is_enumerated(self, family, draw):
+        for n in range(1, 6):
+            problem = _sweep_problem(family, draw, n)
+            ode, _ = build_ode(problem)
+            enumerated = [s.as_array() for s in _solve(problem, SWEEP_CFG)]
+            rows = list(_newton_batch(ode, _make_starts(n, SWEEP_CFG)))
+            for coeffs in _coefficient_newton(ode, _coefficient_starts(n, SWEEP_CFG)):
+                rows.append(np.roots(np.concatenate([coeffs, [1.0]])[::-1]).astype(complex))
+            with np.errstate(all="ignore"):
+                accepted = [a[0] for a in (bethe._accept_candidate(ode, row) for row in rows) if a]
+            assert accepted
+            for roots in accepted:
+                assert min(max_abs(roots - b) for b in enumerated) < bethe.DEDUP_TOL
+
+
+# Quartic (harmonic) draw 0 of the acceptance sweep at n = 5: its working
+# ODE has q3 = -2 omega != 0, so the Newton passes search it, and they find
+# 11 branches from 48 starts and from 600.
+SEARCHED = _sweep_problem(Family.QUARTIC, 0, 5)
+
+
+def _searched_branches(cfg=MANY_STARTS):
+    steps = []
+    real_steps = bethe._newton_steps
+
+    def counted(J, R):
+        steps.append(len(J))
+        return real_steps(J, R)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bethe, "_newton_steps", counted)
+        try:
+            branches = [s.as_array() for s in _solve(SEARCHED, cfg)]
+        except NoSolutionFound:
+            branches = []
+    assert steps, "the Newton passes did not run"
+    return branches
+
+
 @pytest.fixture(scope="module")
-def sweep_sextic_rows():
+def searched_rows():
     """The start rows of both Newton passes and the branches they give."""
-    n = SWEEP_SEXTIC_N5.n
-    return _make_starts(n, MANY_STARTS), _coefficient_starts(n, MANY_STARTS), _sweep_sextic_branches()
+    n = SEARCHED.n
+    return _make_starts(n, MANY_STARTS), _coefficient_starts(n, MANY_STARTS), _searched_branches()
 
 
 def _branches_from_rows(root_rows, coeff_rows):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bethe, "_make_starts", lambda n, cfg: root_rows)
         mp.setattr(bethe, "_coefficient_starts", lambda n, cfg: coeff_rows)
-        return _sweep_sextic_branches()
+        return _searched_branches()
 
 
 class TestBranchSetIndependentOfStarts:
     def test_more_starts_keep_every_branch(self):
-        few = _sweep_sextic_branches(SolverConfig(seed=2026, starts=48))
-        many = _sweep_sextic_branches()
-        assert len(few) == len(many) == 6
+        few = _searched_branches(SolverConfig(seed=2026, starts=48))
+        many = _searched_branches()
+        assert len(few) == len(many) == 11
         for a, b in zip(few, many):
             assert _same_branch(a, b)
 
@@ -305,8 +370,8 @@ class TestBranchSetIndependentOfStarts:
         root_perm=st.permutations(range(MANY_STARTS.starts)),
         coeff_perm=st.permutations(range(MANY_STARTS.starts)),
     )
-    def test_permuted_starts_give_the_same_branches(self, sweep_sextic_rows, root_perm, coeff_perm):
-        root_rows, coeff_rows, full = sweep_sextic_rows
+    def test_permuted_starts_give_the_same_branches(self, searched_rows, root_perm, coeff_perm):
+        root_rows, coeff_rows, full = searched_rows
         got = _branches_from_rows(root_rows[root_perm], coeff_rows[coeff_perm])
         assert len(got) == len(full)
         for a, b in zip(got, full):
@@ -314,11 +379,16 @@ class TestBranchSetIndependentOfStarts:
 
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(k_root=st.integers(1, MANY_STARTS.starts), k_coeff=st.integers(1, MANY_STARTS.starts))
-    def test_a_prefix_of_the_starts_gives_a_subset(self, sweep_sextic_rows, k_root, k_coeff):
-        root_rows, coeff_rows, full = sweep_sextic_rows
+    def test_a_prefix_of_the_starts_gives_a_subset(self, searched_rows, k_root, k_coeff):
+        root_rows, coeff_rows, full = searched_rows
         got = _branches_from_rows(root_rows[:k_root], coeff_rows[:k_coeff])
         for a in got:
             assert any(_same_branch(a, b) for b in full)
+
+
+# Sextic draw 0 of the acceptance sweep at n = 5: six branches on very
+# different scales, with roots up to about 45.
+SWEEP_SEXTIC_N5 = _sweep_problem(Family.SEXTIC, 0, 5)
 
 
 class TestNewtonStopsWhenSettled:
@@ -341,9 +411,9 @@ class TestNewtonStopsWhenSettled:
         monkeypatch.setattr(bethe, "_newton_steps", counted)
         return calls
 
-    def test_each_pass_returns_a_branch_it_starts_at(self, sweep_sextic_rows, steps):
+    def test_each_pass_returns_a_branch_it_starts_at(self, steps):
         ode, _ = build_ode(SWEEP_SEXTIC_N5)
-        full = sweep_sextic_rows[2]
+        full = [s.as_array() for s in _solve(SWEEP_SEXTIC_N5, SWEEP_CFG)]
         assert len(full) == 6
         for branch in full:
             steps.clear()

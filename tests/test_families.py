@@ -212,6 +212,24 @@ class TestSextic:
         for s in solutions:
             assert abs(s.derived["ell"]) <= 1e-9
 
+    def test_match_ell_branch_lost_while_scanning_is_recorded(self, monkeypatch):
+        # Left alone, one branch is scanned over the whole omega range
+        # without a sign change; make every hop below omega = 0.5 fail.
+        prob = sextic(n=1, ell=3, e=0.5, d=0.5, match_ell=True)
+        cfg = SolverConfig(seed=0, starts=40)
+        _, failures = solve_family_detailed(prob, cfg)
+        assert "no omega in (0, 1e3] matches the requested ell on this branch" in [f.detail for f in failures]
+        real_follow = families._follow
+
+        def follow(problem, roots, om_from, om_to):
+            return None if om_to < 0.5 else real_follow(problem, roots, om_from, om_to)
+
+        monkeypatch.setattr(families, "_follow", follow)
+        solutions, cut = solve_family_detailed(prob, cfg)
+        assert solutions == [] and len(cut) == len(failures) == 2
+        lost = "branch lost between omega = 0.512 and 0.4096 while scanning for the requested ell"
+        assert [(f.error, f.detail) for f in cut] == [("ConstraintInfeasible", lost)] * 2
+
     def test_positive_root_feasible_at_small_omega(self, cfg):
         # Small omega keeps (l+1/2)^2 positive on the positive-root branch.
         sols = solve_family(sextic(n=1, omega=0.1, e=1.0, d=0.5), cfg)
