@@ -551,14 +551,18 @@ def _polish(ode: PolyODE, roots: np.ndarray) -> np.ndarray:
     return T[0]
 
 
-def _eigen_rows(ode: PolyODE, n: int) -> list[np.ndarray]:
-    """Candidate root rows, one per eigenvector, of an ODE with p4 = q3 =
-    q4 = q5 = 0.
+def _enumerable(ode: PolyODE) -> bool:
+    """Do the closing formulas leave w0 as the only root-dependent W
+    coefficient (p4 = q3 = q4 = q5 = 0)?"""
+    return ode.p[4] == 0.0 and not any(ode.q[3:])
 
-    On polynomials of degree n, P D^2 + Q D + w1 t (w1 fixed by n) is an
-    (n+1)x(n+1) band matrix M, and S = sum c_k t^k solves the ODE with
-    W = w1 t + w0 exactly when M c = -w0 c.  So every degree-n branch is an
-    eigenvector with a nonzero top coefficient, and its roots are those of S.
+
+def _band_matrix(ode: PolyODE, n: int) -> np.ndarray:
+    """The (n+1)x(n+1) matrix M of P D^2 + Q D + w1 t (w1 fixed by n) on
+    1, t, ..., t^n, for an ODE that passes `_enumerable`.
+
+    S = sum c_k t^k solves the ODE with W = w1 t + w0 exactly when
+    M c = -w0 c.
     """
     w1 = _closing_w(ode, n, 0.0, 0.0, 0.0, 0.0, 0.0)[1]
     k = np.arange(n + 1)
@@ -569,7 +573,14 @@ def _eigen_rows(ode: PolyODE, n: int) -> list[np.ndarray]:
     for j in range(3):
         band[k + j + 1, k] += ode.q[j] * k
     band[k + 3, k] += w1
-    _, vecs = np.linalg.eig(band[2 : n + 3])
+    return band[2 : n + 3]
+
+
+def _eigen_rows(ode: PolyODE, n: int) -> list[np.ndarray]:
+    """Candidate root rows, one per eigenvector of `_band_matrix`: every
+    degree-n branch is an eigenvector with a nonzero top coefficient, and
+    its roots are those of S."""
+    _, vecs = np.linalg.eig(_band_matrix(ode, n))
     return [np.roots(c[::-1]).astype(complex) for c in vecs.T if c[-1] != 0.0]
 
 
@@ -601,8 +612,7 @@ def solve_bae(
         raise ValueError("n must be non-negative")
     if n == 0:
         return [RootSet(0, (), variable, 0.0, math.inf)]
-    # The closing formulas leave w0 as the only root-dependent coefficient.
-    enumerated = ode.p[4] == 0.0 and not any(ode.q[3:])
+    enumerated = _enumerable(ode)
     if enumerated:
         converged = _eigen_rows(ode, n)
     else:

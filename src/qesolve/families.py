@@ -34,7 +34,10 @@ from .bethe import (
     SolverConfig,
     Variable,
     _accept_candidate,
+    _band_matrix,
     _branch_key,
+    _closing_w,
+    _enumerable,
     _polish,
     _power_sums,
     bae_residuals,
@@ -462,8 +465,8 @@ def solve_family_detailed(
     """solve_family plus a record of skipped branches (for scans).
 
     In match-ell mode (sextic, decatic) the root system is solved at the
-    starting omega, and each branch is then followed in omega until its
-    derived ell is the requested one.
+    starting omega, and `_match_ell` then takes each branch to the omega at
+    which its derived ell is the requested one.
     """
     match = problem.match_ell and problem.family in _MATCH_ELL_FAMILIES
     omega0 = float(problem.free.get("omega", 1.0)) if match else None
@@ -472,11 +475,12 @@ def solve_family_detailed(
         branches = solve_bae(ode, problem.n, cfg, variable)
     except NoSolutionFound as exc:
         return [], [BranchFailure(None, type(exc).__name__, str(exc))]
+    matcher = _match_ell(problem, ode, omega0) if match else None
     solutions: list[QESSolution] = []
     failures: list[BranchFailure] = []
     for branch in branches:
         try:
-            roots, omega = _match_ell(problem, branch, omega0) if match else (branch, None)
+            roots, omega = matcher(branch) if matcher else (branch, None)
             solutions.append(_branch_solution(problem, roots, omega))
         except (ConstraintInfeasible, InvalidExponent, InvalidParameter) as exc:
             failures.append(BranchFailure(branch, type(exc).__name__, str(exc)))
@@ -494,6 +498,115 @@ def solve_family(
 # ----------------------------------------------------------------------
 # Match-ell outer solve (sextic, decatic)
 # ----------------------------------------------------------------------
+
+# The omega range searched for a match.
+OMEGA_RANGE = (1e-6, 1.0e3)
+NO_MATCH = "no omega in (0, 1e3] matches the requested ell on this branch"
+MATCH_TOL = 1e-8  # the largest |(l+1/2)^2 - (ell+1/2)^2| a match may leave
+
+
+def _match_ell(problem: FamilyProblem, ode: PolyODE, omega0: float):
+    """The per-branch step of match-ell mode: a function that takes a branch
+    of `ode` (the working ODE at omega0) to that branch and the omega at
+    which its (l+1/2)^2 hits the requested ell, or raises
+    ConstraintInfeasible.  An enumerated ODE (the sextic) is matched through
+    one eigenproblem, any other (the decatic) by scanning omega."""
+    if _enumerable(ode):
+        return _pencil_matcher(problem, ode, omega0)
+    return lambda branch: _scan_match(problem, branch, omega0)
+
+
+def _pencil_matches(problem: FamilyProblem):
+    """A, L and, per rank, the (omega, c) at which an enumerated ODE's
+    branch of that rank hits the requested ell, in ascending omega.
+
+    The band matrix at omega is A + omega L (`bethe._band_matrix`), and a
+    branch is its eigenvector c with eigenvalue lam = -w0.  Its (l+1/2)^2
+    and lam are both affine in the root sum s1, so the requested ell is
+    reached exactly when lam = alpha + beta omega, and the matching omegas
+    are the eigenvalues of the pencil (A - alpha I) c = -omega (L - beta I) c;
+    L - beta I is triangular with diagonal -beta != 0.  Only real omegas in
+    OMEGA_RANGE are kept.  The rank of a match is that of lam among the
+    eigenvalues of A + omega L, ascending.
+    """
+    n, target = problem.n, (problem.ell + 0.5) ** 2
+    # At omega = 1 and 2: the band matrix, and lam = -w0 from the closing
+    # formulas at the root sum that gives the requested ell.
+    mats, line = [], []
+    for omega in (1.0, 2.0):
+        ode, _ = build_ode(problem, omega)
+        mats.append(_band_matrix(ode, n))
+        l0, l1 = (_l_half_sq(problem, omega, s1) for s1 in (0.0, 1.0))
+        lam0, lam1 = (-_closing_w(ode, n, s1, 0.0, 0.0, 0.0, 0.0)[0] for s1 in (0.0, 1.0))
+        line.append(lam0 + (lam1 - lam0) * (target - l0) / (l1 - l0))
+    L = mats[1] - mats[0]
+    A = mats[0] - L
+    beta = line[1] - line[0]
+    alpha = line[0] - beta
+    eye = np.eye(n + 1)
+    omegas, vecs = np.linalg.eig(-np.linalg.solve(L - beta * eye, A - alpha * eye))
+    by_rank: dict[int, list] = {}
+    lo, hi = OMEGA_RANGE
+    for j in np.argsort(omegas.real):
+        om = omegas[j]
+        if om.imag == 0.0 and lo <= om.real <= hi:
+            om = float(om.real)
+            by_rank.setdefault(_rank(A + om * L, alpha + beta * om), []).append((om, vecs[:, j].real))
+    return A, L, by_rank
+
+
+def _pencil_matcher(problem: FamilyProblem, ode: PolyODE, omega0: float):
+    """Match each branch of an enumerated ODE from `_pencil_matches`.
+
+    For omega > 0 the eigenvalues of A + omega L are real and simple, so
+    they never cross: a branch keeps its rank, and takes the matches of
+    that rank.  Of several, it takes the largest at or below omega0, else
+    the smallest above, as a scan down and then up from omega0 would.  The
+    roots come from c and go through the polish and filters of the root
+    search.
+    """
+    n, target = problem.n, (problem.ell + 0.5) ** 2
+    A, L, by_rank = _pencil_matches(problem)
+    matrix0 = A + omega0 * L
+
+    def at(om: float, start: np.ndarray, branch: RootSet) -> tuple[RootSet, float]:
+        """The branch polished from start at om, and its mismatch."""
+        roots = branch
+        if n:
+            ode_at, variable = build_ode(problem, om)
+            with np.errstate(all="ignore"):
+                accepted = _accept_candidate(ode_at, _polish(ode_at, start))
+            if accepted is None:
+                raise ConstraintInfeasible("outer solve stalled")
+            ordered, res, sep = accepted
+            roots = RootSet(n, tuple(complex(z) for z in ordered), variable, res, sep)
+        return roots, _l_half_sq(problem, om, _sums(roots)[0]) - target
+
+    def match(branch: RootSet) -> tuple[RootSet, float]:
+        found = by_rank.get(_rank(matrix0, -compute_w_coefficients(ode, branch)[0]))
+        if not found:
+            raise ConstraintInfeasible(NO_MATCH)
+        below = [m for m in found if m[0] <= omega0]
+        omega, c = below[-1] if below else found[0]
+        roots, miss = at(omega, np.roots(c[::-1]).astype(complex), branch)
+        # alpha and beta carry the rounding of the closing formulas, which
+        # leaves the pencil's omega off by up to ~1e-13 relative: one secant
+        # step on the mismatch that the gate below measures removes that.
+        h = 1e-6 * omega
+        miss_h = at(omega + h, roots.as_array(), branch)[1]
+        if miss_h != miss:
+            omega -= miss * h / (miss_h - miss)
+            roots, miss = at(omega, roots.as_array(), branch)
+        if abs(miss) > MATCH_TOL:
+            raise ConstraintInfeasible("outer solve stalled")
+        return roots, omega
+
+    return match
+
+
+def _rank(matrix: np.ndarray, lam: float) -> int:
+    """Rank of the eigenvalue lam among the (real) eigenvalues of matrix."""
+    return int(np.argmin(np.abs(np.sort(np.linalg.eigvals(matrix).real) - lam)))
 
 
 def _follow(problem: FamilyProblem, roots: RootSet, om_from: float, om_to: float) -> RootSet | None:
@@ -517,7 +630,7 @@ def _follow(problem: FamilyProblem, roots: RootSet, om_from: float, om_to: float
     return roots
 
 
-def _match_ell(problem: FamilyProblem, branch: RootSet, omega0: float) -> tuple[RootSet, float]:
+def _scan_match(problem: FamilyProblem, branch: RootSet, omega0: float) -> tuple[RootSet, float]:
     """The branch and the omega at which its (l+1/2)^2 hits the requested ell.
 
     Scans omega down from omega0 by factors of 0.8, then up by 1.25, both
@@ -527,7 +640,7 @@ def _match_ell(problem: FamilyProblem, branch: RootSet, omega0: float) -> tuple[
     was lost if a scan was cut short) or the bisection stalls.
     """
     target = (problem.ell + 0.5) ** 2
-    omega_min, omega_max = 1e-6, 1.0e3
+    omega_min, omega_max = OMEGA_RANGE
     roots, omega = branch, omega0
 
     def mismatch(om: float) -> float | None:
@@ -561,7 +674,7 @@ def _match_ell(problem: FamilyProblem, branch: RootSet, omega0: float) -> tuple[
     if bracket is None:
         if lost:
             raise ConstraintInfeasible(f"branch lost {' and '.join(lost)} while scanning for the requested ell")
-        raise ConstraintInfeasible("no omega in (0, 1e3] matches the requested ell on this branch")
+        raise ConstraintInfeasible(NO_MATCH)
     lo, hi = bracket
     flo = mismatch(lo)  # None when carrying the branch back to lo loses it
     for _ in range(200):
@@ -578,7 +691,7 @@ def _match_ell(problem: FamilyProblem, branch: RootSet, omega0: float) -> tuple[
             lo, flo = mid, fm
     omega_star = 0.5 * (lo + hi)
     final = None if flo is None else mismatch(omega_star)
-    if final is None or abs(final) > 1e-8:
+    if final is None or abs(final) > MATCH_TOL:
         raise ConstraintInfeasible("outer solve stalled")
     return roots, omega_star
 

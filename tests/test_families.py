@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qesolve import (
     Case,
@@ -17,6 +19,7 @@ from qesolve import (
     build_ode,
     derive_parameters,
     reduction_check,
+    solve_bae,
     solve_family,
     solve_family_detailed,
     verify_solution,
@@ -202,33 +205,93 @@ class TestSextic:
         assert s.derived["omega"] == pytest.approx(1.0, abs=1e-12)
         assert s.energy == pytest.approx(2.5, abs=1e-12)
 
-    def test_match_ell_matches_every_branch(self):
-        # The sextic has exactly n + 1 branches, and each one, followed in
-        # omega, reaches the requested ell.
-        prob = sextic(n=3, e=-0.08210087335611532, d=1.3674567281270278, match_ell=True)
-        solutions, failures = solve_family_detailed(prob, SolverConfig(seed=2026, starts=48))
+    # n = 3: the sextic has exactly n + 1 branches, and each one reaches
+    # ell = 0 at some omega.
+    EVERY_BRANCH = sextic(n=3, e=-0.08210087335611532, d=1.3674567281270278, match_ell=True)
+
+    def test_match_ell_matches_every_branch(self, monkeypatch):
+        # The match is an eigenproblem: no branch is followed in omega.
+        def follow(*args):
+            raise AssertionError("a sextic branch was followed in omega")
+
+        monkeypatch.setattr(families, "_follow", follow)
+        solutions, failures = solve_family_detailed(self.EVERY_BRANCH, SolverConfig(seed=2026, starts=48))
         assert failures == []
         assert len(solutions) == 4
         for s in solutions:
+            # Matched at rounding level, as a bisection to machine width is.
+            assert abs(s.derived["l_half_sq"] - 0.25) <= 1e-13
             assert abs(s.derived["ell"]) <= 1e-9
 
-    def test_match_ell_branch_lost_while_scanning_is_recorded(self, monkeypatch):
-        # Left alone, one branch is scanned over the whole omega range
-        # without a sign change; make every hop below omega = 0.5 fail.
-        prob = sextic(n=1, ell=3, e=0.5, d=0.5, match_ell=True)
+    def test_match_ell_lands_where_the_branch_is_followed(self):
+        # Each branch at the starting omega (1), followed hop by hop to the
+        # omega matched for it, lands on the roots matched for it.
+        prob = self.EVERY_BRANCH
+        ode, variable = build_ode(prob, 1.0)
+        match = families._match_ell(prob, ode, 1.0)
+        omegas = []
+        for branch in solve_bae(ode, prob.n, SolverConfig(seed=2026, starts=48), variable):
+            roots, omega = match(branch)
+            moved = families._follow(prob, branch, 1.0, omega)
+            assert moved is not None
+            assert max_abs(moved.as_array() - roots.as_array()) <= 1e-8
+            omegas.append(omega)
+        assert len(set(omegas)) == 4
+
+    @pytest.mark.parametrize("omega0", [0.1, 1.0, 3.0])
+    def test_match_ell_picks_the_match_a_scan_picks(self, omega0):
+        # n = 2, ell = 4: the top branch has the requested ell at omega =
+        # 0.227 and 1.68, and neither other branch has it at any omega > 0.
+        # The scan down, then up, from omega0 is the reference; where it
+        # finds no match (it loses those two branches at small omega), the
+        # eigenproblem finds none either.
+        prob = FamilyProblem(Family.SEXTIC, Case.HARMONIC, 2, 4, {"omega": omega0, "e": -0.72, "d": 1.0}, True)
+        ode, variable = build_ode(prob, omega0)
+        match = families._match_ell(prob, ode, omega0)
+        matched = []
+        for branch in solve_bae(ode, prob.n, SolverConfig(), variable):
+            try:
+                expected_roots, expected_omega = families._scan_match(prob, branch, omega0)
+            except ConstraintInfeasible:
+                with pytest.raises(ConstraintInfeasible, match="no omega in"):
+                    match(branch)
+                continue
+            roots, omega = match(branch)
+            assert omega == pytest.approx(expected_omega, rel=1e-12)
+            assert max_abs(roots.as_array() - expected_roots.as_array()) <= 1e-8
+            matched.append(omega)
+        assert matched == [pytest.approx(1.6816 if omega0 > 1.6816 else 0.2272, abs=1e-4)]
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 3),
+        ell=st.integers(0, 2),
+        e=st.floats(-0.5, 1.2),
+        d=st.floats(0.3, 1.5),
+    )
+    def test_match_ell_does_not_depend_on_the_starting_omega(self, n, ell, e, d):
+        # Where each branch has at most one match, the starting omega only
+        # says where the branches are picked up.
+        problems = [
+            FamilyProblem(Family.SEXTIC, Case.HARMONIC, n, ell, {"omega": omega0, "e": e, "d": d}, True)
+            for omega0 in (0.3, 1.0, 3.0)
+        ]
+        assume(all(len(m) == 1 for m in families._pencil_matches(problems[0])[2].values()))
         cfg = SolverConfig(seed=0, starts=40)
-        _, failures = solve_family_detailed(prob, cfg)
-        assert "no omega in (0, 1e3] matches the requested ell on this branch" in [f.detail for f in failures]
-        real_follow = families._follow
+        matched = [sorted(s.derived["omega"] for s in solve_family(p, cfg)) for p in problems]
+        for other in matched[1:]:
+            assert len(other) == len(matched[0])
+            for a, b in zip(matched[0], other):
+                assert abs(a - b) <= 1e-12 * a
 
-        def follow(problem, roots, om_from, om_to):
-            return None if om_to < 0.5 else real_follow(problem, roots, om_from, om_to)
-
-        monkeypatch.setattr(families, "_follow", follow)
-        solutions, cut = solve_family_detailed(prob, cfg)
-        assert solutions == [] and len(cut) == len(failures) == 2
-        lost = "branch lost between omega = 0.512 and 0.4096 while scanning for the requested ell"
-        assert [(f.error, f.detail) for f in cut] == [("ConstraintInfeasible", lost)] * 2
+    def test_match_ell_no_positive_omega_is_recorded(self):
+        # n = 1: the pencil's determinant is omega (omega + 1) / 4, so its
+        # eigenvalues are 0 and -1, and neither branch has a match.
+        prob = sextic(n=1, ell=3, e=0.5, d=0.5, match_ell=True)
+        solutions, failures = solve_family_detailed(prob, SolverConfig(seed=0, starts=40))
+        no_match = "no omega in (0, 1e3] matches the requested ell on this branch"
+        assert solutions == []
+        assert [(f.error, f.detail) for f in failures] == [("ConstraintInfeasible", no_match)] * 2
 
     def test_positive_root_feasible_at_small_omega(self, cfg):
         # Small omega keeps (l+1/2)^2 positive on the positive-root branch.
@@ -337,6 +400,24 @@ class TestDecatic:
         assert [(f.error, f.detail) for f in failures] == [("ConstraintInfeasible", "outer solve stalled")]
         assert len(solutions) == 1
         assert verify_solution(solutions[0]).passed
+
+    def test_match_ell_branch_lost_while_scanning_is_recorded(self, monkeypatch):
+        # Left alone, one branch is scanned over the whole omega range
+        # without a sign change; make every hop below omega = 0.5 fail.
+        prob = decatic(n=2, ell=2, b=0.0, c=-0.5, d=1.0, match_ell=True)
+        cfg = SolverConfig(seed=0, starts=40)
+        _, failures = solve_family_detailed(prob, cfg)
+        assert "no omega in (0, 1e3] matches the requested ell on this branch" in [f.detail for f in failures]
+        real_follow = families._follow
+
+        def follow(problem, roots, om_from, om_to):
+            return None if om_to < 0.5 else real_follow(problem, roots, om_from, om_to)
+
+        monkeypatch.setattr(families, "_follow", follow)
+        solutions, cut = solve_family_detailed(prob, cfg)
+        assert solutions == [] and len(cut) == len(failures) == 2
+        lost = "branch lost between omega = 0.512 and 0.4096 while scanning for the requested ell"
+        assert [(f.error, f.detail) for f in cut] == [("ConstraintInfeasible", lost)] * 2
 
     def test_default_mode_derives_ell(self, cfg_small):
         s = solve_family(decatic(n=0, omega=1.0, b=0.0, c=1.0, d=0.5), cfg_small)[0]
