@@ -8,13 +8,17 @@ the roots satisfy the residue conditions
     sum_{j != i} 2 / (t_i - t_j) + Q(t_i) / P(t_i) = 0,    i = 1..n,
 
 and W is assembled from the root power sums.  The module enumerates the
-solutions as eigenvectors when w0 is the only root-dependent W coefficient,
-searches for them by batched multi-start damped Newton otherwise, and
-verifies candidate solutions by exact polynomial arithmetic.
+solutions when at most two W coefficients (w1, w0) depend on the roots: as
+eigenvectors of the ODE's square matrix on polynomials of degree n when w0
+is the only one, and as null vectors of its rectangular matrix at the real
+solutions of a two-parameter eigenproblem otherwise.  It searches for them
+by batched multi-start damped Newton when more coefficients depend on the
+roots, and verifies candidate solutions by exact polynomial arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -103,8 +107,9 @@ ESCAPE_RADIUS = 50.0 * BOX
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """RNG seed and starts per pass of the multi-start Newton root search
-    (no effect on an ODE whose branches are enumerated, see solve_bae)."""
+    """RNG seed and starts per pass of the multi-start Newton root search,
+    which runs only for ODEs with more than two root-dependent W
+    coefficients (the octic); the others are enumerated, see solve_bae."""
 
     seed: int = 0
     starts: int = 200
@@ -551,37 +556,103 @@ def _polish(ode: PolyODE, roots: np.ndarray) -> np.ndarray:
     return T[0]
 
 
-def _enumerable(ode: PolyODE) -> bool:
-    """Do the closing formulas leave w0 as the only root-dependent W
-    coefficient (p4 = q3 = q4 = q5 = 0)?"""
-    return ode.p[4] == 0.0 and not any(ode.q[3:])
+def _root_dependent(ode: PolyODE) -> int:
+    """m: how many W coefficients (w0 .. w_{m-1}) the closing formulas make
+    depend on the root sums."""
+    if ode.q[5] != 0.0:
+        return 4
+    if ode.q[4] != 0.0:
+        return 3
+    if ode.q[3] != 0.0 or ode.p[4] != 0.0:
+        return 2
+    return 1
 
 
-def _band_matrix(ode: PolyODE, n: int) -> np.ndarray:
-    """The (n+1)x(n+1) matrix M of P D^2 + Q D + w1 t (w1 fixed by n) on
-    1, t, ..., t^n, for an ODE that passes `_enumerable`.
+def _ode_matrix(ode: PolyODE, n: int) -> np.ndarray:
+    """The (n+m)x(n+1) matrix A of P D^2 + Q D + (w_m t^m + ... + w4 t^4) on
+    1, t, ..., t^n, where m = `_root_dependent(ode)` and w_m .. w4 are the
+    closing values, which depend on n alone.
 
-    S = sum c_k t^k solves the ODE with W = w1 t + w0 exactly when
-    M c = -w0 c.
+    S = sum c_k t^k solves the ODE with W = w4 t^4 + ... + w0 exactly when
+    (A + w_{m-1} T_{m-1} + ... + w0 T0) c = 0, where T_j takes t^k to
+    t^(k+j).  The rows of t^(n+m) and above vanish identically, and A keeps
+    the others; for m = 1 it is square and the condition is A c = -w0 c.
     """
-    w1 = _closing_w(ode, n, 0.0, 0.0, 0.0, 0.0, 0.0)[1]
+    m = _root_dependent(ode)
+    w = _closing_w(ode, n, 0.0, 0.0, 0.0, 0.0, 0.0)
     k = np.arange(n + 1)
     # Row d + 2 holds the coefficient of t^d; column k is the image of t^k.
-    band = np.zeros((n + 4, n + 1))
-    for j in range(4):
+    band = np.zeros((n + 7, n + 1))
+    for j in range(5):
         band[k + j, k] += ode.p[j] * k * (k - 1.0)
-    for j in range(3):
+    for j in range(6):
         band[k + j + 1, k] += ode.q[j] * k
-    band[k + 3, k] += w1
-    return band[2 : n + 3]
+    for j in range(m, 5):
+        band[k + j + 2, k] += w[j]
+    return band[2 : n + m + 2]
 
 
-def _eigen_rows(ode: PolyODE, n: int) -> list[np.ndarray]:
-    """Candidate root rows, one per eigenvector of `_band_matrix`: every
-    degree-n branch is an eigenvector with a nonzero top coefficient, and
-    its roots are those of S."""
-    _, vecs = np.linalg.eig(_band_matrix(ode, n))
-    return [np.roots(c[::-1]).astype(complex) for c in vecs.T if c[-1] != 0.0]
+# The projections of the two-parameter problem come from this fixed seed, so
+# its solutions depend neither on SolverConfig.seed nor on earlier calls.
+_PROJECTION_SEED = 0
+# An eigenvalue pair (w1, w0) of the projected problem solves the full one
+# when the smallest singular value of A + w1 T1 + w0 T0 is at most this
+# fraction of its largest.
+GENUINE_TOL = 1e-8
+
+
+@functools.lru_cache(maxsize=16)
+def _projection(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two random (n+1)x(n+2) projections P1, P2 and the inverse of the
+    operator determinant Delta0 = kron(P1 T1, P2 T0) - kron(P1 T0, P2 T1),
+    which depends on n and the projections alone (read-only arrays)."""
+    P1, P2 = np.random.default_rng([seed, n]).standard_normal((2, n + 1, n + 2))
+    # P T1 drops the first column of P, and P T0 its last.
+    inv0 = np.linalg.inv(np.kron(P1[:, 1:], P2[:, :-1]) - np.kron(P1[:, :-1], P2[:, 1:]))
+    for a in (P1, P2, inv0):
+        a.flags.writeable = False
+    return P1, P2, inv0
+
+
+def _two_parameter_null_vectors(A: np.ndarray) -> np.ndarray:
+    """The null vectors c (rows) of A + w1 T1 + w0 T0 at its real solutions
+    (w1, w0), for the (n+2)x(n+1) matrix A of `_ode_matrix` with m = 2.
+
+    The projections P1 and P2 turn the rectangular problem into two square
+    ones, (Pi A + w1 Pi T1 + w0 Pi T0) ci = 0.  Their common solutions are
+    the joint eigenvalues, w1 and w0, of the commuting Delta0^-1 Delta1 and
+    Delta0^-1 Delta2 on kron(c1, c2) (Atkinson, *Multiparameter Eigenvalue
+    Problems*, 1972; Hochstenbach, Kosir & Plestenjak on rectangular
+    problems).  Each eigenvector of a generic combination of the two gives
+    its (w1, w0) as Rayleigh quotients.  Of the (n+1)^2 pairs, those that
+    solve only the projected problems are dropped by the GENUINE_TOL test
+    of the full matrix.  A branch has a real W, so the test is made at the
+    real part of each pair.
+    """
+    n = A.shape[1] - 1
+    P1, P2, inv0 = _projection(n, _PROJECTION_SEED)
+    A1, A2 = P1 @ A, P2 @ A
+    B1, C1, B2, C2 = P1[:, 1:], P1[:, :-1], P2[:, 1:], P2[:, :-1]
+    G1 = inv0 @ (np.kron(C1, A2) - np.kron(A1, C2))
+    G0 = inv0 @ (np.kron(A1, B2) - np.kron(B1, A2))
+    _, Z = np.linalg.eig(G1 + (math.sqrt(2.0) - 1.0) * G0)
+    norms = np.sum(np.abs(Z) ** 2, axis=0)
+    w1, w0 = (np.einsum("ij,ik,kj->j", Z.conj(), G, Z).real / norms for G in (G1, G0))
+    M = A + w1[:, None, None] * np.eye(n + 2, n + 1, -1) + w0[:, None, None] * np.eye(n + 2, n + 1)
+    _, s, vh = np.linalg.svd(M)
+    return vh[s[:, -1] <= GENUINE_TOL * s[:, 0], -1]
+
+
+def _eigen_rows(A: np.ndarray) -> list[np.ndarray]:
+    """Candidate root rows from the matrix of `_ode_matrix` with m = 1 or 2:
+    every degree-n branch is a null vector c of A + w0 T0 (an eigenvector of
+    A when m = 1) or of A + w1 T1 + w0 T0 with c_n != 0, and its roots are
+    those of S."""
+    if A.shape[0] == A.shape[1]:
+        coeffs = np.linalg.eig(A)[1].T
+    else:
+        coeffs = _two_parameter_null_vectors(A)
+    return [np.roots(c[::-1]).astype(complex) for c in coeffs if c[-1] != 0.0]
 
 
 def solve_bae(
@@ -592,18 +663,22 @@ def solve_bae(
 ) -> list[RootSet]:
     """All distinct conjugate-closed solutions of the degree-n root system.
 
-    When w0 is the only W coefficient that depends on the roots (p4 = q3 =
-    q4 = q5 = 0, as for the sextic and coulombic quartic working ODEs), the
-    candidates are the eigenvectors of the (n+1)x(n+1) matrix of the ODE on
-    polynomials of degree n (`_eigen_rows`), and `cfg` has no effect.  For
-    those two families the matrix is tridiagonal with positive off-diagonal
-    products, so its n + 1 eigenvalues are real and simple, the enumeration
-    is complete and the promise above holds.  Every other ODE is searched by
-    multi-start damped Newton with per-start RNG streams derived from
-    (seed, start index), which may miss a branch.  Candidates are polished,
-    filtered and deduplicated, and the list is sorted by the canonical key
-    (sorted real parts, then imaginary parts), so the output is
-    deterministic for a seed.
+    When at most two W coefficients depend on the roots, the branches are
+    enumerated and `cfg` has no effect.  With w0 alone (p4 = q3 = q4 = q5 =
+    0: the sextic and coulombic quartic working ODEs), the candidates are
+    the eigenvectors of the (n+1)x(n+1) matrix of the ODE on polynomials of
+    degree n; for those two families it is tridiagonal with positive
+    off-diagonal products, so all n + 1 branches are real and simple.  With
+    w1 and w0 (q4 = q5 = 0: the harmonic quartic and the decatic), they are
+    the null vectors of the (n+2)x(n+1) matrix A + w1 T1 + w0 T0 at the real
+    solutions of that two-parameter eigenproblem
+    (`_two_parameter_null_vectors`).  Either way every real solution is a
+    candidate, so the promise above holds.  Every other ODE (the octic) is
+    searched by multi-start damped Newton with per-start RNG streams derived
+    from (seed, start index), which may miss a branch.  Candidates are
+    polished, filtered and deduplicated, and the list is sorted by the
+    canonical key (sorted real parts, then imaginary parts), so the output
+    is deterministic for a seed.
 
     Raises NoSolutionFound when n > 0 and no Newton start converges, or no
     enumerated candidate is accepted.
@@ -612,9 +687,9 @@ def solve_bae(
         raise ValueError("n must be non-negative")
     if n == 0:
         return [RootSet(0, (), variable, 0.0, math.inf)]
-    enumerated = _enumerable(ode)
+    enumerated = _root_dependent(ode) <= 2
     if enumerated:
-        converged = _eigen_rows(ode, n)
+        converged = _eigen_rows(_ode_matrix(ode, n))
     else:
         converged = list(_newton_batch(ode, _make_starts(n, cfg)))
         for row in _coefficient_newton(ode, _coefficient_starts(n, cfg)):
@@ -639,7 +714,7 @@ def solve_bae(
             if accepted and not known(accepted[0]):
                 found.append(accepted)
     if enumerated and not found:
-        raise NoSolutionFound(f"no eigenvector of the degree-{n} matrix is a branch")
+        raise NoSolutionFound(f"no enumerated degree-{n} solution is a branch")
     found.sort(key=lambda item: _branch_key(item[0]))
     return [
         RootSet(n, tuple(complex(z) for z in ordered), variable, res, sep)

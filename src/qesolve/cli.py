@@ -246,12 +246,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--seed", type=int, default=None,
             help="seed of the Newton root search (default: QES_SEED, else 0); "
-            "no effect on sextic or coulombic quartic problems, whose branches are enumerated",
+            "used by octic problems only: the other families' branches are enumerated",
         )
         p.add_argument(
             "--starts", type=int, default=SolverConfig.starts,
             help="starts per Newton pass (default: %(default)s); "
-            "no effect on sextic or coulombic quartic problems, whose branches are enumerated",
+            "used by octic problems only: the other families' branches are enumerated",
         )
         p.add_argument("--out", default=None)
 

@@ -34,12 +34,12 @@ from .bethe import (
     SolverConfig,
     Variable,
     _accept_candidate,
-    _band_matrix,
     _branch_key,
     _closing_w,
-    _enumerable,
+    _ode_matrix,
     _polish,
     _power_sums,
+    _root_dependent,
     bae_residuals,
     compute_w_coefficients,
     solve_bae,
@@ -133,7 +133,7 @@ def _validate_problem(problem: FamilyProblem):
     _require(f[top] > 0, f"{top} > 0")
     if problem.case is Case.COULOMBIC:
         _require(f["a"] < 0, "a < 0")
-    elif not (problem.match_ell and problem.family in _MATCH_ELL_FAMILIES):
+    elif "omega" in f:  # absent only in match-ell mode, which derives it
         _require(f["omega"] > 0, "omega > 0")
 
 
@@ -509,18 +509,19 @@ def _match_ell(problem: FamilyProblem, ode: PolyODE, omega0: float):
     """The per-branch step of match-ell mode: a function that takes a branch
     of `ode` (the working ODE at omega0) to that branch and the omega at
     which its (l+1/2)^2 hits the requested ell, or raises
-    ConstraintInfeasible.  An enumerated ODE (the sextic) is matched through
-    one eigenproblem, any other (the decatic) by scanning omega."""
-    if _enumerable(ode):
+    ConstraintInfeasible.  An ODE with w0 as its only root-dependent W
+    coefficient (the sextic) is matched through one eigenproblem, any other
+    (the decatic) by scanning omega."""
+    if _root_dependent(ode) == 1:
         return _pencil_matcher(problem, ode, omega0)
     return lambda branch: _scan_match(problem, branch, omega0)
 
 
 def _pencil_matches(problem: FamilyProblem):
-    """A, L and, per rank, the (omega, c) at which an enumerated ODE's
+    """A, L and, per rank, the (omega, c) at which a sextic ODE's
     branch of that rank hits the requested ell, in ascending omega.
 
-    The band matrix at omega is A + omega L (`bethe._band_matrix`), and a
+    The square matrix at omega is A + omega L (`bethe._ode_matrix`), and a
     branch is its eigenvector c with eigenvalue lam = -w0.  Its (l+1/2)^2
     and lam are both affine in the root sum s1, so the requested ell is
     reached exactly when lam = alpha + beta omega, and the matching omegas
@@ -530,12 +531,12 @@ def _pencil_matches(problem: FamilyProblem):
     eigenvalues of A + omega L, ascending.
     """
     n, target = problem.n, (problem.ell + 0.5) ** 2
-    # At omega = 1 and 2: the band matrix, and lam = -w0 from the closing
+    # At omega = 1 and 2: the square matrix, and lam = -w0 from the closing
     # formulas at the root sum that gives the requested ell.
     mats, line = [], []
     for omega in (1.0, 2.0):
         ode, _ = build_ode(problem, omega)
-        mats.append(_band_matrix(ode, n))
+        mats.append(_ode_matrix(ode, n))
         l0, l1 = (_l_half_sq(problem, omega, s1) for s1 in (0.0, 1.0))
         lam0, lam1 = (-_closing_w(ode, n, s1, 0.0, 0.0, 0.0, 0.0)[0] for s1 in (0.0, 1.0))
         line.append(lam0 + (lam1 - lam0) * (target - l0) / (l1 - l0))
@@ -556,7 +557,7 @@ def _pencil_matches(problem: FamilyProblem):
 
 
 def _pencil_matcher(problem: FamilyProblem, ode: PolyODE, omega0: float):
-    """Match each branch of an enumerated ODE from `_pencil_matches`.
+    """Match each branch of a sextic ODE from `_pencil_matches`.
 
     For omega > 0 the eigenvalues of A + omega L are real and simple, so
     they never cross: a branch keeps its rank, and takes the matches of

@@ -283,19 +283,65 @@ NEWTON_SHORT = [
     (Family.SEXTIC, 19, 5),
     (Family.QUARTIC, 1, 5),
 ]
-# The enumerated draws of the acceptance sweep: every sextic draw, and the
-# coulombic quartic ones (omega = 0, so q3 = 0).
-ENUMERATED = [(Family.SEXTIC, draw) for draw in range(20)] + [(Family.QUARTIC, draw) for draw in range(1, 20, 2)]
+# Operations of the acceptance sweep whose two-parameter enumeration finds
+# branches that the Newton passes of SWEEP_CFG miss.
+NEWTON_MISSES = [
+    (Family.QUARTIC, 2, 5),
+    (Family.QUARTIC, 4, 5),
+    (Family.QUARTIC, 6, 5),
+    (Family.QUARTIC, 8, 5),
+    (Family.QUARTIC, 10, 5),
+    (Family.QUARTIC, 12, 4),
+    (Family.QUARTIC, 12, 5),
+    (Family.QUARTIC, 14, 5),
+    (Family.DECATIC, 5, 5),
+]
+# The enumerated draws of the acceptance sweep.  With w0 the only
+# root-dependent W coefficient: every sextic draw, and the coulombic quartic
+# ones (omega = 0, so q3 = 0).  With w1 and w0: the harmonic quartic draws
+# and every decatic draw.
+SQUARE = [(Family.SEXTIC, draw) for draw in range(20)] + [(Family.QUARTIC, draw) for draw in range(1, 20, 2)]
+RECTANGULAR = [(Family.QUARTIC, draw) for draw in range(0, 20, 2)] + [(Family.DECATIC, draw) for draw in range(20)]
+ENUMERATED = SQUARE + RECTANGULAR
+
+
+def _newton_accepted(problem: FamilyProblem) -> list[np.ndarray]:
+    """The roots of every row of both Newton passes (SWEEP_CFG starts) that
+    `_accept_candidate` accepts."""
+    ode, _ = build_ode(problem)
+    n = problem.n
+    rows = list(_newton_batch(ode, _make_starts(n, SWEEP_CFG)))
+    for coeffs in _coefficient_newton(ode, _coefficient_starts(n, SWEEP_CFG)):
+        rows.append(np.roots(np.concatenate([coeffs, [1.0]])[::-1]).astype(complex))
+    with np.errstate(all="ignore"):
+        return [a[0] for a in (bethe._accept_candidate(ode, row) for row in rows) if a]
+
+
+def _near(roots, branches) -> bool:
+    return any(max_abs(roots - b) < bethe.DEDUP_TOL for b in branches)
 
 
 class TestEnumeration:
-    """The n + 1 branches come from the ODE's (n+1)x(n+1) matrix."""
+    """The branches come from the ODE's matrix on polynomials of degree n:
+    its eigenvectors when w0 is the only root-dependent W coefficient, the
+    null vectors at the real solutions of its two-parameter eigenproblem
+    when w1 is one too."""
 
     @pytest.mark.parametrize("family, draw, n", NEWTON_SHORT)
     def test_operation_newton_left_short_gets_every_branch(self, family, draw, n):
         assert len(_solve(_sweep_problem(family, draw, n), SWEEP_CFG)) == n + 1
 
-    @pytest.mark.parametrize("family, draw", ENUMERATED)
+    @pytest.mark.parametrize("family, draw, n", NEWTON_MISSES)
+    def test_operation_newton_misses_gets_every_branch_and_more(self, family, draw, n):
+        problem = _sweep_problem(family, draw, n)
+        enumerated = [s.as_array() for s in _solve(problem, SWEEP_CFG)]
+        newton = _newton_accepted(problem)
+        assert newton
+        for roots in newton:
+            assert _near(roots, enumerated)
+        assert any(not _near(b, newton) for b in enumerated)
+
+    @pytest.mark.parametrize("family, draw", SQUARE)
     def test_n_plus_one_branches_whatever_the_starts(self, family, draw):
         for n in range(1, 6):
             problem = _sweep_problem(family, draw, n)
@@ -303,26 +349,58 @@ class TestEnumeration:
             assert len(few) == n + 1
             assert few == _solve(problem, MANY_STARTS)
 
+    @pytest.mark.parametrize("family, draw", RECTANGULAR)
+    def test_same_branches_whatever_the_starts(self, family, draw):
+        # Two calls give bit-identical RootSets, whatever their starts.
+        for n in range(1, 6):
+            problem = _sweep_problem(family, draw, n)
+            few = _solve(problem, SolverConfig(seed=0, starts=1))
+            assert few
+            assert few == _solve(problem, MANY_STARTS)
+
     @pytest.mark.parametrize("family, draw", ENUMERATED)
     def test_every_branch_newton_accepts_is_enumerated(self, family, draw):
         for n in range(1, 6):
             problem = _sweep_problem(family, draw, n)
-            ode, _ = build_ode(problem)
             enumerated = [s.as_array() for s in _solve(problem, SWEEP_CFG)]
-            rows = list(_newton_batch(ode, _make_starts(n, SWEEP_CFG)))
-            for coeffs in _coefficient_newton(ode, _coefficient_starts(n, SWEEP_CFG)):
-                rows.append(np.roots(np.concatenate([coeffs, [1.0]])[::-1]).astype(complex))
-            with np.errstate(all="ignore"):
-                accepted = [a[0] for a in (bethe._accept_candidate(ode, row) for row in rows) if a]
+            accepted = _newton_accepted(problem)
             assert accepted
             for roots in accepted:
-                assert min(max_abs(roots - b) for b in enumerated) < bethe.DEDUP_TOL
+                assert _near(roots, enumerated)
+
+    def test_another_projection_gives_the_same_branches(self, monkeypatch):
+        fixed = {
+            (family, draw, n): [s.as_array() for s in _solve(_sweep_problem(family, draw, n), SWEEP_CFG)]
+            for family, draw in RECTANGULAR
+            for n in range(1, 6)
+        }
+        monkeypatch.setattr(bethe, "_PROJECTION_SEED", bethe._PROJECTION_SEED + 1)
+        for (family, draw, n), branches in fixed.items():
+            other = [s.as_array() for s in _solve(_sweep_problem(family, draw, n), SWEEP_CFG)]
+            assert len(other) == len(branches)
+            for a, b in zip(other, branches):
+                assert max_abs(a - b) < bethe.DEDUP_TOL
+
+    def test_only_the_octic_runs_newton(self, monkeypatch):
+        calls = []
+
+        def no_newton(ode, starts):
+            calls.append(len(starts))
+            raise RuntimeError("the root-space Newton pass ran")
+
+        monkeypatch.setattr(bethe, "_newton_batch", no_newton)
+        for family, draw in RECTANGULAR:
+            assert _solve(_sweep_problem(family, draw, 5), SWEEP_CFG)
+        assert not calls
+        with pytest.raises(RuntimeError, match="Newton pass ran"):
+            _solve(_sweep_problem(Family.OCTIC, 0, 4), SWEEP_CFG)
+        assert calls
 
 
-# Quartic (harmonic) draw 0 of the acceptance sweep at n = 5: its working
-# ODE has q3 = -2 omega != 0, so the Newton passes search it, and they find
-# 11 branches from 48 starts and from 600.
-SEARCHED = _sweep_problem(Family.QUARTIC, 0, 5)
+# Harmonic octic draw 0 of the acceptance sweep at n = 4: its working ODE
+# has four root-dependent W coefficients, so the Newton passes search it,
+# and they find 12 branches from 48 starts and from 600.
+SEARCHED = _sweep_problem(Family.OCTIC, 0, 4)
 
 
 def _searched_branches(cfg=MANY_STARTS):
@@ -361,7 +439,7 @@ class TestBranchSetIndependentOfStarts:
     def test_more_starts_keep_every_branch(self):
         few = _searched_branches(SolverConfig(seed=2026, starts=48))
         many = _searched_branches()
-        assert len(few) == len(many) == 11
+        assert len(few) == len(many) == 12
         for a, b in zip(few, many):
             assert _same_branch(a, b)
 

@@ -64,6 +64,20 @@ VALIDATION_CASES = [
     ("decatic-d", lambda: decatic(d=0.0), "d > 0"),
     ("decatic-omega", lambda: decatic(omega=0.0), "omega > 0"),
     ("decatic-match_ell-d", lambda: decatic(d=-0.5, match_ell=True), "d > 0"),
+] + [
+    # A starting omega given in match-ell mode must be positive too.
+    (
+        f"{family.value}-match_ell-omega{omega:+g}",
+        lambda family=family, omega=omega, others=others: FamilyProblem(
+            family, Case.HARMONIC, 2, 0, {"omega": omega, **others}, True
+        ),
+        "omega > 0",
+    )
+    for family, others in (
+        (Family.SEXTIC, {"e": 0.5, "d": 0.5}),
+        (Family.DECATIC, {"b": 0.0, "c": 1.0, "d": 0.5}),
+    )
+    for omega in (-1.0, 0.0)
 ]
 
 
@@ -101,7 +115,7 @@ class TestBuildOde:
     def test_validation_table(self, make, rule):
         # The top coupling (h for the octic, d otherwise) must be positive,
         # coulombic cases need a < 0 and the others omega > 0; match_ell
-        # waives omega for the sextic and decatic only.
+        # lets the sextic and decatic leave omega out, but not give one <= 0.
         with pytest.raises(InvalidParameter, match=rf"^constraint violated: {re.escape(rule)}$"):
             make()
 
