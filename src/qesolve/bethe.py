@@ -11,7 +11,8 @@ and W is assembled from the root power sums.  The module enumerates the
 solutions when at most two W coefficients (w1, w0) depend on the roots: as
 eigenvectors of the ODE's square matrix on polynomials of degree n when w0
 is the only one, and as null vectors of its rectangular matrix at the real
-solutions of a two-parameter eigenproblem otherwise.  It searches for them
+solutions of a two-parameter eigenproblem otherwise (`_two_parameter`,
+which also solves the decatic's match-ell problem in `families`).  It searches for them
 by batched multi-start damped Newton when more coefficients depend on the
 roots, and verifies candidate solutions by exact polynomial arithmetic.
 """
@@ -595,52 +596,65 @@ def _ode_matrix(ode: PolyODE, n: int) -> np.ndarray:
 # The projections of the two-parameter problem come from this fixed seed, so
 # its solutions depend neither on SolverConfig.seed nor on earlier calls.
 _PROJECTION_SEED = 0
-# An eigenvalue pair (w1, w0) of the projected problem solves the full one
-# when the smallest singular value of A + w1 T1 + w0 T0 is at most this
-# fraction of its largest.
+# A solution (x, y) of the projected problem solves the full one when the
+# smallest singular value of A + x B + y C is at most this fraction of its
+# largest.
 GENUINE_TOL = 1e-8
 
 
 @functools.lru_cache(maxsize=16)
 def _projection(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Two random (n+1)x(n+2) projections P1, P2 and the inverse of the
-    operator determinant Delta0 = kron(P1 T1, P2 T0) - kron(P1 T0, P2 T1),
-    which depends on n and the projections alone (read-only arrays)."""
-    P1, P2 = np.random.default_rng([seed, n]).standard_normal((2, n + 1, n + 2))
-    # P T1 drops the first column of P, and P T0 its last.
-    inv0 = np.linalg.inv(np.kron(P1[:, 1:], P2[:, :-1]) - np.kron(P1[:, :-1], P2[:, 1:]))
-    for a in (P1, P2, inv0):
+    """Two random (n+1)x(n+2) projections P1, P2 and a random orthogonal
+    3x3 change Q of the homogeneous parameters (1, x, y) (read-only)."""
+    rng = np.random.default_rng([seed, n])
+    P1, P2 = rng.standard_normal((2, n + 1, n + 2))
+    Q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    for a in (P1, P2, Q):
         a.flags.writeable = False
-    return P1, P2, inv0
+    return P1, P2, Q
 
 
-def _two_parameter_null_vectors(A: np.ndarray) -> np.ndarray:
-    """The null vectors c (rows) of A + w1 T1 + w0 T0 at its real solutions
-    (w1, w0), for the (n+2)x(n+1) matrix A of `_ode_matrix` with m = 2.
+def _two_parameter(A: np.ndarray, B: np.ndarray, C: np.ndarray):
+    """The real solutions (x, y, c) of (A + x B + y C) c = 0, for
+    (n+2)x(n+1) matrices: arrays x, y and the null vectors c as rows.
 
     The projections P1 and P2 turn the rectangular problem into two square
-    ones, (Pi A + w1 Pi T1 + w0 Pi T0) ci = 0.  Their common solutions are
-    the joint eigenvalues, w1 and w0, of the commuting Delta0^-1 Delta1 and
+    ones, (Pi A + x Pi B + y Pi C) ci = 0.  Their common solutions are the
+    joint eigenvalues, x and y, of the commuting Delta0^-1 Delta1 and
     Delta0^-1 Delta2 on kron(c1, c2) (Atkinson, *Multiparameter Eigenvalue
     Problems*, 1972; Hochstenbach, Kosir & Plestenjak on rectangular
-    problems).  Each eigenvector of a generic combination of the two gives
-    its (w1, w0) as Rayleigh quotients.  Of the (n+1)^2 pairs, those that
-    solve only the projected problems are dropped by the GENUINE_TOL test
-    of the full matrix.  A branch has a real W, so the test is made at the
-    real part of each pair.
+    problems).  They are formed after the change Q of (1, x, y), which
+    keeps Delta0 well conditioned where B and C alone would make it nearly
+    singular (for the match-ell problem, whose B is close to nilpotent).
+    Each eigenvector of a generic combination of the two gives its
+    eigenvalues as Rayleigh quotients, and Q maps them back.  Of the
+    (n+1)^2 pairs, those that solve only the projected problems are dropped
+    by the GENUINE_TOL test of the full matrix; it is made at the real
+    part of each pair, so the real solutions are kept.
     """
     n = A.shape[1] - 1
-    P1, P2, inv0 = _projection(n, _PROJECTION_SEED)
-    A1, A2 = P1 @ A, P2 @ A
-    B1, C1, B2, C2 = P1[:, 1:], P1[:, :-1], P2[:, 1:], P2[:, :-1]
-    G1 = inv0 @ (np.kron(C1, A2) - np.kron(A1, C2))
-    G0 = inv0 @ (np.kron(A1, B2) - np.kron(B1, A2))
-    _, Z = np.linalg.eig(G1 + (math.sqrt(2.0) - 1.0) * G0)
+    P1, P2, Q = _projection(n, _PROJECTION_SEED)
+    changed = [Q[0, j] * A + Q[1, j] * B + Q[2, j] * C for j in range(3)]
+    (A1, B1, C1), (A2, B2, C2) = ([P @ M for M in changed] for P in (P1, P2))
+    delta0 = np.kron(B1, C2) - np.kron(C1, B2)
+    delta = np.hstack([np.kron(C1, A2) - np.kron(A1, C2), np.kron(A1, B2) - np.kron(B1, A2)])
+    G = np.linalg.solve(delta0, delta)
+    G1, G2 = G[:, : (n + 1) ** 2], G[:, (n + 1) ** 2 :]
+    _, Z = np.linalg.eig(G1 + (math.sqrt(2.0) - 1.0) * G2)
     norms = np.sum(np.abs(Z) ** 2, axis=0)
-    w1, w0 = (np.einsum("ij,ik,kj->j", Z.conj(), G, Z).real / norms for G in (G1, G0))
-    M = A + w1[:, None, None] * np.eye(n + 2, n + 1, -1) + w0[:, None, None] * np.eye(n + 2, n + 1)
-    _, s, vh = np.linalg.svd(M)
-    return vh[s[:, -1] <= GENUINE_TOL * s[:, 0], -1]
+    mu = [np.einsum("ij,ik,kj->j", Z.conj(), G, Z) / norms for G in (G1, G2)]
+    lam = Q @ np.array([np.ones_like(mu[0]), *mu])
+    with np.errstate(all="ignore"):
+        x, y = (lam[1] / lam[0]).real, (lam[2] / lam[0]).real
+    finite = np.isfinite(x) & np.isfinite(y)
+    x, y = x[finite], y[finite]
+    _, s, vh = np.linalg.svd(A + x[:, None, None] * B + y[:, None, None] * C)
+    if n:
+        scale = s[:, 0]
+    else:  # one column: its one singular value is measured against the terms
+        scale = sum(np.linalg.norm(M) * abs(t) for M, t in ((A, 1.0), (B, x), (C, y)))
+    genuine = s[:, -1] <= GENUINE_TOL * scale
+    return x[genuine], y[genuine], vh[genuine, -1]
 
 
 def _eigen_rows(A: np.ndarray) -> list[np.ndarray]:
@@ -651,7 +665,8 @@ def _eigen_rows(A: np.ndarray) -> list[np.ndarray]:
     if A.shape[0] == A.shape[1]:
         coeffs = np.linalg.eig(A)[1].T
     else:
-        coeffs = _two_parameter_null_vectors(A)
+        n = A.shape[1] - 1
+        coeffs = _two_parameter(A, np.eye(n + 2, n + 1, -1), np.eye(n + 2, n + 1))[2]
     return [np.roots(c[::-1]).astype(complex) for c in coeffs if c[-1] != 0.0]
 
 
@@ -671,9 +686,9 @@ def solve_bae(
     off-diagonal products, so all n + 1 branches are real and simple.  With
     w1 and w0 (q4 = q5 = 0: the harmonic quartic and the decatic), they are
     the null vectors of the (n+2)x(n+1) matrix A + w1 T1 + w0 T0 at the real
-    solutions of that two-parameter eigenproblem
-    (`_two_parameter_null_vectors`).  Either way every real solution is a
-    candidate, so the promise above holds.  Every other ODE (the octic) is
+    solutions of that two-parameter eigenproblem (`_two_parameter`, with
+    B = T1 and C = T0).  Either way every real solution is a candidate, so
+    the promise above holds.  Every other ODE (the octic) is
     searched by multi-start damped Newton with per-start RNG streams derived
     from (seed, start index), which may miss a branch.  Candidates are
     polished, filtered and deduplicated, and the list is sorted by the

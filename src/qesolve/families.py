@@ -29,17 +29,22 @@ import numpy as np
 
 from .bethe import (
     CONJ_TOL,
+    DEDUP_TOL,
     PolyODE,
     RootSet,
     SolverConfig,
     Variable,
     _accept_candidate,
     _branch_key,
+    _canonical_order,
     _closing_w,
     _ode_matrix,
     _polish,
     _power_sums,
+    _residual_batch,
     _root_dependent,
+    _separation,
+    _two_parameter,
     bae_residuals,
     compute_w_coefficients,
     solve_bae,
@@ -252,7 +257,7 @@ def _decatic_rates(problem: FamilyProblem, omega=None):
 def build_ode(problem: FamilyProblem, omega: float | None = None):
     """Working ODE (p, q only) and the variable its roots live in.
 
-    `omega` overrides the free coupling while the match-ell outer solve is
+    `omega` overrides the free coupling while the match-ell solve is
     running; normal callers leave it None.
     """
     fam = problem.family
@@ -464,26 +469,25 @@ def solve_family_detailed(
 ) -> tuple[list[QESSolution], list[BranchFailure]]:
     """solve_family plus a record of skipped branches (for scans).
 
-    In match-ell mode (sextic, decatic) the root system is solved at the
-    starting omega, and `_match_ell` then takes each branch to the omega at
-    which its derived ell is the requested one.
+    In match-ell mode (sextic, decatic) the branches are every match of the
+    requested ell in OMEGA_RANGE (`_match_ell`); a given omega is not used,
+    and neither is `cfg`.
     """
-    match = problem.match_ell and problem.family in _MATCH_ELL_FAMILIES
-    omega0 = float(problem.free.get("omega", 1.0)) if match else None
-    ode, variable = build_ode(problem, omega0)
-    try:
-        branches = solve_bae(ode, problem.n, cfg, variable)
-    except NoSolutionFound as exc:
-        return [], [BranchFailure(None, type(exc).__name__, str(exc))]
-    matcher = _match_ell(problem, ode, omega0) if match else None
-    solutions: list[QESSolution] = []
-    failures: list[BranchFailure] = []
-    for branch in branches:
+    if problem.match_ell and problem.family in _MATCH_ELL_FAMILIES:
+        branches, failures = _match_ell(problem)
+    else:
+        ode, variable = build_ode(problem)
         try:
-            roots, omega = matcher(branch) if matcher else (branch, None)
+            branches = [(roots, None) for roots in solve_bae(ode, problem.n, cfg, variable)]
+        except NoSolutionFound as exc:
+            return [], [BranchFailure(None, type(exc).__name__, str(exc))]
+        failures = []
+    solutions: list[QESSolution] = []
+    for roots, omega in branches:
+        try:
             solutions.append(_branch_solution(problem, roots, omega))
         except (ConstraintInfeasible, InvalidExponent, InvalidParameter) as exc:
-            failures.append(BranchFailure(branch, type(exc).__name__, str(exc)))
+            failures.append(BranchFailure(roots, type(exc).__name__, str(exc)))
     solutions.sort(key=lambda s: _branch_key(s.roots.roots))
     return solutions, failures
 
@@ -496,205 +500,116 @@ def solve_family(
 
 
 # ----------------------------------------------------------------------
-# Match-ell outer solve (sextic, decatic)
+# Match-ell solve (sextic, decatic)
 # ----------------------------------------------------------------------
 
 # The omega range searched for a match.
 OMEGA_RANGE = (1e-6, 1.0e3)
-NO_MATCH = "no omega in (0, 1e3] matches the requested ell on this branch"
+NO_MATCH = "no omega in (0, 1e3] matches the requested ell"
 MATCH_TOL = 1e-8  # the largest |(l+1/2)^2 - (ell+1/2)^2| a match may leave
 
 
-def _match_ell(problem: FamilyProblem, ode: PolyODE, omega0: float):
-    """The per-branch step of match-ell mode: a function that takes a branch
-    of `ode` (the working ODE at omega0) to that branch and the omega at
-    which its (l+1/2)^2 hits the requested ell, or raises
-    ConstraintInfeasible.  An ODE with w0 as its only root-dependent W
-    coefficient (the sextic) is matched through one eigenproblem, any other
-    (the decatic) by scanning omega."""
-    if _root_dependent(ode) == 1:
-        return _pencil_matcher(problem, ode, omega0)
-    return lambda branch: _scan_match(problem, branch, omega0)
+def _match_problem(problem: FamilyProblem) -> tuple[np.ndarray, np.ndarray]:
+    """A and L such that S = sum c_k t^k is a branch with the requested
+    ell at omega exactly when (A + omega L + w0 T0) c = 0 (the decatic) or
+    (A + omega L) c = 0 (the sextic, where w0 is fixed by the ell).
 
-
-def _pencil_matches(problem: FamilyProblem):
-    """A, L and, per rank, the (omega, c) at which a sextic ODE's
-    branch of that rank hits the requested ell, in ascending omega.
-
-    The square matrix at omega is A + omega L (`bethe._ode_matrix`), and a
-    branch is its eigenvector c with eigenvalue lam = -w0.  Its (l+1/2)^2
-    and lam are both affine in the root sum s1, so the requested ell is
-    reached exactly when lam = alpha + beta omega, and the matching omegas
-    are the eigenvalues of the pencil (A - alpha I) c = -omega (L - beta I) c;
-    L - beta I is triangular with diagonal -beta != 0.  Only real omegas in
-    OMEGA_RANGE are kept.  The rank of a match is that of lam among the
-    eigenvalues of A + omega L, ascending.
+    At omega, the matrix of `bethe._ode_matrix` is affine in omega.  Let
+    w = w_{m-1} be the top root-dependent W coefficient (w1 for the decatic,
+    w0 for the sextic).  Both w and (l+1/2)^2 are affine in the root sum s1,
+    and (l+1/2)^2 - (l+1/2)^2|_{s1=0} is -4 omega s1 for both families, so
+    at the requested ell omega s1, and with it w, is affine in omega.  Adding
+    w T_{m-1} (T_j takes t^k to t^(k+j)), evaluated at omega = 1 and 2
+    through `_l_half_sq` and `_closing_w`, gives A + omega L.
     """
     n, target = problem.n, (problem.ell + 0.5) ** 2
-    # At omega = 1 and 2: the square matrix, and lam = -w0 from the closing
-    # formulas at the root sum that gives the requested ell.
-    mats, line = [], []
+    mats, top = [], []
     for omega in (1.0, 2.0):
         ode, _ = build_ode(problem, omega)
         mats.append(_ode_matrix(ode, n))
+        m = _root_dependent(ode)
         l0, l1 = (_l_half_sq(problem, omega, s1) for s1 in (0.0, 1.0))
-        lam0, lam1 = (-_closing_w(ode, n, s1, 0.0, 0.0, 0.0, 0.0)[0] for s1 in (0.0, 1.0))
-        line.append(lam0 + (lam1 - lam0) * (target - l0) / (l1 - l0))
+        w0, w1 = (_closing_w(ode, n, s1, 0.0, 0.0, 0.0, 0.0)[m - 1] for s1 in (0.0, 1.0))
+        top.append(w0 + (w1 - w0) * (target - l0) / (l1 - l0))
     L = mats[1] - mats[0]
     A = mats[0] - L
-    beta = line[1] - line[0]
-    alpha = line[0] - beta
-    eye = np.eye(n + 1)
-    omegas, vecs = np.linalg.eig(-np.linalg.solve(L - beta * eye, A - alpha * eye))
-    by_rank: dict[int, list] = {}
-    lo, hi = OMEGA_RANGE
-    for j in np.argsort(omegas.real):
-        om = omegas[j]
-        if om.imag == 0.0 and lo <= om.real <= hi:
-            om = float(om.real)
-            by_rank.setdefault(_rank(A + om * L, alpha + beta * om), []).append((om, vecs[:, j].real))
-    return A, L, by_rank
+    slope = top[1] - top[0]
+    shift = np.eye(n + m, n + 1, 1 - m)
+    return A + (top[0] - slope) * shift, L + slope * shift
 
 
-def _pencil_matcher(problem: FamilyProblem, ode: PolyODE, omega0: float):
-    """Match each branch of a sextic ODE from `_pencil_matches`.
+def _match_ell(problem: FamilyProblem) -> tuple[list[tuple[RootSet, float]], list[BranchFailure]]:
+    """Every match of the requested ell in OMEGA_RANGE, as (roots, omega)
+    pairs in ascending omega, and a BranchFailure for each candidate that
+    fails (one NO_MATCH record when there is no candidate).
 
-    For omega > 0 the eigenvalues of A + omega L are real and simple, so
-    they never cross: a branch keeps its rank, and takes the matches of
-    that rank.  Of several, it takes the largest at or below omega0, else
-    the smallest above, as a scan down and then up from omega0 would.  The
-    roots come from c and go through the polish and filters of the root
-    search.
+    The candidates are the real solutions (omega, c) of `_match_problem`
+    with omega in OMEGA_RANGE: for the sextic the real eigenvalues of the
+    (n+1)x(n+1) pencil A c = -omega L c, for the decatic the real solutions
+    (omega, w0) of the (n+2)x(n+1) two-parameter problem (`bethe.
+    _two_parameter`).  The roots of S go through the polish and filters of
+    the root search at omega.  The closing formulas' rounding leaves omega
+    off by up to ~1e-13 relative, so one secant step on the mismatch that
+    the MATCH_TOL gate measures follows.  Two candidates that reach the same
+    match (within DEDUP_TOL in roots and relative omega) give it once.
     """
     n, target = problem.n, (problem.ell + 0.5) ** 2
-    A, L, by_rank = _pencil_matches(problem)
-    matrix0 = A + omega0 * L
+    A, L = _match_problem(problem)
+    if A.shape[0] == A.shape[1]:
+        omegas, vecs = np.linalg.eig(-np.linalg.solve(L, A))
+        real = omegas.imag == 0.0
+        omegas, coeffs = omegas.real[real], vecs.T[real].real
+    else:
+        omegas, _, coeffs = _two_parameter(A, L, np.eye(n + 2, n + 1))
+    lo, hi = OMEGA_RANGE
+    keep = (lo <= omegas) & (omegas <= hi) & (coeffs[:, -1] != 0.0)
+    order = np.argsort(omegas[keep])
+    candidates = [(float(om), c) for om, c in zip(omegas[keep][order], coeffs[keep][order])]
 
-    def at(om: float, start: np.ndarray, branch: RootSet) -> tuple[RootSet, float]:
-        """The branch polished from start at om, and its mismatch."""
-        roots = branch
+    def at(om: float, start: np.ndarray) -> tuple[RootSet | None, float]:
+        """The roots polished from start at om, None if the filters reject
+        them, and their mismatch."""
+        ode, variable = build_ode(problem, om)
+        roots = RootSet(0, (), variable, 0.0, math.inf)
         if n:
-            ode_at, variable = build_ode(problem, om)
             with np.errstate(all="ignore"):
-                accepted = _accept_candidate(ode_at, _polish(ode_at, start))
+                accepted = _accept_candidate(ode, _polish(ode, start))
             if accepted is None:
-                raise ConstraintInfeasible("outer solve stalled")
+                return None, math.nan
             ordered, res, sep = accepted
             roots = RootSet(n, tuple(complex(z) for z in ordered), variable, res, sep)
         return roots, _l_half_sq(problem, om, _sums(roots)[0]) - target
 
-    def match(branch: RootSet) -> tuple[RootSet, float]:
-        found = by_rank.get(_rank(matrix0, -compute_w_coefficients(ode, branch)[0]))
-        if not found:
-            raise ConstraintInfeasible(NO_MATCH)
-        below = [m for m in found if m[0] <= omega0]
-        omega, c = below[-1] if below else found[0]
-        roots, miss = at(omega, np.roots(c[::-1]).astype(complex), branch)
-        # alpha and beta carry the rounding of the closing formulas, which
-        # leaves the pencil's omega off by up to ~1e-13 relative: one secant
-        # step on the mismatch that the gate below measures removes that.
-        h = 1e-6 * omega
-        miss_h = at(omega + h, roots.as_array(), branch)[1]
-        if miss_h != miss:
-            omega -= miss * h / (miss_h - miss)
-            roots, miss = at(omega, roots.as_array(), branch)
-        if abs(miss) > MATCH_TOL:
-            raise ConstraintInfeasible("outer solve stalled")
-        return roots, omega
-
-    return match
-
-
-def _rank(matrix: np.ndarray, lam: float) -> int:
-    """Rank of the eigenvalue lam among the (real) eigenvalues of matrix."""
-    return int(np.argmin(np.abs(np.sort(np.linalg.eigvals(matrix).real) - lam)))
-
-
-def _follow(problem: FamilyProblem, roots: RootSet, om_from: float, om_to: float) -> RootSet | None:
-    """Carry a branch from om_from to om_to in geometric hops of at most a
-    factor e^0.2.  Each hop polishes the previous roots at the new omega and
-    accepts them with the root search's own filters; None when a hop is
-    rejected or jumps to a different branch."""
-    hops = math.ceil(abs(math.log(om_to / om_from)) / 0.2) if problem.n else 0
-    for j in range(1, hops + 1):
-        ode, variable = build_ode(problem, om_from * (om_to / om_from) ** (j / hops))
-        prev = roots.as_array()
-        with np.errstate(all="ignore"):
-            accepted = _accept_candidate(ode, _polish(ode, prev))
-        if accepted is None:
-            return None
-        ordered, res, sep = accepted
-        scale = 1.0 + max(float(np.max(np.abs(ordered))), float(np.max(np.abs(prev))))
-        if np.max(np.abs(ordered - prev)) > 0.6 * scale:
-            return None
-        roots = RootSet(problem.n, tuple(complex(z) for z in ordered), variable, res, sep)
-    return roots
-
-
-def _scan_match(problem: FamilyProblem, branch: RootSet, omega0: float) -> tuple[RootSet, float]:
-    """The branch and the omega at which its (l+1/2)^2 hits the requested ell.
-
-    Scans omega down from omega0 by factors of 0.8, then up by 1.25, both
-    times following the branch from omega0, until the mismatch changes
-    sign; then bisects the bracket to machine width.  Raises
-    ConstraintInfeasible when no bracket is found (saying where the branch
-    was lost if a scan was cut short) or the bisection stalls.
-    """
-    target = (problem.ell + 0.5) ** 2
-    omega_min, omega_max = OMEGA_RANGE
-    roots, omega = branch, omega0
-
-    def mismatch(om: float) -> float | None:
-        """Follow the branch from the last omega reached to om."""
-        nonlocal roots, omega
-        moved = _follow(problem, roots, omega, om)
-        if moved is None:
-            return None
-        roots, omega = moved, om
-        return _l_half_sq(problem, om, _sums(moved)[0]) - target
-
-    f0 = mismatch(omega0)
-    bracket = (omega0, omega0) if f0 == 0.0 else None
-    lost = []  # the scan step that lost the branch, per direction
-    for direction in (0.8, 1.25):
-        if bracket is not None:
-            break
-        roots, omega = branch, omega0
-        om = om_prev = omega0
-        f_prev = f0
-        while omega_min <= om * direction <= omega_max:
-            om *= direction
-            f = mismatch(om)
-            if f is None:
-                lost.append(f"between omega = {om_prev:.6g} and {om:.6g}")
-                break
-            if f_prev * f <= 0.0:
-                bracket = (min(om_prev, om), max(om_prev, om))
-                break
-            om_prev, f_prev = om, f
-    if bracket is None:
-        if lost:
-            raise ConstraintInfeasible(f"branch lost {' and '.join(lost)} while scanning for the requested ell")
-        raise ConstraintInfeasible(NO_MATCH)
-    lo, hi = bracket
-    flo = mismatch(lo)  # None when carrying the branch back to lo loses it
-    for _ in range(200):
-        if flo is None or hi - lo <= 4.0 * math.ulp(max(abs(lo), abs(hi))):
-            break
-        mid = 0.5 * (lo + hi)
-        fm = mismatch(mid)
-        if fm is None or fm == 0.0:
-            lo = hi = mid
-            break
-        if flo * fm <= 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    omega_star = 0.5 * (lo + hi)
-    final = None if flo is None else mismatch(omega_star)
-    if final is None or abs(final) > MATCH_TOL:
-        raise ConstraintInfeasible("outer solve stalled")
-    return roots, omega_star
+    matches: list[tuple[RootSet, float]] = []
+    failures: list[BranchFailure] = []
+    for candidate_omega, c in candidates:
+        start = _canonical_order(np.roots(c[::-1]).astype(complex))
+        omega = candidate_omega
+        roots, miss = at(omega, start)
+        if roots is not None:
+            h = 1e-6 * omega
+            moved, miss_h = at(omega + h, roots.as_array())
+            if moved is None:
+                roots = None
+            elif miss_h != miss:
+                omega = float(omega - miss * h / (miss_h - miss))
+                roots, miss = at(omega, roots.as_array())
+        if roots is None or not abs(miss) <= MATCH_TOL:
+            ode, variable = build_ode(problem, candidate_omega)
+            with np.errstate(all="ignore"):
+                res = float(np.max(np.abs(_residual_batch(ode, start[None])), initial=0.0))
+            rejected = RootSet(n, tuple(complex(z) for z in start), variable, res, _separation(start))
+            reason = "the root filters reject it" if roots is None else f"it misses the ell by {miss:.3e}"
+            detail = f"the match at omega = {candidate_omega:.9g}: {reason}"
+            failures.append(BranchFailure(rejected, "ConstraintInfeasible", detail))
+        elif not any(
+            abs(omega - om) <= DEDUP_TOL * om and np.max(np.abs(roots.as_array() - r.as_array()), initial=0.0) < DEDUP_TOL
+            for r, om in matches
+        ):
+            matches.append((roots, omega))
+    if not candidates:
+        failures.append(BranchFailure(None, "ConstraintInfeasible", NO_MATCH))
+    return matches, failures
 
 
 # ----------------------------------------------------------------------

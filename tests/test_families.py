@@ -3,12 +3,11 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qesolve import (
     Case,
-    ConstraintInfeasible,
     Family,
     FamilyProblem,
     InvalidCase,
@@ -35,6 +34,7 @@ from conftest import (
     quartic_harmonic,
     sextic,
 )
+from scan_reference import _follow, scan_matches
 
 PLASTIC = 1.3247179572447460
 
@@ -224,11 +224,12 @@ class TestSextic:
     EVERY_BRANCH = sextic(n=3, e=-0.08210087335611532, d=1.3674567281270278, match_ell=True)
 
     def test_match_ell_matches_every_branch(self, monkeypatch):
-        # The match is an eigenproblem: no branch is followed in omega.
-        def follow(*args):
-            raise AssertionError("a sextic branch was followed in omega")
+        # The match is an eigenproblem: no root system is solved at a
+        # starting omega, and no branch is followed in omega.
+        def solve_bae(*args):
+            raise AssertionError("match-ell mode solved the root system at a starting omega")
 
-        monkeypatch.setattr(families, "_follow", follow)
+        monkeypatch.setattr(families, "solve_bae", solve_bae)
         solutions, failures = solve_family_detailed(self.EVERY_BRANCH, SolverConfig(seed=2026, starts=48))
         assert failures == []
         assert len(solutions) == 4
@@ -238,74 +239,71 @@ class TestSextic:
             assert abs(s.derived["ell"]) <= 1e-9
 
     def test_match_ell_lands_where_the_branch_is_followed(self):
-        # Each branch at the starting omega (1), followed hop by hop to the
-        # omega matched for it, lands on the roots matched for it.
+        # Each branch at omega = 1, followed hop by hop (the scan's `_follow`)
+        # to the omega of one returned match, lands on that match's roots,
+        # and every match is reached from a different branch.
         prob = self.EVERY_BRANCH
         ode, variable = build_ode(prob, 1.0)
-        match = families._match_ell(prob, ode, 1.0)
-        omegas = []
+        solutions = solve_family(prob)
+        reached = []
         for branch in solve_bae(ode, prob.n, SolverConfig(seed=2026, starts=48), variable):
-            roots, omega = match(branch)
-            moved = families._follow(prob, branch, 1.0, omega)
-            assert moved is not None
-            assert max_abs(moved.as_array() - roots.as_array()) <= 1e-8
-            omegas.append(omega)
-        assert len(set(omegas)) == 4
+            landed = [
+                j for j, s in enumerate(solutions)
+                if (moved := _follow(prob, branch, 1.0, s.derived["omega"])) is not None
+                and max_abs(moved.as_array() - s.roots.as_array()) <= 1e-8
+            ]
+            assert len(landed) == 1
+            reached += landed
+        assert sorted(reached) == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("omega0", [0.1, 1.0, 3.0])
     def test_match_ell_picks_the_match_a_scan_picks(self, omega0):
         # n = 2, ell = 4: the top branch has the requested ell at omega =
         # 0.227 and 1.68, and neither other branch has it at any omega > 0.
-        # The scan down, then up, from omega0 is the reference; where it
-        # finds no match (it loses those two branches at small omega), the
-        # eigenproblem finds none either.
+        # Both are returned whatever the given omega, and the match that the
+        # scan down, then up, from omega0 picks is one of them.
         prob = FamilyProblem(Family.SEXTIC, Case.HARMONIC, 2, 4, {"omega": omega0, "e": -0.72, "d": 1.0}, True)
-        ode, variable = build_ode(prob, omega0)
-        match = families._match_ell(prob, ode, omega0)
-        matched = []
-        for branch in solve_bae(ode, prob.n, SolverConfig(), variable):
-            try:
-                expected_roots, expected_omega = families._scan_match(prob, branch, omega0)
-            except ConstraintInfeasible:
-                with pytest.raises(ConstraintInfeasible, match="no omega in"):
-                    match(branch)
-                continue
-            roots, omega = match(branch)
-            assert omega == pytest.approx(expected_omega, rel=1e-12)
-            assert max_abs(roots.as_array() - expected_roots.as_array()) <= 1e-8
-            matched.append(omega)
-        assert matched == [pytest.approx(1.6816 if omega0 > 1.6816 else 0.2272, abs=1e-4)]
+        solutions, failures = solve_family_detailed(prob)
+        assert failures == []
+        omegas = sorted(s.derived["omega"] for s in solutions)
+        assert omegas == [pytest.approx(0.2272, abs=1e-4), pytest.approx(1.6816, abs=1e-4)]
+        scanned = scan_matches(prob, omega0)
+        assert [om for _, om in scanned] == [pytest.approx(1.6816 if omega0 > 1.6816 else 0.2272, abs=1e-4)]
+        for roots, omega in scanned:
+            assert any(
+                s.derived["omega"] == pytest.approx(omega, rel=1e-12)
+                and max_abs(s.roots.as_array() - roots.as_array()) <= 1e-8
+                for s in solutions
+            )
 
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(
+        family=st.sampled_from([Family.SEXTIC, Family.DECATIC]),
         n=st.integers(1, 3),
         ell=st.integers(0, 2),
         e=st.floats(-0.5, 1.2),
         d=st.floats(0.3, 1.5),
     )
-    def test_match_ell_does_not_depend_on_the_starting_omega(self, n, ell, e, d):
-        # Where each branch has at most one match, the starting omega only
-        # says where the branches are picked up.
+    def test_match_ell_does_not_depend_on_the_starting_omega(self, family, n, ell, e, d):
+        # A given omega is validated but not used: every match in range is
+        # returned, bit for bit the same.
+        others = {"e": e} if family is Family.SEXTIC else {"b": 0.2, "c": e / 2.0}
         problems = [
-            FamilyProblem(Family.SEXTIC, Case.HARMONIC, n, ell, {"omega": omega0, "e": e, "d": d}, True)
+            FamilyProblem(family, Case.HARMONIC, n, ell, {"omega": omega0, "d": d, **others}, True)
             for omega0 in (0.3, 1.0, 3.0)
         ]
-        assume(all(len(m) == 1 for m in families._pencil_matches(problems[0])[2].values()))
         cfg = SolverConfig(seed=0, starts=40)
-        matched = [sorted(s.derived["omega"] for s in solve_family(p, cfg)) for p in problems]
-        for other in matched[1:]:
-            assert len(other) == len(matched[0])
-            for a, b in zip(matched[0], other):
-                assert abs(a - b) <= 1e-12 * a
+        matched = [[(s.derived["omega"], s.roots) for s in solve_family(p, cfg)] for p in problems]
+        assert matched[1] == matched[0] and matched[2] == matched[0]
 
     def test_match_ell_no_positive_omega_is_recorded(self):
         # n = 1: the pencil's determinant is omega (omega + 1) / 4, so its
-        # eigenvalues are 0 and -1, and neither branch has a match.
+        # eigenvalues are 0 and -1, and the problem has no match: one record.
         prob = sextic(n=1, ell=3, e=0.5, d=0.5, match_ell=True)
         solutions, failures = solve_family_detailed(prob, SolverConfig(seed=0, starts=40))
-        no_match = "no omega in (0, 1e3] matches the requested ell on this branch"
+        no_match = "no omega in (0, 1e3] matches the requested ell"
         assert solutions == []
-        assert [(f.error, f.detail) for f in failures] == [("ConstraintInfeasible", no_match)] * 2
+        assert [(f.roots, f.error, f.detail) for f in failures] == [(None, "ConstraintInfeasible", no_match)]
 
     def test_positive_root_feasible_at_small_omega(self, cfg):
         # Small omega keeps (l+1/2)^2 positive on the positive-root branch.
@@ -378,8 +376,8 @@ class TestDecatic:
             val = -(z1**3) + (3.0 + 1.0 / (8 * 0.5)) * z1**2 + z1 + 2 * 0.5
             assert abs(val) < 1e-10
 
-    # Its outer solve carries one branch back to the lower end of an omega
-    # bracket found scanning up.
+    # The scan this mode replaced carried one branch back to the lower end
+    # of an omega bracket found scanning up.
     BRACKET_END = decatic(
         n=2,
         b=0.04433974825910281,
@@ -394,44 +392,34 @@ class TestDecatic:
         assert len(solutions) == 2
         assert all(verify_solution(s).passed for s in solutions)
 
-    def test_match_ell_branch_lost_at_bracket_end_is_recorded(self, monkeypatch):
-        # Fail the first hop back over the previous hop: that only happens
-        # when the bisection starts from an upward bracket's lower end.
-        real_follow = families._follow
-        calls, failed = [], []
+    def test_match_ell_rejected_candidate_is_recorded_with_its_roots(self, monkeypatch):
+        # Make the root filters reject the candidate at the smaller omega:
+        # it becomes a record with its roots, and the other match stays.
+        accept = families._accept_candidate
 
-        def follow(problem, roots, om_from, om_to):
-            back = bool(calls) and calls[-1] == (om_to, om_from) and om_to < om_from
-            calls.append((om_from, om_to))
-            if back and not failed:
-                failed.append(om_to)
-                return None
-            return real_follow(problem, roots, om_from, om_to)
+        def reject_below_2(ode, roots):  # -q3 is omega
+            return None if -ode.q[3] < 2.0 else accept(ode, roots)
 
-        monkeypatch.setattr(families, "_follow", follow)
-        solutions, failures = solve_family_detailed(self.BRACKET_END, SolverConfig(seed=2026, starts=48))
-        assert len(failed) == 1
-        assert [(f.error, f.detail) for f in failures] == [("ConstraintInfeasible", "outer solve stalled")]
-        assert len(solutions) == 1
-        assert verify_solution(solutions[0]).passed
+        monkeypatch.setattr(families, "_accept_candidate", reject_below_2)
+        solutions, failures = solve_family_detailed(self.BRACKET_END)
+        assert [s.derived["omega"] for s in solutions] == [pytest.approx(48.362, rel=1e-4)]
+        assert len(failures) == 1
+        (failure,) = failures
+        assert failure.error == "ConstraintInfeasible"
+        assert re.fullmatch(r"the match at omega = 1\.1666\d+: the root filters reject it", failure.detail)
+        assert failure.roots.n == 2 and len(failure.roots.roots) == 2
+        assert failure.roots.variable is Variable.Z_EQ_R2
 
-    def test_match_ell_branch_lost_while_scanning_is_recorded(self, monkeypatch):
-        # Left alone, one branch is scanned over the whole omega range
-        # without a sign change; make every hop below omega = 0.5 fail.
+    def test_match_ell_no_match_is_one_record(self):
+        # Both branches at omega = 1 were scanned over the whole range without
+        # a sign change, and the two-parameter problem has no real solution in
+        # range: the problem, not each branch, gets one record.
         prob = decatic(n=2, ell=2, b=0.0, c=-0.5, d=1.0, match_ell=True)
-        cfg = SolverConfig(seed=0, starts=40)
-        _, failures = solve_family_detailed(prob, cfg)
-        assert "no omega in (0, 1e3] matches the requested ell on this branch" in [f.detail for f in failures]
-        real_follow = families._follow
-
-        def follow(problem, roots, om_from, om_to):
-            return None if om_to < 0.5 else real_follow(problem, roots, om_from, om_to)
-
-        monkeypatch.setattr(families, "_follow", follow)
-        solutions, cut = solve_family_detailed(prob, cfg)
-        assert solutions == [] and len(cut) == len(failures) == 2
-        lost = "branch lost between omega = 0.512 and 0.4096 while scanning for the requested ell"
-        assert [(f.error, f.detail) for f in cut] == [("ConstraintInfeasible", lost)] * 2
+        assert scan_matches(prob) == []
+        solutions, failures = solve_family_detailed(prob)
+        no_match = "no omega in (0, 1e3] matches the requested ell"
+        assert solutions == []
+        assert [(f.roots, f.error, f.detail) for f in failures] == [(None, "ConstraintInfeasible", no_match)]
 
     def test_default_mode_derives_ell(self, cfg_small):
         s = solve_family(decatic(n=0, omega=1.0, b=0.0, c=1.0, d=0.5), cfg_small)[0]
