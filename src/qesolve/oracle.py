@@ -3,8 +3,10 @@
 Two layers of checks exist beyond the polynomial identity of the root
 engine: a pointwise residual of the original radial equation using analytic
 log-derivatives, and a finite-difference eigenvalue oracle (symmetric
-tridiagonal discretization, Sturm-sequence bisection) confirming that the
-constructed energy sits in the spectrum of the constructed potential.
+tridiagonal discretization, Sturm-sequence bisection on counts made by
+guarded cyclic reduction) confirming that the constructed energy sits in
+the spectrum of the constructed potential.  Verification refines only the
+FD eigenvalues that can be nearest 2E.
 """
 
 from __future__ import annotations
@@ -190,23 +192,88 @@ def default_fd_grid(solution: QESSolution, n_points: int = 4000) -> FdGrid:
     raise GridInsufficient("wavefunction support exceeds the scan range")
 
 
-def _sturm_counts(diag: np.ndarray, offdiag_sq: float, shifts: np.ndarray) -> np.ndarray:
-    """Number of eigenvalues below each shift (LDL^T sign counts)."""
-    shifts = np.atleast_1d(shifts).astype(float)
-    q = diag[0] - shifts
-    counts = (q < 0.0).astype(int)
-    tiny = 1e-300
-    for i in range(1, len(diag)):
-        q = np.where(np.abs(q) < tiny, -tiny, q)
-        q = diag[i] - shifts - offdiag_sq / q
+def _ldl_counts(a: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Negative LDL^T pivots of the tridiagonal of each shift k: diagonal
+    a[k], squared off-diagonal e[k].  A pivot below pivmin in size becomes
+    -pivmin and counts as negative, with pivmin scaled by the largest e[k]
+    as LAPACK dstebz does, so that e / pivot cannot overflow."""
+    pivmin = np.finfo(float).tiny * np.max(e, axis=1, initial=1.0)
+    counts = np.zeros(len(a), dtype=int)
+    q = a[:, 0]
+    for i in range(1, a.shape[1] + 1):
+        q = np.where(np.abs(q) < pivmin, -pivmin, q)
         counts += q < 0.0
+        if i < a.shape[1]:
+            q = a[:, i] - e[:, i - 1] / q
+    return counts
+
+
+# Shifts reduced together: a block's matrices hold at most this many entries,
+# so a pass's memory does not grow with its number of shifts.
+_BLOCK_ENTRIES = 1 << 14
+
+
+def _block_counts(diag: np.ndarray, offdiag_sq: float, shifts: np.ndarray) -> np.ndarray:
+    """`_sturm_counts` for one block of shifts."""
+    counts = np.zeros(len(shifts), dtype=int)
+    rows = np.arange(len(shifts))  # the shifts still being reduced
+    a = diag - shifts[:, None]
+    e = np.broadcast_to(offdiag_sq, (len(shifts), len(diag) - 1))
+    while a.shape[1] > 1:
+        # Eliminate the odd rows.  They couple only to even rows, so their
+        # pivots are their diagonal entries, and the even rows' Schur
+        # complement is tridiagonal again (Haynsworth inertia additivity).
+        p = a[:, 1::2]
+        s = np.sqrt(e)
+        reach = s[:, 0::2].copy()
+        reach[:, : s.shape[1] // 2] += s[:, 1::2]
+        # A shift keeps reducing only while every eliminated row is at least
+        # half diagonally dominant; a smaller pivot would make the count
+        # depend on the elimination order in floating point.  The test is
+        # per shift, so a count does not depend on the shifts beside it.
+        ok = np.all(2.0 * np.abs(p) >= reach, axis=1)
+        if not ok.all():
+            counts[rows[~ok]] += _ldl_counts(a[~ok], e[~ok])
+            rows, a, e, p = rows[ok], a[ok], e[ok], p[ok]
+            if not len(rows):
+                return counts
+        counts[rows] += np.count_nonzero(p < 0.0, axis=1)
+        inv = 1.0 / p
+        e_left, e_right = e[:, 0::2], e[:, 1::2]  # each odd row's couplings
+        k = e_right.shape[1]
+        a = a[:, 0::2].copy()
+        a[:, : p.shape[1]] -= e_left * inv
+        a[:, 1 : k + 1] -= e_right * inv[:, :k]
+        e = e_left[:, :k] * e_right * (inv[:, :k] * inv[:, :k])
+    counts[rows] += _ldl_counts(a, e)
+    return counts
+
+
+def _sturm_counts(diag: np.ndarray, offdiag_sq: float, shifts: np.ndarray) -> np.ndarray:
+    """Number of eigenvalues below each shift of the symmetric tridiagonal
+    matrix with diagonal `diag` and squared off-diagonal `offdiag_sq`.
+
+    Cyclic reduction (Buzbee, Golub & Nielson 1970) halves the matrix level
+    by level and counts the negative pivots it eliminates; once a level
+    fails the dominance guard, the LDL^T recurrence counts the rows left.
+    Each count depends on its shift alone, not on the other shifts.
+    """
+    shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
+    counts = np.zeros(len(shifts), dtype=int)
+    step = max(1, _BLOCK_ENTRIES // len(diag))
+    # In strongly dominant rows the couplings shrink doubly exponentially
+    # level by level and may underflow; the rows then decouple to rounding.
+    with np.errstate(under="ignore"):
+        for start in range(0, len(shifts), step):
+            counts[start : start + step] = _block_counts(diag, offdiag_sq, shifts[start : start + step])
     return counts
 
 
 # Bisection levels resolved by one Sturm pass: a pass counts the
 # 2**_LEVELS - 1 midpoints that bisection would compute over that many
-# levels.  A pass over the grid costs about the same for 63 shifts as for 1.
-_LEVELS = 6
+# levels.  A pass's cost grows with its number of shifts, so few levels
+# per pass do the least arithmetic.
+_LEVELS = 2
 
 
 def _bisection_tree(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
@@ -225,6 +292,58 @@ def _bisection_tree(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
     return np.concatenate(mids, axis=1)
 
 
+def _fd_problem(potential: PotentialSpec, energy_window: tuple, grid: FdGrid, tol: float):
+    """The checked window ends, and the FD matrix: diagonal, squared off-diagonal."""
+    lo, hi = float(energy_window[0]), float(energy_window[1])
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+        raise InvalidParameter("energy window must be finite with positive width")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise InvalidParameter("tol must be a finite positive number")
+    n = grid.n_points
+    r = np.linspace(grid.r_min, grid.r_max, n + 2)[1:-1]
+    h = (grid.r_max - grid.r_min) / (n + 1)
+    return lo, hi, 2.0 / (h * h) + potential.bracket(r), 1.0 / h**4
+
+
+def _bisect(diag: np.ndarray, off_sq: float, lo: float, hi: float, tol: float, target=None) -> np.ndarray:
+    """The refined eigenvalues in (lo, hi], as the midpoints of their final
+    intervals.  With a target, each pass first drops every ordinal whose
+    interval lies wholly farther from it than another interval's far end:
+    that ordinal's eigenvalue cannot be the nearest."""
+    # The first pass also counts lo and hi.  Every ordinal starts on the
+    # one tree of (lo, hi).
+    tree = _bisection_tree(np.array([lo]), np.array([hi]))
+    counts = _sturm_counts(diag, off_sq, np.concatenate([[lo, hi], tree[0]]))
+    ordinals = np.arange(counts[0] + 1, counts[1] + 1)
+    lows = np.full(len(ordinals), lo)
+    highs = np.full(len(ordinals), hi)
+    tree_counts = np.broadcast_to(counts[2:], (len(ordinals), len(counts) - 2))
+    node = np.zeros_like(ordinals)  # each ordinal's node for its next step
+    depth = 0
+    while len(ordinals):
+        mids = 0.5 * (lows + highs)
+        # The one-level loop's stop test, and a stop once no interval can be
+        # split in floating point: no later step would move a midpoint.
+        if not (np.max(highs - lows) > tol and np.any((lows < mids) & (mids < highs))):
+            break
+        if depth == _LEVELS:
+            if target is not None:
+                near = np.maximum(np.maximum(lows - target, target - highs), 0.0)
+                far = np.maximum(target - lows, highs - target)
+                keep = near <= np.min(far)
+                ordinals, lows, highs, mids = ordinals[keep], lows[keep], highs[keep], mids[keep]
+            tree = _bisection_tree(lows, highs)
+            tree_counts = _sturm_counts(diag, off_sq, tree.ravel()).reshape(tree.shape)
+            node = np.zeros_like(ordinals)
+            depth = 0
+        below = tree_counts[np.arange(len(ordinals)), node] >= ordinals
+        highs = np.where(below, mids, highs)
+        lows = np.where(below, lows, mids)
+        node = 2 * node + 2 - below  # child (low, mid) if below, else (mid, high)
+        depth += 1
+    return 0.5 * (lows + highs)
+
+
 def fd_spectrum(
     potential: PotentialSpec,
     energy_window: tuple,
@@ -236,52 +355,30 @@ def fd_spectrum(
     Standard 3-point second difference on a uniform Dirichlet grid; the
     eigenvalues are isolated and refined by Sturm-sequence bisection until
     every interval is at most `tol` wide, or none can be split further in
-    floating point.  One Sturm pass counts the midpoints of six bisection
-    levels at once; the result is bit for bit that of one level per pass.
-    Returns an empty list when the window holds none.  Raises
-    InvalidParameter for a window that is not finite with positive width,
-    or a `tol` that is not a finite positive number.
+    floating point.  One Sturm pass counts the midpoints of two bisection
+    levels at once, by guarded cyclic reduction (`_sturm_counts`); the
+    result is bit for bit that of one level per pass.  Returns an empty
+    list when the window holds none.  Raises InvalidParameter for a window
+    that is not finite with positive width, or a `tol` that is not a
+    finite positive number.
     """
-    lo, hi = float(energy_window[0]), float(energy_window[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
-        raise InvalidParameter("energy window must be finite with positive width")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise InvalidParameter("tol must be a finite positive number")
-    n = grid.n_points
-    r = np.linspace(grid.r_min, grid.r_max, n + 2)[1:-1]
-    h = (grid.r_max - grid.r_min) / (n + 1)
-    diag = 2.0 / (h * h) + potential.bracket(r)
-    off_sq = 1.0 / h**4
-    # The first pass also counts lo and hi.  Every ordinal starts on the
-    # one tree of (lo, hi).
-    tree = _bisection_tree(np.array([lo]), np.array([hi]))
-    counts = _sturm_counts(diag, off_sq, np.concatenate([[lo, hi], tree[0]]))
-    c_lo, c_hi = int(counts[0]), int(counts[1])
-    if c_hi == c_lo:
-        return []
-    ordinals = np.arange(c_lo + 1, c_hi + 1)
-    lows = np.full(len(ordinals), lo)
-    highs = np.full(len(ordinals), hi)
-    tree_counts = np.broadcast_to(counts[2:], (len(ordinals), len(counts) - 2))
-    rows = np.arange(len(ordinals))
-    node = np.zeros_like(ordinals)  # each ordinal's node for its next step
-    depth = 0
-    while True:
-        mids = 0.5 * (lows + highs)
-        # The one-level loop's stop test, and a stop once no interval can be
-        # split in floating point: no later step would move a midpoint.
-        if not (np.max(highs - lows) > tol and np.any((lows < mids) & (mids < highs))):
-            return [float(x) for x in mids]
-        if depth == _LEVELS:
-            tree = _bisection_tree(lows, highs)
-            tree_counts = _sturm_counts(diag, off_sq, tree.ravel()).reshape(tree.shape)
-            node = np.zeros_like(ordinals)
-            depth = 0
-        below = tree_counts[rows, node] >= ordinals
-        highs = np.where(below, mids, highs)
-        lows = np.where(below, lows, mids)
-        node = 2 * node + 2 - below  # child (low, mid) if below, else (mid, high)
-        depth += 1
+    lo, hi, diag, off_sq = _fd_problem(potential, energy_window, grid, tol)
+    return [float(x) for x in _bisect(diag, off_sq, lo, hi, tol)]
+
+
+def _nearest_fd_eigenvalue(
+    potential: PotentialSpec, energy_window: tuple, grid: FdGrid, target: float
+) -> float | None:
+    """The eigenvalue of `fd_spectrum(potential, energy_window, grid)`
+    nearest `target`, or None when the window holds none.  Only the
+    ordinals that can hold it are refined.  Those dropped lie wholly
+    farther from the target, so its distance is the same float as the
+    minimum over the full list, as long as both stop at the same depth:
+    the stop test reads only the kept intervals' widths, which at one
+    depth differ from the dropped ones' by rounding alone."""
+    lo, hi, diag, off_sq = _fd_problem(potential, energy_window, grid, 1e-12)
+    found = _bisect(diag, off_sq, lo, hi, 1e-12, target)
+    return float(found[np.argmin(np.abs(found - target))]) if len(found) else None
 
 
 # ----------------------------------------------------------------------
@@ -372,14 +469,14 @@ def verify_solution(
         delta = max(0.75, 0.02 * abs(two_e))
         window = (two_e - delta, two_e + delta)
         potential = assemble_potential(solution)
-        ev_c = fd_spectrum(potential, window, coarse)
-        ev_f = fd_spectrum(potential, window, fine)
-        if not ev_c or not ev_f:
+        ev_c = _nearest_fd_eigenvalue(potential, window, coarse, two_e)
+        ev_f = _nearest_fd_eigenvalue(potential, window, fine, two_e)
+        if ev_c is None or ev_f is None:
             report.add("fd_eigenvalue_error", math.inf, 5e-3 * scale, passed=False)
             report.notes.append("fd oracle: window contained no eigenvalue")
         else:
-            err_c = min(abs(v - two_e) for v in ev_c)
-            err_f = min(abs(v - two_e) for v in ev_f)
+            err_c = abs(ev_c - two_e)
+            err_f = abs(ev_f - two_e)
             improving = err_f <= 0.6 * err_c + 1e-9 * scale
             report.add(
                 "fd_eigenvalue_error",

@@ -23,6 +23,8 @@ from qesolve import (
 
 from qesolve import oracle
 
+import sturm_reference
+
 from conftest import decatic, octic_coulombic, octic_harmonic, quartic_coulombic, quartic_harmonic, sextic
 
 
@@ -153,7 +155,7 @@ def _fd_matrix(potential, grid):
 
 def _one_level_spectrum(potential, window, grid, tol=1e-12):
     """Reference: Sturm bisection with one level (one `_sturm_counts` pass)
-    per step, as `fd_spectrum` refined before it counted six per pass."""
+    per step, as `fd_spectrum` refined before it counted several per pass."""
     lo, hi = float(window[0]), float(window[1])
     diag, off_sq = _fd_matrix(potential, grid)
     c_lo, c_hi = (int(oracle._sturm_counts(diag, off_sq, np.array([x]))[0]) for x in (lo, hi))
@@ -189,9 +191,29 @@ def _assert_same_as_one_level(potential, window, grid, tol=1e-12) -> list:
     return got
 
 
+def _recurrence_steps(potential, window, grid):
+    """fd_spectrum's eigenvalues, and the sequential steps of its Sturm
+    counts: per LDL^T tail, the cyclic-reduction levels before it plus the
+    rows its recurrence steps through."""
+    steps = []
+    inner = oracle._ldl_counts
+
+    def counted(a, e):
+        rows, levels = grid.n_points, 0
+        while rows > a.shape[1]:  # a level keeps the even rows
+            rows -= rows // 2
+            levels += 1
+        steps.append(levels + rows)
+        return inner(a, e)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_ldl_counts", counted)
+        return fd_spectrum(potential, window, grid), sum(steps)
+
+
 class TestFdSpectrumMultisection:
-    """Six bisection levels per Sturm pass give the one-level result bit
-    for bit, in fewer passes."""
+    """Two bisection levels per Sturm pass give the one-level result bit
+    for bit, in fewer sequential steps."""
 
     @settings(max_examples=12, deadline=None, derandomize=True)
     @example(ell=0, omega=1.0, b=0.5, level=0, held=1, tol=1e-12, n_points=5000)
@@ -233,14 +255,18 @@ class TestFdSpectrumMultisection:
         pot, grid = assemble_potential(sol), default_fd_grid(sol, 2400)
         assert len(_assert_same_as_one_level(pot, window, grid)) == 18
 
-    def test_passes_per_call(self):
+    def test_recurrence_steps_per_call(self):
+        # The sequential steps of a call: per tail of `_sturm_counts`, its
+        # cyclic-reduction levels plus the rows its LDL^T recurrence steps
+        # through.  Six bisection levels per LDL^T pass over all 3000 rows
+        # took 7 passes, 21,000 steps, to 1e-12.
         pot, grid = PotentialSpec(0.0, 1.0, {}), FdGrid(1e-3, 12.0, 3000)
-        evs, passes = _run_counting(fd_spectrum, pot, (2.25, 3.75), grid)
+        evs, steps = _recurrence_steps(pot, (2.25, 3.75), grid)
         assert len(evs) == 1
-        assert len(passes) <= 7  # 41 levels to 1e-12; one level per pass took 43
-        evs, passes = _run_counting(fd_spectrum, pot, (4.0, 6.0), grid)
+        assert steps <= 600
+        evs, steps = _recurrence_steps(pot, (4.0, 6.0), grid)
         assert evs == []
-        assert len(passes) == 1
+        assert steps <= 60
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_tol_must_be_finite_positive(self, tol):
@@ -262,6 +288,150 @@ class TestFdSpectrumMultisection:
         shifts = np.array([np.nextafter(ev, -math.inf), ev, np.nextafter(ev, math.inf)])
         below = list(oracle._sturm_counts(*_fd_matrix(pot, grid), shifts))
         assert below in ([0, 0, 1], [0, 1, 1])
+
+
+def _verify_pool(cfg):
+    """The spectral-oracle pool of criterion 6 and the `verify` benchmark."""
+    return [
+        solve_family(quartic_harmonic(n=0), cfg)[0],
+        solve_family(quartic_harmonic(n=1), cfg)[0],
+        solve_family(quartic_coulombic(n=0), cfg)[0],
+        solve_family(octic_harmonic(n=0), cfg)[0],
+        max(solve_family(octic_harmonic(n=1), cfg), key=lambda s: s.roots.roots[0].real),
+        solve_family(octic_coulombic(n=0), cfg)[0],
+        solve_family(sextic(n=0), cfg)[0],
+        [s for s in solve_family(sextic(n=1, omega=0.1, e=1.0), cfg) if s.roots.roots[0].real > 0][0],
+        solve_family(decatic(n=0), cfg)[0],
+        solve_family(decatic(n=1), cfg)[0],
+    ]
+
+
+def _reference_spectrum(potential, window, grid):
+    """fd_spectrum with the LDL^T reference counts (six levels per pass,
+    which gives the same floats as two, in fewer passes of the slow loop)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_sturm_counts", sturm_reference._sturm_counts)
+        mp.setattr(oracle, "_LEVELS", 6)
+        return fd_spectrum(potential, window, grid)
+
+
+def _rounding_bound(grid) -> float:
+    """8 eps times the FD diagonal's 2/h^2: the rounding of the matrix."""
+    h = (grid.r_max - grid.r_min) / (grid.n_points + 1)
+    return 8.0 * np.finfo(float).eps * 2.0 / (h * h)
+
+
+class TestSturmCounts:
+    """Guarded cyclic reduction counts what the LDL^T recurrence counts."""
+
+    @pytest.mark.parametrize("n_points", [2000, 2001, 4801])
+    @pytest.mark.parametrize("potential", [PotentialSpec(0.0, 1.0, {}), PotentialSpec(1.0, 0.0, {1: -1.0, 8: 0.5})])
+    def test_same_counts_as_ldl(self, potential, n_points):
+        diag, off_sq = _fd_matrix(potential, FdGrid(1e-3, 12.0, n_points))
+        h_sq = 1.0 / math.sqrt(off_sq)
+        # Mid-spectrum shifts and exact diagonal entries make pivots small
+        # or zero, where the elimination order matters without the guard.
+        # Entry 0 is left out: there the reference's first pivot is 0, which
+        # it counts as non-negative but continues from as negative.
+        rows = np.random.default_rng(n_points).choice(np.arange(1, n_points), 40, replace=False)
+        shifts = np.concatenate([[0.0, 2.0 / h_sq, 4.0 / h_sq, -5.0, 3.0, 50.0], diag[rows]])
+        got = oracle._sturm_counts(diag, off_sq, shifts)
+        assert list(got) == list(sturm_reference._sturm_counts(diag, off_sq, shifts))
+
+    def test_zero_pivot_counts_between_its_neighbours(self):
+        # A shift equal to the first diagonal entry makes the first LDL^T
+        # pivot exactly 0.  The count there lies between those of the floats
+        # on either side; the reference's count falls one below both.
+        diag, off_sq = _fd_matrix(PotentialSpec(0.0, 1.0, {}), FdGrid(1e-3, 12.0, 2000))
+        d0 = diag[0]
+        shifts = np.array([np.nextafter(d0, -math.inf), d0, np.nextafter(d0, math.inf)])
+        low, mid, high = oracle._sturm_counts(diag, off_sq, shifts)
+        assert low <= mid <= high
+
+    @pytest.mark.parametrize("n_points", [2000, 4801])
+    @pytest.mark.parametrize("potential", [PotentialSpec(0.0, 1.0, {}), PotentialSpec(1.0, 1.0, {4: 0.5, 6: 0.5})])
+    def test_adversarial_shifts_raise_no_floating_point_error(self, potential, n_points):
+        # Shifts on exact diagonal entries give zero pivots (the first one
+        # in the LDL^T tail for the oscillator, where the reference divided
+        # by -1e-300 and overflowed); huge shifts drive every coupling
+        # towards underflow.
+        diag, off_sq = _fd_matrix(potential, FdGrid(1e-3, 12.0, n_points))
+        shifts = np.concatenate([diag[:20], diag[-5:], [0.0, 1e30, -1e30, 2.0 * math.sqrt(off_sq)]])
+        with np.errstate(all="raise"):
+            counts = oracle._sturm_counts(diag, off_sq, shifts)
+        assert counts[-3] == n_points and counts[-2] == 0
+
+    def test_count_does_not_depend_on_the_other_shifts(self):
+        # Each shift stops reducing at its own level, so a count is the same
+        # alone or beside a mid-spectrum shift that stops at once.  The
+        # bisection's bit-identity needs this at the eigenvalues themselves,
+        # where a count can change with the order of elimination.
+        pot, grid = PotentialSpec(0.0, 1.0, {}), FdGrid(1e-3, 12.0, 2000)
+        diag, off_sq = _fd_matrix(pot, grid)
+        shifts = np.array(fd_spectrum(pot, (2.0, 12.0), grid, 1e-20) + [2.0 * math.sqrt(off_sq), diag[11]])
+        together = oracle._sturm_counts(diag, off_sq, shifts)
+        alone = [int(oracle._sturm_counts(diag, off_sq, np.array([x]))[0]) for x in shifts]
+        assert list(together) == alone
+        assert list(oracle._sturm_counts(diag, off_sq, shifts[::-1])) == alone[::-1]
+
+    def test_memory_of_many_shifts(self):
+        # The octic coulombic window's first passes counted 18 x 63 shifts.
+        import tracemalloc
+
+        diag, off_sq = _fd_matrix(PotentialSpec(0.0, 1.0, {}), FdGrid(1e-3, 12.0, 4801))
+        shifts = np.linspace(2.0, 12.0, 1134)
+        tracemalloc.start()
+        try:
+            oracle._sturm_counts(diag, off_sq, shifts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+class TestFdSpectrumAgainstLdl:
+    """fd_spectrum on cyclic-reduction counts agrees with fd_spectrum on the
+    LDL^T reference to the rounding of the matrix."""
+
+    def test_verify_pool(self, cfg):
+        # Entry 5, the octic coulombic ground state, has 18 eigenvalues in
+        # its window: the nearest entry refines only those that can be nearest.
+        for sol in _verify_pool(cfg):
+            two_e = 2.0 * sol.energy
+            delta = max(0.75, 0.02 * abs(two_e))
+            window = (two_e - delta, two_e + delta)
+            pot, coarse = assemble_potential(sol), default_fd_grid(sol, 2400)
+            for grid in (coarse, FdGrid(coarse.r_min, coarse.r_max, 2 * 2400 + 1)):
+                got, want = fd_spectrum(pot, window, grid), _reference_spectrum(pot, window, grid)
+                assert len(got) == len(want) >= 1
+                assert np.max(np.abs(np.subtract(got, want))) <= _rounding_bound(grid)
+                nearest = oracle._nearest_fd_eigenvalue(pot, window, grid, two_e)
+                assert nearest in got
+                assert abs(nearest - two_e) == min(abs(v - two_e) for v in got)
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(
+        ell=st.integers(0, 2),
+        omega=st.floats(0.5, 2.0),
+        lam=st.floats(0.05, 2.0),
+        power=st.sampled_from([4, 6, 8]),
+        low=st.floats(0.0, 30.0),
+        width=st.floats(0.5, 10.0),
+        n_points=st.integers(2000, 5000),
+    )
+    def test_drawn_potentials(self, ell, omega, lam, power, low, width, n_points):
+        pot = PotentialSpec(float(ell), omega, {power: lam})
+        grid = FdGrid(0.05, 10.0, n_points)
+        got, want = fd_spectrum(pot, (low, low + width), grid), _reference_spectrum(pot, (low, low + width), grid)
+        assert len(got) == len(want)
+        if got:
+            assert np.max(np.abs(np.subtract(got, want))) <= _rounding_bound(grid)
+
+
+class TestNearestFdEigenvalue:
+    def test_empty_window(self):
+        pot, grid = PotentialSpec(0.0, 1.0, {}), FdGrid(1e-3, 12.0, 3000)
+        assert oracle._nearest_fd_eigenvalue(pot, (4.0, 6.0), grid, 5.0) is None
 
 
 class TestVerifySolution:

@@ -4,6 +4,7 @@
     python3 tools/output_digest.py --values > values.jsonl
     python3 tools/output_digest.py --compare old.jsonl new.jsonl
     python3 tools/output_digest.py --verify > verify.txt
+    python3 tools/output_digest.py --verify --values > verify.jsonl
 
 Run it in checkouts of two commits and `cmp` the outputs: a change meant
 to keep behaviour must print the same bytes.  It imports `src/qesolve` and
@@ -27,6 +28,11 @@ With `--verify` it digests the `verify` benchmark workload instead: one
 line per entry of `VERIFY_POOL` (in `perfbench/workloads.py`), with its
 label, the exit code of an in-process `qes verify DOC --out OUT` (FULL
 level, FD oracle included) and the sha256 of the document written to OUT.
+With `--verify --values` it prints one JSON line per entry instead: the
+label, the exit code, and the report's checks ([name, value, passed], the
+value a `repr` float) and notes.  `--compare` reads these too, and prints
+each entry whose line differs with every check whose value moved and by
+how much (absolute), or says what differs besides the values.
 """
 
 import hashlib
@@ -70,7 +76,17 @@ def digest(values: bool) -> None:
             print(f"{op.label} | {len(solutions)} | {sha} | {records}")
 
 
-def verify_digest() -> None:
+def _verify_values(op_label, code, out: Path) -> str:
+    report = json.loads(out.read_text())[0]["verification"] if out.exists() else {"checks": [], "notes": []}
+    return json.dumps({
+        "op": op_label,
+        "code": code,
+        "checks": [[c["name"], c["value"], c["passed"]] for c in report["checks"]],
+        "notes": report["notes"],
+    })
+
+
+def verify_digest(values: bool) -> None:
     import workloads
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -82,6 +98,9 @@ def verify_digest() -> None:
                 print(f"{op.label} | raised {type(exc).__name__}: {exc}")
                 continue
             out = op.payload[2]
+            if values:
+                print(_verify_values(op.label, code, out))
+                continue
             sha = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else "no output"
             print(f"{op.label} | {code} | {sha}")
 
@@ -91,6 +110,22 @@ def _max_rel(old, new) -> float:
     if isinstance(old, list):
         return max((_max_rel(a, b) for a, b in zip(old, new)), default=0.0)
     return abs(new - old) / max(1.0, abs(old))
+
+
+def _compare_checks(old, new, old_line, new_line) -> None:
+    """One `--verify --values` entry: each check value that moved."""
+    names = [[c[0], c[2]] for c in old["checks"]] == [[c[0], c[2]] for c in new.get("checks", [])]
+    if old["op"] != new["op"] or old["code"] != new.get("code") or not names:
+        print(f"{old['op']} | differs beyond values:\n  {old_line}\n  -> {new_line}")
+        return
+    moved = [
+        f"{a[0]} {a[1]!r} -> {b[1]!r} ({b[1] - a[1]:+.2g})"
+        for a, b in zip(old["checks"], new["checks"])
+        if a[1] != b[1]
+    ]
+    if old["notes"] != new["notes"]:
+        moved.append(f"notes {old['notes']} -> {new['notes']}")
+    print(f"{old['op']} | " + " | ".join(moved))
 
 
 def compare(old_path: str, new_path: str) -> None:
@@ -108,6 +143,9 @@ def compare(old_path: str, new_path: str) -> None:
             old, new = json.loads(old_line), json.loads(new_line)
         except json.JSONDecodeError:
             print(f"{old_line}\n  -> {new_line}")
+            continue
+        if "checks" in old:
+            _compare_checks(old, new, old_line, new_line)
             continue
         if old["branches"] != new["branches"]:
             way = "fell" if new["branches"] < old["branches"] else "rose"
@@ -134,8 +172,8 @@ if __name__ == "__main__":
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     if sys.argv[1:2] == ["--compare"] and len(sys.argv) == 4:
         compare(sys.argv[2], sys.argv[3])
-    elif sys.argv[1:] == ["--verify"]:
-        verify_digest()
+    elif sys.argv[1:] in (["--verify"], ["--verify", "--values"]):
+        verify_digest(values=len(sys.argv) == 3)
     elif sys.argv[1:] in ([], ["--values"]):
         digest(values=bool(sys.argv[1:]))
     else:
