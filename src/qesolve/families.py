@@ -23,12 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Integral
 from typing import Mapping
 
 import numpy as np
 
 from .bethe import (
-    CONJ_TOL,
     DEDUP_TOL,
     PolyODE,
     RootSet,
@@ -37,10 +37,8 @@ from .bethe import (
     _accept_candidate,
     _branch_key,
     _canonical_order,
-    _closing_w,
     _ode_matrix,
     _polish,
-    _power_sums,
     _residual_batch,
     _root_dependent,
     _separation,
@@ -134,6 +132,9 @@ def _require(cond: bool, constraint: str):
 
 def _validate_problem(problem: FamilyProblem):
     f = problem.free
+    _require(isinstance(problem.n, Integral), "n is an integer")
+    _require(math.isfinite(problem.ell), "ell is finite")
+    _require(all(math.isfinite(v) for v in f.values()), "couplings are finite")
     top = "h" if problem.family is Family.OCTIC else "d"
     _require(f[top] > 0, f"{top} > 0")
     if problem.case is Case.COULOMBIC:
@@ -213,6 +214,16 @@ def _quartic_rates(problem: FamilyProblem):
     return s2d, gamma, omega, bexp
 
 
+def _omega(problem: FamilyProblem, omega: float | None) -> float:
+    """The sextic's or decatic's omega: the override if one is given, else
+    the free coupling, which match-ell mode may leave out."""
+    if omega is not None:
+        return omega
+    if "omega" not in problem.free:
+        raise InvalidParameter("omega is required unless match_ell is set")
+    return problem.free["omega"]
+
+
 def _sextic_rates(problem: FamilyProblem, omega=None):
     f = problem.free
     s2d = math.sqrt(2.0 * f["d"])
@@ -220,9 +231,7 @@ def _sextic_rates(problem: FamilyProblem, omega=None):
     lead = 1.5 + xi
     if lead <= 0:
         raise InvalidExponent("3/2 + e/sqrt(2d) must be positive")
-    if omega is None:
-        omega = f["omega"]
-    return s2d, xi, lead, omega
+    return s2d, xi, lead, _omega(problem, omega)
 
 
 def _octic_rates(problem: FamilyProblem):
@@ -247,11 +256,7 @@ def _decatic_rates(problem: FamilyProblem, omega=None):
     eta = 2.5 + f["b"] / s2d + kappa
     if eta <= 0:
         raise InvalidExponent("the leading exponent eta must be positive")
-    if omega is None:
-        if "omega" not in f:
-            raise InvalidParameter("omega is required unless match_ell is set")
-        omega = f["omega"]
-    return s2d, kappa, eta, omega
+    return s2d, kappa, eta, _omega(problem, omega)
 
 
 def build_ode(problem: FamilyProblem, omega: float | None = None):
@@ -281,28 +286,19 @@ def build_ode(problem: FamilyProblem, omega: float | None = None):
     raise InvalidCase(f"unknown family {fam}")
 
 
-def _sums(roots: RootSet):
-    arr = roots.as_array()
-    if len(arr) == 0:
-        return 0.0, 0.0, 0.0, 0.0, 0.0
-    return tuple(_power_sums(arr, CONJ_TOL))
+def _l_half_sq(ode: PolyODE, w) -> float:
+    """(l+1/2)^2 of a sextic or decatic branch whose working ODE, with
+    m = `_root_dependent(ode)`, has the W coefficients w:
 
+        (q_m - 1)^2 + 2 q_{m+1} q_{m-1} - 4 w_{m-1},
 
-def _l_half_sq(problem: FamilyProblem, omega: float, s1: float) -> float:
-    """(l+1/2)^2 of a sextic or decatic branch with root sum s1 at omega.
-
-    Negative (infeasible) values are returned as they are.
+    which is (xi+1)^2 - 2 omega sqrt(2d) - 4 w0 for the sextic and
+    (eta-1/2)^2 - 2 omega c/sqrt(2d) - 4 w1 for the decatic.  Negative
+    (infeasible) values are returned as they are.
     """
-    n = problem.n
-    if problem.family is Family.SEXTIC:
-        s2d, xi, _, _ = _sextic_rates(problem, omega)
-        return 4.0 * n * (n + 1.0 + xi) + (xi + 1.0) ** 2 - 2.0 * omega * (s2d + 2.0 * s1)
-    s2d, _, eta, _ = _decatic_rates(problem, omega)
-    return (
-        (eta - 0.5) ** 2
-        + 4.0 * n * (n + eta - 0.5)
-        - 2.0 * omega * (problem.free["c"] / s2d + 2.0 * s1)
-    )
+    m = _root_dependent(ode)
+    q = ode.q
+    return (q[m] - 1.0) ** 2 + 2.0 * q[m + 1] * q[m - 1] - 4.0 * w[m - 1]
 
 
 def derive_parameters(
@@ -314,8 +310,16 @@ def derive_parameters(
     """Map a root branch to (derived couplings, energy, waveform).
 
     The roots are re-checked against the family root system before any
-    constraint is evaluated.
+    constraint is evaluated.  Each derived coupling is one closing W
+    coefficient of the working ODE (`compute_w_coefficients`) times -1/2
+    (-2 for the decatic's a), plus terms of the exponential factor alone;
+    (l+1/2)^2 is `_l_half_sq`.
     """
+    return _derivation(problem, roots, omega, check_tol)[2:]
+
+
+def _derivation(problem: FamilyProblem, roots: RootSet, omega: float | None, check_tol: float = 1e-8):
+    """derive_parameters, preceded by the working ODE and its W coefficients."""
     ode, variable = build_ode(problem, omega)
     if roots.variable is not variable:
         raise InvalidParameter("roots live in the wrong variable for this family")
@@ -327,108 +331,63 @@ def derive_parameters(
             raise InvalidParameter(
                 f"roots do not solve the root system (residual {res:.3e})"
             )
+    w = compute_w_coefficients(ode, roots)
     fam, case, n, ell = problem.family, problem.case, problem.n, problem.ell
-    s1, s2, s3, s4, pair = _sums(roots)
 
     if fam is Family.QUARTIC:
-        s2d, gamma, w, bexp = _quartic_rates(problem)
-        energy = (
-            w * (n + 1.5 + problem.free["c"] / s2d)
-            if case is Case.HARMONIC
-            else -0.5 * bexp * bexp
-        )
-        a = problem.free["a"] if case is Case.COULOMBIC else -w * (s2d + s1)
-        b = 0.5 * (
-            gamma * (gamma - 1.0)
-            - ell * (ell + 1.0)
-            + n * (n - 1.0 + 2.0 * gamma)
-            + 2.0 * bexp * (s2d + s1)
-            - 2.0 * w * s2
-        )
-        derived = {"a": a, "b": b} if case is Case.HARMONIC else {"B": bexp, "b": b}
-        coeffs = {2: -w / 2.0, 1: bexp, -1: -s2d}
-        wave = WaveForm(gamma, coeffs, roots, Variable.R)
-        return derived, energy, wave
-
-    if fam is Family.SEXTIC:
-        s2d, xi, lead, w = _sextic_rates(problem, omega)
-        energy = w * (2.0 * n + 2.0 + xi)
-        l2 = _l_half_sq(problem, w, s1)
-        if l2 < 0:
-            raise ConstraintInfeasible(f"derived (l+1/2)^2 = {l2} < 0")
-        derived = {"l_half_sq": l2, "ell": -0.5 + math.sqrt(l2)}
-        if problem.match_ell:
-            derived["omega"] = w
-        coeffs = {2: -w / 2.0, -2: -s2d / 2.0}
-        wave = WaveForm(lead, coeffs, roots, Variable.T_EQ_R2)
-        return derived, energy, wave
+        s2d, gamma, om, bexp = _quartic_rates(problem)
+        b = -0.5 * w[0] + 0.5 * (gamma * (gamma - 1.0) - ell * (ell + 1.0)) + bexp * s2d
+        if case is Case.HARMONIC:
+            energy = om * (n + 1.5 + problem.free["c"] / s2d)
+            derived = {"a": -0.5 * w[1] - om * s2d, "b": b}
+        else:
+            energy = -0.5 * bexp * bexp
+            derived = {"B": bexp, "b": b}
+        wave = WaveForm(gamma, {2: -om / 2.0, 1: bexp, -1: -s2d}, roots, Variable.R)
+        return ode, w, derived, energy, wave
 
     if fam is Family.OCTIC:
-        s2h, fh, beta, w, bexp = _octic_rates(problem)
+        s2h, fh, beta, om, bexp = _octic_rates(problem)
         g = problem.free["g"]
-        energy = w * (n + 0.5 + beta) if case is Case.HARMONIC else -0.5 * bexp * bexp
-        a = problem.free["a"] if case is Case.COULOMBIC else -w * (fh + s1)
-        b = (
-            0.5 * ((beta + ell) * (beta - ell - 1.0) + n * (n + 2.0 * beta - 1.0))
-            - g * w / s2h
-            - w * s2
-            + bexp * (fh + s1)
-        )
-        c = (
-            -w * s3
-            + bexp * (g / s2h + s2)
-            + (n + beta - 1.0) * (fh + s1)
-            - w * s2h
-        )
-        d = (
-            -w * s4
-            + bexp * s3
-            + (n + beta - 1.0) * s2
-            + pair
-            + fh * s1
-            + g * (2.0 * n + 2.0 * beta - 3.0) / (2.0 * s2h)
-            + 0.5 * fh * fh
-            + bexp * s2h
-        )
-        if case is Case.HARMONIC:
-            derived = {"a": a, "b": b, "c": c, "d": d}
-        else:
-            derived = {"B": bexp, "b": b, "c": c, "d": d}
-        coeffs = {2: -w / 2.0, 1: bexp, -1: -fh, -2: -g / (2.0 * s2h), -3: -s2h / 3.0}
-        wave = WaveForm(beta, coeffs, roots, Variable.R)
-        return derived, energy, wave
-
-    if fam is Family.DECATIC:
-        s2d, kappa, eta, w = _decatic_rates(problem, omega)
-        c = problem.free["c"]
-        d = problem.free["d"]
-        energy = w * (2.0 * n + eta + 0.5)
-        l2 = _l_half_sq(problem, w, s1)
-        if l2 < 0:
-            raise ConstraintInfeasible(f"derived (l+1/2)^2 = {l2} < 0")
-        a = (
-            -2.0 * w * s2
-            + (4.0 * n + 2.0 * eta - 3.0) * s1
-            + 2.0 * n * c / s2d
-            + (c / s2d) * (eta - 1.5)
-            - w * s2d
-        )
-        # The r^-6 coupling the constructed wavefunction actually solves
-        # (fixed by the eta that kills the z^-1 term of the working ODE).
-        b_pot = s2d * (eta - 2.5) + c * c / (4.0 * d)
         derived = {
-            "a": a,
-            "b_pot": b_pot,
-            "l_half_sq": l2,
-            "ell": -0.5 + math.sqrt(l2),
+            "b": -0.5 * w[2] + 0.5 * (beta + ell) * (beta - ell - 1.0) - g * om / s2h + bexp * fh,
+            "c": -0.5 * w[1] + bexp * g / s2h + (beta - 1.0) * fh - om * s2h,
+            "d": -0.5 * w[0] + g * (2.0 * beta - 3.0) / (2.0 * s2h) + 0.5 * fh * fh + bexp * s2h,
         }
-        if problem.match_ell:
-            derived["omega"] = w
-        coeffs = {2: -w / 2.0, -2: -c / (2.0 * s2d), -4: -s2d / 4.0}
-        wave = WaveForm(eta, coeffs, roots, Variable.Z_EQ_R2)
-        return derived, energy, wave
+        if case is Case.HARMONIC:
+            energy = om * (n + 0.5 + beta)
+            derived = {"a": -0.5 * w[3] - om * fh, **derived}
+        else:
+            energy = -0.5 * bexp * bexp
+            derived = {"B": bexp, **derived}
+        coeffs = {2: -om / 2.0, 1: bexp, -1: -fh, -2: -g / (2.0 * s2h), -3: -s2h / 3.0}
+        wave = WaveForm(beta, coeffs, roots, Variable.R)
+        return ode, w, derived, energy, wave
 
-    raise InvalidCase(f"unknown family {fam}")
+    l2 = _l_half_sq(ode, w)
+    if l2 < 0:
+        raise ConstraintInfeasible(f"derived (l+1/2)^2 = {l2} < 0")
+    derived = {"l_half_sq": l2, "ell": -0.5 + math.sqrt(l2)}
+    if fam is Family.SEXTIC:
+        s2d, xi, lead, om = _sextic_rates(problem, omega)
+        energy = om * (2.0 * n + 2.0 + xi)
+        wave = WaveForm(lead, {2: -om / 2.0, -2: -s2d / 2.0}, roots, Variable.T_EQ_R2)
+    else:
+        s2d, _, eta, om = _decatic_rates(problem, omega)
+        c, d = problem.free["c"], problem.free["d"]
+        energy = om * (2.0 * n + eta + 0.5)
+        derived = {
+            "a": -2.0 * w[0] + (c / s2d) * (eta - 1.5) - om * s2d,
+            # The r^-6 coupling the constructed wavefunction actually solves
+            # (fixed by the eta that kills the z^-1 term of the working ODE).
+            "b_pot": s2d * (eta - 2.5) + c * c / (4.0 * d),
+            **derived,
+        }
+        coeffs = {2: -om / 2.0, -2: -c / (2.0 * s2d), -4: -s2d / 4.0}
+        wave = WaveForm(eta, coeffs, roots, Variable.Z_EQ_R2)
+    if problem.match_ell:
+        derived["omega"] = om
+    return ode, w, derived, energy, wave
 
 
 # ----------------------------------------------------------------------
@@ -441,9 +400,7 @@ def _branch_solution(
     roots: RootSet,
     omega: float | None = None,
 ) -> QESSolution:
-    derived, energy, wave = derive_parameters(problem, roots, omega)
-    ode, _ = build_ode(problem, omega)
-    w = compute_w_coefficients(ode, roots)
+    ode, w, derived, energy, wave = _derivation(problem, roots, omega)
     identity = verify_polynomial_identity(ode.with_w(w), roots)
     solution = QESSolution(
         problem,
@@ -516,26 +473,20 @@ def _match_problem(problem: FamilyProblem) -> tuple[np.ndarray, np.ndarray]:
 
     At omega, the matrix of `bethe._ode_matrix` is affine in omega.  Let
     w = w_{m-1} be the top root-dependent W coefficient (w1 for the decatic,
-    w0 for the sextic).  Both w and (l+1/2)^2 are affine in the root sum s1,
-    and (l+1/2)^2 - (l+1/2)^2|_{s1=0} is -4 omega s1 for both families, so
-    at the requested ell omega s1, and with it w, is affine in omega.  Adding
-    w T_{m-1} (T_j takes t^k to t^(k+j)), evaluated at omega = 1 and 2
-    through `_l_half_sq` and `_closing_w`, gives A + omega L.
+    w0 for the sextic).  `_l_half_sq` is (l+1/2)^2 at w = 0 less 4 w, so at
+    the requested ell w = ((l+1/2)^2 at w = 0 - (ell+1/2)^2) / 4, which is
+    affine in omega too.  Adding w T_{m-1} (T_j takes t^k to t^(k+j)) to the
+    matrix at omega = 1 and 2 gives A + omega L.
     """
     n, target = problem.n, (problem.ell + 0.5) ** 2
-    mats, top = [], []
+    mats = []
     for omega in (1.0, 2.0):
         ode, _ = build_ode(problem, omega)
-        mats.append(_ode_matrix(ode, n))
         m = _root_dependent(ode)
-        l0, l1 = (_l_half_sq(problem, omega, s1) for s1 in (0.0, 1.0))
-        w0, w1 = (_closing_w(ode, n, s1, 0.0, 0.0, 0.0, 0.0)[m - 1] for s1 in (0.0, 1.0))
-        top.append(w0 + (w1 - w0) * (target - l0) / (l1 - l0))
+        top = (_l_half_sq(ode, (0.0,) * 5) - target) / 4.0
+        mats.append(_ode_matrix(ode, n) + top * np.eye(n + m, n + 1, 1 - m))
     L = mats[1] - mats[0]
-    A = mats[0] - L
-    slope = top[1] - top[0]
-    shift = np.eye(n + m, n + 1, 1 - m)
-    return A + (top[0] - slope) * shift, L + slope * shift
+    return mats[0] - L, L
 
 
 def _match_ell(problem: FamilyProblem) -> tuple[list[tuple[RootSet, float]], list[BranchFailure]]:
@@ -578,7 +529,7 @@ def _match_ell(problem: FamilyProblem) -> tuple[list[tuple[RootSet, float]], lis
                 return None, math.nan
             ordered, res, sep = accepted
             roots = RootSet(n, tuple(complex(z) for z in ordered), variable, res, sep)
-        return roots, _l_half_sq(problem, om, _sums(roots)[0]) - target
+        return roots, _l_half_sq(ode, compute_w_coefficients(ode, roots)) - target
 
     matches: list[tuple[RootSet, float]] = []
     failures: list[BranchFailure] = []

@@ -13,7 +13,9 @@ import numpy as np
 
 from qesolve import ConstraintInfeasible, RootSet, SolverConfig, solve_bae
 from qesolve.bethe import _accept_candidate, _polish
-from qesolve.families import MATCH_TOL, NO_MATCH, OMEGA_RANGE, FamilyProblem, _l_half_sq, _sums, build_ode
+from qesolve.families import MATCH_TOL, NO_MATCH, OMEGA_RANGE, FamilyProblem, build_ode
+
+from coupling_reference import l_half_sq, power_sums
 
 
 def scan_matches(problem: FamilyProblem, omega0: float = 1.0) -> list[tuple[RootSet, float]]:
@@ -69,7 +71,7 @@ def _scan_match(problem: FamilyProblem, branch: RootSet, omega0: float) -> tuple
         if moved is None:
             return None
         roots, omega = moved, om
-        return _l_half_sq(problem, om, _sums(moved)[0]) - target
+        return l_half_sq(problem, om, power_sums(moved)[0]) - target
 
     f0 = mismatch(omega0)
     bracket = (omega0, omega0) if f0 == 0.0 else None

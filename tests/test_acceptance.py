@@ -28,6 +28,7 @@ from qesolve import (
     build_ode,
     compute_w_coefficients,
     default_fd_grid,
+    derive_parameters,
     fd_spectrum,
     norm_closed_form,
     norm_quadrature,
@@ -49,6 +50,7 @@ from conftest import (
     quartic_harmonic,
     sextic,
 )
+from coupling_reference import derived_couplings
 
 CFG = SolverConfig(seed=0, starts=80)
 SWEEP_CFG = SolverConfig(seed=2026, starts=48)
@@ -260,6 +262,23 @@ def test_criterion_5_schrodinger_sweep(sweep):
         worst = max(worst, schrodinger_residual(sol, RESIDUAL_GRID))
     ok = worst < 1e-9
     assert record("5", ok, f"max residual {worst:.2e} over {len(records)} branches")
+
+
+def test_derived_couplings_match_the_power_sum_reference(sweep):
+    # Every sweep branch of the six (family, case) pairs at n = 0..5: the
+    # couplings read off the W coefficients agree with their expansions in
+    # root power sums (`coupling_reference`) to rounding.
+    records, _ = sweep
+    worst, seen = 0.0, set()
+    for family, case, draw, n, sol in records:
+        derived = derive_parameters(sol.problem, sol.roots)[0]
+        assert derived == sol.derived
+        expected = derived_couplings(sol.problem, sol.roots)
+        assert sorted(derived) == sorted(expected)
+        worst = max(worst, *(abs(derived[k] - v) / max(1.0, abs(v)) for k, v in expected.items()))
+        seen.add((family, case, n))
+    assert len(seen) == 6 * 6
+    assert worst <= 1e-12, worst
 
 
 def _real_positive(sol: QESSolution) -> bool:

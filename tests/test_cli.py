@@ -219,10 +219,14 @@ class TestSeedEnv:
         (None, ["sample", "DOC", "--rmin", "1", "--rmax", "2", "--index", "-2"]),
         (None, ["sample", "DOC", "--rmin", "0.1", "--rmax", "2", "--points", "-2"]),
         (None, ["sample", "DOC", "--rmin", "0.1", "--rmax", "2", "--points", "0"]),
+        (None, ["solve", "--family", "sextic", "--n", "1", "--param", "omega=1", "--param", "e=0.1",
+                "--param", "d=inf"]),
+        (None, [*SOLVE_Q0, "--ell", "nan"]),
     ],
     ids=[
         "negative_starts", "zero_starts", "negative_seed", "non_integer_qes_seed",
         "index_past_end", "index_before_start", "negative_points", "zero_points",
+        "infinite_coupling", "nan_ell",
     ],
 )
 def test_bad_input_exits_with_an_error_line(qes_seed, args, q0_doc, monkeypatch, capsys):

@@ -13,6 +13,7 @@ from qesolve import (
     InvalidCase,
     InvalidParameter,
     ReductionLimit,
+    RootSet,
     SolverConfig,
     Variable,
     build_ode,
@@ -64,6 +65,13 @@ VALIDATION_CASES = [
     ("decatic-d", lambda: decatic(d=0.0), "d > 0"),
     ("decatic-omega", lambda: decatic(omega=0.0), "omega > 0"),
     ("decatic-match_ell-d", lambda: decatic(d=-0.5, match_ell=True), "d > 0"),
+    ("quartic-n-non-integral", lambda: quartic_harmonic(n=2.5), "n is an integer"),
+    ("sextic-n-float", lambda: sextic(n=2.0), "n is an integer"),
+    ("sextic-d-inf", lambda: sextic(d=math.inf), "couplings are finite"),
+    ("octic-e-nan", lambda: octic_harmonic(e=math.nan), "couplings are finite"),
+    ("quartic-coulombic-a-minus-inf", lambda: quartic_coulombic(a=-math.inf), "couplings are finite"),
+    ("decatic-ell-nan", lambda: decatic(ell=math.nan), "ell is finite"),
+    ("sextic-match_ell-ell-inf", lambda: sextic(ell=math.inf, match_ell=True), "ell is finite"),
 ] + [
     # A starting omega given in match-ell mode must be positive too.
     (
@@ -113,11 +121,24 @@ class TestBuildOde:
         ids=[case[0] for case in VALIDATION_CASES],
     )
     def test_validation_table(self, make, rule):
-        # The top coupling (h for the octic, d otherwise) must be positive,
-        # coulombic cases need a < 0 and the others omega > 0; match_ell
-        # lets the sextic and decatic leave omega out, but not give one <= 0.
+        # n must be an int, ell and every coupling finite.  The top coupling
+        # (h for the octic, d otherwise) must be positive, coulombic cases
+        # need a < 0 and the others omega > 0; match_ell lets the sextic and
+        # decatic leave omega out, but not give one <= 0.
         with pytest.raises(InvalidParameter, match=rf"^constraint violated: {re.escape(rule)}$"):
             make()
+
+    @pytest.mark.parametrize("make", [sextic, decatic], ids=["sextic", "decatic"])
+    def test_match_ell_without_omega_needs_one_given(self, make):
+        # Match-ell mode may leave omega out; building the ODE or deriving
+        # the couplings then needs an omega passed in.
+        problem = make(n=0, match_ell=True)
+        with pytest.raises(InvalidParameter, match="omega is required unless match_ell is set"):
+            build_ode(problem)
+        _, variable = build_ode(problem, 1.0)
+        with pytest.raises(InvalidParameter, match="omega is required unless match_ell is set"):
+            derive_parameters(problem, RootSet(0, (), variable, 0.0, math.inf))
+        assert derive_parameters(problem, RootSet(0, (), variable, 0.0, math.inf), 1.0)[0]["omega"] == 1.0
 
     def test_validation_messages(self):
         with pytest.raises(InvalidCase):
@@ -155,8 +176,6 @@ class TestQuartic:
 
     def test_derive_rejects_non_solution_roots(self, cfg):
         phi = (1.0 + math.sqrt(5.0)) / 2.0
-        from qesolve import RootSet
-
         bad = RootSet(1, (complex(phi),), Variable.R, 0.0, math.inf)
         with pytest.raises(InvalidParameter, match="do not solve"):
             derive_parameters(quartic_harmonic(n=1), bad)

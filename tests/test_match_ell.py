@@ -10,6 +10,7 @@ from qesolve import Case, Family, FamilyProblem, bethe, families, solve_family, 
 from qesolve.bethe import DEDUP_TOL
 
 from conftest import decatic, max_abs
+from coupling_reference import derived_couplings, match_problem
 from scan_reference import scan_matches
 
 
@@ -136,3 +137,22 @@ class TestEnumeratedMatches:
                 assert abs(s.derived["l_half_sq"] - (problem.ell + 0.5) ** 2) <= families.MATCH_TOL
                 lo, hi = families.OMEGA_RANGE
                 assert lo <= s.derived["omega"] <= hi
+
+
+class TestMatchProblemReference:
+    def test_a_and_l_match_the_interpolation(self):
+        # The top W coefficient set directly at the requested ell gives the
+        # A and L that interpolating it in s1 gave.
+        for problem in workload_problems("sextic") + DECATIC_WORKLOAD:
+            (A, L), (A_ref, L_ref) = families._match_problem(problem), match_problem(problem)
+            for got, ref in ((A, A_ref), (L, L_ref)):
+                assert got.shape == ref.shape
+                assert max_abs(got - ref) <= 1e-12 * max(1.0, max_abs(ref)), problem
+
+    def test_derived_couplings_match_the_power_sum_reference(self):
+        for problem in workload_problems("sextic") + DECATIC_WORKLOAD:
+            for s in solve_family(problem):
+                expected = derived_couplings(problem, s.roots, s.derived["omega"])
+                assert sorted(s.derived) == sorted(expected)
+                for k, v in expected.items():
+                    assert abs(s.derived[k] - v) <= 1e-12 * max(1.0, abs(v)), (problem, k)

@@ -18,9 +18,11 @@ the branch count, each branch's roots (as [re, im] pairs), energy and
 derived couplings as `repr` floats, and the failure records.  That tells a
 rounding-level change apart from a real one.  `--compare OLD NEW` reads two
 such files, line by line, and prints each operation whose line differs with
-its maximum relative root, energy and derived-coupling difference (each
-value's difference over max(1, |old value|)), or says what differs besides
-the values (branch count, failure records, a coupling's name).  Its last
+its maximum relative root, energy, derived-coupling and failure-record
+difference (each value's difference over max(1, |old value|); a failure
+record's values are the numbers in its text), or says what differs besides
+the values (branch count, a coupling's name, or failure records that differ
+with their numbers masked).  Its last
 line lists the operations whose branch count fell and those whose count
 rose, so `grep '^branch count'` checks that no operation lost a branch.
 
@@ -37,6 +39,7 @@ how much (absolute), or says what differs besides the values.
 
 import hashlib
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -112,6 +115,18 @@ def _max_rel(old, new) -> float:
     return abs(new - old) / max(1.0, abs(old))
 
 
+# A decimal number as `repr` or a format spec writes it.
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _masked(failures) -> tuple[list, list]:
+    """The failure records with each number in their text replaced by `#`,
+    and the numbers, one list per record."""
+    texts = [[error, _NUMBER.sub("#", detail)] for error, detail in failures]
+    numbers = [[float(x) for x in _NUMBER.findall(detail)] for _, detail in failures]
+    return texts, numbers
+
+
 def _compare_checks(old, new, old_line, new_line) -> None:
     """One `--verify --values` entry: each check value that moved."""
     names = [[c[0], c[2]] for c in old["checks"]] == [[c[0], c[2]] for c in new.get("checks", [])]
@@ -150,7 +165,8 @@ def compare(old_path: str, new_path: str) -> None:
         if old["branches"] != new["branches"]:
             way = "fell" if new["branches"] < old["branches"] else "rose"
             moved[way].append(f"{old['op']} ({old['branches']} -> {new['branches']})")
-        same = [old[k] == new[k] for k in ("op", "branches", "failures")]
+        (texts_old, numbers_old), (texts_new, numbers_new) = _masked(old["failures"]), _masked(new["failures"])
+        same = [old[k] == new[k] for k in ("op", "branches")] + [texts_old == texts_new]
         keys = [list(d) for d in old["derived"]] == [list(d) for d in new["derived"]]
         if not all(same) or not keys:
             print(f"{old['op']} | differs beyond values:\n  {old_line}\n  -> {new_line}")
@@ -161,6 +177,7 @@ def compare(old_path: str, new_path: str) -> None:
             f"{old['op']} | roots {_max_rel(old['roots'], new['roots']):.2g}"
             f" | energies {_max_rel(old['energies'], new['energies']):.2g}"
             f" | derived {_max_rel(derived_old, derived_new):.2g}"
+            f" | failures {_max_rel(numbers_old, numbers_new):.2g}"
         )
     print(f"{changed} of {len(old_lines)} operations differ")
     print("branch count " + "; ".join(
