@@ -11,9 +11,9 @@ and W is assembled from the root power sums.  The module enumerates the
 solutions when at most two W coefficients (w1, w0) depend on the roots: as
 eigenvectors of the ODE's square matrix on polynomials of degree n when w0
 is the only one, and as null vectors of its rectangular matrix at the real
-solutions of a two-parameter eigenproblem otherwise (`_two_parameter`,
-which also solves the decatic's match-ell problem in `families`).  It searches for them
-by batched multi-start damped Newton when more coefficients depend on the
+solutions of a two-parameter eigenproblem otherwise (`_null_vectors`, which
+also solves the match-ell problems in `families`).  It searches for them by
+batched multi-start damped Newton when more coefficients depend on the
 roots, and verifies candidate solutions by exact polynomial arithmetic.
 """
 
@@ -657,17 +657,32 @@ def _two_parameter(A: np.ndarray, B: np.ndarray, C: np.ndarray):
     return x[genuine], y[genuine], vh[genuine, -1]
 
 
+def _null_vectors(A: np.ndarray, B: np.ndarray, C: np.ndarray | None = None):
+    """The real solutions (x, c) of (A + x B) c = 0 for square A and B, or
+    of (A + x B + y C) c = 0 for some real y (`_two_parameter`) when A is
+    (n+2)x(n+1), whose c has degree n (c_n != 0): arrays x and c as rows.
+
+    The square pencil's solutions are the real eigenvalues of -B^-1 A."""
+    if C is None:
+        x, vecs = np.linalg.eig(-np.linalg.solve(B, A))
+        real = x.imag == 0.0
+        x, c = x.real[real], vecs.T[real].real
+    else:
+        x, _, c = _two_parameter(A, B, C)
+    keep = c[:, -1] != 0.0
+    return x[keep], c[keep]
+
+
 def _eigen_rows(A: np.ndarray) -> list[np.ndarray]:
     """Candidate root rows from the matrix of `_ode_matrix` with m = 1 or 2:
     every degree-n branch is a null vector c of A + w0 T0 (an eigenvector of
-    A when m = 1) or of A + w1 T1 + w0 T0 with c_n != 0, and its roots are
-    those of S."""
+    A when m = 1) or of A + w1 T1 + w0 T0, and its roots are those of S."""
+    n = A.shape[1] - 1
     if A.shape[0] == A.shape[1]:
-        coeffs = np.linalg.eig(A)[1].T
+        coeffs = _null_vectors(A, np.eye(n + 1))[1]
     else:
-        n = A.shape[1] - 1
-        coeffs = _two_parameter(A, np.eye(n + 2, n + 1, -1), np.eye(n + 2, n + 1))[2]
-    return [np.roots(c[::-1]).astype(complex) for c in coeffs if c[-1] != 0.0]
+        coeffs = _null_vectors(A, np.eye(n + 2, n + 1, -1), np.eye(n + 2, n + 1))[1]
+    return [np.roots(c[::-1]).astype(complex) for c in coeffs]
 
 
 def solve_bae(

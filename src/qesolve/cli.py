@@ -139,6 +139,8 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     with open(args.path) as fh:
         docs = loads_documents(fh.read())
+    if not docs:
+        raise DocumentError(f"{args.path} holds no documents to verify")
     all_passed = True
     outputs = []
     for i, doc in enumerate(docs):

@@ -1,21 +1,20 @@
 """Front-ends for the four singular inverse-power potential families.
 
-Each family builds a working polynomial ODE in its natural variable
-(r for the inverse quartic and octic, t = r^2 for the inverse sextic,
-z = r^2 for the inverse decatic), drives the generic root engine, and maps
-roots to the potential couplings, the energy and the closed-form
-wavefunction shape.
+Each family is specified once: by its variable v (r for the inverse quartic
+and octic, t = r^2 for the sextic, z = r^2 for the decatic) and by the
+Laurent coefficients of chi', the log-derivative of the prefactor in
+Psi = exp(chi) S(v) (`_chi`, all rates fixed by the singular tail):
 
-Exponential shapes used throughout (all rates fixed by the singular tail):
+    quartic:  chi' = s2d/r^2 + gamma/r + B - w r
+    sextic:   chi' = s2d/r^3 + (3/2 + e/s2d)/r - w r
+    octic:    chi' = s2h/r^4 + g/(s2h r^3) + fh/r^2 + beta/r + B - w r
+    decatic:  chi' = s2d/r^5 + c/(s2d r^3) + eta/r - w r
 
-    quartic:  Psi = r^gamma  prod (r - r_i)    exp(-w/2 r^2 + B r - s2d / r)
-    sextic:   Psi = r^(3/2+e/s2d) prod (r^2-t_i) exp(-w/2 r^2 - s2d/(2 r^2))
-    octic:    Psi = r^beta   prod (r - r_i)    exp(-w/2 r^2 + B r - fh/r
-                                                   - g/(2 s2h r^2) - s2h/(3 r^3))
-    decatic:  Psi = r^eta    prod (r^2 - z_i)  exp(-w/2 r^2 - c/(2 s2d r^2)
-                                                   - s2d/(4 r^4))
-
-with s2d = sqrt(2 d), s2h = sqrt(2 h), fh = (f - g^2/(4h)) / s2h.
+with s2d = sqrt(2 d), s2h = sqrt(2 h), fh = (f - g^2/(4h)) / s2h, and B = 0
+(harmonic) or w = 0 (coulombic).  One gauge transform (`_gauge`) derives
+the working ODE that S solves; the root engine solves it, and the closing
+W coefficients of each branch give its derived couplings, energy and
+wavefunction shape, power by power in r (`_closing`).
 """
 
 from __future__ import annotations
@@ -23,8 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from numbers import Integral
-from typing import Mapping
+from numbers import Integral, Real
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -37,12 +36,11 @@ from .bethe import (
     _accept_candidate,
     _branch_key,
     _canonical_order,
+    _null_vectors,
     _ode_matrix,
     _polish,
     _residual_batch,
-    _root_dependent,
     _separation,
-    _two_parameter,
     bae_residuals,
     compute_w_coefficients,
     solve_bae,
@@ -105,6 +103,8 @@ class FamilyProblem:
             case = Case.HARMONIC
         object.__setattr__(self, "case", case)
         object.__setattr__(self, "free", dict(self.free))
+        _require(isinstance(self.n, Integral), "n is an integer")
+        _require(isinstance(self.ell, Real), "ell is a real number")
         if self.n < 0:
             raise InvalidParameter("n >= 0 required")
         key = (self.family, self.case)
@@ -132,9 +132,8 @@ def _require(cond: bool, constraint: str):
 
 def _validate_problem(problem: FamilyProblem):
     f = problem.free
-    _require(isinstance(problem.n, Integral), "n is an integer")
     _require(math.isfinite(problem.ell), "ell is finite")
-    _require(all(math.isfinite(v) for v in f.values()), "couplings are finite")
+    _require(all(isinstance(v, Real) and math.isfinite(v) for v in f.values()), "couplings are finite")
     top = "h" if problem.family is Family.OCTIC else "d"
     _require(f[top] > 0, f"{top} > 0")
     if problem.case is Case.COULOMBIC:
@@ -197,26 +196,22 @@ class BranchFailure:
 
 
 # ----------------------------------------------------------------------
-# Per-family ingredients
+# The gauge transform
 # ----------------------------------------------------------------------
 
-
-def _quartic_rates(problem: FamilyProblem):
-    f = problem.free
-    s2d = math.sqrt(2.0 * f["d"])
-    gamma = 1.0 + f["c"] / s2d
-    if gamma <= 0:
-        raise InvalidExponent("1 + c/sqrt(2d) must be positive")
-    if problem.case is Case.HARMONIC:
-        omega, bexp = f["omega"], 0.0
-    else:
-        omega, bexp = 0.0, f["a"] / (problem.n + gamma)
-    return s2d, gamma, omega, bexp
+# The potential's couplings by inverse power, V = sum_k lambda_k / r^k.  The
+# decatic's r^-6 coupling is `b_pot`: its input `b` only fixes eta.
+_POWERS = {
+    Family.QUARTIC: {1: "a", 2: "b", 3: "c", 4: "d"},
+    Family.SEXTIC: {4: "e", 6: "d"},
+    Family.OCTIC: {1: "a", 2: "b", 3: "c", 4: "d", 5: "e", 6: "f", 7: "g", 8: "h"},
+    Family.DECATIC: {4: "a", 6: "b_pot", 8: "c", 10: "d"},
+}
 
 
 def _omega(problem: FamilyProblem, omega: float | None) -> float:
-    """The sextic's or decatic's omega: the override if one is given, else
-    the free coupling, which match-ell mode may leave out."""
+    """The harmonic omega: the override if one is given, else the free
+    coupling, which match-ell mode may leave out."""
     if omega is not None:
         return omega
     if "omega" not in problem.free:
@@ -224,39 +219,75 @@ def _omega(problem: FamilyProblem, omega: float | None) -> float:
     return problem.free["omega"]
 
 
-def _sextic_rates(problem: FamilyProblem, omega=None):
-    f = problem.free
+def _chi(problem: FamilyProblem) -> tuple[Variable, dict]:
+    """The family's variable and the Laurent coefficients {j: [r^j] chi'} of
+    its prefactor's log-derivative, but for the r^1 term -omega and the
+    coulombic rate B at r^0, which `_gauge` adds."""
+    f, fam = problem.free, problem.family
+    if fam is Family.OCTIC:
+        h = f["h"]
+        s2h = math.sqrt(2.0 * h)
+        fh = (f["f"] - f["g"] ** 2 / (4.0 * h)) / s2h
+        beta = 2.0 + f["e"] / s2h - f["g"] * fh / (2.0 * h)
+        return Variable.R, {-4: s2h, -3: f["g"] / s2h, -2: fh, -1: beta}
     s2d = math.sqrt(2.0 * f["d"])
-    xi = f["e"] / s2d
-    lead = 1.5 + xi
-    if lead <= 0:
-        raise InvalidExponent("3/2 + e/sqrt(2d) must be positive")
-    return s2d, xi, lead, _omega(problem, omega)
-
-
-def _octic_rates(problem: FamilyProblem):
-    f = problem.free
-    h = f["h"]
-    s2h = math.sqrt(2.0 * h)
-    fh = (f["f"] - f["g"] ** 2 / (4.0 * h)) / s2h
-    beta = 2.0 + f["e"] / s2h - f["g"] * fh / (2.0 * h)
-    if beta <= 0:
-        raise InvalidExponent("the leading exponent beta must be positive")
-    if problem.case is Case.HARMONIC:
-        omega, bexp = f["omega"], 0.0
-    else:
-        omega, bexp = 0.0, f["a"] / (problem.n + beta)
-    return s2h, fh, beta, omega, bexp
-
-
-def _decatic_rates(problem: FamilyProblem, omega=None):
-    f = problem.free
-    s2d = math.sqrt(2.0 * f["d"])
+    if fam is Family.QUARTIC:
+        return Variable.R, {-2: s2d, -1: 1.0 + f["c"] / s2d}
+    if fam is Family.SEXTIC:
+        return Variable.T_EQ_R2, {-3: s2d, -1: 1.5 + f["e"] / s2d}
     kappa = (f["c"] ** 2 / 16.0) * math.sqrt(2.0 / f["d"] ** 3)
-    eta = 2.5 + f["b"] / s2d + kappa
-    if eta <= 0:
-        raise InvalidExponent("the leading exponent eta must be positive")
-    return s2d, kappa, eta, _omega(problem, omega)
+    return Variable.Z_EQ_R2, {-5: s2d, -3: f["c"] / s2d, -1: 2.5 + f["b"] / s2d + kappa}
+
+
+class _Gauge(NamedTuple):
+    """Psi = exp(chi) S(v) of one problem at one omega, and the working ODE
+    P S'' + Q S' + W S = 0 that S solves; k is the least power that clears
+    1/r from Q, s = 1, d = 1 for v = r and s = 4, d = 2 for v = r^2."""
+
+    ode: PolyODE
+    variable: Variable
+    chi: dict  # {j: [r^j] chi'}
+    k: int
+    s: float
+    d: int
+
+
+def _gauge(problem: FamilyProblem, omega: float | None = None) -> _Gauge:
+    """The gauge transform of the problem at omega (Turbiner, *Commun. Math.
+    Phys.* 118, 1988): for v = r, P = r^k and Q = 2 r^k chi'; for
+    v = z = r^2, P = z^(k+1) and Q = z^k (r chi' + 1/2)."""
+    variable, chi = _chi(problem)
+    if not chi[-1] > 0:
+        raise InvalidExponent(f"the leading exponent {chi[-1]} must be positive")
+    if problem.case is Case.COULOMBIC:
+        chi[0] = problem.free["a"] / (problem.n + chi[-1])  # B
+    else:
+        chi[1] = -_omega(problem, omega)
+    if variable is Variable.R:
+        k, s, d = -min(chi), 1.0, 1
+        p, q = {k: 1.0}, {j + k: 2.0 * c for j, c in chi.items()}
+    else:
+        k, s, d = (-min(chi) - 1) // 2, 4.0, 2
+        p, q = {k + 1: 1.0}, {(j + 1) // 2 + k: c for j, c in chi.items()}
+        q[k] += 0.5
+    ode = PolyODE([p.get(j, 0.0) for j in range(5)], [q.get(j, 0.0) for j in range(6)])
+    return _Gauge(ode, variable, chi, k, s, d)
+
+
+def _closing(g: _Gauge, w) -> dict:
+    """{i: [r^i] (bracket - 2E)} at the W coefficients w, for every power i
+    that L = chi'' + chi'^2 or w reach.  The radial equation makes it
+    L_i - s w_{k + i/d}: 2 lambda_i at r^-i (plus l(l+1) at r^-2), -2E at
+    r^0, omega^2 at r^2, and 0 elsewhere."""
+    out: dict = {}
+    for j, c in g.chi.items():
+        out[j - 1] = out.get(j - 1, 0.0) + j * c
+        for i, b in g.chi.items():
+            out[i + j] = out.get(i + j, 0.0) + b * c
+    for j, wj in enumerate(w):
+        i = (j - g.k) * g.d
+        out[i] = out.get(i, 0.0) - g.s * wj
+    return out
 
 
 def build_ode(problem: FamilyProblem, omega: float | None = None):
@@ -265,40 +296,8 @@ def build_ode(problem: FamilyProblem, omega: float | None = None):
     `omega` overrides the free coupling while the match-ell solve is
     running; normal callers leave it None.
     """
-    fam = problem.family
-    if fam is Family.QUARTIC:
-        s2d, gamma, w, bexp = _quartic_rates(problem)
-        q = (2.0 * s2d, 2.0 * gamma, 2.0 * bexp, -2.0 * w, 0.0, 0.0)
-        return PolyODE((0.0, 0.0, 1.0, 0.0, 0.0), q), Variable.R
-    if fam is Family.SEXTIC:
-        s2d, xi, _, w = _sextic_rates(problem, omega)
-        q = (s2d, 2.0 + xi, -w, 0.0, 0.0, 0.0)
-        return PolyODE((0.0, 0.0, 1.0, 0.0, 0.0), q), Variable.T_EQ_R2
-    if fam is Family.OCTIC:
-        s2h, fh, beta, w, bexp = _octic_rates(problem)
-        g = problem.free["g"]
-        q = (2.0 * s2h, 2.0 * g / s2h, 2.0 * fh, 2.0 * beta, 2.0 * bexp, -2.0 * w)
-        return PolyODE((0.0, 0.0, 0.0, 0.0, 1.0), q), Variable.R
-    if fam is Family.DECATIC:
-        s2d, _, eta, w = _decatic_rates(problem, omega)
-        q = (s2d, problem.free["c"] / s2d, eta + 0.5, -w, 0.0, 0.0)
-        return PolyODE((0.0, 0.0, 0.0, 1.0, 0.0), q), Variable.Z_EQ_R2
-    raise InvalidCase(f"unknown family {fam}")
-
-
-def _l_half_sq(ode: PolyODE, w) -> float:
-    """(l+1/2)^2 of a sextic or decatic branch whose working ODE, with
-    m = `_root_dependent(ode)`, has the W coefficients w:
-
-        (q_m - 1)^2 + 2 q_{m+1} q_{m-1} - 4 w_{m-1},
-
-    which is (xi+1)^2 - 2 omega sqrt(2d) - 4 w0 for the sextic and
-    (eta-1/2)^2 - 2 omega c/sqrt(2d) - 4 w1 for the decatic.  Negative
-    (infeasible) values are returned as they are.
-    """
-    m = _root_dependent(ode)
-    q = ode.q
-    return (q[m] - 1.0) ** 2 + 2.0 * q[m + 1] * q[m - 1] - 4.0 * w[m - 1]
+    g = _gauge(problem, omega)
+    return g.ode, g.variable
 
 
 def derive_parameters(
@@ -310,84 +309,43 @@ def derive_parameters(
     """Map a root branch to (derived couplings, energy, waveform).
 
     The roots are re-checked against the family root system before any
-    constraint is evaluated.  Each derived coupling is one closing W
-    coefficient of the working ODE (`compute_w_coefficients`) times -1/2
-    (-2 for the decatic's a), plus terms of the exponential factor alone;
-    (l+1/2)^2 is `_l_half_sq`.
+    constraint is evaluated.  With t = `_closing` at the branch's W
+    coefficients (`compute_w_coefficients`), each derived coupling is
+    lambda_j = t_-j / 2 (less l(l+1)/2 at j = 2), the energy is -t_0 / 2,
+    and a family without an r^-2 coupling (sextic, decatic) derives
+    (l+1/2)^2 = t_-2 + 1/4.
     """
     return _derivation(problem, roots, omega, check_tol)[2:]
 
 
 def _derivation(problem: FamilyProblem, roots: RootSet, omega: float | None, check_tol: float = 1e-8):
     """derive_parameters, preceded by the working ODE and its W coefficients."""
-    ode, variable = build_ode(problem, omega)
-    if roots.variable is not variable:
+    g = _gauge(problem, omega)
+    if roots.variable is not g.variable:
         raise InvalidParameter("roots live in the wrong variable for this family")
     if roots.n != problem.n:
         raise InvalidParameter("root count does not match problem degree")
     if roots.n > 0:
-        res = float(np.max(np.abs(bae_residuals(ode, roots))))
+        res = float(np.max(np.abs(bae_residuals(g.ode, roots))))
         if res > check_tol:
-            raise InvalidParameter(
-                f"roots do not solve the root system (residual {res:.3e})"
-            )
-    w = compute_w_coefficients(ode, roots)
-    fam, case, n, ell = problem.family, problem.case, problem.n, problem.ell
-
-    if fam is Family.QUARTIC:
-        s2d, gamma, om, bexp = _quartic_rates(problem)
-        b = -0.5 * w[0] + 0.5 * (gamma * (gamma - 1.0) - ell * (ell + 1.0)) + bexp * s2d
-        if case is Case.HARMONIC:
-            energy = om * (n + 1.5 + problem.free["c"] / s2d)
-            derived = {"a": -0.5 * w[1] - om * s2d, "b": b}
-        else:
-            energy = -0.5 * bexp * bexp
-            derived = {"B": bexp, "b": b}
-        wave = WaveForm(gamma, {2: -om / 2.0, 1: bexp, -1: -s2d}, roots, Variable.R)
-        return ode, w, derived, energy, wave
-
-    if fam is Family.OCTIC:
-        s2h, fh, beta, om, bexp = _octic_rates(problem)
-        g = problem.free["g"]
-        derived = {
-            "b": -0.5 * w[2] + 0.5 * (beta + ell) * (beta - ell - 1.0) - g * om / s2h + bexp * fh,
-            "c": -0.5 * w[1] + bexp * g / s2h + (beta - 1.0) * fh - om * s2h,
-            "d": -0.5 * w[0] + g * (2.0 * beta - 3.0) / (2.0 * s2h) + 0.5 * fh * fh + bexp * s2h,
-        }
-        if case is Case.HARMONIC:
-            energy = om * (n + 0.5 + beta)
-            derived = {"a": -0.5 * w[3] - om * fh, **derived}
-        else:
-            energy = -0.5 * bexp * bexp
-            derived = {"B": bexp, **derived}
-        coeffs = {2: -om / 2.0, 1: bexp, -1: -fh, -2: -g / (2.0 * s2h), -3: -s2h / 3.0}
-        wave = WaveForm(beta, coeffs, roots, Variable.R)
-        return ode, w, derived, energy, wave
-
-    l2 = _l_half_sq(ode, w)
-    if l2 < 0:
-        raise ConstraintInfeasible(f"derived (l+1/2)^2 = {l2} < 0")
-    derived = {"l_half_sq": l2, "ell": -0.5 + math.sqrt(l2)}
-    if fam is Family.SEXTIC:
-        s2d, xi, lead, om = _sextic_rates(problem, omega)
-        energy = om * (2.0 * n + 2.0 + xi)
-        wave = WaveForm(lead, {2: -om / 2.0, -2: -s2d / 2.0}, roots, Variable.T_EQ_R2)
-    else:
-        s2d, _, eta, om = _decatic_rates(problem, omega)
-        c, d = problem.free["c"], problem.free["d"]
-        energy = om * (2.0 * n + eta + 0.5)
-        derived = {
-            "a": -2.0 * w[0] + (c / s2d) * (eta - 1.5) - om * s2d,
-            # The r^-6 coupling the constructed wavefunction actually solves
-            # (fixed by the eta that kills the z^-1 term of the working ODE).
-            "b_pot": s2d * (eta - 2.5) + c * c / (4.0 * d),
-            **derived,
-        }
-        coeffs = {2: -om / 2.0, -2: -c / (2.0 * s2d), -4: -s2d / 4.0}
-        wave = WaveForm(eta, coeffs, roots, Variable.Z_EQ_R2)
-    if problem.match_ell:
-        derived["omega"] = om
-    return ode, w, derived, energy, wave
+            raise InvalidParameter(f"roots do not solve the root system (residual {res:.3e})")
+    w = compute_w_coefficients(g.ode, roots)
+    t = _closing(g, w)
+    ell, powers = problem.ell, _POWERS[problem.family]
+    derived = {"B": g.chi[0]} if problem.case is Case.COULOMBIC else {}
+    for power, name in powers.items():
+        if name not in problem.free:
+            derived[name] = 0.5 * (t[-power] - (ell * (ell + 1.0) if power == 2 else 0.0))
+    if 2 not in powers:
+        l2 = t[-2] + 0.25
+        if l2 < 0:
+            raise ConstraintInfeasible(f"derived (l+1/2)^2 = {l2} < 0")
+        derived.update(l_half_sq=l2, ell=-0.5 + math.sqrt(l2))
+        if problem.match_ell:
+            derived["omega"] = -g.chi[1]
+    coeffs = {j + 1: c / (j + 1) for j, c in sorted(g.chi.items(), reverse=True) if j != -1}
+    wave = WaveForm(g.chi[-1], coeffs, roots, g.variable)
+    return g.ode, w, derived, -0.5 * t[0], wave
 
 
 # ----------------------------------------------------------------------
@@ -471,20 +429,19 @@ def _match_problem(problem: FamilyProblem) -> tuple[np.ndarray, np.ndarray]:
     ell at omega exactly when (A + omega L + w0 T0) c = 0 (the decatic) or
     (A + omega L) c = 0 (the sextic, where w0 is fixed by the ell).
 
-    At omega, the matrix of `bethe._ode_matrix` is affine in omega.  Let
-    w = w_{m-1} be the top root-dependent W coefficient (w1 for the decatic,
-    w0 for the sextic).  `_l_half_sq` is (l+1/2)^2 at w = 0 less 4 w, so at
-    the requested ell w = ((l+1/2)^2 at w = 0 - (ell+1/2)^2) / 4, which is
-    affine in omega too.  Adding w T_{m-1} (T_j takes t^k to t^(k+j)) to the
-    matrix at omega = 1 and 2 gives A + omega L.
+    At omega, the matrix of `bethe._ode_matrix` is affine in omega.  The
+    derived (l+1/2)^2 = L_-2 - s w_{k-1} + 1/4 (`_closing`), so at the
+    requested ell the top root-dependent W coefficient is
+    w_{k-1} = (L_-2 + 1/4 - (ell+1/2)^2) / s, which is affine in omega too.
+    Adding w_{k-1} T_{k-1} (T_j takes t^i to t^(i+j)) to the matrix at
+    omega = 1 and 2 gives A + omega L.
     """
     n, target = problem.n, (problem.ell + 0.5) ** 2
     mats = []
     for omega in (1.0, 2.0):
-        ode, _ = build_ode(problem, omega)
-        m = _root_dependent(ode)
-        top = (_l_half_sq(ode, (0.0,) * 5) - target) / 4.0
-        mats.append(_ode_matrix(ode, n) + top * np.eye(n + m, n + 1, 1 - m))
+        g = _gauge(problem, omega)
+        top = (_closing(g, (0.0,) * 5)[-2] + 0.25 - target) / g.s
+        mats.append(_ode_matrix(g.ode, n) + top * np.eye(n + g.k, n + 1, 1 - g.k))
     L = mats[1] - mats[0]
     return mats[0] - L, L
 
@@ -495,10 +452,10 @@ def _match_ell(problem: FamilyProblem) -> tuple[list[tuple[RootSet, float]], lis
     fails (one NO_MATCH record when there is no candidate).
 
     The candidates are the real solutions (omega, c) of `_match_problem`
-    with omega in OMEGA_RANGE: for the sextic the real eigenvalues of the
-    (n+1)x(n+1) pencil A c = -omega L c, for the decatic the real solutions
-    (omega, w0) of the (n+2)x(n+1) two-parameter problem (`bethe.
-    _two_parameter`).  The roots of S go through the polish and filters of
+    with omega in OMEGA_RANGE (`bethe._null_vectors`): for the sextic the
+    real eigenvalues of the (n+1)x(n+1) pencil A c = -omega L c, for the
+    decatic the real solutions (omega, w0) of the (n+2)x(n+1) two-parameter
+    problem.  The roots of S go through the polish and filters of
     the root search at omega.  The closing formulas' rounding leaves omega
     off by up to ~1e-13 relative, so one secant step on the mismatch that
     the MATCH_TOL gate measures follows.  Two candidates that reach the same
@@ -506,30 +463,25 @@ def _match_ell(problem: FamilyProblem) -> tuple[list[tuple[RootSet, float]], lis
     """
     n, target = problem.n, (problem.ell + 0.5) ** 2
     A, L = _match_problem(problem)
-    if A.shape[0] == A.shape[1]:
-        omegas, vecs = np.linalg.eig(-np.linalg.solve(L, A))
-        real = omegas.imag == 0.0
-        omegas, coeffs = omegas.real[real], vecs.T[real].real
-    else:
-        omegas, _, coeffs = _two_parameter(A, L, np.eye(n + 2, n + 1))
+    omegas, coeffs = _null_vectors(A, L, None if A.shape[0] == A.shape[1] else np.eye(n + 2, n + 1))
     lo, hi = OMEGA_RANGE
-    keep = (lo <= omegas) & (omegas <= hi) & (coeffs[:, -1] != 0.0)
+    keep = (lo <= omegas) & (omegas <= hi)
     order = np.argsort(omegas[keep])
     candidates = [(float(om), c) for om, c in zip(omegas[keep][order], coeffs[keep][order])]
 
     def at(om: float, start: np.ndarray) -> tuple[RootSet | None, float]:
         """The roots polished from start at om, None if the filters reject
         them, and their mismatch."""
-        ode, variable = build_ode(problem, om)
-        roots = RootSet(0, (), variable, 0.0, math.inf)
+        g = _gauge(problem, om)
+        roots = RootSet(0, (), g.variable, 0.0, math.inf)
         if n:
             with np.errstate(all="ignore"):
-                accepted = _accept_candidate(ode, _polish(ode, start))
+                accepted = _accept_candidate(g.ode, _polish(g.ode, start))
             if accepted is None:
                 return None, math.nan
             ordered, res, sep = accepted
-            roots = RootSet(n, tuple(complex(z) for z in ordered), variable, res, sep)
-        return roots, _l_half_sq(ode, compute_w_coefficients(ode, roots)) - target
+            roots = RootSet(n, tuple(complex(z) for z in ordered), g.variable, res, sep)
+        return roots, _closing(g, compute_w_coefficients(g.ode, roots))[-2] + 0.25 - target
 
     matches: list[tuple[RootSet, float]] = []
     failures: list[BranchFailure] = []
@@ -588,8 +540,8 @@ def _rescaled_octic(problem: FamilyProblem, limit: ReductionLimit, eps: float):
     The invariants (beta, fh, g/s2h) are constant along the limit path, so
     any point on the path determines the whole curve.
     """
-    s2h, fh, beta, omega, _ = _octic_rates(problem)
-    gsig = problem.free["g"] / s2h
+    chi = _gauge(problem).chi
+    gsig, fh, beta, omega = chi[-3], chi[-2], chi[-1], problem.free.get("omega", 0.0)
     sig = eps
     h = 0.5 * sig * sig
     if limit is ReductionLimit.TO_QUARTIC:
@@ -610,7 +562,8 @@ def _rescaled_octic(problem: FamilyProblem, limit: ReductionLimit, eps: float):
 
 
 def _reduction_target(problem: FamilyProblem, limit: ReductionLimit) -> FamilyProblem:
-    s2h, fh, beta, omega, _ = _octic_rates(problem)
+    chi = _gauge(problem).chi
+    gsig, fh, beta, omega = chi[-3], chi[-2], chi[-1], problem.free.get("omega", 0.0)
     if limit is ReductionLimit.TO_QUARTIC:
         if fh <= 0:
             raise InvalidParameter("TO_QUARTIC path requires fh > 0")
@@ -623,7 +576,6 @@ def _reduction_target(problem: FamilyProblem, limit: ReductionLimit) -> FamilyPr
         return FamilyProblem(
             Family.QUARTIC, problem.case, problem.n, problem.ell, free
         )
-    gsig = problem.free["g"] / s2h
     if gsig <= 0:
         raise InvalidParameter("TO_SEXTIC path requires g > 0")
     if problem.n % 2:

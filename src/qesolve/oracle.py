@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Integral
 from typing import Mapping
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from .bethe import BAE_TOL, IDENT_TOL
 from .bethe import Variable, bae_residuals, compute_w_coefficients, verify_polynomial_identity
 from .errors import GridInsufficient, InvalidParameter, MissingCoupling
-from .families import Case, Family, QESSolution, build_ode
+from .families import _POWERS, Case, QESSolution, build_ode
 from .wavefunction import (
     count_nodes,
     eval_log_psi,
@@ -78,32 +79,15 @@ def _coupling(solution: QESSolution, name: str) -> float:
 
 
 def assemble_potential(solution: QESSolution) -> PotentialSpec:
-    """Full coefficient set of the radial equation for this solution."""
+    """Full coefficient set of the radial equation for this solution: the
+    couplings of the family's power table, ell derived where no r^-2
+    coupling is, and omega (0 in the coulombic case)."""
     prob = solution.problem
-    fam = prob.family
-    if fam is Family.QUARTIC:
-        powers = {k: _coupling(solution, n) for k, n in ((1, "a"), (2, "b"), (3, "c"), (4, "d"))}
-        omega = prob.free["omega"] if prob.case is Case.HARMONIC else 0.0
-        return PotentialSpec(float(prob.ell), omega, powers)
-    if fam is Family.SEXTIC:
-        powers = {4: prob.free["e"], 6: prob.free["d"]}
-        omega = _coupling(solution, "omega") if prob.match_ell else prob.free["omega"]
-        return PotentialSpec(_coupling(solution, "ell"), omega, powers)
-    if fam is Family.OCTIC:
-        names = {1: "a", 2: "b", 3: "c", 4: "d", 5: "e", 6: "f", 7: "g", 8: "h"}
-        powers = {k: _coupling(solution, n) for k, n in names.items()}
-        omega = prob.free["omega"] if prob.case is Case.HARMONIC else 0.0
-        return PotentialSpec(float(prob.ell), omega, powers)
-    if fam is Family.DECATIC:
-        powers = {
-            4: _coupling(solution, "a"),
-            6: _coupling(solution, "b_pot"),
-            8: prob.free["c"],
-            10: prob.free["d"],
-        }
-        omega = _coupling(solution, "omega") if prob.match_ell else prob.free["omega"]
-        return PotentialSpec(_coupling(solution, "ell"), omega, powers)
-    raise MissingCoupling(f"unknown family {fam}")
+    names = _POWERS[prob.family]
+    powers = {k: _coupling(solution, name) for k, name in names.items()}
+    ell = float(prob.ell) if 2 in names else _coupling(solution, "ell")
+    omega = 0.0 if prob.case is Case.COULOMBIC else _coupling(solution, "omega")
+    return PotentialSpec(ell, omega, powers)
 
 
 def _default_residual_grid(solution: QESSolution, num: int = 200) -> np.ndarray:
@@ -166,8 +150,10 @@ class FdGrid:
     n_points: int
 
     def __post_init__(self):
-        if not (0.0 < self.r_min < self.r_max):
-            raise InvalidParameter("need 0 < r_min < r_max")
+        if not (0.0 < self.r_min < self.r_max < math.inf):
+            raise InvalidParameter("need 0 < r_min < r_max < inf")
+        if not isinstance(self.n_points, Integral):
+            raise InvalidParameter(f"n_points must be an integer, got {self.n_points!r}")
         if self.n_points < 2000:
             raise InvalidParameter("n_points >= 2000 required")
 

@@ -1,4 +1,7 @@
-"""The derived couplings and (l+1/2)^2 expanded in root power sums.
+"""The working ODEs, derived couplings and (l+1/2)^2 written out by hand.
+
+`working_ode` is the P and Q of each family as `families.build_ode` wrote
+them before it derived them from the prefactor's log-derivative.
 
 These are the expansions that `families.derive_parameters` used before it
 read each coupling off one W coefficient of the working ODE, kept as an
@@ -18,6 +21,30 @@ import numpy as np
 from qesolve import Case, Family, FamilyProblem, RootSet
 from qesolve.bethe import _closing_w, _ode_matrix, _root_dependent
 from qesolve.families import build_ode
+
+
+def working_ode(problem: FamilyProblem, omega: float | None = None) -> tuple[tuple, tuple]:
+    """P and Q (ascending) of the family's working ODE."""
+    f, fam = problem.free, problem.family
+    coulombic = problem.case is Case.COULOMBIC
+    if fam is Family.QUARTIC:
+        s2d = math.sqrt(2.0 * f["d"])
+        gamma = 1.0 + f["c"] / s2d
+        w, bexp = (0.0, f["a"] / (problem.n + gamma)) if coulombic else (f["omega"], 0.0)
+        return (0.0, 0.0, 1.0, 0.0, 0.0), (2.0 * s2d, 2.0 * gamma, 2.0 * bexp, -2.0 * w, 0.0, 0.0)
+    if fam is Family.SEXTIC:
+        s2d = math.sqrt(2.0 * f["d"])
+        return (0.0, 0.0, 1.0, 0.0, 0.0), (s2d, 2.0 + f["e"] / s2d, -_omega(problem, omega), 0.0, 0.0, 0.0)
+    if fam is Family.OCTIC:
+        h, g = f["h"], f["g"]
+        s2h = math.sqrt(2.0 * h)
+        fh = (f["f"] - g**2 / (4.0 * h)) / s2h
+        beta = 2.0 + f["e"] / s2h - g * fh / (2.0 * h)
+        w, bexp = (0.0, f["a"] / (problem.n + beta)) if coulombic else (f["omega"], 0.0)
+        return (0.0, 0.0, 0.0, 0.0, 1.0), (2.0 * s2h, 2.0 * g / s2h, 2.0 * fh, 2.0 * beta, 2.0 * bexp, -2.0 * w)
+    s2d = math.sqrt(2.0 * f["d"])
+    eta = 2.5 + f["b"] / s2d + (f["c"] ** 2 / 16.0) * math.sqrt(2.0 / f["d"] ** 3)
+    return (0.0, 0.0, 0.0, 1.0, 0.0), (s2d, f["c"] / s2d, eta + 0.5, -_omega(problem, omega), 0.0, 0.0)
 
 
 def power_sums(roots: RootSet) -> tuple[float, float, float, float, float]:

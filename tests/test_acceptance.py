@@ -39,6 +39,7 @@ from qesolve import (
     solve_family_detailed,
     verify_polynomial_identity,
 )
+from qesolve import families
 from qesolve.oracle import FdGrid
 
 from conftest import (
@@ -50,7 +51,7 @@ from conftest import (
     quartic_harmonic,
     sextic,
 )
-from coupling_reference import derived_couplings
+from coupling_reference import derived_couplings, working_ode
 
 CFG = SolverConfig(seed=0, starts=80)
 SWEEP_CFG = SolverConfig(seed=2026, starts=48)
@@ -279,6 +280,41 @@ def test_derived_couplings_match_the_power_sum_reference(sweep):
         seen.add((family, case, n))
     assert len(seen) == 6 * 6
     assert worst <= 1e-12, worst
+
+
+def test_gauge_transform_gives_the_inputs_back(sweep):
+    # Every sweep branch of the six (family, case) pairs at n = 0..5, read
+    # through `families._closing` at its W coefficients: each power of r
+    # that carries an input coupling lambda gives 2 lambda back, r^2 gives
+    # omega^2, and the powers that carry nothing vanish.  P and Q are the
+    # hand-written ones of `coupling_reference.working_ode`, bit for bit
+    # but for the sextic, whose 2 + xi is now (3/2 + xi) + 1/2.
+    records, _ = sweep
+    worst_input = worst_zero = 0.0
+    seen = set()
+    for family, case, draw, n, sol in records:
+        problem = sol.problem
+        g = families._gauge(problem)
+        p, q = working_ode(problem)
+        assert g.ode.p == p
+        if family is Family.SEXTIC:
+            assert g.ode.q == pytest.approx(q, rel=1e-15, abs=0.0)
+        else:
+            assert g.ode.q == q
+        t = families._closing(g, compute_w_coefficients(g.ode, sol.roots))
+        names = families._POWERS[family]
+        omega = problem.free.get("omega", 0.0)
+        expected = {-k: 2.0 * problem.free[name] for k, name in names.items() if name in problem.free}
+        expected[2] = omega * omega
+        for i, v in expected.items():
+            worst_input = max(worst_input, abs(t.get(i, 0.0) - v) / max(1.0, abs(v)))
+        scale = max(1.0, *(abs(v) for v in t.values()))
+        for i in set(t) - {-k for k in names} - {-2, 0, 2}:
+            worst_zero = max(worst_zero, abs(t[i]) / scale)
+        seen.add((family, case, n))
+    assert len(seen) == 6 * 6
+    assert worst_input <= 1e-13, worst_input
+    assert worst_zero <= 1e-14, worst_zero
 
 
 def _real_positive(sol: QESSolution) -> bool:

@@ -222,17 +222,21 @@ class TestSeedEnv:
         (None, ["solve", "--family", "sextic", "--n", "1", "--param", "omega=1", "--param", "e=0.1",
                 "--param", "d=inf"]),
         (None, [*SOLVE_Q0, "--ell", "nan"]),
+        (None, ["verify", "EMPTY"]),
     ],
     ids=[
         "negative_starts", "zero_starts", "negative_seed", "non_integer_qes_seed",
         "index_past_end", "index_before_start", "negative_points", "zero_points",
-        "infinite_coupling", "nan_ell",
+        "infinite_coupling", "nan_ell", "verify_empty_file",
     ],
 )
-def test_bad_input_exits_with_an_error_line(qes_seed, args, q0_doc, monkeypatch, capsys):
+def test_bad_input_exits_with_an_error_line(qes_seed, args, q0_doc, tmp_path, monkeypatch, capsys):
     if qes_seed is not None:
         monkeypatch.setenv("QES_SEED", qes_seed)
-    code, out, err = run(capsys, *[str(q0_doc) if a == "DOC" else a for a in args])
+    empty = tmp_path / "empty.json"
+    empty.write_text("[]")
+    paths = {"DOC": str(q0_doc), "EMPTY": str(empty)}
+    code, out, err = run(capsys, *[paths.get(a, a) for a in args])
     assert code == 1
     assert out == ""
     assert err.startswith("error: ")

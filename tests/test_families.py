@@ -72,6 +72,11 @@ VALIDATION_CASES = [
     ("quartic-coulombic-a-minus-inf", lambda: quartic_coulombic(a=-math.inf), "couplings are finite"),
     ("decatic-ell-nan", lambda: decatic(ell=math.nan), "ell is finite"),
     ("sextic-match_ell-ell-inf", lambda: sextic(ell=math.inf, match_ell=True), "ell is finite"),
+    ("quartic-n-string", lambda: quartic_harmonic(n="2"), "n is an integer"),
+    ("octic-n-none", lambda: octic_harmonic(n=None), "n is an integer"),
+    ("decatic-ell-string", lambda: decatic(ell="0"), "ell is a real number"),
+    ("sextic-ell-none", lambda: sextic(ell=None, match_ell=True), "ell is a real number"),
+    ("quartic-c-string", lambda: quartic_harmonic(c="0"), "couplings are finite"),
 ] + [
     # A starting omega given in match-ell mode must be positive too.
     (

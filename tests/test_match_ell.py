@@ -117,13 +117,13 @@ class TestEnumeratedMatches:
         # every candidate twice, the second a rounding away, and each match
         # must still come back once.
         expected = [matches(p) for p in DECATIC_WORKLOAD]
-        two_parameter = families._two_parameter
+        two_parameter = bethe._two_parameter
 
         def twice(A, B, C):
             x, y, c = two_parameter(A, B, C)
             return np.concatenate([x, x * (1 + 1e-14)]), np.concatenate([y, y]), np.concatenate([c, c])
 
-        monkeypatch.setattr(families, "_two_parameter", twice)
+        monkeypatch.setattr(bethe, "_two_parameter", twice)
         for problem, before in zip(DECATIC_WORKLOAD, expected):
             after = matches(problem)
             assert same_matches(after, before)

@@ -140,10 +140,14 @@ class TestFdSpectrum:
         assert math.log2(err[0] / err[1]) == pytest.approx(2.0, abs=0.2)
 
     def test_grid_validation(self):
-        with pytest.raises(InvalidParameter):
-            FdGrid(0.0, 1.0, 3000)
-        with pytest.raises(InvalidParameter):
-            FdGrid(0.1, 1.0, 100)
+        # Bounds must be finite (an infinite r_max gave a NaN matrix, on
+        # which fd_spectrum returned []) and n_points integral (2000.5
+        # failed later with a bare TypeError).
+        bad = [(0.0, 1.0, 3000), (0.1, 1.0, 100), (1.0, math.inf, 3000), (math.nan, 5.0, 3000),
+               (0.1, math.nan, 3000), (0.1, 5.0, 2000.5), (0.1, 5.0, "3000")]
+        for r_min, r_max, n_points in bad:
+            with pytest.raises(InvalidParameter):
+                FdGrid(r_min, r_max, n_points)
 
 
 def _fd_matrix(potential, grid):
