@@ -7,23 +7,25 @@ the roots satisfy the residue conditions
 
     sum_{j != i} 2 / (t_i - t_j) + Q(t_i) / P(t_i) = 0,    i = 1..n,
 
-and W is assembled from the root power sums.  The module enumerates the
-solutions when at most two W coefficients (w1, w0) depend on the roots: as
+and W is assembled from the root power sums.  The module enumerates all
+solutions, whichever W coefficients w0 .. w_(m-1) depend on the roots: as
 eigenvectors of the ODE's square matrix on polynomials of degree n when w0
-is the only one, and as null vectors of its rectangular matrix at the real
-solutions of a two-parameter eigenproblem otherwise (`_null_vectors`, which
-also solves the match-ell problems in `families`).  It searches for them by
-batched multi-start damped Newton when more coefficients depend on the
-roots, and verifies candidate solutions by exact polynomial arithmetic.
+is the only one (m = 1), and as null vectors of its (n+m)x(n+1) matrix at
+the real solutions of an m-parameter eigenproblem otherwise
+(`_multiparameter`, for m = 2, 3 and 4; `_null_vectors` also solves the
+match-ell problems of `families` with it).  Candidates are polished, and
+verified by exact polynomial arithmetic.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Integral
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,37 +82,30 @@ class RootSet:
         return np.array(self.roots, dtype=complex)
 
 
-# Half-width of the widest start box, the acceptance gates of a root set,
-# and the distance (max norm, canonical order) below which two are one branch.
-BOX = 20.0
+# The acceptance gates of a root set, and the distance (max norm, canonical
+# order) below which two are one branch.
 BAE_TOL = 1e-10
 IDENT_TOL = 1e-10
 SEP_TOL = 1e-8
 CONJ_TOL = 1e-8
 DENOM_TOL = 1e-12
 DEDUP_TOL = 1e-6
-# Newton stopping rules: a row takes at most NEWTON_ITERATIONS steps.  It
-# has converged once its residual is below NEWTON_FLOOR, or once its accepted
-# step is at rounding level (|step| <= ROUNDING_STEP * (1 + |x|), max norms)
-# and its residual is below its pass's output gate: BAE_TOL in root space,
-# COEFF_TOL in coefficient space.
-NEWTON_FLOOR = 1e-13
-NEWTON_ITERATIONS = 100
-COEFF_TOL = 1e-9
+# The polish stops once its step is at rounding level:
+# |step| <= ROUNDING_STEP * (1 + |x|), max norms.
 ROUNDING_STEP = 1e-15
 # The largest imaginary part, relative to the largest coefficient, that the
 # polynomial identity lets S have.
 IMAG_TOL = 1e-8
-# Beyond this, a small residual just means Q/P decayed along a diverging
-# Newton path (possible when deg Q < deg P), not that a solution exists.
-ESCAPE_RADIUS = 50.0 * BOX
+# Beyond this, a small residual just means that Q/P decays (possible when
+# deg Q < deg P), not that a solution exists.
+ESCAPE_RADIUS = 1000.0
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """RNG seed and starts per pass of the multi-start Newton root search,
-    which runs only for ODEs with more than two root-dependent W
-    coefficients (the octic); the others are enumerated, see solve_bae."""
+    """Accepted and validated for compatibility, but without effect: every
+    solve enumerates its branches (see solve_bae), so no root search reads
+    a seed or a start count."""
 
     seed: int = 0
     starts: int = 200
@@ -259,13 +254,7 @@ def verify_polynomial_identity(ode: PolyODE, roots) -> float:
 
 
 # ----------------------------------------------------------------------
-# Multi-start Newton solver
-#
-# Two complementary passes feed one candidate pool: Newton on the residue
-# map in root space, and Newton on the equivalent square system in monic
-# coefficient space.  The coefficient pass works in real arithmetic, so
-# conjugation-closed root sets (real polynomial factors) are reached from
-# real starts without any pole structure in the way.
+# Candidate polish and filters
 # ----------------------------------------------------------------------
 
 
@@ -298,216 +287,9 @@ def _jacobian_batch(ode: PolyODE, T: np.ndarray) -> np.ndarray:
     return jac
 
 
-def _newton_steps(J: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Newton steps J^-1 R for a batch of rows.
-
-    A singular row makes the batched solve fail for every row, so the batch
-    falls back to per-row least squares and the other rows keep their steps.
-    """
-    try:
-        return np.linalg.solve(J, R[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        return np.array([np.linalg.lstsq(Ji, Ri, rcond=None)[0] for Ji, Ri in zip(J, R)])
-
-
 def _at_rounding_level(x: np.ndarray, dx: np.ndarray) -> np.ndarray:
     """Per row: is the step dx, taken to reach x, at rounding level?"""
     return np.max(np.abs(dx), axis=1) <= ROUNDING_STEP * (1.0 + np.max(np.abs(x), axis=1))
-
-
-def _newton_batch(ode: PolyODE, starts: np.ndarray) -> np.ndarray:
-    """Damped Newton on all starts simultaneously; returns converged rows.
-
-    Residuals are carried between iterations and the line search only
-    re-evaluates rows that still reject their step; rows that cannot make
-    progress after repeated halvings are dropped, and rows that have
-    converged or settled at rounding level stop iterating.
-    """
-    T = starts.copy()
-    with np.errstate(all="ignore"):
-        R = _residual_batch(ode, T)
-        norms = np.max(np.abs(R), axis=1)
-        alive = np.isfinite(norms)
-        done = alive & (norms < NEWTON_FLOOR)
-        for _ in range(NEWTON_ITERATIONS):
-            act = alive & ~done
-            if not act.any():
-                break
-            Ta, Ra = T[act], R[act]
-            step = _newton_steps(_jacobian_batch(ode, Ta), Ra)
-            # Cap runaway steps before damping.
-            mags = np.max(np.abs(step), axis=1)
-            cap = 10.0 * (1.0 + np.max(np.abs(Ta), axis=1))
-            scale = np.where(mags > cap, cap / np.where(mags > 0, mags, 1.0), 1.0)
-            step = step * scale[:, None]
-            base = np.sum(np.abs(Ra) ** 2, axis=1)
-            lam = np.ones(len(step))
-            trial = Ta - step
-            Rt = _residual_batch(ode, trial)
-            val = np.sum(np.abs(Rt) ** 2, axis=1)
-            ok = np.isfinite(val) & (val <= base * (1.0 - 1e-4 * lam) + 1e-300)
-            for _bt in range(18):
-                if ok.all():
-                    break
-                idx = np.nonzero(~ok)[0]
-                lam[idx] *= 0.5
-                trial[idx] = Ta[idx] - lam[idx, None] * step[idx]
-                Rt[idx] = _residual_batch(ode, trial[idx])
-                val = np.sum(np.abs(Rt[idx]) ** 2, axis=1)
-                ok[idx] = np.isfinite(val) & (
-                    val <= base[idx] * (1.0 - 1e-4 * lam[idx]) + 1e-300
-                )
-            act_idx = np.nonzero(act)[0]
-            stalled = act_idx[~ok]
-            alive[stalled] = False
-            moved = act_idx[ok]
-            T[moved] = trial[ok]
-            R[moved] = Rt[ok]
-            norms[moved] = np.max(np.abs(Rt[ok]), axis=1)
-            escaped = np.max(np.abs(T[moved]), axis=1) > ESCAPE_RADIUS
-            fresh = np.isfinite(norms[moved]) & ~escaped
-            alive[moved] &= fresh
-            settled = _at_rounding_level(T[moved], lam[ok, None] * step[ok]) & (norms[moved] < BAE_TOL)
-            done[moved] = alive[moved] & ((norms[moved] < NEWTON_FLOOR) | settled)
-    good = alive & np.isfinite(norms) & (norms < BAE_TOL)
-    return T[good]
-
-
-def _coefficient_residual(ode: PolyODE, A: np.ndarray) -> np.ndarray:
-    """Low-order coefficients of P S'' + Q S' + W S for monic S (batched).
-
-    A holds the n non-leading real coefficients of S per row; W is built
-    from power sums obtained through Newton's identities, which makes the
-    top five coefficients of the expansion vanish identically and leaves a
-    square n-equation system whose zeros are the root-system solutions.
-    """
-    m, n = A.shape
-    S = np.concatenate([A, np.ones((m, 1))], axis=1)
-    S1 = S[:, 1:] * np.arange(1, n + 1)
-    S2 = S1[:, 1:] * np.arange(1, n) if n >= 2 else np.zeros((m, 0))
-    # Elementary symmetric values e_k = (-1)^k * coefficient a_{n-k}.
-    e = np.zeros((m, 5))
-    for k in range(1, min(n, 4) + 1):
-        e[:, k] = (-1.0) ** k * A[:, n - k]
-    p1 = e[:, 1]
-    p2 = e[:, 1] * p1 - 2.0 * e[:, 2]
-    p3 = e[:, 1] * p2 - e[:, 2] * p1 + 3.0 * e[:, 3]
-    p4 = e[:, 1] * p3 - e[:, 2] * p2 + e[:, 3] * p1 - 4.0 * e[:, 4]
-    total = np.zeros((m, n + 5))
-    for k, c in enumerate(ode.p):
-        if c != 0.0 and S2.shape[1]:
-            total[:, k : k + S2.shape[1]] += c * S2
-    for k, c in enumerate(ode.q):
-        if c != 0.0:
-            total[:, k : k + S1.shape[1]] += c * S1
-    for k, wk in enumerate(_closing_w(ode, n, p1, p2, p3, p4, e[:, 2])):
-        total[:, k : k + n + 1] += np.reshape(wk, (-1, 1)) * S
-    return total[:, :n]
-
-
-def _coefficient_newton(ode: PolyODE, starts: np.ndarray) -> np.ndarray:
-    """Damped Newton on the coefficient-space system; Jacobian by forward
-    differences (the system is polynomial and smooth).
-
-    Residuals are carried between iterations, the line search re-evaluates
-    only the rows that still reject their step, and rows that have converged
-    or settled at rounding level stop iterating.  A row that rejects every
-    halving is dropped from the batch; it is still returned if its residual
-    is under the output gate.
-    """
-    A = starts.copy()
-    n = A.shape[1]
-    with np.errstate(all="ignore"):
-        R = _coefficient_residual(ode, A)
-        norms = np.max(np.abs(R), axis=1)
-        alive = np.isfinite(norms)
-        done = alive & (norms < NEWTON_FLOOR)
-        for _ in range(NEWTON_ITERATIONS):
-            act = alive & ~done
-            if not act.any():
-                break
-            Aa, Ra = A[act], R[act]
-            J = np.empty((len(Aa), n, n))
-            for j in range(n):
-                h = 1e-7 * (1.0 + np.abs(Aa[:, j]))
-                Ah = Aa.copy()
-                Ah[:, j] += h
-                J[:, :, j] = (_coefficient_residual(ode, Ah) - Ra) / h[:, None]
-            step = _newton_steps(J, Ra)
-            base = np.sum(Ra * Ra, axis=1)
-            lam = np.ones(len(step))
-            trial = Aa - step
-            Rt = _coefficient_residual(ode, trial)
-            val = np.sum(Rt * Rt, axis=1)
-            ok = np.isfinite(val) & (val <= base + 1e-300)
-            for _bt in range(24):  # 25 trials: lam = 1, 1/2, ..., 2^-24
-                if ok.all():
-                    break
-                idx = np.nonzero(~ok)[0]
-                lam[idx] *= 0.5
-                trial[idx] = Aa[idx] - lam[idx, None] * step[idx]
-                Rt[idx] = _coefficient_residual(ode, trial[idx])
-                val = np.sum(Rt[idx] * Rt[idx], axis=1)
-                ok[idx] = np.isfinite(val) & (val <= base[idx] + 1e-300)
-            act_idx = np.nonzero(act)[0]
-            alive[act_idx[~ok]] = False
-            moved = act_idx[ok]
-            A[moved] = trial[ok]
-            R[moved] = Rt[ok]
-            norms[moved] = np.max(np.abs(Rt[ok]), axis=1)
-            settled = _at_rounding_level(A[moved], lam[ok, None] * step[ok]) & (norms[moved] < COEFF_TOL)
-            done[moved] = (norms[moved] < NEWTON_FLOOR) | settled
-    return A[np.isfinite(norms) & (norms < COEFF_TOL)]
-
-
-def _coefficient_starts(n: int, cfg: SolverConfig) -> np.ndarray:
-    """Real coefficient starts built from random real/conjugate-pair roots."""
-    starts = np.empty((cfg.starts, n))
-    for k in range(cfg.starts):
-        rng = np.random.default_rng([cfg.seed, 1_000_003 + k])
-        box = BOX / (4.0 ** (k % 4))
-        roots = []
-        i = 0
-        while i < n:
-            if i + 1 < n and rng.random() < 0.5:
-                re = rng.uniform(-box, box)
-                im = rng.uniform(0.05, max(0.2, box))
-                roots.extend([re + 1j * im, re - 1j * im])
-                i += 2
-            else:
-                roots.append(complex(rng.uniform(-box, box)))
-                i += 1
-        coeffs = poly_from_roots(np.array(roots)).real
-        starts[k] = coeffs[:n]
-    return starts
-
-
-def _make_starts(n: int, cfg: SolverConfig) -> np.ndarray:
-    """Seeded multi-scale starts: per-start RNG stream from (seed, index).
-
-    Real parts are drawn from boxes of geometrically shrinking half-width so
-    root sets living on very different scales all receive coverage;
-    imaginary parts are seeded at 0 and +-1.
-    """
-    starts = np.empty((cfg.starts, n), dtype=complex)
-    for k in range(cfg.starts):
-        rng = np.random.default_rng([cfg.seed, k])
-        box = BOX / (4.0 ** (k % 4))
-        if n >= 2 and k % 3 == 2:
-            # Conjugate-paired start: Newton preserves the symmetry, which
-            # targets conjugation-closed solutions directly.
-            half = (n + 1) // 2
-            re_h = rng.uniform(-box, box, size=half)
-            im_h = rng.choice(np.array([0.25, 0.5, 1.0, 2.0]), size=half)
-            re = np.repeat(re_h, 2)[:n]
-            im = np.column_stack([im_h, -im_h]).ravel()[:n]
-            if n % 2:
-                im[-1] = 0.0
-        else:
-            re = rng.uniform(-box, box, size=n)
-            im = rng.choice(np.array([0.0, 1.0, -1.0]), size=n, p=[0.5, 0.25, 0.25])
-        starts[k] = re + 1j * im
-    return starts
 
 
 def _accept_candidate(ode: PolyODE, roots: np.ndarray):
@@ -593,96 +375,191 @@ def _ode_matrix(ode: PolyODE, n: int) -> np.ndarray:
     return band[2 : n + m + 2]
 
 
-# The projections of the two-parameter problem come from this fixed seed, so
-# its solutions depend neither on SolverConfig.seed nor on earlier calls.
+# The random change of the homogeneous parameters comes from this fixed
+# seed, so the solutions depend neither on SolverConfig.seed nor on earlier
+# calls.
 _PROJECTION_SEED = 0
-# A solution (x, y) of the projected problem solves the full one when the
-# smallest singular value of A + x B + y C is at most this fraction of its
-# largest.
+# Real parameters w solve (A + sum_j w_j B_j) c = 0 when the smallest
+# singular value of that matrix is at most this fraction of its largest.
 GENUINE_TOL = 1e-8
+# An eigenvalue of the pencil whose imaginary part is at most this fraction
+# of its modulus is a candidate: a double real solution may split into a
+# complex pair.
+NEAR_REAL = 1e-6
+# The pencil is assembled in blocks of columns whose largest intermediate
+# array holds at most this many floats.
+_BLOCK_FLOATS = 1 << 14
+
+
+@functools.lru_cache(maxsize=8)
+def _parameter_change(m: int, seed: int) -> np.ndarray:
+    """A random orthogonal change of the m + 1 homogeneous parameters
+    (read-only)."""
+    Q = np.linalg.qr(np.random.default_rng([seed, m]).standard_normal((m + 1, m + 1)))[0]
+    Q.flags.writeable = False
+    return Q
+
+
+class _Basis(NamedTuple):
+    """The orthonormal basis of Sym^m(R^(n+1)): one tensor per multiset of
+    m indices in range(n+1), equal to 1/sqrt(orbit size) at each ordering
+    of it.  (Read-only.)"""
+
+    of: np.ndarray  # the basis index of each entry of an m-tensor (flat, C order)
+    order: np.ndarray  # the entries sorted by basis index
+    first: np.ndarray  # the position in `order` of each index's first entry
+    value: np.ndarray  # the value of each entry in its basis tensor
+    mixed: np.ndarray  # at [j, k], the index of the multiset {k, j, ..., j}
 
 
 @functools.lru_cache(maxsize=16)
-def _projection(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Two random (n+1)x(n+2) projections P1, P2 and a random orthogonal
-    3x3 change Q of the homogeneous parameters (1, x, y) (read-only)."""
-    rng = np.random.default_rng([seed, n])
-    P1, P2 = rng.standard_normal((2, n + 1, n + 2))
-    Q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
-    for a in (P1, P2, Q):
+def _symmetric_basis(n: int, m: int) -> _Basis:
+    """The `_Basis` of Sym^m(R^(n+1)), multisets in
+    `combinations_with_replacement` order."""
+    multisets = list(itertools.combinations_with_replacement(range(n + 1), m))
+    index = {key: i for i, key in enumerate(multisets)}
+    of = np.array([index[tuple(sorted(e))] for e in itertools.product(range(n + 1), repeat=m)])
+    size = np.bincount(of)
+    mixed = [[index[tuple(sorted((k,) + (j,) * (m - 1)))] for k in range(n + 1)] for j in range(n + 1)]
+    basis = _Basis(of, np.argsort(of, kind="stable"), np.concatenate([[0], np.cumsum(size)]),
+                   1.0 / np.sqrt(size[of]), np.array(mixed))
+    for a in basis:
         a.flags.writeable = False
-    return P1, P2, Q
+    return basis
 
 
-def _two_parameter(A: np.ndarray, B: np.ndarray, C: np.ndarray):
-    """The real solutions (x, y, c) of (A + x B + y C) c = 0, for
-    (n+2)x(n+1) matrices: arrays x, y and the null vectors c as rows.
+@functools.lru_cache(maxsize=16)
+def _laplace_steps(rows: int, m: int) -> tuple:
+    """Per r = 1..m, for every increasing r-subset U of range(rows) (in
+    `combinations` order) and each position p in it: the index of U less
+    U[p] among the (r-1)-subsets, and U[p].  Laplace expansion along the
+    r-th factor gives that term the sign (-1)^(r-1-p).  (Read-only.)"""
+    steps, previous = [], {(): 0}
+    for r in range(1, m + 1):
+        subsets = list(itertools.combinations(range(rows), r))
+        less = np.array([[previous[U[:p] + U[p + 1 :]] for p in range(r)] for U in subsets])
+        step = (less, np.array(subsets), (-1.0) ** (r - 1 - np.arange(r)))
+        for a in step:
+            a.flags.writeable = False
+        steps.append(step)
+        previous = {U: i for i, U in enumerate(subsets)}
+    return tuple(steps)
 
-    The projections P1 and P2 turn the rectangular problem into two square
-    ones, (Pi A + x Pi B + y Pi C) ci = 0.  Their common solutions are the
-    joint eigenvalues, x and y, of the commuting Delta0^-1 Delta1 and
-    Delta0^-1 Delta2 on kron(c1, c2) (Atkinson, *Multiparameter Eigenvalue
-    Problems*, 1972; Hochstenbach, Kosir & Plestenjak on rectangular
-    problems).  They are formed after the change Q of (1, x, y), which
-    keeps Delta0 well conditioned where B and C alone would make it nearly
-    singular (for the match-ell problem, whose B is close to nilpotent).
-    Each eigenvector of a generic combination of the two gives its
-    eigenvalues as Rayleigh quotients, and Q maps them back.  Of the
-    (n+1)^2 pairs, those that solve only the projected problems are dropped
-    by the GENUINE_TOL test of the full matrix; it is made at the real
-    part of each pair, so the real solutions are kept.
+
+def _exterior_pencil(factors: list, n: int) -> np.ndarray:
+    """The matrices, on the basis of `_symmetric_basis`, of the maps
+    z -> Alt((X_1 (x) ... (x) X_m) z) from Sym^m(R^(n+1)) to the m-vectors
+    of R^rows.  Each factor is rows x (n+1) but the last, which stacks
+    several such X_m; there is one square matrix per X_m.
+
+    For z = c (x) ... (x) c, row U of a matrix is the minor on rows U of
+    [X_1 c, ..., X_m c].  The factors act one at a time on a block of basis
+    tensors, and each step keeps only the rows antisymmetrised so far, by
+    Laplace expansion along the newest factor; no (n+1)^m-square
+    Kronecker product is formed.
     """
-    n = A.shape[1] - 1
-    P1, P2, Q = _projection(n, _PROJECTION_SEED)
-    changed = [Q[0, j] * A + Q[1, j] * B + Q[2, j] * C for j in range(3)]
-    (A1, B1, C1), (A2, B2, C2) = ([P @ M for M in changed] for P in (P1, P2))
-    delta0 = np.kron(B1, C2) - np.kron(C1, B2)
-    delta = np.hstack([np.kron(C1, A2) - np.kron(A1, C2), np.kron(A1, B2) - np.kron(B1, A2)])
-    G = np.linalg.solve(delta0, delta)
-    G1, G2 = G[:, : (n + 1) ** 2], G[:, (n + 1) ** 2 :]
-    _, Z = np.linalg.eig(G1 + (math.sqrt(2.0) - 1.0) * G2)
-    norms = np.sum(np.abs(Z) ** 2, axis=0)
-    mu = [np.einsum("ij,ik,kj->j", Z.conj(), G, Z) / norms for G in (G1, G2)]
-    lam = Q @ np.array([np.ones_like(mu[0]), *mu])
+    m, rows = len(factors), factors[0].shape[0]
+    of, order, first, value, _ = _symmetric_basis(n, m)
+    steps = _laplace_steps(rows, m)
+    sizes = [1] + [len(less) for less, _, _ in steps]
+    widest = max(sizes[r - 1] * len(X) * (n + 1) ** (m - r) for r, X in enumerate(factors, start=1))
+    width = max(1, _BLOCK_FLOATS // widest)
+    count = sizes[-1]
+    out = np.empty((len(factors[-1]) // rows, count, count))
+    for lo in range(0, count, width):
+        hi = min(count, lo + width)
+        entries = order[first[lo] : first[hi]]
+        a = np.zeros(((n + 1) ** m, hi - lo))
+        a[entries, of[entries] - lo] = value[entries]
+        a = a.reshape(1, -1)
+        for X, (less, subsets, sign) in zip(factors[:-1], steps):
+            a = sign @ (X @ a.reshape(len(a), n + 1, -1))[less, subsets]
+        b = factors[-1] @ a.reshape(len(a), n + 1, -1)
+        less, subsets, sign = steps[-1]
+        for k in range(len(out)):
+            out[k, :, lo:hi] = sign @ b[less, subsets + k * rows]
+    return out
+
+
+def _multiparameter(A: np.ndarray, Bs: list):
+    """The near-real solutions (w, c) of (A + w_1 B_1 + ... + w_m B_m) c = 0
+    for (n+m)x(n+1) matrices, whose c has degree n (c_n != 0): the
+    parameters w and the null vectors c, as rows.
+
+    After a random orthogonal change Q of the homogeneous parameters
+    (1, w_1, ..., w_m), the problem reads (M_0 + mu_1 M_1 + ... + mu_m M_m)
+    c = 0.  Projected by m matrices P_i, it gives m square problems whose
+    common solutions are the eigenvalues mu_m of Delta_0^-1 Delta_m, with
+    the Kronecker determinants Delta_k, on c (x) ... (x) c (Atkinson,
+    *Multiparameter Eigenvalue Problems*, 1972; Hochstenbach, Kosir &
+    Plestenjak on rectangular problems).  That eigenvector is a symmetric
+    tensor, so the Galerkin pencil S^T Delta_k S on the orthonormal basis S
+    of Sym^m keeps every solution; its size, C(n+m, m), is the number of
+    solutions of a generic problem, so it has no others.  On symmetric
+    tensors Delta_k is (P_1 (x) ... (x) P_m) times the map z -> m! Alt((X_1
+    (x) ... (x) X_m) z), with the factors M_1 .. M_m, or -M_0 in place of
+    M_k.  So S^T Delta_k S = Pi E_k, with E_k the exterior pencil of
+    `_exterior_pencil` and Pi the same square matrix for every k: the two
+    pencils have the same eigenpairs, and this solves E_k, with no P_i.
+    Q keeps E_0 well conditioned where the B alone would make it nearly
+    singular (the match-ell problem, whose B_1 is close to nilpotent).
+
+    Every eigenvalue mu_m within NEAR_REAL of the real axis gives c from
+    its eigenvector y: y at {k, j, ..., j} over y at {j, ..., j} is
+    sqrt(m) c_k / c_j, read at the j of largest |c_j|.  w is the
+    least-squares solution of sum_j w_j B_j c = -A c.
+    """
+    n, m = A.shape[1] - 1, len(Bs)
+    Q = _parameter_change(m, _PROJECTION_SEED)
+    changed = (Q.T @ np.array([A, *Bs]).reshape(m + 1, -1)).reshape(m + 1, *A.shape)
+    E = _exterior_pencil([*changed[1:m], np.vstack([changed[m], -changed[0]])], n)
+    mu, Y = np.linalg.eig(np.linalg.solve(E[0], E[1]))
+    Y = Y.T[np.abs(mu.imag) <= NEAR_REAL * np.abs(mu)]
+    mixed = _symmetric_basis(n, m).mixed
+    pure = np.diag(mixed)
+    j = np.argmax(np.abs(Y[:, pure]), axis=1)
+    rows = np.arange(len(Y))
     with np.errstate(all="ignore"):
-        x, y = (lam[1] / lam[0]).real, (lam[2] / lam[0]).real
-    finite = np.isfinite(x) & np.isfinite(y)
-    x, y = x[finite], y[finite]
-    _, s, vh = np.linalg.svd(A + x[:, None, None] * B + y[:, None, None] * C)
-    if n:
+        c = Y[rows[:, None], mixed[j]] / (math.sqrt(m) * Y[rows, pure[j]])[:, None]
+    c[rows, j] = 1.0
+    c = c.real[np.isfinite(c).all(axis=1)]
+    c = c[c[:, -1] != 0.0]
+    w = [np.linalg.lstsq(np.column_stack([B @ ci for B in Bs]), -A @ ci, rcond=None)[0] for ci in c]
+    return np.reshape(w, (len(c), m)), c
+
+
+def _genuine(A: np.ndarray, Bs: list, w: np.ndarray) -> np.ndarray:
+    """Per row of w: is the smallest singular value of A + sum_j w_j B_j at
+    most GENUINE_TOL of its largest?  With one column, its one singular
+    value is measured against the norms of the terms."""
+    s = np.linalg.svd(A + np.tensordot(w, np.array(Bs), axes=1), compute_uv=False)
+    if A.shape[1] > 1:
         scale = s[:, 0]
-    else:  # one column: its one singular value is measured against the terms
-        scale = sum(np.linalg.norm(M) * abs(t) for M, t in ((A, 1.0), (B, x), (C, y)))
-    genuine = s[:, -1] <= GENUINE_TOL * scale
-    return x[genuine], y[genuine], vh[genuine, -1]
+    else:
+        scale = np.linalg.norm(A) + np.abs(w) @ np.array([np.linalg.norm(B) for B in Bs])
+    return s[:, -1] <= GENUINE_TOL * scale
 
 
 def _null_vectors(A: np.ndarray, B: np.ndarray, C: np.ndarray | None = None):
     """The real solutions (x, c) of (A + x B) c = 0 for square A and B, or
-    of (A + x B + y C) c = 0 for some real y (`_two_parameter`) when A is
-    (n+2)x(n+1), whose c has degree n (c_n != 0): arrays x and c as rows.
+    of (A + x B + y C) c = 0 for some real y when A is (n+2)x(n+1), whose c
+    has degree n (c_n != 0): arrays x and c as rows.
 
-    The square pencil's solutions are the real eigenvalues of -B^-1 A."""
-    if C is None:
-        x, vecs = np.linalg.eig(-np.linalg.solve(B, A))
-        real = x.imag == 0.0
-        x, c = x.real[real], vecs.T[real].real
-    else:
-        x, _, c = _two_parameter(A, B, C)
-    keep = c[:, -1] != 0.0
-    return x[keep], c[keep]
+    The square pencil's solutions are the real eigenvalues of -B^-1 A; the
+    rectangular problem's are those of `_multiparameter` whose (x, y) pass
+    the GENUINE_TOL test."""
+    if C is not None:
+        w, c = _multiparameter(A, [B, C])
+        genuine = _genuine(A, [B, C], w)
+        return w[genuine, 0], c[genuine]
+    x, vecs = np.linalg.eig(-np.linalg.solve(B, A))
+    keep = (x.imag == 0.0) & (vecs[-1].real != 0.0)
+    return x.real[keep], vecs.T[keep].real
 
 
-def _eigen_rows(A: np.ndarray) -> list[np.ndarray]:
-    """Candidate root rows from the matrix of `_ode_matrix` with m = 1 or 2:
-    every degree-n branch is a null vector c of A + w0 T0 (an eigenvector of
-    A when m = 1) or of A + w1 T1 + w0 T0, and its roots are those of S."""
-    n = A.shape[1] - 1
-    if A.shape[0] == A.shape[1]:
-        coeffs = _null_vectors(A, np.eye(n + 1))[1]
-    else:
-        coeffs = _null_vectors(A, np.eye(n + 2, n + 1, -1), np.eye(n + 2, n + 1))[1]
-    return [np.roots(c[::-1]).astype(complex) for c in coeffs]
+def _shifts(n: int, m: int) -> list[np.ndarray]:
+    """T_0 .. T_(m-1), (n+m)x(n+1): T_j takes t^k to t^(k+j)."""
+    return [np.eye(n + m, n + 1, -j) for j in range(m)]
 
 
 def solve_bae(
@@ -693,58 +570,55 @@ def solve_bae(
 ) -> list[RootSet]:
     """All distinct conjugate-closed solutions of the degree-n root system.
 
-    When at most two W coefficients depend on the roots, the branches are
-    enumerated and `cfg` has no effect.  With w0 alone (p4 = q3 = q4 = q5 =
-    0: the sextic and coulombic quartic working ODEs), the candidates are
-    the eigenvectors of the (n+1)x(n+1) matrix of the ODE on polynomials of
-    degree n; for those two families it is tridiagonal with positive
-    off-diagonal products, so all n + 1 branches are real and simple.  With
-    w1 and w0 (q4 = q5 = 0: the harmonic quartic and the decatic), they are
-    the null vectors of the (n+2)x(n+1) matrix A + w1 T1 + w0 T0 at the real
-    solutions of that two-parameter eigenproblem (`_two_parameter`, with
-    B = T1 and C = T0).  Either way every real solution is a candidate, so
-    the promise above holds.  Every other ODE (the octic) is
-    searched by multi-start damped Newton with per-start RNG streams derived
-    from (seed, start index), which may miss a branch.  Candidates are
-    polished, filtered and deduplicated, and the list is sorted by the
-    canonical key (sorted real parts, then imaginary parts), so the output
-    is deterministic for a seed.
+    The branches are enumerated, for every working ODE, from the matrix A
+    of the ODE on polynomials of degree n (`_ode_matrix`), and `cfg` has no
+    effect.  With w0 the only root-dependent W coefficient (p4 = q3 = q4 =
+    q5 = 0: the sextic and coulombic quartic working ODEs), the candidates
+    are the real eigenvectors of the (n+1)x(n+1) matrix; for those two
+    families it is tridiagonal with positive off-diagonal products, so all
+    n + 1 branches are real and simple.  With m > 1 of them (w_(m-1) ..
+    w0: m = 2 for the harmonic quartic and the decatic, 3 for the
+    coulombic octic and 4 for the harmonic octic), they are the null
+    vectors of the (n+m)x(n+1) matrix A + w_(m-1) T_(m-1) + ... + w0 T0 at
+    the near-real solutions of that m-parameter eigenproblem
+    (`_multiparameter`, whose pencil has exactly its C(n+m, m) solutions).
+    Either way every real solution is a candidate, so the promise above
+    holds for all four families.  Candidates are polished and filtered,
+    and one is kept when the smallest singular value of the matrix at the
+    W of its polished roots passes the GENUINE_TOL test.  They are
+    deduplicated, and the list is sorted by the canonical key (sorted real
+    parts, then imaginary parts), so the output is deterministic.
 
-    Raises NoSolutionFound when n > 0 and no Newton start converges, or no
-    enumerated candidate is accepted.
+    Raises NoSolutionFound when n > 0 and no enumerated candidate is
+    accepted.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     if n == 0:
         return [RootSet(0, (), variable, 0.0, math.inf)]
-    enumerated = _root_dependent(ode) <= 2
-    if enumerated:
-        converged = _eigen_rows(_ode_matrix(ode, n))
-    else:
-        converged = list(_newton_batch(ode, _make_starts(n, cfg)))
-        for row in _coefficient_newton(ode, _coefficient_starts(n, cfg)):
-            roots = np.roots(np.concatenate([row, [1.0]])[::-1])
-            if np.all(np.isfinite(roots)):
-                converged.append(roots.astype(complex))
-        if len(converged) == 0:
-            raise NoSolutionFound(f"no Newton start converged for n={n}")
+    A = _ode_matrix(ode, n)
+    m = A.shape[0] - n
+    shifts = _shifts(n, m)
+    coeffs = _null_vectors(A, shifts[0])[1] if m == 1 else _multiparameter(A, shifts)[1]
     found: list[tuple] = []
 
     def known(roots: np.ndarray) -> bool:
-        return any(np.max(np.abs(roots - f[0])) < DEDUP_TOL for f in found)
+        return bool(found) and np.min(np.max(np.abs([f[0] for f in found] - roots), axis=1)) < DEDUP_TOL
 
     # A row is skipped only once its branch is accepted, so a row that fails
     # the filters cannot hide a nearby row that passes them.
     with np.errstate(all="ignore"):
-        for row in converged:
-            raw = _canonical_order(row)
+        for c in coeffs:
+            raw = _canonical_order(np.roots(c[::-1]).astype(complex))
             if known(raw):
                 continue
             accepted = _accept_candidate(ode, _polish(ode, raw)) or _accept_candidate(ode, raw)
             if accepted and not known(accepted[0]):
-                found.append(accepted)
-    if enumerated and not found:
-        raise NoSolutionFound(f"no enumerated degree-{n} solution is a branch")
+                w = compute_w_coefficients(ode, accepted[0])[:m]
+                if _genuine(A, shifts, np.array([w]))[0]:
+                    found.append(accepted)
+    if not found:
+        raise NoSolutionFound(f"no enumerated candidate of degree {n} was accepted")
     found.sort(key=lambda item: _branch_key(item[0]))
     return [
         RootSet(n, tuple(complex(z) for z in ordered), variable, res, sep)

@@ -247,13 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--match-ell", dest="match_ell", action="store_true")
         p.add_argument(
             "--seed", type=int, default=None,
-            help="seed of the Newton root search (default: QES_SEED, else 0); "
-            "used by octic problems only: the other families' branches are enumerated",
+            help="accepted for compatibility and validated (a non-negative integer; "
+            "default: QES_SEED, else 0), but without effect: every family's branches are enumerated",
         )
         p.add_argument(
             "--starts", type=int, default=SolverConfig.starts,
-            help="starts per Newton pass (default: %(default)s); "
-            "used by octic problems only: the other families' branches are enumerated",
+            help="accepted for compatibility and validated (a positive integer; "
+            "default: %(default)s), but without effect: every family's branches are enumerated",
         )
         p.add_argument("--out", default=None)
 

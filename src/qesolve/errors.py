@@ -26,8 +26,8 @@ class DenominatorBlowup(QesError):
 
 
 class NoSolutionFound(QesError):
-    """No Newton start converged for the root system, or no enumerated
-    candidate passed the acceptance filters."""
+    """No enumerated candidate of the root system passed the acceptance
+    filters."""
 
 
 class ConstraintInfeasible(QesError):

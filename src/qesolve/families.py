@@ -385,8 +385,8 @@ def solve_family_detailed(
     """solve_family plus a record of skipped branches (for scans).
 
     In match-ell mode (sextic, decatic) the branches are every match of the
-    requested ell in OMEGA_RANGE (`_match_ell`); a given omega is not used,
-    and neither is `cfg`.
+    requested ell in OMEGA_RANGE (`_match_ell`); a given omega is not used.
+    No mode uses `cfg`.
     """
     if problem.match_ell and problem.family in _MATCH_ELL_FAMILIES:
         branches, failures = _match_ell(problem)
@@ -410,7 +410,8 @@ def solve_family_detailed(
 def solve_family(
     problem: FamilyProblem, cfg: SolverConfig = SolverConfig()
 ) -> list[QESSolution]:
-    """One QESSolution per admissible root branch, deterministic for a seed."""
+    """One QESSolution per admissible root branch, deterministic; `cfg` has
+    no effect (see `SolverConfig`)."""
     return solve_family_detailed(problem, cfg)[0]
 
 
@@ -455,10 +456,10 @@ def _match_ell(problem: FamilyProblem) -> tuple[list[tuple[RootSet, float]], lis
     with omega in OMEGA_RANGE (`bethe._null_vectors`): for the sextic the
     real eigenvalues of the (n+1)x(n+1) pencil A c = -omega L c, for the
     decatic the real solutions (omega, w0) of the (n+2)x(n+1) two-parameter
-    problem.  The roots of S go through the polish and filters of
-    the root search at omega.  The closing formulas' rounding leaves omega
-    off by up to ~1e-13 relative, so one secant step on the mismatch that
-    the MATCH_TOL gate measures follows.  Two candidates that reach the same
+    problem (`bethe._multiparameter` with m = 2).  The roots of S go
+    through the polish and filters of `solve_bae` at omega.  The closing
+    formulas' rounding leaves omega off by up to ~1e-13 relative, so one
+    secant step on the mismatch that the MATCH_TOL gate measures follows.  Two candidates that reach the same
     match (within DEDUP_TOL in roots and relative omega) give it once.
     """
     n, target = problem.n, (problem.ell + 0.5) ** 2

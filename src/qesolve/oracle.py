@@ -194,14 +194,31 @@ def _ldl_counts(a: np.ndarray, e: np.ndarray) -> np.ndarray:
     return counts
 
 
+def _ldl_pass(diag: np.ndarray, offdiag_sq: float, shifts: np.ndarray) -> np.ndarray:
+    """`_ldl_counts` of the matrices diag - shift with off-diagonal
+    offdiag_sq: the same counts, stepping through the grid once for all
+    shifts with one row of each at a time."""
+    pivmin = np.finfo(float).tiny * max(offdiag_sq, 1.0)
+    counts = np.zeros(len(shifts), dtype=int)
+    q = diag[0] - shifts
+    for i in range(1, len(diag) + 1):
+        q = np.where(np.abs(q) < pivmin, -pivmin, q)
+        counts += q < 0.0
+        if i < len(diag):
+            q = (diag[i] - shifts) - offdiag_sq / q
+    return counts
+
+
 # Shifts reduced together: a block's matrices hold at most this many entries,
 # so a pass's memory does not grow with its number of shifts.
 _BLOCK_ENTRIES = 1 << 14
 
 
-def _block_counts(diag: np.ndarray, offdiag_sq: float, shifts: np.ndarray) -> np.ndarray:
-    """`_sturm_counts` for one block of shifts."""
+def _block_counts(diag: np.ndarray, offdiag_sq: float, shifts: np.ndarray):
+    """`_sturm_counts` for one block of shifts, and which shifts fail the
+    guard at the first level: their counts are left at 0."""
     counts = np.zeros(len(shifts), dtype=int)
+    unreduced = np.zeros(len(shifts), dtype=bool)
     rows = np.arange(len(shifts))  # the shifts still being reduced
     a = diag - shifts[:, None]
     e = np.broadcast_to(offdiag_sq, (len(shifts), len(diag) - 1))
@@ -219,10 +236,13 @@ def _block_counts(diag: np.ndarray, offdiag_sq: float, shifts: np.ndarray) -> np
         # per shift, so a count does not depend on the shifts beside it.
         ok = np.all(2.0 * np.abs(p) >= reach, axis=1)
         if not ok.all():
-            counts[rows[~ok]] += _ldl_counts(a[~ok], e[~ok])
+            if a.shape[1] == len(diag):
+                unreduced[rows[~ok]] = True
+            else:
+                counts[rows[~ok]] += _ldl_counts(a[~ok], e[~ok])
             rows, a, e, p = rows[ok], a[ok], e[ok], p[ok]
             if not len(rows):
-                return counts
+                return counts, unreduced
         counts[rows] += np.count_nonzero(p < 0.0, axis=1)
         inv = 1.0 / p
         e_left, e_right = e[:, 0::2], e[:, 1::2]  # each odd row's couplings
@@ -232,7 +252,7 @@ def _block_counts(diag: np.ndarray, offdiag_sq: float, shifts: np.ndarray) -> np
         a[:, 1 : k + 1] -= e_right * inv[:, :k]
         e = e_left[:, :k] * e_right * (inv[:, :k] * inv[:, :k])
     counts[rows] += _ldl_counts(a, e)
-    return counts
+    return counts, unreduced
 
 
 def _sturm_counts(diag: np.ndarray, offdiag_sq: float, shifts: np.ndarray) -> np.ndarray:
@@ -242,16 +262,23 @@ def _sturm_counts(diag: np.ndarray, offdiag_sq: float, shifts: np.ndarray) -> np
     Cyclic reduction (Buzbee, Golub & Nielson 1970) halves the matrix level
     by level and counts the negative pivots it eliminates; once a level
     fails the dominance guard, the LDL^T recurrence counts the rows left.
-    Each count depends on its shift alone, not on the other shifts.
+    The shifts that fail it at the first level (those in mid-spectrum,
+    above about 1/h^2 + min V) are counted together, by one LDL^T pass
+    over the grid.  Each count depends on its shift alone, not on the other
+    shifts.
     """
     shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
     counts = np.zeros(len(shifts), dtype=int)
+    unreduced = np.zeros(len(shifts), dtype=bool)
     step = max(1, _BLOCK_ENTRIES // len(diag))
     # In strongly dominant rows the couplings shrink doubly exponentially
     # level by level and may underflow; the rows then decouple to rounding.
     with np.errstate(under="ignore"):
         for start in range(0, len(shifts), step):
-            counts[start : start + step] = _block_counts(diag, offdiag_sq, shifts[start : start + step])
+            block = slice(start, start + step)
+            counts[block], unreduced[block] = _block_counts(diag, offdiag_sq, shifts[block])
+        if unreduced.any():
+            counts[unreduced] = _ldl_pass(diag, offdiag_sq, shifts[unreduced])
     return counts
 
 

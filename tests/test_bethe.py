@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from qesolve import (
     Family,
     FamilyProblem,
     NonRealCoefficients,
-    NoSolutionFound,
     PolyODE,
     SolverConfig,
     Variable,
@@ -20,11 +20,12 @@ from qesolve import (
     verify_polynomial_identity,
 )
 from qesolve import bethe
-from qesolve.bethe import _coefficient_newton, _coefficient_starts, _make_starts, _newton_batch
 from qesolve.families import build_ode
 from qesolve.polynomials import poly_from_roots
 
+import newton_reference
 from conftest import max_abs
+from newton_reference import _coefficient_newton, _coefficient_starts, _make_starts, _newton_batch
 from test_acceptance import _FAMILY_CASES, SWEEP_CFG, _draw_couplings
 
 # Working ODE of the inverse-quartic oscillator with omega=1, c=0, sqrt(2d)=1:
@@ -227,6 +228,8 @@ class TestConjugatePairs:
 
 
 class TestSingularNewtonStep:
+    """The Newton passes of the reference search (`newton_reference`)."""
+
     @pytest.mark.parametrize(
         "newton, make_starts",
         [(_newton_batch, _make_starts), (_coefficient_newton, _coefficient_starts)],
@@ -296,18 +299,25 @@ NEWTON_MISSES = [
     (Family.QUARTIC, 14, 5),
     (Family.DECATIC, 5, 5),
 ]
+# Octic operations of the acceptance sweep, (draw, n), where the Newton
+# search of SWEEP_CFG missed branches: harmonic draws 0 and 2 and coulombic
+# draws 1 and 3 at n = 3..5 (each misses at n = 5, most at n = 3 and 4
+# too), and harmonic draws 4 and 14 at n = 5.
+OCTIC_MISSES = [(draw, n) for draw in range(4) for n in range(3, 6)] + [(4, 5), (14, 5)]
 # The enumerated draws of the acceptance sweep.  With w0 the only
 # root-dependent W coefficient: every sextic draw, and the coulombic quartic
 # ones (omega = 0, so q3 = 0).  With w1 and w0: the harmonic quartic draws
-# and every decatic draw.
+# and every decatic draw.  With three (coulombic) or four (harmonic): the
+# octic draws.
 SQUARE = [(Family.SEXTIC, draw) for draw in range(20)] + [(Family.QUARTIC, draw) for draw in range(1, 20, 2)]
 RECTANGULAR = [(Family.QUARTIC, draw) for draw in range(0, 20, 2)] + [(Family.DECATIC, draw) for draw in range(20)]
+OCTIC = [(Family.OCTIC, draw) for draw in range(20)]
 ENUMERATED = SQUARE + RECTANGULAR
 
 
 def _newton_accepted(problem: FamilyProblem) -> list[np.ndarray]:
-    """The roots of every row of both Newton passes (SWEEP_CFG starts) that
-    `_accept_candidate` accepts."""
+    """The roots of every row of both reference Newton passes (SWEEP_CFG
+    starts) that `_accept_candidate` accepts."""
     ode, _ = build_ode(problem)
     n = problem.n
     rows = list(_newton_batch(ode, _make_starts(n, SWEEP_CFG)))
@@ -321,11 +331,18 @@ def _near(roots, branches) -> bool:
     return any(max_abs(roots - b) < bethe.DEDUP_TOL for b in branches)
 
 
+# What the Newton search left in `bethe` for `newton_reference`.
+NEWTON_NAMES = [
+    "_newton_batch", "_coefficient_newton", "_coefficient_residual", "_make_starts",
+    "_coefficient_starts", "_newton_steps", "BOX", "NEWTON_FLOOR", "NEWTON_ITERATIONS", "COEFF_TOL",
+]
+
+
 class TestEnumeration:
     """The branches come from the ODE's matrix on polynomials of degree n:
     its eigenvectors when w0 is the only root-dependent W coefficient, the
-    null vectors at the real solutions of its two-parameter eigenproblem
-    when w1 is one too."""
+    null vectors at the real solutions of its m-parameter eigenproblem when
+    m > 1 are."""
 
     @pytest.mark.parametrize("family, draw, n", NEWTON_SHORT)
     def test_operation_newton_left_short_gets_every_branch(self, family, draw, n):
@@ -341,6 +358,16 @@ class TestEnumeration:
             assert _near(roots, enumerated)
         assert any(not _near(b, newton) for b in enumerated)
 
+    @pytest.mark.parametrize("draw, n", OCTIC_MISSES)
+    def test_every_octic_branch_of_600_newton_starts_is_enumerated(self, draw, n):
+        problem = _sweep_problem(Family.OCTIC, draw, n)
+        ode, variable = build_ode(problem)
+        enumerated = [s.as_array() for s in _solve(problem, SWEEP_CFG)]
+        reference = newton_reference.newton_branches(ode, n, MANY_STARTS, variable)
+        assert reference
+        for s in reference:
+            assert _near(s.as_array(), enumerated)
+
     @pytest.mark.parametrize("family, draw", SQUARE)
     def test_n_plus_one_branches_whatever_the_starts(self, family, draw):
         for n in range(1, 6):
@@ -349,7 +376,7 @@ class TestEnumeration:
             assert len(few) == n + 1
             assert few == _solve(problem, MANY_STARTS)
 
-    @pytest.mark.parametrize("family, draw", RECTANGULAR)
+    @pytest.mark.parametrize("family, draw", RECTANGULAR + OCTIC)
     def test_same_branches_whatever_the_starts(self, family, draw):
         # Two calls give bit-identical RootSets, whatever their starts.
         for n in range(1, 6):
@@ -358,7 +385,7 @@ class TestEnumeration:
             assert few
             assert few == _solve(problem, MANY_STARTS)
 
-    @pytest.mark.parametrize("family, draw", ENUMERATED)
+    @pytest.mark.parametrize("family, draw", ENUMERATED + OCTIC)
     def test_every_branch_newton_accepts_is_enumerated(self, family, draw):
         for n in range(1, 6):
             problem = _sweep_problem(family, draw, n)
@@ -369,9 +396,11 @@ class TestEnumeration:
                 assert _near(roots, enumerated)
 
     def test_another_projection_gives_the_same_branches(self, monkeypatch):
+        # m = 2 (harmonic quartic, decatic), 3 (coulombic octic) and 4
+        # (harmonic octic).
         fixed = {
             (family, draw, n): [s.as_array() for s in _solve(_sweep_problem(family, draw, n), SWEEP_CFG)]
-            for family, draw in RECTANGULAR
+            for family, draw in RECTANGULAR + OCTIC
             for n in range(1, 6)
         }
         monkeypatch.setattr(bethe, "_PROJECTION_SEED", bethe._PROJECTION_SEED + 1)
@@ -381,42 +410,110 @@ class TestEnumeration:
             for a, b in zip(other, branches):
                 assert max_abs(a - b) < bethe.DEDUP_TOL
 
-    def test_only_the_octic_runs_newton(self, monkeypatch):
-        calls = []
+    def test_no_family_runs_newton(self, monkeypatch):
+        # No solve draws random starts: once the fixed change of parameters
+        # is cached, a solve of any family makes no random generator.
+        problems = [
+            _sweep_problem(family, draw, 5)
+            for family, draw in [(Family.SEXTIC, 0), (Family.QUARTIC, 0), (Family.QUARTIC, 1),
+                                 (Family.OCTIC, 0), (Family.OCTIC, 1), (Family.DECATIC, 0)]
+        ]
+        expected = [_solve(p, SWEEP_CFG) for p in problems]
 
-        def no_newton(ode, starts):
-            calls.append(len(starts))
-            raise RuntimeError("the root-space Newton pass ran")
+        def no_generator(*args, **kwargs):
+            raise AssertionError("a random generator was made")
 
-        monkeypatch.setattr(bethe, "_newton_batch", no_newton)
-        for family, draw in RECTANGULAR:
-            assert _solve(_sweep_problem(family, draw, 5), SWEEP_CFG)
-        assert not calls
-        with pytest.raises(RuntimeError, match="Newton pass ran"):
-            _solve(_sweep_problem(Family.OCTIC, 0, 4), SWEEP_CFG)
-        assert calls
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        assert [_solve(p, MANY_STARTS) for p in problems] == expected
+        assert not [name for name in NEWTON_NAMES if hasattr(bethe, name)]
+
+
+def _kronecker_pencil(A: np.ndarray, Bs: list, seed: int):
+    """Delta_0 and Delta_m of the problem after bethe's change of parameters,
+    projected by m random P_i: (n+1)^m-square Kronecker determinants."""
+    n, m = A.shape[1] - 1, len(Bs)
+    Q = bethe._parameter_change(m, bethe._PROJECTION_SEED)
+    M = np.tensordot(Q.T, np.array([A, *Bs]), axes=1)
+    P = np.random.default_rng(seed).standard_normal((m, n + 1, n + m))
+
+    def determinant(V):
+        total = 0.0
+        for perm in itertools.permutations(range(m)):
+            term = np.ones((1, 1))
+            for i, j in enumerate(perm):
+                term = np.kron(term, V[i][j])
+            total = total + np.linalg.det(np.eye(m)[list(perm)]) * term
+        return total
+
+    V = [[P[i] @ M[j] for j in range(1, m + 1)] for i in range(m)]
+    delta0 = determinant(V)
+    for i in range(m):
+        V[i][m - 1] = -P[i] @ M[0]
+    return delta0, determinant(V)
+
+
+class TestPencil:
+    """`_multiparameter` solves the exterior pencil in place of the Galerkin
+    pencil S^T Delta_k S of the projected Kronecker problem."""
+
+    @pytest.mark.parametrize("family, draw", [(Family.QUARTIC, 0), (Family.OCTIC, 1), (Family.OCTIC, 0)])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_same_eigenvalues_as_the_projected_galerkin_pencil(self, family, draw, n):
+        ode, _ = build_ode(_sweep_problem(family, draw, n))
+        A = bethe._ode_matrix(ode, n)
+        m = A.shape[0] - n
+        Bs = bethe._shifts(n, m)
+        of, _, _, value, _ = bethe._symmetric_basis(n, m)
+        S = np.zeros(((n + 1) ** m, of.max() + 1))
+        S[np.arange(len(of)), of] = value
+        assert max_abs(S.T @ S - np.eye(S.shape[1])) < 1e-14
+        Q = bethe._parameter_change(m, bethe._PROJECTION_SEED)
+        M = np.tensordot(Q.T, np.array([A, *Bs]), axes=1)
+        W = bethe._exterior_pencil([*M[1:m], np.vstack([M[m], -M[0]])], n)
+        ours = np.linalg.eigvals(np.linalg.solve(W[0], W[1]))
+        for seed in (0, 1):
+            delta0, deltam = _kronecker_pencil(A, Bs, seed)
+            galerkin = np.linalg.eigvals(np.linalg.solve(S.T @ delta0 @ S, S.T @ deltam @ S))
+            assert len(galerkin) == len(ours) == math.comb(n + m, m)
+            for mu in galerkin:
+                assert np.min(np.abs(ours - mu)) < 1e-8 * max(1.0, abs(mu))
+
+    def test_peak_memory_of_the_largest_sweep_solve(self):
+        # Harmonic octic draw 2 at n = 5: m = 4, so a 126-square pencil, here
+        # with its tables built afresh.  Its Kronecker determinants would be
+        # 1296 square, 13 MB each.
+        import tracemalloc
+
+        ode, variable = build_ode(_sweep_problem(Family.OCTIC, 2, 5))
+        bethe._symmetric_basis.cache_clear()
+        bethe._laplace_steps.cache_clear()
+        tracemalloc.start()
+        try:
+            solve_bae(ode, 5, SWEEP_CFG, variable)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 # Harmonic octic draw 0 of the acceptance sweep at n = 4: its working ODE
-# has four root-dependent W coefficients, so the Newton passes search it,
-# and they find 12 branches from 48 starts and from 600.
+# has four root-dependent W coefficients, and the reference Newton search
+# finds the 12 branches that solve_bae enumerates from 48 starts and from 600.
 SEARCHED = _sweep_problem(Family.OCTIC, 0, 4)
 
 
 def _searched_branches(cfg=MANY_STARTS):
     steps = []
-    real_steps = bethe._newton_steps
+    real_steps = newton_reference._newton_steps
 
     def counted(J, R):
         steps.append(len(J))
         return real_steps(J, R)
 
+    ode, variable = build_ode(SEARCHED)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bethe, "_newton_steps", counted)
-        try:
-            branches = [s.as_array() for s in _solve(SEARCHED, cfg)]
-        except NoSolutionFound:
-            branches = []
+        mp.setattr(newton_reference, "_newton_steps", counted)
+        branches = [s.as_array() for s in newton_reference.newton_branches(ode, SEARCHED.n, cfg, variable)]
     assert steps, "the Newton passes did not run"
     return branches
 
@@ -430,18 +527,22 @@ def searched_rows():
 
 def _branches_from_rows(root_rows, coeff_rows):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bethe, "_make_starts", lambda n, cfg: root_rows)
-        mp.setattr(bethe, "_coefficient_starts", lambda n, cfg: coeff_rows)
+        mp.setattr(newton_reference, "_make_starts", lambda n, cfg: root_rows)
+        mp.setattr(newton_reference, "_coefficient_starts", lambda n, cfg: coeff_rows)
         return _searched_branches()
 
 
 class TestBranchSetIndependentOfStarts:
+    """The reference search at SEARCHED: its branch set does not depend on
+    the order of the starts, and is the enumerated one."""
+
     def test_more_starts_keep_every_branch(self):
         few = _searched_branches(SolverConfig(seed=2026, starts=48))
         many = _searched_branches()
-        assert len(few) == len(many) == 12
-        for a, b in zip(few, many):
-            assert _same_branch(a, b)
+        enumerated = [s.as_array() for s in _solve(SEARCHED, SWEEP_CFG)]
+        assert len(few) == len(many) == len(enumerated) == 12
+        for a, b, c in zip(few, many, enumerated):
+            assert _same_branch(a, b) and _same_branch(b, c)
 
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(
@@ -470,7 +571,8 @@ SWEEP_SEXTIC_N5 = _sweep_problem(Family.SEXTIC, 0, 5)
 
 
 class TestNewtonStopsWhenSettled:
-    """Started at an accepted branch, each pass returns it within two steps.
+    """Started at an accepted branch, each reference pass returns it within
+    two steps.
 
     The sextic's roots reach about 45 here, so the coefficients' rounding
     floor lies above the absolute convergence floor; a pass must stop on a
@@ -479,14 +581,14 @@ class TestNewtonStopsWhenSettled:
 
     @pytest.fixture
     def steps(self, monkeypatch):
-        real_steps = bethe._newton_steps
+        real_steps = newton_reference._newton_steps
         calls = []
 
         def counted(J, R):
             calls.append(len(J))
             return real_steps(J, R)
 
-        monkeypatch.setattr(bethe, "_newton_steps", counted)
+        monkeypatch.setattr(newton_reference, "_newton_steps", counted)
         return calls
 
     def test_each_pass_returns_a_branch_it_starts_at(self, steps):

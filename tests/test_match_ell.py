@@ -70,9 +70,9 @@ class TestEveryScanMatchIsReturned:
     def test_drawn_problem(self, n, ell, b, c, d):
         assert_scan_matches_returned(decatic(n=n, ell=ell, b=b, c=c, d=d, match_ell=True))
 
-    # Without the projective change of (1, omega, w0), Delta0 of these two
-    # problems has a condition number of ~1e17 and ~3e11, and the match at
-    # omega ~ 1.516 (and ~ 1.016) is lost.
+    # Without the projective change of (1, omega, w0), the pencil's E_0 of
+    # these two problems has a condition number of ~4e16 and ~1e10 (with
+    # it, ~2e4), and the match at omega ~ 1.516 (and ~ 1.016) was lost.
     def test_near_singular_delta0_ell0(self):
         prob = decatic(n=3, ell=0, b=0.18090178094964438, c=-0.03003563625515171, d=1.2390857883838382,
                        match_ell=True)
@@ -117,13 +117,13 @@ class TestEnumeratedMatches:
         # every candidate twice, the second a rounding away, and each match
         # must still come back once.
         expected = [matches(p) for p in DECATIC_WORKLOAD]
-        two_parameter = bethe._two_parameter
+        multiparameter = bethe._multiparameter
 
-        def twice(A, B, C):
-            x, y, c = two_parameter(A, B, C)
-            return np.concatenate([x, x * (1 + 1e-14)]), np.concatenate([y, y]), np.concatenate([c, c])
+        def twice(A, Bs):
+            w, c = multiparameter(A, Bs)
+            return np.concatenate([w, w * [1 + 1e-14, 1.0]]), np.concatenate([c, c])
 
-        monkeypatch.setattr(bethe, "_two_parameter", twice)
+        monkeypatch.setattr(bethe, "_multiparameter", twice)
         for problem, before in zip(DECATIC_WORKLOAD, expected):
             after = matches(problem)
             assert same_matches(after, before)

@@ -392,6 +392,25 @@ class TestSturmCounts:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_mid_spectrum_shifts_take_one_pass_over_the_grid(self, monkeypatch):
+        # Shifts between about 1/h^2 and 3/h^2 fail the dominance guard at
+        # once.  One LDL^T pass over the 4801 rows counts all 89 of them:
+        # 4801 sequential row steps, where one pass per block of three
+        # shifts took 30 times as many.
+        diag, off_sq = _fd_matrix(PotentialSpec(0.0, 1.0, {}), FdGrid(1e-3, 12.0, 4801))
+        shifts = np.linspace(1.1, 2.9, 89) * math.sqrt(off_sq)
+        steps = []
+        for name in ("_ldl_counts", "_ldl_pass"):
+
+            def counted(matrix, *args, real=getattr(oracle, name)):
+                steps.append(matrix.shape[-1])  # the rows the recurrence steps through
+                return real(matrix, *args)
+
+            monkeypatch.setattr(oracle, name, counted)
+        got = oracle._sturm_counts(diag, off_sq, shifts)
+        assert steps == [4801]
+        assert list(got) == list(sturm_reference._sturm_counts(diag, off_sq, shifts))
+
 
 class TestFdSpectrumAgainstLdl:
     """fd_spectrum on cyclic-reduction counts agrees with fd_spectrum on the

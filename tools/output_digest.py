@@ -22,9 +22,13 @@ its maximum relative root, energy, derived-coupling and failure-record
 difference (each value's difference over max(1, |old value|); a failure
 record's values are the numbers in its text), or says what differs besides
 the values (branch count, a coupling's name, or failure records that differ
-with their numbers masked).  Its last
-line lists the operations whose branch count fell and those whose count
-rose, so `grep '^branch count'` checks that no operation lost a branch.
+with their numbers masked).  For an operation whose branch count rose, it
+also checks each old branch against the new ones: one is kept when a new
+branch has roots within ROOT_TOL of its roots (max norm, canonical order),
+and each old branch that is not kept is printed.  Its last line lists the
+operations whose branch count fell, those whose count rose, and those whose
+count rose but that lost a branch, so `grep '^branch count'` checks that no
+operation lost a branch.
 
 With `--verify` it digests the `verify` benchmark workload instead: one
 line per entry of `VERIFY_POOL` (in `perfbench/workloads.py`), with its
@@ -45,6 +49,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# Roots within this distance (max norm) are one branch, for `--compare`.
+ROOT_TOL = 1e-6
 
 
 def _values(op_label, solutions, failures) -> str:
@@ -143,13 +149,21 @@ def _compare_checks(old, new, old_line, new_line) -> None:
     print(f"{old['op']} | " + " | ".join(moved))
 
 
+def _lost_branches(old, new) -> list:
+    """The old branches, as root lists, that no new branch keeps."""
+    def close(a, b) -> bool:
+        return len(a) == len(b) and all(abs(complex(*x) - complex(*y)) < ROOT_TOL for x, y in zip(a, b))
+
+    return [a for a in old["roots"] if not any(close(a, b) for b in new["roots"])]
+
+
 def compare(old_path: str, new_path: str) -> None:
     old_lines = Path(old_path).read_text().splitlines()
     new_lines = Path(new_path).read_text().splitlines()
     if len(old_lines) != len(new_lines):
         print(f"{len(old_lines)} operations against {len(new_lines)}")
     changed = 0
-    moved = {"fell": [], "rose": []}
+    moved = {"fell": [], "rose": [], "rose but lost a branch": []}
     for old_line, new_line in zip(old_lines, new_lines):
         if old_line == new_line:
             continue
@@ -165,6 +179,11 @@ def compare(old_path: str, new_path: str) -> None:
         if old["branches"] != new["branches"]:
             way = "fell" if new["branches"] < old["branches"] else "rose"
             moved[way].append(f"{old['op']} ({old['branches']} -> {new['branches']})")
+            lost = _lost_branches(old, new) if way == "rose" else []
+            if lost:
+                moved["rose but lost a branch"].append(f"{old['op']} ({len(lost)})")
+                for roots in lost:
+                    print(f"{old['op']} | lost the branch {roots}")
         (texts_old, numbers_old), (texts_new, numbers_new) = _masked(old["failures"]), _masked(new["failures"])
         same = [old[k] == new[k] for k in ("op", "branches")] + [texts_old == texts_new]
         keys = [list(d) for d in old["derived"]] == [list(d) for d in new["derived"]]
