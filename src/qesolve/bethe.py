@@ -8,13 +8,12 @@ the roots satisfy the residue conditions
     sum_{j != i} 2 / (t_i - t_j) + Q(t_i) / P(t_i) = 0,    i = 1..n,
 
 and W is assembled from the root power sums.  The module enumerates all
-solutions, whichever W coefficients w0 .. w_(m-1) depend on the roots: as
-eigenvectors of the ODE's square matrix on polynomials of degree n when w0
-is the only one (m = 1), and as null vectors of its (n+m)x(n+1) matrix at
-the real solutions of an m-parameter eigenproblem otherwise
-(`_multiparameter`, for m = 2, 3 and 4; `_null_vectors` also solves the
-match-ell problems of `families` with it).  Candidates are polished, and
-verified by exact polynomial arithmetic.
+solutions, whichever W coefficients w0 .. w_(m-1) depend on the roots, as
+null vectors of the ODE's (n+m)x(n+1) matrix on polynomials of degree n at
+the real solutions of one m-parameter eigenproblem (`_multiparameter`, for
+m = 1 to 4; it also solves the match-ell problems of `families`).  Each
+candidate is polished and verified by exact polynomial arithmetic
+(`_branch`).
 """
 
 from __future__ import annotations
@@ -339,6 +338,19 @@ def _polish(ode: PolyODE, roots: np.ndarray) -> np.ndarray:
     return T[0]
 
 
+def _branch(ode: PolyODE, start: np.ndarray, variable: Variable) -> RootSet | None:
+    """The branch polished from the roots start, or None when the filters
+    reject it; the empty start is the one branch of degree 0."""
+    if not len(start):
+        return RootSet(0, (), variable, 0.0, math.inf)
+    with np.errstate(all="ignore"):
+        accepted = _accept_candidate(ode, _polish(ode, start))
+    if accepted is None:
+        return None
+    ordered, res, sep = accepted
+    return RootSet(len(ordered), tuple(complex(z) for z in ordered), variable, res, sep)
+
+
 def _root_dependent(ode: PolyODE) -> int:
     """m: how many W coefficients (w0 .. w_{m-1}) the closing formulas make
     depend on the root sums."""
@@ -379,9 +391,6 @@ def _ode_matrix(ode: PolyODE, n: int) -> np.ndarray:
 # seed, so the solutions depend neither on SolverConfig.seed nor on earlier
 # calls.
 _PROJECTION_SEED = 0
-# Real parameters w solve (A + sum_j w_j B_j) c = 0 when the smallest
-# singular value of that matrix is at most this fraction of its largest.
-GENUINE_TOL = 1e-8
 # An eigenvalue of the pencil whose imaginary part is at most this fraction
 # of its modulus is a candidate: a double real solution may split into a
 # complex pair.
@@ -450,7 +459,7 @@ def _exterior_pencil(factors: list, n: int) -> np.ndarray:
     """The matrices, on the basis of `_symmetric_basis`, of the maps
     z -> Alt((X_1 (x) ... (x) X_m) z) from Sym^m(R^(n+1)) to the m-vectors
     of R^rows.  Each factor is rows x (n+1) but the last, which stacks
-    several such X_m; there is one square matrix per X_m.
+    two such X_m; there is one square matrix per X_m.
 
     For z = c (x) ... (x) c, row U of a matrix is the minor on rows U of
     [X_1 c, ..., X_m c].  The factors act one at a time on a block of basis
@@ -458,14 +467,14 @@ def _exterior_pencil(factors: list, n: int) -> np.ndarray:
     Laplace expansion along the newest factor; no (n+1)^m-square
     Kronecker product is formed.
     """
-    m, rows = len(factors), factors[0].shape[0]
+    m, rows = len(factors), len(factors[-1]) // 2
     of, order, first, value, _ = _symmetric_basis(n, m)
     steps = _laplace_steps(rows, m)
     sizes = [1] + [len(less) for less, _, _ in steps]
     widest = max(sizes[r - 1] * len(X) * (n + 1) ** (m - r) for r, X in enumerate(factors, start=1))
     width = max(1, _BLOCK_FLOATS // widest)
     count = sizes[-1]
-    out = np.empty((len(factors[-1]) // rows, count, count))
+    out = np.empty((2, count, count))
     for lo in range(0, count, width):
         hi = min(count, lo + width)
         entries = order[first[lo] : first[hi]]
@@ -484,7 +493,8 @@ def _exterior_pencil(factors: list, n: int) -> np.ndarray:
 def _multiparameter(A: np.ndarray, Bs: list):
     """The near-real solutions (w, c) of (A + w_1 B_1 + ... + w_m B_m) c = 0
     for (n+m)x(n+1) matrices, whose c has degree n (c_n != 0): the
-    parameters w and the null vectors c, as rows.
+    parameters w and the null vectors c, as rows.  m = 1 is the square
+    pencil A c = -w_1 B_1 c.
 
     After a random orthogonal change Q of the homogeneous parameters
     (1, w_1, ..., w_m), the problem reads (M_0 + mu_1 M_1 + ... + mu_m M_m)
@@ -507,7 +517,7 @@ def _multiparameter(A: np.ndarray, Bs: list):
     Every eigenvalue mu_m within NEAR_REAL of the real axis gives c from
     its eigenvector y: y at {k, j, ..., j} over y at {j, ..., j} is
     sqrt(m) c_k / c_j, read at the j of largest |c_j|.  w is the
-    least-squares solution of sum_j w_j B_j c = -A c.
+    least-squares solution of sum_j w_j B_j c = -A c, for all rows at once.
     """
     n, m = A.shape[1] - 1, len(Bs)
     Q = _parameter_change(m, _PROJECTION_SEED)
@@ -524,37 +534,8 @@ def _multiparameter(A: np.ndarray, Bs: list):
     c[rows, j] = 1.0
     c = c.real[np.isfinite(c).all(axis=1)]
     c = c[c[:, -1] != 0.0]
-    w = [np.linalg.lstsq(np.column_stack([B @ ci for B in Bs]), -A @ ci, rcond=None)[0] for ci in c]
-    return np.reshape(w, (len(c), m)), c
-
-
-def _genuine(A: np.ndarray, Bs: list, w: np.ndarray) -> np.ndarray:
-    """Per row of w: is the smallest singular value of A + sum_j w_j B_j at
-    most GENUINE_TOL of its largest?  With one column, its one singular
-    value is measured against the norms of the terms."""
-    s = np.linalg.svd(A + np.tensordot(w, np.array(Bs), axes=1), compute_uv=False)
-    if A.shape[1] > 1:
-        scale = s[:, 0]
-    else:
-        scale = np.linalg.norm(A) + np.abs(w) @ np.array([np.linalg.norm(B) for B in Bs])
-    return s[:, -1] <= GENUINE_TOL * scale
-
-
-def _null_vectors(A: np.ndarray, B: np.ndarray, C: np.ndarray | None = None):
-    """The real solutions (x, c) of (A + x B) c = 0 for square A and B, or
-    of (A + x B + y C) c = 0 for some real y when A is (n+2)x(n+1), whose c
-    has degree n (c_n != 0): arrays x and c as rows.
-
-    The square pencil's solutions are the real eigenvalues of -B^-1 A; the
-    rectangular problem's are those of `_multiparameter` whose (x, y) pass
-    the GENUINE_TOL test."""
-    if C is not None:
-        w, c = _multiparameter(A, [B, C])
-        genuine = _genuine(A, [B, C], w)
-        return w[genuine, 0], c[genuine]
-    x, vecs = np.linalg.eig(-np.linalg.solve(B, A))
-    keep = (x.imag == 0.0) & (vecs[-1].real != 0.0)
-    return x.real[keep], vecs.T[keep].real
+    w = np.linalg.pinv(np.stack([c @ B.T for B in Bs], axis=-1)) @ (c @ -A.T)[..., None]
+    return w[..., 0], c
 
 
 def _shifts(n: int, m: int) -> list[np.ndarray]:
@@ -572,22 +553,20 @@ def solve_bae(
 
     The branches are enumerated, for every working ODE, from the matrix A
     of the ODE on polynomials of degree n (`_ode_matrix`), and `cfg` has no
-    effect.  With w0 the only root-dependent W coefficient (p4 = q3 = q4 =
-    q5 = 0: the sextic and coulombic quartic working ODEs), the candidates
-    are the real eigenvectors of the (n+1)x(n+1) matrix; for those two
-    families it is tridiagonal with positive off-diagonal products, so all
-    n + 1 branches are real and simple.  With m > 1 of them (w_(m-1) ..
-    w0: m = 2 for the harmonic quartic and the decatic, 3 for the
-    coulombic octic and 4 for the harmonic octic), they are the null
-    vectors of the (n+m)x(n+1) matrix A + w_(m-1) T_(m-1) + ... + w0 T0 at
-    the near-real solutions of that m-parameter eigenproblem
-    (`_multiparameter`, whose pencil has exactly its C(n+m, m) solutions).
-    Either way every real solution is a candidate, so the promise above
-    holds for all four families.  Candidates are polished and filtered,
-    and one is kept when the smallest singular value of the matrix at the
-    W of its polished roots passes the GENUINE_TOL test.  They are
-    deduplicated, and the list is sorted by the canonical key (sorted real
-    parts, then imaginary parts), so the output is deterministic.
+    effect.  With m root-dependent W coefficients w_(m-1) .. w0 (m = 1 for
+    the sextic and the coulombic quartic, 2 for the harmonic quartic and
+    the decatic, 3 for the coulombic octic and 4 for the harmonic octic),
+    the candidates are the null vectors of the (n+m)x(n+1) matrix
+    A + w_(m-1) T_(m-1) + ... + w0 T0 at the near-real solutions of that
+    m-parameter eigenproblem (`_multiparameter`, whose pencil has exactly
+    its C(n+m, m) solutions).  Every real solution is a candidate, so the
+    promise above holds for all four families; with m = 1 the matrix is
+    tridiagonal with positive off-diagonal products for both families, so
+    all n + 1 branches are real and simple.  Each candidate is polished
+    and filtered (`_branch`); the filters' identity test bounds the same
+    matrix-vector product at the W of the polished roots.  The branches
+    are deduplicated, and the list is sorted by the canonical key (sorted
+    real parts, then imaginary parts), so the output is deterministic.
 
     Raises NoSolutionFound when n > 0 and no enumerated candidate is
     accepted.
@@ -597,30 +576,20 @@ def solve_bae(
     if n == 0:
         return [RootSet(0, (), variable, 0.0, math.inf)]
     A = _ode_matrix(ode, n)
-    m = A.shape[0] - n
-    shifts = _shifts(n, m)
-    coeffs = _null_vectors(A, shifts[0])[1] if m == 1 else _multiparameter(A, shifts)[1]
-    found: list[tuple] = []
+    found: list[RootSet] = []
 
     def known(roots: np.ndarray) -> bool:
-        return bool(found) and np.min(np.max(np.abs([f[0] for f in found] - roots), axis=1)) < DEDUP_TOL
+        return bool(found) and np.min(np.max(np.abs([f.roots for f in found] - roots), axis=1)) < DEDUP_TOL
 
     # A row is skipped only once its branch is accepted, so a row that fails
     # the filters cannot hide a nearby row that passes them.
-    with np.errstate(all="ignore"):
-        for c in coeffs:
-            raw = _canonical_order(np.roots(c[::-1]).astype(complex))
-            if known(raw):
-                continue
-            accepted = _accept_candidate(ode, _polish(ode, raw)) or _accept_candidate(ode, raw)
-            if accepted and not known(accepted[0]):
-                w = compute_w_coefficients(ode, accepted[0])[:m]
-                if _genuine(A, shifts, np.array([w]))[0]:
-                    found.append(accepted)
+    for c in _multiparameter(A, _shifts(n, A.shape[0] - n))[1]:
+        start = _canonical_order(np.roots(c[::-1]).astype(complex))
+        if known(start):
+            continue
+        branch = _branch(ode, start, variable)
+        if branch is not None and not known(branch.as_array()):
+            found.append(branch)
     if not found:
         raise NoSolutionFound(f"no enumerated candidate of degree {n} was accepted")
-    found.sort(key=lambda item: _branch_key(item[0]))
-    return [
-        RootSet(n, tuple(complex(z) for z in ordered), variable, res, sep)
-        for ordered, res, sep in found
-    ]
+    return sorted(found, key=lambda branch: _branch_key(branch.roots))

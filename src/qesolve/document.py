@@ -110,13 +110,15 @@ def document_to_solution(doc: dict) -> QESSolution:
         problem = FamilyProblem(
             Family(p["family"]),
             Case(p["case"]),
-            int(p["n"]),
+            p["n"],
             float(p["ell"]),
             {k: float(v) for k, v in p["free"].items()},
-            bool(p.get("match_ell", False)),
+            p.get("match_ell", False),
         )
         variable = _VARIABLES[doc["variable"]]
         roots_raw = [complex(item["re"], item["im"]) for item in doc["roots"]]
+        if len(roots_raw) != problem.n:
+            raise DocumentError(f"{len(roots_raw)} roots for n = {problem.n}")
         rd = doc.get("root_diagnostics", {})
         roots = RootSet(
             len(roots_raw),

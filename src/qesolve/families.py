@@ -33,12 +33,11 @@ from .bethe import (
     RootSet,
     SolverConfig,
     Variable,
-    _accept_candidate,
+    _branch,
     _branch_key,
     _canonical_order,
-    _null_vectors,
+    _multiparameter,
     _ode_matrix,
-    _polish,
     _residual_batch,
     _separation,
     bae_residuals,
@@ -103,8 +102,9 @@ class FamilyProblem:
             case = Case.HARMONIC
         object.__setattr__(self, "case", case)
         object.__setattr__(self, "free", dict(self.free))
-        _require(isinstance(self.n, Integral), "n is an integer")
+        _require(isinstance(self.n, Integral) and not isinstance(self.n, bool), "n is an integer")
         _require(isinstance(self.ell, Real), "ell is a real number")
+        _require(isinstance(self.match_ell, bool), "match_ell is true or false")
         if self.n < 0:
             raise InvalidParameter("n >= 0 required")
         key = (self.family, self.case)
@@ -453,35 +453,32 @@ def _match_ell(problem: FamilyProblem) -> tuple[list[tuple[RootSet, float]], lis
     fails (one NO_MATCH record when there is no candidate).
 
     The candidates are the real solutions (omega, c) of `_match_problem`
-    with omega in OMEGA_RANGE (`bethe._null_vectors`): for the sextic the
-    real eigenvalues of the (n+1)x(n+1) pencil A c = -omega L c, for the
-    decatic the real solutions (omega, w0) of the (n+2)x(n+1) two-parameter
-    problem (`bethe._multiparameter` with m = 2).  The roots of S go
-    through the polish and filters of `solve_bae` at omega.  The closing
-    formulas' rounding leaves omega off by up to ~1e-13 relative, so one
-    secant step on the mismatch that the MATCH_TOL gate measures follows.  Two candidates that reach the same
-    match (within DEDUP_TOL in roots and relative omega) give it once.
+    with omega in OMEGA_RANGE, from `bethe._multiparameter`: with m = 1 for
+    the sextic, whose (n+1)x(n+1) pencil is A c = -omega L c, and with
+    m = 2 for the decatic, whose (n+2)x(n+1) problem is in (omega, w0).
+    Each candidate's roots go through `bethe._branch` at omega, the polish
+    and filters of `solve_bae`.  The closing formulas' rounding leaves
+    omega off by up to ~1e-13 relative, so one secant step on the mismatch
+    that the MATCH_TOL gate measures follows.  Two candidates that reach
+    the same match (within DEDUP_TOL in roots and relative omega) give it
+    once.
     """
     n, target = problem.n, (problem.ell + 0.5) ** 2
     A, L = _match_problem(problem)
-    omegas, coeffs = _null_vectors(A, L, None if A.shape[0] == A.shape[1] else np.eye(n + 2, n + 1))
+    w, coeffs = _multiparameter(A, [L] if A.shape[0] == A.shape[1] else [L, np.eye(n + 2, n + 1)])
+    omegas = w[:, 0]
     lo, hi = OMEGA_RANGE
     keep = (lo <= omegas) & (omegas <= hi)
     order = np.argsort(omegas[keep])
     candidates = [(float(om), c) for om, c in zip(omegas[keep][order], coeffs[keep][order])]
 
     def at(om: float, start: np.ndarray) -> tuple[RootSet | None, float]:
-        """The roots polished from start at om, None if the filters reject
-        them, and their mismatch."""
+        """The branch polished from start at om, None if the filters reject
+        it, and its mismatch."""
         g = _gauge(problem, om)
-        roots = RootSet(0, (), g.variable, 0.0, math.inf)
-        if n:
-            with np.errstate(all="ignore"):
-                accepted = _accept_candidate(g.ode, _polish(g.ode, start))
-            if accepted is None:
-                return None, math.nan
-            ordered, res, sep = accepted
-            roots = RootSet(n, tuple(complex(z) for z in ordered), g.variable, res, sep)
+        roots = _branch(g.ode, start, g.variable)
+        if roots is None:
+            return None, math.nan
         return roots, _closing(g, compute_w_coefficients(g.ode, roots))[-2] + 0.25 - target
 
     matches: list[tuple[RootSet, float]] = []

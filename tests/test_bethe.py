@@ -338,11 +338,36 @@ NEWTON_NAMES = [
 ]
 
 
+def _square_eig_branches(ode: PolyODE, n: int) -> list[np.ndarray]:
+    """The square eigenproblem that m = 1 once solved apart from the other
+    families: the real eigenvalues of -A (T0 is the identity) whose
+    eigenvector c has c_n != 0, the roots of each polished and filtered."""
+    x, vecs = np.linalg.eig(-bethe._ode_matrix(ode, n))
+    branches = []
+    for c in vecs.T[(x.imag == 0.0) & (vecs[-1].real != 0.0)].real:
+        start = bethe._canonical_order(np.roots(c[::-1]).astype(complex))
+        with np.errstate(all="ignore"):
+            accepted = bethe._accept_candidate(ode, bethe._polish(ode, start))
+        if accepted and not _near(accepted[0], branches):
+            branches.append(accepted[0])
+    return branches
+
+
 class TestEnumeration:
-    """The branches come from the ODE's matrix on polynomials of degree n:
-    its eigenvectors when w0 is the only root-dependent W coefficient, the
-    null vectors at the real solutions of its m-parameter eigenproblem when
-    m > 1 are."""
+    """The branches are the null vectors of the ODE's matrix on polynomials
+    of degree n at the real solutions of its m-parameter eigenproblem, for
+    m = 1 to 4."""
+
+    @pytest.mark.parametrize("family, draw", SQUARE)
+    def test_m1_branches_are_the_real_eigenvectors_of_the_square_matrix(self, family, draw):
+        for n in range(1, 6):
+            ode, variable = build_ode(_sweep_problem(family, draw, n))
+            assert bethe._ode_matrix(ode, n).shape == (n + 1, n + 1)
+            enumerated = [s.as_array() for s in solve_bae(ode, n, SWEEP_CFG, variable)]
+            reference = _square_eig_branches(ode, n)
+            assert len(enumerated) == len(reference) == n + 1
+            for roots in reference:
+                assert _near(roots, enumerated)
 
     @pytest.mark.parametrize("family, draw, n", NEWTON_SHORT)
     def test_operation_newton_left_short_gets_every_branch(self, family, draw, n):
@@ -396,11 +421,11 @@ class TestEnumeration:
                 assert _near(roots, enumerated)
 
     def test_another_projection_gives_the_same_branches(self, monkeypatch):
-        # m = 2 (harmonic quartic, decatic), 3 (coulombic octic) and 4
-        # (harmonic octic).
+        # m = 1 (sextic, coulombic quartic), 2 (harmonic quartic, decatic),
+        # 3 (coulombic octic) and 4 (harmonic octic).
         fixed = {
             (family, draw, n): [s.as_array() for s in _solve(_sweep_problem(family, draw, n), SWEEP_CFG)]
-            for family, draw in RECTANGULAR + OCTIC
+            for family, draw in ENUMERATED + OCTIC
             for n in range(1, 6)
         }
         monkeypatch.setattr(bethe, "_PROJECTION_SEED", bethe._PROJECTION_SEED + 1)
@@ -426,6 +451,34 @@ class TestEnumeration:
         monkeypatch.setattr(np.random, "default_rng", no_generator)
         assert [_solve(p, MANY_STARTS) for p in problems] == expected
         assert not [name for name in NEWTON_NAMES if hasattr(bethe, name)]
+
+
+class TestBranch:
+    """`_branch` polishes a candidate and filters it.  No gate on the
+    singular values of A + w0 T0 follows: a candidate off its null space
+    either polishes back onto a branch or fails the filters."""
+
+    @pytest.mark.parametrize("draw, n", [(0, 1), (0, 3), (7, 5)])
+    def test_a_candidate_off_the_null_space_is_rejected(self, monkeypatch, draw, n):
+        ode, variable = build_ode(_sweep_problem(Family.SEXTIC, draw, n))
+        A = bethe._ode_matrix(ode, n)
+        w, coeffs = bethe._multiparameter(A, bethe._shifts(n, 1))
+        assert len(coeffs) == n + 1
+
+        def start(c):
+            return bethe._canonical_order(np.roots(c[::-1]).astype(complex))
+
+        for (w0,), c in zip(w, coeffs):
+            off = c + 1e-6 * max_abs(c) * np.eye(n + 1)[0]
+            M = A + w0 * np.eye(n + 1)
+            assert np.linalg.norm(M @ off) > 1e-8 * np.linalg.norm(M, 2) * np.linalg.norm(off)
+            branch = bethe._branch(ode, start(c), variable)
+            polished = bethe._branch(ode, start(off), variable)
+            assert branch is not None and polished is not None
+            assert max_abs(polished.as_array() - branch.as_array()) < bethe.DEDUP_TOL
+            with monkeypatch.context() as mp:
+                mp.setattr(bethe, "_polish", lambda ode, roots: roots)
+                assert bethe._branch(ode, start(off), variable) is None
 
 
 def _kronecker_pencil(A: np.ndarray, Bs: list, seed: int):

@@ -223,11 +223,12 @@ class TestSeedEnv:
                 "--param", "d=inf"]),
         (None, [*SOLVE_Q0, "--ell", "nan"]),
         (None, ["verify", "EMPTY"]),
+        (None, ["verify", "WRONG_N"]),
     ],
     ids=[
         "negative_starts", "zero_starts", "negative_seed", "non_integer_qes_seed",
         "index_past_end", "index_before_start", "negative_points", "zero_points",
-        "infinite_coupling", "nan_ell", "verify_empty_file",
+        "infinite_coupling", "nan_ell", "verify_empty_file", "verify_root_count_not_n",
     ],
 )
 def test_bad_input_exits_with_an_error_line(qes_seed, args, q0_doc, tmp_path, monkeypatch, capsys):
@@ -235,7 +236,11 @@ def test_bad_input_exits_with_an_error_line(qes_seed, args, q0_doc, tmp_path, mo
         monkeypatch.setenv("QES_SEED", qes_seed)
     empty = tmp_path / "empty.json"
     empty.write_text("[]")
-    paths = {"DOC": str(q0_doc), "EMPTY": str(empty)}
+    docs = loads_documents(q0_doc.read_text())
+    docs[0]["problem"]["n"] = 1  # the n = 0 document has no roots
+    wrong_n = tmp_path / "wrong_n.json"
+    wrong_n.write_text(json.dumps(docs))
+    paths = {"DOC": str(q0_doc), "EMPTY": str(empty), "WRONG_N": str(wrong_n)}
     code, out, err = run(capsys, *[paths.get(a, a) for a in args])
     assert code == 1
     assert out == ""

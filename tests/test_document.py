@@ -72,6 +72,19 @@ class TestErrors:
         with pytest.raises(DocumentError, match="malformed"):
             document_to_solution(doc)
 
+    # The solution has n = 1 and one root.
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("n", 2, "1 roots for n = 2"), ("n", 1.7, "n is an integer"), ("n", True, "n is an integer"),
+         ("match_ell", "false", "match_ell is true or false")],
+        ids=["root_count_not_n", "fractional_n", "boolean_n", "string_match_ell"],
+    )
+    def test_malformed_problem(self, solution, field, value, message):
+        doc = solution_to_document(solution)
+        doc["problem"][field] = value
+        with pytest.raises(DocumentError, match=message):
+            document_to_solution(doc)
+
     def test_non_document_payload(self):
         with pytest.raises(DocumentError):
             loads_documents("[1, 2, 3]")

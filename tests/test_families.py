@@ -24,7 +24,7 @@ from qesolve import (
     solve_family_detailed,
     verify_solution,
 )
-from qesolve import families
+from qesolve import bethe, families
 
 from conftest import (
     decatic,
@@ -74,9 +74,11 @@ VALIDATION_CASES = [
     ("sextic-match_ell-ell-inf", lambda: sextic(ell=math.inf, match_ell=True), "ell is finite"),
     ("quartic-n-string", lambda: quartic_harmonic(n="2"), "n is an integer"),
     ("octic-n-none", lambda: octic_harmonic(n=None), "n is an integer"),
+    ("quartic-n-bool", lambda: quartic_harmonic(n=True), "n is an integer"),
     ("decatic-ell-string", lambda: decatic(ell="0"), "ell is a real number"),
     ("sextic-ell-none", lambda: sextic(ell=None, match_ell=True), "ell is a real number"),
     ("quartic-c-string", lambda: quartic_harmonic(c="0"), "couplings are finite"),
+    ("sextic-match_ell-string", lambda: sextic(match_ell="false"), "match_ell is true or false"),
 ] + [
     # A starting omega given in match-ell mode must be positive too.
     (
@@ -126,10 +128,11 @@ class TestBuildOde:
         ids=[case[0] for case in VALIDATION_CASES],
     )
     def test_validation_table(self, make, rule):
-        # n must be an int, ell and every coupling finite.  The top coupling
-        # (h for the octic, d otherwise) must be positive, coulombic cases
-        # need a < 0 and the others omega > 0; match_ell lets the sextic and
-        # decatic leave omega out, but not give one <= 0.
+        # n must be an int, ell and every coupling finite, and match_ell a
+        # bool.  The top coupling (h for the octic, d otherwise) must be
+        # positive, coulombic cases need a < 0 and the others omega > 0;
+        # match_ell lets the sextic and decatic leave omega out, but not
+        # give one <= 0.
         with pytest.raises(InvalidParameter, match=rf"^constraint violated: {re.escape(rule)}$"):
             make()
 
@@ -419,12 +422,12 @@ class TestDecatic:
     def test_match_ell_rejected_candidate_is_recorded_with_its_roots(self, monkeypatch):
         # Make the root filters reject the candidate at the smaller omega:
         # it becomes a record with its roots, and the other match stays.
-        accept = families._accept_candidate
+        accept = bethe._accept_candidate
 
         def reject_below_2(ode, roots):  # -q3 is omega
             return None if -ode.q[3] < 2.0 else accept(ode, roots)
 
-        monkeypatch.setattr(families, "_accept_candidate", reject_below_2)
+        monkeypatch.setattr(bethe, "_accept_candidate", reject_below_2)
         solutions, failures = solve_family_detailed(self.BRACKET_END)
         assert [s.derived["omega"] for s in solutions] == [pytest.approx(48.362, rel=1e-4)]
         assert len(failures) == 1

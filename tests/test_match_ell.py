@@ -107,9 +107,11 @@ class TestEnumeratedMatches:
             assert output(problem) == output(problem)
 
     def test_another_projection_gives_the_same_matches(self, monkeypatch):
-        expected = [matches(p) for p in DECATIC_WORKLOAD]
+        # m = 1 (sextic) and m = 2 (decatic).
+        problems = workload_problems("sextic") + DECATIC_WORKLOAD
+        expected = [matches(p) for p in problems]
         monkeypatch.setattr(bethe, "_PROJECTION_SEED", bethe._PROJECTION_SEED + 1)
-        for problem, before in zip(DECATIC_WORKLOAD, expected):
+        for problem, before in zip(problems, expected):
             assert same_matches(matches(problem), before)
 
     def test_no_two_solutions_coincide(self, monkeypatch):
@@ -117,15 +119,17 @@ class TestEnumeratedMatches:
         # every candidate twice, the second a rounding away, and each match
         # must still come back once.
         expected = [matches(p) for p in DECATIC_WORKLOAD]
-        multiparameter = bethe._multiparameter
+        multiparameter, calls = bethe._multiparameter, []
 
         def twice(A, Bs):
+            calls.append(len(Bs))
             w, c = multiparameter(A, Bs)
             return np.concatenate([w, w * [1 + 1e-14, 1.0]]), np.concatenate([c, c])
 
-        monkeypatch.setattr(bethe, "_multiparameter", twice)
+        monkeypatch.setattr(families, "_multiparameter", twice)
         for problem, before in zip(DECATIC_WORKLOAD, expected):
             after = matches(problem)
+            assert calls.pop() == 2
             assert same_matches(after, before)
             for i, (ra, oa) in enumerate(after):
                 for rb, ob in after[i + 1 :]:

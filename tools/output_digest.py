@@ -2,6 +2,7 @@
 
     python3 tools/output_digest.py > digest.txt
     python3 tools/output_digest.py --values > values.jsonl
+    python3 tools/output_digest.py --acceptance [--values] > acceptance.jsonl
     python3 tools/output_digest.py --compare old.jsonl new.jsonl
     python3 tools/output_digest.py --verify > verify.txt
     python3 tools/output_digest.py --verify --values > verify.jsonl
@@ -25,10 +26,17 @@ the values (branch count, a coupling's name, or failure records that differ
 with their numbers masked).  For an operation whose branch count rose, it
 also checks each old branch against the new ones: one is kept when a new
 branch has roots within ROOT_TOL of its roots (max norm, canonical order),
-and each old branch that is not kept is printed.  Its last line lists the
-operations whose branch count fell, those whose count rose, and those whose
-count rose but that lost a branch, so `grep '^branch count'` checks that no
-operation lost a branch.
+and each old branch that is not kept is printed.  Its second-to-last line
+lists the operations whose branch count fell, those whose count rose, and
+those whose count rose but that lost a branch, so `grep '^branch count'`
+checks that no operation lost a branch.  Its last line gives the largest
+root, energy, derived-coupling and failure-record difference over all
+operations, each with the operation it comes from.
+
+With `--acceptance` it digests the tier-1 acceptance sweep instead of the
+two workloads, in the same two formats: 20 coupling draws per family, drawn
+from the sweep's coupling streams (`family_rng`, `draw_couplings`), split
+over the family's cases and solved at n = 0..5, 480 solves in all.
 
 With `--verify` it digests the `verify` benchmark workload instead: one
 line per entry of `VERIFY_POOL` (in `perfbench/workloads.py`), with its
@@ -64,13 +72,34 @@ def _values(op_label, solutions, failures) -> str:
     })
 
 
-def digest(values: bool) -> None:
+def _acceptance_ops(workloads) -> list:
+    """The tier-1 acceptance sweep: 20 coupling draws per family, split over
+    its cases, each solved at n = 0..5 (80 draws, 480 solves)."""
+    from qesolve import Case, Family, FamilyProblem
+
+    ops = []
+    for family, cases in workloads.FAMILY_CASES.items():
+        rng = workloads.family_rng(family)
+        for draw in range(20):
+            case = cases[draw % len(cases)]
+            free, ell = workloads.draw_couplings(family, case, rng)
+            for n in range(6):
+                problem = FamilyProblem(Family(family), Case(case), n, ell, free)
+                ops.append(workloads.Op(f"acceptance {family}/{case} draw {draw} n={n}", problem))
+    return ops
+
+
+def digest(values: bool, acceptance: bool) -> None:
     import workloads
     from qesolve.document import dumps_documents, solution_to_document
     from qesolve.oracle import VerifyLevel, verify_solution
 
-    for workload in (workloads.Sweep(), workloads.MatchEll()):
-        for op in workload.setup(seed=0, smoke=False):
+    if acceptance:
+        runs = [(workloads.Sweep(), _acceptance_ops(workloads))]
+    else:
+        runs = [(w, w.setup(seed=0, smoke=False)) for w in (workloads.Sweep(), workloads.MatchEll())]
+    for workload, ops in runs:
+        for op in ops:
             try:
                 solutions, failures = workload.run(op)
             except Exception as exc:  # a crash is part of the behaviour to compare
@@ -164,6 +193,7 @@ def compare(old_path: str, new_path: str) -> None:
         print(f"{len(old_lines)} operations against {len(new_lines)}")
     changed = 0
     moved = {"fell": [], "rose": [], "rose but lost a branch": []}
+    largest = dict.fromkeys(("roots", "energies", "derived", "failures"), (0.0, "-"))
     for old_line, new_line in zip(old_lines, new_lines):
         if old_line == new_line:
             continue
@@ -190,18 +220,22 @@ def compare(old_path: str, new_path: str) -> None:
         if not all(same) or not keys:
             print(f"{old['op']} | differs beyond values:\n  {old_line}\n  -> {new_line}")
             continue
-        derived_old = [list(d.values()) for d in old["derived"]]
-        derived_new = [list(d.values()) for d in new["derived"]]
-        print(
-            f"{old['op']} | roots {_max_rel(old['roots'], new['roots']):.2g}"
-            f" | energies {_max_rel(old['energies'], new['energies']):.2g}"
-            f" | derived {_max_rel(derived_old, derived_new):.2g}"
-            f" | failures {_max_rel(numbers_old, numbers_new):.2g}"
-        )
+        diffs = {
+            "roots": _max_rel(old["roots"], new["roots"]),
+            "energies": _max_rel(old["energies"], new["energies"]),
+            "derived": _max_rel([list(d.values()) for d in old["derived"]],
+                                [list(d.values()) for d in new["derived"]]),
+            "failures": _max_rel(numbers_old, numbers_new),
+        }
+        print(f"{old['op']} | " + " | ".join(f"{k} {v:.2g}" for k, v in diffs.items()))
+        for k, v in diffs.items():
+            if v > largest[k][0]:
+                largest[k] = (v, old["op"])
     print(f"{changed} of {len(old_lines)} operations differ")
     print("branch count " + "; ".join(
         f"{way} in {len(ops)}: {', '.join(ops) or '-'}" for way, ops in moved.items()
     ))
+    print("largest " + " | ".join(f"{k} {v:.2g} ({op})" for k, (v, op) in largest.items()))
 
 
 if __name__ == "__main__":
@@ -210,7 +244,7 @@ if __name__ == "__main__":
         compare(sys.argv[2], sys.argv[3])
     elif sys.argv[1:] in (["--verify"], ["--verify", "--values"]):
         verify_digest(values=len(sys.argv) == 3)
-    elif sys.argv[1:] in ([], ["--values"]):
-        digest(values=bool(sys.argv[1:]))
+    elif sorted(sys.argv[1:]) in ([], ["--values"], ["--acceptance"], ["--acceptance", "--values"]):
+        digest(values="--values" in sys.argv, acceptance="--acceptance" in sys.argv)
     else:
         sys.exit(__doc__)
