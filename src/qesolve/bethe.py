@@ -491,10 +491,9 @@ def _exterior_pencil(factors: list, n: int) -> np.ndarray:
 
 
 def _multiparameter(A: np.ndarray, Bs: list):
-    """The near-real solutions (w, c) of (A + w_1 B_1 + ... + w_m B_m) c = 0
-    for (n+m)x(n+1) matrices, whose c has degree n (c_n != 0): the
-    parameters w and the null vectors c, as rows.  m = 1 is the square
-    pencil A c = -w_1 B_1 c.
+    """The null vectors c, as rows, of the near-real solutions (w, c) of
+    (A + w_1 B_1 + ... + w_m B_m) c = 0 for (n+m)x(n+1) matrices, whose c
+    has degree n (c_n != 0).  m = 1 is the square pencil A c = -w_1 B_1 c.
 
     After a random orthogonal change Q of the homogeneous parameters
     (1, w_1, ..., w_m), the problem reads (M_0 + mu_1 M_1 + ... + mu_m M_m)
@@ -516,8 +515,7 @@ def _multiparameter(A: np.ndarray, Bs: list):
 
     Every eigenvalue mu_m within NEAR_REAL of the real axis gives c from
     its eigenvector y: y at {k, j, ..., j} over y at {j, ..., j} is
-    sqrt(m) c_k / c_j, read at the j of largest |c_j|.  w is the
-    least-squares solution of sum_j w_j B_j c = -A c, for all rows at once.
+    sqrt(m) c_k / c_j, read at the j of largest |c_j|.
     """
     n, m = A.shape[1] - 1, len(Bs)
     Q = _parameter_change(m, _PROJECTION_SEED)
@@ -533,9 +531,7 @@ def _multiparameter(A: np.ndarray, Bs: list):
         c = Y[rows[:, None], mixed[j]] / (math.sqrt(m) * Y[rows, pure[j]])[:, None]
     c[rows, j] = 1.0
     c = c.real[np.isfinite(c).all(axis=1)]
-    c = c[c[:, -1] != 0.0]
-    w = np.linalg.pinv(np.stack([c @ B.T for B in Bs], axis=-1)) @ (c @ -A.T)[..., None]
-    return w[..., 0], c
+    return c[c[:, -1] != 0.0]
 
 
 def _shifts(n: int, m: int) -> list[np.ndarray]:
@@ -583,7 +579,7 @@ def solve_bae(
 
     # A row is skipped only once its branch is accepted, so a row that fails
     # the filters cannot hide a nearby row that passes them.
-    for c in _multiparameter(A, _shifts(n, A.shape[0] - n))[1]:
+    for c in _multiparameter(A, _shifts(n, A.shape[0] - n)):
         start = _canonical_order(np.roots(c[::-1]).astype(complex))
         if known(start):
             continue

@@ -11,7 +11,7 @@ import math
 
 from .bethe import RootSet, Variable
 from .errors import DocumentError
-from .families import Case, Family, FamilyProblem, QESSolution, WaveForm
+from .families import Case, Family, FamilyProblem, QESSolution, WaveForm, _chi
 from .oracle import VerificationReport
 
 SCHEMA_VERSION = "1"
@@ -23,6 +23,14 @@ def _fmt_float(x: float) -> str:
     if not math.isfinite(x):
         raise DocumentError(f"non-finite number {x!r} cannot be serialized")
     return format(float(x), ".17g")
+
+
+def _number(value) -> float:
+    """A schema "1" number: JSON holds it as a number, not a string or a
+    boolean, which float() would take."""
+    if isinstance(value, (str, bool)):
+        raise DocumentError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def emit_json(obj, indent: int = 0) -> str:
@@ -111,12 +119,14 @@ def document_to_solution(doc: dict) -> QESSolution:
             Family(p["family"]),
             Case(p["case"]),
             p["n"],
-            float(p["ell"]),
-            {k: float(v) for k, v in p["free"].items()},
+            _number(p["ell"]),
+            {k: _number(v) for k, v in p["free"].items()},
             p.get("match_ell", False),
         )
         variable = _VARIABLES[doc["variable"]]
-        roots_raw = [complex(item["re"], item["im"]) for item in doc["roots"]]
+        if variable is not _chi(problem)[0]:
+            raise DocumentError(f"variable {variable.value!r} is not the {problem.family.value} family's")
+        roots_raw = [complex(_number(item["re"]), _number(item["im"])) for item in doc["roots"]]
         if len(roots_raw) != problem.n:
             raise DocumentError(f"{len(roots_raw)} roots for n = {problem.n}")
         rd = doc.get("root_diagnostics", {})
@@ -124,23 +134,23 @@ def document_to_solution(doc: dict) -> QESSolution:
             len(roots_raw),
             tuple(roots_raw),
             variable,
-            float(rd.get("bae_residual", 0.0)),
-            float(rd.get("separation", math.inf)),
+            _number(rd.get("bae_residual", 0.0)),
+            _number(rd.get("separation", math.inf)),
         )
         wf_doc = doc["waveform"]
         waveform = WaveForm(
-            float(wf_doc["leading_exponent"]),
-            {int(k): float(v) for k, v in wf_doc["exp_coeffs"].items()},
+            _number(wf_doc["leading_exponent"]),
+            {int(k): _number(v) for k, v in wf_doc["exp_coeffs"].items()},
             roots,
             variable,
         )
         return QESSolution(
             problem,
             roots,
-            {k: float(v) for k, v in doc["derived"].items()},
-            float(doc["energy"]),
+            {k: _number(v) for k, v in doc["derived"].items()},
+            _number(doc["energy"]),
             waveform,
-            {k: float(v) for k, v in doc.get("diagnostics", {}).items()},
+            {k: _number(v) for k, v in doc.get("diagnostics", {}).items()},
         )
     except DocumentError:
         raise

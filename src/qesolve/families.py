@@ -465,8 +465,12 @@ def _match_ell(problem: FamilyProblem) -> tuple[list[tuple[RootSet, float]], lis
     """
     n, target = problem.n, (problem.ell + 0.5) ** 2
     A, L = _match_problem(problem)
-    w, coeffs = _multiparameter(A, [L] if A.shape[0] == A.shape[1] else [L, np.eye(n + 2, n + 1)])
-    omegas = w[:, 0]
+    Bs = [L] if A.shape[0] == A.shape[1] else [L, np.eye(n + 2, n + 1)]
+    coeffs = _multiparameter(A, Bs)
+    # The parameters of each c, omega (and w0 for the decatic): the
+    # least-squares solution of sum_j w_j B_j c = -A c, for all rows at once.
+    w = np.linalg.pinv(np.stack([coeffs @ B.T for B in Bs], axis=-1)) @ (coeffs @ -A.T)[..., None]
+    omegas = w[:, 0, 0]
     lo, hi = OMEGA_RANGE
     keep = (lo <= omegas) & (omegas <= hi)
     order = np.argsort(omegas[keep])

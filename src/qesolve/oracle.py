@@ -24,8 +24,9 @@ from .bethe import Variable, bae_residuals, compute_w_coefficients, verify_polyn
 from .errors import GridInsufficient, InvalidParameter, MissingCoupling
 from .families import _POWERS, Case, QESSolution, build_ode
 from .wavefunction import (
+    _support,
     count_nodes,
-    eval_log_psi,
+    eval_log_psi,  # not called here; perfbench/tracing.py wraps it by this name
     eval_psi_log_derivatives,
     node_positions,
     norm_quadrature,
@@ -160,22 +161,14 @@ class FdGrid:
 
 def default_fd_grid(solution: QESSolution, n_points: int = 4000) -> FdGrid:
     """Grid bounds from the wavefunction support (amplitude below 1e-13
-    of the peak at both ends); raises GridInsufficient if no such bounds
-    exist within a generous scan range."""
-    for span in (2.0, 3.0, 4.5, 7.0):
-        u = np.linspace(-span * 4.0, span * 4.0, 3001)
-        r = np.exp(u)
-        with np.errstate(all="ignore"):
-            logpsi, _ = eval_log_psi(solution, r)
-        logpsi = np.where(np.isfinite(logpsi), logpsi, -np.inf)
-        imax = int(np.argmax(logpsi))
-        peak = logpsi[imax]
-        drop = 30.0  # ln scale, ~ 1e-13 in amplitude
-        left = np.nonzero(logpsi[: imax + 1] <= peak - drop)[0]
-        right = np.nonzero(logpsi[imax:] <= peak - drop)[0]
-        if len(left) and len(right) and 0 < imax < len(u) - 1:
-            return FdGrid(float(r[left[-1]]), float(r[imax + right[0]]), n_points)
-    raise GridInsufficient("wavefunction support exceeds the scan range")
+    of the peak at both ends, `wavefunction._support`, the interval the
+    norm integrates on); raises GridInsufficient if no such bounds exist
+    within the scan range."""
+    support = _support(solution)
+    if support is None:
+        raise GridInsufficient("wavefunction support exceeds the scan range")
+    r_min, r_max = np.exp(support[:2])
+    return FdGrid(float(r_min), float(r_max), n_points)
 
 
 def _ldl_counts(a: np.ndarray, e: np.ndarray) -> np.ndarray:

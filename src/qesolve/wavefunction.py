@@ -1,8 +1,11 @@
-"""Closed-form wavefunction evaluation, nodes and normalization.
+"""Closed-form wavefunction evaluation, nodes, support and normalization.
 
 All evaluation is done in log-magnitude/sign form so arbitrarily steep
 exponential factors never overflow.  Derivatives are analytic; no finite
-differences are used outside the test oracles.
+differences are used outside the test oracles.  One scan of log|Psi| in
+u = ln r finds the support (`_support`) that both the norm and the FD
+grid (`oracle.default_fd_grid`) use, and the norm integrates |Psi|^2 on
+it by the trapezoidal rule in u.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .errors import (
 )
 from .besselk import besselk
 from .families import QESSolution
-from .quadrature import integrate_adaptive
 
 _NODE_GUARD = 1e-12
 
@@ -123,53 +125,74 @@ def count_nodes(solution: QESSolution) -> int:
 
 
 # ----------------------------------------------------------------------
-# Normalization
+# Support and normalization
 # ----------------------------------------------------------------------
 
 
-def _log_integrand(solution: QESSolution):
-    def phi(u: np.ndarray) -> np.ndarray:
-        r = np.exp(u)
-        log_mag, _ = _log_psi_arrays(solution, r)
-        return 2.0 * log_mag + u
+def _support(solution: QESSolution) -> tuple[float, float, float] | None:
+    """The u = ln r interval (u_lo, u_hi) outside which log|Psi| has fallen
+    30 below its peak (amplitude ~1e-13), and that peak; None if no scan of
+    u in [-4 span, 4 span] for span = 2, 3, 4.5, 7 brackets it."""
+    for span in (2.0, 3.0, 4.5, 7.0):
+        u = np.linspace(-span * 4.0, span * 4.0, 3001)
+        with np.errstate(all="ignore"):
+            log_mag, _ = _log_psi_arrays(solution, np.exp(u))
+        log_mag = np.where(np.isfinite(log_mag), log_mag, -np.inf)
+        imax = int(np.argmax(log_mag))
+        peak = log_mag[imax]
+        left = np.nonzero(log_mag[: imax + 1] <= peak - 30.0)[0]
+        right = np.nonzero(log_mag[imax:] <= peak - 30.0)[0]
+        if len(left) and len(right) and 0 < imax < len(u) - 1:
+            return float(u[left[-1]]), float(u[imax + right[0]]), float(peak)
+    return None
 
-    return phi
+
+# Intervals at which the trapezoidal rule starts, and past which it gives up.
+_FIRST_INTERVALS, _MAX_INTERVALS = 64, 1 << 14
+
+
+def integrate_adaptive(f, a: float, b: float, rel_tol: float = 1e-10) -> float:
+    """Trapezoidal rule for int_a^b f, doubling the intervals from 64 (and
+    evaluating only the new midpoints) until two levels agree to rel_tol.
+
+    `f` must accept a numpy array of abscissae.  The rule converges
+    exponentially for an integrand analytic in a strip around [a, b] that
+    is negligible at both ends (Trefethen & Weideman, SIAM Review 56,
+    2014), as |Psi|^2 is in u = ln r on the interval of `_support`.
+    Raises NotIntegrable when the levels still disagree at 2^14 intervals.
+    """
+    n = _FIRST_INTERVALS
+    h = (b - a) / n
+    y = f(np.linspace(a, b, n + 1))
+    total = float(h * (np.sum(y) - 0.5 * (y[0] + y[-1])))
+    while n < _MAX_INTERVALS:
+        previous, total = total, float(0.5 * (total + h * np.sum(f(a + h * (np.arange(n) + 0.5)))))
+        n, h = 2 * n, 0.5 * h
+        if abs(total - previous) <= rel_tol * abs(total):
+            return total
+    raise NotIntegrable(f"the trapezoidal rule did not converge on {n} intervals")
 
 
 def norm_quadrature(solution: QESSolution, rel_tol: float = 1e-10) -> float:
-    """Integral of |Psi|^2 over (0, inf) by adaptive quadrature.
+    """Integral of |Psi|^2 over (0, inf) by the trapezoidal rule in u = ln r.
 
-    Substitutes r = exp(u) and integrates where the log-integrand is within
-    60 of its maximum; the integrand vanishes super-exponentially past the
-    cut on both sides.
+    Integrates |Psi|^2 r du on the support `_support` finds, the interval
+    `oracle.default_fd_grid` also uses; the integrand falls double
+    exponentially past it on both sides.  Raises NotIntegrable when no
+    support is found or the rule does not converge to rel_tol.
     """
-    phi = _log_integrand(solution)
-    lo, hi = -12.0, 12.0
-    for _ in range(8):
-        u = np.linspace(lo, hi, 1201)
-        with np.errstate(invalid="ignore"):
-            vals = phi(u)
-        vals = np.where(np.isfinite(vals), vals, -np.inf)
-        imax = int(np.argmax(vals))
-        vmax = vals[imax]
-        interior = 0 < imax < len(u) - 1
-        left_done = np.any(vals[: imax + 1] < vmax - 60.0)
-        right_done = np.any(vals[imax:] < vmax - 60.0)
-        if interior and left_done and right_done:
-            break
-        lo, hi = lo * 2.0, hi * 2.0
-    else:
+    support = _support(solution)
+    if support is None:
         raise NotIntegrable("could not bracket the support of |Psi|^2")
-    left = u[: imax + 1][vals[: imax + 1] < vmax - 60.0]
-    right = u[imax:][vals[imax:] < vmax - 60.0]
-    ua = float(left[-1]) if len(left) else lo
-    ub = float(right[0]) if len(right) else hi
+    ua, ub, peak = support
+    # 2 peak + ub bounds 2 log|Psi| + u on [ua, ub], so nothing overflows.
+    shift = 2.0 * peak + ub
 
-    def integrand(uu: np.ndarray) -> np.ndarray:
-        return np.exp(phi(uu) - vmax)
+    def integrand(u: np.ndarray) -> np.ndarray:
+        log_mag, _ = _log_psi_arrays(solution, np.exp(u))
+        return np.exp(2.0 * log_mag + u - shift)
 
-    value, _ = integrate_adaptive(integrand, ua, ub, rel_tol=rel_tol)
-    return float(math.exp(vmax) * value)
+    return math.exp(shift) * integrate_adaptive(integrand, ua, ub, rel_tol=rel_tol)
 
 
 class IntegralKind(str, Enum):

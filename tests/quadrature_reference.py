@@ -3,13 +3,25 @@
 The 7/15 nodes and weights are the classical QUADPACK values; the adaptive
 driver bisects the interval with the largest error estimate until the
 accumulated estimate meets the target.
+
+Kept as a test reference, with the two support scans that the package's
+one scan (`qesolve.wavefunction._support`) replaced: `norm_quadrature`
+normalised by adaptive GK15 on its own 1,201-point scan of the log
+integrand, and `default_fd_grid` cut the FD grid's bounds from a 3,001-point
+scan of log|Psi|.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 
 import numpy as np
+
+from qesolve.errors import GridInsufficient, NotIntegrable
+from qesolve.families import QESSolution
+from qesolve.oracle import FdGrid
+from qesolve.wavefunction import _log_psi_arrays, eval_log_psi
 
 # Kronrod abscissae (positive half), Kronrod weights, embedded Gauss weights.
 _XGK = np.array(
@@ -106,3 +118,68 @@ def integrate_adaptive(
         if total_err < 1e-305:
             break
     return total_val, total_err
+
+
+def _log_integrand(solution: QESSolution):
+    def phi(u: np.ndarray) -> np.ndarray:
+        r = np.exp(u)
+        log_mag, _ = _log_psi_arrays(solution, r)
+        return 2.0 * log_mag + u
+
+    return phi
+
+
+def norm_quadrature(solution: QESSolution, rel_tol: float = 1e-10) -> float:
+    """Integral of |Psi|^2 over (0, inf) by adaptive quadrature.
+
+    Substitutes r = exp(u) and integrates where the log-integrand is within
+    60 of its maximum; the integrand vanishes super-exponentially past the
+    cut on both sides.
+    """
+    phi = _log_integrand(solution)
+    lo, hi = -12.0, 12.0
+    for _ in range(8):
+        u = np.linspace(lo, hi, 1201)
+        with np.errstate(invalid="ignore"):
+            vals = phi(u)
+        vals = np.where(np.isfinite(vals), vals, -np.inf)
+        imax = int(np.argmax(vals))
+        vmax = vals[imax]
+        interior = 0 < imax < len(u) - 1
+        left_done = np.any(vals[: imax + 1] < vmax - 60.0)
+        right_done = np.any(vals[imax:] < vmax - 60.0)
+        if interior and left_done and right_done:
+            break
+        lo, hi = lo * 2.0, hi * 2.0
+    else:
+        raise NotIntegrable("could not bracket the support of |Psi|^2")
+    left = u[: imax + 1][vals[: imax + 1] < vmax - 60.0]
+    right = u[imax:][vals[imax:] < vmax - 60.0]
+    ua = float(left[-1]) if len(left) else lo
+    ub = float(right[0]) if len(right) else hi
+
+    def integrand(uu: np.ndarray) -> np.ndarray:
+        return np.exp(phi(uu) - vmax)
+
+    value, _ = integrate_adaptive(integrand, ua, ub, rel_tol=rel_tol)
+    return float(math.exp(vmax) * value)
+
+
+def default_fd_grid(solution: QESSolution, n_points: int = 4000) -> FdGrid:
+    """Grid bounds from the wavefunction support (amplitude below 1e-13
+    of the peak at both ends); raises GridInsufficient if no such bounds
+    exist within a generous scan range."""
+    for span in (2.0, 3.0, 4.5, 7.0):
+        u = np.linspace(-span * 4.0, span * 4.0, 3001)
+        r = np.exp(u)
+        with np.errstate(all="ignore"):
+            logpsi, _ = eval_log_psi(solution, r)
+        logpsi = np.where(np.isfinite(logpsi), logpsi, -np.inf)
+        imax = int(np.argmax(logpsi))
+        peak = logpsi[imax]
+        drop = 30.0  # ln scale, ~ 1e-13 in amplitude
+        left = np.nonzero(logpsi[: imax + 1] <= peak - drop)[0]
+        right = np.nonzero(logpsi[imax:] <= peak - drop)[0]
+        if len(left) and len(right) and 0 < imax < len(u) - 1:
+            return FdGrid(float(r[left[-1]]), float(r[imax + right[0]]), n_points)
+    raise GridInsufficient("wavefunction support exceeds the scan range")

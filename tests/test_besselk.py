@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qesolve import besselk
-from qesolve.quadrature import integrate_adaptive
+
+from quadrature_reference import integrate_adaptive
 
 
 def k_half(x):

@@ -224,11 +224,13 @@ class TestSeedEnv:
         (None, [*SOLVE_Q0, "--ell", "nan"]),
         (None, ["verify", "EMPTY"]),
         (None, ["verify", "WRONG_N"]),
+        (None, ["verify", "WRONG_VARIABLE"]),
     ],
     ids=[
         "negative_starts", "zero_starts", "negative_seed", "non_integer_qes_seed",
         "index_past_end", "index_before_start", "negative_points", "zero_points",
         "infinite_coupling", "nan_ell", "verify_empty_file", "verify_root_count_not_n",
+        "verify_variable_of_another_family",
     ],
 )
 def test_bad_input_exits_with_an_error_line(qes_seed, args, q0_doc, tmp_path, monkeypatch, capsys):
@@ -240,7 +242,11 @@ def test_bad_input_exits_with_an_error_line(qes_seed, args, q0_doc, tmp_path, mo
     docs[0]["problem"]["n"] = 1  # the n = 0 document has no roots
     wrong_n = tmp_path / "wrong_n.json"
     wrong_n.write_text(json.dumps(docs))
-    paths = {"DOC": str(q0_doc), "EMPTY": str(empty), "WRONG_N": str(wrong_n)}
+    docs = loads_documents(q0_doc.read_text())
+    docs[0]["variable"] = "t=r^2"  # the sextic's, not the quartic's r
+    wrong_variable = tmp_path / "wrong_variable.json"
+    wrong_variable.write_text(json.dumps(docs))
+    paths = {"DOC": str(q0_doc), "EMPTY": str(empty), "WRONG_N": str(wrong_n), "WRONG_VARIABLE": str(wrong_variable)}
     code, out, err = run(capsys, *[paths.get(a, a) for a in args])
     assert code == 1
     assert out == ""

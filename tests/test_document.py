@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import operator
 
 import pytest
 
@@ -76,13 +78,40 @@ class TestErrors:
     @pytest.mark.parametrize(
         "field, value, message",
         [("n", 2, "1 roots for n = 2"), ("n", 1.7, "n is an integer"), ("n", True, "n is an integer"),
-         ("match_ell", "false", "match_ell is true or false")],
-        ids=["root_count_not_n", "fractional_n", "boolean_n", "string_match_ell"],
+         ("match_ell", "false", "match_ell is true or false"), ("ell", "0", "a number"),
+         ("ell", False, "a number")],
+        ids=["root_count_not_n", "fractional_n", "boolean_n", "string_match_ell", "string_ell",
+             "boolean_ell"],
     )
     def test_malformed_problem(self, solution, field, value, message):
         doc = solution_to_document(solution)
         doc["problem"][field] = value
         with pytest.raises(DocumentError, match=message):
+            document_to_solution(doc)
+
+    # float() would take each of these strings and booleans.
+    @pytest.mark.parametrize(
+        "path, value",
+        [(("problem", "free", "d"), "0.5"), (("energy",), "2.5"), (("waveform", "leading_exponent"), "1.0"),
+         (("roots", 0, "im"), False)],
+        ids=["string_coupling", "string_energy", "string_leading_exponent", "boolean_root"],
+    )
+    def test_number_held_as_string_or_boolean(self, solution, path, value):
+        doc = solution_to_document(solution)
+        *parents, key = path
+        functools.reduce(operator.getitem, parents, doc)[key] = value
+        with pytest.raises(DocumentError, match="expected a number"):
+            document_to_solution(doc)
+
+    @pytest.mark.parametrize(
+        "problem, variable",
+        [(quartic_harmonic(n=1), "t=r^2"), (sextic(n=1), "z=r^2"), (sextic(n=1), "r")],
+        ids=["quartic_in_t", "sextic_in_z", "sextic_in_r"],
+    )
+    def test_variable_of_another_family(self, cfg, problem, variable):
+        doc = solution_to_document(solve_family(problem, cfg)[0])
+        doc["variable"] = variable
+        with pytest.raises(DocumentError, match="variable"):
             document_to_solution(doc)
 
     def test_non_document_payload(self):

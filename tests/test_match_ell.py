@@ -116,15 +116,15 @@ class TestEnumeratedMatches:
 
     def test_no_two_solutions_coincide(self, monkeypatch):
         # A conjugate pair of near-real solutions has one real part: feed
-        # every candidate twice, the second a rounding away, and each match
-        # must still come back once.
+        # every candidate twice, the second a rounding away (its constant
+        # coefficient 1e-14 off), and each match must still come back once.
         expected = [matches(p) for p in DECATIC_WORKLOAD]
         multiparameter, calls = bethe._multiparameter, []
 
         def twice(A, Bs):
             calls.append(len(Bs))
-            w, c = multiparameter(A, Bs)
-            return np.concatenate([w, w * [1 + 1e-14, 1.0]]), np.concatenate([c, c])
+            c = multiparameter(A, Bs)
+            return np.concatenate([c, c * np.r_[1 + 1e-14, np.ones(c.shape[1] - 1)]])
 
         monkeypatch.setattr(families, "_multiparameter", twice)
         for problem, before in zip(DECATIC_WORKLOAD, expected):

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from qesolve import (
+    GridInsufficient,
     IntegralKind,
     InvalidParameter,
     NodeSingularity,
     NormIntegralSpec,
+    NotIntegrable,
     UnsupportedKind,
     count_nodes,
     eval_log_psi,
@@ -16,10 +18,16 @@ from qesolve import (
     norm_closed_form,
     norm_quadrature,
     solve_family,
+    wavefunction,
 )
-from qesolve.quadrature import integrate_adaptive
+from qesolve.oracle import default_fd_grid
 
+import quadrature_reference
 from conftest import decatic, octic_harmonic, quartic_harmonic, sextic
+from quadrature_reference import integrate_adaptive
+from test_acceptance import _FAMILY_CASES, _synthetic_solution
+from test_bethe import _sweep_problem
+from test_oracle import _verify_pool
 
 
 def fixed_gauss_legendre(f, a: float, b: float, panels: int, order: int = 24):
@@ -186,6 +194,70 @@ class TestNormQuadrature:
         s = solve_family(decatic(n=0, omega=1.0, b=0.0, c=1.0, d=0.5), cfg_small)[0]
         val = norm_quadrature(s)
         assert math.isfinite(val) and val > 0
+
+
+@pytest.fixture(scope="module")
+def draws():
+    """Every branch of one acceptance draw per family and case, n = 0..5."""
+    return [
+        sol
+        for family, cases in _FAMILY_CASES.items()
+        for draw in range(len(cases))
+        for n in range(6)
+        for sol in solve_family(_sweep_problem(family, draw, n))
+    ]
+
+
+class TestOneSupportScan:
+    """`norm_quadrature` runs the trapezoidal rule on the support that
+    `default_fd_grid` also cuts; the references are the adaptive GK15 norm
+    and the grid scan it replaced (tests/quadrature_reference.py)."""
+
+    def test_norm_agrees_with_gauss_kronrod(self, draws, cfg):
+        # The wide synthetic state needs more than one trapezoid level.
+        wide = _synthetic_solution(NormIntegralSpec(6.0, 1e-3, 1e-3, IntegralKind.GAUSS_INV2))
+        for sol in draws + _verify_pool(cfg) + [wide]:
+            ref = quadrature_reference.norm_quadrature(sol, rel_tol=1e-13)
+            assert abs(norm_quadrature(sol) - ref) <= 1e-12 * ref
+
+    def test_grid_is_the_reference_grid_bit_for_bit(self, draws, cfg):
+        for sol in draws + _verify_pool(cfg):
+            assert default_fd_grid(sol, 2400) == quadrature_reference.default_fd_grid(sol, 2400)
+
+    def test_looser_tolerance_stops_no_later(self, draws, monkeypatch):
+        calls, integrate = [], wavefunction.integrate_adaptive  # abscissae per integrand call
+
+        def counted(f, *args, **kwargs):
+            return integrate(lambda u: calls.append(len(u)) or f(u), *args, **kwargs)
+
+        monkeypatch.setattr(wavefunction, "integrate_adaptive", counted)
+        for sol in draws:
+            norm_quadrature(sol, rel_tol=1e-6)
+            loose = sum(calls)
+            calls.clear()
+            norm_quadrature(sol, rel_tol=1e-12)
+            assert loose <= sum(calls)
+            calls.clear()
+        # exp(-u^2) on [-40, 40] leaves 1e-3 at 64 intervals and 1e-11 at
+        # 128, so 1e-6 stops at 256 intervals and 1e-12 at 512.
+        for tol, evaluated in ((1e-6, 257), (1e-12, 513)):
+            value = wavefunction.integrate_adaptive(lambda u: np.exp(-u * u), -40.0, 40.0, tol)
+            assert value == pytest.approx(math.sqrt(math.pi), rel=tol)
+            assert sum(calls) == evaluated
+            calls.clear()
+
+    def test_non_converging_integrand_raises(self):
+        # sqrt has a branch point at 0: the rule converges only as h^1.5.
+        with pytest.raises(NotIntegrable):
+            wavefunction.integrate_adaptive(np.sqrt, 0.0, 1.0, 1e-10)
+
+    def test_no_support_raises(self):
+        # r^(1/2) exp(-1e-30 r^2 / 2) peaks at u = ln r = 34, past the scan's 28.
+        wide = _synthetic_solution(NormIntegralSpec(1.0, 1e-30, 1.0, IntegralKind.GAUSS_INV2))
+        with pytest.raises(NotIntegrable):
+            norm_quadrature(wide)
+        with pytest.raises(GridInsufficient):
+            default_fd_grid(wide)
 
 
 class TestNormClosedForm:

@@ -15,13 +15,14 @@ documents with their FAST verification reports, and the failure records
 (or the exception the solve raised).
 
 With `--values` it prints one JSON line per operation instead: the label,
-the branch count, each branch's roots (as [re, im] pairs), energy and
-derived couplings as `repr` floats, and the failure records.  That tells a
-rounding-level change apart from a real one.  `--compare OLD NEW` reads two
-such files, line by line, and prints each operation whose line differs with
-its maximum relative root, energy, derived-coupling and failure-record
-difference (each value's difference over max(1, |old value|); a failure
-record's values are the numbers in its text), or says what differs besides
+the branch count, each branch's roots (as [re, im] pairs), energy, derived
+couplings and `norm` and `schrodinger_residual` diagnostics as `repr`
+floats, and the failure records.  That tells a rounding-level change apart
+from a real one.  `--compare OLD NEW` reads two such files, line by line,
+and prints each operation whose line differs with its maximum relative
+root, energy, derived-coupling, diagnostic and failure-record difference
+(each value's difference over max(1, |old value|); a failure record's
+values are the numbers in its text), or says what differs besides
 the values (branch count, a coupling's name, or failure records that differ
 with their numbers masked).  For an operation whose branch count rose, it
 also checks each old branch against the new ones: one is kept when a new
@@ -30,8 +31,8 @@ and each old branch that is not kept is printed.  Its second-to-last line
 lists the operations whose branch count fell, those whose count rose, and
 those whose count rose but that lost a branch, so `grep '^branch count'`
 checks that no operation lost a branch.  Its last line gives the largest
-root, energy, derived-coupling and failure-record difference over all
-operations, each with the operation it comes from.
+root, energy, derived-coupling, diagnostic and failure-record difference
+over all operations, each with the operation it comes from.
 
 With `--acceptance` it digests the tier-1 acceptance sweep instead of the
 two workloads, in the same two formats: 20 coupling draws per family, drawn
@@ -59,6 +60,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # Roots within this distance (max norm) are one branch, for `--compare`.
 ROOT_TOL = 1e-6
+# The solution diagnostics that `--values` prints.
+DIAGNOSTICS = ("norm", "schrodinger_residual")
 
 
 def _values(op_label, solutions, failures) -> str:
@@ -68,6 +71,7 @@ def _values(op_label, solutions, failures) -> str:
         "roots": [[[z.real, z.imag] for z in s.roots.roots] for s in solutions],
         "energies": [s.energy for s in solutions],
         "derived": [dict(sorted(s.derived.items())) for s in solutions],
+        "diagnostics": [[s.diagnostics[k] for k in DIAGNOSTICS] for s in solutions],
         "failures": [[f.error, f.detail] for f in failures],
     })
 
@@ -193,7 +197,7 @@ def compare(old_path: str, new_path: str) -> None:
         print(f"{len(old_lines)} operations against {len(new_lines)}")
     changed = 0
     moved = {"fell": [], "rose": [], "rose but lost a branch": []}
-    largest = dict.fromkeys(("roots", "energies", "derived", "failures"), (0.0, "-"))
+    largest = dict.fromkeys(("roots", "energies", "derived", "diagnostics", "failures"), (0.0, "-"))
     for old_line, new_line in zip(old_lines, new_lines):
         if old_line == new_line:
             continue
@@ -225,6 +229,7 @@ def compare(old_path: str, new_path: str) -> None:
             "energies": _max_rel(old["energies"], new["energies"]),
             "derived": _max_rel([list(d.values()) for d in old["derived"]],
                                 [list(d.values()) for d in new["derived"]]),
+            "diagnostics": _max_rel(old["diagnostics"], new["diagnostics"]),
             "failures": _max_rel(numbers_old, numbers_new),
         }
         print(f"{old['op']} | " + " | ".join(f"{k} {v:.2g}" for k, v in diffs.items()))
