@@ -51,6 +51,7 @@ from .errors import (
     InvalidExponent,
     InvalidParameter,
     NoSolutionFound,
+    NotIntegrable,
 )
 
 
@@ -188,7 +189,8 @@ class QESSolution:
 
 @dataclass(frozen=True)
 class BranchFailure:
-    """A root branch that was found but rejected while deriving parameters."""
+    """A root branch that was found but rejected while deriving its
+    parameters or normalizing its wavefunction."""
 
     roots: RootSet | None
     error: str
@@ -401,7 +403,7 @@ def solve_family_detailed(
     for roots, omega in branches:
         try:
             solutions.append(_branch_solution(problem, roots, omega))
-        except (ConstraintInfeasible, InvalidExponent, InvalidParameter) as exc:
+        except (ConstraintInfeasible, InvalidExponent, InvalidParameter, NotIntegrable) as exc:
             failures.append(BranchFailure(roots, type(exc).__name__, str(exc)))
     solutions.sort(key=lambda s: _branch_key(s.roots.roots))
     return solutions, failures

@@ -5,8 +5,18 @@ engine: a pointwise residual of the original radial equation using analytic
 log-derivatives, and a finite-difference eigenvalue oracle (symmetric
 tridiagonal discretization, Sturm-sequence bisection on counts made by
 guarded cyclic reduction) confirming that the constructed energy sits in
-the spectrum of the constructed potential.  Verification refines only the
-FD eigenvalues that can be nearest 2E.
+the spectrum of the constructed potential.
+
+Verification needs only the FD eigenvalue nearest 2E.  It proves it from
+the closed-form Psi sampled on the grid: Sturm counts isolate one
+eigenvalue around the sample's Rayleigh quotient, one inverse-iteration
+step sharpens the vector, and the Kato-Temple inequality encloses the
+eigenvalue within 1e-12 in exact arithmetic; the float returned agrees
+with the matrix's eigenvalue to the rounding of the matrix (8 eps 2/h^2),
+as bisection's does.  The enclosure is a theorem about the FD matrix
+whatever the vector is, so a wrong Psi cannot pass the check by it: the
+proof then fails, and bisection refines the eigenvalues that can be
+nearest 2E instead.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from .families import _POWERS, Case, QESSolution, build_ode
 from .wavefunction import (
     _support,
     count_nodes,
-    eval_log_psi,  # not called here; perfbench/tracing.py wraps it by this name
+    eval_log_psi,
     eval_psi_log_derivatives,
     node_positions,
     norm_quadrature,
@@ -298,6 +308,12 @@ def _bisection_tree(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
     return np.concatenate(mids, axis=1)
 
 
+def _fd_points(grid: FdGrid) -> tuple[np.ndarray, float]:
+    """The interior grid points and their spacing h."""
+    r = np.linspace(grid.r_min, grid.r_max, grid.n_points + 2)[1:-1]
+    return r, (grid.r_max - grid.r_min) / (grid.n_points + 1)
+
+
 def _fd_problem(potential: PotentialSpec, energy_window: tuple, grid: FdGrid, tol: float):
     """The checked window ends, and the FD matrix: diagonal, squared off-diagonal."""
     lo, hi = float(energy_window[0]), float(energy_window[1])
@@ -305,9 +321,7 @@ def _fd_problem(potential: PotentialSpec, energy_window: tuple, grid: FdGrid, to
         raise InvalidParameter("energy window must be finite with positive width")
     if not (math.isfinite(tol) and tol > 0.0):
         raise InvalidParameter("tol must be a finite positive number")
-    n = grid.n_points
-    r = np.linspace(grid.r_min, grid.r_max, n + 2)[1:-1]
-    h = (grid.r_max - grid.r_min) / (n + 1)
+    r, h = _fd_points(grid)
     return lo, hi, 2.0 / (h * h) + potential.bracket(r), 1.0 / h**4
 
 
@@ -372,18 +386,163 @@ def fd_spectrum(
     return [float(x) for x in _bisect(diag, off_sq, lo, hi, tol)]
 
 
+# The width to which verification resolves the FD eigenvalue nearest 2E.
+_NEAREST_TOL = 1e-12
+# Sturm passes that look for an interval around the Rayleigh quotient
+# holding one eigenvalue, its half-width quartered from pass to pass (from
+# the window's half-width down to 1/64 of it).
+_ISOLATION_PASSES = 4
+
+
+def _apply(diag: np.ndarray, off: float, x: np.ndarray) -> np.ndarray:
+    """T x for the tridiagonal T with diagonal `diag` and off-diagonal `off`."""
+    y = diag * x
+    y[1:] += off * x[:-1]
+    y[:-1] += off * x[1:]
+    return y
+
+
+def _rayleigh(diag: np.ndarray, off: float, x: np.ndarray) -> tuple[float, float]:
+    """The Rayleigh quotient rho of x, and ||T x - rho x|| / ||x||."""
+    tx = _apply(diag, off, x)
+    xx = float(x @ x)
+    rho = float(x @ tx) / xx
+    return rho, float(np.linalg.norm(tx - rho * x)) / math.sqrt(xx)
+
+
+def _tridiagonal_solve(a: np.ndarray, c: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """x with T x = f, for the symmetric tridiagonal T with diagonal `a`
+    and off-diagonal `c`.
+
+    Cyclic reduction eliminates the odd rows level by level while each is
+    at least half diagonally dominant (the guard of `_block_counts`), the
+    LDL^T recurrence solves the rows left, and back-substitution recovers
+    the eliminated rows.  A pivot below the smallest normal float in size
+    becomes minus that; the result may then hold infinities.
+    """
+    levels = []
+    while len(a) > 1:
+        p, f_odd = a[1::2], f[1::2]
+        c_left, c_right = c[0::2], c[1::2]  # each odd row's couplings
+        reach = np.abs(c_left)
+        reach[: len(c_right)] += np.abs(c_right)
+        if not np.all(2.0 * np.abs(p) >= reach):
+            break
+        levels.append((p, c_left, c_right, f_odd))
+        k = len(c_right)
+        a, f = a[0::2].copy(), f[0::2].copy()
+        a[: len(p)] -= c_left * c_left / p
+        f[: len(p)] -= c_left * f_odd / p
+        a[1 : k + 1] -= c_right * c_right / p[:k]
+        f[1 : k + 1] -= c_right * f_odd[:k] / p[:k]
+        c = -c_left[:k] * c_right / p[:k]
+    pivmin = np.finfo(float).tiny
+    pivots, y = [], []
+    q, yi = 1.0, 0.0
+    for ai, fi, ci in zip(a.tolist(), f.tolist(), [0.0] + c.tolist()):
+        q, yi = ai - ci * ci / q, fi - ci * yi / q
+        q = -pivmin if abs(q) < pivmin else q
+        pivots.append(q)
+        y.append(yi)
+    x, after = [], 0.0
+    for q, yi, ci in zip(pivots[::-1], y[::-1], (c.tolist() + [0.0])[::-1]):
+        after = (yi - ci * after) / q
+        x.append(after)
+    x = np.array(x[::-1])
+    for p, c_left, c_right, f_odd in reversed(levels):
+        full = np.empty(len(x) + len(p))
+        full[0::2] = x
+        odd = f_odd - c_left * x[: len(p)]
+        odd[: len(c_right)] -= c_right * x[1 : len(c_right) + 1]
+        full[1::2] = odd / p
+        x = full
+    return x
+
+
+def _kato_temple(rho: float, eps: float, alpha: float, beta: float) -> tuple[float, float]:
+    """Bounds on the one eigenvalue in (alpha, beta) of a symmetric matrix,
+    from a vector with Rayleigh quotient rho in (alpha, beta) and residual
+    norm eps relative to its own (Kato-Temple)."""
+    return rho - eps * eps / (beta - rho), rho + eps * eps / (rho - alpha)
+
+
+def _isolating_half_width(diag: np.ndarray, off_sq: float, rho: float, half_width: float) -> float | None:
+    """A g for which the Sturm counts at rho - g and rho + g show exactly
+    one eigenvalue in [rho - g, rho + g): the first of half_width, a
+    quarter of it and so on, one pass each; None when a pass finds none
+    or `_ISOLATION_PASSES` passes find more than one."""
+    g = half_width
+    for _ in range(_ISOLATION_PASSES):
+        below, above = _sturm_counts(diag, off_sq, np.array([rho - g, rho + g]))
+        if above - below == 1:
+            return g
+        if above == below:
+            return None
+        g /= 4.0
+    return None
+
+
+def _enclosed_eigenvalue(
+    diag: np.ndarray, off_sq: float, lo: float, hi: float, target: float, v: np.ndarray
+) -> float | None:
+    """The eigenvalue nearest `target`, proven from the trial vector v, or
+    None when the proof fails.
+
+    With rho the Rayleigh quotient of v, Sturm counts isolate one
+    eigenvalue lam in (rho - g, rho + g).  One inverse-iteration step,
+    x = (T - rho I)^-1 v, gives rho1 and eps1 = ||T x - rho1 x|| / ||x||,
+    and the Kato-Temple inequality (Temple 1928, Kato 1949; Parlett, The
+    Symmetric Eigenvalue Problem, ch. 10; `_kato_temple`) bounds
+        rho1 - eps1^2 / (rho + g - rho1) <= lam <= rho1 + eps1^2 / (rho1 - rho + g).
+    rho1 is returned when that enclosure lies inside (rho - g, rho + g)
+    and the window (lo, hi], is at most `_NEAREST_TOL` wide, and lies
+    nearer the target than rho +- g: every other eigenvalue lies outside
+    that interval, so lam is the nearest."""
+    off = -math.sqrt(off_sq)
+    rho, _ = _rayleigh(diag, off, v)
+    g = _isolating_half_width(diag, off_sq, rho, 0.5 * (hi - lo))
+    if g is None:
+        return None
+    with np.errstate(all="ignore"):  # a non-finite solution is rejected below
+        x = _tridiagonal_solve(diag - rho, np.full(len(diag) - 1, off), v)
+        scale = np.max(np.abs(x))
+    if not (math.isfinite(scale) and scale > 0.0):
+        return None
+    rho1, eps1 = _rayleigh(diag, off, x / scale)
+    alpha, beta = rho - g, rho + g
+    low, high = _kato_temple(rho1, eps1, alpha, beta)
+    farthest = max(abs(low - target), abs(high - target))
+    isolated = alpha < low and high < beta and lo < low and high <= hi
+    nearest = farthest < min(target - alpha, beta - target)
+    return rho1 if isolated and nearest and high - low <= _NEAREST_TOL else None
+
+
 def _nearest_fd_eigenvalue(
-    potential: PotentialSpec, energy_window: tuple, grid: FdGrid, target: float
+    potential: PotentialSpec, energy_window: tuple, grid: FdGrid, target: float, solution: QESSolution
 ) -> float | None:
     """The eigenvalue of `fd_spectrum(potential, energy_window, grid)`
-    nearest `target`, or None when the window holds none.  Only the
-    ordinals that can hold it are refined.  Those dropped lie wholly
-    farther from the target, so its distance is the same float as the
-    minimum over the full list, as long as both stop at the same depth:
-    the stop test reads only the kept intervals' widths, which at one
-    depth differ from the dropped ones' by rounding alone."""
-    lo, hi, diag, off_sq = _fd_problem(potential, energy_window, grid, 1e-12)
-    found = _bisect(diag, off_sq, lo, hi, 1e-12, target)
+    nearest `target`, to the rounding of the matrix, or None when the
+    window holds none.
+
+    The trial vector is `solution`'s closed-form Psi sampled on the grid.
+    When `_enclosed_eigenvalue` proves the eigenvalue from it, that is the
+    result: an inverse-iteration Rayleigh quotient within 1e-12 of the
+    eigenvalue in exact arithmetic, where bisection gives the midpoint of
+    an interval of that width; in floating point each agrees with the
+    eigenvalue to the rounding of the matrix.  Otherwise bisection refines only the ordinals that can
+    hold it.  Those dropped lie wholly farther from the target, so its
+    distance is the same float as the minimum over the full list, as long
+    as both stop at the same depth: the stop test reads only the kept
+    intervals' widths, which at one depth differ from the dropped ones' by
+    rounding alone."""
+    lo, hi, diag, off_sq = _fd_problem(potential, energy_window, grid, _NEAREST_TOL)
+    log_mag, sign = eval_log_psi(solution, _fd_points(grid)[0])
+    peak = np.max(log_mag)
+    if math.isfinite(peak):
+        found = _enclosed_eigenvalue(diag, off_sq, lo, hi, target, sign * np.exp(log_mag - peak))
+        if found is not None:
+            return found
+    found = _bisect(diag, off_sq, lo, hi, _NEAREST_TOL, target)
     return float(found[np.argmin(np.abs(found - target))]) if len(found) else None
 
 
@@ -475,8 +634,8 @@ def verify_solution(
         delta = max(0.75, 0.02 * abs(two_e))
         window = (two_e - delta, two_e + delta)
         potential = assemble_potential(solution)
-        ev_c = _nearest_fd_eigenvalue(potential, window, coarse, two_e)
-        ev_f = _nearest_fd_eigenvalue(potential, window, fine, two_e)
+        ev_c = _nearest_fd_eigenvalue(potential, window, coarse, two_e, solution)
+        ev_f = _nearest_fd_eigenvalue(potential, window, fine, two_e, solution)
         if ev_c is None or ev_f is None:
             report.add("fd_eigenvalue_error", math.inf, 5e-3 * scale, passed=False)
             report.notes.append("fd oracle: window contained no eigenvalue")

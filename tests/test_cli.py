@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qesolve.cli import main
+from qesolve.cli import EXIT_NO_SOLUTION, main
 from qesolve.document import loads_documents
 
 
@@ -75,6 +75,17 @@ class TestSolve:
             "--param", "e=0.5", "--param", "d=0.5", "--match-ell", "--starts", "40",
         )
         assert code == 2
+
+    def test_state_too_wide_to_normalize(self, capsys):
+        # The only branch's norm raises NotIntegrable: no solution, not an error.
+        code, out, err = run(
+            capsys,
+            "solve", "--family", "quartic", "--case", "harmonic", "--n", "0",
+            "--param", "omega=1e-25", "--param", "c=0", "--param", "d=0.5",
+        )
+        assert code == EXIT_NO_SOLUTION
+        assert out == ""
+        assert "NotIntegrable" in err and "error:" not in err
 
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, *SOLVE_Q0, "--format", "csv")

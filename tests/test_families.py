@@ -219,6 +219,13 @@ class TestQuartic:
         assert s.energy == pytest.approx(2.5, abs=1e-13)
         assert s.diagnostics["schrodinger_residual"] < 1e-10
 
+    def test_state_too_wide_to_normalize_is_a_failure(self):
+        # omega = 1e-25 spreads the ground state past the support scan: its
+        # norm raises NotIntegrable, which is recorded for the branch.
+        solutions, failures = solve_family_detailed(quartic_harmonic(n=0, omega=1e-25, c=0.0, d=0.5))
+        assert solutions == []
+        assert [(f.error, f.roots.n) for f in failures] == [("NotIntegrable", 0)]
+
 
 class TestSextic:
     def test_n1_roots_both_signs(self, cfg):

@@ -412,13 +412,80 @@ class TestSturmCounts:
         assert list(got) == list(sturm_reference._sturm_counts(diag, off_sq, shifts))
 
 
+class TestTridiagonalSolve:
+    """The inverse-iteration solve agrees with a dense solve."""
+
+    @pytest.mark.parametrize("n", [257, 258])
+    @pytest.mark.parametrize("shift", [3.0, 1.5, "mid-spectrum"])
+    def test_against_dense_solve(self, n, shift):
+        # The radial oscillator on 257 or 258 rows (h about 0.047), shifted
+        # near its lowest level (four cyclic-reduction levels, then 17 rows
+        # for the LDL^T recurrence), below it (nine levels, one row left)
+        # and to 2/h^2, mid-spectrum (the guard fails at once and the
+        # recurrence solves every row).
+        h = 12.0 / (n + 1)
+        r = h * np.arange(1, n + 1)
+        a = 2.0 / (h * h) + r * r - (2.0 / (h * h) if shift == "mid-spectrum" else shift)
+        c = np.full(n - 1, -1.0 / (h * h))
+        f = np.random.default_rng(n).standard_normal(n)
+        want = np.linalg.solve(np.diag(a) + np.diag(c, 1) + np.diag(c, -1), f)
+        got = oracle._tridiagonal_solve(a, c, f)
+        assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
+
+    def test_zero_diagonal_in_an_odd_row(self):
+        # Cyclic reduction would divide by row 3's zero diagonal; the guard
+        # hands every row to the LDL^T recurrence, whose pivots are not 0.
+        a = np.array([2.0, 3.0, -1.0, 0.0, 2.5, 1.0, -2.0, 4.0, 1.5])
+        c = np.ones(len(a) - 1)
+        f = np.arange(1.0, len(a) + 1)
+        want = np.linalg.solve(np.diag(a) + np.diag(c, 1) + np.diag(c, -1), f)
+        assert np.max(np.abs(oracle._tridiagonal_solve(a, c, f) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestKatoTemple:
+    def test_bounds_contain_the_eigenvalue(self):
+        # A random symmetric tridiagonal matrix, each interior eigenvalue
+        # isolated by the midpoints to its neighbours, and vectors near its
+        # eigenvector (their Rayleigh quotients on either side of it).
+        rng = np.random.default_rng(7)
+        diag = np.sort(rng.uniform(-5.0, 5.0, 40))
+        t = np.diag(diag) - np.diag(np.ones(39), 1) - np.diag(np.ones(39), -1)
+        lams, vecs = np.linalg.eigh(t)
+        for k in range(1, 39):
+            alpha, beta = 0.5 * (lams[k - 1] + lams[k]), 0.5 * (lams[k] + lams[k + 1])
+            for _ in range(5):
+                x = vecs[:, k] + 0.02 * rng.standard_normal(40)
+                rho, eps = oracle._rayleigh(diag, -1.0, x)
+                if not alpha < rho < beta:
+                    continue
+                low, high = oracle._kato_temple(rho, eps, alpha, beta)
+                assert low - 1e-12 <= lams[k] <= high + 1e-12
+                assert high - low <= eps * eps * (1.0 / (beta - rho) + 1.0 / (rho - alpha)) * (1.0 + 1e-12)
+
+
+class TestIsolatingHalfWidth:
+    def test_quartered_until_one_eigenvalue(self):
+        # The radial oscillator's FD levels lie near 3, 7 and 11: around 3,
+        # +-6 holds two of them and +-1.5 one; around 5, +-1.5 holds none.
+        diag, off_sq = _fd_matrix(PotentialSpec(0.0, 1.0, {}), FdGrid(1e-3, 12.0, 3000))
+        assert oracle._isolating_half_width(diag, off_sq, 3.0, 6.0) == 1.5
+        assert oracle._isolating_half_width(diag, off_sq, 3.0, 1.0) == 1.0
+        assert oracle._isolating_half_width(diag, off_sq, 5.0, 1.5) is None
+        # Four passes stop at 384 / 64 = 6, where +-6 around 5 still holds
+        # more than one level.
+        assert oracle._isolating_half_width(diag, off_sq, 5.0, 6.0 * 64.0) is None
+
+
 class TestFdSpectrumAgainstLdl:
     """fd_spectrum on cyclic-reduction counts agrees with fd_spectrum on the
     LDL^T reference to the rounding of the matrix."""
 
-    def test_verify_pool(self, cfg):
+    def test_verify_pool(self, cfg, monkeypatch):
         # Entry 5, the octic coulombic ground state, has 18 eigenvalues in
         # its window: the nearest entry refines only those that can be nearest.
+        # The enclosure is switched off, so the nearest entry is the
+        # bisection fallback's; TestNearestFdEigenvalue checks the enclosure.
+        monkeypatch.setattr(oracle, "_enclosed_eigenvalue", lambda *args: None)
         for sol in _verify_pool(cfg):
             two_e = 2.0 * sol.energy
             delta = max(0.75, 0.02 * abs(two_e))
@@ -428,7 +495,7 @@ class TestFdSpectrumAgainstLdl:
                 got, want = fd_spectrum(pot, window, grid), _reference_spectrum(pot, window, grid)
                 assert len(got) == len(want) >= 1
                 assert np.max(np.abs(np.subtract(got, want))) <= _rounding_bound(grid)
-                nearest = oracle._nearest_fd_eigenvalue(pot, window, grid, two_e)
+                nearest = oracle._nearest_fd_eigenvalue(pot, window, grid, two_e, sol)
                 assert nearest in got
                 assert abs(nearest - two_e) == min(abs(v - two_e) for v in got)
 
@@ -451,10 +518,115 @@ class TestFdSpectrumAgainstLdl:
             assert np.max(np.abs(np.subtract(got, want))) <= _rounding_bound(grid)
 
 
+def _pool_grids(sol):
+    """The FD problems FULL verification solves for one branch: potential,
+    window, 2E and its coarse and fine grids."""
+    two_e = 2.0 * sol.energy
+    delta = max(0.75, 0.02 * abs(two_e))
+    coarse = default_fd_grid(sol, 2400)
+    fine = FdGrid(coarse.r_min, coarse.r_max, 2 * 2400 + 1)
+    return assemble_potential(sol), (two_e - delta, two_e + delta), two_e, (coarse, fine)
+
+
+def _no_bisection(*args, **kwargs):
+    raise AssertionError("the eigenvalue was not proven from the trial vector")
+
+
+def _bisected_nearest(potential, window, grid, target) -> float:
+    """The nearest eigenvalue as bisection alone finds it."""
+    lo, hi, diag, off_sq = oracle._fd_problem(potential, window, grid, 1e-12)
+    found = oracle._bisect(diag, off_sq, lo, hi, 1e-12, target)
+    return float(found[np.argmin(np.abs(found - target))])
+
+
 class TestNearestFdEigenvalue:
-    def test_empty_window(self):
+    """The eigenvalue nearest 2E, proven from the sampled Psi by a
+    Kato-Temple enclosure, with bisection as the fallback."""
+
+    def test_empty_window(self, quartic0):
+        # Any trial vector: an enclosure outside the window is not taken.
         pot, grid = PotentialSpec(0.0, 1.0, {}), FdGrid(1e-3, 12.0, 3000)
-        assert oracle._nearest_fd_eigenvalue(pot, (4.0, 6.0), grid, 5.0) is None
+        assert oracle._nearest_fd_eigenvalue(pot, (4.0, 6.0), grid, 5.0, quartic0) is None
+
+    def test_pool_is_proven_without_bisection(self, cfg, monkeypatch):
+        # On both grids of every pool entry the enclosure proves the
+        # eigenvalue (no fallback), and it lies within the rounding of the
+        # matrix of the fd_spectrum entry nearest 2E.
+        for sol in _verify_pool(cfg):
+            pot, window, two_e, grids = _pool_grids(sol)
+            for grid in grids:
+                want = min(fd_spectrum(pot, window, grid), key=lambda v: abs(v - two_e))
+                with monkeypatch.context() as mp:
+                    mp.setattr(oracle, "_bisect", _no_bisection)
+                    got = oracle._nearest_fd_eigenvalue(pot, window, grid, two_e, sol)
+                assert abs(got - want) <= _rounding_bound(grid)
+
+    def test_full_verification_of_the_pool_without_bisection(self, cfg, monkeypatch):
+        monkeypatch.setattr(oracle, "_bisect", _no_bisection)
+        for sol in _verify_pool(cfg):
+            report = verify_solution(sol, VerifyLevel.FULL)
+            assert report.passed, report.lines()
+
+    @pytest.fixture()
+    def bisect_calls(self, monkeypatch):
+        """The calls to `oracle._bisect`, which still bisects."""
+        calls = []
+        bisect = oracle._bisect
+
+        def counted(*args):
+            calls.append(args)
+            return bisect(*args)
+
+        monkeypatch.setattr(oracle, "_bisect", counted)
+        return calls
+
+    def test_neighbouring_eigenvalue_takes_the_fallback(self, quartic0, quartic1, bisect_calls):
+        # The n = 1 Psi has its Rayleigh quotient on the n = 0 matrix near
+        # the second eigenvalue (7.60), outside the window about 2E = 3: the
+        # enclosure fails and bisection gives its own float.
+        pot, window, two_e, grids = _pool_grids(quartic0)
+        for grid in grids:
+            lo, hi, diag, off_sq = oracle._fd_problem(pot, window, grid, 1e-12)
+            lm, sign = oracle.eval_log_psi(quartic1, oracle._fd_points(grid)[0])
+            rho, _ = oracle._rayleigh(diag, -math.sqrt(off_sq), sign * np.exp(lm - lm.max()))
+            assert rho == pytest.approx(7.6, abs=0.2)
+            want = _bisected_nearest(pot, window, grid, two_e)
+            bisect_calls.clear()
+            assert oracle._nearest_fd_eigenvalue(pot, window, grid, two_e, quartic1) == want
+            assert len(bisect_calls) == 1
+
+    def test_root_moved_falls_back_to_the_bisection_verdict(self, quartic1, bisect_calls, monkeypatch):
+        # A Psi with its root moved by 1e-2 fails the FAST checks.  One
+        # inverse-iteration step from it leaves the enclosure wider than
+        # 1e-12 on both grids, so bisection decides, and the report is the
+        # one bisection alone gives.
+        roots = quartic1.roots
+        moved = RootSet(roots.n, (roots.roots[0] + 1e-2,), roots.variable, roots.bae_residual, roots.separation)
+        bad = _tweak(quartic1, roots=moved)
+        got = verify_solution(bad, VerifyLevel.FULL)
+        assert len(bisect_calls) == 2
+        monkeypatch.setattr(oracle, "_enclosed_eigenvalue", lambda *args: None)
+        assert got.lines() == verify_solution(bad, VerifyLevel.FULL).lines()
+        failed = [c.name for c in got.checks if not c.passed]
+        assert failed == ["bae_residual", "identity_residual", "schrodinger_residual"]
+
+    def test_enclosure_of_a_known_spectrum(self):
+        # The ell = 2 radial oscillator's eigenfunctions for 2E = 7 and 11,
+        # sampled, prove their FD levels within the rounding of the matrix
+        # of fd_spectrum.  A cruder vector (residual 0.39, after which one
+        # step leaves the enclosure about 4e-5 wide) proves nothing.
+        pot, grid = PotentialSpec(2.0, 1.0, {}), FdGrid(1e-3, 12.0, 3000)
+        diag, off_sq = _fd_matrix(pot, grid)
+        r = oracle._fd_points(grid)[0]
+        gauss = r**3 * np.exp(-0.5 * r * r)
+        for trial, (lo, hi) in ((gauss, (6.25, 7.75)), ((r * r - 3.5) * gauss, (10.25, 11.75))):
+            (want,) = fd_spectrum(pot, (lo, hi), grid)
+            got = oracle._enclosed_eigenvalue(diag, off_sq, lo, hi, 0.5 * (lo + hi), trial)
+            assert got is not None and abs(got - want) <= _rounding_bound(grid)
+        assert oracle._enclosed_eigenvalue(diag, off_sq, 6.25, 7.75, 7.0, r**3 * np.exp(-0.45 * r * r)) is None
+        # In the window (6.25, 11.75) the level near 7 is proven, but it is
+        # not the one nearest 10.
+        assert oracle._enclosed_eigenvalue(diag, off_sq, 6.25, 11.75, 10.0, gauss) is None
 
 
 class TestVerifySolution:

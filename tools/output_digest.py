@@ -6,6 +6,7 @@
     python3 tools/output_digest.py --compare old.jsonl new.jsonl
     python3 tools/output_digest.py --verify > verify.txt
     python3 tools/output_digest.py --verify --values > verify.jsonl
+    python3 tools/output_digest.py --verify --acceptance [--values] > verify_acceptance.jsonl
 
 Run it in checkouts of two commits and `cmp` the outputs: a change meant
 to keep behaviour must print the same bytes.  It imports `src/qesolve` and
@@ -48,6 +49,14 @@ label, the exit code, and the report's checks ([name, value, passed], the
 value a `repr` float) and notes.  `--compare` reads these too, and prints
 each entry whose line differs with every check whose value moved and by
 how much (absolute), or says what differs besides the values.
+
+With `--verify --acceptance` it runs FULL `verify_solution` on every branch
+of the `--acceptance` solves at n <= 2 whose roots are all real and
+positive (197 branches), in the same two formats: one line per branch,
+labelled with its solve and its index among that solve's solutions, and
+as exit code the one `qes verify` gives for the report (0 passed, 3
+failed).  Without `--values` the line holds the sha256 of the report's
+lines.
 """
 
 import hashlib
@@ -145,6 +154,38 @@ def verify_digest(values: bool) -> None:
                 continue
             sha = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else "no output"
             print(f"{op.label} | {code} | {sha}")
+
+
+def verify_acceptance_digest(values: bool) -> None:
+    import workloads
+    from qesolve.cli import EXIT_OK, EXIT_VERIFY_FAILED
+    from qesolve.oracle import VerifyLevel, verify_solution
+
+    sweep = workloads.Sweep()
+    for op in _acceptance_ops(workloads):
+        if op.payload.n > 2:
+            continue
+        solutions, _ = sweep.run(op)
+        for i, sol in enumerate(solutions):
+            if not all(z.imag == 0.0 and z.real > 0.0 for z in sol.roots.roots):
+                continue
+            label = f"{op.label} branch {i}"
+            try:
+                report = verify_solution(sol, VerifyLevel.FULL)
+            except Exception as exc:  # a crash is part of the behaviour to compare
+                print(f"{label} | raised {type(exc).__name__}: {exc}")
+                continue
+            code = EXIT_OK if report.passed else EXIT_VERIFY_FAILED
+            if values:
+                print(json.dumps({
+                    "op": label,
+                    "code": code,
+                    "checks": [[c.name, c.value, c.passed] for c in report.checks],
+                    "notes": report.notes,
+                }))
+                continue
+            sha = hashlib.sha256("\n".join(report.lines()).encode()).hexdigest()
+            print(f"{label} | {code} | {sha}")
 
 
 def _max_rel(old, new) -> float:
@@ -247,8 +288,10 @@ if __name__ == "__main__":
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     if sys.argv[1:2] == ["--compare"] and len(sys.argv) == 4:
         compare(sys.argv[2], sys.argv[3])
-    elif sys.argv[1:] in (["--verify"], ["--verify", "--values"]):
-        verify_digest(values=len(sys.argv) == 3)
+    elif sorted(sys.argv[1:]) in (["--verify"], ["--values", "--verify"]):
+        verify_digest(values="--values" in sys.argv)
+    elif sorted(sys.argv[1:]) in (["--acceptance", "--verify"], ["--acceptance", "--values", "--verify"]):
+        verify_acceptance_digest(values="--values" in sys.argv)
     elif sorted(sys.argv[1:]) in ([], ["--values"], ["--acceptance"], ["--acceptance", "--values"]):
         digest(values="--values" in sys.argv, acceptance="--acceptance" in sys.argv)
     else:
