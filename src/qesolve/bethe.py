@@ -11,9 +11,12 @@ and W is assembled from the root power sums.  The module enumerates all
 solutions, whichever W coefficients w0 .. w_(m-1) depend on the roots, as
 null vectors of the ODE's (n+m)x(n+1) matrix on polynomials of degree n at
 the real solutions of one m-parameter eigenproblem (`_multiparameter`, for
-m = 1 to 4; it also solves the match-ell problems of `families`).  Each
-candidate is polished and verified by exact polynomial arithmetic
-(`_branch`).
+m = 1 to 4; it also solves the match-ell problems of `families`).  The
+candidates of one solve are taken in one batch: their roots from one
+stacked companion-matrix eigensolve (`_starts`), a Newton polish of every
+row at once (`_polish`), and array filters followed by verification by
+exact polynomial arithmetic (`_accept`).  Each accepted branch carries the
+W coefficients and identity residual of that verification.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from numbers import Integral
 from typing import NamedTuple
@@ -69,13 +72,22 @@ def _pad(coeffs, length, name):
 
 @dataclass(frozen=True)
 class RootSet:
-    """A distinct, conjugate-closed solution of the root system."""
+    """A distinct, conjugate-closed solution of the root system.
+
+    On a branch that `solve_bae` returns, `w` and `identity_residual` hold
+    what its acceptance computed for the ODE solved: the W coefficients
+    (w0..w4, `compute_w_coefficients`) and the scaled residual of the
+    polynomial identity at them (`verify_polynomial_identity`).  Elsewhere
+    they default to None.  Neither takes part in comparison or repr.
+    """
 
     n: int
     roots: tuple
     variable: Variable
     bae_residual: float
     separation: float
+    w: tuple | None = field(default=None, compare=False, repr=False)
+    identity_residual: float | None = field(default=None, compare=False, repr=False)
 
     def as_array(self) -> np.ndarray:
         return np.array(self.roots, dtype=complex)
@@ -117,8 +129,12 @@ class SolverConfig:
 
 
 def _canonical_order(roots: np.ndarray) -> np.ndarray:
-    order = np.lexsort((roots.imag, roots.real))
-    return roots[order]
+    """The roots sorted by real part, then imaginary part: along the last
+    axis, so each row of a stack on its own."""
+    order = np.lexsort((roots.imag, roots.real), axis=-1)
+    if roots.ndim == 1:
+        return roots[order]
+    return roots[np.arange(len(roots))[:, None], order]
 
 
 def _branch_key(roots) -> tuple:
@@ -195,13 +211,20 @@ def compute_w_coefficients(ode: PolyODE, roots, conj_tol: float = CONJ_TOL):
     return _closing_w(ode, len(arr), *_power_sums(arr, conj_tol))
 
 
+def _separations(T: np.ndarray) -> np.ndarray:
+    """Smallest distance between two roots of each row (inf for fewer than
+    two)."""
+    n = T.shape[1]
+    if n < 2:
+        return np.full(len(T), math.inf)
+    diff = np.abs(T[:, :, None] - T[:, None, :])
+    diff[:, np.arange(n), np.arange(n)] = math.inf
+    return np.min(diff, axis=(1, 2))
+
+
 def _separation(roots: np.ndarray) -> float:
     """Smallest distance between two roots (inf for fewer than two)."""
-    n = len(roots)
-    if n < 2:
-        return math.inf
-    diff = roots[:, None] - roots[None, :]
-    return float(np.min(np.abs(diff[~np.eye(n, dtype=bool)])))
+    return float(_separations(roots[None, :])[0])
 
 
 def bae_residuals(
@@ -253,7 +276,7 @@ def verify_polynomial_identity(ode: PolyODE, roots) -> float:
 
 
 # ----------------------------------------------------------------------
-# Candidate polish and filters
+# The candidate step: starts, polish and filters, one batch per solve
 # ----------------------------------------------------------------------
 
 
@@ -291,64 +314,115 @@ def _at_rounding_level(x: np.ndarray, dx: np.ndarray) -> np.ndarray:
     return np.max(np.abs(dx), axis=1) <= ROUNDING_STEP * (1.0 + np.max(np.abs(x), axis=1))
 
 
-def _accept_candidate(ode: PolyODE, roots: np.ndarray):
-    """Pair each root with the root nearest its conjugate and make the pairs
-    exact (a root paired with itself exactly real), then apply the
-    distinctness, denominator, residual and identity filters to that set in
-    canonical order; every accepted set passes both independent checks."""
-    if np.max(np.abs(roots)) > ESCAPE_RADIUS:
-        return None
-    partner = np.argmin(np.abs(roots[:, None] - np.conj(roots)), axis=1)
-    mirror = np.conj(roots[partner])
-    if np.any(partner[partner] != np.arange(len(roots))) or np.max(np.abs(roots - mirror)) > CONJ_TOL:
-        return None
-    ordered = _canonical_order(0.5 * (roots + mirror))
-    sep = _separation(ordered)
-    if sep <= SEP_TOL or np.min(np.abs(polyval(ode.p, ordered))) < DENOM_TOL:
-        return None
-    res = float(np.max(np.abs(_residual_batch(ode, ordered[None, :]))))
-    if res >= BAE_TOL:
-        return None
+def _starts(coeffs: np.ndarray) -> np.ndarray:
+    """The roots of S = sum c_k t^k (c_n != 0) for each row c of coeffs, in
+    canonical order: what np.roots gives for c[::-1], from one stacked
+    companion-matrix eigvals per count z of trailing zero coefficients
+    (c_0 = ... = c_(z-1) = 0), with the z zero roots appended."""
+    n = coeffs.shape[1] - 1
+    out = np.zeros((len(coeffs), n), dtype=complex)
+    zeros = np.argmax(coeffs != 0.0, axis=1)
+    for z in set(zeros.tolist()):  # not np.unique, which imports numpy.ma
+        rows = zeros == z
+        c, size = coeffs[rows, z:], n - z
+        if size:
+            companion = np.zeros((len(c), size, size))
+            companion[:, 0] = -c[:, -2::-1] / c[:, -1:]
+            companion[:, np.arange(1, size), np.arange(size - 1)] = 1.0
+            out[rows, :size] = np.linalg.eigvals(companion)
+    return _canonical_order(out)
+
+
+def _polish(ode: PolyODE, T: np.ndarray) -> np.ndarray:
+    """Undamped Newton on every row of T until its step, a direct estimate
+    of the root error, is at rounding level.  A row stops early where its
+    step cannot be taken: a non-finite residual or step, or a singular
+    Jacobian.  Rows never mix, so each ends where it would alone."""
+    T = T.copy()
+    active = np.arange(len(T) if T.shape[1] else 0)  # an empty row has nothing to polish
+    for _ in range(8):
+        if not len(active):
+            break
+        X = T[active]
+        R = _residual_batch(ode, X)
+        finite = np.isfinite(R).all(axis=1)
+        if not finite.all():
+            active, X, R = active[finite], X[finite], R[finite]
+        step = _solve_rows(_jacobian_batch(ode, X), R)
+        taken = np.isfinite(step).all(axis=1)
+        if not taken.all():
+            active, X, step = active[taken], X[taken], step[taken]
+        X = X - step
+        T[active] = X
+        active = active[~_at_rounding_level(X, step)]
+    return T
+
+
+def _solve_rows(J: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """J^-1 R for each row, from one stacked solve; when a J is singular,
+    row by row, with NaN in the rows whose J is."""
+    try:
+        return np.linalg.solve(J, R[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        step = np.full_like(R, math.nan)
+        for i in range(len(J)):
+            try:
+                step[i] = np.linalg.solve(J[i : i + 1], R[i : i + 1, :, None])[0, :, 0]
+            except np.linalg.LinAlgError:
+                pass
+        return step
+
+
+def _accept(ode: PolyODE, T: np.ndarray, variable: Variable) -> list[RootSet | None]:
+    """The branch of each row of T, or None where the filters reject it.
+
+    Each root is paired with the root nearest its conjugate and the pairs
+    made exact (a root paired with itself exactly real).  The escape,
+    pairing, distinctness, denominator and residual filters then test every
+    row at once, in canonical order, and the identity filter (`_closed`)
+    the rows that pass them, so every accepted set passes both independent
+    checks.
+    """
+    n = T.shape[1]
+    if not n:
+        return [_closed(ode, T[0], variable, 0.0, math.inf) for _ in T]
+    rows = np.arange(len(T))[:, None]
+    keep = ~(np.max(np.abs(T), axis=1) > ESCAPE_RADIUS)
+    partner = np.argmin(np.abs(T[:, :, None] - np.conj(T[:, None, :])), axis=2)
+    mirror = np.conj(T[rows, partner])
+    keep &= (partner[rows, partner] == np.arange(n)).all(axis=1)
+    keep &= ~(np.max(np.abs(T - mirror), axis=1) > CONJ_TOL)
+    ordered = _canonical_order(0.5 * (T + mirror))
+    sep = _separations(ordered)
+    keep &= ~((sep <= SEP_TOL) | (np.min(np.abs(polyval(ode.p, ordered)), axis=1) < DENOM_TOL))
+    res = np.full(len(T), math.nan)
+    res[keep] = np.max(np.abs(_residual_batch(ode, ordered[keep])), axis=1)
+    keep &= ~(res >= BAE_TOL)
+    return [
+        _closed(ode, ordered[i], variable, float(res[i]), float(sep[i])) if keep[i] else None
+        for i in range(len(T))
+    ]
+
+
+def _closed(ode: PolyODE, ordered: np.ndarray, variable: Variable, res: float, sep: float) -> RootSet | None:
+    """The identity filter: the branch of the roots ordered, carrying its W
+    coefficients and identity residual, or None when S has complex
+    coefficients or the identity residual reaches IDENT_TOL."""
     try:
         w = compute_w_coefficients(ode, ordered)
-        if verify_polynomial_identity(ode.with_w(w), ordered) >= IDENT_TOL:
-            return None
+        identity = verify_polynomial_identity(ode.with_w(w), ordered)
     except NonRealCoefficients:
         return None
-    return ordered, res, sep
-
-
-def _polish(ode: PolyODE, roots: np.ndarray) -> np.ndarray:
-    """Undamped Newton until the step, a direct estimate of the root error,
-    is at rounding level; stops early where a step cannot be taken."""
-    T = roots[None, :]
-    for _ in range(8):
-        R = _residual_batch(ode, T)
-        if not np.all(np.isfinite(R)):
-            break
-        try:
-            step = np.linalg.solve(_jacobian_batch(ode, T), R[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(step)):
-            break
-        T = T - step
-        if _at_rounding_level(T, step)[0]:
-            break
-    return T[0]
-
-
-def _branch(ode: PolyODE, start: np.ndarray, variable: Variable) -> RootSet | None:
-    """The branch polished from the roots start, or None when the filters
-    reject it; the empty start is the one branch of degree 0."""
-    if not len(start):
-        return RootSet(0, (), variable, 0.0, math.inf)
-    with np.errstate(all="ignore"):
-        accepted = _accept_candidate(ode, _polish(ode, start))
-    if accepted is None:
+    if identity >= IDENT_TOL:
         return None
-    ordered, res, sep = accepted
-    return RootSet(len(ordered), tuple(complex(z) for z in ordered), variable, res, sep)
+    return RootSet(len(ordered), tuple(complex(z) for z in ordered), variable, res, sep, w, identity)
+
+
+def _branches(ode: PolyODE, starts: np.ndarray, variable: Variable) -> list[RootSet | None]:
+    """The branch polished from each row of starts, or None where the
+    filters reject it; an empty row is the one branch of degree 0."""
+    with np.errstate(all="ignore"):
+        return _accept(ode, _polish(ode, starts), variable)
 
 
 def _root_dependent(ode: PolyODE) -> int:
@@ -558,11 +632,15 @@ def solve_bae(
     its C(n+m, m) solutions).  Every real solution is a candidate, so the
     promise above holds for all four families; with m = 1 the matrix is
     tridiagonal with positive off-diagonal products for both families, so
-    all n + 1 branches are real and simple.  Each candidate is polished
-    and filtered (`_branch`); the filters' identity test bounds the same
-    matrix-vector product at the W of the polished roots.  The branches
-    are deduplicated, and the list is sorted by the canonical key (sorted
-    real parts, then imaginary parts), so the output is deterministic.
+    all n + 1 branches are real and simple.  The candidates are polished
+    and filtered as the rows of one batch (`_branches`), each row on its
+    own floats; the filters' identity test bounds the same matrix-vector
+    product at the W of the polished roots, and each branch keeps that W
+    and identity residual (`RootSet.w`, `RootSet.identity_residual`).
+    Walking the rows in order, one whose start or polished roots are
+    within DEDUP_TOL of a branch already kept is a duplicate.  The list is
+    sorted by the canonical key (sorted real parts, then imaginary parts),
+    so the output is deterministic.
 
     Raises NoSolutionFound when n > 0 and no enumerated candidate is
     accepted.
@@ -570,21 +648,19 @@ def solve_bae(
     if n < 0:
         raise ValueError("n must be non-negative")
     if n == 0:
-        return [RootSet(0, (), variable, 0.0, math.inf)]
+        return _branches(ode, np.zeros((1, 0), dtype=complex), variable)
     A = _ode_matrix(ode, n)
+    starts = _starts(_multiparameter(A, _shifts(n, A.shape[0] - n)))
     found: list[RootSet] = []
 
     def known(roots: np.ndarray) -> bool:
         return bool(found) and np.min(np.max(np.abs([f.roots for f in found] - roots), axis=1)) < DEDUP_TOL
 
-    # A row is skipped only once its branch is accepted, so a row that fails
-    # the filters cannot hide a nearby row that passes them.
-    for c in _multiparameter(A, _shifts(n, A.shape[0] - n)):
-        start = _canonical_order(np.roots(c[::-1]).astype(complex))
-        if known(start):
-            continue
-        branch = _branch(ode, start, variable)
-        if branch is not None and not known(branch.as_array()):
+    # Every row is polished and filtered in one batch; walking the rows in
+    # order, one whose start or branch is already known is skipped, so a
+    # row that fails the filters cannot hide a nearby row that passes them.
+    for start, branch in zip(starts, _branches(ode, starts, variable)):
+        if branch is not None and not known(start) and not known(branch.as_array()):
             found.append(branch)
     if not found:
         raise NoSolutionFound(f"no enumerated candidate of degree {n} was accepted")

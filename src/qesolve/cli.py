@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage or parse error, 2 no solution found,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -231,7 +232,10 @@ def cmd_scan(args) -> int:
     return EXIT_OK if any_solution else EXIT_NO_SOLUTION
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `qes` parser, built once per process: parsing keeps no state in
+    it, and `QES_SEED` is read when a command runs."""
     parser = argparse.ArgumentParser(
         prog="qes",
         description="Exact bound states of singular inverse-power potentials.",

@@ -33,17 +33,17 @@ from .bethe import (
     RootSet,
     SolverConfig,
     Variable,
-    _branch,
     _branch_key,
-    _canonical_order,
+    _branches,
     _multiparameter,
     _ode_matrix,
     _residual_batch,
     _separation,
+    _starts,
     bae_residuals,
     compute_w_coefficients,
     solve_bae,
-    verify_polynomial_identity,
+    verify_polynomial_identity,  # not called here: perfbench/tracing.py times it under this name
 )
 from .errors import (
     ConstraintInfeasible,
@@ -317,11 +317,6 @@ def derive_parameters(
     and a family without an r^-2 coupling (sextic, decatic) derives
     (l+1/2)^2 = t_-2 + 1/4.
     """
-    return _derivation(problem, roots, omega, check_tol)[2:]
-
-
-def _derivation(problem: FamilyProblem, roots: RootSet, omega: float | None, check_tol: float = 1e-8):
-    """derive_parameters, preceded by the working ODE and its W coefficients."""
     g = _gauge(problem, omega)
     if roots.variable is not g.variable:
         raise InvalidParameter("roots live in the wrong variable for this family")
@@ -331,7 +326,11 @@ def _derivation(problem: FamilyProblem, roots: RootSet, omega: float | None, che
         res = float(np.max(np.abs(bae_residuals(g.ode, roots))))
         if res > check_tol:
             raise InvalidParameter(f"roots do not solve the root system (residual {res:.3e})")
-    w = compute_w_coefficients(g.ode, roots)
+    return _derivation(problem, g, roots, compute_w_coefficients(g.ode, roots))
+
+
+def _derivation(problem: FamilyProblem, g: _Gauge, roots: RootSet, w) -> tuple:
+    """derive_parameters at the gauge g and the W coefficients w, unchecked."""
     t = _closing(g, w)
     ell, powers = problem.ell, _POWERS[problem.family]
     derived = {"B": g.chi[0]} if problem.case is Case.COULOMBIC else {}
@@ -347,7 +346,7 @@ def _derivation(problem: FamilyProblem, roots: RootSet, omega: float | None, che
             derived["omega"] = -g.chi[1]
     coeffs = {j + 1: c / (j + 1) for j, c in sorted(g.chi.items(), reverse=True) if j != -1}
     wave = WaveForm(g.chi[-1], coeffs, roots, g.variable)
-    return g.ode, w, derived, -0.5 * t[0], wave
+    return derived, -0.5 * t[0], wave
 
 
 # ----------------------------------------------------------------------
@@ -360,8 +359,10 @@ def _branch_solution(
     roots: RootSet,
     omega: float | None = None,
 ) -> QESSolution:
-    ode, w, derived, energy, wave = _derivation(problem, roots, omega)
-    identity = verify_polynomial_identity(ode.with_w(w), roots)
+    """The solution of a branch that `solve_bae` or `_match_ell` accepted at
+    omega: its acceptance checked the roots and computed the W coefficients
+    and identity residual that it carries, so neither is redone here."""
+    derived, energy, wave = _derivation(problem, _gauge(problem, omega), roots, roots.w)
     solution = QESSolution(
         problem,
         roots,
@@ -371,7 +372,7 @@ def _branch_solution(
         {
             "bae_residual": roots.bae_residual,
             "separation": roots.separation,
-            "identity_residual": identity,
+            "identity_residual": roots.identity_residual,
         },
     )
     from . import oracle, wavefunction  # deferred: oracle depends on this module
@@ -458,10 +459,12 @@ def _match_ell(problem: FamilyProblem) -> tuple[list[tuple[RootSet, float]], lis
     with omega in OMEGA_RANGE, from `bethe._multiparameter`: with m = 1 for
     the sextic, whose (n+1)x(n+1) pencil is A c = -omega L c, and with
     m = 2 for the decatic, whose (n+2)x(n+1) problem is in (omega, w0).
-    Each candidate's roots go through `bethe._branch` at omega, the polish
-    and filters of `solve_bae`.  The closing formulas' rounding leaves
-    omega off by up to ~1e-13 relative, so one secant step on the mismatch
-    that the MATCH_TOL gate measures follows.  Two candidates that reach
+    The candidates' roots come from one stacked eigensolve
+    (`bethe._starts`), and each goes through `bethe._branches` at omega as
+    a batch of one row: the polish and filters of `solve_bae`.  The closing
+    formulas' rounding leaves omega off by up to ~1e-13 relative, so one
+    secant step on the mismatch (at the W that acceptance computed) that
+    the MATCH_TOL gate measures follows.  Two candidates that reach
     the same match (within DEDUP_TOL in roots and relative omega) give it
     once.
     """
@@ -476,21 +479,20 @@ def _match_ell(problem: FamilyProblem) -> tuple[list[tuple[RootSet, float]], lis
     lo, hi = OMEGA_RANGE
     keep = (lo <= omegas) & (omegas <= hi)
     order = np.argsort(omegas[keep])
-    candidates = [(float(om), c) for om, c in zip(omegas[keep][order], coeffs[keep][order])]
+    candidates = list(zip(omegas[keep][order].tolist(), _starts(coeffs[keep][order])))
 
     def at(om: float, start: np.ndarray) -> tuple[RootSet | None, float]:
         """The branch polished from start at om, None if the filters reject
-        it, and its mismatch."""
+        it, and its mismatch at the W its acceptance computed."""
         g = _gauge(problem, om)
-        roots = _branch(g.ode, start, g.variable)
+        roots = _branches(g.ode, start[None, :], g.variable)[0]
         if roots is None:
             return None, math.nan
-        return roots, _closing(g, compute_w_coefficients(g.ode, roots))[-2] + 0.25 - target
+        return roots, _closing(g, roots.w)[-2] + 0.25 - target
 
     matches: list[tuple[RootSet, float]] = []
     failures: list[BranchFailure] = []
-    for candidate_omega, c in candidates:
-        start = _canonical_order(np.roots(c[::-1]).astype(complex))
+    for candidate_omega, start in candidates:
         omega = candidate_omega
         roots, miss = at(omega, start)
         if roots is not None:

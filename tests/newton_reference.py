@@ -23,13 +23,13 @@ from qesolve.bethe import (
     RootSet,
     SolverConfig,
     Variable,
-    _accept_candidate,
+    _accept,
     _at_rounding_level,
     _branch_key,
+    _branches,
     _canonical_order,
     _closing_w,
     _jacobian_batch,
-    _polish,
     _residual_batch,
 )
 from qesolve.polynomials import poly_from_roots
@@ -263,21 +263,17 @@ def newton_branches(ode: PolyODE, n: int, cfg: SolverConfig, variable: Variable 
         roots = np.roots(np.concatenate([row, [1.0]])[::-1])
         if np.all(np.isfinite(roots)):
             converged.append(roots.astype(complex))
-    found: list[tuple] = []
+    found: list[RootSet] = []
 
     def known(roots: np.ndarray) -> bool:
-        return any(np.max(np.abs(roots - f[0])) < DEDUP_TOL for f in found)
+        return any(np.max(np.abs(roots - f.as_array())) < DEDUP_TOL for f in found)
 
     with np.errstate(all="ignore"):
         for row in converged:
             raw = _canonical_order(row)
             if known(raw):
                 continue
-            accepted = _accept_candidate(ode, _polish(ode, raw)) or _accept_candidate(ode, raw)
-            if accepted and not known(accepted[0]):
+            accepted = _branches(ode, raw[None, :], variable)[0] or _accept(ode, raw[None, :], variable)[0]
+            if accepted and not known(accepted.as_array()):
                 found.append(accepted)
-    found.sort(key=lambda item: _branch_key(item[0]))
-    return [
-        RootSet(n, tuple(complex(z) for z in ordered), variable, res, sep)
-        for ordered, res, sep in found
-    ]
+    return sorted(found, key=lambda branch: _branch_key(branch.roots))

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from qesolve import ConstraintInfeasible, RootSet, SolverConfig, solve_bae
-from qesolve.bethe import _accept_candidate, _polish
+from qesolve.bethe import _branches
 from qesolve.families import MATCH_TOL, NO_MATCH, OMEGA_RANGE, FamilyProblem, build_ode
 
 from coupling_reference import l_half_sq, power_sums
@@ -39,15 +39,14 @@ def _follow(problem: FamilyProblem, roots: RootSet, om_from: float, om_to: float
     for j in range(1, hops + 1):
         ode, variable = build_ode(problem, om_from * (om_to / om_from) ** (j / hops))
         prev = roots.as_array()
-        with np.errstate(all="ignore"):
-            accepted = _accept_candidate(ode, _polish(ode, prev))
+        accepted = _branches(ode, prev[None, :], variable)[0]
         if accepted is None:
             return None
-        ordered, res, sep = accepted
+        ordered = accepted.as_array()
         scale = 1.0 + max(float(np.max(np.abs(ordered))), float(np.max(np.abs(prev))))
         if np.max(np.abs(ordered - prev)) > 0.6 * scale:
             return None
-        roots = RootSet(problem.n, tuple(complex(z) for z in ordered), variable, res, sep)
+        roots = accepted
     return roots
 
 

@@ -212,19 +212,18 @@ class TestConjugatePairs:
     @pytest.mark.parametrize("member", [0, 1])
     @pytest.mark.parametrize("toward", [-np.inf, np.inf])
     def test_pair_one_ulp_apart_is_accepted(self, pair_branch, member, toward):
-        exact = bethe._accept_candidate(SEXTIC_ODE, pair_branch)
         nudged = pair_branch.copy()
         nudged[member] = complex(np.nextafter(nudged[member].real, toward), nudged[member].imag)
-        accepted = bethe._accept_candidate(SEXTIC_ODE, nudged)
+        exact, accepted = bethe._accept(SEXTIC_ODE, np.array([pair_branch, nudged]), Variable.T_EQ_R2)
         assert exact is not None and accepted is not None
-        roots = accepted[0]
+        roots = accepted.as_array()
         assert roots[0] == np.conj(roots[1]) and roots[2].imag == 0.0
-        assert max_abs(roots - exact[0]) < bethe.DEDUP_TOL
+        assert max_abs(roots - exact.as_array()) < bethe.DEDUP_TOL
 
     def test_a_set_not_closed_under_conjugation_is_rejected(self, pair_branch):
         lopsided = pair_branch.copy()
         lopsided[0] += 1e-6j
-        assert bethe._accept_candidate(SEXTIC_ODE, lopsided) is None
+        assert bethe._accept(SEXTIC_ODE, lopsided[None, :], Variable.T_EQ_R2)[0] is None
 
 
 class TestSingularNewtonStep:
@@ -317,14 +316,14 @@ ENUMERATED = SQUARE + RECTANGULAR
 
 def _newton_accepted(problem: FamilyProblem) -> list[np.ndarray]:
     """The roots of every row of both reference Newton passes (SWEEP_CFG
-    starts) that `_accept_candidate` accepts."""
-    ode, _ = build_ode(problem)
+    starts) that the filters (`_accept`) accept."""
+    ode, variable = build_ode(problem)
     n = problem.n
     rows = list(_newton_batch(ode, _make_starts(n, SWEEP_CFG)))
     for coeffs in _coefficient_newton(ode, _coefficient_starts(n, SWEEP_CFG)):
         rows.append(np.roots(np.concatenate([coeffs, [1.0]])[::-1]).astype(complex))
     with np.errstate(all="ignore"):
-        return [a[0] for a in (bethe._accept_candidate(ode, row) for row in rows) if a]
+        return [a.as_array() for a in bethe._accept(ode, np.array(rows), variable) if a]
 
 
 def _near(roots, branches) -> bool:
@@ -338,7 +337,7 @@ NEWTON_NAMES = [
 ]
 
 
-def _square_eig_branches(ode: PolyODE, n: int) -> list[np.ndarray]:
+def _square_eig_branches(ode: PolyODE, n: int, variable: Variable) -> list[np.ndarray]:
     """The square eigenproblem that m = 1 once solved apart from the other
     families: the real eigenvalues of -A (T0 is the identity) whose
     eigenvector c has c_n != 0, the roots of each polished and filtered."""
@@ -346,10 +345,9 @@ def _square_eig_branches(ode: PolyODE, n: int) -> list[np.ndarray]:
     branches = []
     for c in vecs.T[(x.imag == 0.0) & (vecs[-1].real != 0.0)].real:
         start = bethe._canonical_order(np.roots(c[::-1]).astype(complex))
-        with np.errstate(all="ignore"):
-            accepted = bethe._accept_candidate(ode, bethe._polish(ode, start))
-        if accepted and not _near(accepted[0], branches):
-            branches.append(accepted[0])
+        accepted = bethe._branches(ode, start[None, :], variable)[0]
+        if accepted and not _near(accepted.as_array(), branches):
+            branches.append(accepted.as_array())
     return branches
 
 
@@ -364,7 +362,7 @@ class TestEnumeration:
             ode, variable = build_ode(_sweep_problem(family, draw, n))
             assert bethe._ode_matrix(ode, n).shape == (n + 1, n + 1)
             enumerated = [s.as_array() for s in solve_bae(ode, n, SWEEP_CFG, variable)]
-            reference = _square_eig_branches(ode, n)
+            reference = _square_eig_branches(ode, n, variable)
             assert len(enumerated) == len(reference) == n + 1
             for roots in reference:
                 assert _near(roots, enumerated)
@@ -454,7 +452,7 @@ class TestEnumeration:
 
 
 class TestBranch:
-    """`_branch` polishes a candidate and filters it.  No gate on the
+    """`_branches` polishes a candidate and filters it.  No gate on the
     singular values of A + w0 T0 follows: a candidate off its null space
     either polishes back onto a branch or fails the filters."""
 
@@ -473,13 +471,13 @@ class TestBranch:
             off = c + 1e-6 * max_abs(c) * np.eye(n + 1)[0]
             M = A + w0 * np.eye(n + 1)
             assert np.linalg.norm(M @ off) > 1e-8 * np.linalg.norm(M, 2) * np.linalg.norm(off)
-            branch = bethe._branch(ode, start(c), variable)
-            polished = bethe._branch(ode, start(off), variable)
+            branch = bethe._branches(ode, start(c)[None, :], variable)[0]
+            polished = bethe._branches(ode, start(off)[None, :], variable)[0]
             assert branch is not None and polished is not None
             assert max_abs(polished.as_array() - branch.as_array()) < bethe.DEDUP_TOL
             with monkeypatch.context() as mp:
                 mp.setattr(bethe, "_polish", lambda ode, roots: roots)
-                assert bethe._branch(ode, start(off), variable) is None
+                assert bethe._branches(ode, start(off)[None, :], variable)[0] is None
 
 
 def _kronecker_pencil(A: np.ndarray, Bs: list, seed: int):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qesolve.cli import EXIT_NO_SOLUTION, main
+from qesolve.cli import EXIT_NO_SOLUTION, build_parser, main
 from qesolve.document import loads_documents
 
 
@@ -208,6 +208,20 @@ class TestScan:
             "--param", "c=0", "--param", "d=0.5", "--sweep", "omega=1:2",
         )
         assert code == 1
+
+
+class TestParserBuiltOnce:
+    def test_one_parser_serves_every_call(self, monkeypatch, capsys):
+        # Usage errors still exit 1 on the shared parser, and a call after
+        # them, or after a change of QES_SEED, parses as the first did.
+        parser = build_parser()
+        code, first, _ = run(capsys, *SOLVE_Q0)
+        assert code == 0
+        assert run(capsys, "solve", "--family", "quartic")[0] == 1
+        assert run(capsys, "nonsense")[0] == 1
+        monkeypatch.setenv("QES_SEED", "9")
+        assert run(capsys, *SOLVE_Q0) == (0, first, "")
+        assert build_parser() is parser
 
 
 class TestSeedEnv:

@@ -429,12 +429,12 @@ class TestDecatic:
     def test_match_ell_rejected_candidate_is_recorded_with_its_roots(self, monkeypatch):
         # Make the root filters reject the candidate at the smaller omega:
         # it becomes a record with its roots, and the other match stays.
-        accept = bethe._accept_candidate
+        accept = bethe._accept
 
-        def reject_below_2(ode, roots):  # -q3 is omega
-            return None if -ode.q[3] < 2.0 else accept(ode, roots)
+        def reject_below_2(ode, T, variable):  # -q3 is omega
+            return [None] * len(T) if -ode.q[3] < 2.0 else accept(ode, T, variable)
 
-        monkeypatch.setattr(bethe, "_accept_candidate", reject_below_2)
+        monkeypatch.setattr(bethe, "_accept", reject_below_2)
         solutions, failures = solve_family_detailed(self.BRACKET_END)
         assert [s.derived["omega"] for s in solutions] == [pytest.approx(48.362, rel=1e-4)]
         assert len(failures) == 1

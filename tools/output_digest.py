@@ -17,8 +17,9 @@ documents with their FAST verification reports, and the failure records
 
 With `--values` it prints one JSON line per operation instead: the label,
 the branch count, each branch's roots (as [re, im] pairs), energy, derived
-couplings and `norm` and `schrodinger_residual` diagnostics as `repr`
-floats, and the failure records.  That tells a rounding-level change apart
+couplings and diagnostics as `repr` floats (its root set's `bae_residual`
+and `separation`, then the `identity_residual`, `norm` and
+`schrodinger_residual` diagnostics), and the failure records.  That tells a rounding-level change apart
 from a real one.  `--compare OLD NEW` reads two such files, line by line,
 and prints each operation whose line differs with its maximum relative
 root, energy, derived-coupling, diagnostic and failure-record difference
@@ -69,8 +70,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # Roots within this distance (max norm) are one branch, for `--compare`.
 ROOT_TOL = 1e-6
-# The solution diagnostics that `--values` prints.
-DIAGNOSTICS = ("norm", "schrodinger_residual")
+# The solution diagnostics that `--values` prints after its root set's
+# `bae_residual` and `separation`.
+DIAGNOSTICS = ("identity_residual", "norm", "schrodinger_residual")
 
 
 def _values(op_label, solutions, failures) -> str:
@@ -80,7 +82,10 @@ def _values(op_label, solutions, failures) -> str:
         "roots": [[[z.real, z.imag] for z in s.roots.roots] for s in solutions],
         "energies": [s.energy for s in solutions],
         "derived": [dict(sorted(s.derived.items())) for s in solutions],
-        "diagnostics": [[s.diagnostics[k] for k in DIAGNOSTICS] for s in solutions],
+        "diagnostics": [
+            [s.roots.bae_residual, s.roots.separation, *(s.diagnostics[k] for k in DIAGNOSTICS)]
+            for s in solutions
+        ],
         "failures": [[f.error, f.detail] for f in failures],
     })
 
@@ -192,6 +197,8 @@ def _max_rel(old, new) -> float:
     """Largest |new - old| / max(1, |old|) over two equally nested lists."""
     if isinstance(old, list):
         return max((_max_rel(a, b) for a, b in zip(old, new)), default=0.0)
+    if old == new:  # also an infinite separation that stayed infinite
+        return 0.0
     return abs(new - old) / max(1.0, abs(old))
 
 
