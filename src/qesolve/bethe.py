@@ -116,7 +116,9 @@ ESCAPE_RADIUS = 1000.0
 class SolverConfig:
     """Accepted and validated for compatibility, but without effect: every
     solve enumerates its branches (see solve_bae), so no root search reads
-    a seed or a start count."""
+    a seed or a start count.  It stays only because `solve_family` and
+    `solve_family_detailed` still take one: the benchmark workloads pass
+    it and the Newton reference of the tests reads its fields."""
 
     seed: int = 0
     starts: int = 200
@@ -142,7 +144,7 @@ def _branch_key(roots) -> tuple:
     return tuple(np.real(roots)) + tuple(np.imag(roots))
 
 
-def _power_sums(roots, conj_tol: float):
+def _power_sums(roots):
     """Real power sums s1..s4 and the pair sum, in canonical root order.
 
     Summation in canonical order makes the result exactly permutation
@@ -155,9 +157,9 @@ def _power_sums(roots, conj_tol: float):
     pair = (s1 * s1 - sums[1]) / 2.0
     out = []
     for val in sums + [pair]:
-        if abs(val.imag) > conj_tol * max(1.0, abs(val)):
+        if abs(val.imag) > CONJ_TOL * max(1.0, abs(val)):
             raise NonRealCoefficients(
-                f"power sum {val} has imaginary part above {conj_tol}"
+                f"power sum {val} has imaginary part above {CONJ_TOL}"
             )
         out.append(val.real)
     return out  # s1, s2, s3, s4, pair
@@ -199,16 +201,17 @@ def _closing_w(ode: PolyODE, n: int, s1, s2, s3, s4, pair):
     return (w0, w1, w2, w3, w4)
 
 
-def compute_w_coefficients(ode: PolyODE, roots, conj_tol: float = CONJ_TOL):
+def compute_w_coefficients(ode: PolyODE, roots):
     """W coefficients (w0..w4) that admit S(t) = prod (t - t_i) as solution.
 
     Evaluates the closing formulas on the root power sums; every term either
-    carries a factor n or a root sum, so n = 0 returns all zeros.
+    carries a factor n or a root sum, so n = 0 returns all zeros.  Raises
+    NonRealCoefficients when a power sum's imaginary part exceeds CONJ_TOL.
     """
     arr = _roots_of(roots)
     if len(arr) == 0:
         return (0.0, 0.0, 0.0, 0.0, 0.0)
-    return _closing_w(ode, len(arr), *_power_sums(arr, conj_tol))
+    return _closing_w(ode, len(arr), *_power_sums(arr))
 
 
 def _separations(T: np.ndarray) -> np.ndarray:
@@ -227,24 +230,21 @@ def _separation(roots: np.ndarray) -> float:
     return float(_separations(roots[None, :])[0])
 
 
-def bae_residuals(
-    ode: PolyODE,
-    roots,
-    denom_tol: float = DENOM_TOL,
-    sep_tol: float = SEP_TOL,
-) -> np.ndarray:
+def bae_residuals(ode: PolyODE, roots) -> np.ndarray:
     """Residuals sum_{j!=i} 2/(t_i - t_j) + Q(t_i)/P(t_i), one per root.
 
     All residuals vanish exactly when the roots solve the root system.
     Complex roots give complex residuals; callers usually take the max norm.
+    Raises DenominatorBlowup when |P| at a root is below DENOM_TOL or two
+    roots are closer than SEP_TOL.
     """
     arr = _roots_of(roots)
     if len(arr) == 0:
         return np.zeros(0, dtype=complex)
-    if np.min(np.abs(polyval(ode.p, arr))) < denom_tol:
+    if np.min(np.abs(polyval(ode.p, arr))) < DENOM_TOL:
         raise DenominatorBlowup("a root coincides with a zero of P(t)")
-    if _separation(arr) < sep_tol:
-        raise DenominatorBlowup("roots are closer than sep_tol")
+    if _separation(arr) < SEP_TOL:
+        raise DenominatorBlowup("roots are closer than SEP_TOL")
     return _residual_batch(ode, arr[None, :])[0]
 
 
@@ -462,8 +462,7 @@ def _ode_matrix(ode: PolyODE, n: int) -> np.ndarray:
 
 
 # The random change of the homogeneous parameters comes from this fixed
-# seed, so the solutions depend neither on SolverConfig.seed nor on earlier
-# calls.
+# seed, so the solutions do not depend on earlier calls.
 _PROJECTION_SEED = 0
 # An eigenvalue of the pencil whose imaginary part is at most this fraction
 # of its modulus is a candidate: a double real solution may split into a
@@ -613,34 +612,31 @@ def _shifts(n: int, m: int) -> list[np.ndarray]:
     return [np.eye(n + m, n + 1, -j) for j in range(m)]
 
 
-def solve_bae(
-    ode: PolyODE,
-    n: int,
-    cfg: SolverConfig = SolverConfig(),
-    variable: Variable = Variable.R,
-) -> list[RootSet]:
-    """All distinct conjugate-closed solutions of the degree-n root system.
+def solve_bae(ode: PolyODE, n: int, *, variable: Variable = Variable.R) -> list[RootSet]:
+    """All distinct conjugate-closed solutions of the degree-n root system,
+    as RootSets in `variable`.
 
     The branches are enumerated, for every working ODE, from the matrix A
-    of the ODE on polynomials of degree n (`_ode_matrix`), and `cfg` has no
-    effect.  With m root-dependent W coefficients w_(m-1) .. w0 (m = 1 for
-    the sextic and the coulombic quartic, 2 for the harmonic quartic and
-    the decatic, 3 for the coulombic octic and 4 for the harmonic octic),
-    the candidates are the null vectors of the (n+m)x(n+1) matrix
-    A + w_(m-1) T_(m-1) + ... + w0 T0 at the near-real solutions of that
-    m-parameter eigenproblem (`_multiparameter`, whose pencil has exactly
-    its C(n+m, m) solutions).  Every real solution is a candidate, so the
-    promise above holds for all four families; with m = 1 the matrix is
-    tridiagonal with positive off-diagonal products for both families, so
-    all n + 1 branches are real and simple.  The candidates are polished
-    and filtered as the rows of one batch (`_branches`), each row on its
-    own floats; the filters' identity test bounds the same matrix-vector
-    product at the W of the polished roots, and each branch keeps that W
-    and identity residual (`RootSet.w`, `RootSet.identity_residual`).
-    Walking the rows in order, one whose start or polished roots are
-    within DEDUP_TOL of a branch already kept is a duplicate.  The list is
-    sorted by the canonical key (sorted real parts, then imaginary parts),
-    so the output is deterministic.
+    of the ODE on polynomials of degree n (`_ode_matrix`); no seed or start
+    count takes part, so there is none to pass.  With m root-dependent W
+    coefficients w_(m-1) .. w0 (m = 1 for the sextic and the coulombic
+    quartic, 2 for the harmonic quartic and the decatic, 3 for the
+    coulombic octic and 4 for the harmonic octic), the candidates are the
+    null vectors of the (n+m)x(n+1) matrix A + w_(m-1) T_(m-1) + ... +
+    w0 T0 at the near-real solutions of that m-parameter eigenproblem
+    (`_multiparameter`, whose pencil has exactly its C(n+m, m) solutions).
+    Every real solution is a candidate, so the promise above holds for all
+    four families; with m = 1 the matrix is tridiagonal with positive
+    off-diagonal products for both families, so all n + 1 branches are
+    real and simple.  The candidates are polished and filtered as the rows
+    of one batch (`_branches`), each row on its own floats; the filters'
+    identity test bounds the same matrix-vector product at the W of the
+    polished roots, and each branch keeps that W and identity residual
+    (`RootSet.w`, `RootSet.identity_residual`).  Walking the rows in
+    order, one whose start or polished roots are within DEDUP_TOL of a
+    branch already kept is a duplicate.  The list is sorted by the
+    canonical key (sorted real parts, then imaginary parts), so the output
+    is deterministic.
 
     Raises NoSolutionFound when n > 0 and no enumerated candidate is
     accepted.

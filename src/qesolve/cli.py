@@ -15,19 +15,17 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
 import sys
 
 import numpy as np
 
-from .bethe import SolverConfig
 from .document import (
     document_to_solution,
     dumps_documents,
     loads_documents,
     solution_to_document,
 )
-from .errors import DocumentError, InvalidParameter, QesError
+from .errors import DocumentError, QesError
 from .families import (
     Case,
     Family,
@@ -71,17 +69,6 @@ def _build_problem(args, free: dict) -> FamilyProblem:
     )
 
 
-def _config(args) -> SolverConfig:
-    seed = args.seed
-    if seed is None:
-        env = os.environ.get("QES_SEED", SolverConfig.seed)
-        try:
-            seed = int(env)
-        except ValueError:
-            raise InvalidParameter(f"QES_SEED must be an integer, got {env!r}") from None
-    return SolverConfig(seed=seed, starts=args.starts)
-
-
 def _write(text: str, path: str | None):
     if path:
         with open(path, "w") as fh:
@@ -120,8 +107,7 @@ def _rows_to_csv(rows, columns) -> str:
 
 def cmd_solve(args) -> int:
     problem = _build_problem(args, _parse_params(args.param))
-    cfg = _config(args)
-    solutions, failures = solve_family_detailed(problem, cfg)
+    solutions, failures = solve_family_detailed(problem)
     if not solutions:
         for f in failures:
             print(f"no admissible branch: {f.error}: {f.detail}", file=sys.stderr)
@@ -160,6 +146,8 @@ def cmd_verify(args) -> int:
 def cmd_sample(args) -> int:
     with open(args.path) as fh:
         docs = loads_documents(fh.read())
+    if not (math.isfinite(args.rmin) and math.isfinite(args.rmax)):
+        raise DocumentError(f"--rmin and --rmax must be finite, got {args.rmin} and {args.rmax}")
     if args.rmin <= 0:
         raise DocumentError("rmin must be positive")
     if not args.rmax > args.rmin:
@@ -202,7 +190,6 @@ def _parse_sweep(spec: str):
 def cmd_scan(args) -> int:
     name, values = _parse_sweep(args.sweep)
     base = _parse_params(args.param)
-    cfg = _config(args)
     rows = []
     derived_keys: list[str] = []
     any_solution = False
@@ -210,7 +197,7 @@ def cmd_scan(args) -> int:
         free = dict(base)
         free[name] = float(value)
         try:
-            solutions, failures = solve_family_detailed(_build_problem(args, free), cfg)
+            solutions, failures = solve_family_detailed(_build_problem(args, free))
         except QesError as exc:
             rows.append({name: float(value), "error": type(exc).__name__})
             continue
@@ -235,7 +222,9 @@ def cmd_scan(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The `qes` parser, built once per process: parsing keeps no state in
-    it, and `QES_SEED` is read when a command runs."""
+    it.  No option or environment variable selects a seed or a start count:
+    every family's branches are enumerated (see `bethe.solve_bae`), so
+    `--seed` and `--starts` are usage errors and `QES_SEED` is not read."""
     parser = argparse.ArgumentParser(
         prog="qes",
         description="Exact bound states of singular inverse-power potentials.",
@@ -249,16 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ell", type=float, default=0.0)
         p.add_argument("--param", action="append", metavar="NAME=VALUE")
         p.add_argument("--match-ell", dest="match_ell", action="store_true")
-        p.add_argument(
-            "--seed", type=int, default=None,
-            help="accepted for compatibility and validated (a non-negative integer; "
-            "default: QES_SEED, else 0), but without effect: every family's branches are enumerated",
-        )
-        p.add_argument(
-            "--starts", type=int, default=SolverConfig.starts,
-            help="accepted for compatibility and validated (a positive integer; "
-            "default: %(default)s), but without effect: every family's branches are enumerated",
-        )
         p.add_argument("--out", default=None)
 
     p_solve = sub.add_parser("solve", help="solve one family problem")

@@ -33,6 +33,14 @@ def _number(value) -> float:
     return float(value)
 
 
+def _object(value, name: str) -> dict:
+    """A schema "1" object: JSON holds it as {...}, not as an array, a
+    scalar or null."""
+    if not isinstance(value, dict):
+        raise DocumentError(f"{name} must be an object, got {type(value).__name__}")
+    return value
+
+
 def emit_json(obj, indent: int = 0) -> str:
     """Serialize with deterministic key order and 17-digit floats."""
     pad = "  " * indent
@@ -120,7 +128,7 @@ def document_to_solution(doc: dict) -> QESSolution:
             Case(p["case"]),
             p["n"],
             _number(p["ell"]),
-            {k: _number(v) for k, v in p["free"].items()},
+            {k: _number(v) for k, v in _object(p["free"], "problem.free").items()},
             p.get("match_ell", False),
         )
         variable = _VARIABLES[doc["variable"]]
@@ -129,7 +137,7 @@ def document_to_solution(doc: dict) -> QESSolution:
         roots_raw = [complex(_number(item["re"]), _number(item["im"])) for item in doc["roots"]]
         if len(roots_raw) != problem.n:
             raise DocumentError(f"{len(roots_raw)} roots for n = {problem.n}")
-        rd = doc.get("root_diagnostics", {})
+        rd = _object(doc.get("root_diagnostics", {}), "root_diagnostics")
         roots = RootSet(
             len(roots_raw),
             tuple(roots_raw),
@@ -140,17 +148,17 @@ def document_to_solution(doc: dict) -> QESSolution:
         wf_doc = doc["waveform"]
         waveform = WaveForm(
             _number(wf_doc["leading_exponent"]),
-            {int(k): _number(v) for k, v in wf_doc["exp_coeffs"].items()},
+            {int(k): _number(v) for k, v in _object(wf_doc["exp_coeffs"], "waveform.exp_coeffs").items()},
             roots,
             variable,
         )
         return QESSolution(
             problem,
             roots,
-            {k: _number(v) for k, v in doc["derived"].items()},
+            {k: _number(v) for k, v in _object(doc["derived"], "derived").items()},
             _number(doc["energy"]),
             waveform,
-            {k: _number(v) for k, v in doc.get("diagnostics", {}).items()},
+            {k: _number(v) for k, v in _object(doc.get("diagnostics", {}), "diagnostics").items()},
         )
     except DocumentError:
         raise

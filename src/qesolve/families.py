@@ -65,7 +65,6 @@ class Family(str, Enum):
 class Case(str, Enum):
     HARMONIC = "harmonic"  # B = 0, omega > 0
     COULOMBIC = "coulombic"  # omega = 0, B < 0
-    NONE = "none"
 
 
 _FREE_KEYS = {
@@ -98,10 +97,7 @@ class FamilyProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "family", Family(self.family))
-        case = Case(self.case)
-        if case is Case.NONE:
-            case = Case.HARMONIC
-        object.__setattr__(self, "case", case)
+        object.__setattr__(self, "case", Case(self.case))
         object.__setattr__(self, "free", dict(self.free))
         _require(isinstance(self.n, Integral) and not isinstance(self.n, bool), "n is an integer")
         _require(isinstance(self.ell, Real), "ell is a real number")
@@ -302,20 +298,15 @@ def build_ode(problem: FamilyProblem, omega: float | None = None):
     return g.ode, g.variable
 
 
-def derive_parameters(
-    problem: FamilyProblem,
-    roots: RootSet,
-    omega: float | None = None,
-    check_tol: float = 1e-8,
-):
+def derive_parameters(problem: FamilyProblem, roots: RootSet, omega: float | None = None):
     """Map a root branch to (derived couplings, energy, waveform).
 
-    The roots are re-checked against the family root system before any
-    constraint is evaluated.  With t = `_closing` at the branch's W
-    coefficients (`compute_w_coefficients`), each derived coupling is
-    lambda_j = t_-j / 2 (less l(l+1)/2 at j = 2), the energy is -t_0 / 2,
-    and a family without an r^-2 coupling (sextic, decatic) derives
-    (l+1/2)^2 = t_-2 + 1/4.
+    The roots are re-checked against the family root system (residual at
+    most 1e-8) before any constraint is evaluated.  With t = `_closing` at
+    the branch's W coefficients (`compute_w_coefficients`), each derived
+    coupling is lambda_j = t_-j / 2 (less l(l+1)/2 at j = 2), the energy is
+    -t_0 / 2, and a family without an r^-2 coupling (sextic, decatic)
+    derives (l+1/2)^2 = t_-2 + 1/4.
     """
     g = _gauge(problem, omega)
     if roots.variable is not g.variable:
@@ -324,7 +315,7 @@ def derive_parameters(
         raise InvalidParameter("root count does not match problem degree")
     if roots.n > 0:
         res = float(np.max(np.abs(bae_residuals(g.ode, roots))))
-        if res > check_tol:
+        if res > 1e-8:
             raise InvalidParameter(f"roots do not solve the root system (residual {res:.3e})")
     return _derivation(problem, g, roots, compute_w_coefficients(g.ode, roots))
 
@@ -389,14 +380,15 @@ def solve_family_detailed(
 
     In match-ell mode (sextic, decatic) the branches are every match of the
     requested ell in OMEGA_RANGE (`_match_ell`); a given omega is not used.
-    No mode uses `cfg`.
+    No mode uses `cfg`: it is still taken, and ignored, because the
+    benchmark workloads pass one (see `SolverConfig`).
     """
     if problem.match_ell and problem.family in _MATCH_ELL_FAMILIES:
         branches, failures = _match_ell(problem)
     else:
         ode, variable = build_ode(problem)
         try:
-            branches = [(roots, None) for roots in solve_bae(ode, problem.n, cfg, variable)]
+            branches = [(roots, None) for roots in solve_bae(ode, problem.n, variable=variable)]
         except NoSolutionFound as exc:
             return [], [BranchFailure(None, type(exc).__name__, str(exc))]
         failures = []
@@ -413,8 +405,9 @@ def solve_family_detailed(
 def solve_family(
     problem: FamilyProblem, cfg: SolverConfig = SolverConfig()
 ) -> list[QESSolution]:
-    """One QESSolution per admissible root branch, deterministic; `cfg` has
-    no effect (see `SolverConfig`)."""
+    """One QESSolution per admissible root branch, deterministic.  `cfg` is
+    taken, and ignored, because the benchmark workloads pass one (see
+    `SolverConfig`)."""
     return solve_family_detailed(problem, cfg)[0]
 
 
@@ -630,12 +623,7 @@ def _quantities(sol: QESSolution, limit: ReductionLimit, octic_side: bool):
     )
 
 
-def reduction_check(
-    problem: FamilyProblem,
-    limit: ReductionLimit,
-    eps: float,
-    cfg: SolverConfig = SolverConfig(),
-) -> ReductionReport:
+def reduction_check(problem: FamilyProblem, limit: ReductionLimit, eps: float) -> ReductionReport:
     """Compare octic-derived quantities against the quartic/sextic limit.
 
     The octic problem is rebuilt with the vanishing couplings at magnitude
@@ -646,14 +634,14 @@ def reduction_check(
         raise InvalidParameter("reduction_check expects an octic problem")
     limit = ReductionLimit(limit)
     target = _reduction_target(problem, limit)
-    target_solutions = solve_family(target, cfg)
+    target_solutions = solve_family(target)
     if eps == 0.0:
         keys = _quantities(target_solutions[0], limit, octic_side=False).keys() if target_solutions else ()
         return ReductionReport(
             0.0, limit, target, {k: 0.0 for k in keys}, len(target_solutions)
         )
     octic = _rescaled_octic(problem, limit, eps)
-    octic_solutions = solve_family(octic, cfg)
+    octic_solutions = solve_family(octic)
     # Every target branch must be the limit of some octic branch; extra
     # octic branches (roots collapsing with eps) have no counterpart.
     diffs: dict[str, float] = {}

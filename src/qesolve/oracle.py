@@ -101,7 +101,7 @@ def assemble_potential(solution: QESSolution) -> PotentialSpec:
     return PotentialSpec(ell, omega, powers)
 
 
-def _default_residual_grid(solution: QESSolution, num: int = 200) -> np.ndarray:
+def _default_residual_grid(solution: QESSolution) -> np.ndarray:
     roots = solution.roots.as_array()
     if len(roots):
         if solution.roots.variable is Variable.R:
@@ -111,29 +111,25 @@ def _default_residual_grid(solution: QESSolution, num: int = 200) -> np.ndarray:
     else:
         r_scale = 1.0
     r_scale = max(1.0, r_scale)
-    return np.geomspace(1e-2 * r_scale, 20.0 * r_scale, num)
+    return np.geomspace(1e-2 * r_scale, 20.0 * r_scale, 200)
 
 
-def schrodinger_residual(
-    solution: QESSolution,
-    grid: np.ndarray | None = None,
-    node_excl: float = 1e-6,
-) -> float:
-    """Max relative residual of the radial equation over the grid.
+def schrodinger_residual(solution: QESSolution, grid: np.ndarray | None = None) -> float:
+    """Max relative residual of the radial equation over the grid (by
+    default 200 points from 1e-2 to 20 times the roots' radial scale).
 
     residual(r) = |-Psi''/Psi + bracket(r) - 2E| /
                   (|2E| + |ell(ell+1)|/r^2 + omega^2 r^2 + |2V(r)|)
 
-    Grid points closer than node_excl to a node are excluded; the radius is
-    widened to 5e-3 relative to the node position because Psi''/Psi grows
-    like 1/(r - node)^2 there and its evaluation noise (eps/delta^2) would
-    swamp a 1e-9 residual bound long before the identity actually fails.
+    Grid points within 5e-3 (1 + node) of a node are excluded, because
+    Psi''/Psi grows like 1/(r - node)^2 there and its evaluation noise
+    (eps/delta^2) would swamp a 1e-9 residual bound long before the
+    identity actually fails.
     """
     pot = assemble_potential(solution)
     r = _default_residual_grid(solution) if grid is None else np.asarray(grid, float)
     for node in node_positions(solution):
-        excl = max(node_excl, 5e-3 * (1.0 + abs(node)))
-        r = r[np.abs(r - node) > excl]
+        r = r[np.abs(r - node) > 5e-3 * (1.0 + abs(node))]
     if len(r) == 0:
         raise InvalidParameter("residual grid is empty after node exclusion")
     _, psi2 = eval_psi_log_derivatives(solution, r)
@@ -586,19 +582,13 @@ class VerificationReport:
         return out
 
 
-def verify_solution(
-    solution: QESSolution,
-    level: VerifyLevel = VerifyLevel.FAST,
-    bae_tol: float = BAE_TOL,
-    ident_tol: float = IDENT_TOL,
-    res_tol: float = 1e-9,
-) -> VerificationReport:
+def verify_solution(solution: QESSolution, level: VerifyLevel = VerifyLevel.FAST) -> VerificationReport:
     """Run the verification stack against a solution's stored fields.
 
-    FAST checks the root-system residuals, the polynomial identity and the
-    radial-equation residual.  FULL additionally computes the norm, counts
-    nodes and confirms the energy against the finite-difference spectrum at
-    two resolutions.
+    FAST checks the root-system residuals (at most BAE_TOL), the polynomial
+    identity (at most IDENT_TOL) and the radial-equation residual (at most
+    1e-9).  FULL additionally computes the norm, counts nodes and confirms
+    the energy against the finite-difference spectrum at two resolutions.
     """
     level = VerifyLevel(level)
     report = VerificationReport()
@@ -610,10 +600,10 @@ def verify_solution(
         bae = float(np.max(np.abs(bae_residuals(ode, solution.roots))))
     else:
         bae = 0.0
-    report.add("bae_residual", bae, bae_tol)
+    report.add("bae_residual", bae, BAE_TOL)
     w = compute_w_coefficients(ode, solution.roots)
-    report.add("identity_residual", verify_polynomial_identity(ode.with_w(w), solution.roots), ident_tol)
-    report.add("schrodinger_residual", schrodinger_residual(solution), res_tol)
+    report.add("identity_residual", verify_polynomial_identity(ode.with_w(w), solution.roots), IDENT_TOL)
+    report.add("schrodinger_residual", schrodinger_residual(solution), 1e-9)
     if level is VerifyLevel.FAST:
         return report
 

@@ -36,9 +36,10 @@ def _variable_terms(variable: Variable, r: np.ndarray):
     return r * r, 2.0 * r, np.full_like(r, 2.0)
 
 
-def _split_roots(roots: np.ndarray, conj_tol: float = 1e-10):
+def _split_roots(roots: np.ndarray):
+    """The real roots (|Im t| <= 1e-10 (1 + |t|)), as floats, and the rest."""
     scale = 1.0 + np.abs(roots) if len(roots) else np.ones(0)
-    real_mask = np.abs(roots.imag) <= conj_tol * scale
+    real_mask = np.abs(roots.imag) <= 1e-10 * scale
     return roots[real_mask].real, roots[~real_mask]
 
 

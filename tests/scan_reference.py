@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from qesolve import ConstraintInfeasible, RootSet, SolverConfig, solve_bae
+from qesolve import ConstraintInfeasible, RootSet, solve_bae
 from qesolve.bethe import _branches
 from qesolve.families import MATCH_TOL, NO_MATCH, OMEGA_RANGE, FamilyProblem, build_ode
 
@@ -22,7 +22,7 @@ def scan_matches(problem: FamilyProblem, omega0: float = 1.0) -> list[tuple[Root
     """(roots, omega) of every branch at omega0 that the scan matches."""
     ode, variable = build_ode(problem, omega0)
     found = []
-    for branch in solve_bae(ode, problem.n, SolverConfig(), variable):
+    for branch in solve_bae(ode, problem.n, variable=variable):
         try:
             found.append(_scan_match(problem, branch, omega0))
         except ConstraintInfeasible:

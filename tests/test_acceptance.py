@@ -199,7 +199,7 @@ def test_criterion_1b_quartic_first_excited_declared_branches():
 
 def test_criterion_2_sextic_regression():
     ode, var = build_ode(sextic(n=1, omega=1.0, e=0.0, d=0.5))
-    roots = sorted(s.roots[0].real for s in solve_bae(ode, 1, CFG, var))
+    roots = sorted(s.roots[0].real for s in solve_bae(ode, 1, variable=var))
     ok_roots = (
         len(roots) == 2
         and abs(roots[0] - (1 - math.sqrt(2.0))) < 1e-12
@@ -426,8 +426,8 @@ def test_criterion_8_energy_ladder(sweep):
 def test_criterion_9_reduction_limits():
     shrink = {}
     base_q = octic_harmonic(n=1, omega=1.0, e=-0.007, f=0.01, g=0.0, h=0.5e-4)
-    r1 = reduction_check(base_q, ReductionLimit.TO_QUARTIC, 1e-3, CFG)
-    r2 = reduction_check(base_q, ReductionLimit.TO_QUARTIC, 1e-4, CFG)
+    r1 = reduction_check(base_q, ReductionLimit.TO_QUARTIC, 1e-3)
+    r2 = reduction_check(base_q, ReductionLimit.TO_QUARTIC, 1e-4)
     shrink["to_quartic"] = [
         (k, r1.diffs[k], r2.diffs[k]) for k in r1.diffs if r1.diffs[k] > 1e-12
     ]
@@ -435,8 +435,8 @@ def test_criterion_9_reduction_limits():
         Family.OCTIC, Case.HARMONIC, 2, 0,
         {"omega": 0.25, "e": -1e-3, "f": 0.5, "g": 1e-2, "h": 0.5e-4},
     )
-    r1 = reduction_check(base_s, ReductionLimit.TO_SEXTIC, 1e-2, CFG)
-    r2 = reduction_check(base_s, ReductionLimit.TO_SEXTIC, 1e-3, CFG)
+    r1 = reduction_check(base_s, ReductionLimit.TO_SEXTIC, 1e-2)
+    r2 = reduction_check(base_s, ReductionLimit.TO_SEXTIC, 1e-3)
     shrink["to_sextic"] = [
         (k, r1.diffs[k], r2.diffs[k]) for k in r1.diffs if r1.diffs[k] > 1e-12
     ]

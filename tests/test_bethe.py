@@ -120,25 +120,25 @@ class TestBaeResiduals:
 
 
 class TestSolveBae:
-    def test_n0_single_empty(self, cfg_small):
-        sets = solve_bae(QUARTIC_ODE, 0, cfg_small)
+    def test_n0_single_empty(self):
+        sets = solve_bae(QUARTIC_ODE, 0)
         assert len(sets) == 1 and sets[0].roots == ()
 
-    def test_quartic_n1_cubic_branch(self, cfg):
-        sets = solve_bae(QUARTIC_ODE, 1, cfg)
+    def test_quartic_n1_cubic_branch(self):
+        sets = solve_bae(QUARTIC_ODE, 1)
         # One conjugate-closed branch: the real cubic root.  The complex
         # pair of the cubic cannot appear as single-root sets.
         assert len(sets) == 1
         assert sets[0].roots[0] == pytest.approx(PLASTIC, abs=1e-12)
         assert sets[0].bae_residual < 1e-10
 
-    def test_sextic_n1_both_signs(self, cfg):
+    def test_sextic_n1_both_signs(self):
         ode = PolyODE((0, 0, 1, 0, 0), (1.0, 2.0, -1.0, 0.0, 0.0, 0.0))
-        sets = solve_bae(ode, 1, cfg, Variable.T_EQ_R2)
+        sets = solve_bae(ode, 1, variable=Variable.T_EQ_R2)
         got = sorted(s.roots[0].real for s in sets)
         assert got == pytest.approx([1.0 - np.sqrt(2.0), 1.0 + np.sqrt(2.0)], abs=1e-12)
 
-    def test_sextic_n2_oracle(self, cfg):
+    def test_sextic_n2_oracle(self):
         # Oracle (independent): eliminate to the cubic
         # s^3 - 11.5 s^2 + 27.5 s + 14 = 0 with p = s/(s-7), roots
         # t = (s +- sqrt(s^2 - 4p))/2, obtained by matching coefficients of
@@ -149,7 +149,7 @@ class TestSolveBae:
             p = s / (s - 7.0)
             sq = np.sqrt(complex(s * s - 4.0 * p))
             expected.append(sorted([(s - sq) / 2.0, (s + sq) / 2.0], key=lambda z: (z.real, z.imag)))
-        sets = solve_bae(SEXTIC_ODE, 2, cfg, Variable.T_EQ_R2)
+        sets = solve_bae(SEXTIC_ODE, 2, variable=Variable.T_EQ_R2)
         assert len(sets) == 3
         got = [list(s.roots) for s in sets]
         got.sort(key=lambda r: (r[0].real, r[0].imag))
@@ -166,7 +166,7 @@ class TestSolveBae:
         q = rng.uniform(-2, 2, size=6)
         q[5] = rng.choice([-1.5, 1.5])
         ode = PolyODE((0, 0, 1, 0, 0), tuple(q))
-        sets = solve_bae(ode, 1, SolverConfig(seed=seed, starts=120))
+        sets = solve_bae(ode, 1)
         companion = np.roots(q[::-1])
         for s in sets:
             root = s.roots[0]
@@ -181,16 +181,15 @@ class TestSolveBae:
             assert min(abs(z - f) for f in found) < 1e-9
 
     def test_deterministic_for_fixed_seed(self):
-        cfg = SolverConfig(seed=123, starts=60)
-        a = solve_bae(SEXTIC_ODE, 2, cfg, Variable.T_EQ_R2)
-        b = solve_bae(SEXTIC_ODE, 2, cfg, Variable.T_EQ_R2)
+        a = solve_bae(SEXTIC_ODE, 2, variable=Variable.T_EQ_R2)
+        b = solve_bae(SEXTIC_ODE, 2, variable=Variable.T_EQ_R2)
         assert [s.roots for s in a] == [s.roots for s in b]
         assert [s.bae_residual for s in a] == [s.bae_residual for s in b]
 
-    def test_rootsets_pass_both_checks(self, cfg):
+    def test_rootsets_pass_both_checks(self):
         for sets, ode in (
-            (solve_bae(QUARTIC_ODE, 1, cfg), QUARTIC_ODE),
-            (solve_bae(SEXTIC_ODE, 2, cfg, Variable.T_EQ_R2), SEXTIC_ODE),
+            (solve_bae(QUARTIC_ODE, 1), QUARTIC_ODE),
+            (solve_bae(SEXTIC_ODE, 2, variable=Variable.T_EQ_R2), SEXTIC_ODE),
         ):
             for s in sets:
                 assert max_abs(bae_residuals(ode, s)) < 1e-10
@@ -204,7 +203,7 @@ class TestConjugatePairs:
     @pytest.fixture(scope="class")
     def pair_branch(self):
         # Sextic n = 3 branch [-0.2124 -+ 0.1055i, 6.526].
-        sets = solve_bae(SEXTIC_ODE, 3, SolverConfig(seed=0, starts=80), Variable.T_EQ_R2)
+        sets = solve_bae(SEXTIC_ODE, 3, variable=Variable.T_EQ_R2)
         branch = next(s.as_array() for s in sets if abs(s.roots[-1] - 6.526) < 1e-3)
         assert abs(branch[0].imag) > 0.1
         return branch
@@ -266,9 +265,10 @@ def _sweep_problem(family: Family, draw: int, n: int) -> FamilyProblem:
     return FamilyProblem(family, cases[draw % len(cases)], n, ell, free)
 
 
-def _solve(problem: FamilyProblem, cfg: SolverConfig):
+def _solve(problem: FamilyProblem):
+    """`solve_bae` on the problem's working ODE."""
     ode, variable = build_ode(problem)
-    return solve_bae(ode, problem.n, cfg, variable)
+    return solve_bae(ode, problem.n, variable=variable)
 
 
 def _same_branch(a, b) -> bool:
@@ -361,7 +361,7 @@ class TestEnumeration:
         for n in range(1, 6):
             ode, variable = build_ode(_sweep_problem(family, draw, n))
             assert bethe._ode_matrix(ode, n).shape == (n + 1, n + 1)
-            enumerated = [s.as_array() for s in solve_bae(ode, n, SWEEP_CFG, variable)]
+            enumerated = [s.as_array() for s in solve_bae(ode, n, variable=variable)]
             reference = _square_eig_branches(ode, n, variable)
             assert len(enumerated) == len(reference) == n + 1
             for roots in reference:
@@ -369,12 +369,12 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("family, draw, n", NEWTON_SHORT)
     def test_operation_newton_left_short_gets_every_branch(self, family, draw, n):
-        assert len(_solve(_sweep_problem(family, draw, n), SWEEP_CFG)) == n + 1
+        assert len(_solve(_sweep_problem(family, draw, n))) == n + 1
 
     @pytest.mark.parametrize("family, draw, n", NEWTON_MISSES)
     def test_operation_newton_misses_gets_every_branch_and_more(self, family, draw, n):
         problem = _sweep_problem(family, draw, n)
-        enumerated = [s.as_array() for s in _solve(problem, SWEEP_CFG)]
+        enumerated = [s.as_array() for s in _solve(problem)]
         newton = _newton_accepted(problem)
         assert newton
         for roots in newton:
@@ -385,7 +385,7 @@ class TestEnumeration:
     def test_every_octic_branch_of_600_newton_starts_is_enumerated(self, draw, n):
         problem = _sweep_problem(Family.OCTIC, draw, n)
         ode, variable = build_ode(problem)
-        enumerated = [s.as_array() for s in _solve(problem, SWEEP_CFG)]
+        enumerated = [s.as_array() for s in _solve(problem)]
         reference = newton_reference.newton_branches(ode, n, MANY_STARTS, variable)
         assert reference
         for s in reference:
@@ -395,24 +395,25 @@ class TestEnumeration:
     def test_n_plus_one_branches_whatever_the_starts(self, family, draw):
         for n in range(1, 6):
             problem = _sweep_problem(family, draw, n)
-            few = _solve(problem, SolverConfig(seed=0, starts=1))
-            assert len(few) == n + 1
-            assert few == _solve(problem, MANY_STARTS)
+            branches = _solve(problem)
+            assert len(branches) == n + 1
+            assert branches == _solve(problem)
 
     @pytest.mark.parametrize("family, draw", RECTANGULAR + OCTIC)
     def test_same_branches_whatever_the_starts(self, family, draw):
-        # Two calls give bit-identical RootSets, whatever their starts.
+        # Two calls give bit-identical RootSets: no seed or start count
+        # takes part.
         for n in range(1, 6):
             problem = _sweep_problem(family, draw, n)
-            few = _solve(problem, SolverConfig(seed=0, starts=1))
-            assert few
-            assert few == _solve(problem, MANY_STARTS)
+            branches = _solve(problem)
+            assert branches
+            assert branches == _solve(problem)
 
     @pytest.mark.parametrize("family, draw", ENUMERATED + OCTIC)
     def test_every_branch_newton_accepts_is_enumerated(self, family, draw):
         for n in range(1, 6):
             problem = _sweep_problem(family, draw, n)
-            enumerated = [s.as_array() for s in _solve(problem, SWEEP_CFG)]
+            enumerated = [s.as_array() for s in _solve(problem)]
             accepted = _newton_accepted(problem)
             assert accepted
             for roots in accepted:
@@ -422,13 +423,13 @@ class TestEnumeration:
         # m = 1 (sextic, coulombic quartic), 2 (harmonic quartic, decatic),
         # 3 (coulombic octic) and 4 (harmonic octic).
         fixed = {
-            (family, draw, n): [s.as_array() for s in _solve(_sweep_problem(family, draw, n), SWEEP_CFG)]
+            (family, draw, n): [s.as_array() for s in _solve(_sweep_problem(family, draw, n))]
             for family, draw in ENUMERATED + OCTIC
             for n in range(1, 6)
         }
         monkeypatch.setattr(bethe, "_PROJECTION_SEED", bethe._PROJECTION_SEED + 1)
         for (family, draw, n), branches in fixed.items():
-            other = [s.as_array() for s in _solve(_sweep_problem(family, draw, n), SWEEP_CFG)]
+            other = [s.as_array() for s in _solve(_sweep_problem(family, draw, n))]
             assert len(other) == len(branches)
             for a, b in zip(other, branches):
                 assert max_abs(a - b) < bethe.DEDUP_TOL
@@ -441,13 +442,13 @@ class TestEnumeration:
             for family, draw in [(Family.SEXTIC, 0), (Family.QUARTIC, 0), (Family.QUARTIC, 1),
                                  (Family.OCTIC, 0), (Family.OCTIC, 1), (Family.DECATIC, 0)]
         ]
-        expected = [_solve(p, SWEEP_CFG) for p in problems]
+        expected = [_solve(p) for p in problems]
 
         def no_generator(*args, **kwargs):
             raise AssertionError("a random generator was made")
 
         monkeypatch.setattr(np.random, "default_rng", no_generator)
-        assert [_solve(p, MANY_STARTS) for p in problems] == expected
+        assert [_solve(p) for p in problems] == expected
         assert not [name for name in NEWTON_NAMES if hasattr(bethe, name)]
 
 
@@ -541,7 +542,7 @@ class TestPencil:
         bethe._laplace_steps.cache_clear()
         tracemalloc.start()
         try:
-            solve_bae(ode, 5, SWEEP_CFG, variable)
+            solve_bae(ode, 5, variable=variable)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -591,7 +592,7 @@ class TestBranchSetIndependentOfStarts:
     def test_more_starts_keep_every_branch(self):
         few = _searched_branches(SolverConfig(seed=2026, starts=48))
         many = _searched_branches()
-        enumerated = [s.as_array() for s in _solve(SEARCHED, SWEEP_CFG)]
+        enumerated = [s.as_array() for s in _solve(SEARCHED)]
         assert len(few) == len(many) == len(enumerated) == 12
         for a, b, c in zip(few, many, enumerated):
             assert _same_branch(a, b) and _same_branch(b, c)
@@ -645,7 +646,7 @@ class TestNewtonStopsWhenSettled:
 
     def test_each_pass_returns_a_branch_it_starts_at(self, steps):
         ode, _ = build_ode(SWEEP_SEXTIC_N5)
-        full = [s.as_array() for s in _solve(SWEEP_SEXTIC_N5, SWEEP_CFG)]
+        full = [s.as_array() for s in _solve(SWEEP_SEXTIC_N5)]
         assert len(full) == 6
         for branch in full:
             steps.clear()
@@ -677,11 +678,11 @@ class TestPolynomialIdentity:
 
 
 class TestNoSolution:
-    def test_unsolvable_system_raises(self, cfg_small):
+    def test_unsolvable_system_raises(self):
         from qesolve import NoSolutionFound
 
         # Q a nonzero constant: the single residue condition Q(t)/P(t) = 0
         # has no solution anywhere.
         ode = PolyODE((0, 0, 1, 0, 0), (1.0, 0, 0, 0, 0, 0))
         with pytest.raises(NoSolutionFound):
-            solve_bae(ode, 1, cfg_small)
+            solve_bae(ode, 1)

@@ -23,7 +23,7 @@ from qesolve import bethe, families
 from qesolve.families import build_ode
 
 import candidate_reference
-from test_bethe import _sweep_problem
+from test_bethe import _solve, _sweep_problem
 
 # A sample of the acceptance sweep: every family at n = 1..5, m = 1 to 4.
 SAMPLE = [
@@ -46,12 +46,6 @@ def _candidate_rows(problem):
 
 def _bits(x) -> bytes:
     return np.asarray(x, dtype=complex).tobytes()
-
-
-def _ode_n_variable(problem):
-    """The arguments of `solve_bae` for the problem."""
-    ode, variable = build_ode(problem)
-    return ode, problem.n, bethe.SolverConfig(), variable
 
 
 class TestStarts:
@@ -176,7 +170,7 @@ class TestBatchIndependence:
 
     @pytest.mark.parametrize("order", ["reversed", "shuffled"])
     def test_permuted_rows(self, monkeypatch, order):
-        expected = [solve_bae(*_ode_n_variable(p)) for p in SAMPLE]
+        expected = [_solve(p) for p in SAMPLE]
         multiparameter, rng = bethe._multiparameter, np.random.default_rng(11)
 
         def permuted(A, Bs):
@@ -185,13 +179,13 @@ class TestBatchIndependence:
 
         monkeypatch.setattr(bethe, "_multiparameter", permuted)
         for problem, before in zip(SAMPLE, expected):
-            after = solve_bae(*_ode_n_variable(problem))
+            after = _solve(problem)
             assert after == before
             assert [(b.w, b.identity_residual) for b in after] == [(b.w, b.identity_residual) for b in before]
 
     @pytest.mark.parametrize("size", [1, 2, 5])
     def test_split_batches(self, monkeypatch, size):
-        expected = [solve_bae(*_ode_n_variable(p)) for p in SAMPLE]
+        expected = [_solve(p) for p in SAMPLE]
         branches = bethe._branches
 
         def in_pieces(ode, starts, variable):
@@ -199,7 +193,7 @@ class TestBatchIndependence:
 
         monkeypatch.setattr(bethe, "_branches", in_pieces)
         for problem, before in zip(SAMPLE, expected):
-            after = solve_bae(*_ode_n_variable(problem))
+            after = _solve(problem)
             assert after == before
             assert [(b.w, b.identity_residual) for b in after] == [(b.w, b.identity_residual) for b in before]
 

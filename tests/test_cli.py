@@ -16,7 +16,7 @@ def run(capsys, *args):
 
 SOLVE_Q0 = [
     "solve", "--family", "quartic", "--case", "harmonic", "--n", "0", "--ell", "0",
-    "--param", "omega=1", "--param", "c=0", "--param", "d=0.5", "--starts", "40",
+    "--param", "omega=1", "--param", "c=0", "--param", "d=0.5",
 ]
 
 
@@ -44,7 +44,7 @@ class TestSolve:
         code, out, _ = run(
             capsys,
             "solve", "--family", "sextic", "--n", "1", "--param", "omega=1",
-            "--param", "e=0", "--param", "d=0.5", "--starts", "60",
+            "--param", "e=0", "--param", "d=0.5",
         )
         assert code == 0
         docs = loads_documents(out)
@@ -67,12 +67,24 @@ class TestSolve:
         code, _, _ = run(capsys, "solve", "--family", "quartic", "--bogus")
         assert code == 1
 
+    @pytest.mark.parametrize("flag", ["--seed", "--starts"])
+    @pytest.mark.parametrize("command", ["solve", "scan"])
+    def test_removed_flag_is_a_usage_error(self, capsys, command, flag):
+        # Neither flag had an effect since every branch is enumerated.
+        args = [*SOLVE_Q0, flag, "1"]
+        if command == "scan":
+            args = ["scan", *args[1:], "--sweep", "omega=1:2:2"]
+        code, out, err = run(capsys, *args)
+        assert code == 1
+        assert out == ""
+        assert f"unrecognized arguments: {flag} 1" in err
+
     def test_no_solution_exit_code(self, capsys):
         # match-ell with an unreachable target angular momentum.
         code, out, err = run(
             capsys,
             "solve", "--family", "sextic", "--n", "0", "--ell", "40",
-            "--param", "e=0.5", "--param", "d=0.5", "--match-ell", "--starts", "40",
+            "--param", "e=0.5", "--param", "d=0.5", "--match-ell",
         )
         assert code == 2
 
@@ -93,10 +105,13 @@ class TestSolve:
         header = out.splitlines()[0].split(",")
         assert header[:4] == ["branch", "energy", "a", "b"]
 
-    def test_deterministic_bytes(self, capsys):
-        _, out1, _ = run(capsys, *SOLVE_Q0, "--seed", "7")
-        _, out2, _ = run(capsys, *SOLVE_Q0, "--seed", "7")
+    def test_deterministic_bytes(self, monkeypatch, capsys):
+        _, out1, _ = run(capsys, *SOLVE_Q0)
+        _, out2, _ = run(capsys, *SOLVE_Q0)
         assert out1 == out2
+        # QES_SEED is not read, so even a value that is no seed changes nothing.
+        monkeypatch.setenv("QES_SEED", "1.5")
+        assert run(capsys, *SOLVE_Q0) == (0, out1, "")
 
 
 class TestVerify:
@@ -159,7 +174,6 @@ class TestScan:
             capsys,
             "scan", "--family", "quartic", "--case", "harmonic", "--n", "1", "--ell", "0",
             "--param", "c=0", "--param", "d=0.5", "--sweep", "omega=0.5:2:4",
-            "--starts", "48",
         )
         assert code == 0
         lines = out.strip().splitlines()
@@ -178,7 +192,7 @@ class TestScan:
         code, out, _ = run(
             capsys,
             "scan", "--family", "sextic", "--n", "0", "--param", "e=0.5",
-            "--param", "d=0.5", "--sweep", "omega=1:3:3", "--starts", "40",
+            "--param", "d=0.5", "--sweep", "omega=1:3:3",
         )
         assert code == 0
         lines = out.strip().splitlines()
@@ -192,7 +206,6 @@ class TestScan:
             capsys,
             "scan", "--family", "quartic", "--case", "harmonic", "--n", "0", "--ell", "0",
             "--param", "c=0", "--param", "d=0.5", "--sweep", "omega=1:1:1",
-            "--starts", "40",
         )
         assert code == 0
         row = scan_out.strip().splitlines()[1].split(",")
@@ -211,67 +224,86 @@ class TestScan:
 
 
 class TestParserBuiltOnce:
-    def test_one_parser_serves_every_call(self, monkeypatch, capsys):
+    def test_one_parser_serves_every_call(self, capsys):
         # Usage errors still exit 1 on the shared parser, and a call after
-        # them, or after a change of QES_SEED, parses as the first did.
+        # them parses as the first did.
         parser = build_parser()
         code, first, _ = run(capsys, *SOLVE_Q0)
         assert code == 0
         assert run(capsys, "solve", "--family", "quartic")[0] == 1
         assert run(capsys, "nonsense")[0] == 1
-        monkeypatch.setenv("QES_SEED", "9")
         assert run(capsys, *SOLVE_Q0) == (0, first, "")
         assert build_parser() is parser
 
 
-class TestSeedEnv:
-    def test_qes_seed_env_default(self, monkeypatch, capsys):
-        monkeypatch.setenv("QES_SEED", "9")
-        _, out_env, _ = run(capsys, *SOLVE_Q0)
-        monkeypatch.delenv("QES_SEED")
-        _, out_explicit, _ = run(capsys, *SOLVE_Q0, "--seed", "9")
-        assert out_env == out_explicit
+def _set(path: str, value):
+    """A change to a document: set the field at the dotted path."""
+
+    def change(doc):
+        *parents, key = path.split(".")
+        for name in parents:
+            doc = doc[name]
+        doc[key] = value
+
+    return change
+
+
+# Documents that `qes verify` and `qes sample` must reject, each a change to
+# the n = 0 quartic document, by the placeholder that names its file.
+BAD_DOCUMENTS = {
+    "WRONG_N": _set("problem.n", 1),  # the n = 0 document has no roots
+    "WRONG_VARIABLE": _set("variable", "t=r^2"),  # the sextic's, not the quartic's r
+    "CASE_NONE": _set("problem.case", "none"),
+    "FREE_ARRAY": _set("problem.free", []),
+    "ROOT_DIAGNOSTICS_ARRAY": _set("root_diagnostics", []),
+    "EXP_COEFFS_ARRAY": _set("waveform.exp_coeffs", []),
+    "DERIVED_ARRAY": _set("derived", []),
+    "DIAGNOSTICS_ARRAY": _set("diagnostics", []),
+}
 
 
 @pytest.mark.parametrize(
-    "qes_seed, args",
+    "args",
     [
-        (None, [*SOLVE_Q0, "--starts", "-3"]),
-        (None, [*SOLVE_Q0, "--starts", "0"]),
-        (None, [*SOLVE_Q0, "--seed", "-1"]),
-        ("1.5", SOLVE_Q0),
-        (None, ["sample", "DOC", "--rmin", "1", "--rmax", "2", "--index", "1"]),
-        (None, ["sample", "DOC", "--rmin", "1", "--rmax", "2", "--index", "-2"]),
-        (None, ["sample", "DOC", "--rmin", "0.1", "--rmax", "2", "--points", "-2"]),
-        (None, ["sample", "DOC", "--rmin", "0.1", "--rmax", "2", "--points", "0"]),
-        (None, ["solve", "--family", "sextic", "--n", "1", "--param", "omega=1", "--param", "e=0.1",
-                "--param", "d=inf"]),
-        (None, [*SOLVE_Q0, "--ell", "nan"]),
-        (None, ["verify", "EMPTY"]),
-        (None, ["verify", "WRONG_N"]),
-        (None, ["verify", "WRONG_VARIABLE"]),
+        ["sample", "DOC", "--rmin", "1", "--rmax", "2", "--index", "1"],
+        ["sample", "DOC", "--rmin", "1", "--rmax", "2", "--index", "-2"],
+        ["sample", "DOC", "--rmin", "0.1", "--rmax", "2", "--points", "-2"],
+        ["sample", "DOC", "--rmin", "0.1", "--rmax", "2", "--points", "0"],
+        ["sample", "DOC", "--rmin", "0.1", "--rmax", "inf"],
+        ["sample", "DOC", "--rmin", "0.1", "--rmax", "1e400"],
+        ["sample", "EXP_COEFFS_ARRAY", "--rmin", "0.1", "--rmax", "2"],
+        ["solve", "--family", "sextic", "--n", "1", "--param", "omega=1", "--param", "e=0.1",
+         "--param", "d=inf"],
+        [*SOLVE_Q0, "--ell", "nan"],
+        ["verify", "EMPTY"],
+        ["verify", "WRONG_N"],
+        ["verify", "WRONG_VARIABLE"],
+        ["verify", "CASE_NONE"],
+        ["verify", "FREE_ARRAY"],
+        ["verify", "ROOT_DIAGNOSTICS_ARRAY"],
+        ["verify", "EXP_COEFFS_ARRAY"],
+        ["verify", "DERIVED_ARRAY"],
+        ["verify", "DIAGNOSTICS_ARRAY"],
     ],
     ids=[
-        "negative_starts", "zero_starts", "negative_seed", "non_integer_qes_seed",
         "index_past_end", "index_before_start", "negative_points", "zero_points",
+        "infinite_rmax", "overflowing_rmax", "sample_exp_coeffs_array",
         "infinite_coupling", "nan_ell", "verify_empty_file", "verify_root_count_not_n",
-        "verify_variable_of_another_family",
+        "verify_variable_of_another_family", "verify_case_none", "verify_free_array",
+        "verify_root_diagnostics_array", "verify_exp_coeffs_array", "verify_derived_array",
+        "verify_diagnostics_array",
     ],
 )
-def test_bad_input_exits_with_an_error_line(qes_seed, args, q0_doc, tmp_path, monkeypatch, capsys):
-    if qes_seed is not None:
-        monkeypatch.setenv("QES_SEED", qes_seed)
+def test_bad_input_exits_with_an_error_line(args, q0_doc, tmp_path, capsys):
     empty = tmp_path / "empty.json"
     empty.write_text("[]")
-    docs = loads_documents(q0_doc.read_text())
-    docs[0]["problem"]["n"] = 1  # the n = 0 document has no roots
-    wrong_n = tmp_path / "wrong_n.json"
-    wrong_n.write_text(json.dumps(docs))
-    docs = loads_documents(q0_doc.read_text())
-    docs[0]["variable"] = "t=r^2"  # the sextic's, not the quartic's r
-    wrong_variable = tmp_path / "wrong_variable.json"
-    wrong_variable.write_text(json.dumps(docs))
-    paths = {"DOC": str(q0_doc), "EMPTY": str(empty), "WRONG_N": str(wrong_n), "WRONG_VARIABLE": str(wrong_variable)}
+    paths = {"DOC": str(q0_doc), "EMPTY": str(empty)}
+    for name, change in BAD_DOCUMENTS.items():
+        docs = loads_documents(q0_doc.read_text())
+        change(docs[0])
+        paths[name] = str(tmp_path / f"{name.lower()}.json")
+        with open(paths[name], "w") as fh:
+            json.dump(docs, fh)
     code, out, err = run(capsys, *[paths.get(a, a) for a in args])
     assert code == 1
     assert out == ""

@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 
 from qesolve import (
     Case,
+    bae_residuals,
+    compute_w_coefficients,
     Family,
     FamilyProblem,
     InvalidCase,
     InvalidParameter,
     ReductionLimit,
     RootSet,
+    schrodinger_residual,
     SolverConfig,
     Variable,
     build_ode,
@@ -24,7 +27,7 @@ from qesolve import (
     solve_family_detailed,
     verify_solution,
 )
-from qesolve import bethe, families
+from qesolve import bethe, families, oracle, wavefunction
 
 from conftest import (
     decatic,
@@ -154,6 +157,13 @@ class TestBuildOde:
         with pytest.raises(InvalidParameter, match="expects couplings"):
             FamilyProblem(Family.QUARTIC, Case.HARMONIC, 0, 0, {"omega": 1.0, "d": 0.5})
 
+    def test_case_none_is_not_a_case(self):
+        # "none" was an alias of harmonic that no caller passed.
+        with pytest.raises(ValueError):
+            Case("none")
+        with pytest.raises(ValueError):
+            FamilyProblem(Family.QUARTIC, "none", 0, 0, {"omega": 1.0, "c": 0.0, "d": 0.5})
+
 
 class TestQuartic:
     def test_ground_state_values(self, cfg_small):
@@ -228,11 +238,11 @@ class TestQuartic:
 
 
 class TestSextic:
-    def test_n1_roots_both_signs(self, cfg):
+    def test_n1_roots_both_signs(self):
         ode, var = build_ode(sextic(n=1, omega=1.0, e=0.0, d=0.5))
         from qesolve import solve_bae
 
-        roots = sorted(s.roots[0].real for s in solve_bae(ode, 1, cfg, var))
+        roots = sorted(s.roots[0].real for s in solve_bae(ode, 1, variable=var))
         assert roots == pytest.approx([1 - math.sqrt(2), 1 + math.sqrt(2)], abs=1e-12)
 
     def test_n1_feasibility_split(self, cfg):
@@ -280,7 +290,7 @@ class TestSextic:
         ode, variable = build_ode(prob, 1.0)
         solutions = solve_family(prob)
         reached = []
-        for branch in solve_bae(ode, prob.n, SolverConfig(seed=2026, starts=48), variable):
+        for branch in solve_bae(ode, prob.n, variable=variable):
             landed = [
                 j for j, s in enumerate(solutions)
                 if (moved := _follow(prob, branch, 1.0, s.derived["omega"])) is not None
@@ -486,22 +496,22 @@ class TestEnergyLadder:
 
 
 class TestReduction:
-    def test_eps_zero_is_exact(self, cfg_small):
+    def test_eps_zero_is_exact(self):
         base = octic_harmonic(n=1, omega=1.0, e=-0.007, f=0.01, g=0.0, h=0.5e-4)
-        rep = reduction_check(base, ReductionLimit.TO_QUARTIC, 0.0, cfg_small)
+        rep = reduction_check(base, ReductionLimit.TO_QUARTIC, 0.0)
         assert rep.matched >= 1
         assert all(v == 0.0 for v in rep.diffs.values())
 
-    def test_to_quartic_linear_shrink(self, cfg):
+    def test_to_quartic_linear_shrink(self):
         base = octic_harmonic(n=1, omega=1.0, e=-0.007, f=0.01, g=0.0, h=0.5e-4)
-        r1 = reduction_check(base, ReductionLimit.TO_QUARTIC, 1e-3, cfg)
-        r2 = reduction_check(base, ReductionLimit.TO_QUARTIC, 1e-4, cfg)
+        r1 = reduction_check(base, ReductionLimit.TO_QUARTIC, 1e-3)
+        r2 = reduction_check(base, ReductionLimit.TO_QUARTIC, 1e-4)
         assert r1.matched == r2.matched >= 1
         for key, d1 in r1.diffs.items():
             d2 = r2.diffs[key]
             assert d2 <= max(0.2 * d1, 1e-12), key
 
-    def test_to_sextic_linear_shrink(self, cfg):
+    def test_to_sextic_linear_shrink(self):
         base = FamilyProblem(
             Family.OCTIC,
             Case.HARMONIC,
@@ -509,8 +519,8 @@ class TestReduction:
             0,
             {"omega": 0.25, "e": -1e-3, "f": 0.5, "g": 1e-2, "h": 0.5e-4},
         )
-        r1 = reduction_check(base, ReductionLimit.TO_SEXTIC, 1e-2, cfg)
-        r2 = reduction_check(base, ReductionLimit.TO_SEXTIC, 1e-3, cfg)
+        r1 = reduction_check(base, ReductionLimit.TO_SEXTIC, 1e-2)
+        r2 = reduction_check(base, ReductionLimit.TO_SEXTIC, 1e-3)
         assert r1.matched == r2.matched == 2
         for key, d1 in r1.diffs.items():
             d2 = r2.diffs[key]
@@ -569,3 +579,34 @@ class TestWaveFormInvariants:
             WaveForm(1.0, {-1: -1.0}, roots, Variable.R)
         with pytest.raises(InvalidParameter):
             WaveForm(1.0, {2: -0.5, -2: 0.1}, roots, Variable.R)
+
+
+# Settings that no caller set, removed with the value each always had: a
+# call that still passes one raises TypeError.  Each entry takes a solution
+# of the harmonic quartic at n = 1.
+REMOVED_SETTINGS = {
+    "solve_bae-cfg": lambda s: solve_bae(build_ode(s.problem)[0], 1, SolverConfig()),
+    "reduction_check-cfg": lambda s: reduction_check(
+        octic_harmonic(n=1, g=0.0), ReductionLimit.TO_QUARTIC, 0.0, SolverConfig()
+    ),
+    "bae_residuals-denom_tol": lambda s: bae_residuals(build_ode(s.problem)[0], s.roots, denom_tol=1e-12),
+    "bae_residuals-sep_tol": lambda s: bae_residuals(build_ode(s.problem)[0], s.roots, sep_tol=1e-8),
+    "compute_w_coefficients-conj_tol": lambda s: compute_w_coefficients(
+        build_ode(s.problem)[0], s.roots, conj_tol=1e-8
+    ),
+    "_power_sums-conj_tol": lambda s: bethe._power_sums(s.roots.as_array(), conj_tol=1e-8),
+    "derive_parameters-check_tol": lambda s: derive_parameters(s.problem, s.roots, check_tol=1e-8),
+    "verify_solution-bae_tol": lambda s: verify_solution(s, bae_tol=1e-10),
+    "verify_solution-ident_tol": lambda s: verify_solution(s, ident_tol=1e-10),
+    "verify_solution-res_tol": lambda s: verify_solution(s, res_tol=1e-9),
+    "schrodinger_residual-node_excl": lambda s: schrodinger_residual(s, node_excl=1e-6),
+    "_default_residual_grid-num": lambda s: oracle._default_residual_grid(s, num=200),
+    "_split_roots-conj_tol": lambda s: wavefunction._split_roots(s.roots.as_array(), conj_tol=1e-10),
+}
+
+
+@pytest.mark.parametrize("call", REMOVED_SETTINGS.values(), ids=REMOVED_SETTINGS.keys())
+def test_removed_setting_raises_type_error(call):
+    solution = solve_family(quartic_harmonic(n=1))[0]
+    with pytest.raises(TypeError):
+        call(solution)
