@@ -26,11 +26,14 @@ def _fmt_float(x: float) -> str:
 
 
 def _number(value) -> float:
-    """A schema "1" number: JSON holds it as a number, not a string or a
-    boolean, which float() would take."""
+    """A schema "1" number: JSON holds it as a finite number, not a string
+    or a boolean, which float() would take, nor the Infinity or NaN that
+    json.loads reads and `_fmt_float` never writes."""
     if isinstance(value, (str, bool)):
         raise DocumentError(f"expected a number, got {value!r}")
-    return float(value)
+    if not math.isfinite(number := float(value)):
+        raise DocumentError(f"expected a finite number, got {value!r}")
+    return number
 
 
 def _object(value, name: str) -> dict:
@@ -143,7 +146,7 @@ def document_to_solution(doc: dict) -> QESSolution:
             tuple(roots_raw),
             variable,
             _number(rd.get("bae_residual", 0.0)),
-            _number(rd.get("separation", math.inf)),
+            _number(rd["separation"]) if "separation" in rd else math.inf,
         )
         wf_doc = doc["waveform"]
         waveform = WaveForm(

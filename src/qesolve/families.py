@@ -345,32 +345,34 @@ def _derivation(problem: FamilyProblem, g: _Gauge, roots: RootSet, w) -> tuple:
 # ----------------------------------------------------------------------
 
 
-def _branch_solution(
-    problem: FamilyProblem,
-    roots: RootSet,
-    omega: float | None = None,
-) -> QESSolution:
-    """The solution of a branch that `solve_bae` or `_match_ell` accepted at
-    omega: its acceptance checked the roots and computed the W coefficients
-    and identity residual that it carries, so neither is redone here."""
-    derived, energy, wave = _derivation(problem, _gauge(problem, omega), roots, roots.w)
-    solution = QESSolution(
-        problem,
-        roots,
-        derived,
-        energy,
-        wave,
-        {
-            "bae_residual": roots.bae_residual,
-            "separation": roots.separation,
-            "identity_residual": roots.identity_residual,
-        },
-    )
+# The errors that reject one branch of a solve, not the solve.
+_BRANCH_ERRORS = (ConstraintInfeasible, InvalidExponent, InvalidParameter, NotIntegrable)
+
+
+def _branch_solutions(problem: FamilyProblem, branches: list[tuple[RootSet, _Gauge]]) -> list:
+    """The solution, or BranchFailure, of each branch that `solve_bae` or
+    `_match_ell` accepted at the gauge g, in branch order.  Acceptance
+    computed the W coefficients and identity residual that each carries;
+    the radial residuals are one array pass (`oracle._residual_rows`)."""
     from . import oracle, wavefunction  # deferred: oracle depends on this module
 
-    solution.diagnostics["schrodinger_residual"] = oracle.schrodinger_residual(solution)
-    solution.diagnostics["norm"] = wavefunction.norm_quadrature(solution)
-    return solution
+    out: list = []
+    for roots, g in branches:
+        try:
+            derived, energy, wave = _derivation(problem, g, roots, roots.w)
+            checks = ("bae_residual", "separation", "identity_residual")
+            out.append(QESSolution(problem, roots, derived, energy, wave, {k: getattr(roots, k) for k in checks}))
+        except _BRANCH_ERRORS as exc:
+            out.append(BranchFailure(roots, type(exc).__name__, str(exc)))
+    rows = [i for i, s in enumerate(out) if isinstance(s, QESSolution)]
+    for i, residual in zip(rows, oracle._residual_rows([out[i] for i in rows]) if rows else []):
+        try:
+            if isinstance(residual, InvalidParameter):
+                raise residual
+            out[i].diagnostics.update(schrodinger_residual=residual, norm=wavefunction.norm_quadrature(out[i]))
+        except _BRANCH_ERRORS as exc:
+            out[i] = BranchFailure(out[i].roots, type(exc).__name__, str(exc))
+    return out
 
 
 def solve_family_detailed(
@@ -386,20 +388,15 @@ def solve_family_detailed(
     if problem.match_ell and problem.family in _MATCH_ELL_FAMILIES:
         branches, failures = _match_ell(problem)
     else:
-        ode, variable = build_ode(problem)
+        g = _gauge(problem)
         try:
-            branches = [(roots, None) for roots in solve_bae(ode, problem.n, variable=variable)]
+            branches = [(roots, g) for roots in solve_bae(g.ode, problem.n, variable=g.variable)]
         except NoSolutionFound as exc:
             return [], [BranchFailure(None, type(exc).__name__, str(exc))]
         failures = []
-    solutions: list[QESSolution] = []
-    for roots, omega in branches:
-        try:
-            solutions.append(_branch_solution(problem, roots, omega))
-        except (ConstraintInfeasible, InvalidExponent, InvalidParameter, NotIntegrable) as exc:
-            failures.append(BranchFailure(roots, type(exc).__name__, str(exc)))
-    solutions.sort(key=lambda s: _branch_key(s.roots.roots))
-    return solutions, failures
+    results = _branch_solutions(problem, branches)
+    solutions = sorted((s for s in results if isinstance(s, QESSolution)), key=lambda s: _branch_key(s.roots.roots))
+    return solutions, failures + [f for f in results if isinstance(f, BranchFailure)]
 
 
 def solve_family(
@@ -443,9 +440,9 @@ def _match_problem(problem: FamilyProblem) -> tuple[np.ndarray, np.ndarray]:
     return mats[0] - L, L
 
 
-def _match_ell(problem: FamilyProblem) -> tuple[list[tuple[RootSet, float]], list[BranchFailure]]:
-    """Every match of the requested ell in OMEGA_RANGE, as (roots, omega)
-    pairs in ascending omega, and a BranchFailure for each candidate that
+def _match_ell(problem: FamilyProblem) -> tuple[list[tuple[RootSet, _Gauge]], list[BranchFailure]]:
+    """Every match of the requested ell in OMEGA_RANGE, as (roots, gauge at
+    its omega) pairs in ascending omega, and a BranchFailure for each candidate that
     fails (one NO_MATCH record when there is no candidate).
 
     The candidates are the real solutions (omega, c) of `_match_problem`
@@ -474,28 +471,28 @@ def _match_ell(problem: FamilyProblem) -> tuple[list[tuple[RootSet, float]], lis
     order = np.argsort(omegas[keep])
     candidates = list(zip(omegas[keep][order].tolist(), _starts(coeffs[keep][order])))
 
-    def at(om: float, start: np.ndarray) -> tuple[RootSet | None, float]:
+    def at(om: float, start: np.ndarray) -> tuple[RootSet | None, float, _Gauge]:
         """The branch polished from start at om, None if the filters reject
-        it, and its mismatch at the W its acceptance computed."""
+        it, its mismatch at the W its acceptance computed, and the gauge at om."""
         g = _gauge(problem, om)
         roots = _branches(g.ode, start[None, :], g.variable)[0]
         if roots is None:
-            return None, math.nan
-        return roots, _closing(g, roots.w)[-2] + 0.25 - target
+            return None, math.nan, g
+        return roots, _closing(g, roots.w)[-2] + 0.25 - target, g
 
-    matches: list[tuple[RootSet, float]] = []
+    matches: list[tuple[RootSet, float, _Gauge]] = []
     failures: list[BranchFailure] = []
     for candidate_omega, start in candidates:
         omega = candidate_omega
-        roots, miss = at(omega, start)
+        roots, miss, g = at(omega, start)
         if roots is not None:
             h = 1e-6 * omega
-            moved, miss_h = at(omega + h, roots.as_array())
+            moved, miss_h, _ = at(omega + h, roots.as_array())
             if moved is None:
                 roots = None
             elif miss_h != miss:
                 omega = float(omega - miss * h / (miss_h - miss))
-                roots, miss = at(omega, roots.as_array())
+                roots, miss, g = at(omega, roots.as_array())
         if roots is None or not abs(miss) <= MATCH_TOL:
             ode, variable = build_ode(problem, candidate_omega)
             with np.errstate(all="ignore"):
@@ -506,12 +503,12 @@ def _match_ell(problem: FamilyProblem) -> tuple[list[tuple[RootSet, float]], lis
             failures.append(BranchFailure(rejected, "ConstraintInfeasible", detail))
         elif not any(
             abs(omega - om) <= DEDUP_TOL * om and np.max(np.abs(roots.as_array() - r.as_array()), initial=0.0) < DEDUP_TOL
-            for r, om in matches
+            for r, om, _ in matches
         ):
-            matches.append((roots, omega))
+            matches.append((roots, omega, g))
     if not candidates:
         failures.append(BranchFailure(None, "ConstraintInfeasible", NO_MATCH))
-    return matches, failures
+    return [(roots, g) for roots, _, g in matches], failures
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,9 @@ engine: a pointwise residual of the original radial equation using analytic
 log-derivatives, and a finite-difference eigenvalue oracle (symmetric
 tridiagonal discretization, Sturm-sequence bisection on counts made by
 guarded cyclic reduction) confirming that the constructed energy sits in
-the spectrum of the constructed potential.
+the spectrum of the constructed potential.  The residual of all the
+branches of a solve is one array pass, a row per branch
+(`_residual_rows`); `schrodinger_residual` is its one-row case.
 
 Verification needs only the FD eigenvalue nearest 2E.  It proves it from
 the closed-form Psi sampled on the grid: Sturm counts isolate one
@@ -34,12 +36,15 @@ from .bethe import Variable, bae_residuals, compute_w_coefficients, verify_polyn
 from .errors import GridInsufficient, InvalidParameter, MissingCoupling
 from .families import _POWERS, Case, QESSolution, build_ode
 from .wavefunction import (
+    _column,
+    _log_deriv_arrays,
+    _norm,
     _support,
     count_nodes,
     eval_log_psi,
-    eval_psi_log_derivatives,
+    eval_psi_log_derivatives,  # not called here: perfbench/tracing.py times it under this name
     node_positions,
-    norm_quadrature,
+    norm_quadrature,  # not called here: perfbench/tracing.py times it under this name
 )
 
 
@@ -65,20 +70,22 @@ class PotentialSpec:
             if self.inverse_powers[top] <= 0:
                 raise InvalidParameter("highest inverse-power coupling must be > 0")
 
-    def _add_two_v(self, out: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """out + 2 V(r), each term added onto `out` in turn: bracket() and
-        the FD diagonal built from it depend on this order for rounding."""
-        for k, lam in self.inverse_powers.items():
-            out = out + 2.0 * lam * r ** (-float(k))
-        return out
-
     def bracket(self, r: np.ndarray) -> np.ndarray:
         """ell(ell+1)/r^2 + omega^2 r^2 + 2 V(r)."""
-        base = self.ell * (self.ell + 1.0) / (r * r) + self.omega**2 * r * r
-        return self._add_two_v(base, r)
+        return _bracket(self.ell, self.omega**2, self.inverse_powers, r)[0]
 
-    def two_v(self, r: np.ndarray) -> np.ndarray:
-        return self._add_two_v(np.zeros_like(r), r)
+
+def _bracket(ell, omega_sq, couplings: Mapping, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bracket ell(ell+1)/r^2 + omega^2 r^2 + 2 V(r), and 2 V(r), on r;
+    ell, omega^2 and each lambda_k of `couplings` are floats or columns, one
+    value per row of r.  Each 2 lambda_k r^-k is added onto both in turn:
+    the FD diagonal built from the bracket depends on this order for rounding."""
+    bracket = ell * (ell + 1.0) / (r * r) + omega_sq * r * r
+    two_v = np.zeros_like(r)
+    for k, lam in couplings.items():
+        term = 2.0 * lam * r ** (-float(k))
+        bracket, two_v = bracket + term, two_v + term
+    return bracket, two_v
 
 
 def _coupling(solution: QESSolution, name: str) -> float:
@@ -101,17 +108,41 @@ def assemble_potential(solution: QESSolution) -> PotentialSpec:
     return PotentialSpec(ell, omega, powers)
 
 
-def _default_residual_grid(solution: QESSolution) -> np.ndarray:
-    roots = solution.roots.as_array()
-    if len(roots):
-        if solution.roots.variable is Variable.R:
-            r_scale = float(np.max(np.abs(roots)))
-        else:
-            r_scale = math.sqrt(float(np.max(np.abs(roots))))
+def _default_residual_grid(solutions: list[QESSolution]) -> np.ndarray:
+    """A row per solution (of one solve, so of one variable): 200 points from
+    1e-2 to 20 times the radial scale of its roots, at least 1."""
+    r_scale = np.array([np.max(np.abs(s.roots.as_array()), initial=1.0) for s in solutions])
+    if solutions[0].roots.variable is not Variable.R:
+        r_scale = np.sqrt(r_scale)
+    return np.geomspace(1e-2 * r_scale, 20.0 * r_scale, 200, axis=1)
+
+
+def _residual_rows(solutions: list[QESSolution], grid: np.ndarray | None = None) -> list:
+    """`schrodinger_residual` of each solution as the rows of one array pass,
+    for the branches of one solve (see `wavefunction._log_deriv_arrays`); a
+    row that node exclusion empties gets an InvalidParameter, not a float."""
+    pots = [assemble_potential(s) for s in solutions]
+    if grid is None:
+        r = _default_residual_grid(solutions)
     else:
-        r_scale = 1.0
-    r_scale = max(1.0, r_scale)
-    return np.geomspace(1e-2 * r_scale, 20.0 * r_scale, 200)
+        r = np.tile(np.asarray(grid, float), (len(solutions), 1))
+    keep = np.ones(r.shape, dtype=bool)
+    for row, points, solution in zip(keep, r, solutions):
+        for node in node_positions(solution):
+            row &= np.abs(points - node) > 5e-3 * (1.0 + abs(node))
+    _, psi2 = _log_deriv_arrays(solutions, r, keep)
+    # omega**2 by Python's float power, as PotentialSpec.bracket takes it:
+    # numpy's square of a column can differ from it in the last bit.
+    ell, omega_sq = _column([p.ell for p in pots]), _column([p.omega**2 for p in pots])
+    couplings = {k: _column([p.inverse_powers[k] for p in pots]) for k in pots[0].inverse_powers}
+    two_e = _column([2.0 * s.energy for s in solutions])
+    bracket, two_v = _bracket(ell, omega_sq, couplings, r)
+    with np.errstate(invalid="ignore"):  # the excluded points' values are dropped
+        num = np.abs(-psi2 + bracket - two_e)
+        den = np.abs(two_e) + np.abs(ell * (ell + 1.0)) / (r * r) + omega_sq * r * r + np.abs(two_v) + 1e-300
+        largest = np.max(np.where(keep, num / den, -np.inf), axis=1, initial=-np.inf)
+    empty = "residual grid is empty after node exclusion"
+    return [float(x) if kept else InvalidParameter(empty) for x, kept in zip(largest, keep.any(axis=1))]
 
 
 def schrodinger_residual(solution: QESSolution, grid: np.ndarray | None = None) -> float:
@@ -124,25 +155,13 @@ def schrodinger_residual(solution: QESSolution, grid: np.ndarray | None = None) 
     Grid points within 5e-3 (1 + node) of a node are excluded, because
     Psi''/Psi grows like 1/(r - node)^2 there and its evaluation noise
     (eps/delta^2) would swamp a 1e-9 residual bound long before the
-    identity actually fails.
+    identity actually fails.  The one-row case of `_residual_rows`, which
+    `solve_family` runs on all the branches of a solve at once.
     """
-    pot = assemble_potential(solution)
-    r = _default_residual_grid(solution) if grid is None else np.asarray(grid, float)
-    for node in node_positions(solution):
-        r = r[np.abs(r - node) > 5e-3 * (1.0 + abs(node))]
-    if len(r) == 0:
-        raise InvalidParameter("residual grid is empty after node exclusion")
-    _, psi2 = eval_psi_log_derivatives(solution, r)
-    two_e = 2.0 * solution.energy
-    num = np.abs(-psi2 + pot.bracket(r) - two_e)
-    den = (
-        abs(two_e)
-        + np.abs(pot.ell * (pot.ell + 1.0)) / (r * r)
-        + pot.omega**2 * r * r
-        + np.abs(pot.two_v(r))
-        + 1e-300
-    )
-    return float(np.max(num / den))
+    (residual,) = _residual_rows([solution], grid)
+    if isinstance(residual, InvalidParameter):
+        raise residual
+    return residual
 
 
 # ----------------------------------------------------------------------
@@ -165,16 +184,20 @@ class FdGrid:
             raise InvalidParameter("n_points >= 2000 required")
 
 
+def _fd_grid(support: tuple | None, n_points: int) -> FdGrid:
+    """default_fd_grid on the support `wavefunction._support` found."""
+    if support is None:
+        raise GridInsufficient("wavefunction support exceeds the scan range")
+    r_min, r_max = np.exp(support[:2])
+    return FdGrid(float(r_min), float(r_max), n_points)
+
+
 def default_fd_grid(solution: QESSolution, n_points: int = 4000) -> FdGrid:
     """Grid bounds from the wavefunction support (amplitude below 1e-13
     of the peak at both ends, `wavefunction._support`, the interval the
     norm integrates on); raises GridInsufficient if no such bounds exist
     within the scan range."""
-    support = _support(solution)
-    if support is None:
-        raise GridInsufficient("wavefunction support exceeds the scan range")
-    r_min, r_max = np.exp(support[:2])
-    return FdGrid(float(r_min), float(r_max), n_points)
+    return _fd_grid(_support(solution), n_points)
 
 
 def _ldl_counts(a: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -588,7 +611,8 @@ def verify_solution(solution: QESSolution, level: VerifyLevel = VerifyLevel.FAST
     FAST checks the root-system residuals (at most BAE_TOL), the polynomial
     identity (at most IDENT_TOL) and the radial-equation residual (at most
     1e-9).  FULL additionally computes the norm, counts nodes and confirms
-    the energy against the finite-difference spectrum at two resolutions.
+    the energy against the finite-difference spectrum at two resolutions;
+    the norm and both FD grids come from one support scan.
     """
     level = VerifyLevel(level)
     report = VerificationReport()
@@ -607,7 +631,8 @@ def verify_solution(solution: QESSolution, level: VerifyLevel = VerifyLevel.FAST
     if level is VerifyLevel.FAST:
         return report
 
-    norm = norm_quadrature(solution)
+    support = _support(solution)  # one scan for the norm and both FD grids
+    norm = _norm(solution, support)
     report.add("norm_finite", norm, math.inf, passed=math.isfinite(norm) and norm > 0)
     nodes = count_nodes(solution)
     report.add("node_count", float(nodes), math.inf, passed=True)
@@ -618,31 +643,27 @@ def verify_solution(solution: QESSolution, level: VerifyLevel = VerifyLevel.FAST
         )
     two_e = 2.0 * solution.energy
     scale = max(1.0, abs(two_e))
-    try:
-        coarse = default_fd_grid(solution, 2400)
-        fine = FdGrid(coarse.r_min, coarse.r_max, 2 * 2400 + 1)
-        delta = max(0.75, 0.02 * abs(two_e))
-        window = (two_e - delta, two_e + delta)
-        potential = assemble_potential(solution)
-        ev_c = _nearest_fd_eigenvalue(potential, window, coarse, two_e, solution)
-        ev_f = _nearest_fd_eigenvalue(potential, window, fine, two_e, solution)
-        if ev_c is None or ev_f is None:
-            report.add("fd_eigenvalue_error", math.inf, 5e-3 * scale, passed=False)
-            report.notes.append("fd oracle: window contained no eigenvalue")
-        else:
-            err_c = abs(ev_c - two_e)
-            err_f = abs(ev_f - two_e)
-            improving = err_f <= 0.6 * err_c + 1e-9 * scale
-            report.add(
-                "fd_eigenvalue_error",
-                err_f,
-                5e-3 * scale,
-                passed=(err_f <= 5e-3 * scale) and improving,
-            )
-            if err_f > 1e-9 * scale:
-                order = math.log2(err_c / err_f) if err_f > 0 else float("inf")
-                report.notes.append(f"fd oracle convergence order ~ {order:.2f}")
-    except GridInsufficient as exc:
+    coarse = _fd_grid(support, 2400)
+    fine = FdGrid(coarse.r_min, coarse.r_max, 2 * 2400 + 1)
+    delta = max(0.75, 0.02 * abs(two_e))
+    window = (two_e - delta, two_e + delta)
+    potential = assemble_potential(solution)
+    ev_c = _nearest_fd_eigenvalue(potential, window, coarse, two_e, solution)
+    ev_f = _nearest_fd_eigenvalue(potential, window, fine, two_e, solution)
+    if ev_c is None or ev_f is None:
         report.add("fd_eigenvalue_error", math.inf, 5e-3 * scale, passed=False)
-        report.notes.append(f"fd oracle skipped: {exc}")
+        report.notes.append("fd oracle: window contained no eigenvalue")
+    else:
+        err_c = abs(ev_c - two_e)
+        err_f = abs(ev_f - two_e)
+        improving = err_f <= 0.6 * err_c + 1e-9 * scale
+        report.add(
+            "fd_eigenvalue_error",
+            err_f,
+            5e-3 * scale,
+            passed=(err_f <= 5e-3 * scale) and improving,
+        )
+        if err_f > 1e-9 * scale:
+            order = math.log2(err_c / err_f) if err_f > 0 else float("inf")
+            report.notes.append(f"fd oracle convergence order ~ {order:.2f}")
     return report

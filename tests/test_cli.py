@@ -248,8 +248,19 @@ def _set(path: str, value):
     return change
 
 
+def _all(*changes):
+    """A change to a document: each of `changes` in turn."""
+
+    def change(doc):
+        for one in changes:
+            one(doc)
+
+    return change
+
+
 # Documents that `qes verify` and `qes sample` must reject, each a change to
 # the n = 0 quartic document, by the placeholder that names its file.
+# `json.dump` writes an infinity or a NaN as the tokens `json.loads` takes.
 BAD_DOCUMENTS = {
     "WRONG_N": _set("problem.n", 1),  # the n = 0 document has no roots
     "WRONG_VARIABLE": _set("variable", "t=r^2"),  # the sextic's, not the quartic's r
@@ -259,6 +270,10 @@ BAD_DOCUMENTS = {
     "EXP_COEFFS_ARRAY": _set("waveform.exp_coeffs", []),
     "DERIVED_ARRAY": _set("derived", []),
     "DIAGNOSTICS_ARRAY": _set("diagnostics", []),
+    "INFINITE_ROOT": _all(_set("problem.n", 1), _set("roots", [{"re": math.inf, "im": 0.0}])),
+    "INFINITE_LEADING_EXPONENT": _set("waveform.leading_exponent", math.inf),
+    "INFINITE_DERIVED": _set("derived.a", math.inf),
+    "NAN_DIAGNOSTIC": _set("diagnostics.norm", math.nan),
 }
 
 
@@ -284,6 +299,10 @@ BAD_DOCUMENTS = {
         ["verify", "EXP_COEFFS_ARRAY"],
         ["verify", "DERIVED_ARRAY"],
         ["verify", "DIAGNOSTICS_ARRAY"],
+        ["sample", "INFINITE_ROOT", "--rmin", "0.5", "--rmax", "2", "--points", "3"],
+        ["sample", "INFINITE_LEADING_EXPONENT", "--rmin", "0.5", "--rmax", "2", "--points", "3"],
+        ["verify", "INFINITE_DERIVED"],
+        ["verify", "NAN_DIAGNOSTIC"],
     ],
     ids=[
         "index_past_end", "index_before_start", "negative_points", "zero_points",
@@ -291,7 +310,8 @@ BAD_DOCUMENTS = {
         "infinite_coupling", "nan_ell", "verify_empty_file", "verify_root_count_not_n",
         "verify_variable_of_another_family", "verify_case_none", "verify_free_array",
         "verify_root_diagnostics_array", "verify_exp_coeffs_array", "verify_derived_array",
-        "verify_diagnostics_array",
+        "verify_diagnostics_array", "sample_infinite_root", "sample_infinite_leading_exponent",
+        "verify_infinite_derived", "verify_nan_diagnostic",
     ],
 )
 def test_bad_input_exits_with_an_error_line(args, q0_doc, tmp_path, capsys):

@@ -21,9 +21,13 @@ from qesolve import (
     verify_solution,
 )
 
-from qesolve import oracle
+from qesolve import oracle, solve_bae, solve_family_detailed
+from qesolve.families import Family, build_ode
 
+import residual_reference
 import sturm_reference
+from test_bethe import _sweep_problem
+from test_match_ell import workload_problems
 
 from conftest import decatic, octic_coulombic, octic_harmonic, quartic_coulombic, quartic_harmonic, sextic
 
@@ -101,6 +105,86 @@ class TestSchrodingerResidual:
         node = quartic1.roots.roots[0].real
         grid = np.array([0.5, node, 2.0])
         assert schrodinger_residual(quartic1, grid) < 1e-10
+
+
+def _sweep_problems():
+    """The `sweep` benchmark's 192 solves: every sextic draw of the
+    acceptance sweep and the first four of each other family, n = 0..5."""
+    draws = {Family.SEXTIC: 20, Family.QUARTIC: 4, Family.OCTIC: 4, Family.DECATIC: 4}
+    return [_sweep_problem(f, d, n) for f, count in draws.items() for d in range(count) for n in range(6)]
+
+
+class TestOneResidualPass:
+    """`solve_family` computes the radial residual of all the branches of a
+    solve as the rows of one array pass (`oracle._residual_rows`); the
+    reference is the one-branch residual it replaced
+    (tests/residual_reference.py)."""
+
+    @staticmethod
+    def _same(rows, expected):
+        assert len(rows) == len(expected)
+        for got, want in zip(rows, expected):
+            assert got == want or (math.isnan(got) and math.isnan(want))
+
+    @pytest.mark.parametrize(
+        "problems",
+        [_sweep_problems, lambda: workload_problems("sextic") + workload_problems("decatic")],
+        ids=["sweep", "match_ell"],
+    )
+    def test_rows_are_the_reference_bit_for_bit(self, problems):
+        grid = np.geomspace(3e-3, 40.0, 257)
+        rows = 0
+        for problem in problems():
+            solutions = solve_family(problem)
+            if not solutions:
+                continue
+            expected = [residual_reference.schrodinger_residual(s) for s in solutions]
+            self._same([s.diagnostics["schrodinger_residual"] for s in solutions], expected)
+            self._same(oracle._residual_rows(solutions), expected)
+            self._same(
+                oracle._residual_rows(solutions, grid),
+                [residual_reference.schrodinger_residual(s, grid) for s in solutions],
+            )
+            rows += len(solutions)
+        assert rows > 100
+
+    def test_one_row_is_the_reference_bit_for_bit(self, cfg):
+        grid = np.geomspace(1e-2, 20.0, 300)
+        for sol in _verify_pool(cfg):
+            assert schrodinger_residual(sol) == residual_reference.schrodinger_residual(sol)
+            assert schrodinger_residual(sol, grid) == residual_reference.schrodinger_residual(sol, grid)
+
+    def test_emptied_row_fails_alone_in_branch_order(self, monkeypatch):
+        # Every point of a branch with a node is made a node, so node
+        # exclusion empties its grid: each such branch fails with
+        # InvalidParameter, in the order solve_bae returns the branches, and
+        # the rest are solved.
+        problem = octic_harmonic(n=2)
+        nodes = oracle.node_positions
+
+        def every_point_a_node(solution):
+            return list(residual_reference.default_grid(solution)) if nodes(solution) else []
+
+        ode, variable = build_ode(problem)
+        branches = solve_bae(ode, problem.n, variable=variable)
+        with_node = [b.roots for b in branches if any(z.imag == 0.0 and z.real > 0.0 for z in b.roots)]
+        assert len(branches) == 5 and len(with_node) == 3
+        monkeypatch.setattr(oracle, "node_positions", every_point_a_node)
+        solutions, failures = solve_family_detailed(problem)
+        assert [f.roots.roots for f in failures] == with_node
+        assert {(f.error, f.detail) for f in failures} == {
+            ("InvalidParameter", "residual grid is empty after node exclusion")
+        }
+        assert len(solutions) == 2
+        for s in solutions:
+            assert s.diagnostics["schrodinger_residual"] == residual_reference.schrodinger_residual(s)
+
+    @pytest.mark.parametrize("points", [[], [1.0, 1.001]], ids=["no_points", "near_the_node"])
+    def test_emptied_grid_raises_for_one_row(self, quartic1, points):
+        grid = oracle.node_positions(quartic1)[0] * np.array(points)
+        for residual in (schrodinger_residual, residual_reference.schrodinger_residual):
+            with pytest.raises(InvalidParameter, match="empty after node exclusion"):
+                residual(quartic1, grid)
 
 
 class TestFdSpectrum:

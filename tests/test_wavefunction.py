@@ -208,6 +208,24 @@ def draws():
     ]
 
 
+@pytest.fixture()
+def psi_evaluations(monkeypatch):
+    """The number of abscissae of each evaluation of Psi (`_log_psi_arrays`)."""
+    calls, evaluate = [], wavefunction._log_psi_arrays
+
+    def counted(solution, r, *args):
+        calls.append(len(r))
+        return evaluate(solution, r, *args)
+
+    monkeypatch.setattr(wavefunction, "_log_psi_arrays", counted)
+    return calls
+
+
+# r^nu exp(-mu1 r^2 - mu2 / r^2): a peak near u = ln r = 1/2 with a standard
+# deviation of ~0.002 in u, under half a step of the support scan.
+NARROW = NormIntegralSpec(1e5, 1e5 / (2.0 * math.e), 1.0, IntegralKind.GAUSS_INV2)
+
+
 class TestOneSupportScan:
     """`norm_quadrature` runs the trapezoidal rule on the support that
     `default_fd_grid` also cuts; the references are the adaptive GK15 norm
@@ -224,14 +242,9 @@ class TestOneSupportScan:
         for sol in draws + _verify_pool(cfg):
             assert default_fd_grid(sol, 2400) == quadrature_reference.default_fd_grid(sol, 2400)
 
-    def test_looser_tolerance_stops_no_later(self, draws, monkeypatch):
-        calls, integrate = [], wavefunction.integrate_adaptive  # abscissae per integrand call
-
-        def counted(f, *args, **kwargs):
-            return integrate(lambda u: calls.append(len(u)) or f(u), *args, **kwargs)
-
-        monkeypatch.setattr(wavefunction, "integrate_adaptive", counted)
-        for sol in draws:
+    def test_looser_tolerance_stops_no_later(self, draws, psi_evaluations):
+        calls = psi_evaluations
+        for sol in draws + [_synthetic_solution(NARROW)]:
             norm_quadrature(sol, rel_tol=1e-6)
             loose = sum(calls)
             calls.clear()
@@ -241,10 +254,33 @@ class TestOneSupportScan:
         # exp(-u^2) on [-40, 40] leaves 1e-3 at 64 intervals and 1e-11 at
         # 128, so 1e-6 stops at 256 intervals and 1e-12 at 512.
         for tol, evaluated in ((1e-6, 257), (1e-12, 513)):
-            value = wavefunction.integrate_adaptive(lambda u: np.exp(-u * u), -40.0, 40.0, tol)
+            value = wavefunction.integrate_adaptive(lambda u: calls.append(len(u)) or np.exp(-u * u), -40.0, 40.0, tol)
             assert value == pytest.approx(math.sqrt(math.pi), rel=tol)
             assert sum(calls) == evaluated
             calls.clear()
+
+    def test_norm_is_summed_from_the_scan(self, draws, psi_evaluations):
+        # The draws' states need no sample past the scan's 3,001.  NARROW
+        # fails the every-other-sample check, so its norm integrates the
+        # support afresh (`integrate_adaptive`), and agrees with GK15.
+        calls = psi_evaluations
+        for sol in draws:
+            norm_quadrature(sol)
+            assert calls == [3001]
+            calls.clear()
+        narrow = _synthetic_solution(NARROW)
+        value = norm_quadrature(narrow)
+        assert calls[0] == 3001 and len(calls) > 2
+        assert abs(value - quadrature_reference.norm_quadrature(narrow, rel_tol=1e-13)) <= 1e-11 * value
+
+    def test_scan_grid_is_read_only(self):
+        u, r, log_r = wavefunction._scan_grid(2.0)
+        r2 = wavefunction._scan_power(2.0, 2)
+        assert len(u) == 3001 and np.array_equal(r2, r * r)
+        for cached in (u, r, log_r, r2):
+            with pytest.raises(ValueError):
+                cached[0] = 0.0
+        assert wavefunction._scan_grid(2.0)[1] is r and wavefunction._scan_power(2.0, 2) is r2
 
     def test_non_converging_integrand_raises(self):
         # sqrt has a branch point at 0: the rule converges only as h^1.5.

@@ -22,7 +22,9 @@ and `separation`, then the `identity_residual`, `norm` and
 `schrodinger_residual` diagnostics), and the failure records.  That tells a rounding-level change apart
 from a real one.  `--compare OLD NEW` reads two such files, line by line,
 and prints each operation whose line differs with its maximum relative
-root, energy, derived-coupling, diagnostic and failure-record difference
+root, energy, derived-coupling, per-diagnostic (`bae_residual`,
+`separation`, `identity_residual`, `norm` and `schrodinger_residual`, each
+on its own) and failure-record difference
 (each value's difference over max(1, |old value|); a failure record's
 values are the numbers in its text), or says what differs besides
 the values (branch count, a coupling's name, or failure records that differ
@@ -33,7 +35,7 @@ and each old branch that is not kept is printed.  Its second-to-last line
 lists the operations whose branch count fell, those whose count rose, and
 those whose count rose but that lost a branch, so `grep '^branch count'`
 checks that no operation lost a branch.  Its last line gives the largest
-root, energy, derived-coupling, diagnostic and failure-record difference
+root, energy, derived-coupling, per-diagnostic and failure-record difference
 over all operations, each with the operation it comes from.
 
 With `--acceptance` it digests the tier-1 acceptance sweep instead of the
@@ -73,6 +75,8 @@ ROOT_TOL = 1e-6
 # The solution diagnostics that `--values` prints after its root set's
 # `bae_residual` and `separation`.
 DIAGNOSTICS = ("identity_residual", "norm", "schrodinger_residual")
+# The names of the five values of each branch's `--values` diagnostics row.
+DIAGNOSTIC_COLUMNS = ("bae_residual", "separation", *DIAGNOSTICS)
 
 
 def _values(op_label, solutions, failures) -> str:
@@ -245,7 +249,7 @@ def compare(old_path: str, new_path: str) -> None:
         print(f"{len(old_lines)} operations against {len(new_lines)}")
     changed = 0
     moved = {"fell": [], "rose": [], "rose but lost a branch": []}
-    largest = dict.fromkeys(("roots", "energies", "derived", "diagnostics", "failures"), (0.0, "-"))
+    largest = dict.fromkeys(("roots", "energies", "derived", *DIAGNOSTIC_COLUMNS, "failures"), (0.0, "-"))
     for old_line, new_line in zip(old_lines, new_lines):
         if old_line == new_line:
             continue
@@ -277,7 +281,10 @@ def compare(old_path: str, new_path: str) -> None:
             "energies": _max_rel(old["energies"], new["energies"]),
             "derived": _max_rel([list(d.values()) for d in old["derived"]],
                                 [list(d.values()) for d in new["derived"]]),
-            "diagnostics": _max_rel(old["diagnostics"], new["diagnostics"]),
+            **{
+                name: _max_rel([row[j] for row in old["diagnostics"]], [row[j] for row in new["diagnostics"]])
+                for j, name in enumerate(DIAGNOSTIC_COLUMNS)
+            },
             "failures": _max_rel(numbers_old, numbers_new),
         }
         print(f"{old['op']} | " + " | ".join(f"{k} {v:.2g}" for k, v in diffs.items()))
