@@ -143,7 +143,7 @@ def count_nodes(solution: QESSolution) -> int:
 # ----------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)  # one entry per span
 def _scan_grid(span: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """u, r = e^u and ln r of the support scan over |u| <= 4 span, read-only."""
     u = np.linspace(-span * 4.0, span * 4.0, 3001)
@@ -154,7 +154,7 @@ def _scan_grid(span: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return grid
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)  # holds the 24 of the families: p = -4..2 (not 0) at each span
 def _scan_power(span: float, p: int) -> np.ndarray:
     """r^p on the scan over |u| <= 4 span, read-only."""
     rp = _scan_grid(span)[1] ** float(p)
