@@ -144,15 +144,14 @@ def _branch_key(roots) -> tuple:
     return tuple(np.real(roots)) + tuple(np.imag(roots))
 
 
-def _power_sums(roots):
-    """Real power sums s1..s4 and the pair sum, in canonical root order.
+def _power_sums(ordered: np.ndarray):
+    """Real power sums s1..s4 and the pair sum of roots in canonical order.
 
     Summation in canonical order makes the result exactly permutation
     invariant.  Raises NonRealCoefficients if any sum has an imaginary part
     above tolerance (the root set is then not conjugation closed).
     """
-    arr = _canonical_order(np.asarray(roots, dtype=complex))
-    sums = [np.sum(arr**k) for k in (1, 2, 3, 4)]
+    sums = [np.sum(ordered**k) for k in (1, 2, 3, 4)]
     s1 = sums[0]
     pair = (s1 * s1 - sums[1]) / 2.0
     out = []
@@ -171,14 +170,15 @@ def _roots_of(roots_or_rootset):
     return np.asarray(roots_or_rootset, dtype=complex)
 
 
-def _closing_w(ode: PolyODE, n: int, s1, s2, s3, s4, pair):
-    """Closing formulas: W coefficients (w0..w4) from the root power sums.
+def _closing_w(p, q, n: int, s1, s2, s3, s4, pair):
+    """Closing formulas: W coefficients (w0..w4) from the coefficients of P
+    and Q and the root power sums.
 
     Works elementwise, so the sums may be floats or per-row arrays; w4
     depends on n alone and stays a scalar.
     """
-    p0, p1, p2, p3, p4 = ode.p
-    q0, q1, q2, q3, q4, q5 = ode.q
+    p0, p1, p2, p3, p4 = p
+    q0, q1, q2, q3, q4, q5 = q
     w4 = -n * q5
     w3 = -q5 * s1 - n * q4
     w2 = -q5 * s2 - q4 * s1 - n * (n - 1) * p4 - n * q3
@@ -208,10 +208,15 @@ def compute_w_coefficients(ode: PolyODE, roots):
     carries a factor n or a root sum, so n = 0 returns all zeros.  Raises
     NonRealCoefficients when a power sum's imaginary part exceeds CONJ_TOL.
     """
-    arr = _roots_of(roots)
-    if len(arr) == 0:
+    return _w(ode.p, ode.q, _canonical_order(_roots_of(roots)))
+
+
+def _w(p, q, ordered: np.ndarray) -> tuple:
+    """compute_w_coefficients for the coefficients of P and Q and roots
+    already in canonical order."""
+    if len(ordered) == 0:
         return (0.0, 0.0, 0.0, 0.0, 0.0)
-    return _closing_w(ode, len(arr), *_power_sums(arr))
+    return _closing_w(p, q, len(ordered), *_power_sums(ordered))
 
 
 def _separations(T: np.ndarray) -> np.ndarray:
@@ -256,23 +261,28 @@ def verify_polynomial_identity(ode: PolyODE, roots) -> float:
     """
     if ode.w is None:
         raise ValueError("ode.w must be set (use compute_w_coefficients)")
-    arr = _roots_of(roots)
-    s = poly_from_roots(arr)
+    scale = float(_pq_scale(np.asarray(ode.p), np.asarray(ode.q)))
+    return _identity(ode.p, ode.q, ode.w, _roots_of(roots), scale)
+
+
+def _pq_scale(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """max(1, max|p|, max|q|) along the last axis: per ODE, for one or a
+    row of each."""
+    return np.maximum(1.0, np.maximum(np.max(np.abs(p), axis=-1), np.max(np.abs(q), axis=-1)))
+
+
+def _identity(p, q, w, roots: np.ndarray, scale: float) -> float:
+    """verify_polynomial_identity for the coefficients of P, Q and W, with
+    scale = `_pq_scale` of P and Q."""
+    s = poly_from_roots(roots)
     scale_s = max(1.0, float(np.max(np.abs(s))))
     if float(np.max(np.abs(s.imag))) > IMAG_TOL * scale_s:
         raise NonRealCoefficients("polynomial factor has complex coefficients")
     s = s.real
     s1 = np.asarray(polyder(s))
     s2 = np.asarray(polyder(s1))
-    total = polyadd(polymul(ode.p, s2), polymul(ode.q, s1), polymul(ode.w, s))
-    scale = max(
-        1.0,
-        max(abs(c) for c in ode.p),
-        max(abs(c) for c in ode.q),
-        max(abs(c) for c in ode.w),
-        scale_s,
-    )
-    return float(np.max(np.abs(total))) / scale
+    total = polyadd(polymul(p, s2), polymul(q, s1), polymul(w, s))
+    return float(np.max(np.abs(total))) / float(max(scale, max(abs(c) for c in w), scale_s))
 
 
 # ----------------------------------------------------------------------
@@ -280,7 +290,24 @@ def verify_polynomial_identity(ode: PolyODE, roots) -> float:
 # ----------------------------------------------------------------------
 
 
-def _residual_batch(ode: PolyODE, T: np.ndarray) -> np.ndarray:
+class _Columns(NamedTuple):
+    """P and Q of one ODE per row of a (rows, n) stack of roots, as
+    coefficient columns: arrays of shape (5, rows, 1) and (6, rows, 1).
+    `polyval` broadcasts them against the stack, so each row meets its own
+    floats, the ones it meets alone; a PolyODE, which every row shares,
+    broadcasts the same way."""
+
+    p: np.ndarray
+    q: np.ndarray
+
+
+def _rows(ode: PolyODE | _Columns, index) -> PolyODE | _Columns:
+    """The ODE of the rows `index` of a stack: their columns, or the PolyODE
+    that every row shares."""
+    return _Columns(ode.p[:, index], ode.q[:, index]) if isinstance(ode, _Columns) else ode
+
+
+def _residual_batch(ode: PolyODE | _Columns, T: np.ndarray) -> np.ndarray:
     """Residue conditions, one row of roots per row of T."""
     m, n = T.shape
     f = polyval(ode.q, T) / polyval(ode.p, T)
@@ -293,7 +320,7 @@ def _residual_batch(ode: PolyODE, T: np.ndarray) -> np.ndarray:
     return 2.0 * inv.sum(axis=2) + f
 
 
-def _jacobian_batch(ode: PolyODE, T: np.ndarray) -> np.ndarray:
+def _jacobian_batch(ode: PolyODE | _Columns, T: np.ndarray) -> np.ndarray:
     m, n = T.shape
     pv, qv = polyval(ode.p, T), polyval(ode.q, T)
     fp = (polyval(polyder(ode.q), T) * pv - qv * polyval(polyder(ode.p), T)) / (pv * pv)
@@ -333,7 +360,7 @@ def _starts(coeffs: np.ndarray) -> np.ndarray:
     return _canonical_order(out)
 
 
-def _polish(ode: PolyODE, T: np.ndarray) -> np.ndarray:
+def _polish(ode: PolyODE | _Columns, T: np.ndarray) -> np.ndarray:
     """Undamped Newton on every row of T until its step, a direct estimate
     of the root error, is at rounding level.  A row stops early where its
     step cannot be taken: a non-finite residual or step, or a singular
@@ -343,12 +370,12 @@ def _polish(ode: PolyODE, T: np.ndarray) -> np.ndarray:
     for _ in range(8):
         if not len(active):
             break
-        X = T[active]
-        R = _residual_batch(ode, X)
+        X, at = T[active], _rows(ode, active)
+        R = _residual_batch(at, X)
         finite = np.isfinite(R).all(axis=1)
         if not finite.all():
-            active, X, R = active[finite], X[finite], R[finite]
-        step = _solve_rows(_jacobian_batch(ode, X), R)
+            active, X, R, at = active[finite], X[finite], R[finite], _rows(at, finite)
+        step = _solve_rows(_jacobian_batch(at, X), R)
         taken = np.isfinite(step).all(axis=1)
         if not taken.all():
             active, X, step = active[taken], X[taken], step[taken]
@@ -373,7 +400,7 @@ def _solve_rows(J: np.ndarray, R: np.ndarray) -> np.ndarray:
         return step
 
 
-def _accept(ode: PolyODE, T: np.ndarray, variable: Variable) -> list[RootSet | None]:
+def _accept(ode: PolyODE | _Columns, T: np.ndarray, variable: Variable) -> list[RootSet | None]:
     """The branch of each row of T, or None where the filters reject it.
 
     Each root is paired with the root nearest its conjugate and the pairs
@@ -383,9 +410,13 @@ def _accept(ode: PolyODE, T: np.ndarray, variable: Variable) -> list[RootSet | N
     the rows that pass them, so every accepted set passes both independent
     checks.
     """
+    P, Q = (np.reshape(c, (len(c), -1)).T for c in (ode.p, ode.q))
+    closing = list(zip(P.tolist(), Q.tolist(), _pq_scale(P, Q).tolist()))
+    if len(closing) < len(T):  # one PolyODE that every row shares
+        closing *= len(T)
     n = T.shape[1]
     if not n:
-        return [_closed(ode, T[0], variable, 0.0, math.inf) for _ in T]
+        return [_closed(*closing[i], T[i], variable, 0.0, math.inf) for i in range(len(T))]
     rows = np.arange(len(T))[:, None]
     keep = ~(np.max(np.abs(T), axis=1) > ESCAPE_RADIUS)
     partner = np.argmin(np.abs(T[:, :, None] - np.conj(T[:, None, :])), axis=2)
@@ -396,31 +427,37 @@ def _accept(ode: PolyODE, T: np.ndarray, variable: Variable) -> list[RootSet | N
     sep = _separations(ordered)
     keep &= ~((sep <= SEP_TOL) | (np.min(np.abs(polyval(ode.p, ordered)), axis=1) < DENOM_TOL))
     res = np.full(len(T), math.nan)
-    res[keep] = np.max(np.abs(_residual_batch(ode, ordered[keep])), axis=1)
+    res[keep] = np.max(np.abs(_residual_batch(_rows(ode, keep), ordered[keep])), axis=1)
     keep &= ~(res >= BAE_TOL)
     return [
-        _closed(ode, ordered[i], variable, float(res[i]), float(sep[i])) if keep[i] else None
+        _closed(*closing[i], ordered[i], variable, float(res[i]), float(sep[i])) if keep[i] else None
         for i in range(len(T))
     ]
 
 
-def _closed(ode: PolyODE, ordered: np.ndarray, variable: Variable, res: float, sep: float) -> RootSet | None:
-    """The identity filter: the branch of the roots ordered, carrying its W
-    coefficients and identity residual, or None when S has complex
+def _closed(p, q, scale: float, ordered: np.ndarray, variable: Variable, res: float, sep: float) -> RootSet | None:
+    """The identity filter: the branch of the roots ordered (canonical
+    order) for the coefficients of P and Q and their `_pq_scale`, carrying
+    its W coefficients and identity residual, or None when S has complex
     coefficients or the identity residual reaches IDENT_TOL."""
     try:
-        w = compute_w_coefficients(ode, ordered)
-        identity = verify_polynomial_identity(ode.with_w(w), ordered)
+        w = _w(p, q, ordered)
+        identity = _identity(p, q, w, ordered, scale)
     except NonRealCoefficients:
         return None
     if identity >= IDENT_TOL:
         return None
-    return RootSet(len(ordered), tuple(complex(z) for z in ordered), variable, res, sep, w, identity)
+    return RootSet(len(ordered), tuple(ordered.tolist()), variable, res, sep, w, identity)
 
 
-def _branches(ode: PolyODE, starts: np.ndarray, variable: Variable) -> list[RootSet | None]:
+def _branches(ode: PolyODE | list[PolyODE], starts: np.ndarray, variable: Variable) -> list[RootSet | None]:
     """The branch polished from each row of starts, or None where the
-    filters reject it; an empty row is the one branch of degree 0."""
+    filters reject it; an empty row is the one branch of degree 0.  ode is
+    one PolyODE that every row shares or a list of one per row."""
+    if isinstance(ode, list) and len(ode) == 1:  # cheaper to broadcast than as columns
+        ode = ode[0]
+    elif isinstance(ode, list):
+        ode = _Columns(*(np.array(c).T[:, :, None] for c in ([o.p for o in ode], [o.q for o in ode])))
     with np.errstate(all="ignore"):
         return _accept(ode, _polish(ode, starts), variable)
 
@@ -448,16 +485,14 @@ def _ode_matrix(ode: PolyODE, n: int) -> np.ndarray:
     the others; for m = 1 it is square and the condition is A c = -w0 c.
     """
     m = _root_dependent(ode)
-    w = _closing_w(ode, n, 0.0, 0.0, 0.0, 0.0, 0.0)
+    w = _closing_w(ode.p, ode.q, n, 0.0, 0.0, 0.0, 0.0, 0.0)
     k = np.arange(n + 1)
     # Row d + 2 holds the coefficient of t^d; column k is the image of t^k.
+    # Each term lands on its own cells, P's before Q's before W's.
     band = np.zeros((n + 7, n + 1))
-    for j in range(5):
-        band[k + j, k] += ode.p[j] * k * (k - 1.0)
-    for j in range(6):
-        band[k + j + 1, k] += ode.q[j] * k
-    for j in range(m, 5):
-        band[k + j + 2, k] += w[j]
+    band[k + np.arange(5)[:, None], k] += np.array(ode.p)[:, None] * k * (k - 1.0)
+    band[k + np.arange(6)[:, None] + 1, k] += np.array(ode.q)[:, None] * k
+    band[k + np.arange(m, 5)[:, None] + 2, k] += np.array(w[m:])[:, None]
     return band[2 : n + m + 2]
 
 
@@ -647,17 +682,22 @@ def solve_bae(ode: PolyODE, n: int, *, variable: Variable = Variable.R) -> list[
         return _branches(ode, np.zeros((1, 0), dtype=complex), variable)
     A = _ode_matrix(ode, n)
     starts = _starts(_multiparameter(A, _shifts(n, A.shape[0] - n)))
-    found: list[RootSet] = []
-
-    def known(roots: np.ndarray) -> bool:
-        return bool(found) and np.min(np.max(np.abs([f.roots for f in found] - roots), axis=1)) < DEDUP_TOL
-
-    # Every row is polished and filtered in one batch; walking the rows in
-    # order, one whose start or branch is already known is skipped, so a
-    # row that fails the filters cannot hide a nearby row that passes them.
-    for start, branch in zip(starts, _branches(ode, starts, variable)):
-        if branch is not None and not known(start) and not known(branch.as_array()):
-            found.append(branch)
-    if not found:
+    branches = _branches(ode, starts, variable)
+    rows = [i for i, branch in enumerate(branches) if branch is not None]
+    if not rows:
         raise NoSolutionFound(f"no enumerated candidate of degree {n} was accepted")
+    roots = np.array([branches[i].roots for i in rows])
+    # near[i, j]: row i's start or branch is within DEDUP_TOL of branch j.
+    near = (np.max(np.abs(roots[None, :, :] - starts[rows][:, None, :]), axis=2) < DEDUP_TOL) | (
+        np.max(np.abs(roots[None, :, :] - roots[:, None, :]), axis=2) < DEDUP_TOL
+    )
+    # Every row is polished and filtered in one batch; walking the rows in
+    # order, one whose start or branch is near a branch already kept is
+    # skipped, so a row that fails the filters cannot hide a nearby row
+    # that passes them.
+    kept: list[int] = []
+    for i in range(len(rows)):
+        if not near[i, kept].any():
+            kept.append(i)
+    found = [branches[rows[i]] for i in kept]
     return sorted(found, key=lambda branch: _branch_key(branch.roots))

@@ -450,13 +450,17 @@ def _match_ell(problem: FamilyProblem) -> tuple[list[tuple[RootSet, _Gauge]], li
     the sextic, whose (n+1)x(n+1) pencil is A c = -omega L c, and with
     m = 2 for the decatic, whose (n+2)x(n+1) problem is in (omega, w0).
     The candidates' roots come from one stacked eigensolve
-    (`bethe._starts`), and each goes through `bethe._branches` at omega as
-    a batch of one row: the polish and filters of `solve_bae`.  The closing
-    formulas' rounding leaves omega off by up to ~1e-13 relative, so one
-    secant step on the mismatch (at the W that acceptance computed) that
-    the MATCH_TOL gate measures follows.  Two candidates that reach
-    the same match (within DEDUP_TOL in roots and relative omega) give it
-    once.
+    (`bethe._starts`).  The closing formulas' rounding leaves omega off by
+    up to ~1e-13 relative, so one secant step on the mismatch (at the W
+    that acceptance computed) that the MATCH_TOL gate measures follows.
+    That takes three rounds, each one `bethe._branches` batch (the polish
+    and filters of `solve_bae`) whose rows each sit at their own omega and
+    gauge: every candidate at its omega; the secant's probe at omega + h
+    for every candidate that round accepts; and the secant's omega for
+    every probe that moved the mismatch.  A candidate whose probe is
+    rejected is rejected.  Each row gets the floats it gets alone.  Two
+    candidates that reach the same match (within DEDUP_TOL in roots and
+    relative omega) give it once.
     """
     n, target = problem.n, (problem.ell + 0.5) ** 2
     A, L = _match_problem(problem)
@@ -469,35 +473,49 @@ def _match_ell(problem: FamilyProblem) -> tuple[list[tuple[RootSet, _Gauge]], li
     lo, hi = OMEGA_RANGE
     keep = (lo <= omegas) & (omegas <= hi)
     order = np.argsort(omegas[keep])
-    candidates = list(zip(omegas[keep][order].tolist(), _starts(coeffs[keep][order])))
+    omegas, starts = omegas[keep][order].tolist(), _starts(coeffs[keep][order])
+    if not omegas:
+        return [], [BranchFailure(None, "ConstraintInfeasible", NO_MATCH)]
 
-    def at(om: float, start: np.ndarray) -> tuple[RootSet | None, float, _Gauge]:
-        """The branch polished from start at om, None if the filters reject
-        it, its mismatch at the W its acceptance computed, and the gauge at om."""
-        g = _gauge(problem, om)
-        roots = _branches(g.ode, start[None, :], g.variable)[0]
-        if roots is None:
-            return None, math.nan, g
-        return roots, _closing(g, roots.w)[-2] + 0.25 - target, g
+    def at(oms: list, T: np.ndarray) -> list[tuple[RootSet | None, float, _Gauge]]:
+        """One round: for each om, the branch polished from that row of T
+        at om, None if the filters reject it, its mismatch at the W its
+        acceptance computed, and the gauge at om."""
+        if not oms:
+            return []
+        gauges = [_gauge(problem, om) for om in oms]
+        branches = _branches([g.ode for g in gauges], T, gauges[0].variable)
+        misses = [math.nan if b is None else _closing(g, b.w)[-2] + 0.25 - target for b, g in zip(branches, gauges)]
+        return list(zip(branches, misses, gauges))
+
+    def polished(rows: list) -> np.ndarray:
+        return np.array([first[i][0].as_array() for i in rows], dtype=complex)
+
+    # Round 1: every candidate at its omega.
+    first = at(omegas, starts)
+    final = [(*f, om) for f, om in zip(first, omegas)]  # (roots, mismatch, gauge, omega)
+    # Round 2: the secant's probe at omega + h of every accepted candidate.
+    probed = [i for i, f in enumerate(first) if f[0] is not None]
+    steps = [1e-6 * omegas[i] for i in probed]
+    probes = at([omegas[i] + h for i, h in zip(probed, steps)], polished(probed))
+    # Round 3: the secant's omega, for every probe that moved the mismatch.
+    secant = []
+    for i, h, (moved, miss_h, _) in zip(probed, steps, probes):
+        miss = first[i][1]
+        if moved is None:
+            final[i] = (None, miss, first[i][2], omegas[i])
+        elif miss_h != miss:
+            secant.append((i, float(omegas[i] - miss * h / (miss_h - miss))))
+    for (i, om), f in zip(secant, at([om for _, om in secant], polished([i for i, _ in secant]))):
+        final[i] = (*f, om)
 
     matches: list[tuple[RootSet, float, _Gauge]] = []
     failures: list[BranchFailure] = []
-    for candidate_omega, start in candidates:
-        omega = candidate_omega
-        roots, miss, g = at(omega, start)
-        if roots is not None:
-            h = 1e-6 * omega
-            moved, miss_h, _ = at(omega + h, roots.as_array())
-            if moved is None:
-                roots = None
-            elif miss_h != miss:
-                omega = float(omega - miss * h / (miss_h - miss))
-                roots, miss, g = at(omega, roots.as_array())
+    for start, (_, _, g0), (roots, miss, g, omega), candidate_omega in zip(starts, first, final, omegas):
         if roots is None or not abs(miss) <= MATCH_TOL:
-            ode, variable = build_ode(problem, candidate_omega)
             with np.errstate(all="ignore"):
-                res = float(np.max(np.abs(_residual_batch(ode, start[None])), initial=0.0))
-            rejected = RootSet(n, tuple(complex(z) for z in start), variable, res, _separation(start))
+                res = float(np.max(np.abs(_residual_batch(g0.ode, start[None])), initial=0.0))
+            rejected = RootSet(n, tuple(complex(z) for z in start), g0.variable, res, _separation(start))
             reason = "the root filters reject it" if roots is None else f"it misses the ell by {miss:.3e}"
             detail = f"the match at omega = {candidate_omega:.9g}: {reason}"
             failures.append(BranchFailure(rejected, "ConstraintInfeasible", detail))
@@ -506,8 +524,6 @@ def _match_ell(problem: FamilyProblem) -> tuple[list[tuple[RootSet, _Gauge]], li
             for r, om, _ in matches
         ):
             matches.append((roots, omega, g))
-    if not candidates:
-        failures.append(BranchFailure(None, "ConstraintInfeasible", NO_MATCH))
     return [(roots, g) for roots, _, g in matches], failures
 
 

@@ -227,7 +227,13 @@ def _norm(solution: QESSolution, support: tuple | None, rel_tol: float = 1e-10) 
             return np.exp(2.0 * log_mag + uu - shift)
 
         total = integrate_adaptive(integrand, ua, ub, rel_tol=rel_tol)
-    return math.exp(shift) * total
+    try:
+        norm = math.exp(shift) * total
+    except OverflowError:
+        norm = math.inf
+    if math.isinf(norm):
+        raise NotIntegrable(f"the norm, e^{shift + math.log(total):.6g}, exceeds the largest float")
+    return norm
 
 
 def norm_quadrature(solution: QESSolution, rel_tol: float = 1e-10) -> float:
@@ -238,8 +244,8 @@ def norm_quadrature(solution: QESSolution, rel_tol: float = 1e-10) -> float:
     exponentially past it on both sides.  The trapezoidal sum of the scan's
     own samples is the norm when it agrees to rel_tol with the sum over
     every other sample; otherwise `integrate_adaptive` integrates afresh.
-    Raises NotIntegrable when no support is found or the rule does not
-    converge to rel_tol.
+    Raises NotIntegrable when no support is found, the rule does not
+    converge to rel_tol, or the norm exceeds the largest float.
     """
     return _norm(solution, _support(solution), rel_tol)
 

@@ -141,7 +141,7 @@ def match_problem(problem: FamilyProblem) -> tuple[np.ndarray, np.ndarray]:
         mats.append(_ode_matrix(ode, n))
         m = _root_dependent(ode)
         l0, l1 = (l_half_sq(problem, omega, s1) for s1 in (0.0, 1.0))
-        w0, w1 = (_closing_w(ode, n, s1, 0.0, 0.0, 0.0, 0.0)[m - 1] for s1 in (0.0, 1.0))
+        w0, w1 = (_closing_w(ode.p, ode.q, n, s1, 0.0, 0.0, 0.0, 0.0)[m - 1] for s1 in (0.0, 1.0))
         top.append(w0 + (w1 - w0) * (target - l0) / (l1 - l0))
     L = mats[1] - mats[0]
     A = mats[0] - L

@@ -143,7 +143,7 @@ def _coefficient_residual(ode: PolyODE, A: np.ndarray) -> np.ndarray:
     for k, c in enumerate(ode.q):
         if c != 0.0:
             total[:, k : k + S1.shape[1]] += c * S1
-    for k, wk in enumerate(_closing_w(ode, n, p1, p2, p3, p4, e[:, 2])):
+    for k, wk in enumerate(_closing_w(ode.p, ode.q, n, p1, p2, p3, p4, e[:, 2])):
         total[:, k : k + n + 1] += np.reshape(wk, (-1, 1)) * S
     return total[:, :n]
 

@@ -20,6 +20,7 @@ from qesolve import (
     verify_polynomial_identity,
 )
 from qesolve import bethe, families
+from qesolve.errors import NonRealCoefficients
 from qesolve.families import build_ode
 
 import candidate_reference
@@ -46,6 +47,35 @@ def _candidate_rows(problem):
 
 def _bits(x) -> bytes:
     return np.asarray(x, dtype=complex).tobytes()
+
+
+def _branch_bits(branch) -> str:
+    """Every float a branch carries, bit for bit (repr round-trips)."""
+    if branch is None:
+        return "None"
+    return repr((branch.roots, branch.bae_residual, branch.separation, branch.w, branch.identity_residual))
+
+
+def _mixed_batch(n: int):
+    """The candidate starts of every SAMPLE problem of degree n, each row
+    with its own problem's ODE."""
+    odes, starts = [], []
+    for problem in SAMPLE:
+        if problem.n == n:
+            ode, _, coeffs = _candidate_rows(problem)
+            odes += [ode] * len(coeffs)
+            starts.append(bethe._starts(coeffs))
+    return odes, np.concatenate(starts)
+
+
+# The sweep benchmark's 192 solves: every sextic draw and the first four of
+# each other family, n = 0..5.
+SWEEP = [
+    _sweep_problem(family, draw, n)
+    for family, draws in [(Family.SEXTIC, 20), (Family.QUARTIC, 4), (Family.OCTIC, 4), (Family.DECATIC, 4)]
+    for draw in range(draws)
+    for n in range(6)
+]
 
 
 class TestStarts:
@@ -196,6 +226,83 @@ class TestBatchIndependence:
             after = _solve(problem)
             assert after == before
             assert [(b.w, b.identity_residual) for b in after] == [(b.w, b.identity_residual) for b in before]
+
+
+    @pytest.mark.parametrize("order", ["built", "reversed", "shuffled"])
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_rows_with_different_odes(self, n, order):
+        # Rows of four families and two draws each, one ODE per row: each row
+        # gets the bits it gets alone, in whatever order the rows come.
+        odes, starts = _mixed_batch(n)
+        alone = [_branch_bits(bethe._branches(ode, row[None, :], Variable.R)[0]) for ode, row in zip(odes, starts)]
+        perm = np.arange(len(odes))
+        if order == "reversed":
+            perm = perm[::-1]
+        elif order == "shuffled":
+            perm = np.random.default_rng(n).permutation(len(odes))
+        got = bethe._branches([odes[i] for i in perm], starts[perm], Variable.R)
+        assert len({ode for ode in odes}) > 1 and any(b is not None for b in got)
+        assert [_branch_bits(b) for b in got] == [alone[i] for i in perm]
+
+    @pytest.mark.parametrize("size", [1, 2, 5])
+    def test_rows_with_different_odes_in_pieces(self, size):
+        for n in range(1, 6):
+            odes, starts = _mixed_batch(n)
+            whole = [_branch_bits(b) for b in bethe._branches(odes, starts, Variable.R)]
+            pieces = [
+                _branch_bits(b)
+                for lo in range(0, len(odes), size)
+                for b in bethe._branches(odes[lo : lo + size], starts[lo : lo + size], Variable.R)
+            ]
+            assert pieces == whole
+
+
+class TestIdentityFilter:
+    """`_closed`, the identity filter of the batch, gives the bits of the
+    public closing checks on every row it sees."""
+
+    def _public(self, p, q, ordered):
+        """(W, identity residual) from `compute_w_coefficients` and
+        `verify_polynomial_identity`, or None where the filter rejects."""
+        ode = PolyODE(p, q)
+        try:
+            w = compute_w_coefficients(ode, ordered)
+            identity = verify_polynomial_identity(ode.with_w(w), ordered)
+        except NonRealCoefficients:
+            return None
+        return None if identity >= bethe.IDENT_TOL else repr((w, identity))
+
+    def test_every_sweep_candidate_row(self, monkeypatch):
+        closed, rows = bethe._closed, []
+
+        def recorded(p, q, scale, ordered, variable, res, sep):
+            branch = closed(p, q, scale, ordered, variable, res, sep)
+            rows.append((p, q, ordered, None if branch is None else repr((branch.w, branch.identity_residual))))
+            return branch
+
+        monkeypatch.setattr(bethe, "_closed", recorded)
+        for problem in SWEEP:
+            _solve(problem)
+        monkeypatch.undo()
+        # A row whose power sums pass but whose S has complex coefficients,
+        # and a real row that is no solution, beside a sweep ODE.
+        p, q = rows[-1][:2]
+        complex_s = np.array([
+            -2.745455868487624 + 1.887751987026556e-09j, -1.3802251793464104 + 9.512564837047197e-09j,
+            -0.4546186387942779 - 8.878441502571015e-09j, 0.48948487266890295 - 4.992951708685542e-09j,
+        ])
+        no_solution = np.array([0.25 + 0j, 1.5 + 0j, 3.0 + 0j])
+        ode = PolyODE(p, q)
+        with pytest.raises(NonRealCoefficients, match="polynomial factor"):
+            verify_polynomial_identity(ode.with_w(compute_w_coefficients(ode, complex_s)), complex_s)
+        assert verify_polynomial_identity(ode.with_w(compute_w_coefficients(ode, no_solution)), no_solution) >= 1e-3
+        scale = float(bethe._pq_scale(np.asarray(p), np.asarray(q)))
+        for ordered in (complex_s, no_solution):
+            assert bethe._closed(p, q, scale, ordered, Variable.R, 0.0, 1.0) is None
+            rows.append((p, q, ordered, None))
+        assert len(rows) == 730
+        for p, q, ordered, got in rows:
+            assert got == self._public(p, q, ordered)
 
 
 class TestPassedOn:

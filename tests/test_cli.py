@@ -99,6 +99,17 @@ class TestSolve:
         assert out == ""
         assert "NotIntegrable" in err and "error:" not in err
 
+    def test_norm_beyond_the_largest_float(self, capsys):
+        # The only branch's norm overflows a float: no solution, not a traceback.
+        code, out, err = run(
+            capsys,
+            "solve", "--family", "quartic", "--case", "harmonic", "--n", "0", "--ell", "0",
+            "--param", "omega=1", "--param", "c=400", "--param", "d=0.5",
+        )
+        assert code == EXIT_NO_SOLUTION
+        assert out == ""
+        assert "NotIntegrable" in err and "exceeds the largest float" in err and "error:" not in err
+
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, *SOLVE_Q0, "--format", "csv")
         assert code == 0

@@ -236,6 +236,17 @@ class TestQuartic:
         assert solutions == []
         assert [(f.error, f.roots.n) for f in failures] == [("NotIntegrable", 0)]
 
+    def test_norm_beyond_the_largest_float_is_a_failure(self):
+        # c = 400 makes |Psi|^2 integrate to about e^2003: its norm raises
+        # NotIntegrable, recorded for the branch, and not an OverflowError
+        # out of the solve.  c = 100 (norm about 3.8e158) still normalizes.
+        solutions, failures = solve_family_detailed(quartic_harmonic(n=0, omega=1.0, c=400.0, d=0.5))
+        assert solutions == []
+        assert [(f.error, f.roots.n) for f in failures] == [("NotIntegrable", 0)]
+        assert "exceeds the largest float" in failures[0].detail
+        (s,) = solve_family(quartic_harmonic(n=0, omega=1.0, c=100.0, d=0.5))
+        assert 1e158 < s.diagnostics["norm"] < 1e159
+
 
 class TestSextic:
     def test_n1_roots_both_signs(self):
@@ -441,8 +452,8 @@ class TestDecatic:
         # it becomes a record with its roots, and the other match stays.
         accept = bethe._accept
 
-        def reject_below_2(ode, T, variable):  # -q3 is omega
-            return [None] * len(T) if -ode.q[3] < 2.0 else accept(ode, T, variable)
+        def reject_below_2(ode, T, variable):  # -q3 is each row's omega
+            return [None if -q3 < 2.0 else b for q3, b in zip(np.ravel(ode.q[3]), accept(ode, T, variable))]
 
         monkeypatch.setattr(bethe, "_accept", reject_below_2)
         solutions, failures = solve_family_detailed(self.BRACKET_END)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qesolve import Case, Family, FamilyProblem, bethe, families, solve_family, solve_family_detailed
 from qesolve.bethe import DEDUP_TOL
 
+import match_reference
 from conftest import decatic, max_abs
 from coupling_reference import derived_couplings, match_problem
 from scan_reference import scan_matches
@@ -32,6 +33,13 @@ def workload_problems(family: str) -> list[FamilyProblem]:
 
 
 DECATIC_WORKLOAD = workload_problems("decatic")
+# Without the projective change of (1, omega, w0), the pencil's E_0 of these
+# two problems has a condition number of ~4e16 and ~1e10 (with it, ~2e4), and
+# the match at omega ~ 1.516 (and ~ 1.016) was lost.
+NEAR_SINGULAR_ELL0 = decatic(n=3, ell=0, b=0.18090178094964438, c=-0.03003563625515171, d=1.2390857883838382,
+                             match_ell=True)
+NEAR_SINGULAR_ELL1 = decatic(n=3, ell=1, b=0.5217534032658914, c=0.28123426600397794, d=1.4730384336327116,
+                             match_ell=True)
 
 
 def matches(problem: FamilyProblem) -> list[tuple[np.ndarray, float]]:
@@ -70,20 +78,13 @@ class TestEveryScanMatchIsReturned:
     def test_drawn_problem(self, n, ell, b, c, d):
         assert_scan_matches_returned(decatic(n=n, ell=ell, b=b, c=c, d=d, match_ell=True))
 
-    # Without the projective change of (1, omega, w0), the pencil's E_0 of
-    # these two problems has a condition number of ~4e16 and ~1e10 (with
-    # it, ~2e4), and the match at omega ~ 1.516 (and ~ 1.016) was lost.
     def test_near_singular_delta0_ell0(self):
-        prob = decatic(n=3, ell=0, b=0.18090178094964438, c=-0.03003563625515171, d=1.2390857883838382,
-                       match_ell=True)
-        assert_scan_matches_returned(prob)
-        assert [om for _, om in matches(prob)] == [pytest.approx(1.516379046988272, rel=1e-9)]
+        assert_scan_matches_returned(NEAR_SINGULAR_ELL0)
+        assert [om for _, om in matches(NEAR_SINGULAR_ELL0)] == [pytest.approx(1.516379046988272, rel=1e-9)]
 
     def test_near_singular_delta0_ell1(self):
-        prob = decatic(n=3, ell=1, b=0.5217534032658914, c=0.28123426600397794, d=1.4730384336327116,
-                       match_ell=True)
-        assert_scan_matches_returned(prob)
-        assert sorted(om for _, om in matches(prob)) == [
+        assert_scan_matches_returned(NEAR_SINGULAR_ELL1)
+        assert sorted(om for _, om in matches(NEAR_SINGULAR_ELL1)) == [
             pytest.approx(1.015824033293721, rel=1e-9),
             pytest.approx(138.9166, rel=1e-6),
         ]
@@ -160,3 +161,121 @@ class TestMatchProblemReference:
                 assert sorted(s.derived) == sorted(expected)
                 for k, v in expected.items():
                     assert abs(s.derived[k] - v) <= 1e-12 * max(1.0, abs(v)), (problem, k)
+
+
+def _record(result) -> str:
+    """The bits of what `_match_ell` returns: each match's root set, with
+    its W and identity residual, and its gauge (omega included), and each
+    failure record."""
+    branches, failures = result
+    return repr(([(r, r.w, r.identity_residual, g) for r, g in branches], failures))
+
+
+STACKED = workload_problems("sextic") + DECATIC_WORKLOAD + [NEAR_SINGULAR_ELL0, NEAR_SINGULAR_ELL1]
+
+
+def _counted(monkeypatch) -> list[list[int]]:
+    """Hooks `families._branches` to record, per `_match_ell` solve, the rows
+    of each batch; the reference calls `bethe._branches`, unhooked."""
+    branches, sizes = bethe._branches, []
+
+    def counted(ode, starts, variable):
+        sizes[-1].append(len(starts))
+        return branches(ode, starts, variable)
+
+    monkeypatch.setattr(families, "_branches", counted)
+    return sizes
+
+
+def _solve_both(problem, sizes) -> tuple:
+    """`_match_ell`'s result, and its record and the reference's."""
+    sizes.append([])
+    result = families._match_ell(problem)
+    return result, _record(result), _record(match_reference.match_ell(problem))
+
+
+def _reject_decatic_rows(monkeypatch, reject):
+    """Hooks the filters to reject, row by row, each decatic row whose
+    omega (-q3) reject(omega) holds; the stacked rounds and the reference
+    share the hook."""
+    accept = bethe._accept
+
+    def hooked(ode, T, variable):
+        omegas = np.broadcast_to(-np.ravel(ode.q[3]), len(T))
+        return [None if reject(om) else b for om, b in zip(omegas, accept(ode, T, variable))]
+
+    monkeypatch.setattr(bethe, "_accept", hooked)
+
+
+class TestStackedRounds:
+    """`_match_ell` runs the three secant rounds of all its candidates as
+    three `_branches` batches, each row at its own omega and gauge; the
+    reference (`match_reference`) runs them one candidate and one row at a
+    time.  Both return the same bits: root sets, omegas, gauges and failure
+    texts."""
+
+    def test_same_bits_as_one_candidate_at_a_time(self, monkeypatch):
+        sizes = _counted(monkeypatch)
+        for problem in STACKED:
+            _, stacked, reference = _solve_both(problem, sizes)
+            assert stacked == reference, problem
+            candidates = len(match_reference.candidates(problem))
+            assert len(sizes[-1]) <= 3
+            assert sizes[-1][:1] == ([candidates] if candidates else [])
+        assert max(max(s, default=0) for s in sizes) > 1  # some batches stack candidates
+
+    @pytest.mark.parametrize("rejected", ["probe", "secant"])
+    def test_rejected_probe_or_secant(self, monkeypatch, rejected):
+        # Every probe at omega + h, or every secant step's row, is rejected,
+        # and so is its candidate.
+        problems = [p for p in DECATIC_WORKLOAD if match_reference.candidates(p)]
+        omegas = {om for p in problems for om, _ in match_reference.candidates(p)}
+        probes = {om + 1e-6 * om for om in omegas}
+        if rejected == "probe":
+            _reject_decatic_rows(monkeypatch, lambda om: om in probes)
+        else:
+            _reject_decatic_rows(monkeypatch, lambda om: om not in omegas and om not in probes)
+        sizes, records = _counted(monkeypatch), 0
+        for problem in problems:
+            (branches, failures), stacked, reference = _solve_both(problem, sizes)
+            assert stacked == reference, problem
+            assert all("the root filters reject it" in f.detail for f in failures)
+            assert branches == [] or rejected == "secant"  # a candidate may skip the secant
+            records += len(failures)
+        assert records and any(len(s) == (2 if rejected == "probe" else 3) for s in sizes)
+
+    def test_unmoved_mismatch_skips_the_secant(self, monkeypatch):
+        # Below omega = 2 the closing formulas' mismatch is rounded to 1e-3,
+        # so the probe leaves it where it was (miss_h == miss) and the match
+        # stays at the candidate's omega; above, the secant runs.
+        closing = families._closing
+
+        def coarse(g, w):
+            out = closing(g, w)
+            if -g.chi[1] < 2.0 and any(w):
+                out[-2] = round(out[-2], 3)
+            return out
+
+        monkeypatch.setattr(families, "_closing", coarse)
+        sizes = _counted(monkeypatch)
+        for problem in STACKED:
+            _, stacked, reference = _solve_both(problem, sizes)
+            assert stacked == reference, problem
+        skipped = [s for s in sizes if len(s) >= 2 and (len(s) == 2 or s[2] < s[1])]
+        assert any(len(s) == 2 for s in skipped) and any(len(s) == 3 for s in skipped)
+
+    def test_round_one_rejection_among_accepted_rows(self, monkeypatch):
+        # The first candidate of each problem is rejected at its omega; the
+        # others are not.
+        problems = [p for p in STACKED if len(match_reference.candidates(p)) > 1]
+        firsts = {match_reference.candidates(p)[0][0] for p in problems}
+        _reject_decatic_rows(monkeypatch, lambda om: om in firsts)
+        sizes = _counted(monkeypatch)
+        mixed = 0
+        for problem in problems:
+            (branches, failures), stacked, reference = _solve_both(problem, sizes)
+            assert stacked == reference, problem
+            if problem.family is Family.DECATIC:
+                assert "the root filters reject it" in failures[0].detail
+                mixed += len(sizes[-1]) > 1 and sizes[-1][1] > 0
+        assert mixed

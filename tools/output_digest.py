@@ -36,7 +36,10 @@ lists the operations whose branch count fell, those whose count rose, and
 those whose count rose but that lost a branch, so `grep '^branch count'`
 checks that no operation lost a branch.  Its last line gives the largest
 root, energy, derived-coupling, per-diagnostic and failure-record difference
-over all operations, each with the operation it comes from.
+over all operations, each with the operation it comes from.  It exits 1
+when an operation differs beyond its values (the operation counts too) or
+an operation's branch count fell, and 0 otherwise, so a script can check
+that a change moved values only.
 
 With `--acceptance` it digests the tier-1 acceptance sweep instead of the
 two workloads, in the same two formats: 20 coupling draws per family, drawn
@@ -218,12 +221,13 @@ def _masked(failures) -> tuple[list, list]:
     return texts, numbers
 
 
-def _compare_checks(old, new, old_line, new_line) -> None:
-    """One `--verify --values` entry: each check value that moved."""
+def _compare_checks(old, new, old_line, new_line) -> bool:
+    """One `--verify --values` entry: each check value that moved.  False
+    when it differs beyond the values."""
     names = [[c[0], c[2]] for c in old["checks"]] == [[c[0], c[2]] for c in new.get("checks", [])]
     if old["op"] != new["op"] or old["code"] != new.get("code") or not names:
         print(f"{old['op']} | differs beyond values:\n  {old_line}\n  -> {new_line}")
-        return
+        return False
     moved = [
         f"{a[0]} {a[1]!r} -> {b[1]!r} ({b[1] - a[1]:+.2g})"
         for a, b in zip(old["checks"], new["checks"])
@@ -232,6 +236,7 @@ def _compare_checks(old, new, old_line, new_line) -> None:
     if old["notes"] != new["notes"]:
         moved.append(f"notes {old['notes']} -> {new['notes']}")
     print(f"{old['op']} | " + " | ".join(moved))
+    return True
 
 
 def _lost_branches(old, new) -> list:
@@ -242,10 +247,13 @@ def _lost_branches(old, new) -> list:
     return [a for a in old["roots"] if not any(close(a, b) for b in new["roots"])]
 
 
-def compare(old_path: str, new_path: str) -> None:
+def compare(old_path: str, new_path: str) -> int:
+    """Prints the comparison; returns the exit code (1 when an operation
+    differs beyond its values or lost branches)."""
     old_lines = Path(old_path).read_text().splitlines()
     new_lines = Path(new_path).read_text().splitlines()
-    if len(old_lines) != len(new_lines):
+    beyond = len(old_lines) != len(new_lines)
+    if beyond:
         print(f"{len(old_lines)} operations against {len(new_lines)}")
     changed = 0
     moved = {"fell": [], "rose": [], "rose but lost a branch": []}
@@ -258,9 +266,10 @@ def compare(old_path: str, new_path: str) -> None:
             old, new = json.loads(old_line), json.loads(new_line)
         except json.JSONDecodeError:
             print(f"{old_line}\n  -> {new_line}")
+            beyond = True
             continue
         if "checks" in old:
-            _compare_checks(old, new, old_line, new_line)
+            beyond |= not _compare_checks(old, new, old_line, new_line)
             continue
         if old["branches"] != new["branches"]:
             way = "fell" if new["branches"] < old["branches"] else "rose"
@@ -275,6 +284,7 @@ def compare(old_path: str, new_path: str) -> None:
         keys = [list(d) for d in old["derived"]] == [list(d) for d in new["derived"]]
         if not all(same) or not keys:
             print(f"{old['op']} | differs beyond values:\n  {old_line}\n  -> {new_line}")
+            beyond = True
             continue
         diffs = {
             "roots": _max_rel(old["roots"], new["roots"]),
@@ -296,12 +306,13 @@ def compare(old_path: str, new_path: str) -> None:
         f"{way} in {len(ops)}: {', '.join(ops) or '-'}" for way, ops in moved.items()
     ))
     print("largest " + " | ".join(f"{k} {v:.2g} ({op})" for k, (v, op) in largest.items()))
+    return int(beyond or bool(moved["fell"]))
 
 
 if __name__ == "__main__":
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     if sys.argv[1:2] == ["--compare"] and len(sys.argv) == 4:
-        compare(sys.argv[2], sys.argv[3])
+        sys.exit(compare(sys.argv[2], sys.argv[3]))
     elif sorted(sys.argv[1:]) in (["--verify"], ["--values", "--verify"]):
         verify_digest(values="--values" in sys.argv)
     elif sorted(sys.argv[1:]) in (["--acceptance", "--verify"], ["--acceptance", "--values", "--verify"]):
