@@ -14,9 +14,12 @@ the real solutions of one m-parameter eigenproblem (`_multiparameter`, for
 m = 1 to 4; it also solves the match-ell problems of `families`).  The
 candidates of one solve are taken in one batch: their roots from one
 stacked companion-matrix eigensolve (`_starts`), a Newton polish of every
-row at once (`_polish`), and array filters followed by verification by
-exact polynomial arithmetic (`_accept`).  Each accepted branch carries the
-W coefficients and identity residual of that verification.
+row at once (`_polish`), and array filters followed by the polynomial
+identity, evaluated for every row at once as the band product of
+P D^2 + Q D + W on S's coefficients (`_accept`); `_operator` is the one
+implementation of that product, and `_ode_matrix` applies it to the unit
+basis.  Each accepted branch carries the W coefficients and identity
+residual of that verification.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DenominatorBlowup, InvalidParameter, NonRealCoefficients, NoSolutionFound
-from .polynomials import poly_from_roots, polyadd, polyder, polymul, polyval
+from .polynomials import polyder, polyval
 
 
 class Variable(str, Enum):
@@ -144,26 +147,6 @@ def _branch_key(roots) -> tuple:
     return tuple(np.real(roots)) + tuple(np.imag(roots))
 
 
-def _power_sums(ordered: np.ndarray):
-    """Real power sums s1..s4 and the pair sum of roots in canonical order.
-
-    Summation in canonical order makes the result exactly permutation
-    invariant.  Raises NonRealCoefficients if any sum has an imaginary part
-    above tolerance (the root set is then not conjugation closed).
-    """
-    sums = [np.sum(ordered**k) for k in (1, 2, 3, 4)]
-    s1 = sums[0]
-    pair = (s1 * s1 - sums[1]) / 2.0
-    out = []
-    for val in sums + [pair]:
-        if abs(val.imag) > CONJ_TOL * max(1.0, abs(val)):
-            raise NonRealCoefficients(
-                f"power sum {val} has imaginary part above {CONJ_TOL}"
-            )
-        out.append(val.real)
-    return out  # s1, s2, s3, s4, pair
-
-
 def _roots_of(roots_or_rootset):
     if isinstance(roots_or_rootset, RootSet):
         return np.array(roots_or_rootset.roots, dtype=complex)
@@ -174,8 +157,8 @@ def _closing_w(p, q, n: int, s1, s2, s3, s4, pair):
     """Closing formulas: W coefficients (w0..w4) from the coefficients of P
     and Q and the root power sums.
 
-    Works elementwise, so the sums may be floats or per-row arrays; w4
-    depends on n alone and stays a scalar.
+    Works elementwise, so the sums, and the coefficients of P and Q, may be
+    floats or per-row arrays; w4 does not depend on the sums.
     """
     p0, p1, p2, p3, p4 = p
     q0, q1, q2, q3, q4, q5 = q
@@ -204,19 +187,32 @@ def _closing_w(p, q, n: int, s1, s2, s3, s4, pair):
 def compute_w_coefficients(ode: PolyODE, roots):
     """W coefficients (w0..w4) that admit S(t) = prod (t - t_i) as solution.
 
-    Evaluates the closing formulas on the root power sums; every term either
-    carries a factor n or a root sum, so n = 0 returns all zeros.  Raises
-    NonRealCoefficients when a power sum's imaginary part exceeds CONJ_TOL.
+    Evaluates the closing formulas on the root power sums (`_closing_rows`,
+    one row); every term either carries a factor n or a root sum, so n = 0
+    returns all zeros.  Raises NonRealCoefficients when a power sum's
+    imaginary part exceeds CONJ_TOL.
     """
-    return _w(ode.p, ode.q, _canonical_order(_roots_of(roots)))
+    w, real = _closing_rows(ode, _canonical_order(_roots_of(roots))[None, :])
+    if not real[0]:
+        raise NonRealCoefficients(f"a power sum has imaginary part above {CONJ_TOL}")
+    return tuple(w[:, 0, 0])
 
 
-def _w(p, q, ordered: np.ndarray) -> tuple:
-    """compute_w_coefficients for the coefficients of P and Q and roots
-    already in canonical order."""
-    if len(ordered) == 0:
-        return (0.0, 0.0, 0.0, 0.0, 0.0)
-    return _closing_w(p, q, len(ordered), *_power_sums(ordered))
+def _closing_rows(ode: PolyODE | _Columns, ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The W coefficients of each row of roots in canonical order, as
+    (5, rows, 1) columns, at the ODE of every row (a PolyODE or `_Columns`),
+    and whether the row's power sums s1..s4 and pair sum are real: each
+    imaginary part within CONJ_TOL.  Each sum runs along its row in
+    canonical order, which makes it exactly permutation invariant."""
+    n, w = ordered.shape[1], np.zeros((5, len(ordered), 1))
+    if not n:
+        return w, np.ones(len(ordered), dtype=bool)
+    s1, s2, s3, s4 = np.array([ordered**k for k in (1, 2, 3, 4)]).sum(axis=2, keepdims=True)
+    sums = np.array([s1, s2, s3, s4, (s1 * s1 - s2) / 2.0])
+    real = ~(np.abs(sums.imag) > CONJ_TOL * np.maximum(1.0, np.abs(sums))).any(axis=(0, 2))
+    for j, c in enumerate(_closing_w(ode.p, ode.q, n, *sums.real)):
+        w[j] = c
+    return w, real
 
 
 def _separations(T: np.ndarray) -> np.ndarray:
@@ -254,35 +250,59 @@ def bae_residuals(ode: PolyODE, roots) -> np.ndarray:
 
 
 def verify_polynomial_identity(ode: PolyODE, roots) -> float:
-    """Scaled max coefficient of P S'' + Q S' + W S, expanded exactly.
-
-    S is built from the roots by coefficient convolution; a valid solution
-    yields a value at rounding level.  Requires ode.w to be set.
+    """Scaled max coefficient of P S'' + Q S' + W S (`_identity_rows`, one
+    row): the band product of the ODE on S's coefficients.  A valid solution
+    yields a value at rounding level.  Requires ode.w to be set; raises
+    NonRealCoefficients when S has complex coefficients.
     """
     if ode.w is None:
         raise ValueError("ode.w must be set (use compute_w_coefficients)")
-    scale = float(_pq_scale(np.asarray(ode.p), np.asarray(ode.q)))
-    return _identity(ode.p, ode.q, ode.w, _roots_of(roots), scale)
-
-
-def _pq_scale(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """max(1, max|p|, max|q|) along the last axis: per ODE, for one or a
-    row of each."""
-    return np.maximum(1.0, np.maximum(np.max(np.abs(p), axis=-1), np.max(np.abs(q), axis=-1)))
-
-
-def _identity(p, q, w, roots: np.ndarray, scale: float) -> float:
-    """verify_polynomial_identity for the coefficients of P, Q and W, with
-    scale = `_pq_scale` of P and Q."""
-    s = poly_from_roots(roots)
-    scale_s = max(1.0, float(np.max(np.abs(s))))
-    if float(np.max(np.abs(s.imag))) > IMAG_TOL * scale_s:
+    identity, real = _identity_rows(_columns(ode), _column(ode.w), _roots_of(roots)[None, :])
+    if not real[0]:
         raise NonRealCoefficients("polynomial factor has complex coefficients")
-    s = s.real
-    s1 = np.asarray(polyder(s))
-    s2 = np.asarray(polyder(s1))
-    total = polyadd(polymul(p, s2), polymul(q, s1), polymul(w, s))
-    return float(np.max(np.abs(total))) / float(max(scale, max(abs(c) for c in w), scale_s))
+    return float(identity[0])
+
+
+def _identity_rows(ode: _Columns, w: np.ndarray, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of roots, at P, Q and W as in `_operator`: the max
+    coefficient of P S'' + Q S' + W S for S = prod (t - t_i), over the
+    largest of 1 and every coefficient of P, Q, W and S, and whether S is
+    real (imaginary parts within IMAG_TOL of its largest coefficient).  S
+    comes from a stacked Vieta recurrence."""
+    n = roots.shape[1]
+    s = np.zeros((len(roots), n + 1), dtype=complex)
+    s[:, n] = 1.0
+    for j in range(n):  # times (t - t_j): S's degree-j coefficients sit at s[n - j:]
+        s[:, n - j - 1 : n] -= roots[:, j : j + 1] * s[:, n - j :]
+    scale = np.maximum(np.abs(s).max(axis=1), 1.0)
+    real = ~(np.abs(s.imag).max(axis=1) > IMAG_TOL * scale)
+    for c in (ode.p, ode.q, w):
+        scale = np.maximum(scale, np.abs(c).max(axis=(0, 2)))
+    return np.abs(_operator(ode, w, s.real)).max(axis=1) / scale, real
+
+
+def _operator(ode: _Columns, w: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The coefficients of P s'' + Q s' + W s, ascending to degree n + 4,
+    for each row s of a (rows, n + 1) stack of coefficients: the band
+    matrix of P D^2 + Q D + W on degree-n polynomials, applied row by row.
+    P, Q and W = w0..w4 are columns, (5 or 6, rows, 1), or (5 or 6, 1, 1)
+    for one ODE that every row shares.
+
+    band[j] holds the diagonal that takes t^k to t^(k + j - 2), each cell
+    summed P's term first, then Q's, then W's, so the unit vector of t^k
+    gives column k of the matrix bit for bit (`_ode_matrix`).
+    """
+    n = s.shape[1] - 1
+    k = np.arange(n + 1.0)
+    band = np.zeros((7, np.broadcast(ode.p, w).shape[1], n + 1))
+    band[:5] += ode.p * k * (k - 1.0)
+    band[1:] += ode.q * k
+    band[2:] += w
+    terms = band * s
+    out = np.zeros((len(s), n + 7))
+    for j, term in enumerate(terms):
+        out[:, j : j + n + 1] += term
+    return out[:, 2:]
 
 
 # ----------------------------------------------------------------------
@@ -299,6 +319,16 @@ class _Columns(NamedTuple):
 
     p: np.ndarray
     q: np.ndarray
+
+
+def _column(coeffs) -> np.ndarray:
+    """Coefficients that every row shares, as a (len, 1, 1) column."""
+    return np.array(coeffs)[:, None, None]
+
+
+def _columns(ode: PolyODE | _Columns) -> _Columns:
+    """The columns of an ODE: a PolyODE's broadcast over every row."""
+    return _Columns(_column(ode.p), _column(ode.q)) if isinstance(ode, PolyODE) else ode
 
 
 def _rows(ode: PolyODE | _Columns, index) -> PolyODE | _Columns:
@@ -406,48 +436,38 @@ def _accept(ode: PolyODE | _Columns, T: np.ndarray, variable: Variable) -> list[
     Each root is paired with the root nearest its conjugate and the pairs
     made exact (a root paired with itself exactly real).  The escape,
     pairing, distinctness, denominator and residual filters then test every
-    row at once, in canonical order, and the identity filter (`_closed`)
-    the rows that pass them, so every accepted set passes both independent
-    checks.
+    row at once, in canonical order.  The identity filter then tests the
+    rows that pass them, all at once: their power sums must be real, their
+    S real (`_closing_rows`, `_identity_rows`) and its identity residual
+    below IDENT_TOL, so every accepted set passes both independent checks.
     """
-    P, Q = (np.reshape(c, (len(c), -1)).T for c in (ode.p, ode.q))
-    closing = list(zip(P.tolist(), Q.tolist(), _pq_scale(P, Q).tolist()))
-    if len(closing) < len(T):  # one PolyODE that every row shares
-        closing *= len(T)
     n = T.shape[1]
-    if not n:
-        return [_closed(*closing[i], T[i], variable, 0.0, math.inf) for i in range(len(T))]
-    rows = np.arange(len(T))[:, None]
-    keep = ~(np.max(np.abs(T), axis=1) > ESCAPE_RADIUS)
-    partner = np.argmin(np.abs(T[:, :, None] - np.conj(T[:, None, :])), axis=2)
-    mirror = np.conj(T[rows, partner])
-    keep &= (partner[rows, partner] == np.arange(n)).all(axis=1)
-    keep &= ~(np.max(np.abs(T - mirror), axis=1) > CONJ_TOL)
-    ordered = _canonical_order(0.5 * (T + mirror))
-    sep = _separations(ordered)
-    keep &= ~((sep <= SEP_TOL) | (np.min(np.abs(polyval(ode.p, ordered)), axis=1) < DENOM_TOL))
-    res = np.full(len(T), math.nan)
-    res[keep] = np.max(np.abs(_residual_batch(_rows(ode, keep), ordered[keep])), axis=1)
-    keep &= ~(res >= BAE_TOL)
-    return [
-        _closed(*closing[i], ordered[i], variable, float(res[i]), float(sep[i])) if keep[i] else None
-        for i in range(len(T))
-    ]
-
-
-def _closed(p, q, scale: float, ordered: np.ndarray, variable: Variable, res: float, sep: float) -> RootSet | None:
-    """The identity filter: the branch of the roots ordered (canonical
-    order) for the coefficients of P and Q and their `_pq_scale`, carrying
-    its W coefficients and identity residual, or None when S has complex
-    coefficients or the identity residual reaches IDENT_TOL."""
-    try:
-        w = _w(p, q, ordered)
-        identity = _identity(p, q, w, ordered, scale)
-    except NonRealCoefficients:
-        return None
-    if identity >= IDENT_TOL:
-        return None
-    return RootSet(len(ordered), tuple(ordered.tolist()), variable, res, sep, w, identity)
+    ordered, res, sep = T, np.zeros(len(T)), np.full(len(T), math.inf)
+    keep = np.ones(len(T), dtype=bool)
+    if n:
+        rows = np.arange(len(T))[:, None]
+        keep = ~(np.max(np.abs(T), axis=1) > ESCAPE_RADIUS)
+        partner = np.argmin(np.abs(T[:, :, None] - np.conj(T[:, None, :])), axis=2)
+        mirror = np.conj(T[rows, partner])
+        keep &= (partner[rows, partner] == np.arange(n)).all(axis=1)
+        keep &= ~(np.max(np.abs(T - mirror), axis=1) > CONJ_TOL)
+        ordered = _canonical_order(0.5 * (T + mirror))
+        sep = _separations(ordered)
+        keep &= ~((sep <= SEP_TOL) | (np.min(np.abs(polyval(ode.p, ordered)), axis=1) < DENOM_TOL))
+        res = np.full(len(T), math.nan)
+        res[keep] = np.max(np.abs(_residual_batch(_rows(ode, keep), ordered[keep])), axis=1)
+        keep &= ~(res >= BAE_TOL)
+    index = np.flatnonzero(keep)
+    at, roots = _rows(ode, index), ordered[index]
+    w, real = _closing_rows(at, roots)
+    identity, real_s = _identity_rows(_columns(at), w, roots)
+    passed = real & real_s & ~(identity >= IDENT_TOL)
+    out: list[RootSet | None] = [None] * len(T)
+    for j in np.flatnonzero(passed).tolist():
+        i = index[j]
+        out[i] = RootSet(n, tuple(roots[j].tolist()), variable, float(res[i]), float(sep[i]),
+                         tuple(w[:, j, 0]), float(identity[j]))
+    return out
 
 
 def _branches(ode: PolyODE | list[PolyODE], starts: np.ndarray, variable: Variable) -> list[RootSet | None]:
@@ -485,15 +505,9 @@ def _ode_matrix(ode: PolyODE, n: int) -> np.ndarray:
     the others; for m = 1 it is square and the condition is A c = -w0 c.
     """
     m = _root_dependent(ode)
-    w = _closing_w(ode.p, ode.q, n, 0.0, 0.0, 0.0, 0.0, 0.0)
-    k = np.arange(n + 1)
-    # Row d + 2 holds the coefficient of t^d; column k is the image of t^k.
-    # Each term lands on its own cells, P's before Q's before W's.
-    band = np.zeros((n + 7, n + 1))
-    band[k + np.arange(5)[:, None], k] += np.array(ode.p)[:, None] * k * (k - 1.0)
-    band[k + np.arange(6)[:, None] + 1, k] += np.array(ode.q)[:, None] * k
-    band[k + np.arange(m, 5)[:, None] + 2, k] += np.array(w[m:])[:, None]
-    return band[2 : n + m + 2]
+    w = (0.0,) * m + _closing_w(ode.p, ode.q, n, 0.0, 0.0, 0.0, 0.0, 0.0)[m:]
+    # Row k of the operator on the unit basis is the image of t^k.
+    return np.ascontiguousarray(_operator(_columns(ode), _column(w), np.eye(n + 1))[:, : n + m].T)
 
 
 # The random change of the homogeneous parameters comes from this fixed

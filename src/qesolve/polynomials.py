@@ -17,25 +17,3 @@ def polyval(coeffs, t):
 def polyder(coeffs):
     """Coefficients of the derivative, ascending order."""
     return tuple(k * c for k, c in enumerate(coeffs))[1:] or (0.0,)
-
-
-def polymul(a, b):
-    """Exact coefficient convolution of two ascending coefficient arrays."""
-    return np.convolve(np.asarray(a), np.asarray(b))
-
-
-def polyadd(*polys):
-    """Sum polynomials of different lengths, ascending order."""
-    n = max(len(p) for p in polys)
-    out = np.zeros(n, dtype=complex if any(np.iscomplexobj(p) for p in polys) else float)
-    for p in polys:
-        out[: len(p)] += np.asarray(p)
-    return out
-
-
-def poly_from_roots(roots):
-    """Monic polynomial prod_i (t - t_i), ascending complex coefficients."""
-    coeffs = np.array([1.0 + 0.0j])
-    for t in roots:
-        coeffs = np.convolve(coeffs, np.array([-t, 1.0 + 0.0j]))
-    return coeffs

@@ -32,7 +32,8 @@ from qesolve.bethe import (
     _jacobian_batch,
     _residual_batch,
 )
-from qesolve.polynomials import poly_from_roots
+
+from identity_reference import poly_from_roots
 
 # Half-width of the widest start box.
 BOX = 20.0

@@ -21,9 +21,9 @@ from qesolve import (
 )
 from qesolve import bethe
 from qesolve.families import build_ode
-from qesolve.polynomials import poly_from_roots
 
 import newton_reference
+from identity_reference import poly_from_roots
 from conftest import max_abs
 from newton_reference import _coefficient_newton, _coefficient_starts, _make_starts, _newton_batch
 from test_acceptance import _FAMILY_CASES, SWEEP_CFG, _draw_couplings

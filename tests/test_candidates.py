@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from qesolve import (
+    Case,
     Family,
+    FamilyProblem,
     InvalidParameter,
     PolyODE,
     RootSet,
@@ -24,6 +26,7 @@ from qesolve.errors import NonRealCoefficients
 from qesolve.families import build_ode
 
 import candidate_reference
+import identity_reference
 from test_bethe import _solve, _sweep_problem
 
 # A sample of the acceptance sweep: every family at n = 1..5, m = 1 to 4.
@@ -257,52 +260,123 @@ class TestBatchIndependence:
             assert pieces == whole
 
 
-class TestIdentityFilter:
-    """`_closed`, the identity filter of the batch, gives the bits of the
-    public closing checks on every row it sees."""
+# An octic whose identity gate sits at its rounding floor at n = 8..10
+# (ROADMAP item 9): rows there pass or fail by the last bits of their roots.
+FLOOR_OCTIC = {"a": -0.84, "e": -0.29, "f": 0.33, "g": 0.05, "h": 1.05}
 
-    def _public(self, p, q, ordered):
-        """(W, identity residual) from `compute_w_coefficients` and
-        `verify_polynomial_identity`, or None where the filter rejects."""
-        ode = PolyODE(p, q)
-        try:
-            w = compute_w_coefficients(ode, ordered)
-            identity = verify_polynomial_identity(ode.with_w(w), ordered)
-        except NonRealCoefficients:
-            return None
-        return None if identity >= bethe.IDENT_TOL else repr((w, identity))
+
+def _identity_batches(monkeypatch, problems) -> list:
+    """The (ODE, roots in canonical order) batches that `_accept` hands to
+    the identity filter in solving the problems, one per solve."""
+    closing, batches = bethe._closing_rows, []
+
+    def recorded(ode, ordered):
+        batches.append((ode, ordered))
+        return closing(ode, ordered)
+
+    monkeypatch.setattr(bethe, "_closing_rows", recorded)
+    for problem in problems:
+        _solve(problem)
+    monkeypatch.undo()
+    return batches
+
+
+def _batch(ode, ordered) -> list:
+    """The identity filter of `_accept` on every row at once: per row,
+    (W, identity residual), or None where S or a power sum is not real."""
+    w, real = bethe._closing_rows(ode, ordered)
+    identity, real_s = bethe._identity_rows(bethe._columns(ode), w, ordered)
+    return [
+        (tuple(w[:, i, 0]), float(identity[i])) if real[i] and real_s[i] else None for i in range(len(ordered))
+    ]
+
+
+def _public(ode, roots):
+    """`_batch` for one row, from `compute_w_coefficients` and
+    `verify_polynomial_identity`."""
+    try:
+        w = compute_w_coefficients(ode, roots)
+        return w, verify_polynomial_identity(ode.with_w(w), roots)
+    except NonRealCoefficients:
+        return None
+
+
+def _reference(ode, roots) -> float | None:
+    """The identity residual by convolution (`identity_reference`), or None
+    where S or a power sum is not real."""
+    try:
+        return identity_reference.identity(ode.p, ode.q, compute_w_coefficients(ode, roots), roots)
+    except NonRealCoefficients:
+        return None
+
+
+def _passes(value) -> bool:
+    return value is not None and not value >= bethe.IDENT_TOL
+
+
+class TestIdentityFilter:
+    """The identity filter runs on every row of a solve at once, as the band
+    product of `_operator`.  Each row gets the bits of the public one-row
+    checks, and the gate decides as the convolution of the tests' reference
+    does."""
 
     def test_every_sweep_candidate_row(self, monkeypatch):
-        closed, rows = bethe._closed, []
-
-        def recorded(p, q, scale, ordered, variable, res, sep):
-            branch = closed(p, q, scale, ordered, variable, res, sep)
-            rows.append((p, q, ordered, None if branch is None else repr((branch.w, branch.identity_residual))))
-            return branch
-
-        monkeypatch.setattr(bethe, "_closed", recorded)
-        for problem in SWEEP:
-            _solve(problem)
-        monkeypatch.undo()
+        batches = _identity_batches(monkeypatch, SWEEP)
         # A row whose power sums pass but whose S has complex coefficients,
         # and a real row that is no solution, beside a sweep ODE.
-        p, q = rows[-1][:2]
+        ode = batches[-1][0]
         complex_s = np.array([
             -2.745455868487624 + 1.887751987026556e-09j, -1.3802251793464104 + 9.512564837047197e-09j,
             -0.4546186387942779 - 8.878441502571015e-09j, 0.48948487266890295 - 4.992951708685542e-09j,
         ])
         no_solution = np.array([0.25 + 0j, 1.5 + 0j, 3.0 + 0j])
-        ode = PolyODE(p, q)
         with pytest.raises(NonRealCoefficients, match="polynomial factor"):
             verify_polynomial_identity(ode.with_w(compute_w_coefficients(ode, complex_s)), complex_s)
         assert verify_polynomial_identity(ode.with_w(compute_w_coefficients(ode, no_solution)), no_solution) >= 1e-3
-        scale = float(bethe._pq_scale(np.asarray(p), np.asarray(q)))
-        for ordered in (complex_s, no_solution):
-            assert bethe._closed(p, q, scale, ordered, Variable.R, 0.0, 1.0) is None
-            rows.append((p, q, ordered, None))
-        assert len(rows) == 730
-        for p, q, ordered, got in rows:
-            assert got == self._public(p, q, ordered)
+        batches += [(ode, complex_s[None, :]), (ode, no_solution[None, :])]
+        rows = accepted = 0
+        for ode, ordered in batches:
+            for row, got in zip(ordered, _batch(ode, ordered)):
+                assert repr(got) == repr(_public(ode, row))
+                reference = _reference(ode, row)
+                identity = None if got is None else got[1]
+                assert (identity is None) == (reference is None)
+                assert _passes(identity) == _passes(reference)
+                if identity is not None:
+                    assert abs(identity - reference) <= 1e-13
+                rows += 1
+                accepted += _passes(identity)
+        assert (rows, accepted) == (730, 728)
+
+    def test_the_gate_decides_as_the_convolution(self, monkeypatch):
+        """Near the gate as well: every sweep row of degree n >= 1 with its
+        roots scaled by 1 +- 1e-9, 1e-11 and 1e-12, and every row of the
+        floor octic at n = 8, 9 and 10.  Moved by 1e-9, no row passes."""
+        batches = [
+            (size, ode, ordered * (1.0 + sign * size))
+            for ode, ordered in _identity_batches(monkeypatch, SWEEP)
+            if ordered.shape[1]
+            for size in (1e-9, 1e-11, 1e-12)
+            for sign in (1.0, -1.0)
+        ]
+        floor = [FamilyProblem(Family.OCTIC, Case.COULOMBIC, n, 0, FLOOR_OCTIC) for n in (8, 9, 10)]
+        batches += [("floor", ode, ordered) for ode, ordered in _identity_batches(monkeypatch, floor)]
+        counts = {}
+        for label, ode, ordered in batches:
+            for row, got in zip(ordered, _batch(ode, ordered)):
+                passes = _passes(None if got is None else got[1])
+                assert passes == _passes(_reference(ode, row))
+                counts[label, passes] = counts.get((label, passes), 0) + 1
+        assert sum(counts.values()) == 6 * 696 + 82
+        assert (1e-9, True) not in counts
+        assert all(counts[label, passes] for label in (1e-11, "floor") for passes in (True, False))
+
+    def test_ode_matrix_is_the_band_construction(self):
+        for problem in SAMPLE:
+            ode, _ = build_ode(problem)
+            for n in range(9):
+                got, expected = bethe._ode_matrix(ode, n), identity_reference.ode_matrix(ode, n)
+                assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
 class TestPassedOn:

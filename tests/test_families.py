@@ -605,7 +605,9 @@ REMOVED_SETTINGS = {
     "compute_w_coefficients-conj_tol": lambda s: compute_w_coefficients(
         build_ode(s.problem)[0], s.roots, conj_tol=1e-8
     ),
-    "_power_sums-conj_tol": lambda s: bethe._power_sums(s.roots.as_array(), conj_tol=1e-8),
+    "_closing_rows-conj_tol": lambda s: bethe._closing_rows(
+        build_ode(s.problem)[0], s.roots.as_array()[None, :], conj_tol=1e-8
+    ),
     "derive_parameters-check_tol": lambda s: derive_parameters(s.problem, s.roots, check_tol=1e-8),
     "verify_solution-bae_tol": lambda s: verify_solution(s, bae_tol=1e-10),
     "verify_solution-ident_tol": lambda s: verify_solution(s, ident_tol=1e-10),
