@@ -19,7 +19,9 @@ identity, evaluated for every row at once as the band product of
 P D^2 + Q D + W on S's coefficients (`_accept`); `_operator` is the one
 implementation of that product, and `_ode_matrix` applies it to the unit
 basis.  Each accepted branch carries the W coefficients and identity
-residual of that verification.
+residual of that verification.  The match-ell solve of `families` polishes
+its candidates in their roots and a parameter omega of Q together, with
+the Newton system bordered by a condition on W (`_bordered_branches`).
 """
 
 from __future__ import annotations
@@ -339,8 +341,13 @@ def _rows(ode: PolyODE | _Columns, index) -> PolyODE | _Columns:
 
 def _residual_batch(ode: PolyODE | _Columns, T: np.ndarray) -> np.ndarray:
     """Residue conditions, one row of roots per row of T."""
+    return _residues(T, polyval(ode.q, T) / polyval(ode.p, T))
+
+
+def _residues(T: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """sum_{j != i} 2 / (t_i - t_j) + f_i, for each row of T, with f = Q/P
+    at its roots."""
     m, n = T.shape
-    f = polyval(ode.q, T) / polyval(ode.p, T)
     if n == 1:
         return f
     diff = T[:, :, None] - T[:, None, :]
@@ -351,9 +358,15 @@ def _residual_batch(ode: PolyODE | _Columns, T: np.ndarray) -> np.ndarray:
 
 
 def _jacobian_batch(ode: PolyODE | _Columns, T: np.ndarray) -> np.ndarray:
-    m, n = T.shape
     pv, qv = polyval(ode.p, T), polyval(ode.q, T)
     fp = (polyval(polyder(ode.q), T) * pv - qv * polyval(polyder(ode.p), T)) / (pv * pv)
+    return _residue_jacobian(T, fp)
+
+
+def _residue_jacobian(T: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """The Jacobian of `_residues` in the roots, for each row of T, with
+    fp = (Q/P)' at its roots."""
+    m, n = T.shape
     if n == 1:
         return fp[:, :, None]
     diff = T[:, :, None] - T[:, None, :]
@@ -413,6 +426,88 @@ def _polish(ode: PolyODE | _Columns, T: np.ndarray) -> np.ndarray:
         T[active] = X
         active = active[~_at_rounding_level(X, step)]
     return T
+
+
+class _Border(NamedTuple):
+    """A parameter omega of the ODE and the condition that fixes it: Q is
+    Q0 + omega dQ, and W's coefficient w_j (closing formulas) must equal
+    top + omega slope."""
+
+    ode: PolyODE  # P and Q0
+    dq: tuple
+    j: int
+    top: float
+    slope: float
+
+
+def _bordered_polish(border: _Border, T: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton on the roots of every row of T and its omega together: the n
+    residue conditions at omega, bordered by the condition on w_j (Keller,
+    *Numerical solution of bifurcation and nonlinear eigenvalue problems*,
+    1977).  The omega-column of the residue conditions is dQ(t_i)/P(t_i).
+    w_j is affine in the power sums s1..s4 and the pair sum, and, with Q,
+    in omega, so its derivatives come from the closing formulas at unit
+    sums.  P, Q0, dQ and their derivatives at the roots come from one
+    product with the roots' powers.
+
+    Until a row's residue conditions are within BAE_TOL, it takes its
+    steps at a fixed omega, as `_polish` does: far from the roots, the
+    closing formulas' powers of the roots would throw omega off.  From
+    then on its steps are bordered.  A row stops after a bordered step at
+    rounding level, as in `_polish`, or no smaller than its bordered step
+    before: an ill-conditioned row's steps reach a floor of rounding noise
+    above ROUNDING_STEP.  Returns the roots and the omegas."""
+    n = T.shape[1]
+    polys = [border.ode.p + (0.0,), border.ode.q, border.dq]
+    # The coefficients of P, P', Q0, Q0', dQ and dQ', one column each, ascending to t^5.
+    coeffs = np.array([d for c in polys for d in (c, polyder(c) + (0.0,))]).T
+    unit = np.eye(5, 6)  # the sums of six evaluations: each sum alone at 1, then all 0
+    w_j = np.array([_closing_w(border.ode.p, border.ode.q, n, *unit)[border.j],
+                    _closing_w((0.0,) * 5, border.dq, n, *unit)[border.j]])
+    # w_j = const + lin . (s1, s2, s3, s4, pair), each at omega = 0 and per unit omega.
+    const, lin = w_j[:, 5], w_j[:, :5] - w_j[:, 5:]
+    X = np.concatenate([T, omega[:, None]], axis=1).astype(complex)
+    active, last = np.arange(len(X)), np.full(len(X), math.inf)
+    joined = np.zeros(len(X), dtype=bool)  # the rows whose steps are bordered
+    for _ in range(8):
+        if not len(active):
+            break
+        Y = X[active]
+        t, om = Y[:, :n], Y[:, n].real
+        powers = t[:, :, None] ** np.arange(6)
+        pv, pd, q0, q0d, dq, dqd = np.moveaxis(powers @ coeffs, 2, 0)
+        qv, qd = q0 + om[:, None] * dq, q0d + om[:, None] * dqd
+        R = _residues(t, qv / pv)
+        joined[active] |= ~(np.max(np.abs(R), axis=1, initial=0.0) >= BAE_TOL)
+        bordered = joined[active]
+        s = powers[:, :, 1:5].sum(axis=1)
+        sums = np.column_stack([s, 0.5 * (s[:, 0] * s[:, 0] - s[:, 1])])
+        a = lin[0] + om[:, None] * lin[1]
+        # d sums / d t_i: 1, 2 t_i, 3 t_i^2, 4 t_i^3 and s1 - t_i.
+        d = np.concatenate([powers[:, :, :4] * np.arange(1, 5), (s[:, :1] - t)[:, :, None]], axis=2)
+        J = np.zeros((len(Y), n + 1, n + 1), dtype=complex)
+        J[:, :n, :n] = _residue_jacobian(t, (qd * pv - qv * pd) / (pv * pv))
+        J[:, :n, n] = dq / pv
+        J[:, n, :n] = np.where(bordered[:, None], (d * a[:, None, :]).sum(axis=2), 0.0)
+        J[:, n, n] = np.where(bordered, const[1] + sums @ lin[1] - border.slope, 1.0)
+        # w_j less the value the condition gives it.
+        off = const[0] + om * const[1] + (sums * a).sum(axis=1) - border.top - om * border.slope
+        R = np.column_stack([R, np.where(bordered, off, 0.0)])
+        finite = np.isfinite(R).all(axis=1)
+        if not finite.all():
+            active, Y, R, J, bordered = active[finite], Y[finite], R[finite], J[finite], bordered[finite]
+        step = _solve_rows(J, R)
+        step[:, n] = step[:, n].real
+        taken = np.isfinite(step).all(axis=1)
+        if not taken.all():
+            active, Y, step, bordered = active[taken], Y[taken], step[taken], bordered[taken]
+        Y = Y - step
+        X[active] = Y
+        size = np.max(np.abs(step), axis=1)
+        done = bordered & (_at_rounding_level(Y, step) | (size >= last[active]))
+        last[active[bordered]] = size[bordered]
+        active = active[~done]
+    return X[:, :n], X[:, n].real
 
 
 def _solve_rows(J: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -480,6 +575,22 @@ def _branches(ode: PolyODE | list[PolyODE], starts: np.ndarray, variable: Variab
         ode = _Columns(*(np.array(c).T[:, :, None] for c in ([o.p for o in ode], [o.q for o in ode])))
     with np.errstate(all="ignore"):
         return _accept(ode, _polish(ode, starts), variable)
+
+
+def _bordered_branches(border: _Border, starts: np.ndarray, omega: np.ndarray,
+                       variable: Variable) -> tuple[list[RootSet | None], np.ndarray]:
+    """The branch polished from each row of starts and its omega together
+    (`_bordered_polish`), or None where the filters reject it, and the
+    omega of each row; the filters see each row's ODE at its final omega,
+    as `_Columns` (a PolyODE for one row, as in `_branches`)."""
+    with np.errstate(all="ignore"):
+        T, omega = _bordered_polish(border, starts, omega)
+        q = _column(border.ode.q) + _column(border.dq) * omega[None, :, None]
+        if len(T) == 1:  # cheaper to broadcast than as columns
+            ode = PolyODE(border.ode.p, q[:, 0, 0])
+        else:
+            ode = _Columns(np.broadcast_to(_column(border.ode.p), (5, len(T), 1)), q)
+        return _accept(ode, T, variable), omega
 
 
 def _root_dependent(ode: PolyODE) -> int:

@@ -14,7 +14,10 @@ with s2d = sqrt(2 d), s2h = sqrt(2 h), fh = (f - g^2/(4h)) / s2h, and B = 0
 (harmonic) or w = 0 (coulombic).  One gauge transform (`_gauge`) derives
 the working ODE that S solves; the root engine solves it, and the closing
 W coefficients of each branch give its derived couplings, energy and
-wavefunction shape, power by power in r (`_closing`).
+wavefunction shape, power by power in r (`_closing`).  In match-ell mode
+(sextic, decatic) omega is derived: every match is a real solution of one
+eigenproblem linear in omega, polished in its roots and omega together
+(`_match_ell`).
 """
 
 from __future__ import annotations
@@ -33,8 +36,9 @@ from .bethe import (
     RootSet,
     SolverConfig,
     Variable,
+    _Border,
+    _bordered_branches,
     _branch_key,
-    _branches,
     _multiparameter,
     _ode_matrix,
     _residual_batch,
@@ -440,6 +444,18 @@ def _match_problem(problem: FamilyProblem) -> tuple[np.ndarray, np.ndarray]:
     return mats[0] - L, L
 
 
+def _border(problem: FamilyProblem) -> tuple[_Border, Variable]:
+    """The match condition as a `bethe._Border`, and the variable: Q is
+    affine in omega (Q0 at omega = 0, dQ = Q(1) - Q(0)), and the requested
+    ell fixes the top root-dependent W coefficient, w_{k-1} =
+    (L_-2 + 1/4 - (ell+1/2)^2) / s (see `_match_problem`), which is affine
+    in omega too."""
+    target = (problem.ell + 0.5) ** 2
+    g0, g1 = _gauge(problem, 0.0), _gauge(problem, 1.0)
+    top0, top1 = ((_closing(g, (0.0,) * 5)[-2] + 0.25 - target) / g.s for g in (g0, g1))
+    return _Border(g0.ode, tuple(np.subtract(g1.ode.q, g0.ode.q)), g0.k - 1, top0, top1 - top0), g0.variable
+
+
 def _match_ell(problem: FamilyProblem) -> tuple[list[tuple[RootSet, _Gauge]], list[BranchFailure]]:
     """Every match of the requested ell in OMEGA_RANGE, as (roots, gauge at
     its omega) pairs in ascending omega, and a BranchFailure for each candidate that
@@ -451,16 +467,14 @@ def _match_ell(problem: FamilyProblem) -> tuple[list[tuple[RootSet, _Gauge]], li
     m = 2 for the decatic, whose (n+2)x(n+1) problem is in (omega, w0).
     The candidates' roots come from one stacked eigensolve
     (`bethe._starts`).  The closing formulas' rounding leaves omega off by
-    up to ~1e-13 relative, so one secant step on the mismatch (at the W
-    that acceptance computed) that the MATCH_TOL gate measures follows.
-    That takes three rounds, each one `bethe._branches` batch (the polish
-    and filters of `solve_bae`) whose rows each sit at their own omega and
-    gauge: every candidate at its omega; the secant's probe at omega + h
-    for every candidate that round accepts; and the secant's omega for
-    every probe that moved the mismatch.  A candidate whose probe is
-    rejected is rejected.  Each row gets the floats it gets alone.  Two
-    candidates that reach the same match (within DEDUP_TOL in roots and
-    relative omega) give it once.
+    up to ~1e-13 relative (and the roots of an ill-conditioned candidate
+    further), so every candidate is polished in its roots and omega
+    together, one `bethe._bordered_branches` batch per solve: the residue
+    conditions at omega, bordered by the match condition of `_border`;
+    the filters of `solve_bae` then see each row at its final omega.  A
+    match is kept when it misses the ell by at most MATCH_TOL, at the W
+    that acceptance computed.  Two candidates that reach the same match
+    (within DEDUP_TOL in roots and relative omega) give it once.
     """
     n, target = problem.n, (problem.ell + 0.5) ** 2
     A, L = _match_problem(problem)
@@ -473,46 +487,20 @@ def _match_ell(problem: FamilyProblem) -> tuple[list[tuple[RootSet, _Gauge]], li
     lo, hi = OMEGA_RANGE
     keep = (lo <= omegas) & (omegas <= hi)
     order = np.argsort(omegas[keep])
-    omegas, starts = omegas[keep][order].tolist(), _starts(coeffs[keep][order])
-    if not omegas:
+    omegas, starts = omegas[keep][order], _starts(coeffs[keep][order])
+    if not len(omegas):
         return [], [BranchFailure(None, "ConstraintInfeasible", NO_MATCH)]
-
-    def at(oms: list, T: np.ndarray) -> list[tuple[RootSet | None, float, _Gauge]]:
-        """One round: for each om, the branch polished from that row of T
-        at om, None if the filters reject it, its mismatch at the W its
-        acceptance computed, and the gauge at om."""
-        if not oms:
-            return []
-        gauges = [_gauge(problem, om) for om in oms]
-        branches = _branches([g.ode for g in gauges], T, gauges[0].variable)
-        misses = [math.nan if b is None else _closing(g, b.w)[-2] + 0.25 - target for b, g in zip(branches, gauges)]
-        return list(zip(branches, misses, gauges))
-
-    def polished(rows: list) -> np.ndarray:
-        return np.array([first[i][0].as_array() for i in rows], dtype=complex)
-
-    # Round 1: every candidate at its omega.
-    first = at(omegas, starts)
-    final = [(*f, om) for f, om in zip(first, omegas)]  # (roots, mismatch, gauge, omega)
-    # Round 2: the secant's probe at omega + h of every accepted candidate.
-    probed = [i for i, f in enumerate(first) if f[0] is not None]
-    steps = [1e-6 * omegas[i] for i in probed]
-    probes = at([omegas[i] + h for i, h in zip(probed, steps)], polished(probed))
-    # Round 3: the secant's omega, for every probe that moved the mismatch.
-    secant = []
-    for i, h, (moved, miss_h, _) in zip(probed, steps, probes):
-        miss = first[i][1]
-        if moved is None:
-            final[i] = (None, miss, first[i][2], omegas[i])
-        elif miss_h != miss:
-            secant.append((i, float(omegas[i] - miss * h / (miss_h - miss))))
-    for (i, om), f in zip(secant, at([om for _, om in secant], polished([i for i, _ in secant]))):
-        final[i] = (*f, om)
+    border, variable = _border(problem)
+    branches, finals = _bordered_branches(border, starts, omegas, variable)
 
     matches: list[tuple[RootSet, float, _Gauge]] = []
     failures: list[BranchFailure] = []
-    for start, (_, _, g0), (roots, miss, g, omega), candidate_omega in zip(starts, first, final, omegas):
+    for start, roots, omega, candidate_omega in zip(starts, branches, finals.tolist(), omegas.tolist()):
+        if roots is not None:
+            g = _gauge(problem, omega)
+            miss = _closing(g, roots.w)[-2] + 0.25 - target
         if roots is None or not abs(miss) <= MATCH_TOL:
+            g0 = _gauge(problem, candidate_omega)
             with np.errstate(all="ignore"):
                 res = float(np.max(np.abs(_residual_batch(g0.ode, start[None])), initial=0.0))
             rejected = RootSet(n, tuple(complex(z) for z in start), g0.variable, res, _separation(start))

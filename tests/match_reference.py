@@ -1,13 +1,14 @@
-"""The one-candidate-at-a-time loop that the stacked rounds of
+"""The three-round secant loop that the bordered polish of
 `qesolve.families._match_ell` replaced, kept as a test reference.
 
 `match_ell` takes the candidates that `_match_ell` takes and runs each
 through `bethe._branches` as a batch of one row, three times in turn: at
 its omega, at the secant's probe omega + h and at the secant's omega.  The
 failure records and the dedup walk are the ones of `_match_ell`.  The tests
-check that the stacked rounds return the same bits.  `bethe._branches` and
-the `families` helpers are looked up at each call, so a test that hooks the
-candidate step or the closing formulas hooks both.
+check that the bordered polish finds the same matches and failures, to
+rounding level.  `bethe._branches` and the `families` helpers are looked
+up at each call, so a test that hooks the filters or the closing formulas
+hooks both.
 """
 
 import math

@@ -1,5 +1,10 @@
 """Match-ell mode by enumeration: every match in range, checked against the
-scan that it replaced (`scan_reference`), and its determinism."""
+scan that it replaced (`scan_reference`), and its determinism; the
+bordered polish of its candidates, checked against the secant rounds that
+it replaced (`match_reference`), on a regression set of draws and under
+negative controls."""
+
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qesolve import Case, Family, FamilyProblem, bethe, families, solve_family, solve_family_detailed
-from qesolve.bethe import DEDUP_TOL
+from qesolve.bethe import DEDUP_TOL, compute_w_coefficients, verify_polynomial_identity
 
 import match_reference
 from conftest import decatic, max_abs
@@ -163,119 +168,196 @@ class TestMatchProblemReference:
                     assert abs(s.derived[k] - v) <= 1e-12 * max(1.0, abs(v)), (problem, k)
 
 
-def _record(result) -> str:
-    """The bits of what `_match_ell` returns: each match's root set, with
-    its W and identity residual, and its gauge (omega included), and each
-    failure record."""
-    branches, failures = result
-    return repr(([(r, r.w, r.identity_residual, g) for r, g in branches], failures))
-
-
 STACKED = workload_problems("sextic") + DECATIC_WORKLOAD + [NEAR_SINGULAR_ELL0, NEAR_SINGULAR_ELL1]
 
 
+def regression_problems() -> list[FamilyProblem]:
+    """60 draws from default_rng(12345), each a sextic and a decatic problem
+    at one ell in 0..3 with the couplings of the benchmark's draws, at
+    n = 0..6: 840 problems."""
+    rng = np.random.default_rng(12345)
+    problems = []
+    for _ in range(60):
+        for fam in ("sextic", "decatic"):
+            if fam == "sextic":
+                free = {"e": rng.uniform(-0.5, 1.2), "d": rng.uniform(0.3, 1.5)}
+            else:
+                free = {"b": rng.uniform(-0.4, 0.8), "c": rng.uniform(-0.8, 0.8), "d": rng.uniform(0.3, 1.5)}
+            ell = int(rng.integers(0, 4))
+            problems += [FamilyProblem(Family(fam), Case.HARMONIC, n, ell, free, True) for n in range(7)]
+    return problems
+
+
 def _counted(monkeypatch) -> list[list[int]]:
-    """Hooks `families._branches` to record, per `_match_ell` solve, the rows
-    of each batch; the reference calls `bethe._branches`, unhooked."""
-    branches, sizes = bethe._branches, []
+    """Hooks `families._bordered_branches` to record, per `_match_ell`
+    solve, the rows of each batch."""
+    batch, sizes = families._bordered_branches, []
 
-    def counted(ode, starts, variable):
+    def counted(border, starts, omega, variable):
         sizes[-1].append(len(starts))
-        return branches(ode, starts, variable)
+        return batch(border, starts, omega, variable)
 
-    monkeypatch.setattr(families, "_branches", counted)
+    monkeypatch.setattr(families, "_bordered_branches", counted)
     return sizes
 
 
-def _solve_both(problem, sizes) -> tuple:
-    """`_match_ell`'s result, and its record and the reference's."""
-    sizes.append([])
-    result = families._match_ell(problem)
-    return result, _record(result), _record(match_reference.match_ell(problem))
+def _omega(gauge) -> float:
+    return -gauge.chi[1]
 
 
-def _reject_decatic_rows(monkeypatch, reject):
-    """Hooks the filters to reject, row by row, each decatic row whose
-    omega (-q3) reject(omega) holds; the stacked rounds and the reference
-    share the hook."""
-    accept = bethe._accept
-
-    def hooked(ode, T, variable):
-        omegas = np.broadcast_to(-np.ravel(ode.q[3]), len(T))
-        return [None if reject(om) else b for om, b in zip(omegas, accept(ode, T, variable))]
-
-    monkeypatch.setattr(bethe, "_accept", hooked)
+def _masked(failures) -> list:
+    """The failure records with their numbers masked."""
+    return [(f.roots, f.error, re.sub(r"[-+]?\d[\d.]*(e[-+]\d+)?", "#", f.detail)) for f in failures]
 
 
-class TestStackedRounds:
-    """`_match_ell` runs the three secant rounds of all its candidates as
-    three `_branches` batches, each row at its own omega and gauge; the
-    reference (`match_reference`) runs them one candidate and one row at a
-    time.  Both return the same bits: root sets, omegas, gauges and failure
-    texts."""
+def _batch(problem):
+    """The candidates' starts and omegas and the match condition, as
+    `_match_ell` hands them to its batch."""
+    found = match_reference.candidates(problem)
+    omegas = np.array([om for om, _ in found])
+    starts = np.array([start for _, start in found]).reshape(len(found), problem.n)
+    return starts, omegas, *families._border(problem)
 
-    def test_same_bits_as_one_candidate_at_a_time(self, monkeypatch):
+
+def _row_omegas(ode) -> np.ndarray:
+    """The omega of each row of the ODE that `bethe._accept` sees: minus
+    Q's top coefficient (q2 for the sextic, q3 for the decatic)."""
+    q = np.asarray(ode.q).reshape(6, -1)
+    return -q[np.flatnonzero(np.any(q != 0.0, axis=1))[-1]]
+
+
+class TestBorderedPolish:
+    """`_match_ell` polishes every candidate of a solve in its roots and
+    omega together, as one `bethe._bordered_branches` batch.  The
+    three-round secant loop that it replaced (`match_reference`) finds the
+    same matches and failures, to rounding level."""
+
+    def test_the_matches_of_the_three_round_loop(self, monkeypatch):
         sizes = _counted(monkeypatch)
         for problem in STACKED:
-            _, stacked, reference = _solve_both(problem, sizes)
-            assert stacked == reference, problem
+            sizes.append([])
+            (branches, failures), (ref_branches, ref_failures) = (
+                families._match_ell(problem), match_reference.match_ell(problem))
+            assert len(branches) == len(ref_branches), problem
+            assert _masked(failures) == _masked(ref_failures), problem
+            for (roots, g), (ref_roots, ref_g) in zip(branches, ref_branches):
+                assert abs(_omega(g) - _omega(ref_g)) <= 1e-12 * _omega(ref_g), problem
+                assert max_abs(roots.as_array() - ref_roots.as_array()) <= 1e-10, problem
             candidates = len(match_reference.candidates(problem))
-            assert len(sizes[-1]) <= 3
-            assert sizes[-1][:1] == ([candidates] if candidates else [])
+            assert sizes[-1] == ([candidates] if candidates else []), problem  # one batch
         assert max(max(s, default=0) for s in sizes) > 1  # some batches stack candidates
 
-    @pytest.mark.parametrize("rejected", ["probe", "secant"])
-    def test_rejected_probe_or_secant(self, monkeypatch, rejected):
-        # Every probe at omega + h, or every secant step's row, is rejected,
-        # and so is its candidate.
-        problems = [p for p in DECATIC_WORKLOAD if match_reference.candidates(p)]
-        omegas = {om for p in problems for om, _ in match_reference.candidates(p)}
-        probes = {om + 1e-6 * om for om in omegas}
-        if rejected == "probe":
-            _reject_decatic_rows(monkeypatch, lambda om: om in probes)
-        else:
-            _reject_decatic_rows(monkeypatch, lambda om: om not in omegas and om not in probes)
-        sizes, records = _counted(monkeypatch), 0
-        for problem in problems:
-            (branches, failures), stacked, reference = _solve_both(problem, sizes)
-            assert stacked == reference, problem
-            assert all("the root filters reject it" in f.detail for f in failures)
-            assert branches == [] or rejected == "secant"  # a candidate may skip the secant
-            records += len(failures)
-        assert records and any(len(s) == (2 if rejected == "probe" else 3) for s in sizes)
+    def test_a_start_far_from_its_roots(self):
+        # The pencil's roots of the match at omega ~ 0.155 (6 roots up to
+        # ~124) are up to 1.3 off; bordered from the start, the closing
+        # formulas' powers of them threw omega off and the filters rejected
+        # the row.  It keeps its omega until its residue conditions hold.
+        problem = decatic(n=6, ell=1, b=-0.3380746377805217, c=0.7617470916624771, d=1.0918790901317559,
+                          match_ell=True)
+        (branches, failures), (ref_branches, _) = families._match_ell(problem), match_reference.match_ell(problem)
+        assert failures == [] and len(branches) == len(ref_branches) == 3
+        for (_, g), (_, ref_g) in zip(branches, ref_branches):
+            assert abs(_omega(g) - _omega(ref_g)) <= 1e-12 * _omega(ref_g)
+        assert _omega(branches[0][1]) == pytest.approx(0.155138319, rel=1e-8)
 
-    def test_unmoved_mismatch_skips_the_secant(self, monkeypatch):
-        # Below omega = 2 the closing formulas' mismatch is rounded to 1e-3,
-        # so the probe leaves it where it was (miss_h == miss) and the match
-        # stays at the candidate's omega; above, the secant runs.
+    def test_each_match_carries_the_w_of_its_final_omega(self, monkeypatch):
+        # The filters see each row's ODE at its final omega: the W and the
+        # identity residual that acceptance computed are the public
+        # functions' at the gauge of that omega, bit for bit.
+        seen, accept = [], bethe._accept
+
+        def recorded(ode, T, variable):
+            seen.extend(_row_omegas(ode).tolist())
+            return accept(ode, T, variable)
+
+        monkeypatch.setattr(bethe, "_accept", recorded)
+        for problem in STACKED:
+            seen.clear()
+            for roots, g in families._match_ell(problem)[0]:
+                assert repr(roots.w) == repr(compute_w_coefficients(g.ode, roots))
+                assert roots.identity_residual == verify_polynomial_identity(g.ode.with_w(roots.w), roots)
+                assert _omega(g) in seen
+
+    def test_a_row_rejected_at_its_final_omega(self, monkeypatch):
+        # The filters reject the row of each problem's first candidate at its
+        # final omega (within 1e-9 of the candidate's); the other rows of its
+        # batch are not rejected.
+        problems = [p for p in STACKED if len(match_reference.candidates(p)) > 1]
+        firsts = [match_reference.candidates(p)[0][0] for p in problems]
+        expected = [[_omega(g) for _, g in families._match_ell(p)[0] if abs(_omega(g) - first) > 1e-9 * first]
+                    for p, first in zip(problems, firsts)]
+        accept = bethe._accept
+
+        def reject_first(ode, T, variable):
+            rows = accept(ode, T, variable)
+            return [None if any(abs(om - first) <= 1e-9 * first for first in firsts) else b
+                    for om, b in zip(_row_omegas(ode), rows)]
+
+        monkeypatch.setattr(bethe, "_accept", reject_first)
+        for problem, first, others in zip(problems, firsts, expected):
+            branches, failures = families._match_ell(problem)
+            assert failures[0].detail == f"the match at omega = {first:.9g}: the root filters reject it"
+            assert [_omega(g) for _, g in branches] == others, problem
+
+
+class TestRegressionDraws:
+    def test_every_candidate_accepted_at_its_pencil_omega_matches(self):
+        # Every candidate that the filters accept at its pencil omega ends as
+        # a match, also the ones that start more than MATCH_TOL off the ell
+        # (up to ~5e-2), which need omega to move.
+        accepted, off = 0, 0
+        for problem in regression_problems():
+            target, at_pencil = (problem.ell + 0.5) ** 2, []
+            for omega, start in match_reference.candidates(problem):
+                g = families._gauge(problem, omega)
+                roots = bethe._branches(g.ode, start[None, :], g.variable)[0]
+                if roots is not None:
+                    at_pencil.append(f"the match at omega = {omega:.9g}")
+                    off += abs(families._closing(g, roots.w)[-2] + 0.25 - target) > families.MATCH_TOL
+            failed = {f.detail.split(":")[0] for f in families._match_ell(problem)[1]}
+            assert not failed.intersection(at_pencil), problem
+            accepted += len(at_pencil)
+        assert accepted == 1890
+        assert off >= 1
+
+
+class TestBorderedControls:
+    @pytest.mark.parametrize("factor", [1 - 1e-3, 1 + 1e-3])
+    def test_a_displaced_start_omega_reaches_the_same_match(self, factor):
+        moved = 0
+        for problem in STACKED:
+            starts, omegas, border, variable = _batch(problem)
+            if not len(omegas):
+                continue
+            branches, finals = bethe._bordered_branches(border, starts, omegas, variable)
+            displaced, displaced_finals = bethe._bordered_branches(border, starts, omegas * factor, variable)
+            for b, d, om, dom in zip(branches, displaced, finals, displaced_finals):
+                assert (b is None) == (d is None), problem
+                if b is not None:
+                    assert abs(dom - om) <= 1e-12 * om, problem
+                    assert max_abs(d.as_array() - b.as_array()) <= 1e-10, problem
+                    moved += 1
+        assert moved > 100
+
+    def test_a_mismatch_that_cannot_drop_below_1e_7_misses_the_ell(self, monkeypatch):
+        # At a branch's W (not at the zero W of the match condition), the
+        # closing formulas' mismatch is shifted by 2e-7, beyond any omega
+        # the polish can find; the gates keep their values.
+        problems = [p for p in STACKED if p.n]
+        expected = [len(families._match_ell(p)[0]) for p in problems]
         closing = families._closing
 
-        def coarse(g, w):
+        def shifted(g, w):
             out = closing(g, w)
-            if -g.chi[1] < 2.0 and any(w):
-                out[-2] = round(out[-2], 3)
+            if any(w):
+                out[-2] += 2e-7
             return out
 
-        monkeypatch.setattr(families, "_closing", coarse)
-        sizes = _counted(monkeypatch)
-        for problem in STACKED:
-            _, stacked, reference = _solve_both(problem, sizes)
-            assert stacked == reference, problem
-        skipped = [s for s in sizes if len(s) >= 2 and (len(s) == 2 or s[2] < s[1])]
-        assert any(len(s) == 2 for s in skipped) and any(len(s) == 3 for s in skipped)
-
-    def test_round_one_rejection_among_accepted_rows(self, monkeypatch):
-        # The first candidate of each problem is rejected at its omega; the
-        # others are not.
-        problems = [p for p in STACKED if len(match_reference.candidates(p)) > 1]
-        firsts = {match_reference.candidates(p)[0][0] for p in problems}
-        _reject_decatic_rows(monkeypatch, lambda om: om in firsts)
-        sizes = _counted(monkeypatch)
-        mixed = 0
-        for problem in problems:
-            (branches, failures), stacked, reference = _solve_both(problem, sizes)
-            assert stacked == reference, problem
-            if problem.family is Family.DECATIC:
-                assert "the root filters reject it" in failures[0].detail
-                mixed += len(sizes[-1]) > 1 and sizes[-1][1] > 0
-        assert mixed
+        monkeypatch.setattr(families, "_closing", shifted)
+        for problem, count in zip(problems, expected):
+            branches, failures = families._match_ell(problem)
+            missed = [f for f in failures if "it misses the ell by" in f.detail]
+            assert branches == [] and len(missed) >= count, problem
+            assert all(1e-7 <= abs(float(f.detail.rsplit(" ", 1)[1])) for f in missed)
+        assert sum(expected) > 50
+        assert (families.MATCH_TOL, bethe.BAE_TOL, bethe.IDENT_TOL, bethe.ROUNDING_STEP) == (1e-8, 1e-10, 1e-10, 1e-15)
