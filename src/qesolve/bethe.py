@@ -440,23 +440,30 @@ class _Border(NamedTuple):
     slope: float
 
 
-def _bordered_polish(border: _Border, T: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Newton on the roots of every row of T and its omega together: the n
-    residue conditions at omega, bordered by the condition on w_j (Keller,
-    *Numerical solution of bifurcation and nonlinear eigenvalue problems*,
-    1977).  The omega-column of the residue conditions is dQ(t_i)/P(t_i).
-    w_j is affine in the power sums s1..s4 and the pair sum, and, with Q,
-    in omega, so its derivatives come from the closing formulas at unit
-    sums.  P, Q0, dQ and their derivatives at the roots come from one
-    product with the roots' powers.
+def _at(border: _Border, omega: np.ndarray) -> _Columns:
+    """The ODE of each row at its omega, as `_Columns`."""
+    q = _column(border.ode.q) + _column(border.dq) * omega[None, :, None]
+    return _Columns(np.broadcast_to(_column(border.ode.p), (5, len(omega), 1)), q)
 
-    Until a row's residue conditions are within BAE_TOL, it takes its
-    steps at a fixed omega, as `_polish` does: far from the roots, the
-    closing formulas' powers of the roots would throw omega off.  From
-    then on its steps are bordered.  A row stops after a bordered step at
-    rounding level, as in `_polish`, or no smaller than its bordered step
-    before: an ill-conditioned row's steps reach a floor of rounding noise
-    above ROUNDING_STEP.  Returns the roots and the omegas."""
+
+def _bordered_polish(border: _Border, T: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The roots of every row of T and its omega, polished by Newton on
+    both: the n residue conditions at omega, bordered by the condition on
+    w_j (Keller, *Numerical solution of bifurcation and nonlinear
+    eigenvalue problems*, 1977).  Far from the roots, the closing formulas'
+    powers of them would throw omega off, so a row whose residue
+    conditions are not within BAE_TOL is first polished at its omega
+    (`_polish`), and the bordered steps start from there.  The
+    omega-column of the residue conditions is dQ(t_i)/P(t_i).  w_j is
+    affine in the power sums s1..s4 and the pair sum, and, with Q, in
+    omega, so its derivatives come from the closing formulas at unit sums.
+    P, Q0, dQ and their derivatives at the roots come from one product
+    with the roots' powers, which also give the sums.
+
+    A row stops after a step at rounding level, as in `_polish`, or no
+    smaller than its step before, which it keeps: an ill-conditioned row's
+    steps reach a floor of rounding noise above ROUNDING_STEP.  Returns the
+    roots and the omegas."""
     n = T.shape[1]
     polys = [border.ode.p + (0.0,), border.ode.q, border.dq]
     # The coefficients of P, P', Q0, Q0', dQ and dQ', one column each, ascending to t^5.
@@ -466,9 +473,12 @@ def _bordered_polish(border: _Border, T: np.ndarray, omega: np.ndarray) -> tuple
                     _closing_w((0.0,) * 5, border.dq, n, *unit)[border.j]])
     # w_j = const + lin . (s1, s2, s3, s4, pair), each at omega = 0 and per unit omega.
     const, lin = w_j[:, 5], w_j[:, :5] - w_j[:, 5:]
+    ode = _at(border, omega)
+    far = ~(np.max(np.abs(_residual_batch(ode, T)), axis=1, initial=0.0) < BAE_TOL)
+    T = T.copy()
+    T[far] = _polish(_rows(ode, far), T[far])
     X = np.concatenate([T, omega[:, None]], axis=1).astype(complex)
     active, last = np.arange(len(X)), np.full(len(X), math.inf)
-    joined = np.zeros(len(X), dtype=bool)  # the rows whose steps are bordered
     for _ in range(8):
         if not len(active):
             break
@@ -477,35 +487,32 @@ def _bordered_polish(border: _Border, T: np.ndarray, omega: np.ndarray) -> tuple
         powers = t[:, :, None] ** np.arange(6)
         pv, pd, q0, q0d, dq, dqd = np.moveaxis(powers @ coeffs, 2, 0)
         qv, qd = q0 + om[:, None] * dq, q0d + om[:, None] * dqd
-        R = _residues(t, qv / pv)
-        joined[active] |= ~(np.max(np.abs(R), axis=1, initial=0.0) >= BAE_TOL)
-        bordered = joined[active]
         s = powers[:, :, 1:5].sum(axis=1)
         sums = np.column_stack([s, 0.5 * (s[:, 0] * s[:, 0] - s[:, 1])])
         a = lin[0] + om[:, None] * lin[1]
         # d sums / d t_i: 1, 2 t_i, 3 t_i^2, 4 t_i^3 and s1 - t_i.
         d = np.concatenate([powers[:, :, :4] * np.arange(1, 5), (s[:, :1] - t)[:, :, None]], axis=2)
-        J = np.zeros((len(Y), n + 1, n + 1), dtype=complex)
+        J = np.empty((len(Y), n + 1, n + 1), dtype=complex)
         J[:, :n, :n] = _residue_jacobian(t, (qd * pv - qv * pd) / (pv * pv))
         J[:, :n, n] = dq / pv
-        J[:, n, :n] = np.where(bordered[:, None], (d * a[:, None, :]).sum(axis=2), 0.0)
-        J[:, n, n] = np.where(bordered, const[1] + sums @ lin[1] - border.slope, 1.0)
+        J[:, n, :n] = (d * a[:, None, :]).sum(axis=2)
+        J[:, n, n] = const[1] + sums @ lin[1] - border.slope
         # w_j less the value the condition gives it.
         off = const[0] + om * const[1] + (sums * a).sum(axis=1) - border.top - om * border.slope
-        R = np.column_stack([R, np.where(bordered, off, 0.0)])
+        R = np.column_stack([_residues(t, qv / pv), off])
         finite = np.isfinite(R).all(axis=1)
         if not finite.all():
-            active, Y, R, J, bordered = active[finite], Y[finite], R[finite], J[finite], bordered[finite]
+            active, Y, R, J = active[finite], Y[finite], R[finite], J[finite]
         step = _solve_rows(J, R)
         step[:, n] = step[:, n].real
         taken = np.isfinite(step).all(axis=1)
         if not taken.all():
-            active, Y, step, bordered = active[taken], Y[taken], step[taken], bordered[taken]
+            active, Y, step = active[taken], Y[taken], step[taken]
         Y = Y - step
         X[active] = Y
         size = np.max(np.abs(step), axis=1)
-        done = bordered & (_at_rounding_level(Y, step) | (size >= last[active]))
-        last[active[bordered]] = size[bordered]
+        done = _at_rounding_level(Y, step) | (size >= last[active])
+        last[active] = size
         active = active[~done]
     return X[:, :n], X[:, n].real
 
@@ -565,14 +572,9 @@ def _accept(ode: PolyODE | _Columns, T: np.ndarray, variable: Variable) -> list[
     return out
 
 
-def _branches(ode: PolyODE | list[PolyODE], starts: np.ndarray, variable: Variable) -> list[RootSet | None]:
+def _branches(ode: PolyODE, starts: np.ndarray, variable: Variable) -> list[RootSet | None]:
     """The branch polished from each row of starts, or None where the
-    filters reject it; an empty row is the one branch of degree 0.  ode is
-    one PolyODE that every row shares or a list of one per row."""
-    if isinstance(ode, list) and len(ode) == 1:  # cheaper to broadcast than as columns
-        ode = ode[0]
-    elif isinstance(ode, list):
-        ode = _Columns(*(np.array(c).T[:, :, None] for c in ([o.p for o in ode], [o.q for o in ode])))
+    filters reject it; an empty row is the one branch of degree 0."""
     with np.errstate(all="ignore"):
         return _accept(ode, _polish(ode, starts), variable)
 
@@ -581,16 +583,11 @@ def _bordered_branches(border: _Border, starts: np.ndarray, omega: np.ndarray,
                        variable: Variable) -> tuple[list[RootSet | None], np.ndarray]:
     """The branch polished from each row of starts and its omega together
     (`_bordered_polish`), or None where the filters reject it, and the
-    omega of each row; the filters see each row's ODE at its final omega,
-    as `_Columns` (a PolyODE for one row, as in `_branches`)."""
+    omega of each row; the filters see each row's ODE at its final omega
+    (`_at`)."""
     with np.errstate(all="ignore"):
         T, omega = _bordered_polish(border, starts, omega)
-        q = _column(border.ode.q) + _column(border.dq) * omega[None, :, None]
-        if len(T) == 1:  # cheaper to broadcast than as columns
-            ode = PolyODE(border.ode.p, q[:, 0, 0])
-        else:
-            ode = _Columns(np.broadcast_to(_column(border.ode.p), (5, len(T), 1)), q)
-        return _accept(ode, T, variable), omega
+        return _accept(_at(border, omega), T, variable), omega
 
 
 def _root_dependent(ode: PolyODE) -> int:

@@ -469,8 +469,9 @@ def _match_ell(problem: FamilyProblem) -> tuple[list[tuple[RootSet, _Gauge]], li
     (`bethe._starts`).  The closing formulas' rounding leaves omega off by
     up to ~1e-13 relative (and the roots of an ill-conditioned candidate
     further), so every candidate is polished in its roots and omega
-    together, one `bethe._bordered_branches` batch per solve: the residue
-    conditions at omega, bordered by the match condition of `_border`;
+    together (its roots first at its omega where they are far off), one
+    `bethe._bordered_branches` batch per solve: the residue conditions at
+    omega, bordered by the match condition of `_border`;
     the filters of `solve_bae` then see each row at its final omega.  A
     match is kept when it misses the ell by at most MATCH_TOL, at the W
     that acceptance computed.  Two candidates that reach the same match

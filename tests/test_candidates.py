@@ -234,8 +234,10 @@ class TestBatchIndependence:
     @pytest.mark.parametrize("order", ["built", "reversed", "shuffled"])
     @pytest.mark.parametrize("n", range(1, 6))
     def test_rows_with_different_odes(self, n, order):
-        # Rows of four families and two draws each, one ODE per row: each row
-        # gets the bits it gets alone, in whatever order the rows come.
+        # Rows of four families and two draws each, one ODE per row as
+        # coefficient columns (the rows of a match-ell batch): each row gets
+        # the bits it gets alone with its PolyODE, in whatever order the
+        # rows come.
         odes, starts = _mixed_batch(n)
         alone = [_branch_bits(bethe._branches(ode, row[None, :], Variable.R)[0]) for ode, row in zip(odes, starts)]
         perm = np.arange(len(odes))
@@ -243,7 +245,7 @@ class TestBatchIndependence:
             perm = perm[::-1]
         elif order == "shuffled":
             perm = np.random.default_rng(n).permutation(len(odes))
-        got = bethe._branches([odes[i] for i in perm], starts[perm], Variable.R)
+        got = _per_row([odes[i] for i in perm], starts[perm])
         assert len({ode for ode in odes}) > 1 and any(b is not None for b in got)
         assert [_branch_bits(b) for b in got] == [alone[i] for i in perm]
 
@@ -251,13 +253,21 @@ class TestBatchIndependence:
     def test_rows_with_different_odes_in_pieces(self, size):
         for n in range(1, 6):
             odes, starts = _mixed_batch(n)
-            whole = [_branch_bits(b) for b in bethe._branches(odes, starts, Variable.R)]
+            whole = [_branch_bits(b) for b in _per_row(odes, starts)]
             pieces = [
                 _branch_bits(b)
                 for lo in range(0, len(odes), size)
-                for b in bethe._branches(odes[lo : lo + size], starts[lo : lo + size], Variable.R)
+                for b in _per_row(odes[lo : lo + size], starts[lo : lo + size])
             ]
             assert pieces == whole
+
+
+def _per_row(odes, starts):
+    """`bethe._polish` and `bethe._accept` on a batch whose rows each have
+    their own ODE, as `bethe._Columns`."""
+    columns = bethe._Columns(*(np.array(c).T[:, :, None] for c in ([o.p for o in odes], [o.q for o in odes])))
+    with np.errstate(all="ignore"):
+        return bethe._accept(columns, bethe._polish(columns, starts), Variable.R)
 
 
 # An octic whose identity gate sits at its rounding floor at n = 8..10

@@ -251,7 +251,7 @@ class TestBorderedPolish:
         # The pencil's roots of the match at omega ~ 0.155 (6 roots up to
         # ~124) are up to 1.3 off; bordered from the start, the closing
         # formulas' powers of them threw omega off and the filters rejected
-        # the row.  It keeps its omega until its residue conditions hold.
+        # the row.  Its roots are polished at its omega first.
         problem = decatic(n=6, ell=1, b=-0.3380746377805217, c=0.7617470916624771, d=1.0918790901317559,
                           match_ell=True)
         (branches, failures), (ref_branches, _) = families._match_ell(problem), match_reference.match_ell(problem)
