@@ -2,23 +2,20 @@
 
 Two layers of checks exist beyond the polynomial identity of the root
 engine: a pointwise residual of the original radial equation using analytic
-log-derivatives, and a finite-difference eigenvalue oracle (symmetric
-tridiagonal discretization, Sturm-sequence bisection on counts made by
+log-derivatives, one array pass per solve (`_residual_rows`), and a
+finite-difference eigenvalue oracle (Sturm bisection on counts made by
 guarded cyclic reduction) confirming that the constructed energy sits in
-the spectrum of the constructed potential.  The residual of all the
-branches of a solve is one array pass, a row per branch
-(`_residual_rows`); `schrodinger_residual` is its one-row case.
+the spectrum of the constructed potential.
 
-Verification needs only the FD eigenvalue nearest 2E.  It proves it from
-the closed-form Psi sampled on the grid: Sturm counts isolate one
-eigenvalue around the sample's Rayleigh quotient, one inverse-iteration
-step sharpens the vector, and the Kato-Temple inequality encloses the
-eigenvalue within 1e-12 in exact arithmetic; the float returned agrees
-with the matrix's eigenvalue to the rounding of the matrix (8 eps 2/h^2),
-as bisection's does.  The enclosure is a theorem about the FD matrix
-whatever the vector is, so a wrong Psi cannot pass the check by it: the
-proof then fails, and bisection refines the eigenvalues that can be
-nearest 2E instead.
+Verification proves the FD eigenvalue nearest 2E from the closed-form Psi
+sampled on the grid: one inverse-iteration step sharpens the sample, its
+Rayleigh quotients and residual size a half-width g around the sample's
+quotient rho, one pass of two Sturm counts shows that rho +- g holds one
+eigenvalue, and Kato-Temple encloses it within 1e-12 in exact arithmetic
+(to the rounding of the matrix, 8 eps 2/h^2, in floats, as bisection
+does).  The enclosure is a theorem about the FD matrix whatever the vector
+is, so a wrong Psi cannot pass by it: the proof fails, and bisection
+refines the eigenvalues that can be nearest 2E instead.
 """
 
 from __future__ import annotations
@@ -407,10 +404,6 @@ def fd_spectrum(
 
 # The width to which verification resolves the FD eigenvalue nearest 2E.
 _NEAREST_TOL = 1e-12
-# Sturm passes that look for an interval around the Rayleigh quotient
-# holding one eigenvalue, its half-width quartered from pass to pass (from
-# the window's half-width down to 1/64 of it).
-_ISOLATION_PASSES = 4
 
 
 def _apply(diag: np.ndarray, off: float, x: np.ndarray) -> np.ndarray:
@@ -429,46 +422,65 @@ def _rayleigh(diag: np.ndarray, off: float, x: np.ndarray) -> tuple[float, float
     return rho, float(np.linalg.norm(tx - rho * x)) / math.sqrt(xx)
 
 
-def _tridiagonal_solve(a: np.ndarray, c: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """x with T x = f, for the symmetric tridiagonal T with diagonal `a`
-    and off-diagonal `c`.
-
-    Cyclic reduction eliminates the odd rows level by level while each is
-    at least half diagonally dominant (the guard of `_block_counts`), the
-    LDL^T recurrence solves the rows left, and back-substitution recovers
-    the eliminated rows.  A pivot below the smallest normal float in size
-    becomes minus that; the result may then hold infinities.
-    """
+def _factor(a: np.ndarray, c: np.ndarray) -> tuple[list, list, list]:
+    """The pivots of the symmetric tridiagonal with diagonal `a` and
+    off-diagonal `c`: cyclic-reduction levels, each (pivots, left and right
+    couplings), while every odd row is at least half diagonally dominant
+    (the guard of `_block_counts`), then the LDL^T pivots of the rows left
+    (one below the smallest normal float in size made minus that) and their
+    off-diagonal."""
     levels = []
     while len(a) > 1:
-        p, f_odd = a[1::2], f[1::2]
-        c_left, c_right = c[0::2], c[1::2]  # each odd row's couplings
+        p, c_left, c_right = a[1::2], c[0::2], c[1::2]
         reach = np.abs(c_left)
         reach[: len(c_right)] += np.abs(c_right)
         if not np.all(2.0 * np.abs(p) >= reach):
             break
-        levels.append((p, c_left, c_right, f_odd))
+        levels.append((p, c_left, c_right))
         k = len(c_right)
-        a, f = a[0::2].copy(), f[0::2].copy()
+        a = a[0::2].copy()
         a[: len(p)] -= c_left * c_left / p
-        f[: len(p)] -= c_left * f_odd / p
         a[1 : k + 1] -= c_right * c_right / p[:k]
-        f[1 : k + 1] -= c_right * f_odd[:k] / p[:k]
         c = -c_left[:k] * c_right / p[:k]
     pivmin = np.finfo(float).tiny
-    pivots, y = [], []
-    q, yi = 1.0, 0.0
-    for ai, fi, ci in zip(a.tolist(), f.tolist(), [0.0] + c.tolist()):
-        q, yi = ai - ci * ci / q, fi - ci * yi / q
+    pivots, q = [], 1.0
+    for ai, ci in zip(a.tolist(), [0.0] + c.tolist()):
+        q = ai - ci * ci / q
         q = -pivmin if abs(q) < pivmin else q
         pivots.append(q)
+    return levels, pivots, c.tolist()
+
+
+def _negative_pivots(a: np.ndarray, c: np.ndarray) -> int:
+    """The eigenvalues below 0 of the tridiagonal `_factor` reduces: its
+    negative pivots (Sylvester's law of inertia).  For diag - s, the Sturm
+    count at s."""
+    levels, pivots, _ = _factor(a, c)
+    return sum(int(np.count_nonzero(p < 0.0)) for p, _, _ in levels) + sum(q < 0.0 for q in pivots)
+
+
+def _tridiagonal_solve(a: np.ndarray, c: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """x with T x = f, for the tridiagonal T of `_factor`: f is reduced level
+    by level, the rows left are solved by their LDL^T pivots, and back
+    substitution recovers the eliminated rows; x may hold infinities."""
+    levels, pivots, c = _factor(a, c)
+    eliminated = []  # each level's odd rows of f
+    for p, c_left, c_right in levels:
+        f_odd, k = f[1::2], len(c_right)
+        eliminated.append(f_odd)
+        f = f[0::2].copy()
+        f[: len(p)] -= c_left * f_odd / p
+        f[1 : k + 1] -= c_right * f_odd[:k] / p[:k]
+    y, yi = [], 0.0
+    for fi, ci, q in zip(f.tolist(), [0.0] + c, [1.0] + pivots):
+        yi = fi - ci * yi / q
         y.append(yi)
     x, after = [], 0.0
-    for q, yi, ci in zip(pivots[::-1], y[::-1], (c.tolist() + [0.0])[::-1]):
+    for q, yi, ci in zip(pivots[::-1], y[::-1], (c + [0.0])[::-1]):
         after = (yi - ci * after) / q
         x.append(after)
     x = np.array(x[::-1])
-    for p, c_left, c_right, f_odd in reversed(levels):
+    for (p, c_left, c_right), f_odd in zip(reversed(levels), reversed(eliminated)):
         full = np.empty(len(x) + len(p))
         full[0::2] = x
         odd = f_odd - c_left * x[: len(p)]
@@ -485,55 +497,47 @@ def _kato_temple(rho: float, eps: float, alpha: float, beta: float) -> tuple[flo
     return rho - eps * eps / (beta - rho), rho + eps * eps / (rho - alpha)
 
 
-def _isolating_half_width(diag: np.ndarray, off_sq: float, rho: float, half_width: float) -> float | None:
-    """A g for which the Sturm counts at rho - g and rho + g show exactly
-    one eigenvalue in [rho - g, rho + g): the first of half_width, a
-    quarter of it and so on, one pass each; None when a pass finds none
-    or `_ISOLATION_PASSES` passes find more than one."""
-    g = half_width
-    for _ in range(_ISOLATION_PASSES):
-        below, above = _sturm_counts(diag, off_sq, np.array([rho - g, rho + g]))
-        if above - below == 1:
-            return g
-        if above == below:
-            return None
-        g /= 4.0
-    return None
-
-
 def _enclosed_eigenvalue(
     diag: np.ndarray, off_sq: float, lo: float, hi: float, target: float, v: np.ndarray
 ) -> float | None:
     """The eigenvalue nearest `target`, proven from the trial vector v, or
     None when the proof fails.
 
-    With rho the Rayleigh quotient of v, Sturm counts isolate one
-    eigenvalue lam in (rho - g, rho + g).  One inverse-iteration step,
-    x = (T - rho I)^-1 v, gives rho1 and eps1 = ||T x - rho1 x|| / ||x||,
-    and the Kato-Temple inequality (Temple 1928, Kato 1949; Parlett, The
-    Symmetric Eigenvalue Problem, ch. 10; `_kato_temple`) bounds
+    With rho the Rayleigh quotient of v, one inverse-iteration step,
+    x = (T - rho I)^-1 v, gives rho1 and eps1 = ||T x - rho1 x|| / ||x||.
+    They size the half-width, with no search:
+        g = min(half the window, max(4 |rho - target|, 4 |rho1 - rho|, 2 eps1, 4 eps1^2 / _NEAREST_TOL)),
+    so rho1 and the target lie in the middle half of (rho - g, rho + g),
+    the eigenvalue within eps1 of rho1 lies in it, and (unless the window
+    caps g) the enclosure below is at most 2/3 `_NEAREST_TOL` wide.  When
+    one pass of two Sturm counts (`_negative_pivots`) shows exactly one
+    eigenvalue lam in it, Kato-Temple (Temple 1928, Kato 1949; Parlett,
+    The Symmetric Eigenvalue Problem, ch. 10) bounds
         rho1 - eps1^2 / (rho + g - rho1) <= lam <= rho1 + eps1^2 / (rho1 - rho + g).
     rho1 is returned when that enclosure lies inside (rho - g, rho + g)
     and the window (lo, hi], is at most `_NEAREST_TOL` wide, and lies
-    nearer the target than rho +- g: every other eigenvalue lies outside
-    that interval, so lam is the nearest."""
+    nearer the target than rho +- g, so lam is the nearest."""
     off = -math.sqrt(off_sq)
+    c = np.full(len(diag) - 1, off)
     rho, _ = _rayleigh(diag, off, v)
-    g = _isolating_half_width(diag, off_sq, rho, 0.5 * (hi - lo))
-    if g is None:
-        return None
     with np.errstate(all="ignore"):  # a non-finite solution is rejected below
-        x = _tridiagonal_solve(diag - rho, np.full(len(diag) - 1, off), v)
+        x = _tridiagonal_solve(diag - rho, c, v)
         scale = np.max(np.abs(x))
     if not (math.isfinite(scale) and scale > 0.0):
         return None
     rho1, eps1 = _rayleigh(diag, off, x / scale)
+    sized = (4.0 * abs(rho - target), 4.0 * abs(rho1 - rho), 2.0 * eps1, 4.0 * eps1 * eps1 / _NEAREST_TOL)
+    g = min(0.5 * (hi - lo), max(sized))
     alpha, beta = rho - g, rho + g
+    if not alpha < rho1 < beta:  # so g > 0, and Kato-Temple divides by neither 0
+        return None
     low, high = _kato_temple(rho1, eps1, alpha, beta)
-    farthest = max(abs(low - target), abs(high - target))
     isolated = alpha < low and high < beta and lo < low and high <= hi
-    nearest = farthest < min(target - alpha, beta - target)
-    return rho1 if isolated and nearest and high - low <= _NEAREST_TOL else None
+    nearest = max(abs(low - target), abs(high - target)) < min(target - alpha, beta - target)
+    if not (isolated and nearest and high - low <= _NEAREST_TOL):
+        return None
+    below, above = (_negative_pivots(diag - shift, c) for shift in (alpha, beta))
+    return rho1 if above - below == 1 else None
 
 
 def _nearest_fd_eigenvalue(
@@ -543,17 +547,13 @@ def _nearest_fd_eigenvalue(
     nearest `target`, to the rounding of the matrix, or None when the
     window holds none.
 
-    The trial vector is `solution`'s closed-form Psi sampled on the grid.
-    When `_enclosed_eigenvalue` proves the eigenvalue from it, that is the
-    result: an inverse-iteration Rayleigh quotient within 1e-12 of the
-    eigenvalue in exact arithmetic, where bisection gives the midpoint of
-    an interval of that width; in floating point each agrees with the
-    eigenvalue to the rounding of the matrix.  Otherwise bisection refines only the ordinals that can
-    hold it.  Those dropped lie wholly farther from the target, so its
-    distance is the same float as the minimum over the full list, as long
-    as both stop at the same depth: the stop test reads only the kept
-    intervals' widths, which at one depth differ from the dropped ones' by
-    rounding alone."""
+    `_enclosed_eigenvalue` proves it from `solution`'s closed-form Psi
+    sampled on the grid, with g sized from the sample and one pass of two
+    Sturm counts: rho1 within 1e-12 of the eigenvalue in exact arithmetic,
+    as bisection's midpoint is.  Otherwise bisection refines only the
+    ordinals that can hold it: those dropped lie wholly farther from the
+    target, and at one depth the kept intervals' widths differ from theirs
+    by rounding alone, so the stop test and result are the full list's."""
     lo, hi, diag, off_sq = _fd_problem(potential, energy_window, grid, _NEAREST_TOL)
     log_mag, sign = eval_log_psi(solution, _fd_points(grid)[0])
     peak = np.max(log_mag)

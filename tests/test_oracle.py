@@ -11,6 +11,7 @@ from qesolve import (
     PotentialSpec,
     QESSolution,
     RootSet,
+    SolverConfig,
     Variable,
     VerifyLevel,
     assemble_potential,
@@ -409,22 +410,37 @@ def _rounding_bound(grid) -> float:
     return 8.0 * np.finfo(float).eps * 2.0 / (h * h)
 
 
+def _ldl_check(potential, n_points):
+    """The FD matrix on n_points, and shifts to compare its Sturm counts
+    at.  Mid-spectrum shifts and exact diagonal entries make pivots small
+    or zero, where the elimination order matters without the guard.  Entry
+    0 is left out: there the reference's first pivot is 0, which it counts
+    as non-negative but continues from as negative."""
+    diag, off_sq = _fd_matrix(potential, FdGrid(1e-3, 12.0, n_points))
+    h_sq = 1.0 / math.sqrt(off_sq)
+    rows = np.random.default_rng(n_points).choice(np.arange(1, n_points), 40, replace=False)
+    return diag, off_sq, np.concatenate([[0.0, 2.0 / h_sq, 4.0 / h_sq, -5.0, 3.0, 50.0], diag[rows]])
+
+
 class TestSturmCounts:
     """Guarded cyclic reduction counts what the LDL^T recurrence counts."""
 
     @pytest.mark.parametrize("n_points", [2000, 2001, 4801])
     @pytest.mark.parametrize("potential", [PotentialSpec(0.0, 1.0, {}), PotentialSpec(1.0, 0.0, {1: -1.0, 8: 0.5})])
     def test_same_counts_as_ldl(self, potential, n_points):
-        diag, off_sq = _fd_matrix(potential, FdGrid(1e-3, 12.0, n_points))
-        h_sq = 1.0 / math.sqrt(off_sq)
-        # Mid-spectrum shifts and exact diagonal entries make pivots small
-        # or zero, where the elimination order matters without the guard.
-        # Entry 0 is left out: there the reference's first pivot is 0, which
-        # it counts as non-negative but continues from as negative.
-        rows = np.random.default_rng(n_points).choice(np.arange(1, n_points), 40, replace=False)
-        shifts = np.concatenate([[0.0, 2.0 / h_sq, 4.0 / h_sq, -5.0, 3.0, 50.0], diag[rows]])
+        diag, off_sq, shifts = _ldl_check(potential, n_points)
         got = oracle._sturm_counts(diag, off_sq, shifts)
         assert list(got) == list(sturm_reference._sturm_counts(diag, off_sq, shifts))
+
+    @pytest.mark.parametrize("n_points", [2000, 2001, 4801])
+    @pytest.mark.parametrize("potential", [PotentialSpec(0.0, 1.0, {}), PotentialSpec(1.0, 0.0, {1: -1.0, 8: 0.5})])
+    def test_proof_counts_are_the_ldl_counts(self, potential, n_points):
+        # The verification proof counts by `_negative_pivots`, on the
+        # pivots of `_tridiagonal_solve`'s elimination.
+        diag, off_sq, shifts = _ldl_check(potential, n_points)
+        c = np.full(n_points - 1, -math.sqrt(off_sq))
+        got = [oracle._negative_pivots(diag - shift, c) for shift in shifts]
+        assert got == list(sturm_reference._sturm_counts(diag, off_sq, shifts))
 
     def test_zero_pivot_counts_between_its_neighbours(self):
         # A shift equal to the first diagonal entry makes the first LDL^T
@@ -547,17 +563,96 @@ class TestKatoTemple:
                 assert high - low <= eps * eps * (1.0 / (beta - rho) + 1.0 / (rho - alpha)) * (1.0 + 1e-12)
 
 
-class TestIsolatingHalfWidth:
-    def test_quartered_until_one_eigenvalue(self):
-        # The radial oscillator's FD levels lie near 3, 7 and 11: around 3,
-        # +-6 holds two of them and +-1.5 one; around 5, +-1.5 holds none.
-        diag, off_sq = _fd_matrix(PotentialSpec(0.0, 1.0, {}), FdGrid(1e-3, 12.0, 3000))
-        assert oracle._isolating_half_width(diag, off_sq, 3.0, 6.0) == 1.5
-        assert oracle._isolating_half_width(diag, off_sq, 3.0, 1.0) == 1.0
-        assert oracle._isolating_half_width(diag, off_sq, 5.0, 1.5) is None
-        # Four passes stop at 384 / 64 = 6, where +-6 around 5 still holds
-        # more than one level.
-        assert oracle._isolating_half_width(diag, off_sq, 5.0, 6.0 * 64.0) is None
+@pytest.fixture()
+def bisect_calls(monkeypatch):
+    """The calls to `oracle._bisect`, which still bisects."""
+    calls = []
+    bisect = oracle._bisect
+
+    def counted(*args):
+        calls.append(args)
+        return bisect(*args)
+
+    monkeypatch.setattr(oracle, "_bisect", counted)
+    return calls
+
+
+def _counting_pivots(mp) -> list:
+    """Each `_negative_pivots` call's diagonal; `_sturm_counts` must not
+    run, since a proof counts by `_factor` alone."""
+    calls = []
+    inner = oracle._negative_pivots
+
+    def counted(a, c):
+        calls.append(a)
+        return inner(a, c)
+
+    mp.setattr(oracle, "_negative_pivots", counted)
+    mp.setattr(oracle, "_sturm_counts", _no_bisection)
+    return calls
+
+
+class TestOnePassIsolation:
+    """g is sized from the trial vector's data, and one pass of two Sturm
+    counts at rho +- g decides whether that interval isolates one
+    eigenvalue.  The radial oscillator's FD levels lie near 3, 7 and 11."""
+
+    @pytest.fixture()
+    def oscillator(self):
+        pot, grid = PotentialSpec(0.0, 1.0, {}), FdGrid(1e-3, 12.0, 3000)
+        r = oracle._fd_points(grid)[0]
+        return pot, grid, *_fd_matrix(pot, grid), r * np.exp(-0.5 * r * r)
+
+    def test_a_vector_near_level_3_is_proven(self, oscillator, monkeypatch):
+        pot, grid, diag, off_sq, ground = oscillator
+        (want,) = fd_spectrum(pot, (2.25, 3.75), grid)
+        calls = _counting_pivots(monkeypatch)
+        got = oracle._enclosed_eigenvalue(diag, off_sq, 2.25, 3.75, 3.0, ground)
+        assert got is not None and abs(got - want) <= _rounding_bound(grid)
+        # One pass: two shifts, symmetric about rho.
+        rho, _ = oracle._rayleigh(diag, -math.sqrt(off_sq), ground)
+        below, above = (float(diag[0] - a[0]) for a in calls)
+        assert 0.5 * (below + above) == pytest.approx(rho, abs=1e-9) and below < want < above
+
+    def test_rho_5_with_no_level_within_g_proves_nothing(self, oscillator):
+        # Equal parts of the levels near 3 and 7 have rho near 5; g is half
+        # the window (4.5, 5.5), and 5 +- 0.5 holds no level.
+        pot, grid, diag, off_sq, ground = oscillator
+        r = oracle._fd_points(grid)[0]
+        first = (r * r - 1.5) * ground
+        mix = ground / np.linalg.norm(ground) + first / np.linalg.norm(first)
+        assert oracle._rayleigh(diag, -math.sqrt(off_sq), mix)[0] == pytest.approx(5.0, abs=1e-3)
+        c = np.full(len(diag) - 1, -math.sqrt(off_sq))
+        assert oracle._negative_pivots(diag - 4.5, c) == oracle._negative_pivots(diag - 5.5, c) == 1
+        assert oracle._enclosed_eigenvalue(diag, off_sq, 4.5, 5.5, 5.0, mix) is None
+
+    def test_a_g_holding_two_levels_takes_the_bisection_verdict(self, oscillator, quartic0, bisect_calls, monkeypatch):
+        # With the target 1.25 above rho near 3, g = 4 |rho - target| = 5,
+        # and 3 +- 5 holds the levels near 3 and 7.  The enclosure of the
+        # level near 3 passes every other check; the counts refuse it.
+        pot, grid, diag, off_sq, ground = oscillator
+        window, target = (-0.75, 9.25), 4.25
+        want = _bisected_nearest(pot, window, grid, target)
+        with monkeypatch.context() as mp:
+            calls = _counting_pivots(mp)
+            assert oracle._enclosed_eigenvalue(diag, off_sq, *window, target, ground) is None
+        c = np.full(len(diag) - 1, -math.sqrt(off_sq))
+        assert [oracle._negative_pivots(a, c) for a in calls] == [0, 2]
+        # The same trial vector through `_nearest_fd_eigenvalue`: bisection
+        # decides, and its float is the result.
+        monkeypatch.setattr(oracle, "eval_log_psi", lambda solution, r: (np.log(r) - 0.5 * r * r, np.ones_like(r)))
+        bisect_calls.clear()
+        assert oracle._nearest_fd_eigenvalue(pot, window, grid, target, quartic0) == want
+        assert len(bisect_calls) == 1
+
+    @pytest.mark.parametrize("diag, v", [([3.0, 3.0], [1.0, 1.0]), ([2.0, 2.0, 2.0], [1.0, 0.0, -1.0])])
+    def test_an_exact_eigenvector_gives_g_0_and_no_proof(self, diag, v):
+        # T v = 2 v exactly, so rho = 2 = target, and the step from it gives
+        # rho1 = 2 with eps1 = 0: g is 0, where Kato-Temple would divide 0
+        # by 0.
+        diag, v = np.array(diag), np.array(v)
+        assert oracle._rayleigh(diag, -1.0, v) == (2.0, 0.0)
+        assert oracle._enclosed_eigenvalue(diag, 1.0, 1.5, 2.5, 2.0, v) is None
 
 
 class TestFdSpectrumAgainstLdl:
@@ -634,35 +729,47 @@ class TestNearestFdEigenvalue:
 
     def test_pool_is_proven_without_bisection(self, cfg, monkeypatch):
         # On both grids of every pool entry the enclosure proves the
-        # eigenvalue (no fallback), and it lies within the rounding of the
-        # matrix of the fd_spectrum entry nearest 2E.
+        # eigenvalue (no fallback) with one pass of two Sturm counts, and it
+        # lies within the rounding of the matrix of the fd_spectrum entry
+        # nearest 2E.
         for sol in _verify_pool(cfg):
             pot, window, two_e, grids = _pool_grids(sol)
             for grid in grids:
                 want = min(fd_spectrum(pot, window, grid), key=lambda v: abs(v - two_e))
                 with monkeypatch.context() as mp:
                     mp.setattr(oracle, "_bisect", _no_bisection)
+                    calls = _counting_pivots(mp)
                     got = oracle._nearest_fd_eigenvalue(pot, window, grid, two_e, sol)
                 assert abs(got - want) <= _rounding_bound(grid)
+                assert len(calls) == 2
 
     def test_full_verification_of_the_pool_without_bisection(self, cfg, monkeypatch):
+        # One two-shift count pass per grid: 10 entries, 2 grids each.
         monkeypatch.setattr(oracle, "_bisect", _no_bisection)
+        calls = _counting_pivots(monkeypatch)
         for sol in _verify_pool(cfg):
             report = verify_solution(sol, VerifyLevel.FULL)
             assert report.passed, report.lines()
+        assert len(calls) == 2 * 2 * 10
 
-    @pytest.fixture()
-    def bisect_calls(self, monkeypatch):
-        """The calls to `oracle._bisect`, which still bisects."""
-        calls = []
-        bisect = oracle._bisect
-
-        def counted(*args):
-            calls.append(args)
-            return bisect(*args)
-
-        monkeypatch.setattr(oracle, "_bisect", counted)
-        return calls
+    @pytest.mark.parametrize("draw", [3, 17])
+    def test_a_dense_spectrum_near_0_is_proven_in_one_pass(self, draw, monkeypatch):
+        # The octic coulombic branches of the acceptance sweep at n = 2 with
+        # real positive roots: 2E near -0.05, with coarse-grid neighbours
+        # about 0.02 away.  The sample's own residual (about 1e-2) would
+        # size g to take in two eigenvalues; the step's data size it to
+        # about 1e-4.
+        sol = solve_family(_sweep_problem(Family.OCTIC, draw, 2), SolverConfig(seed=2026, starts=48))[3]
+        pot, window, two_e, (coarse, _) = _pool_grids(sol)
+        lo, hi, diag, off_sq = oracle._fd_problem(pot, window, coarse, 1e-12)
+        log_mag, sign = oracle.eval_log_psi(sol, oracle._fd_points(coarse)[0])
+        rho, eps0 = oracle._rayleigh(diag, -math.sqrt(off_sq), sign * np.exp(log_mag - log_mag.max()))
+        counts = oracle._sturm_counts(diag, off_sq, np.array([rho - 2.0 * eps0, rho + 2.0 * eps0]))
+        assert counts[1] - counts[0] == 2
+        monkeypatch.setattr(oracle, "_bisect", _no_bisection)
+        calls = _counting_pivots(monkeypatch)
+        assert verify_solution(sol, VerifyLevel.FULL).passed
+        assert len(calls) == 4
 
     def test_neighbouring_eigenvalue_takes_the_fallback(self, quartic0, quartic1, bisect_calls):
         # The n = 1 Psi has its Rayleigh quotient on the n = 0 matrix near
