@@ -431,7 +431,7 @@ def _factor(a: np.ndarray, c: np.ndarray) -> tuple[list, list, list]:
     off-diagonal."""
     levels = []
     while len(a) > 1:
-        p, c_left, c_right = a[1::2], c[0::2], c[1::2]
+        p, c_left, c_right = a[1::2], c[0::2], c[1::2]  # odd rows' pivots, couplings
         reach = np.abs(c_left)
         reach[: len(c_right)] += np.abs(c_right)
         if not np.all(2.0 * np.abs(p) >= reach):
