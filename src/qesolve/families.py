@@ -292,6 +292,12 @@ def _closing(g: _Gauge, w) -> dict:
     return out
 
 
+def _ell_miss(g: _Gauge, w, target: float) -> float:
+    """The derived (l+1/2)^2 = t_-2 + 1/4 (`_closing` at the W
+    coefficients w) less the requested `target`."""
+    return _closing(g, w)[-2] + 0.25 - target
+
+
 def build_ode(problem: FamilyProblem, omega: float | None = None):
     """Working ODE (p, q only) and the variable its roots live in.
 
@@ -438,7 +444,7 @@ def _match_problem(problem: FamilyProblem) -> tuple[np.ndarray, np.ndarray]:
     mats = []
     for omega in (1.0, 2.0):
         g = _gauge(problem, omega)
-        top = (_closing(g, (0.0,) * 5)[-2] + 0.25 - target) / g.s
+        top = _ell_miss(g, (0.0,) * 5, target) / g.s
         mats.append(_ode_matrix(g.ode, n) + top * np.eye(n + g.k, n + 1, 1 - g.k))
     L = mats[1] - mats[0]
     return mats[0] - L, L
@@ -452,7 +458,7 @@ def _border(problem: FamilyProblem) -> tuple[_Border, Variable]:
     in omega too."""
     target = (problem.ell + 0.5) ** 2
     g0, g1 = _gauge(problem, 0.0), _gauge(problem, 1.0)
-    top0, top1 = ((_closing(g, (0.0,) * 5)[-2] + 0.25 - target) / g.s for g in (g0, g1))
+    top0, top1 = (_ell_miss(g, (0.0,) * 5, target) / g.s for g in (g0, g1))
     return _Border(g0.ode, tuple(np.subtract(g1.ode.q, g0.ode.q)), g0.k - 1, top0, top1 - top0), g0.variable
 
 
@@ -499,7 +505,7 @@ def _match_ell(problem: FamilyProblem) -> tuple[list[tuple[RootSet, _Gauge]], li
     for start, roots, omega, candidate_omega in zip(starts, branches, finals.tolist(), omegas.tolist()):
         if roots is not None:
             g = _gauge(problem, omega)
-            miss = _closing(g, roots.w)[-2] + 0.25 - target
+            miss = _ell_miss(g, roots.w, target)
         if roots is None or not abs(miss) <= MATCH_TOL:
             g0 = _gauge(problem, candidate_omega)
             with np.errstate(all="ignore"):

@@ -197,133 +197,6 @@ def default_fd_grid(solution: QESSolution, n_points: int = 4000) -> FdGrid:
     return _fd_grid(_support(solution), n_points)
 
 
-def _ldl_counts(a: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Negative LDL^T pivots of the tridiagonal of each shift k: diagonal
-    a[k], squared off-diagonal e[k].  A pivot below pivmin in size becomes
-    -pivmin and counts as negative, with pivmin scaled by the largest e[k]
-    as LAPACK dstebz does, so that e / pivot cannot overflow."""
-    pivmin = np.finfo(float).tiny * np.max(e, axis=1, initial=1.0)
-    counts = np.zeros(len(a), dtype=int)
-    q = a[:, 0]
-    for i in range(1, a.shape[1] + 1):
-        q = np.where(np.abs(q) < pivmin, -pivmin, q)
-        counts += q < 0.0
-        if i < a.shape[1]:
-            q = a[:, i] - e[:, i - 1] / q
-    return counts
-
-
-def _ldl_pass(diag: np.ndarray, offdiag_sq: float, shifts: np.ndarray) -> np.ndarray:
-    """`_ldl_counts` of the matrices diag - shift with off-diagonal
-    offdiag_sq: the same counts, stepping through the grid once for all
-    shifts with one row of each at a time."""
-    pivmin = np.finfo(float).tiny * max(offdiag_sq, 1.0)
-    counts = np.zeros(len(shifts), dtype=int)
-    q = diag[0] - shifts
-    for i in range(1, len(diag) + 1):
-        q = np.where(np.abs(q) < pivmin, -pivmin, q)
-        counts += q < 0.0
-        if i < len(diag):
-            q = (diag[i] - shifts) - offdiag_sq / q
-    return counts
-
-
-# Shifts reduced together: a block's matrices hold at most this many entries,
-# so a pass's memory does not grow with its number of shifts.
-_BLOCK_ENTRIES = 1 << 14
-
-
-def _block_counts(diag: np.ndarray, offdiag_sq: float, shifts: np.ndarray):
-    """`_sturm_counts` for one block of shifts, and which shifts fail the
-    guard at the first level: their counts are left at 0."""
-    counts = np.zeros(len(shifts), dtype=int)
-    unreduced = np.zeros(len(shifts), dtype=bool)
-    rows = np.arange(len(shifts))  # the shifts still being reduced
-    a = diag - shifts[:, None]
-    e = np.broadcast_to(offdiag_sq, (len(shifts), len(diag) - 1))
-    while a.shape[1] > 1:
-        # Eliminate the odd rows.  They couple only to even rows, so their
-        # pivots are their diagonal entries, and the even rows' Schur
-        # complement is tridiagonal again (Haynsworth inertia additivity).
-        p = a[:, 1::2]
-        s = np.sqrt(e)
-        reach = s[:, 0::2].copy()
-        reach[:, : s.shape[1] // 2] += s[:, 1::2]
-        # A shift keeps reducing only while every eliminated row is at least
-        # half diagonally dominant; a smaller pivot would make the count
-        # depend on the elimination order in floating point.  The test is
-        # per shift, so a count does not depend on the shifts beside it.
-        ok = np.all(2.0 * np.abs(p) >= reach, axis=1)
-        if not ok.all():
-            if a.shape[1] == len(diag):
-                unreduced[rows[~ok]] = True
-            else:
-                counts[rows[~ok]] += _ldl_counts(a[~ok], e[~ok])
-            rows, a, e, p = rows[ok], a[ok], e[ok], p[ok]
-            if not len(rows):
-                return counts, unreduced
-        counts[rows] += np.count_nonzero(p < 0.0, axis=1)
-        inv = 1.0 / p
-        e_left, e_right = e[:, 0::2], e[:, 1::2]  # each odd row's couplings
-        k = e_right.shape[1]
-        a = a[:, 0::2].copy()
-        a[:, : p.shape[1]] -= e_left * inv
-        a[:, 1 : k + 1] -= e_right * inv[:, :k]
-        e = e_left[:, :k] * e_right * (inv[:, :k] * inv[:, :k])
-    counts[rows] += _ldl_counts(a, e)
-    return counts, unreduced
-
-
-def _sturm_counts(diag: np.ndarray, offdiag_sq: float, shifts: np.ndarray) -> np.ndarray:
-    """Number of eigenvalues below each shift of the symmetric tridiagonal
-    matrix with diagonal `diag` and squared off-diagonal `offdiag_sq`.
-
-    Cyclic reduction (Buzbee, Golub & Nielson 1970) halves the matrix level
-    by level and counts the negative pivots it eliminates; once a level
-    fails the dominance guard, the LDL^T recurrence counts the rows left.
-    The shifts that fail it at the first level (those in mid-spectrum,
-    above about 1/h^2 + min V) are counted together, by one LDL^T pass
-    over the grid.  Each count depends on its shift alone, not on the other
-    shifts.
-    """
-    shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
-    counts = np.zeros(len(shifts), dtype=int)
-    unreduced = np.zeros(len(shifts), dtype=bool)
-    step = max(1, _BLOCK_ENTRIES // len(diag))
-    # In strongly dominant rows the couplings shrink doubly exponentially
-    # level by level and may underflow; the rows then decouple to rounding.
-    with np.errstate(under="ignore"):
-        for start in range(0, len(shifts), step):
-            block = slice(start, start + step)
-            counts[block], unreduced[block] = _block_counts(diag, offdiag_sq, shifts[block])
-        if unreduced.any():
-            counts[unreduced] = _ldl_pass(diag, offdiag_sq, shifts[unreduced])
-    return counts
-
-
-# Bisection levels resolved by one Sturm pass: a pass counts the
-# 2**_LEVELS - 1 midpoints that bisection would compute over that many
-# levels.  A pass's cost grows with its number of shifts, so few levels
-# per pass do the least arithmetic.
-_LEVELS = 2
-
-
-def _bisection_tree(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-    """Per interval, the midpoints bisection computes over its next
-    _LEVELS levels, in heap order (node i has children 2i+1 and 2i+2).
-    Each is 0.5 * (low + high) of its parent's ends, the float the
-    one-level loop would form."""
-    a, b = lows[:, None], highs[:, None]
-    mids = []
-    for _ in range(_LEVELS):
-        m = 0.5 * (a + b)
-        mids.append(m)
-        # The next level's intervals: (a, m) and (m, b), left to right.
-        a = np.stack([a, m], axis=-1).reshape(len(lows), -1)
-        b = np.stack([m, b], axis=-1).reshape(len(lows), -1)
-    return np.concatenate(mids, axis=1)
-
-
 def _fd_points(grid: FdGrid) -> tuple[np.ndarray, float]:
     """The interior grid points and their spacing h."""
     r = np.linspace(grid.r_min, grid.r_max, grid.n_points + 2)[1:-1]
@@ -343,40 +216,31 @@ def _fd_problem(potential: PotentialSpec, energy_window: tuple, grid: FdGrid, to
 
 def _bisect(diag: np.ndarray, off_sq: float, lo: float, hi: float, tol: float, target=None) -> np.ndarray:
     """The refined eigenvalues in (lo, hi], as the midpoints of their final
-    intervals.  With a target, each pass first drops every ordinal whose
-    interval lies wholly farther from it than another interval's far end:
-    that ordinal's eigenvalue cannot be the nearest."""
-    # The first pass also counts lo and hi.  Every ordinal starts on the
-    # one tree of (lo, hi).
-    tree = _bisection_tree(np.array([lo]), np.array([hi]))
-    counts = _sturm_counts(diag, off_sq, np.concatenate([[lo, hi], tree[0]]))
-    ordinals = np.arange(counts[0] + 1, counts[1] + 1)
-    lows = np.full(len(ordinals), lo)
-    highs = np.full(len(ordinals), hi)
-    tree_counts = np.broadcast_to(counts[2:], (len(ordinals), len(counts) - 2))
-    node = np.zeros_like(ordinals)  # each ordinal's node for its next step
-    depth = 0
+    intervals: Sturm bisection (Barth, Martin & Wilkinson 1967), one level
+    per step, with each distinct midpoint of a step counted once by
+    `_negative_pivots`.  With a target, each step first drops every ordinal
+    whose interval lies wholly farther from it than another interval's far
+    end: that ordinal's eigenvalue cannot be the nearest."""
+    c = np.full(len(diag) - 1, -math.sqrt(off_sq))
+    count_lo, count_hi = (_negative_pivots(diag - x, c) for x in (lo, hi))
+    ordinals = np.arange(count_lo + 1, count_hi + 1)
+    lows, highs = np.full(len(ordinals), lo), np.full(len(ordinals), hi)
     while len(ordinals):
         mids = 0.5 * (lows + highs)
-        # The one-level loop's stop test, and a stop once no interval can be
-        # split in floating point: no later step would move a midpoint.
+        # The stop at tol, and a stop once no interval can be split in
+        # floating point: no later step would move a midpoint.
         if not (np.max(highs - lows) > tol and np.any((lows < mids) & (mids < highs))):
             break
-        if depth == _LEVELS:
-            if target is not None:
-                near = np.maximum(np.maximum(lows - target, target - highs), 0.0)
-                far = np.maximum(target - lows, highs - target)
-                keep = near <= np.min(far)
-                ordinals, lows, highs, mids = ordinals[keep], lows[keep], highs[keep], mids[keep]
-            tree = _bisection_tree(lows, highs)
-            tree_counts = _sturm_counts(diag, off_sq, tree.ravel()).reshape(tree.shape)
-            node = np.zeros_like(ordinals)
-            depth = 0
-        below = tree_counts[np.arange(len(ordinals)), node] >= ordinals
+        if target is not None:
+            near = np.maximum(np.maximum(lows - target, target - highs), 0.0)
+            far = np.maximum(target - lows, highs - target)
+            keep = near <= np.min(far)
+            ordinals, lows, highs, mids = ordinals[keep], lows[keep], highs[keep], mids[keep]
+        shifts, which = np.unique(mids, return_inverse=True)
+        counts = np.array([_negative_pivots(diag - s, c) for s in shifts.tolist()])
+        below = counts[which] >= ordinals
         highs = np.where(below, mids, highs)
         lows = np.where(below, lows, mids)
-        node = 2 * node + 2 - below  # child (low, mid) if below, else (mid, high)
-        depth += 1
     return 0.5 * (lows + highs)
 
 
@@ -391,12 +255,12 @@ def fd_spectrum(
     Standard 3-point second difference on a uniform Dirichlet grid; the
     eigenvalues are isolated and refined by Sturm-sequence bisection until
     every interval is at most `tol` wide, or none can be split further in
-    floating point.  One Sturm pass counts the midpoints of two bisection
-    levels at once, by guarded cyclic reduction (`_sturm_counts`); the
-    result is bit for bit that of one level per pass.  Returns an empty
-    list when the window holds none.  Raises InvalidParameter for a window
-    that is not finite with positive width, or a `tol` that is not a
-    finite positive number.
+    floating point (`_bisect`).  Each Sturm count is the number of negative
+    pivots of the guarded elimination `_factor`, which the verification
+    proof and its inverse-iteration solve share.  Returns an empty list
+    when the window holds none.  Raises InvalidParameter for a window that
+    is not finite with positive width, or a `tol` that is not a finite
+    positive number.
     """
     lo, hi, diag, off_sq = _fd_problem(potential, energy_window, grid, tol)
     return [float(x) for x in _bisect(diag, off_sq, lo, hi, tol)]
@@ -422,13 +286,20 @@ def _rayleigh(diag: np.ndarray, off: float, x: np.ndarray) -> tuple[float, float
     return rho, float(np.linalg.norm(tx - rho * x)) / math.sqrt(xx)
 
 
+# In strongly dominant rows the couplings of cyclic reduction shrink doubly
+# exponentially level by level and may underflow; the rows then decouple to
+# rounding.
+@np.errstate(under="ignore")
 def _factor(a: np.ndarray, c: np.ndarray) -> tuple[list, list, list]:
     """The pivots of the symmetric tridiagonal with diagonal `a` and
-    off-diagonal `c`: cyclic-reduction levels, each (pivots, left and right
-    couplings), while every odd row is at least half diagonally dominant
-    (the guard of `_block_counts`), then the LDL^T pivots of the rows left
-    (one below the smallest normal float in size made minus that) and their
-    off-diagonal."""
+    off-diagonal `c`: cyclic-reduction levels (Buzbee, Golub & Nielson
+    1970), each (pivots, left and right couplings), while every odd row is
+    at least half diagonally dominant (a smaller pivot would make the
+    counts depend on the elimination order in floating point), then the
+    LDL^T pivots of the rows left and their off-diagonal.  An LDL^T pivot
+    below the smallest normal float in size becomes minus that (Kahan's
+    pivmin, 1966); the recurrence runs on Python floats, so the next pivot
+    may be infinite but nothing raises."""
     levels = []
     while len(a) > 1:
         p, c_left, c_right = a[1::2], c[0::2], c[1::2]  # odd rows' pivots, couplings
@@ -442,7 +313,7 @@ def _factor(a: np.ndarray, c: np.ndarray) -> tuple[list, list, list]:
         a[: len(p)] -= c_left * c_left / p
         a[1 : k + 1] -= c_right * c_right / p[:k]
         c = -c_left[:k] * c_right / p[:k]
-    pivmin = np.finfo(float).tiny
+    pivmin = float(np.finfo(float).tiny)
     pivots, q = [], 1.0
     for ai, ci in zip(a.tolist(), [0.0] + c.tolist()):
         q = ai - ci * ci / q

@@ -1,9 +1,11 @@
-"""The LDL^T Sturm count that guarded cyclic reduction replaced, kept as a
-test reference.
+"""The plain LDL^T Sturm count, kept as a test reference.
 
 `_sturm_counts` steps through the grid one row at a time, for every shift
-at once.  The tests check that `oracle._sturm_counts` gives the same counts
-and that `fd_spectrum` run on it gives the same eigenvalues to rounding.
+at once, with no cyclic reduction.  The tests check that
+`oracle._negative_pivots`, the count of the guarded elimination that
+bisection and the verification proof share, gives the same counts, and
+that `fd_spectrum` gives the eigenvalues of a multisection on these counts
+to the rounding of the matrix.
 """
 
 import numpy as np

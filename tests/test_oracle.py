@@ -242,67 +242,9 @@ def _fd_matrix(potential, grid):
     return 2.0 / (h * h) + potential.bracket(r), 1.0 / h**4
 
 
-def _one_level_spectrum(potential, window, grid, tol=1e-12):
-    """Reference: Sturm bisection with one level (one `_sturm_counts` pass)
-    per step, as `fd_spectrum` refined before it counted several per pass."""
-    lo, hi = float(window[0]), float(window[1])
-    diag, off_sq = _fd_matrix(potential, grid)
-    c_lo, c_hi = (int(oracle._sturm_counts(diag, off_sq, np.array([x]))[0]) for x in (lo, hi))
-    ordinals = np.arange(c_lo + 1, c_hi + 1)
-    lows, highs = np.full(len(ordinals), lo), np.full(len(ordinals), hi)
-    while len(ordinals) and np.max(highs - lows) > tol:
-        mids = 0.5 * (lows + highs)
-        below = oracle._sturm_counts(diag, off_sq, mids) >= ordinals
-        highs, lows = np.where(below, mids, highs), np.where(below, lows, mids)
-    return [float(x) for x in 0.5 * (lows + highs)]
-
-
-def _run_counting(fn, *args):
-    """fn(*args), and the shifts of each `_sturm_counts` pass it made."""
-    passes = []
-    inner = oracle._sturm_counts
-
-    def counted(diag, off_sq, shifts):
-        passes.append(np.atleast_1d(shifts))
-        return inner(diag, off_sq, shifts)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_sturm_counts", counted)
-        return fn(*args), passes
-
-
-def _assert_same_as_one_level(potential, window, grid, tol=1e-12) -> list:
-    got, passes = _run_counting(fd_spectrum, potential, window, grid, tol)
-    want, ref_passes = _run_counting(_one_level_spectrum, potential, window, grid, tol)
-    assert got == want
-    # Every shift the one-level loop counts is counted, as the same float.
-    assert set(np.concatenate(ref_passes)) <= set(np.concatenate(passes))
-    return got
-
-
-def _recurrence_steps(potential, window, grid):
-    """fd_spectrum's eigenvalues, and the sequential steps of its Sturm
-    counts: per LDL^T tail, the cyclic-reduction levels before it plus the
-    rows its recurrence steps through."""
-    steps = []
-    inner = oracle._ldl_counts
-
-    def counted(a, e):
-        rows, levels = grid.n_points, 0
-        while rows > a.shape[1]:  # a level keeps the even rows
-            rows -= rows // 2
-            levels += 1
-        steps.append(levels + rows)
-        return inner(a, e)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_ldl_counts", counted)
-        return fd_spectrum(potential, window, grid), sum(steps)
-
-
-class TestFdSpectrumMultisection:
-    """Two bisection levels per Sturm pass give the one-level result bit
-    for bit, in fewer sequential steps."""
+class TestFdSpectrumBisection:
+    """One bisection level per step, each distinct midpoint counted once
+    by the elimination's negative pivots."""
 
     @settings(max_examples=12, deadline=None, derandomize=True)
     @example(ell=0, omega=1.0, b=0.5, level=0, held=1, tol=1e-12, n_points=5000)
@@ -317,10 +259,13 @@ class TestFdSpectrumMultisection:
         tol=st.sampled_from([1e-6, 1e-12, "wide"]),
         n_points=st.integers(2000, 5000),
     )
-    def test_same_eigenvalues_as_one_level_bisection(self, ell, omega, b, level, held, tol, n_points):
+    def test_each_eigenvalue_lies_within_half_tol_of_its_ordinal(self, ell, omega, b, level, held, tol, n_points):
         # omega^2 r^2 plus 2b/r^2 on top of the centrifugal term: the levels
         # are 2E_n = omega (4n + 2L + 3) with L(L+1) = ell(ell+1) + 2b, 4 omega
-        # apart, and the FD ones lie within 0.1 of a spacing of them.
+        # apart, and the FD ones lie within 0.1 of a spacing of them.  The
+        # k-th value returned lies within tol / 2 of the k-th eigenvalue in
+        # the window, by the LDL^T reference counts to the rounding of the
+        # matrix.
         big_l = -0.5 + math.sqrt((ell + 0.5) ** 2 + 2.0 * b)
         levels = [omega * (4 * k + 2 * big_l + 3) for k in range(level + max(held, 1))]
         gap = 4.0 * omega
@@ -332,30 +277,30 @@ class TestFdSpectrumMultisection:
             tol = 2.0 * (window[1] - window[0])
         pot = PotentialSpec(float(ell), omega, {2: b})
         grid = FdGrid(1e-3, 12.0, n_points)
-        assert len(_assert_same_as_one_level(pot, window, grid, tol)) == held
+        got = np.array(fd_spectrum(pot, window, grid, tol))
+        assert len(got) == held
+        diag, off_sq = _fd_matrix(pot, grid)
+        slack = 0.5 * tol + _rounding_bound(grid)
+        ordinals = sturm_reference._sturm_counts(diag, off_sq, window[0])[0] + 1 + np.arange(held)
+        assert np.all(sturm_reference._sturm_counts(diag, off_sq, got - slack) < ordinals)
+        assert np.all(ordinals <= sturm_reference._sturm_counts(diag, off_sq, got + slack))
 
-    def test_verify_pool_window_with_18_eigenvalues(self, cfg):
-        # The octic coulombic ground state of the spectral-oracle pool: its
-        # FULL-verification window holds 18 FD eigenvalues.
+    def test_pivot_calls_per_call(self, cfg, monkeypatch):
+        # Per call: the two window ends, then one count per distinct
+        # midpoint of each level.  The oscillator's level near 3 takes 41
+        # levels from a window 1.5 wide to 1e-12, and an empty window none.
+        # The octic coulombic ground state of the spectral-oracle pool has
+        # 18 FD eigenvalues in its FULL-verification window; ordinals that
+        # share an interval share its midpoint's count.
         sol = solve_family(octic_coulombic(n=0), cfg)[0]
-        two_e = 2.0 * sol.energy
-        delta = max(0.75, 0.02 * abs(two_e))
-        window = (two_e - delta, two_e + delta)
-        pot, grid = assemble_potential(sol), default_fd_grid(sol, 2400)
-        assert len(_assert_same_as_one_level(pot, window, grid)) == 18
-
-    def test_recurrence_steps_per_call(self):
-        # The sequential steps of a call: per tail of `_sturm_counts`, its
-        # cyclic-reduction levels plus the rows its LDL^T recurrence steps
-        # through.  Six bisection levels per LDL^T pass over all 3000 rows
-        # took 7 passes, 21,000 steps, to 1e-12.
+        calls = _recording_pivots(monkeypatch)
         pot, grid = PotentialSpec(0.0, 1.0, {}), FdGrid(1e-3, 12.0, 3000)
-        evs, steps = _recurrence_steps(pot, (2.25, 3.75), grid)
-        assert len(evs) == 1
-        assert steps <= 600
-        evs, steps = _recurrence_steps(pot, (4.0, 6.0), grid)
-        assert evs == []
-        assert steps <= 60
+        assert len(fd_spectrum(pot, (2.25, 3.75), grid)) == 1 and len(calls) == 2 + 41
+        calls.clear()
+        assert fd_spectrum(pot, (4.0, 6.0), grid) == [] and len(calls) == 2
+        calls.clear()
+        pot, window, _, (coarse, _) = _pool_grids(sol)
+        assert len(fd_spectrum(pot, window, coarse)) == 18 and len(calls) <= 2 + 18 * 41
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_tol_must_be_finite_positive(self, tol):
@@ -368,14 +313,16 @@ class TestFdSpectrumMultisection:
             fd_spectrum(PotentialSpec(0.0, 1.0, {}), window, FdGrid(1e-3, 12.0, 2000))
 
     def test_tol_below_float_spacing_ends_at_float_resolution(self):
-        # The one-level loop never ended here: 0.5 * (low + high) reaches an
-        # end of the interval before the width drops under the tolerance.
+        # A loop that stops at tol alone never ends here: 0.5 * (low + high)
+        # reaches an end of the interval before the width drops under it.
         pot, grid = PotentialSpec(0.0, 1.0, {}), FdGrid(1e-3, 12.0, 2000)
         (ev,) = fd_spectrum(pot, (2.5, 3.5), grid, 1e-20)
         assert ev == pytest.approx(fd_spectrum(pot, (2.5, 3.5), grid)[0], abs=1e-12)
         # ev and a float next to it bracket the eigenvalue.
-        shifts = np.array([np.nextafter(ev, -math.inf), ev, np.nextafter(ev, math.inf)])
-        below = list(oracle._sturm_counts(*_fd_matrix(pot, grid), shifts))
+        diag, off_sq = _fd_matrix(pot, grid)
+        c = np.full(len(diag) - 1, -math.sqrt(off_sq))
+        shifts = [np.nextafter(ev, -math.inf), ev, np.nextafter(ev, math.inf)]
+        below = [oracle._negative_pivots(diag - s, c) for s in shifts]
         assert below in ([0, 0, 1], [0, 1, 1])
 
 
@@ -395,13 +342,24 @@ def _verify_pool(cfg):
     ]
 
 
-def _reference_spectrum(potential, window, grid):
-    """fd_spectrum with the LDL^T reference counts (six levels per pass,
-    which gives the same floats as two, in fewer passes of the slow loop)."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_sturm_counts", sturm_reference._sturm_counts)
-        mp.setattr(oracle, "_LEVELS", 6)
-        return fd_spectrum(potential, window, grid)
+def _reference_spectrum(potential, window, grid, tol=1e-12, parts=64):
+    """The eigenvalues in the window by the LDL^T reference counts: each
+    pass cuts every interval into `parts` equal parts and keeps, for each
+    ordinal, the part that holds it, until every part is at most `tol`
+    wide.  Returns the midpoints of the final parts."""
+    diag, off_sq = _fd_matrix(potential, grid)
+    lo, hi = window
+    count_lo, count_hi = sturm_reference._sturm_counts(diag, off_sq, np.array([lo, hi]))
+    ordinals = np.arange(count_lo + 1, count_hi + 1)
+    lows, highs = np.full(len(ordinals), float(lo)), np.full(len(ordinals), float(hi))
+    rows = np.arange(len(ordinals))
+    while len(ordinals) and np.max(highs - lows) > tol:
+        cuts = lows[:, None] + (highs - lows)[:, None] * (np.arange(1, parts) / parts)
+        counts = sturm_reference._sturm_counts(diag, off_sq, cuts.ravel()).reshape(cuts.shape)
+        part = np.count_nonzero(counts < ordinals[:, None], axis=1)
+        edges = np.concatenate([lows[:, None], cuts, highs[:, None]], axis=1)
+        lows, highs = edges[rows, part], edges[rows, part + 1]
+    return [float(x) for x in 0.5 * (lows + highs)]
 
 
 def _rounding_bound(grid) -> float:
@@ -423,20 +381,14 @@ def _ldl_check(potential, n_points):
 
 
 class TestSturmCounts:
-    """Guarded cyclic reduction counts what the LDL^T recurrence counts."""
-
-    @pytest.mark.parametrize("n_points", [2000, 2001, 4801])
-    @pytest.mark.parametrize("potential", [PotentialSpec(0.0, 1.0, {}), PotentialSpec(1.0, 0.0, {1: -1.0, 8: 0.5})])
-    def test_same_counts_as_ldl(self, potential, n_points):
-        diag, off_sq, shifts = _ldl_check(potential, n_points)
-        got = oracle._sturm_counts(diag, off_sq, shifts)
-        assert list(got) == list(sturm_reference._sturm_counts(diag, off_sq, shifts))
+    """The negative pivots of the guarded elimination count what the LDL^T
+    recurrence counts."""
 
     @pytest.mark.parametrize("n_points", [2000, 2001, 4801])
     @pytest.mark.parametrize("potential", [PotentialSpec(0.0, 1.0, {}), PotentialSpec(1.0, 0.0, {1: -1.0, 8: 0.5})])
     def test_proof_counts_are_the_ldl_counts(self, potential, n_points):
-        # The verification proof counts by `_negative_pivots`, on the
-        # pivots of `_tridiagonal_solve`'s elimination.
+        # Bisection and the verification proof count by `_negative_pivots`,
+        # on the pivots of `_tridiagonal_solve`'s elimination.
         diag, off_sq, shifts = _ldl_check(potential, n_points)
         c = np.full(n_points - 1, -math.sqrt(off_sq))
         got = [oracle._negative_pivots(diag - shift, c) for shift in shifts]
@@ -447,69 +399,24 @@ class TestSturmCounts:
         # pivot exactly 0.  The count there lies between those of the floats
         # on either side; the reference's count falls one below both.
         diag, off_sq = _fd_matrix(PotentialSpec(0.0, 1.0, {}), FdGrid(1e-3, 12.0, 2000))
+        c = np.full(len(diag) - 1, -math.sqrt(off_sq))
         d0 = diag[0]
-        shifts = np.array([np.nextafter(d0, -math.inf), d0, np.nextafter(d0, math.inf)])
-        low, mid, high = oracle._sturm_counts(diag, off_sq, shifts)
+        shifts = [np.nextafter(d0, -math.inf), d0, np.nextafter(d0, math.inf)]
+        low, mid, high = (oracle._negative_pivots(diag - s, c) for s in shifts)
         assert low <= mid <= high
 
     @pytest.mark.parametrize("n_points", [2000, 4801])
     @pytest.mark.parametrize("potential", [PotentialSpec(0.0, 1.0, {}), PotentialSpec(1.0, 1.0, {4: 0.5, 6: 0.5})])
     def test_adversarial_shifts_raise_no_floating_point_error(self, potential, n_points):
         # Shifts on exact diagonal entries give zero pivots (the first one
-        # in the LDL^T tail for the oscillator, where the reference divided
-        # by -1e-300 and overflowed); huge shifts drive every coupling
-        # towards underflow.
+        # in the LDL^T tail for the oscillator, after which the next pivot
+        # is infinite); huge shifts drive every coupling towards underflow.
         diag, off_sq = _fd_matrix(potential, FdGrid(1e-3, 12.0, n_points))
+        c = np.full(n_points - 1, -math.sqrt(off_sq))
         shifts = np.concatenate([diag[:20], diag[-5:], [0.0, 1e30, -1e30, 2.0 * math.sqrt(off_sq)]])
         with np.errstate(all="raise"):
-            counts = oracle._sturm_counts(diag, off_sq, shifts)
+            counts = [oracle._negative_pivots(diag - s, c) for s in shifts]
         assert counts[-3] == n_points and counts[-2] == 0
-
-    def test_count_does_not_depend_on_the_other_shifts(self):
-        # Each shift stops reducing at its own level, so a count is the same
-        # alone or beside a mid-spectrum shift that stops at once.  The
-        # bisection's bit-identity needs this at the eigenvalues themselves,
-        # where a count can change with the order of elimination.
-        pot, grid = PotentialSpec(0.0, 1.0, {}), FdGrid(1e-3, 12.0, 2000)
-        diag, off_sq = _fd_matrix(pot, grid)
-        shifts = np.array(fd_spectrum(pot, (2.0, 12.0), grid, 1e-20) + [2.0 * math.sqrt(off_sq), diag[11]])
-        together = oracle._sturm_counts(diag, off_sq, shifts)
-        alone = [int(oracle._sturm_counts(diag, off_sq, np.array([x]))[0]) for x in shifts]
-        assert list(together) == alone
-        assert list(oracle._sturm_counts(diag, off_sq, shifts[::-1])) == alone[::-1]
-
-    def test_memory_of_many_shifts(self):
-        # The octic coulombic window's first passes counted 18 x 63 shifts.
-        import tracemalloc
-
-        diag, off_sq = _fd_matrix(PotentialSpec(0.0, 1.0, {}), FdGrid(1e-3, 12.0, 4801))
-        shifts = np.linspace(2.0, 12.0, 1134)
-        tracemalloc.start()
-        try:
-            oracle._sturm_counts(diag, off_sq, shifts)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
-
-    def test_mid_spectrum_shifts_take_one_pass_over_the_grid(self, monkeypatch):
-        # Shifts between about 1/h^2 and 3/h^2 fail the dominance guard at
-        # once.  One LDL^T pass over the 4801 rows counts all 89 of them:
-        # 4801 sequential row steps, where one pass per block of three
-        # shifts took 30 times as many.
-        diag, off_sq = _fd_matrix(PotentialSpec(0.0, 1.0, {}), FdGrid(1e-3, 12.0, 4801))
-        shifts = np.linspace(1.1, 2.9, 89) * math.sqrt(off_sq)
-        steps = []
-        for name in ("_ldl_counts", "_ldl_pass"):
-
-            def counted(matrix, *args, real=getattr(oracle, name)):
-                steps.append(matrix.shape[-1])  # the rows the recurrence steps through
-                return real(matrix, *args)
-
-            monkeypatch.setattr(oracle, name, counted)
-        got = oracle._sturm_counts(diag, off_sq, shifts)
-        assert steps == [4801]
-        assert list(got) == list(sturm_reference._sturm_counts(diag, off_sq, shifts))
 
 
 class TestTridiagonalSolve:
@@ -577,9 +484,8 @@ def bisect_calls(monkeypatch):
     return calls
 
 
-def _counting_pivots(mp) -> list:
-    """Each `_negative_pivots` call's diagonal; `_sturm_counts` must not
-    run, since a proof counts by `_factor` alone."""
+def _recording_pivots(mp) -> list:
+    """Each `_negative_pivots` call's diagonal."""
     calls = []
     inner = oracle._negative_pivots
 
@@ -588,8 +494,14 @@ def _counting_pivots(mp) -> list:
         return inner(a, c)
 
     mp.setattr(oracle, "_negative_pivots", counted)
-    mp.setattr(oracle, "_sturm_counts", _no_bisection)
     return calls
+
+
+def _counting_pivots(mp) -> list:
+    """Each `_negative_pivots` call's diagonal; `_bisect` must not run,
+    since a proof makes its two counts alone."""
+    mp.setattr(oracle, "_bisect", _no_bisection)
+    return _recording_pivots(mp)
 
 
 class TestOnePassIsolation:
@@ -656,8 +568,8 @@ class TestOnePassIsolation:
 
 
 class TestFdSpectrumAgainstLdl:
-    """fd_spectrum on cyclic-reduction counts agrees with fd_spectrum on the
-    LDL^T reference to the rounding of the matrix."""
+    """fd_spectrum agrees with a multisection on the LDL^T reference counts
+    to the rounding of the matrix."""
 
     def test_verify_pool(self, cfg, monkeypatch):
         # Entry 5, the octic coulombic ground state, has 18 eigenvalues in
@@ -737,7 +649,6 @@ class TestNearestFdEigenvalue:
             for grid in grids:
                 want = min(fd_spectrum(pot, window, grid), key=lambda v: abs(v - two_e))
                 with monkeypatch.context() as mp:
-                    mp.setattr(oracle, "_bisect", _no_bisection)
                     calls = _counting_pivots(mp)
                     got = oracle._nearest_fd_eigenvalue(pot, window, grid, two_e, sol)
                 assert abs(got - want) <= _rounding_bound(grid)
@@ -745,7 +656,6 @@ class TestNearestFdEigenvalue:
 
     def test_full_verification_of_the_pool_without_bisection(self, cfg, monkeypatch):
         # One two-shift count pass per grid: 10 entries, 2 grids each.
-        monkeypatch.setattr(oracle, "_bisect", _no_bisection)
         calls = _counting_pivots(monkeypatch)
         for sol in _verify_pool(cfg):
             report = verify_solution(sol, VerifyLevel.FULL)
@@ -764,9 +674,9 @@ class TestNearestFdEigenvalue:
         lo, hi, diag, off_sq = oracle._fd_problem(pot, window, coarse, 1e-12)
         log_mag, sign = oracle.eval_log_psi(sol, oracle._fd_points(coarse)[0])
         rho, eps0 = oracle._rayleigh(diag, -math.sqrt(off_sq), sign * np.exp(log_mag - log_mag.max()))
-        counts = oracle._sturm_counts(diag, off_sq, np.array([rho - 2.0 * eps0, rho + 2.0 * eps0]))
-        assert counts[1] - counts[0] == 2
-        monkeypatch.setattr(oracle, "_bisect", _no_bisection)
+        c = np.full(len(diag) - 1, -math.sqrt(off_sq))
+        below, above = (oracle._negative_pivots(diag - s, c) for s in (rho - 2.0 * eps0, rho + 2.0 * eps0))
+        assert above - below == 2
         calls = _counting_pivots(monkeypatch)
         assert verify_solution(sol, VerifyLevel.FULL).passed
         assert len(calls) == 4
