@@ -342,10 +342,10 @@ def _verify_pool(cfg):
     ]
 
 
-def _reference_spectrum(potential, window, grid, tol=1e-12, parts=64):
+def _reference_spectrum(potential, window, grid):
     """The eigenvalues in the window by the LDL^T reference counts: each
-    pass cuts every interval into `parts` equal parts and keeps, for each
-    ordinal, the part that holds it, until every part is at most `tol`
+    pass cuts every interval into 64 equal parts and keeps, for each
+    ordinal, the part that holds it, until every part is at most 1e-12
     wide.  Returns the midpoints of the final parts."""
     diag, off_sq = _fd_matrix(potential, grid)
     lo, hi = window
@@ -353,8 +353,8 @@ def _reference_spectrum(potential, window, grid, tol=1e-12, parts=64):
     ordinals = np.arange(count_lo + 1, count_hi + 1)
     lows, highs = np.full(len(ordinals), float(lo)), np.full(len(ordinals), float(hi))
     rows = np.arange(len(ordinals))
-    while len(ordinals) and np.max(highs - lows) > tol:
-        cuts = lows[:, None] + (highs - lows)[:, None] * (np.arange(1, parts) / parts)
+    while len(ordinals) and np.max(highs - lows) > 1e-12:
+        cuts = lows[:, None] + (highs - lows)[:, None] * (np.arange(1, 64) / 64)
         counts = sturm_reference._sturm_counts(diag, off_sq, cuts.ravel()).reshape(cuts.shape)
         part = np.count_nonzero(counts < ordinals[:, None], axis=1)
         edges = np.concatenate([lows[:, None], cuts, highs[:, None]], axis=1)
