@@ -242,6 +242,19 @@ def _fd_matrix(potential, grid):
     return 2.0 / (h * h) + potential.bracket(r), 1.0 / h**4
 
 
+def _assert_at_their_ordinals(potential, window, grid, tol, got):
+    """The window holds len(got) eigenvalues by the LDL^T reference counts,
+    and the k-th value lies within tol / 2 of the k-th of them, to the
+    rounding of the matrix."""
+    diag, off_sq = _fd_matrix(potential, grid)
+    below, above = sturm_reference._sturm_counts(diag, off_sq, np.array(window, dtype=float))
+    assert len(got) == above - below
+    slack = 0.5 * tol + _rounding_bound(grid)
+    ordinals = below + 1 + np.arange(len(got))
+    assert np.all(sturm_reference._sturm_counts(diag, off_sq, np.array(got) - slack) < ordinals)
+    assert np.all(ordinals <= sturm_reference._sturm_counts(diag, off_sq, np.array(got) + slack))
+
+
 class TestFdSpectrumBisection:
     """One bisection level per step, each distinct midpoint counted once
     by the elimination's negative pivots."""
@@ -277,13 +290,9 @@ class TestFdSpectrumBisection:
             tol = 2.0 * (window[1] - window[0])
         pot = PotentialSpec(float(ell), omega, {2: b})
         grid = FdGrid(1e-3, 12.0, n_points)
-        got = np.array(fd_spectrum(pot, window, grid, tol))
+        got = fd_spectrum(pot, window, grid, tol)
         assert len(got) == held
-        diag, off_sq = _fd_matrix(pot, grid)
-        slack = 0.5 * tol + _rounding_bound(grid)
-        ordinals = sturm_reference._sturm_counts(diag, off_sq, window[0])[0] + 1 + np.arange(held)
-        assert np.all(sturm_reference._sturm_counts(diag, off_sq, got - slack) < ordinals)
-        assert np.all(ordinals <= sturm_reference._sturm_counts(diag, off_sq, got + slack))
+        _assert_at_their_ordinals(pot, window, grid, tol, got)
 
     def test_pivot_calls_per_call(self, cfg, monkeypatch):
         # Per call: the two window ends, then one count per distinct
@@ -301,6 +310,67 @@ class TestFdSpectrumBisection:
         calls.clear()
         pot, window, _, (coarse, _) = _pool_grids(sol)
         assert len(fd_spectrum(pot, window, coarse)) == 18 and len(calls) <= 2 + 18 * 41
+
+    @pytest.mark.parametrize("n_points", [2000, 2001, 4801])
+    @pytest.mark.parametrize("potential", [PotentialSpec(0.0, 1.0, {}), PotentialSpec(1.0, 0.0, {1: -1.0, 8: 0.5})])
+    def test_windows_from_the_ldl_check_shifts(self, potential, n_points):
+        # Windows 20 wide from the first ten `_ldl_check` shifts: low and
+        # mid-spectrum ends, and ends on exact diagonal entries, where
+        # pivots are small or zero.  Even and odd row counts end cyclic
+        # reduction on different rows.
+        grid = FdGrid(1e-3, 12.0, n_points)
+        _, _, shifts = _ldl_check(potential, n_points)
+        for lo in shifts[:10].tolist():
+            window = (lo, lo + 20.0)
+            _assert_at_their_ordinals(potential, window, grid, 1e-12, fd_spectrum(potential, window, grid))
+
+    @pytest.mark.parametrize("held", [3, 0])
+    def test_mid_spectrum_window(self, held, monkeypatch):
+        # From 1.5 / h^2 the oscillator's levels lie about 127 apart, and
+        # a window 300 wide there holds three, where no row is dominant
+        # enough for a cyclic-reduction level.  The empty window lies
+        # between the first two.  Each ordinal takes at most 49 levels from
+        # 300 wide to 1e-12, or fewer where the float spacing (1.5e-11
+        # there) stops the splitting first.
+        pot, grid = PotentialSpec(0.0, 1.0, {}), FdGrid(1e-3, 12.0, 3000)
+        h = (grid.r_max - grid.r_min) / (grid.n_points + 1)
+        window = (1.5 / (h * h), 1.5 / (h * h) + 300.0)
+        if held == 0:
+            first, second = fd_spectrum(pot, window, grid)[:2]
+            window = (0.5 * (first + second) - 5.0, 0.5 * (first + second) + 5.0)
+        calls = _recording_pivots(monkeypatch)
+        got = fd_spectrum(pot, window, grid)
+        assert len(got) == held and len(calls) <= 2 + 49 * held
+        _assert_at_their_ordinals(pot, window, grid, 1e-12, got)
+
+    @pytest.mark.parametrize("n_points", [2000, 4801])
+    def test_zero_pivot_midpoint_raises_no_floating_point_error(self, n_points):
+        # The window's first midpoint is the oscillator's first diagonal
+        # entry, where the first LDL^T pivot is exactly 0 and the next one
+        # infinite.
+        pot, grid = PotentialSpec(0.0, 1.0, {}), FdGrid(1e-3, 12.0, n_points)
+        d0 = float(_fd_matrix(pot, grid)[0][0])
+        window = (d0 - 64.0, d0 + 64.0)
+        assert 0.5 * (window[0] + window[1]) == d0
+        with np.errstate(all="raise"):
+            got = fd_spectrum(pot, window, grid)
+        assert got
+        _assert_at_their_ordinals(pot, window, grid, 1e-12, got)
+
+    def test_memory_of_many_eigenvalues(self):
+        # 25 eigenvalues on 4801 rows: bisection keeps an interval per
+        # ordinal and one elimination at a time.
+        import tracemalloc
+
+        pot, grid = PotentialSpec(0.0, 1.0, {}), FdGrid(1e-3, 12.0, 4801)
+        tracemalloc.start()
+        try:
+            got = fd_spectrum(pot, (2.0, 102.0), grid, 1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(got) == 25
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_tol_must_be_finite_positive(self, tol):
