@@ -79,8 +79,6 @@ _FREE_KEYS = {
     (Family.OCTIC, Case.COULOMBIC): ("a", "e", "f", "g", "h"),
     (Family.DECATIC, Case.HARMONIC): ("omega", "b", "c", "d"),
 }
-# Families whose match_ell solve derives omega instead of taking it.
-_MATCH_ELL_FAMILIES = (Family.SEXTIC, Family.DECATIC)
 
 
 @dataclass(frozen=True)
@@ -115,7 +113,7 @@ class FamilyProblem:
             )
         expected = set(_FREE_KEYS[key])
         got = set(self.free)
-        if self.match_ell and self.family in _MATCH_ELL_FAMILIES:
+        if self.match_ell and _derives_ell(self.family):
             expected.discard("omega")
             got.discard("omega")
         if got != expected:
@@ -135,7 +133,7 @@ def _validate_problem(problem: FamilyProblem):
     f = problem.free
     _require(math.isfinite(problem.ell), "ell is finite")
     _require(all(isinstance(v, Real) and math.isfinite(v) for v in f.values()), "couplings are finite")
-    top = "h" if problem.family is Family.OCTIC else "d"
+    _, top = max(_POWERS[problem.family].items())  # the top power's coupling
     _require(f[top] > 0, f"{top} > 0")
     if problem.case is Case.COULOMBIC:
         _require(f["a"] < 0, "a < 0")
@@ -209,6 +207,12 @@ _POWERS = {
     Family.OCTIC: {1: "a", 2: "b", 3: "c", 4: "d", 5: "e", 6: "f", 7: "g", 8: "h"},
     Family.DECATIC: {4: "a", 6: "b_pot", 8: "c", 10: "d"},
 }
+
+
+def _derives_ell(family: Family) -> bool:
+    """A family with no r^-2 coupling (sextic, decatic) derives (l+1/2)^2,
+    and in match-ell mode omega, instead of taking them."""
+    return 2 not in _POWERS[family]
 
 
 def _omega(problem: FamilyProblem, omega: float | None) -> float:
@@ -338,7 +342,7 @@ def _derivation(problem: FamilyProblem, g: _Gauge, roots: RootSet, w) -> tuple:
     for power, name in powers.items():
         if name not in problem.free:
             derived[name] = 0.5 * (t[-power] - (ell * (ell + 1.0) if power == 2 else 0.0))
-    if 2 not in powers:
+    if _derives_ell(problem.family):
         l2 = t[-2] + 0.25
         if l2 < 0:
             raise ConstraintInfeasible(f"derived (l+1/2)^2 = {l2} < 0")
@@ -395,7 +399,7 @@ def solve_family_detailed(
     No mode uses `cfg`: it is still taken, and ignored, because the
     benchmark workloads pass one (see `SolverConfig`).
     """
-    if problem.match_ell and problem.family in _MATCH_ELL_FAMILIES:
+    if problem.match_ell and _derives_ell(problem.family):
         branches, failures = _match_ell(problem)
     else:
         g = _gauge(problem)
@@ -534,6 +538,11 @@ class ReductionLimit(str, Enum):
 
 @dataclass(frozen=True)
 class ReductionReport:
+    """`diffs` holds, for the energy, the leading exponent and each Laurent
+    coefficient of the radial bracket (`r^-1` .. `r^-8`, see
+    `_radial_terms`), in that order, the largest |octic - target| over the
+    matched branches."""
+
     eps: float
     limit: ReductionLimit
     target: FamilyProblem
@@ -541,130 +550,74 @@ class ReductionReport:
     matched: int
 
 
-def _rescaled_octic(problem: FamilyProblem, limit: ReductionLimit, eps: float):
-    """Rebuild the octic problem at scale eps keeping the limit invariants.
+def _limit_path(problem: FamilyProblem, limit: ReductionLimit, eps: float):
+    """The limit's target problem, and the octic at eps on the path that
+    keeps chi_-3 = g/s2h, chi_-2 = fh and beta = chi_-1 of `_gauge` fixed
+    (None at eps = 0).  With s2h = eps the path is
 
-    The invariants (beta, fh, g/s2h) are constant along the limit path, so
-    any point on the path determines the whole curve.
-    """
-    chi = _gauge(problem).chi
-    gsig, fh, beta, omega = chi[-3], chi[-2], chi[-1], problem.free.get("omega", 0.0)
-    sig = eps
-    h = 0.5 * sig * sig
+        e = (beta - 2) eps + chi_-3 chi_-2,   f = chi_-2 eps + chi_-3^2 / 2,
+        g = chi_-3 eps,                       h = eps^2 / 2.
+
+    TO_QUARTIC needs chi_-3 = 0 and tends to chi' = chi_-2/r^2 + beta/r;
+    TO_SEXTIC needs chi_-2 = 0 and tends to chi' = chi_-3/r^3 + beta/r in
+    t = r^2, at half the degree."""
+    chi, free, n = _gauge(problem).chi, problem.free, problem.n
+    g3, fh, beta = chi[-3], chi[-2], chi[-1]
+    rate = {k: free[k] for k in ("omega", "a") if k in free}
     if limit is ReductionLimit.TO_QUARTIC:
-        if abs(gsig) > 1e-12:
+        if abs(g3) > 1e-12:
             raise InvalidParameter("TO_QUARTIC path requires g = 0")
-        g = 0.0
-        f = fh * sig
+        if fh <= 0:
+            raise InvalidParameter("TO_QUARTIC path requires fh > 0")
+        couplings = {**rate, "c": (beta - 1.0) * fh, "d": 0.5 * fh * fh}
+        target = FamilyProblem(Family.QUARTIC, problem.case, n, problem.ell, couplings)
     else:
         if abs(fh) > 1e-12:
             raise InvalidParameter("TO_SEXTIC path requires f = g^2/(4h)")
-        g = gsig * sig
-        f = 0.5 * gsig * gsig
-    e = (beta - 2.0 + g * fh / (sig * sig)) * sig  # g*fh/sig^2 is 0 on both paths
-    free = {"omega": omega, "e": e, "f": f, "g": g, "h": h}
-    if problem.case is Case.COULOMBIC:
-        free = {"a": problem.free["a"], "e": e, "f": f, "g": g, "h": h}
-    return FamilyProblem(Family.OCTIC, problem.case, problem.n, problem.ell, free)
+        if g3 <= 0:
+            raise InvalidParameter("TO_SEXTIC path requires g > 0")
+        if n % 2:
+            raise InvalidParameter("TO_SEXTIC comparison needs an even octic degree")
+        couplings = {**rate, "e": (beta - 1.5) * g3, "d": 0.5 * g3 * g3}
+        target = FamilyProblem(Family.SEXTIC, problem.case, n // 2, problem.ell, couplings)
+    if eps == 0.0:
+        return target, None
+    e, f = (beta - 2.0) * eps + g3 * fh, fh * eps + 0.5 * g3 * g3
+    path = {"e": e, "f": f, "g": g3 * eps, "h": 0.5 * eps * eps}
+    return target, FamilyProblem(Family.OCTIC, problem.case, n, problem.ell, {**rate, **path})
 
 
-def _reduction_target(problem: FamilyProblem, limit: ReductionLimit) -> FamilyProblem:
-    chi = _gauge(problem).chi
-    gsig, fh, beta, omega = chi[-3], chi[-2], chi[-1], problem.free.get("omega", 0.0)
-    if limit is ReductionLimit.TO_QUARTIC:
-        if fh <= 0:
-            raise InvalidParameter("TO_QUARTIC path requires fh > 0")
-        d = 0.5 * fh * fh
-        c = (beta - 1.0) * fh
-        if problem.case is Case.COULOMBIC:
-            free = {"a": problem.free["a"], "c": c, "d": d}
-        else:
-            free = {"omega": omega, "c": c, "d": d}
-        return FamilyProblem(
-            Family.QUARTIC, problem.case, problem.n, problem.ell, free
-        )
-    if gsig <= 0:
-        raise InvalidParameter("TO_SEXTIC path requires g > 0")
-    if problem.n % 2:
-        raise InvalidParameter("TO_SEXTIC comparison needs an even octic degree")
-    d_s = 0.5 * gsig * gsig
-    e_s = (beta - 1.5) * gsig
-    return FamilyProblem(
-        Family.SEXTIC,
-        Case.HARMONIC,
-        problem.n // 2,
-        problem.ell,
-        {"omega": omega, "e": e_s, "d": d_s},
-    )
+def _radial_terms(solution: QESSolution) -> dict:
+    """The energy, the leading exponent and the Laurent coefficients [r^-k]
+    of the solution's radial bracket (`oracle.PotentialSpec.bracket`):
+    2 lambda_k, plus ell(ell+1) at k = 2, for the octic's k = 1..8."""
+    from . import oracle  # deferred: oracle depends on this module
 
-
-def _quantities(sol: QESSolution, limit: ReductionLimit, octic_side: bool):
-    dv, free = sol.derived, sol.problem.free
-    a = dv.get("a", free.get("a"))
-    if limit is ReductionLimit.TO_QUARTIC:
-        c, d = (dv["c"], dv["d"]) if octic_side else (free["c"], free["d"])
-        return dict(
-            energy=sol.energy,
-            a=a,
-            b=dv["b"],
-            c=c,
-            d=d,
-            exponent=sol.waveform.leading_exponent,
-        )
-    if octic_side:
-        ell = sol.problem.ell
-        return dict(
-            energy=sol.energy,
-            a=a,
-            c=dv["c"],
-            d=dv["d"],
-            l_half_sq=ell * (ell + 1.0) + 2.0 * dv["b"] + 0.25,
-            exponent=sol.waveform.leading_exponent,
-        )
-    return dict(
-        energy=sol.energy,
-        a=0.0,
-        c=0.0,
-        d=free["e"],
-        l_half_sq=dv["l_half_sq"],
-        exponent=sol.waveform.leading_exponent,
-    )
+    pot = oracle.assemble_potential(solution)
+    bracket = {k: 2.0 * pot.inverse_powers.get(k, 0.0) for k in _POWERS[Family.OCTIC]}
+    bracket[2] += pot.ell * (pot.ell + 1.0)
+    terms = {"energy": solution.energy, "exponent": solution.waveform.leading_exponent}
+    return terms | {f"r^-{k}": c for k, c in bracket.items()}
 
 
 def reduction_check(problem: FamilyProblem, limit: ReductionLimit, eps: float) -> ReductionReport:
-    """Compare octic-derived quantities against the quartic/sextic limit.
+    """Compare the octic's radial equation, power by power, with that of
+    its quartic or sextic limit.
 
-    The octic problem is rebuilt with the vanishing couplings at magnitude
-    eps along the path that keeps (beta, fh, g/sqrt(2h)) fixed; eps = 0 is
-    handled as an exact call into the target family (zero differences).
+    The octic is rebuilt at eps on the path of `_limit_path`.  Each target
+    branch is matched to the octic branch whose `_radial_terms` differ
+    from its own least in sum (extra octic branches, roots collapsing with
+    eps, have no counterpart); eps = 0 compares the target with itself
+    (zero differences).
     """
     if problem.family is not Family.OCTIC:
         raise InvalidParameter("reduction_check expects an octic problem")
     limit = ReductionLimit(limit)
-    target = _reduction_target(problem, limit)
-    target_solutions = solve_family(target)
-    if eps == 0.0:
-        keys = _quantities(target_solutions[0], limit, octic_side=False).keys() if target_solutions else ()
-        return ReductionReport(
-            0.0, limit, target, {k: 0.0 for k in keys}, len(target_solutions)
-        )
-    octic = _rescaled_octic(problem, limit, eps)
-    octic_solutions = solve_family(octic)
-    # Every target branch must be the limit of some octic branch; extra
-    # octic branches (roots collapsing with eps) have no counterpart.
-    diffs: dict[str, float] = {}
-    matched = 0
-    for tsol in target_solutions:
-        tq = _quantities(tsol, limit, octic_side=False)
-        best = None
-        for osol in octic_solutions:
-            oq = _quantities(osol, limit, octic_side=True)
-            score = sum(abs(oq[k] - tq[k]) for k in tq)
-            if best is None or score < best[0]:
-                best = (score, oq)
-        if best is None:
-            continue
-        matched += 1
-        for k in tq:
-            diffs[k] = max(diffs.get(k, 0.0), abs(best[1][k] - tq[k]))
-    return ReductionReport(eps, limit, target, diffs, matched)
+    target, octic = _limit_path(problem, limit, eps)
+    targets = [_radial_terms(s) for s in solve_family(target)]
+    octics = targets if octic is None else [_radial_terms(s) for s in solve_family(octic)]
+    diffs: dict = {}
+    for t in targets if octics else ():
+        best = min(({k: abs(o[k] - v) for k, v in t.items()} for o in octics), key=lambda gap: sum(gap.values()))
+        diffs = {k: max(diffs.get(k, 0.0), gap) for k, gap in best.items()}
+    return ReductionReport(eps, limit, target, diffs, len(targets) if octics else 0)

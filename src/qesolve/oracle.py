@@ -31,7 +31,7 @@ import numpy as np
 from .bethe import BAE_TOL, IDENT_TOL
 from .bethe import Variable, bae_residuals, compute_w_coefficients, verify_polynomial_identity
 from .errors import GridInsufficient, InvalidParameter, MissingCoupling
-from .families import _POWERS, Case, QESSolution, build_ode
+from .families import _POWERS, Case, QESSolution, _derives_ell, build_ode
 from .wavefunction import (
     _column,
     _log_deriv_arrays,
@@ -100,7 +100,7 @@ def assemble_potential(solution: QESSolution) -> PotentialSpec:
     prob = solution.problem
     names = _POWERS[prob.family]
     powers = {k: _coupling(solution, name) for k, name in names.items()}
-    ell = float(prob.ell) if 2 in names else _coupling(solution, "ell")
+    ell = _coupling(solution, "ell") if _derives_ell(prob.family) else float(prob.ell)
     omega = 0.0 if prob.case is Case.COULOMBIC else _coupling(solution, "omega")
     return PotentialSpec(ell, omega, powers)
 

@@ -538,6 +538,139 @@ class TestReduction:
             assert d2 <= max(0.2 * d1, 1e-12), key
 
 
+# The octics of criterion 9: TO_QUARTIC at eps 1e-3 and 1e-4, TO_SEXTIC at
+# eps 1e-2 and 1e-3.
+TO_QUARTIC_BASE = dict(n=1, omega=1.0, e=-0.007, f=0.01, g=0.0, h=0.5e-4)
+TO_SEXTIC_BASE = dict(n=2, omega=0.25, e=-1e-3, f=0.5, g=1e-2, h=0.5e-4)
+DIFF_KEYS = ["energy", "exponent"] + [f"r^-{k}" for k in range(1, 9)]
+
+
+def _shrinks(r1, r2) -> bool:
+    """Criterion 9's check: every difference above 1e-12 at the larger eps
+    shrinks at least 5x at the smaller one."""
+    return all(r2.diffs[k] <= d1 / 5.0 for k, d1 in r1.diffs.items() if d1 > 1e-12)
+
+
+class TestReductionPath:
+    def test_diffs_keys_in_one_order_at_every_eps(self):
+        for eps in (0.0, 1e-3):
+            rep = reduction_check(octic_harmonic(**TO_QUARTIC_BASE), ReductionLimit.TO_QUARTIC, eps)
+            assert list(rep.diffs) == DIFF_KEYS
+        rep = reduction_check(octic_harmonic(**TO_SEXTIC_BASE), ReductionLimit.TO_SEXTIC, 0.0)
+        assert list(rep.diffs) == DIFF_KEYS and set(rep.diffs.values()) == {0.0}
+
+    def test_diffs_keys_do_not_depend_on_the_hash_seed(self):
+        import os
+        import subprocess
+        import sys
+
+        code = (
+            "from qesolve import FamilyProblem, ReductionLimit, reduction_check\n"
+            "p = FamilyProblem('octic', 'harmonic', 2, 0, "
+            "{'omega': 0.25, 'e': -1e-3, 'f': 0.5, 'g': 1e-2, 'h': 0.5e-4})\n"
+            "print(list(reduction_check(p, ReductionLimit.TO_SEXTIC, 1e-2).diffs))\n"
+        )
+        src = os.path.dirname(os.path.dirname(families.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        printed = {
+            subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+            ).stdout
+            for seed in ("1", "2")
+        }
+        assert printed == {f"{DIFF_KEYS}\n"}
+
+    def test_vanishing_octic_couplings_are_compared(self):
+        # e, f and h (r^-5, r^-6, r^-8) vanish on the quartic path, e, g and
+        # h (r^-5, r^-7, r^-8) on the sextic's; each difference is that
+        # coupling, doubled.
+        rep = reduction_check(octic_harmonic(**TO_QUARTIC_BASE), ReductionLimit.TO_QUARTIC, 1e-3)
+        assert rep.diffs["r^-8"] == pytest.approx(1e-6) and rep.diffs["r^-7"] == 0.0
+        assert rep.diffs["r^-5"] > 0 and rep.diffs["r^-6"] > 0
+        rep = reduction_check(octic_harmonic(**TO_SEXTIC_BASE), ReductionLimit.TO_SEXTIC, 1e-2)
+        assert rep.diffs["r^-8"] == pytest.approx(1e-4) and rep.diffs["r^-7"] == pytest.approx(2e-2)
+        assert rep.diffs["r^-5"] > 0
+
+    @pytest.mark.parametrize(
+        "couplings,limit,message",
+        [
+            (dict(TO_QUARTIC_BASE, g=1e-5), ReductionLimit.TO_QUARTIC, "TO_QUARTIC path requires g = 0"),
+            (dict(TO_QUARTIC_BASE, f=-0.01), ReductionLimit.TO_QUARTIC, "TO_QUARTIC path requires fh > 0"),
+            (dict(TO_SEXTIC_BASE, f=0.5001), ReductionLimit.TO_SEXTIC, "TO_SEXTIC path requires f = g^2/(4h)"),
+            (dict(TO_SEXTIC_BASE, g=-1e-2), ReductionLimit.TO_SEXTIC, "TO_SEXTIC path requires g > 0"),
+            (dict(TO_SEXTIC_BASE, n=3), ReductionLimit.TO_SEXTIC, "TO_SEXTIC comparison needs an even octic degree"),
+        ],
+    )
+    @pytest.mark.parametrize("eps", [0.0, 1e-3])
+    def test_guards(self, couplings, limit, message, eps):
+        with pytest.raises(InvalidParameter, match=re.escape(message)):
+            reduction_check(octic_harmonic(**couplings), limit, eps)
+
+    @pytest.mark.parametrize(
+        "couplings,limit,epss,key",
+        [
+            (TO_QUARTIC_BASE, ReductionLimit.TO_QUARTIC, (1e-3, 1e-4), "c"),
+            (TO_SEXTIC_BASE, ReductionLimit.TO_SEXTIC, (1e-2, 1e-3), "e"),
+        ],
+    )
+    def test_a_target_off_the_limit_does_not_shrink(self, couplings, limit, epss, key, monkeypatch):
+        import dataclasses
+
+        base = octic_harmonic(**couplings)
+        r1, r2 = (reduction_check(base, limit, eps) for eps in epss)
+        assert _shrinks(r1, r2)
+        path = families._limit_path
+
+        def moved(*args):
+            target, octic = path(*args)
+            free = dict(target.free, **{key: 1.001 * target.free[key]})
+            return dataclasses.replace(target, free=free), octic
+
+        monkeypatch.setattr(families, "_limit_path", moved)
+        r1, r2 = (reduction_check(base, limit, eps) for eps in epss)
+        assert r1.matched == r2.matched >= 1
+        assert not _shrinks(r1, r2)
+
+
+class _Reads(dict):
+    """A dict that records the keys read from it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+class TestFamilyTables:
+    """The facts of a family that `_FREE_KEYS`, `_POWERS` and `_chi` each
+    hold agree."""
+
+    @pytest.mark.parametrize("key", list(families._FREE_KEYS), ids=lambda key: "-".join(k.value for k in key))
+    def test_chi_reads_the_free_couplings_but_the_rates(self, key):
+        names = families._FREE_KEYS[key]
+        problem = FamilyProblem(*key, 1, 0, {k: -0.5 if k == "a" else 0.5 for k in names})
+        reads = _Reads(problem.free)
+        object.__setattr__(problem, "free", reads)
+        families._chi(problem)
+        assert reads.read == set(names) - {"omega", "a"}
+
+    @pytest.mark.parametrize("key", list(families._FREE_KEYS), ids=lambda key: "-".join(k.value for k in key))
+    def test_free_couplings_name_powers(self, key):
+        # The one exception is the decatic's b, which fixes eta; its r^-6
+        # coupling is the derived b_pot.
+        family, names = key[0], families._FREE_KEYS[key]
+        powers = families._POWERS[family]
+        unnamed = {"b"} if family is Family.DECATIC else set()
+        assert set(names) - {"omega"} - set(powers.values()) == unnamed
+
+    def test_the_families_that_derive_ell(self):
+        assert {f for f in Family if families._derives_ell(f)} == {Family.SEXTIC, Family.DECATIC}
+
+
 class TestDeterminism:
     def test_identical_seed_identical_output(self):
         cfg = SolverConfig(seed=11, starts=48)

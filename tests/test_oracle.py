@@ -416,7 +416,9 @@ def _reference_spectrum(potential, window, grid):
     """The eigenvalues in the window by the LDL^T reference counts: each
     pass cuts every interval into 64 equal parts and keeps, for each
     ordinal, the part that holds it, until every part is at most 1e-12
-    wide.  Returns the midpoints of the final parts."""
+    wide or no part can be cut in floating point (where the float spacing
+    exceeds 1e-12, as `oracle._bisect` stops).  Returns the midpoints of
+    the final parts."""
     diag, off_sq = _fd_matrix(potential, grid)
     lo, hi = window
     count_lo, count_hi = sturm_reference._sturm_counts(diag, off_sq, np.array([lo, hi]))
@@ -425,6 +427,8 @@ def _reference_spectrum(potential, window, grid):
     rows = np.arange(len(ordinals))
     while len(ordinals) and np.max(highs - lows) > 1e-12:
         cuts = lows[:, None] + (highs - lows)[:, None] * (np.arange(1, 64) / 64)
+        if not np.any((lows[:, None] < cuts) & (cuts < highs[:, None])):
+            break
         counts = sturm_reference._sturm_counts(diag, off_sq, cuts.ravel()).reshape(cuts.shape)
         part = np.count_nonzero(counts < ordinals[:, None], axis=1)
         edges = np.concatenate([lows[:, None], cuts, highs[:, None]], axis=1)
@@ -659,6 +663,17 @@ class TestFdSpectrumAgainstLdl:
                 nearest = oracle._nearest_fd_eigenvalue(pot, window, grid, two_e, sol)
                 assert nearest in got
                 assert abs(nearest - two_e) == min(abs(v - two_e) for v in got)
+
+    def test_mid_spectrum_window(self):
+        # The oscillator's window 1.5 / h^2 + [0, 300] holds three levels,
+        # where the float spacing (1.5e-11) stops both searches before
+        # 1e-12.
+        pot, grid = PotentialSpec(0.0, 1.0, {}), FdGrid(1e-3, 12.0, 3000)
+        h = (grid.r_max - grid.r_min) / (grid.n_points + 1)
+        window = (1.5 / (h * h), 1.5 / (h * h) + 300.0)
+        got, want = fd_spectrum(pot, window, grid), _reference_spectrum(pot, window, grid)
+        assert len(got) == len(want) == 3
+        assert np.max(np.abs(np.subtract(got, want))) <= _rounding_bound(grid)
 
     @settings(max_examples=8, deadline=None, derandomize=True)
     @given(
