@@ -146,7 +146,7 @@ def _canonical_order(roots: np.ndarray) -> np.ndarray:
 
 def _branch_key(roots) -> tuple:
     """Canonical sort key of a branch: root real parts, then imaginary parts."""
-    return tuple(np.real(roots)) + tuple(np.imag(roots))
+    return tuple(z.real for z in roots) + tuple(z.imag for z in roots)
 
 
 def _roots_of(roots_or_rootset):
@@ -357,8 +357,9 @@ def _residues(T: np.ndarray, f: np.ndarray) -> np.ndarray:
     return 2.0 * inv.sum(axis=2) + f
 
 
-def _jacobian_batch(ode: PolyODE | _Columns, T: np.ndarray) -> np.ndarray:
-    pv, qv = polyval(ode.p, T), polyval(ode.q, T)
+def _jacobian_batch(ode: PolyODE | _Columns, T: np.ndarray, pv=None, qv=None) -> np.ndarray:
+    """The Jacobian of `_residual_batch`, from P and Q at T if given."""
+    pv, qv = (polyval(ode.p, T), polyval(ode.q, T)) if pv is None else (pv, qv)
     fp = (polyval(polyder(ode.q), T) * pv - qv * polyval(polyder(ode.p), T)) / (pv * pv)
     return _residue_jacobian(T, fp)
 
@@ -414,11 +415,12 @@ def _polish(ode: PolyODE | _Columns, T: np.ndarray) -> np.ndarray:
         if not len(active):
             break
         X, at = T[active], _rows(ode, active)
-        R = _residual_batch(at, X)
+        pv, qv = polyval(at.p, X), polyval(at.q, X)
+        R = _residues(X, qv / pv)  # `_residual_batch`, with P and Q kept for the Jacobian
         finite = np.isfinite(R).all(axis=1)
         if not finite.all():
-            active, X, R, at = active[finite], X[finite], R[finite], _rows(at, finite)
-        step = _solve_rows(_jacobian_batch(at, X), R)
+            active, X, R, at, pv, qv = active[finite], X[finite], R[finite], _rows(at, finite), pv[finite], qv[finite]
+        step = _solve_rows(_jacobian_batch(at, X, pv, qv), R)
         taken = np.isfinite(step).all(axis=1)
         if not taken.all():
             active, X, step = active[taken], X[taken], step[taken]
@@ -555,9 +557,11 @@ def _accept(ode: PolyODE | _Columns, T: np.ndarray, variable: Variable) -> list[
         keep &= ~(np.max(np.abs(T - mirror), axis=1) > CONJ_TOL)
         ordered = _canonical_order(0.5 * (T + mirror))
         sep = _separations(ordered)
-        keep &= ~((sep <= SEP_TOL) | (np.min(np.abs(polyval(ode.p, ordered)), axis=1) < DENOM_TOL))
+        pv = polyval(ode.p, ordered)
+        keep &= ~((sep <= SEP_TOL) | (np.min(np.abs(pv), axis=1) < DENOM_TOL))
         res = np.full(len(T), math.nan)
-        res[keep] = np.max(np.abs(_residual_batch(_rows(ode, keep), ordered[keep])), axis=1)
+        f = polyval(_rows(ode, keep).q, ordered[keep]) / pv[keep]  # `_residual_batch`, with P reused
+        res[keep] = np.max(np.abs(_residues(ordered[keep], f)), axis=1)
         keep &= ~(res >= BAE_TOL)
     index = np.flatnonzero(keep)
     at, roots = _rows(ode, index), ordered[index]

@@ -256,6 +256,7 @@ class _Gauge(NamedTuple):
     k: int
     s: float
     d: int
+    chi2: dict  # {i: [r^i] (chi'' + chi'^2)}
 
 
 def _gauge(problem: FamilyProblem, omega: float | None = None) -> _Gauge:
@@ -277,19 +278,20 @@ def _gauge(problem: FamilyProblem, omega: float | None = None) -> _Gauge:
         p, q = {k + 1: 1.0}, {(j + 1) // 2 + k: c for j, c in chi.items()}
         q[k] += 0.5
     ode = PolyODE([p.get(j, 0.0) for j in range(5)], [q.get(j, 0.0) for j in range(6)])
-    return _Gauge(ode, variable, chi, k, s, d)
+    chi2: dict = {}
+    for j, c in chi.items():
+        chi2[j - 1] = chi2.get(j - 1, 0.0) + j * c
+        for i, b in chi.items():
+            chi2[i + j] = chi2.get(i + j, 0.0) + b * c
+    return _Gauge(ode, variable, chi, k, s, d, chi2)
 
 
 def _closing(g: _Gauge, w) -> dict:
     """{i: [r^i] (bracket - 2E)} at the W coefficients w, for every power i
-    that L = chi'' + chi'^2 or w reach.  The radial equation makes it
-    L_i - s w_{k + i/d}: 2 lambda_i at r^-i (plus l(l+1) at r^-2), -2E at
-    r^0, omega^2 at r^2, and 0 elsewhere."""
-    out: dict = {}
-    for j, c in g.chi.items():
-        out[j - 1] = out.get(j - 1, 0.0) + j * c
-        for i, b in g.chi.items():
-            out[i + j] = out.get(i + j, 0.0) + b * c
+    that L = chi'' + chi'^2 (`_Gauge.chi2`) or w reach.  The radial equation
+    makes it L_i - s w_{k + i/d}: 2 lambda_i at r^-i (plus l(l+1) at r^-2),
+    -2E at r^0, omega^2 at r^2, and 0 elsewhere."""
+    out = dict(g.chi2)
     for j, wj in enumerate(w):
         i = (j - g.k) * g.d
         out[i] = out.get(i, 0.0) - g.s * wj
@@ -366,8 +368,9 @@ _BRANCH_ERRORS = (ConstraintInfeasible, InvalidExponent, InvalidParameter, NotIn
 def _branch_solutions(problem: FamilyProblem, branches: list[tuple[RootSet, _Gauge]]) -> list:
     """The solution, or BranchFailure, of each branch that `solve_bae` or
     `_match_ell` accepted at the gauge g, in branch order.  Acceptance
-    computed the W coefficients and identity residual that each carries;
-    the radial residuals are one array pass (`oracle._residual_rows`)."""
+    computed the W coefficients and identity residual that each carries; the
+    radial residuals and the norms' supports are one array pass each
+    (`oracle._residual_rows`, `wavefunction._supports`)."""
     from . import oracle, wavefunction  # deferred: oracle depends on this module
 
     out: list = []
@@ -379,11 +382,12 @@ def _branch_solutions(problem: FamilyProblem, branches: list[tuple[RootSet, _Gau
         except _BRANCH_ERRORS as exc:
             out.append(BranchFailure(roots, type(exc).__name__, str(exc)))
     rows = [i for i, s in enumerate(out) if isinstance(s, QESSolution)]
-    for i, residual in zip(rows, oracle._residual_rows([out[i] for i in rows]) if rows else []):
+    solved = [out[i] for i in rows]
+    for i, residual, support in zip(rows, oracle._residual_rows(solved) if rows else [], wavefunction._supports(solved)):
         try:
             if isinstance(residual, InvalidParameter):
                 raise residual
-            out[i].diagnostics.update(schrodinger_residual=residual, norm=wavefunction.norm_quadrature(out[i]))
+            out[i].diagnostics.update(schrodinger_residual=residual, norm=wavefunction._norm(out[i], support))
         except _BRANCH_ERRORS as exc:
             out[i] = BranchFailure(out[i].roots, type(exc).__name__, str(exc))
     return out
@@ -608,10 +612,12 @@ def reduction_check(problem: FamilyProblem, limit: ReductionLimit, eps: float) -
     branch is matched to the octic branch whose `_radial_terms` differ
     from its own least in sum (extra octic branches, roots collapsing with
     eps, have no counterpart); eps = 0 compares the target with itself
-    (zero differences).
+    (zero differences).  eps is finite and eps >= 0 (s2h = eps on the path).
     """
     if problem.family is not Family.OCTIC:
         raise InvalidParameter("reduction_check expects an octic problem")
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise InvalidParameter(f"reduction_check needs a finite eps >= 0, got {eps!r}")
     limit = ReductionLimit(limit)
     target, octic = _limit_path(problem, limit, eps)
     targets = [_radial_terms(s) for s in solve_family(target)]

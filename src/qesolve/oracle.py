@@ -2,10 +2,10 @@
 
 Two layers of checks exist beyond the polynomial identity of the root
 engine: a pointwise residual of the original radial equation using analytic
-log-derivatives, one array pass per solve (`_residual_rows`), and a
-finite-difference eigenvalue oracle (Sturm bisection on counts made by
-guarded cyclic reduction) confirming that the constructed energy sits in
-the spectrum of the constructed potential.
+log-derivatives in real arithmetic, one array pass per solve
+(`_residual_rows`), and a finite-difference eigenvalue oracle (Sturm
+bisection on counts made by guarded cyclic reduction) confirming that the
+constructed energy sits in the spectrum of the constructed potential.
 
 Verification proves the FD eigenvalue nearest 2E from the closed-form Psi
 sampled on the grid: one inverse-iteration step sharpens the sample, its
@@ -36,7 +36,9 @@ from .wavefunction import (
     _column,
     _log_deriv_arrays,
     _norm,
-    _support,
+    _root_parts,
+    _support_ends,
+    _supports,
     count_nodes,
     eval_log_psi,
     eval_psi_log_derivatives,  # not called here: perfbench/tracing.py times it under this name
@@ -105,13 +107,14 @@ def assemble_potential(solution: QESSolution) -> PotentialSpec:
     return PotentialSpec(ell, omega, powers)
 
 
+_UNIT_GRID = np.geomspace(1e-2, 20.0, 200)  # the default residual grid at unit radial scale
+
+
 def _default_residual_grid(solutions: list[QESSolution]) -> np.ndarray:
     """A row per solution (of one solve, so of one variable): 200 points from
     1e-2 to 20 times the radial scale of its roots, at least 1."""
-    r_scale = np.array([np.max(np.abs(s.roots.as_array()), initial=1.0) for s in solutions])
-    if solutions[0].roots.variable is not Variable.R:
-        r_scale = np.sqrt(r_scale)
-    return np.geomspace(1e-2 * r_scale, 20.0 * r_scale, 200, axis=1)
+    r_scale = np.max(_root_parts(solutions)[2], axis=0, initial=1.0)  # a column
+    return (r_scale if solutions[0].roots.variable is Variable.R else np.sqrt(r_scale)) * _UNIT_GRID
 
 
 def _residual_rows(solutions: list[QESSolution], grid: np.ndarray | None = None) -> list:
@@ -123,10 +126,10 @@ def _residual_rows(solutions: list[QESSolution], grid: np.ndarray | None = None)
         r = _default_residual_grid(solutions)
     else:
         r = np.tile(np.asarray(grid, float), (len(solutions), 1))
-    keep = np.ones(r.shape, dtype=bool)
-    for row, points, solution in zip(keep, r, solutions):
-        for node in node_positions(solution):
-            row &= np.abs(points - node) > 5e-3 * (1.0 + abs(node))
+    nodes = [node_positions(s) for s in solutions]
+    width = max(map(len, nodes))  # each row's nodes, padded with NaN, node by node
+    nodes = np.array([row + [math.nan] * (width - len(row)) for row in nodes]).reshape(len(r), width).T[:, :, None]
+    keep = ~np.any(np.abs(r - nodes) <= 5e-3 * (1.0 + np.abs(nodes)), axis=0)
     _, psi2 = _log_deriv_arrays(solutions, r, keep)
     # omega**2 by Python's float power, as PotentialSpec.bracket takes it:
     # numpy's square of a column can differ from it in the last bit.
@@ -137,7 +140,7 @@ def _residual_rows(solutions: list[QESSolution], grid: np.ndarray | None = None)
     with np.errstate(invalid="ignore"):  # the excluded points' values are dropped
         num = np.abs(-psi2 + bracket - two_e)
         den = np.abs(two_e) + np.abs(ell * (ell + 1.0)) / (r * r) + omega_sq * r * r + np.abs(two_v) + 1e-300
-        largest = np.max(np.where(keep, num / den, -np.inf), axis=1, initial=-np.inf)
+        largest = np.where(keep, num / den, -np.inf).max(axis=1, initial=-np.inf)
     empty = "residual grid is empty after node exclusion"
     return [float(x) if kept else InvalidParameter(empty) for x, kept in zip(largest, keep.any(axis=1))]
 
@@ -181,20 +184,20 @@ class FdGrid:
             raise InvalidParameter("n_points >= 2000 required")
 
 
-def _fd_grid(support: tuple | None, n_points: int) -> FdGrid:
-    """default_fd_grid on the support `wavefunction._support` found."""
+def _fd_grid(solution: QESSolution, support: tuple | None, n_points: int) -> FdGrid:
+    """default_fd_grid on the support `wavefunction._supports` found, its ends
+    refined onto the fine scan (`wavefunction._support_ends`)."""
     if support is None:
         raise GridInsufficient("wavefunction support exceeds the scan range")
-    r_min, r_max = np.exp(support[:2])
-    return FdGrid(float(r_min), float(r_max), n_points)
+    return FdGrid(*_support_ends(solution, support), n_points)
 
 
 def default_fd_grid(solution: QESSolution, n_points: int = 4000) -> FdGrid:
     """Grid bounds from the wavefunction support (amplitude below 1e-13
-    of the peak at both ends, `wavefunction._support`, the interval the
+    of the peak at both ends, `wavefunction._supports`, the interval the
     norm integrates on); raises GridInsufficient if no such bounds exist
     within the scan range."""
-    return _fd_grid(_support(solution), n_points)
+    return _fd_grid(solution, _supports([solution])[0], n_points)
 
 
 def _fd_points(grid: FdGrid) -> tuple[np.ndarray, float]:
@@ -502,7 +505,7 @@ def verify_solution(solution: QESSolution, level: VerifyLevel = VerifyLevel.FAST
     if level is VerifyLevel.FAST:
         return report
 
-    support = _support(solution)  # one scan for the norm and both FD grids
+    support = _supports([solution])[0]  # one scan for the norm and both FD grids
     norm = _norm(solution, support)
     report.add("norm_finite", norm, math.inf, passed=math.isfinite(norm) and norm > 0)
     nodes = count_nodes(solution)
@@ -514,7 +517,7 @@ def verify_solution(solution: QESSolution, level: VerifyLevel = VerifyLevel.FAST
         )
     two_e = 2.0 * solution.energy
     scale = max(1.0, abs(two_e))
-    coarse = _fd_grid(support, 2400)
+    coarse = _fd_grid(solution, support, 2400)
     fine = FdGrid(coarse.r_min, coarse.r_max, 2 * 2400 + 1)
     delta = max(0.75, 0.02 * abs(two_e))
     window = (two_e - delta, two_e + delta)

@@ -21,7 +21,7 @@ import numpy as np
 from qesolve.errors import GridInsufficient, NotIntegrable
 from qesolve.families import QESSolution
 from qesolve.oracle import FdGrid
-from qesolve.wavefunction import _log_psi_arrays, eval_log_psi
+from qesolve.wavefunction import eval_log_psi
 
 # Kronrod abscissae (positive half), Kronrod weights, embedded Gauss weights.
 _XGK = np.array(
@@ -123,7 +123,7 @@ def integrate_adaptive(
 def _log_integrand(solution: QESSolution):
     def phi(u: np.ndarray) -> np.ndarray:
         r = np.exp(u)
-        log_mag, _ = _log_psi_arrays(solution, r)
+        log_mag, _ = eval_log_psi(solution, r)
         return 2.0 * log_mag + u
 
     return phi

@@ -537,6 +537,14 @@ class TestReduction:
             d2 = r2.diffs[key]
             assert d2 <= max(0.2 * d1, 1e-12), key
 
+    @pytest.mark.parametrize("eps", [-1e-3, math.nan, math.inf])
+    def test_eps_below_zero_or_not_finite_raises(self, eps):
+        # s2h = eps on the path: a negative eps left it, and the report
+        # read matched 0 and diffs {}.
+        base = FamilyProblem(Family.OCTIC, Case.HARMONIC, 2, 0, {"omega": 0.25, "e": -1e-3, "f": 0.5, "g": 1e-2, "h": 0.5e-4})
+        with pytest.raises(InvalidParameter, match="finite eps >= 0"):
+            reduction_check(base, ReductionLimit.TO_SEXTIC, eps)
+
 
 # The octics of criterion 9: TO_QUARTIC at eps 1e-3 and 1e-4, TO_SEXTIC at
 # eps 1e-2 and 1e-3.
@@ -747,7 +755,7 @@ REMOVED_SETTINGS = {
     "verify_solution-res_tol": lambda s: verify_solution(s, res_tol=1e-9),
     "schrodinger_residual-node_excl": lambda s: schrodinger_residual(s, node_excl=1e-6),
     "_default_residual_grid-num": lambda s: oracle._default_residual_grid(s, num=200),
-    "_split_roots-conj_tol": lambda s: wavefunction._split_roots(s.roots.as_array(), conj_tol=1e-10),
+    "_split_roots-conj_tol": lambda s: wavefunction._real(s.roots.as_array(), conj_tol=1e-10),
 }
 
 

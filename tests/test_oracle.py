@@ -22,7 +22,7 @@ from qesolve import (
     verify_solution,
 )
 
-from qesolve import oracle, solve_bae, solve_family_detailed
+from qesolve import oracle, solve_bae, solve_family_detailed, wavefunction
 from qesolve.families import Family, build_ode
 
 import residual_reference
@@ -117,15 +117,17 @@ def _sweep_problems():
 
 class TestOneResidualPass:
     """`solve_family` computes the radial residual of all the branches of a
-    solve as the rows of one array pass (`oracle._residual_rows`); the
-    reference is the one-branch residual it replaced
-    (tests/residual_reference.py)."""
+    solve as the rows of one real-arithmetic array pass
+    (`oracle._residual_rows`); the reference is the one-branch residual it
+    replaced (tests/residual_reference.py), in complex arithmetic on its own
+    geomspace grid, so the two agree to rounding (1e-12 absolute against
+    the 1e-9 gate), and each row is its one-row call bit for bit."""
 
     @staticmethod
-    def _same(rows, expected):
+    def _same(rows, expected, tol=0.0):
         assert len(rows) == len(expected)
         for got, want in zip(rows, expected):
-            assert got == want or (math.isnan(got) and math.isnan(want))
+            assert abs(got - want) <= tol or (math.isnan(got) and math.isnan(want))
 
     @pytest.mark.parametrize(
         "problems",
@@ -139,12 +141,14 @@ class TestOneResidualPass:
             solutions = solve_family(problem)
             if not solutions:
                 continue
-            expected = [residual_reference.schrodinger_residual(s) for s in solutions]
-            self._same([s.diagnostics["schrodinger_residual"] for s in solutions], expected)
-            self._same(oracle._residual_rows(solutions), expected)
+            stored = [s.diagnostics["schrodinger_residual"] for s in solutions]
+            self._same(stored, [schrodinger_residual(s) for s in solutions])
+            self._same(oracle._residual_rows(solutions), stored)
+            self._same(stored, [residual_reference.schrodinger_residual(s) for s in solutions], 1e-12)
             self._same(
                 oracle._residual_rows(solutions, grid),
                 [residual_reference.schrodinger_residual(s, grid) for s in solutions],
+                1e-12,
             )
             rows += len(solutions)
         assert rows > 100
@@ -152,8 +156,24 @@ class TestOneResidualPass:
     def test_one_row_is_the_reference_bit_for_bit(self, cfg):
         grid = np.geomspace(1e-2, 20.0, 300)
         for sol in _verify_pool(cfg):
-            assert schrodinger_residual(sol) == residual_reference.schrodinger_residual(sol)
-            assert schrodinger_residual(sol, grid) == residual_reference.schrodinger_residual(sol, grid)
+            assert abs(schrodinger_residual(sol) - residual_reference.schrodinger_residual(sol)) <= 1e-12
+            assert abs(schrodinger_residual(sol, grid) - residual_reference.schrodinger_residual(sol, grid)) <= 1e-12
+
+    def test_rows_are_their_one_row_calls_bit_for_bit(self):
+        # Each row of a solve's residual pass and support scan
+        # (`wavefunction._supports`) is its own one-row call, whichever
+        # rows share the pass and in whatever order.
+        rows = 0
+        for problem in _sweep_problems():
+            solutions = solve_family(problem)
+            for batch in (solutions, solutions[::-1]) if solutions else ():
+                for sol, residual, support in zip(batch, oracle._residual_rows(batch), wavefunction._supports(batch)):
+                    assert residual == oracle._residual_rows([sol])[0]
+                    alone = wavefunction._supports([sol])[0]
+                    assert support[:5] == alone[:5]
+                    assert all(np.array_equal(x, y) for x, y in zip(support[5:], alone[5:]))
+            rows += len(solutions)
+        assert rows == 630
 
     def test_emptied_row_fails_alone_in_branch_order(self, monkeypatch):
         # Every point of a branch with a node is made a node, so node
@@ -178,7 +198,7 @@ class TestOneResidualPass:
         }
         assert len(solutions) == 2
         for s in solutions:
-            assert s.diagnostics["schrodinger_residual"] == residual_reference.schrodinger_residual(s)
+            assert abs(s.diagnostics["schrodinger_residual"] - residual_reference.schrodinger_residual(s)) <= 1e-12
 
     @pytest.mark.parametrize("points", [[], [1.0, 1.001]], ids=["no_points", "near_the_node"])
     def test_emptied_grid_raises_for_one_row(self, quartic1, points):

@@ -27,7 +27,7 @@ from conftest import decatic, octic_harmonic, quartic_harmonic, sextic
 from quadrature_reference import integrate_adaptive
 from test_acceptance import _FAMILY_CASES, _synthetic_solution
 from test_bethe import _sweep_problem
-from test_oracle import _verify_pool
+from test_oracle import _sweep_problems, _verify_pool
 
 
 def fixed_gauss_legendre(f, a: float, b: float, panels: int, order: int = 24):
@@ -210,14 +210,14 @@ def draws():
 
 @pytest.fixture()
 def psi_evaluations(monkeypatch):
-    """The number of abscissae of each evaluation of Psi (`_log_psi_arrays`)."""
-    calls, evaluate = [], wavefunction._log_psi_arrays
+    """The number of abscissae of each evaluation of Psi (`_log_psi_rows`)."""
+    calls, evaluate = [], wavefunction._log_psi_rows
 
-    def counted(solution, r, *args):
+    def counted(solutions, r, *args, **kwargs):
         calls.append(len(r))
-        return evaluate(solution, r, *args)
+        return evaluate(solutions, r, *args, **kwargs)
 
-    monkeypatch.setattr(wavefunction, "_log_psi_arrays", counted)
+    monkeypatch.setattr(wavefunction, "_log_psi_rows", counted)
     return calls
 
 
@@ -239,7 +239,11 @@ class TestOneSupportScan:
             assert abs(norm_quadrature(sol) - ref) <= 1e-12 * ref
 
     def test_grid_is_the_reference_grid_bit_for_bit(self, draws, cfg):
-        for sol in draws + _verify_pool(cfg):
+        # The coarse scan's ends, refined onto the fine scan, are the fine
+        # scan's own: on the draws, the pool and every `sweep` branch.
+        sweep = [sol for problem in _sweep_problems() for sol in solve_family(problem)]
+        assert len(sweep) == 630
+        for sol in draws + _verify_pool(cfg) + sweep:
             assert default_fd_grid(sol, 2400) == quadrature_reference.default_fd_grid(sol, 2400)
 
     def test_looser_tolerance_stops_no_later(self, draws, psi_evaluations):
@@ -260,17 +264,18 @@ class TestOneSupportScan:
             calls.clear()
 
     def test_norm_is_summed_from_the_scan(self, draws, psi_evaluations):
-        # The draws' states need no sample past the scan's 3,001.  NARROW
-        # fails the every-other-sample check, so its norm integrates the
-        # support afresh (`integrate_adaptive`), and agrees with GK15.
+        # The draws' states need no sample past the scan's 751 (every 4th
+        # point of the fine scan).  NARROW fails the every-other-sample
+        # check, so its norm integrates the support afresh
+        # (`integrate_adaptive`), and agrees with GK15.
         calls = psi_evaluations
         for sol in draws:
             norm_quadrature(sol)
-            assert calls == [3001]
+            assert calls == [751]
             calls.clear()
         narrow = _synthetic_solution(NARROW)
         value = norm_quadrature(narrow)
-        assert calls[0] == 3001 and len(calls) > 2
+        assert calls[0] == 751 and len(calls) > 2
         assert abs(value - quadrature_reference.norm_quadrature(narrow, rel_tol=1e-13)) <= 1e-11 * value
 
     def test_scan_grid_is_read_only(self):
