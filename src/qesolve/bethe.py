@@ -11,7 +11,10 @@ and W is assembled from the root power sums.  The module enumerates all
 solutions, whichever W coefficients w0 .. w_(m-1) depend on the roots, as
 null vectors of the ODE's (n+m)x(n+1) matrix on polynomials of degree n at
 the real solutions of one m-parameter eigenproblem (`_multiparameter`, for
-m = 1 to 4; it also solves the match-ell problems of `families`).  The
+m = 1 to 4).  The module builds both pencils that it solves: the root
+system's from the ODE (`solve_bae`), and the match-ell problem's from the
+`_Border` that `families._border` derives, Q affine in a parameter omega
+and a condition on W (`_border_pencil`, `_border_candidates`).  The
 candidates of one solve are taken in one batch: their roots from one
 stacked companion-matrix eigensolve (`_starts`), a Newton polish of every
 row at once (`_polish`), and array filters followed by the polynomial
@@ -20,8 +23,8 @@ P D^2 + Q D + W on S's coefficients (`_accept`); `_operator` is the one
 implementation of that product, and `_ode_matrix` applies it to the unit
 basis.  Each accepted branch carries the W coefficients and identity
 residual of that verification.  The match-ell solve of `families` polishes
-its candidates in their roots and a parameter omega of Q together, with
-the Newton system bordered by a condition on W (`_bordered_branches`).
+its candidates in their roots and omega together, with the Newton system
+bordered by the border's condition (`_bordered_branches`).
 """
 
 from __future__ import annotations
@@ -35,9 +38,9 @@ from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder, polyval
 
 from .errors import DenominatorBlowup, InvalidParameter, NonRealCoefficients, NoSolutionFound
-from .polynomials import polyder, polyval
 
 
 class Variable(str, Enum):
@@ -149,10 +152,8 @@ def _branch_key(roots) -> tuple:
     return tuple(z.real for z in roots) + tuple(z.imag for z in roots)
 
 
-def _roots_of(roots_or_rootset):
-    if isinstance(roots_or_rootset, RootSet):
-        return np.array(roots_or_rootset.roots, dtype=complex)
-    return np.asarray(roots_or_rootset, dtype=complex)
+def _roots_of(roots) -> np.ndarray:
+    return np.asarray(roots.roots if isinstance(roots, RootSet) else roots, dtype=complex)
 
 
 def _closing_w(p, q, n: int, s1, s2, s3, s4, pair):
@@ -244,7 +245,7 @@ def bae_residuals(ode: PolyODE, roots) -> np.ndarray:
     arr = _roots_of(roots)
     if len(arr) == 0:
         return np.zeros(0, dtype=complex)
-    if np.min(np.abs(polyval(ode.p, arr))) < DENOM_TOL:
+    if np.min(np.abs(polyval(arr, ode.p, tensor=False))) < DENOM_TOL:
         raise DenominatorBlowup("a root coincides with a zero of P(t)")
     if _separation(arr) < SEP_TOL:
         raise DenominatorBlowup("roots are closer than SEP_TOL")
@@ -315,9 +316,9 @@ def _operator(ode: _Columns, w: np.ndarray, s: np.ndarray) -> np.ndarray:
 class _Columns(NamedTuple):
     """P and Q of one ODE per row of a (rows, n) stack of roots, as
     coefficient columns: arrays of shape (5, rows, 1) and (6, rows, 1).
-    `polyval` broadcasts them against the stack, so each row meets its own
-    floats, the ones it meets alone; a PolyODE, which every row shares,
-    broadcasts the same way."""
+    `polyval(T, c, tensor=False)` broadcasts them against the stack, so
+    each row meets its own floats, the ones it meets alone; a PolyODE,
+    which every row shares, broadcasts the same way."""
 
     p: np.ndarray
     q: np.ndarray
@@ -341,7 +342,7 @@ def _rows(ode: PolyODE | _Columns, index) -> PolyODE | _Columns:
 
 def _residual_batch(ode: PolyODE | _Columns, T: np.ndarray) -> np.ndarray:
     """Residue conditions, one row of roots per row of T."""
-    return _residues(T, polyval(ode.q, T) / polyval(ode.p, T))
+    return _residues(T, polyval(T, ode.q, tensor=False) / polyval(T, ode.p, tensor=False))
 
 
 def _residues(T: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -359,8 +360,8 @@ def _residues(T: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 def _jacobian_batch(ode: PolyODE | _Columns, T: np.ndarray, pv=None, qv=None) -> np.ndarray:
     """The Jacobian of `_residual_batch`, from P and Q at T if given."""
-    pv, qv = (polyval(ode.p, T), polyval(ode.q, T)) if pv is None else (pv, qv)
-    fp = (polyval(polyder(ode.q), T) * pv - qv * polyval(polyder(ode.p), T)) / (pv * pv)
+    pv, qv = (polyval(T, ode.p, tensor=False), polyval(T, ode.q, tensor=False)) if pv is None else (pv, qv)
+    fp = (polyval(T, polyder(ode.q), tensor=False) * pv - qv * polyval(T, polyder(ode.p), tensor=False)) / (pv * pv)
     return _residue_jacobian(T, fp)
 
 
@@ -415,7 +416,7 @@ def _polish(ode: PolyODE | _Columns, T: np.ndarray) -> np.ndarray:
         if not len(active):
             break
         X, at = T[active], _rows(ode, active)
-        pv, qv = polyval(at.p, X), polyval(at.q, X)
+        pv, qv = polyval(X, at.p, tensor=False), polyval(X, at.q, tensor=False)
         R = _residues(X, qv / pv)  # `_residual_batch`, with P and Q kept for the Jacobian
         finite = np.isfinite(R).all(axis=1)
         if not finite.all():
@@ -469,7 +470,7 @@ def _bordered_polish(border: _Border, T: np.ndarray, omega: np.ndarray) -> tuple
     n = T.shape[1]
     polys = [border.ode.p + (0.0,), border.ode.q, border.dq]
     # The coefficients of P, P', Q0, Q0', dQ and dQ', one column each, ascending to t^5.
-    coeffs = np.array([d for c in polys for d in (c, polyder(c) + (0.0,))]).T
+    coeffs = np.array([d for c in polys for d in (c, (*polyder(c), 0.0))]).T
     unit = np.eye(5, 6)  # the sums of six evaluations: each sum alone at 1, then all 0
     w_j = np.array([_closing_w(border.ode.p, border.ode.q, n, *unit)[border.j],
                     _closing_w((0.0,) * 5, border.dq, n, *unit)[border.j]])
@@ -557,10 +558,10 @@ def _accept(ode: PolyODE | _Columns, T: np.ndarray, variable: Variable) -> list[
         keep &= ~(np.max(np.abs(T - mirror), axis=1) > CONJ_TOL)
         ordered = _canonical_order(0.5 * (T + mirror))
         sep = _separations(ordered)
-        pv = polyval(ode.p, ordered)
+        pv = polyval(ordered, ode.p, tensor=False)
         keep &= ~((sep <= SEP_TOL) | (np.min(np.abs(pv), axis=1) < DENOM_TOL))
         res = np.full(len(T), math.nan)
-        f = polyval(_rows(ode, keep).q, ordered[keep]) / pv[keep]  # `_residual_batch`, with P reused
+        f = polyval(ordered[keep], _rows(ode, keep).q, tensor=False) / pv[keep]  # `_residual_batch`, with P reused
         res[keep] = np.max(np.abs(_residues(ordered[keep], f)), axis=1)
         keep &= ~(res >= BAE_TOL)
     index = np.flatnonzero(keep)
@@ -827,3 +828,35 @@ def solve_bae(ode: PolyODE, n: int, *, variable: Variable = Variable.R) -> list[
             kept.append(i)
     found = [branches[rows[i]] for i in kept]
     return sorted(found, key=lambda branch: _branch_key(branch.roots))
+
+
+def _border_pencil(border: _Border, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A and L such that S = sum c_k t^k of degree n solves the border's ODE
+    at omega, with w_j as its condition gives, exactly when
+    (A + omega L + w_(j-1) T_(j-1) + ... + w0 T0) c = 0: the matrix of
+    `_ode_matrix` at Q0 + omega dQ, plus w_j T_j, is affine in omega, so
+    its values at omega = 1 and 2 give A and L.  (At omega = 0, Q's top
+    coefficient can vanish, and with it the row of w_j.)"""
+    mats = []
+    for omega in (1.0, 2.0):
+        matrix = _ode_matrix(PolyODE(border.ode.p, np.add(border.ode.q, np.multiply(border.dq, omega))), n)
+        mats.append(matrix + (border.top + omega * border.slope) * np.eye(len(matrix), n + 1, -border.j))
+    L = mats[1] - mats[0]
+    return mats[0] - L, L
+
+
+def _border_candidates(border: _Border, n: int, within: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """The omega and start roots of each candidate of `_border_pencil` with
+    omega in `within`, in ascending omega: its near-real solutions
+    (omega, w_(j-1), ..., w0, c) from `_multiparameter` with m = j + 1 (the
+    square pencil A c = -omega L c for j = 0), the parameters of each c
+    the least-squares solution of (omega L + sum_i w_i T_i) c = -A c, and
+    their roots from one stacked eigensolve (`_starts`)."""
+    A, L = _border_pencil(border, n)
+    Bs = [L, *_shifts(n, border.j + 1)[: border.j]]
+    coeffs = _multiparameter(A, Bs)
+    w = np.linalg.pinv(np.stack([coeffs @ B.T for B in Bs], axis=-1)) @ (coeffs @ -A.T)[..., None]
+    omegas = w[:, 0, 0]
+    keep = (within[0] <= omegas) & (omegas <= within[1])
+    order = np.argsort(omegas[keep])
+    return omegas[keep][order], _starts(coeffs[keep][order])

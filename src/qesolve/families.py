@@ -17,7 +17,9 @@ W coefficients of each branch give its derived couplings, energy and
 wavefunction shape, power by power in r (`_closing`).  In match-ell mode
 (sextic, decatic) omega is derived: every match is a real solution of one
 eigenproblem linear in omega, polished in its roots and omega together
-(`_match_ell`).
+(`_match_ell`).  This module derives the match condition once (`_border`);
+`bethe` builds the eigenproblem's pencil from it and solves it
+(`bethe._border_candidates`), as it does the root system's.
 """
 
 from __future__ import annotations
@@ -36,14 +38,13 @@ from .bethe import (
     RootSet,
     SolverConfig,
     Variable,
+    _at,
     _Border,
+    _border_candidates,
     _bordered_branches,
     _branch_key,
-    _multiparameter,
-    _ode_matrix,
     _residual_batch,
     _separation,
-    _starts,
     bae_residuals,
     compute_w_coefficients,
     solve_bae,
@@ -436,34 +437,12 @@ NO_MATCH = "no omega in (0, 1e3] matches the requested ell"
 MATCH_TOL = 1e-8  # the largest |(l+1/2)^2 - (ell+1/2)^2| a match may leave
 
 
-def _match_problem(problem: FamilyProblem) -> tuple[np.ndarray, np.ndarray]:
-    """A and L such that S = sum c_k t^k is a branch with the requested
-    ell at omega exactly when (A + omega L + w0 T0) c = 0 (the decatic) or
-    (A + omega L) c = 0 (the sextic, where w0 is fixed by the ell).
-
-    At omega, the matrix of `bethe._ode_matrix` is affine in omega.  The
-    derived (l+1/2)^2 = L_-2 - s w_{k-1} + 1/4 (`_closing`), so at the
-    requested ell the top root-dependent W coefficient is
-    w_{k-1} = (L_-2 + 1/4 - (ell+1/2)^2) / s, which is affine in omega too.
-    Adding w_{k-1} T_{k-1} (T_j takes t^i to t^(i+j)) to the matrix at
-    omega = 1 and 2 gives A + omega L.
-    """
-    n, target = problem.n, (problem.ell + 0.5) ** 2
-    mats = []
-    for omega in (1.0, 2.0):
-        g = _gauge(problem, omega)
-        top = _ell_miss(g, (0.0,) * 5, target) / g.s
-        mats.append(_ode_matrix(g.ode, n) + top * np.eye(n + g.k, n + 1, 1 - g.k))
-    L = mats[1] - mats[0]
-    return mats[0] - L, L
-
-
 def _border(problem: FamilyProblem) -> tuple[_Border, Variable]:
     """The match condition as a `bethe._Border`, and the variable: Q is
-    affine in omega (Q0 at omega = 0, dQ = Q(1) - Q(0)), and the requested
-    ell fixes the top root-dependent W coefficient, w_{k-1} =
-    (L_-2 + 1/4 - (ell+1/2)^2) / s (see `_match_problem`), which is affine
-    in omega too."""
+    affine in omega (Q0 at omega = 0, dQ = Q(1) - Q(0)), and so is the
+    derived (l+1/2)^2 = L_-2 - s w_{k-1} + 1/4 (`_closing`), so at the
+    requested ell the top root-dependent W coefficient is
+    w_{k-1} = (L_-2 + 1/4 - (ell+1/2)^2) / s, affine in omega too."""
     target = (problem.ell + 0.5) ** 2
     g0, g1 = _gauge(problem, 0.0), _gauge(problem, 1.0)
     top0, top1 = (_ell_miss(g, (0.0,) * 5, target) / g.s for g in (g0, g1))
@@ -475,37 +454,24 @@ def _match_ell(problem: FamilyProblem) -> tuple[list[tuple[RootSet, _Gauge]], li
     its omega) pairs in ascending omega, and a BranchFailure for each candidate that
     fails (one NO_MATCH record when there is no candidate).
 
-    The candidates are the real solutions (omega, c) of `_match_problem`
-    with omega in OMEGA_RANGE, from `bethe._multiparameter`: with m = 1 for
-    the sextic, whose (n+1)x(n+1) pencil is A c = -omega L c, and with
-    m = 2 for the decatic, whose (n+2)x(n+1) problem is in (omega, w0).
-    The candidates' roots come from one stacked eigensolve
-    (`bethe._starts`).  The closing formulas' rounding leaves omega off by
-    up to ~1e-13 relative (and the roots of an ill-conditioned candidate
-    further), so every candidate is polished in its roots and omega
-    together (its roots first at its omega where they are far off), one
-    `bethe._bordered_branches` batch per solve: the residue conditions at
-    omega, bordered by the match condition of `_border`;
+    The candidates, and their start roots, are the real solutions in
+    OMEGA_RANGE of the pencil that `bethe._border_candidates` builds from
+    the match condition of `_border`.  The closing formulas' rounding
+    leaves omega off by up to ~1e-13 relative (and the roots of an
+    ill-conditioned candidate further), so every candidate is polished in
+    its roots and omega together (its roots first at its omega where they
+    are far off), one `bethe._bordered_branches` batch per solve: the
+    residue conditions at omega, bordered by the match condition;
     the filters of `solve_bae` then see each row at its final omega.  A
     match is kept when it misses the ell by at most MATCH_TOL, at the W
     that acceptance computed.  Two candidates that reach the same match
     (within DEDUP_TOL in roots and relative omega) give it once.
     """
     n, target = problem.n, (problem.ell + 0.5) ** 2
-    A, L = _match_problem(problem)
-    Bs = [L] if A.shape[0] == A.shape[1] else [L, np.eye(n + 2, n + 1)]
-    coeffs = _multiparameter(A, Bs)
-    # The parameters of each c, omega (and w0 for the decatic): the
-    # least-squares solution of sum_j w_j B_j c = -A c, for all rows at once.
-    w = np.linalg.pinv(np.stack([coeffs @ B.T for B in Bs], axis=-1)) @ (coeffs @ -A.T)[..., None]
-    omegas = w[:, 0, 0]
-    lo, hi = OMEGA_RANGE
-    keep = (lo <= omegas) & (omegas <= hi)
-    order = np.argsort(omegas[keep])
-    omegas, starts = omegas[keep][order], _starts(coeffs[keep][order])
+    border, variable = _border(problem)
+    omegas, starts = _border_candidates(border, n, OMEGA_RANGE)
     if not len(omegas):
         return [], [BranchFailure(None, "ConstraintInfeasible", NO_MATCH)]
-    border, variable = _border(problem)
     branches, finals = _bordered_branches(border, starts, omegas, variable)
 
     matches: list[tuple[RootSet, float, _Gauge]] = []
@@ -515,10 +481,9 @@ def _match_ell(problem: FamilyProblem) -> tuple[list[tuple[RootSet, _Gauge]], li
             g = _gauge(problem, omega)
             miss = _ell_miss(g, roots.w, target)
         if roots is None or not abs(miss) <= MATCH_TOL:
-            g0 = _gauge(problem, candidate_omega)
             with np.errstate(all="ignore"):
-                res = float(np.max(np.abs(_residual_batch(g0.ode, start[None])), initial=0.0))
-            rejected = RootSet(n, tuple(complex(z) for z in start), g0.variable, res, _separation(start))
+                res = np.max(np.abs(_residual_batch(_at(border, np.array([candidate_omega])), start[None])), initial=0)
+            rejected = RootSet(n, tuple(complex(z) for z in start), variable, float(res), _separation(start))
             reason = "the root filters reject it" if roots is None else f"it misses the ell by {miss:.3e}"
             detail = f"the match at omega = {candidate_omega:.9g}: {reason}"
             failures.append(BranchFailure(rejected, "ConstraintInfeasible", detail))

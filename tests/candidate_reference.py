@@ -12,6 +12,7 @@ loop of `solve_bae` did.  The tests check that the batched step
 import math
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from qesolve.bethe import (
     BAE_TOL,
@@ -31,7 +32,6 @@ from qesolve.bethe import (
     verify_polynomial_identity,
 )
 from qesolve.errors import NonRealCoefficients
-from qesolve.polynomials import polyval
 
 
 def separation(roots: np.ndarray) -> float:
@@ -76,7 +76,7 @@ def accept_candidate(ode: PolyODE, roots: np.ndarray):
         return None
     ordered = _canonical_order(0.5 * (roots + mirror))
     sep = separation(ordered)
-    if sep <= SEP_TOL or np.min(np.abs(polyval(ode.p, ordered))) < DENOM_TOL:
+    if sep <= SEP_TOL or np.min(np.abs(polyval(ordered, ode.p, tensor=False))) < DENOM_TOL:
         return None
     res = float(np.max(np.abs(_residual_batch(ode, ordered[None, :]))))
     if res >= BAE_TOL:

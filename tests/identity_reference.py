@@ -8,10 +8,10 @@ the matrix of `bethe._ode_matrix` built cell by cell by fancy indexing
 from __future__ import annotations
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder
 
 from qesolve.bethe import IMAG_TOL, _closing_w, _root_dependent
 from qesolve.errors import NonRealCoefficients
-from qesolve.polynomials import polyder
 
 
 def poly_from_roots(roots):

@@ -16,22 +16,14 @@ import math
 import numpy as np
 
 from qesolve import bethe, families
-from qesolve.bethe import DEDUP_TOL, RootSet, _multiparameter, _residual_batch, _separation, _starts
+from qesolve.bethe import DEDUP_TOL, RootSet, _residual_batch, _separation
 from qesolve.families import MATCH_TOL, NO_MATCH, OMEGA_RANGE, BranchFailure, FamilyProblem
 
 
 def candidates(problem: FamilyProblem) -> list[tuple[float, np.ndarray]]:
     """(omega, start roots) of each candidate in range, in ascending omega."""
-    n = problem.n
-    A, L = families._match_problem(problem)
-    Bs = [L] if A.shape[0] == A.shape[1] else [L, np.eye(n + 2, n + 1)]
-    coeffs = _multiparameter(A, Bs)
-    w = np.linalg.pinv(np.stack([coeffs @ B.T for B in Bs], axis=-1)) @ (coeffs @ -A.T)[..., None]
-    omegas = w[:, 0, 0]
-    lo, hi = OMEGA_RANGE
-    keep = (lo <= omegas) & (omegas <= hi)
-    order = np.argsort(omegas[keep])
-    return list(zip(omegas[keep][order].tolist(), _starts(coeffs[keep][order])))
+    omegas, starts = bethe._border_candidates(families._border(problem)[0], problem.n, OMEGA_RANGE)
+    return list(zip(omegas.tolist(), starts))
 
 
 def match_ell(problem: FamilyProblem) -> tuple[list, list[BranchFailure]]:

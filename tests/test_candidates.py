@@ -19,6 +19,7 @@ from qesolve import (
     derive_parameters,
     solve_bae,
     solve_family,
+    solve_family_detailed,
     verify_polynomial_identity,
 )
 from qesolve import bethe, families
@@ -27,6 +28,7 @@ from qesolve.families import build_ode
 
 import candidate_reference
 import identity_reference
+from test_acceptance import _FAMILY_CASES, _draw_couplings
 from test_bethe import _solve, _sweep_problem
 
 # A sample of the acceptance sweep: every family at n = 1..5, m = 1 to 4.
@@ -441,3 +443,65 @@ class TestPassedOn:
         (branch,) = solve_bae(ode, 0, variable=variable)
         assert branch == bare and repr(branch) == repr(bare)
         assert branch.w == (0.0,) * 5 and branch.identity_residual == 0.0
+
+
+def _acceptance_problems() -> list[FamilyProblem]:
+    """The 480 solves of the acceptance sweep: 20 coupling draws per family,
+    split over its cases, each at n = 0..5."""
+    problems = []
+    for family, cases in _FAMILY_CASES.items():
+        rng = np.random.default_rng(sum(map(ord, family.value)))
+        for draw in range(20):
+            case = cases[draw % len(cases)]
+            free, ell = _draw_couplings(family, case, rng)
+            problems += [FamilyProblem(family, case, n, ell, free) for n in range(6)]
+    return problems
+
+
+def _candidate_counts(monkeypatch, problems) -> list[tuple[FamilyProblem, int, int]]:
+    """Per solve: the problem, its near-real candidates (the rows that
+    `_multiparameter` returns; one at n = 0, which runs no pencil), and its
+    branches plus BranchFailures."""
+    multiparameter, rows = bethe._multiparameter, []
+
+    def counted(A, Bs):
+        coeffs = multiparameter(A, Bs)
+        rows.append(len(coeffs))
+        return coeffs
+
+    monkeypatch.setattr(bethe, "_multiparameter", counted)
+    counts = []
+    for problem in problems:
+        rows.clear()
+        solutions, failures = solve_family_detailed(problem)
+        counts.append((problem, sum(rows) if problem.n else 1, len(solutions) + len(failures)))
+    return counts
+
+
+class TestCandidateCount:
+    """The pencil's near-real candidates, each of which ends as a branch or
+    a BranchFailure: on the acceptance sweep the count is exact, so a row
+    lost between the pencil and the output shows."""
+
+    def test_every_acceptance_candidate_is_accounted_for(self, monkeypatch):
+        counts = _candidate_counts(monkeypatch, _acceptance_problems())
+        assert [(p, c, a) for p, c, a in counts if c != a] == []
+        assert sum(c for _, c, _ in counts) == 2048
+
+    def test_a_dropped_row_is_caught(self, monkeypatch):
+        # The filters drop the first passing row of the first solve that
+        # has two (with one, the solve would fail, and report it); the
+        # quartic's first five draws hold such a solve.
+        accept, dropped = bethe._accept, []
+
+        def drop_one(ode, T, variable):
+            rows = accept(ode, T, variable)
+            passing = [i for i, branch in enumerate(rows) if branch is not None]
+            if len(passing) > 1 and not dropped:
+                rows[passing[0]] = None
+                dropped.append(T.shape[1])
+            return rows
+
+        monkeypatch.setattr(bethe, "_accept", drop_one)
+        off = [(p.n, c - a) for p, c, a in _candidate_counts(monkeypatch, _acceptance_problems()[:30]) if c != a]
+        assert len(dropped) == 1 and off == [(dropped[0], 1)]

@@ -132,7 +132,7 @@ class TestEnumeratedMatches:
             c = multiparameter(A, Bs)
             return np.concatenate([c, c * np.r_[1 + 1e-14, np.ones(c.shape[1] - 1)]])
 
-        monkeypatch.setattr(families, "_multiparameter", twice)
+        monkeypatch.setattr(bethe, "_multiparameter", twice)
         for problem, before in zip(DECATIC_WORKLOAD, expected):
             after = matches(problem)
             assert calls.pop() == 2
@@ -151,10 +151,12 @@ class TestEnumeratedMatches:
 
 class TestMatchProblemReference:
     def test_a_and_l_match_the_interpolation(self):
-        # The top W coefficient set directly at the requested ell gives the
-        # A and L that interpolating it in s1 gave.
+        # The pencil built from the match condition of `_border`, whose top
+        # W coefficient is set directly at the requested ell, has the A and
+        # L that interpolating that coefficient in s1 gave.
         for problem in workload_problems("sextic") + DECATIC_WORKLOAD:
-            (A, L), (A_ref, L_ref) = families._match_problem(problem), match_problem(problem)
+            A, L = bethe._border_pencil(families._border(problem)[0], problem.n)
+            A_ref, L_ref = match_problem(problem)
             for got, ref in ((A, A_ref), (L, L_ref)):
                 assert got.shape == ref.shape
                 assert max_abs(got - ref) <= 1e-12 * max(1.0, max_abs(ref)), problem

@@ -3,6 +3,7 @@
     python3 tools/output_digest.py > digest.txt
     python3 tools/output_digest.py --values > values.jsonl
     python3 tools/output_digest.py --acceptance [--values] > acceptance.jsonl
+    python3 tools/output_digest.py --match [--values] > match.jsonl
     python3 tools/output_digest.py --compare old.jsonl new.jsonl
     python3 tools/output_digest.py --verify > verify.txt
     python3 tools/output_digest.py --verify --values > verify.jsonl
@@ -45,6 +46,13 @@ With `--acceptance` it digests the tier-1 acceptance sweep instead of the
 two workloads, in the same two formats: 20 coupling draws per family, drawn
 from the sweep's coupling streams (`family_rng`, `draw_couplings`), split
 over the family's cases and solved at n = 0..5, 480 solves in all.
+
+With `--match` it digests, in the same two formats, the match-ell
+regression set of `tests/test_match_ell.py` (`regression_problems`),
+redrawn here: 60 draws from default_rng(12345), each a sextic and a
+decatic problem at one ell in 0..3, solved in match-ell mode at
+n = 0..6, 840 solves in all.  It checks a match-ell change on more and
+larger problems than the `match_ell` workload's 63 solves at n <= 3.
 
 With `--verify` it digests the `verify` benchmark workload instead: one
 line per entry of `VERIFY_POOL` (in `perfbench/workloads.py`), with its
@@ -114,13 +122,36 @@ def _acceptance_ops(workloads) -> list:
     return ops
 
 
-def digest(values: bool, acceptance: bool) -> None:
+def _match_ops(workloads) -> list:
+    """The match-ell regression set of `tests/test_match_ell.py`: 60 draws
+    from default_rng(12345), each a sextic and a decatic problem at one ell
+    in 0..3, solved at n = 0..6 (840 solves)."""
+    import numpy as np
+    from qesolve import Case, Family, FamilyProblem
+
+    rng, ops = np.random.default_rng(12345), []
+    for draw in range(60):
+        for family in ("sextic", "decatic"):
+            if family == "sextic":
+                free = {"e": rng.uniform(-0.5, 1.2), "d": rng.uniform(0.3, 1.5)}
+            else:
+                free = {"b": rng.uniform(-0.4, 0.8), "c": rng.uniform(-0.8, 0.8), "d": rng.uniform(0.3, 1.5)}
+            ell = int(rng.integers(0, 4))
+            for n in range(7):
+                problem = FamilyProblem(Family(family), Case.HARMONIC, n, ell, free, True)
+                ops.append(workloads.Op(f"match {family} draw {draw} ell={ell} n={n}", problem))
+    return ops
+
+
+def digest(values: bool, acceptance: bool, match: bool) -> None:
     import workloads
     from qesolve.document import dumps_documents, solution_to_document
     from qesolve.oracle import VerifyLevel, verify_solution
 
     if acceptance:
         runs = [(workloads.Sweep(), _acceptance_ops(workloads))]
+    elif match:
+        runs = [(workloads.MatchEll(), _match_ops(workloads))]
     else:
         runs = [(w, w.setup(seed=0, smoke=False)) for w in (workloads.Sweep(), workloads.MatchEll())]
     for workload, ops in runs:
@@ -317,7 +348,8 @@ if __name__ == "__main__":
         verify_digest(values="--values" in sys.argv)
     elif sorted(sys.argv[1:]) in (["--acceptance", "--verify"], ["--acceptance", "--values", "--verify"]):
         verify_acceptance_digest(values="--values" in sys.argv)
-    elif sorted(sys.argv[1:]) in ([], ["--values"], ["--acceptance"], ["--acceptance", "--values"]):
-        digest(values="--values" in sys.argv, acceptance="--acceptance" in sys.argv)
+    elif sorted(sys.argv[1:]) in ([], ["--values"], ["--acceptance"], ["--acceptance", "--values"], ["--match"],
+                                  ["--match", "--values"]):
+        digest(values="--values" in sys.argv, acceptance="--acceptance" in sys.argv, match="--match" in sys.argv)
     else:
         sys.exit(__doc__)
