@@ -28,7 +28,6 @@ from qesolve.families import build_ode
 
 import candidate_reference
 import identity_reference
-from test_acceptance import _FAMILY_CASES, _draw_couplings
 from test_bethe import _solve, _sweep_problem
 
 # A sample of the acceptance sweep: every family at n = 1..5, m = 1 to 4.
@@ -448,14 +447,7 @@ class TestPassedOn:
 def _acceptance_problems() -> list[FamilyProblem]:
     """The 480 solves of the acceptance sweep: 20 coupling draws per family,
     split over its cases, each at n = 0..5."""
-    problems = []
-    for family, cases in _FAMILY_CASES.items():
-        rng = np.random.default_rng(sum(map(ord, family.value)))
-        for draw in range(20):
-            case = cases[draw % len(cases)]
-            free, ell = _draw_couplings(family, case, rng)
-            problems += [FamilyProblem(family, case, n, ell, free) for n in range(6)]
-    return problems
+    return [_sweep_problem(family, draw, n) for family in Family for draw in range(20) for n in range(6)]
 
 
 def _candidate_counts(monkeypatch, problems) -> list[tuple[FamilyProblem, int, int]]:
