@@ -38,7 +38,7 @@ from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.polynomial import polyder, polyval
+from numpy.polynomial.polynomial import polyval
 
 from .errors import DenominatorBlowup, InvalidParameter, NonRealCoefficients, NoSolutionFound
 
@@ -358,10 +358,17 @@ def _residues(T: np.ndarray, f: np.ndarray) -> np.ndarray:
     return 2.0 * inv.sum(axis=2) + f
 
 
+def _derivative(c) -> np.ndarray:
+    """The coefficients of c's derivative along its first axis, by numpy
+    `polyder`'s arithmetic, without its per-call overhead."""
+    c = np.asarray(c)
+    return (c[1:].T * np.arange(1, len(c))).T
+
+
 def _jacobian_batch(ode: PolyODE | _Columns, T: np.ndarray, pv=None, qv=None) -> np.ndarray:
     """The Jacobian of `_residual_batch`, from P and Q at T if given."""
     pv, qv = (polyval(T, ode.p, tensor=False), polyval(T, ode.q, tensor=False)) if pv is None else (pv, qv)
-    fp = (polyval(T, polyder(ode.q), tensor=False) * pv - qv * polyval(T, polyder(ode.p), tensor=False)) / (pv * pv)
+    fp = (polyval(T, _derivative(ode.q), tensor=False) * pv - qv * polyval(T, _derivative(ode.p), tensor=False)) / (pv * pv)
     return _residue_jacobian(T, fp)
 
 
@@ -470,7 +477,7 @@ def _bordered_polish(border: _Border, T: np.ndarray, omega: np.ndarray) -> tuple
     n = T.shape[1]
     polys = [border.ode.p + (0.0,), border.ode.q, border.dq]
     # The coefficients of P, P', Q0, Q0', dQ and dQ', one column each, ascending to t^5.
-    coeffs = np.array([d for c in polys for d in (c, (*polyder(c), 0.0))]).T
+    coeffs = np.array([d for c in polys for d in (c, (*_derivative(c), 0.0))]).T
     unit = np.eye(5, 6)  # the sums of six evaluations: each sum alone at 1, then all 0
     w_j = np.array([_closing_w(border.ode.p, border.ode.q, n, *unit)[border.j],
                     _closing_w((0.0,) * 5, border.dq, n, *unit)[border.j]])
@@ -795,8 +802,8 @@ def solve_bae(ode: PolyODE, n: int, *, variable: Variable = Variable.R) -> list[
     identity test bounds the same matrix-vector product at the W of the
     polished roots, and each branch keeps that W and identity residual
     (`RootSet.w`, `RootSet.identity_residual`).  Walking the rows in
-    order, one whose start or polished roots are within DEDUP_TOL of a
-    branch already kept is a duplicate.  The list is sorted by the
+    order, one whose polished roots are within DEDUP_TOL of a branch
+    already kept is a duplicate.  The list is sorted by the
     canonical key (sorted real parts, then imaginary parts), so the output
     is deterministic.
 
@@ -814,14 +821,10 @@ def solve_bae(ode: PolyODE, n: int, *, variable: Variable = Variable.R) -> list[
     if not rows:
         raise NoSolutionFound(f"no enumerated candidate of degree {n} was accepted")
     roots = np.array([branches[i].roots for i in rows])
-    # near[i, j]: row i's start or branch is within DEDUP_TOL of branch j.
-    near = (np.max(np.abs(roots[None, :, :] - starts[rows][:, None, :]), axis=2) < DEDUP_TOL) | (
-        np.max(np.abs(roots[None, :, :] - roots[:, None, :]), axis=2) < DEDUP_TOL
-    )
-    # Every row is polished and filtered in one batch; walking the rows in
-    # order, one whose start or branch is near a branch already kept is
-    # skipped, so a row that fails the filters cannot hide a nearby row
-    # that passes them.
+    # near[i, j]: accepted row i's branch is within DEDUP_TOL of row j's.
+    # A start that near a kept branch polishes to it, so the starts are not
+    # compared, and a row that fails the filters hides no row.
+    near = np.max(np.abs(roots[None, :, :] - roots[:, None, :]), axis=2) < DEDUP_TOL
     kept: list[int] = []
     for i in range(len(rows)):
         if not near[i, kept].any():

@@ -13,7 +13,9 @@ Exit codes: 0 success, 1 usage or parse error, 2 no solution found,
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import math
 import sys
 
@@ -39,10 +41,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NO_SOLUTION = 2
 EXIT_VERIFY_FAILED = 3
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _parse_params(items) -> dict:
@@ -91,18 +89,14 @@ def _solution_rows(solutions, reports):
     return rows
 
 
-def _rows_to_csv(rows, columns) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        cells = []
-        for col in columns:
-            val = row.get(col, "")
-            if isinstance(val, float):
-                cells.append(_fmt(val))
-            else:
-                cells.append(str(val))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+def _write_csv(rows, columns, path: str | None):
+    """Write the rows under the header `columns`, each float as its repr
+    (the shortest text that reads back to it) and a missing cell empty."""
+    text = io.StringIO()
+    writer = csv.DictWriter(text, columns, restval="", extrasaction="ignore", lineterminator="\n")
+    writer.writeheader()
+    writer.writerows({k: float(v) if isinstance(v, float) else v for k, v in row.items()} for row in rows)
+    _write(text.getvalue(), path)
 
 
 def cmd_solve(args) -> int:
@@ -118,8 +112,7 @@ def cmd_solve(args) -> int:
         _write(dumps_documents(docs), args.out)
     else:
         rows = _solution_rows(solutions, reports)
-        columns = list(rows[0].keys())
-        _write(_rows_to_csv(rows, columns), args.out)
+        _write_csv(rows, list(rows[0]), args.out)
     return EXIT_OK if any(r.passed for r in reports) else EXIT_VERIFY_FAILED
 
 
@@ -158,17 +151,15 @@ def cmd_sample(args) -> int:
         raise DocumentError(f"--index {args.index} is out of range for {len(docs)} document(s)")
     solution = document_to_solution(docs[args.index])
     grid = np.geomspace(args.rmin, args.rmax, args.points)
-    lines = ["r,log_abs_psi,sign,psi1_over_psi"]
-    for r in grid:
-        log_mag, sign = eval_log_psi(solution, float(r))
+    rows = []
+    for r in grid.tolist():
+        log_mag, sign = eval_log_psi(solution, r)
         try:
-            psi1, _ = eval_psi_log_derivatives(solution, float(r))
-            p1 = _fmt(psi1)
+            psi1, _ = eval_psi_log_derivatives(solution, r)
         except QesError:
-            p1 = "nan"
-        mag = _fmt(log_mag) if math.isfinite(log_mag) else "-inf"
-        lines.append(f"{_fmt(float(r))},{mag},{int(sign)},{p1}")
-    _write("\n".join(lines) + "\n", args.out)
+            psi1 = math.nan
+        rows.append({"r": r, "log_abs_psi": log_mag, "sign": int(sign), "psi1_over_psi": psi1})
+    _write_csv(rows, ["r", "log_abs_psi", "sign", "psi1_over_psi"], args.out)
     return EXIT_OK
 
 
@@ -214,8 +205,7 @@ def cmd_scan(args) -> int:
             rows.append(row)
         for failure in failures:
             rows.append({name: float(value), "error": failure.error})
-    columns = [name, "branch", "energy", *sorted(derived_keys), "passed", "error"]
-    _write(_rows_to_csv(rows, columns), args.out)
+    _write_csv(rows, [name, "branch", "energy", *sorted(derived_keys), "passed", "error"], args.out)
     return EXIT_OK if any_solution else EXIT_NO_SOLUTION
 
 

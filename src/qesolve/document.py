@@ -1,7 +1,8 @@
 """Lossless JSON documents for solutions and verification reports.
 
-Numbers are rendered with 17 significant digits so every double round-trips
-bit for bit; key order is fixed, which makes repeated runs byte-identical.
+Numbers are written as Python's float repr, the shortest text that reads
+back to the same double, so every double (-0.0 included) round-trips bit
+for bit; key order is fixed, which makes repeated runs byte-identical.
 """
 
 from __future__ import annotations
@@ -19,16 +20,10 @@ SCHEMA_VERSION = "1"
 _VARIABLES = {v.value: v for v in Variable}
 
 
-def _fmt_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise DocumentError(f"non-finite number {x!r} cannot be serialized")
-    return format(float(x), ".17g")
-
-
 def _number(value) -> float:
     """A schema "1" number: JSON holds it as a finite number, not a string
     or a boolean, which float() would take, nor the Infinity or NaN that
-    json.loads reads and `_fmt_float` never writes."""
+    json.loads reads and `dumps_documents` never writes."""
     if isinstance(value, (str, bool)):
         raise DocumentError(f"expected a number, got {value!r}")
     if not math.isfinite(number := float(value)):
@@ -42,35 +37,6 @@ def _object(value, name: str) -> dict:
     if not isinstance(value, dict):
         raise DocumentError(f"{name} must be an object, got {type(value).__name__}")
     return value
-
-
-def emit_json(obj, indent: int = 0) -> str:
-    """Serialize with deterministic key order and 17-digit floats."""
-    pad = "  " * indent
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if obj is None:
-        return "null"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = ",\n".join(
-            f"{pad}  {json.dumps(str(k))}: {emit_json(v, indent + 1)}"
-            for k, v in obj.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = ",\n".join(f"{pad}  {emit_json(v, indent + 1)}" for v in obj)
-        return "[\n" + inner + "\n" + pad + "]"
-    raise DocumentError(f"cannot serialize {type(obj).__name__}")
 
 
 def solution_to_document(solution: QESSolution, report: VerificationReport | None = None) -> dict:
@@ -109,7 +75,7 @@ def solution_to_document(solution: QESSolution, report: VerificationReport | Non
             "checks": [
                 {
                     "name": c.name,
-                    "value": float(c.value),
+                    "value": float(min(c.value, 1e300)),
                     "tolerance": float(min(c.tolerance, 1e300)),
                     "passed": c.passed,
                 }
@@ -170,7 +136,11 @@ def document_to_solution(doc: dict) -> QESSolution:
 
 
 def dumps_documents(docs: list[dict]) -> str:
-    return emit_json(docs) + "\n"
+    """JSON text of the documents, two-space indented, keys in their order."""
+    try:
+        return json.dumps(docs, indent=2, allow_nan=False) + "\n"
+    except (TypeError, ValueError) as exc:
+        raise DocumentError(f"cannot serialize: {exc}") from exc
 
 
 def loads_documents(text: str) -> list[dict]:

@@ -217,13 +217,11 @@ def _fd_problem(potential: PotentialSpec, energy_window: tuple, grid: FdGrid, to
     return lo, hi, 2.0 / (h * h) + potential.bracket(r), 1.0 / h**4
 
 
-def _bisect(diag: np.ndarray, off_sq: float, lo: float, hi: float, tol: float, target=None) -> np.ndarray:
+def _bisect(diag: np.ndarray, off_sq: float, lo: float, hi: float, tol: float) -> np.ndarray:
     """The refined eigenvalues in (lo, hi], as the midpoints of their final
     intervals: Sturm bisection (Barth, Martin & Wilkinson 1967), one level
     per step, with each distinct midpoint of a step counted once by
-    `_negative_pivots`.  With a target, each step first drops every ordinal
-    whose interval lies wholly farther from it than another interval's far
-    end: that ordinal's eigenvalue cannot be the nearest."""
+    `_negative_pivots`."""
     c = np.full(len(diag) - 1, -math.sqrt(off_sq))
     count_lo, count_hi = (_negative_pivots(diag - x, c) for x in (lo, hi))
     ordinals = np.arange(count_lo + 1, count_hi + 1)
@@ -234,11 +232,6 @@ def _bisect(diag: np.ndarray, off_sq: float, lo: float, hi: float, tol: float, t
         # floating point: no later step would move a midpoint.
         if not (np.max(highs - lows) > tol and np.any((lows < mids) & (mids < highs))):
             break
-        if target is not None:
-            near = np.maximum(np.maximum(lows - target, target - highs), 0.0)
-            far = np.maximum(target - lows, highs - target)
-            keep = near <= np.min(far)
-            ordinals, lows, highs, mids = ordinals[keep], lows[keep], highs[keep], mids[keep]
         shifts, which = np.unique(mids, return_inverse=True)
         counts = np.array([_negative_pivots(diag - s, c) for s in shifts.tolist()])
         below = counts[which] >= ordinals
@@ -424,10 +417,8 @@ def _nearest_fd_eigenvalue(
     `_enclosed_eigenvalue` proves it from `solution`'s closed-form Psi
     sampled on the grid, with g sized from the sample and one pass of two
     Sturm counts: rho1 within 1e-12 of the eigenvalue in exact arithmetic,
-    as bisection's midpoint is.  Otherwise bisection refines only the
-    ordinals that can hold it: those dropped lie wholly farther from the
-    target, and at one depth the kept intervals' widths differ from theirs
-    by rounding alone, so the stop test and result are the full list's."""
+    as bisection's midpoint is.  Otherwise it is the nearest of the
+    window's eigenvalues that bisection refines."""
     lo, hi, diag, off_sq = _fd_problem(potential, energy_window, grid, _NEAREST_TOL)
     log_mag, sign = eval_log_psi(solution, _fd_points(grid)[0])
     peak = np.max(log_mag)
@@ -435,7 +426,7 @@ def _nearest_fd_eigenvalue(
         found = _enclosed_eigenvalue(diag, off_sq, lo, hi, target, sign * np.exp(log_mag - peak))
         if found is not None:
             return found
-    found = _bisect(diag, off_sq, lo, hi, _NEAREST_TOL, target)
+    found = _bisect(diag, off_sq, lo, hi, _NEAREST_TOL)
     return float(found[np.argmin(np.abs(found - target))]) if len(found) else None
 
 

@@ -118,6 +118,18 @@ class TestBaeResiduals:
         with pytest.raises(DenominatorBlowup):
             bae_residuals(SEXTIC_ODE, [2.0, 2.0 + 1e-12])
 
+    @pytest.mark.parametrize(
+        "coeffs",
+        [(1.0, -2.5, 3.0, 0.0, 1e-3), (0.1, 0.2, -0.3, 7.0, 0.0, 2.5e8),
+         np.random.default_rng(7).normal(size=(6, 3, 1))],
+        ids=["p_tuple", "q_tuple", "columns"],
+    )
+    def test_derivative_has_polyders_bits(self, coeffs):
+        # The derivative of one ODE's P or Q, or of a column per row.
+        from numpy.polynomial.polynomial import polyder
+
+        assert np.array_equal(bethe._derivative(coeffs), polyder(coeffs))
+
 
 class TestSolveBae:
     def test_n0_single_empty(self):

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -6,6 +8,7 @@ import pytest
 
 from qesolve.cli import EXIT_NO_SOLUTION, build_parser, main
 from qesolve.document import loads_documents
+from qesolve.families import Case, Family, FamilyProblem, solve_family_detailed
 
 
 def run(capsys, *args):
@@ -116,6 +119,23 @@ class TestSolve:
         header = out.splitlines()[0].split(",")
         assert header[:4] == ["branch", "energy", "a", "b"]
 
+    def test_csv_floats_are_exact(self, capsys):
+        # Every float cell reads back to the solution's float bit for bit.
+        args = ["solve", "--family", "quartic", "--n", "2", "--param", "omega=1", "--param", "c=0",
+                "--param", "d=0.5"]
+        code, out, _ = run(capsys, *args, "--format", "csv")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        solutions, _ = solve_family_detailed(FamilyProblem(Family.QUARTIC, Case.HARMONIC, 2, 0.0,
+                                                           {"omega": 1.0, "c": 0.0, "d": 0.5}))
+        assert len(rows) == len(solutions) > 0
+        for row, sol in zip(rows, solutions):
+            want = {"energy": sol.energy, **sol.derived}
+            for j, z in enumerate(sol.roots.roots):
+                want |= {f"root{j}_re": z.real, f"root{j}_im": z.imag}
+            assert list(row)[1:-1] == list(want)
+            assert {k: float(row[k]).hex() for k in want} == {k: float(v).hex() for k, v in want.items()}
+
     def test_deterministic_bytes(self, monkeypatch, capsys):
         _, out1, _ = run(capsys, *SOLVE_Q0)
         _, out2, _ = run(capsys, *SOLVE_Q0)
@@ -139,6 +159,20 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(bad))
         assert code == 3
         assert "schrodinger_residual" in out
+
+    def test_infinite_check_value_is_written(self, q0_doc, tmp_path, capsys):
+        # With the energy 1 too high, the FD window about 2E holds no
+        # eigenvalue and the check's value is inf: the report holds it as
+        # 1e300, like a tolerance.
+        docs = loads_documents(q0_doc.read_text())
+        docs[0]["energy"] += 1.0
+        bad, report = tmp_path / "bad.json", tmp_path / "report.json"
+        bad.write_text(json.dumps(docs))
+        code, out, err = run(capsys, "verify", str(bad), "--out", str(report))
+        assert (code, err) == (3, "")
+        checks = {c["name"]: c for c in loads_documents(report.read_text())[0]["verification"]["checks"]}
+        assert checks["fd_eigenvalue_error"]["value"] == 1e300
+        assert checks["fd_eigenvalue_error"]["passed"] is False
 
     def test_truncated_file(self, q0_doc, tmp_path, capsys):
         bad = tmp_path / "trunc.json"
@@ -173,6 +207,22 @@ class TestSample:
         log_mag, sign = eval_log_psi(sol, 1.0)
         assert float(row[1]) == log_mag
         assert int(row[2]) == sign
+
+    def test_floats_are_exact(self, q0_doc, capsys):
+        # Every float cell reads back to its value bit for bit.
+        from qesolve import eval_log_psi, eval_psi_log_derivatives
+        from qesolve.document import document_to_solution
+
+        code, out, _ = run(capsys, "sample", str(q0_doc), "--rmin", "0.01", "--rmax", "10", "--points", "7")
+        assert code == 0
+        sol = document_to_solution(loads_documents(q0_doc.read_text())[0])
+        rows = list(csv.DictReader(io.StringIO(out)))
+        for row, r in zip(rows, np.geomspace(0.01, 10, 7).tolist(), strict=True):
+            log_mag, sign = eval_log_psi(sol, r)
+            psi1, _ = eval_psi_log_derivatives(sol, r)
+            got = [float(row[k]).hex() for k in ("r", "log_abs_psi", "psi1_over_psi")]
+            assert got == [float(v).hex() for v in (r, log_mag, psi1)]
+            assert int(row["sign"]) == sign
 
     def test_rmin_zero_rejected(self, q0_doc, capsys):
         code, _, err = run(capsys, "sample", str(q0_doc), "--rmin", "0", "--rmax", "10")

@@ -1,5 +1,4 @@
 import functools
-import json
 import math
 import operator
 
@@ -9,7 +8,6 @@ from qesolve import DocumentError, VerifyLevel, solve_family, verify_solution
 from qesolve.document import (
     document_to_solution,
     dumps_documents,
-    emit_json,
     loads_documents,
     solution_to_document,
 )
@@ -39,10 +37,18 @@ class TestRoundTrip:
         assert back.waveform.exp_coeffs == solution.waveform.exp_coeffs
         assert back.problem.free == solution.problem.free
 
-    def test_seventeen_digit_floats_are_exact(self):
-        values = [1 / 3, math.pi, 2.5e-17, 1.0000000000000002, -7.1e300]
-        emitted = emit_json(values)
-        assert json.loads(emitted) == values
+    def test_floats_are_exact(self):
+        # repr is the shortest text that reads back to the same bits; -0.0
+        # stays a float, and the smallest subnormal survives.
+        values = [1 / 3, math.pi, 2.5e-17, 1.0000000000000002, -7.1e300, -0.0, 5e-324, 1.0]
+        back = loads_documents(dumps_documents([{"values": values}]))[0]["values"]
+        assert all(isinstance(v, float) for v in back)
+        assert [v.hex() for v in back] == [v.hex() for v in values]
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, object()], ids=["inf", "nan", "object"])
+    def test_unserializable_value(self, value):
+        with pytest.raises(DocumentError, match="cannot serialize"):
+            dumps_documents([{"value": value}])
 
     def test_byte_identical_serialization(self, solution):
         a = dumps_documents([solution_to_document(solution)])

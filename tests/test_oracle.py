@@ -731,7 +731,7 @@ def _no_bisection(*args, **kwargs):
 def _bisected_nearest(potential, window, grid, target) -> float:
     """The nearest eigenvalue as bisection alone finds it."""
     lo, hi, diag, off_sq = oracle._fd_problem(potential, window, grid, 1e-12)
-    found = oracle._bisect(diag, off_sq, lo, hi, 1e-12, target)
+    found = oracle._bisect(diag, off_sq, lo, hi, 1e-12)
     return float(found[np.argmin(np.abs(found - target))])
 
 
