@@ -22,9 +22,11 @@ identity, evaluated for every row at once as the band product of
 P D^2 + Q D + W on S's coefficients (`_accept`); `_operator` is the one
 implementation of that product, and `_ode_matrix` applies it to the unit
 basis.  Each accepted branch carries the W coefficients and identity
-residual of that verification.  The match-ell solve of `families` polishes
-its candidates in their roots and omega together, with the Newton system
-bordered by the border's condition (`_bordered_branches`).
+residual of that verification (`RootSet.w`): a `PolyODE` is P and Q only,
+and `verify_polynomial_identity` takes W as an argument.  The match-ell
+solve of `families` polishes its candidates in their roots and omega
+together, with the Newton system bordered by the border's condition
+(`_bordered_branches`).
 """
 
 from __future__ import annotations
@@ -53,22 +55,17 @@ class Variable(str, Enum):
 
 @dataclass(frozen=True)
 class PolyODE:
-    """Coefficient arrays (ascending) of P, Q and optionally W."""
+    """Coefficient arrays (ascending) of P and Q; W is the solution's
+    (`compute_w_coefficients`)."""
 
     p: tuple
     q: tuple
-    w: tuple | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "p", _pad(self.p, 5, "p"))
         object.__setattr__(self, "q", _pad(self.q, 6, "q"))
-        if self.w is not None:
-            object.__setattr__(self, "w", _pad(self.w, 5, "w"))
         if not any(c != 0.0 for c in self.p):
             raise ValueError("P(t) must not be identically zero")
-
-    def with_w(self, w) -> "PolyODE":
-        return PolyODE(self.p, self.q, tuple(w))
 
 
 def _pad(coeffs, length, name):
@@ -252,15 +249,13 @@ def bae_residuals(ode: PolyODE, roots) -> np.ndarray:
     return _residual_batch(ode, arr[None, :])[0]
 
 
-def verify_polynomial_identity(ode: PolyODE, roots) -> float:
-    """Scaled max coefficient of P S'' + Q S' + W S (`_identity_rows`, one
-    row): the band product of the ODE on S's coefficients.  A valid solution
-    yields a value at rounding level.  Requires ode.w to be set; raises
-    NonRealCoefficients when S has complex coefficients.
+def verify_polynomial_identity(ode: PolyODE, roots, w) -> float:
+    """Scaled max coefficient of P S'' + Q S' + W S at W = w (w0..w4, from
+    `compute_w_coefficients`; `_identity_rows`, one row): the band product
+    of the ODE on S's coefficients, at rounding level for a valid solution.
+    Raises NonRealCoefficients when S has complex coefficients.
     """
-    if ode.w is None:
-        raise ValueError("ode.w must be set (use compute_w_coefficients)")
-    identity, real = _identity_rows(_columns(ode), _column(ode.w), _roots_of(roots)[None, :])
+    identity, real = _identity_rows(_columns(ode), _column(_pad(w, 5, "w")), _roots_of(roots)[None, :])
     if not real[0]:
         raise NonRealCoefficients("polynomial factor has complex coefficients")
     return float(identity[0])
@@ -663,7 +658,7 @@ class _Basis(NamedTuple):
     mixed: np.ndarray  # at [j, k], the index of the multiset {k, j, ..., j}
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=64)  # holds n <= 10 at every m <= 4
 def _symmetric_basis(n: int, m: int) -> _Basis:
     """The `_Basis` of Sym^m(R^(n+1)), multisets in
     `combinations_with_replacement` order."""
@@ -679,7 +674,7 @@ def _symmetric_basis(n: int, m: int) -> _Basis:
     return basis
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=64)  # holds rows = n + m for n <= 10 at every m <= 4
 def _laplace_steps(rows: int, m: int) -> tuple:
     """Per r = 1..m, for every increasing r-subset U of range(rows) (in
     `combinations` order) and each position p in it: the index of U less

@@ -118,8 +118,6 @@ def document_to_solution(doc: dict) -> QESSolution:
         waveform = WaveForm(
             _number(wf_doc["leading_exponent"]),
             {int(k): _number(v) for k, v in _object(wf_doc["exp_coeffs"], "waveform.exp_coeffs").items()},
-            roots,
-            variable,
         )
         return QESSolution(
             problem,

@@ -14,7 +14,9 @@ with s2d = sqrt(2 d), s2h = sqrt(2 h), fh = (f - g^2/(4h)) / s2h, and B = 0
 (harmonic) or w = 0 (coulombic).  One gauge transform (`_gauge`) derives
 the working ODE that S solves; the root engine solves it, and the closing
 W coefficients of each branch give its derived couplings, energy and
-wavefunction shape, power by power in r (`_closing`).  In match-ell mode
+wavefunction shape, power by power in r (`_closing`).  A solution keeps
+each fact once: its roots and their variable in its `RootSet`, the shape
+of exp(chi) in its `WaveForm`.  In match-ell mode
 (sextic, decatic) omega is derived: every match is a real solution of one
 eigenproblem linear in omega, polished in its roots and omega together
 (`_match_ell`).  This module derives the match condition once (`_border`);
@@ -103,7 +105,7 @@ class FamilyProblem:
         object.__setattr__(self, "case", Case(self.case))
         object.__setattr__(self, "free", dict(self.free))
         _require(isinstance(self.n, Integral) and not isinstance(self.n, bool), "n is an integer")
-        _require(isinstance(self.ell, Real), "ell is a real number")
+        _require(isinstance(self.ell, Real) and not isinstance(self.ell, bool), "ell is a real number")
         _require(isinstance(self.match_ell, bool), "match_ell is true or false")
         if self.n < 0:
             raise InvalidParameter("n >= 0 required")
@@ -133,7 +135,8 @@ def _require(cond: bool, constraint: str):
 def _validate_problem(problem: FamilyProblem):
     f = problem.free
     _require(math.isfinite(problem.ell), "ell is finite")
-    _require(all(isinstance(v, Real) and math.isfinite(v) for v in f.values()), "couplings are finite")
+    _require(all(isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v) for v in f.values()),
+             "couplings are finite")
     _, top = max(_POWERS[problem.family].items())  # the top power's coupling
     _require(f[top] > 0, f"{top} > 0")
     if problem.case is Case.COULOMBIC:
@@ -149,13 +152,11 @@ class WaveForm:
     log Psi(r) = leading_exponent * ln r + sum_p exp_coeffs[p] * r^p
                  + ln prod_i (v(r) - t_i)
 
-    with v(r) = r, r^2 or r^2 according to `variable`.
+    with the roots t_i and variable v(r) = r or r^2 of the solution's RootSet.
     """
 
     leading_exponent: float
     exp_coeffs: Mapping[int, float]
-    roots: RootSet
-    variable: Variable
 
     def __post_init__(self):
         coeffs = {int(k): float(v) for k, v in self.exp_coeffs.items() if v != 0.0}
@@ -334,10 +335,10 @@ def derive_parameters(problem: FamilyProblem, roots: RootSet, omega: float | Non
         res = float(np.max(np.abs(bae_residuals(g.ode, roots))))
         if res > 1e-8:
             raise InvalidParameter(f"roots do not solve the root system (residual {res:.3e})")
-    return _derivation(problem, g, roots, compute_w_coefficients(g.ode, roots))
+    return _derivation(problem, g, compute_w_coefficients(g.ode, roots))
 
 
-def _derivation(problem: FamilyProblem, g: _Gauge, roots: RootSet, w) -> tuple:
+def _derivation(problem: FamilyProblem, g: _Gauge, w) -> tuple:
     """derive_parameters at the gauge g and the W coefficients w, unchecked."""
     t = _closing(g, w)
     ell, powers = problem.ell, _POWERS[problem.family]
@@ -353,8 +354,7 @@ def _derivation(problem: FamilyProblem, g: _Gauge, roots: RootSet, w) -> tuple:
         if problem.match_ell:
             derived["omega"] = -g.chi[1]
     coeffs = {j + 1: c / (j + 1) for j, c in sorted(g.chi.items(), reverse=True) if j != -1}
-    wave = WaveForm(g.chi[-1], coeffs, roots, g.variable)
-    return derived, -0.5 * t[0], wave
+    return derived, -0.5 * t[0], WaveForm(g.chi[-1], coeffs)
 
 
 # ----------------------------------------------------------------------
@@ -377,7 +377,7 @@ def _branch_solutions(problem: FamilyProblem, branches: list[tuple[RootSet, _Gau
     out: list = []
     for roots, g in branches:
         try:
-            derived, energy, wave = _derivation(problem, g, roots, roots.w)
+            derived, energy, wave = _derivation(problem, g, roots.w)
             checks = ("bae_residual", "separation", "identity_residual")
             out.append(QESSolution(problem, roots, derived, energy, wave, {k: getattr(roots, k) for k in checks}))
         except _BRANCH_ERRORS as exc:

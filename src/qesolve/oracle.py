@@ -36,6 +36,7 @@ from .wavefunction import (
     _column,
     _log_deriv_arrays,
     _norm,
+    _positive,
     _root_parts,
     _support_ends,
     _supports,
@@ -125,7 +126,7 @@ def _residual_rows(solutions: list[QESSolution], grid: np.ndarray | None = None)
     if grid is None:
         r = _default_residual_grid(solutions)
     else:
-        r = np.tile(np.asarray(grid, float), (len(solutions), 1))
+        r = np.tile(_positive(grid), (len(solutions), 1))
     nodes = [node_positions(s) for s in solutions]
     width = max(map(len, nodes))  # each row's nodes, padded with NaN, node by node
     nodes = np.array([row + [math.nan] * (width - len(row)) for row in nodes]).reshape(len(r), width).T[:, :, None]
@@ -491,7 +492,7 @@ def verify_solution(solution: QESSolution, level: VerifyLevel = VerifyLevel.FAST
         bae = 0.0
     report.add("bae_residual", bae, BAE_TOL)
     w = compute_w_coefficients(ode, solution.roots)
-    report.add("identity_residual", verify_polynomial_identity(ode.with_w(w), solution.roots), IDENT_TOL)
+    report.add("identity_residual", verify_polynomial_identity(ode, solution.roots, w), IDENT_TOL)
     report.add("schrodinger_residual", schrodinger_residual(solution), 1e-9)
     if level is VerifyLevel.FAST:
         return report

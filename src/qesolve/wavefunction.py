@@ -56,7 +56,7 @@ def _log_psi_rows(solutions: list[QESSolution], r: np.ndarray, log_r=None, power
     wfs = [s.waveform for s in solutions]
     if power is None:
         log_r, power = np.log(r), lambda p: r ** float(p)
-    v = r if wfs[0].variable is Variable.R else power(2)  # r ** 2.0 is r * r
+    v = r if solutions[0].roots.variable is Variable.R else power(2)  # r ** 2.0 is r * r
     log_mag = _column([wf.leading_exponent for wf in wfs]) * log_r
     for p in wfs[0].exp_coeffs:
         log_mag = log_mag + _column([wf.exp_coeffs[p] for wf in wfs]) * power(p)
@@ -69,11 +69,17 @@ def _log_psi_rows(solutions: list[QESSolution], r: np.ndarray, log_r=None, power
     return log_mag, sign
 
 
-def _at(arrays, r):
-    """The pair `arrays` gives on the positive r, a scalar or an array."""
+def _positive(r) -> np.ndarray:
+    """r as floats; raises InvalidParameter unless every point is finite and positive."""
     arr = np.asarray(r, dtype=float)
-    if np.any(arr <= 0.0):
-        raise InvalidParameter("r > 0 required")
+    if not np.all(np.isfinite(arr) & (arr > 0.0)):
+        raise InvalidParameter("finite r > 0 required")
+    return arr
+
+
+def _at(arrays, r):
+    """The pair `arrays` gives on the finite positive r, a scalar or an array."""
+    arr = _positive(r)
     a, b = arrays(arr.reshape(-1))
     return (float(a[0]), float(b[0])) if arr.ndim == 0 else (a.reshape(arr.shape), b.reshape(arr.shape))
 
@@ -81,7 +87,7 @@ def _at(arrays, r):
 def eval_log_psi(solution: QESSolution, r):
     """log|Psi(r)| and sign (+1, -1, or 0 exactly at a node).
 
-    Works for scalar or array r; r must be positive.
+    Works for scalar or array r; r must be finite and positive.
     """
     return _at(lambda x: [a[0] for a in _log_psi_rows([solution], x)], r)
 
@@ -99,7 +105,7 @@ def _log_deriv_arrays(solutions: list[QESSolution], r: np.ndarray, keep: np.ndar
     NodeSingularity for a point on a root unless `keep` drops it (a dropped
     point's values may be non-finite)."""
     wfs = [s.waveform for s in solutions]
-    if wfs[0].variable is Variable.R:
+    if solutions[0].roots.variable is Variable.R:
         v, dv, ddv = r, np.ones_like(r), np.zeros_like(r)
     else:
         v, dv, ddv = r * r, 2.0 * r, np.full_like(r, 2.0)

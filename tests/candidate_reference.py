@@ -83,7 +83,7 @@ def accept_candidate(ode: PolyODE, roots: np.ndarray):
         return None
     try:
         w = compute_w_coefficients(ode, ordered)
-        identity = verify_polynomial_identity(ode.with_w(w), ordered)
+        identity = verify_polynomial_identity(ode, ordered, w)
     except NonRealCoefficients:
         return None
     if identity >= IDENT_TOL:

@@ -36,7 +36,7 @@ def default_grid(solution: QESSolution) -> np.ndarray:
 def psi2(solution: QESSolution, r: np.ndarray) -> np.ndarray:
     """Psi''/Psi on r, from the analytic derivative of the closed form."""
     wf = solution.waveform
-    if wf.variable is Variable.R:
+    if solution.roots.variable is Variable.R:
         v, dv, ddv = r, np.ones_like(r), np.zeros_like(r)
     else:
         v, dv, ddv = r * r, 2.0 * r, np.full_like(r, 2.0)

@@ -376,7 +376,7 @@ def _synthetic_solution(spec: NormIntegralSpec) -> QESSolution:
         coeffs = {2: -spec.mu1 / 2.0, -2: -spec.mu2 / 2.0}
         problem = sextic(n=0, omega=1.0, e=0.5, d=0.5)
     roots = RootSet(0, (), Variable.R, 0.0, math.inf)
-    wave = WaveForm(spec.nu / 2.0, coeffs, roots, Variable.R)
+    wave = WaveForm(spec.nu / 2.0, coeffs)
     return QESSolution(problem, roots, {}, 0.0, wave, {})
 
 
@@ -454,7 +454,7 @@ def test_criterion_10_negative_controls():
     bad_roots = [sol.roots.roots[0] + 1e-2]
     bae = max_abs(bae_residuals(ode, bad_roots))
     w = compute_w_coefficients(ode, bad_roots)
-    ident = verify_polynomial_identity(ode.with_w(w), bad_roots)
+    ident = verify_polynomial_identity(ode, bad_roots, w)
     tampered = QESSolution(
         sol.problem, sol.roots, dict(sol.derived), sol.energy + 1e-3, sol.waveform, {}
     )

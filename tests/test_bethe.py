@@ -76,7 +76,7 @@ class TestComputeW:
         for roots, expected in zip(oracle_roots, oracle_w):
             w = compute_w_coefficients(QUARTIC_ODE, list(roots))
             assert w == pytest.approx(expected, abs=1e-10)
-            ident = verify_polynomial_identity(QUARTIC_ODE.with_w(w), list(roots))
+            ident = verify_polynomial_identity(QUARTIC_ODE, list(roots), w)
             assert ident < 1e-10
 
     def test_permutation_exact(self):
@@ -206,7 +206,7 @@ class TestSolveBae:
             for s in sets:
                 assert max_abs(bae_residuals(ode, s)) < 1e-10
                 w = compute_w_coefficients(ode, s)
-                assert verify_polynomial_identity(ode.with_w(w), s) < 1e-10
+                assert verify_polynomial_identity(ode, s, w) < 1e-10
 
 
 class TestConjugatePairs:
@@ -677,16 +677,16 @@ class TestNewtonStopsWhenSettled:
 class TestPolynomialIdentity:
     def test_n0_exactly_zero(self):
         w = compute_w_coefficients(QUARTIC_ODE, [])
-        assert verify_polynomial_identity(QUARTIC_ODE.with_w(w), []) == 0.0
+        assert verify_polynomial_identity(QUARTIC_ODE, [], w) == 0.0
 
     def test_n1_exact_root(self):
         w = compute_w_coefficients(QUARTIC_ODE, [PLASTIC])
-        assert verify_polynomial_identity(QUARTIC_ODE.with_w(w), [PLASTIC]) < 1e-12
+        assert verify_polynomial_identity(QUARTIC_ODE, [PLASTIC], w) < 1e-12
 
     def test_n1_perturbed_root(self):
         t = PLASTIC + 1e-3
         w = compute_w_coefficients(QUARTIC_ODE, [t])
-        assert verify_polynomial_identity(QUARTIC_ODE.with_w(w), [t]) > 1e-4
+        assert verify_polynomial_identity(QUARTIC_ODE, [t], w) > 1e-4
 
 
 class TestNoSolution:

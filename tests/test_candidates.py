@@ -307,7 +307,7 @@ def _public(ode, roots):
     `verify_polynomial_identity`."""
     try:
         w = compute_w_coefficients(ode, roots)
-        return w, verify_polynomial_identity(ode.with_w(w), roots)
+        return w, verify_polynomial_identity(ode, roots, w)
     except NonRealCoefficients:
         return None
 
@@ -342,8 +342,8 @@ class TestIdentityFilter:
         ])
         no_solution = np.array([0.25 + 0j, 1.5 + 0j, 3.0 + 0j])
         with pytest.raises(NonRealCoefficients, match="polynomial factor"):
-            verify_polynomial_identity(ode.with_w(compute_w_coefficients(ode, complex_s)), complex_s)
-        assert verify_polynomial_identity(ode.with_w(compute_w_coefficients(ode, no_solution)), no_solution) >= 1e-3
+            verify_polynomial_identity(ode, complex_s, compute_w_coefficients(ode, complex_s))
+        assert verify_polynomial_identity(ode, no_solution, compute_w_coefficients(ode, no_solution)) >= 1e-3
         batches += [(ode, complex_s[None, :]), (ode, no_solution[None, :])]
         rows = accepted = 0
         for ode, ordered in batches:
@@ -404,7 +404,7 @@ class TestPassedOn:
                 for branch in solve_bae(ode, n, variable=variable):
                     w = compute_w_coefficients(ode, branch)
                     assert branch.w == w
-                    assert branch.identity_residual == verify_polynomial_identity(ode.with_w(w), branch)
+                    assert branch.identity_residual == verify_polynomial_identity(ode, branch, w)
 
     def test_solutions_match_the_checked_derivation(self, monkeypatch):
         problems = [_sweep_problem(family, 0, n) for family in Family for n in (0, 2)]
@@ -412,7 +412,7 @@ class TestPassedOn:
         for problem in problems:
             for s in solve_family(problem):
                 derived, energy, _ = derive_parameters(problem, s.roots)
-                identity = verify_polynomial_identity(build_ode(problem)[0].with_w(s.roots.w), s.roots)
+                identity = verify_polynomial_identity(build_ode(problem)[0], s.roots, s.roots.w)
                 expected.append((s.derived, s.energy, s.diagnostics["identity_residual"]))
                 assert (derived, energy, identity) == expected[-1]
 

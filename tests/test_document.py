@@ -59,7 +59,7 @@ class TestRoundTrip:
         s = solve_family(sextic(n=0, omega=1.0, e=0.5, d=0.5), cfg_small)[0]
         doc = solution_to_document(s)
         back = document_to_solution(doc)
-        assert back.waveform.variable is s.waveform.variable
+        assert back.roots.variable is s.roots.variable
         assert back.derived["l_half_sq"] == s.derived["l_half_sq"]
 
 

@@ -78,6 +78,8 @@ VALIDATION_CASES = [
     ("quartic-n-string", lambda: quartic_harmonic(n="2"), "n is an integer"),
     ("octic-n-none", lambda: octic_harmonic(n=None), "n is an integer"),
     ("quartic-n-bool", lambda: quartic_harmonic(n=True), "n is an integer"),
+    ("quartic-ell-bool", lambda: quartic_harmonic(ell=True), "ell is a real number"),
+    ("quartic-omega-bool", lambda: quartic_harmonic(omega=True), "couplings are finite"),
     ("decatic-ell-string", lambda: decatic(ell="0"), "ell is a real number"),
     ("sextic-ell-none", lambda: sextic(ell=None, match_ell=True), "ell is a real number"),
     ("quartic-c-string", lambda: quartic_harmonic(c="0"), "couplings are finite"),
@@ -720,17 +722,16 @@ class TestEllMinusOne:
 
 class TestWaveFormInvariants:
     def test_shape_constraints_enforced(self):
-        from qesolve import InvalidExponent, RootSet, WaveForm
+        from qesolve import InvalidExponent, WaveForm
 
-        roots = RootSet(0, (), Variable.R, 0.0, math.inf)
         with pytest.raises(InvalidExponent):
-            WaveForm(-1.0, {2: -0.5, -1: -1.0}, roots, Variable.R)
+            WaveForm(-1.0, {2: -0.5, -1: -1.0})
         with pytest.raises(InvalidParameter):
-            WaveForm(1.0, {2: 0.5, -1: -1.0}, roots, Variable.R)
+            WaveForm(1.0, {2: 0.5, -1: -1.0})
         with pytest.raises(InvalidParameter):
-            WaveForm(1.0, {-1: -1.0}, roots, Variable.R)
+            WaveForm(1.0, {-1: -1.0})
         with pytest.raises(InvalidParameter):
-            WaveForm(1.0, {2: -0.5, -2: 0.1}, roots, Variable.R)
+            WaveForm(1.0, {2: -0.5, -2: 0.1})
 
 
 # Settings that no caller set, removed with the value each always had: a

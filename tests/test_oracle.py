@@ -207,6 +207,13 @@ class TestOneResidualPass:
             with pytest.raises(InvalidParameter, match="empty after node exclusion"):
                 residual(quartic1, grid)
 
+    @pytest.mark.parametrize(
+        "grid", [[-1.0, 1.0], [0.0, 1.0], [math.nan, 1.0], [1.0, math.inf]], ids=["negative", "zero", "nan", "inf"]
+    )
+    def test_grid_must_be_finite_and_positive(self, quartic1, grid):
+        with pytest.raises(InvalidParameter, match="finite r > 0 required"):
+            schrodinger_residual(quartic1, np.array(grid))
+
 
 class TestFdSpectrum:
     def test_radial_oscillator_levels(self):

@@ -83,6 +83,14 @@ class TestEvalLogPsi:
         with pytest.raises(InvalidParameter):
             eval_log_psi(quartic0, -1.0)
 
+    @pytest.mark.parametrize(
+        "r", [math.nan, math.inf, [1.0, math.nan], [math.inf, 1.0]], ids=["nan", "inf", "array_nan", "array_inf"]
+    )
+    def test_rejects_non_finite_r(self, quartic1, r):
+        for evaluate in (eval_log_psi, eval_psi_log_derivatives):
+            with pytest.raises(InvalidParameter, match="finite r > 0 required"):
+                evaluate(quartic1, r)
+
     def test_sign_changes_across_node(self, sextic1):
         # Polynomial factor r^2 - t1 with t1 = 1 - sqrt(2) < 0: no node.
         _, sign_lo = eval_log_psi(sextic1, 0.2)
