@@ -15,7 +15,7 @@ eigenvalue, and Kato-Temple encloses it within 1e-12 in exact arithmetic
 (to the rounding of the matrix, 8 eps 2/h^2, in floats, as bisection
 does).  The enclosure is a theorem about the FD matrix whatever the vector
 is, so a wrong Psi cannot pass by it: the proof fails, and bisection
-refines the eigenvalues that can be nearest 2E instead.
+refines every eigenvalue in the window instead.
 """
 
 from __future__ import annotations
@@ -267,17 +267,12 @@ def fd_spectrum(
 _NEAREST_TOL = 1e-12
 
 
-def _apply(diag: np.ndarray, off: float, x: np.ndarray) -> np.ndarray:
-    """T x for the tridiagonal T with diagonal `diag` and off-diagonal `off`."""
-    y = diag * x
-    y[1:] += off * x[:-1]
-    y[:-1] += off * x[1:]
-    return y
-
-
 def _rayleigh(diag: np.ndarray, off: float, x: np.ndarray) -> tuple[float, float]:
-    """The Rayleigh quotient rho of x, and ||T x - rho x|| / ||x||."""
-    tx = _apply(diag, off, x)
+    """The Rayleigh quotient rho of x, and ||T x - rho x|| / ||x||, for the
+    tridiagonal T with diagonal `diag` and off-diagonal `off`."""
+    tx = diag * x
+    tx[1:] += off * x[:-1]
+    tx[:-1] += off * x[1:]
     xx = float(x @ x)
     rho = float(x @ tx) / xx
     return rho, float(np.linalg.norm(tx - rho * x)) / math.sqrt(xx)
@@ -409,19 +404,15 @@ def _enclosed_eigenvalue(
 
 
 def _nearest_fd_eigenvalue(
-    potential: PotentialSpec, energy_window: tuple, grid: FdGrid, target: float, solution: QESSolution
+    diag: np.ndarray, off_sq: float, window: tuple, target: float, log_mag: np.ndarray, sign: np.ndarray
 ) -> float | None:
-    """The eigenvalue of `fd_spectrum(potential, energy_window, grid)`
-    nearest `target`, to the rounding of the matrix, or None when the
-    window holds none.
-
-    `_enclosed_eigenvalue` proves it from `solution`'s closed-form Psi
-    sampled on the grid, with g sized from the sample and one pass of two
-    Sturm counts: rho1 within 1e-12 of the eigenvalue in exact arithmetic,
-    as bisection's midpoint is.  Otherwise it is the nearest of the
-    window's eigenvalues that bisection refines."""
-    lo, hi, diag, off_sq = _fd_problem(potential, energy_window, grid, _NEAREST_TOL)
-    log_mag, sign = eval_log_psi(solution, _fd_points(grid)[0])
+    """The eigenvalue in the window (lo, hi] nearest `target` of the FD
+    matrix (diagonal, squared off-diagonal), to the rounding of the matrix,
+    or None when the window holds none.  `_enclosed_eigenvalue` proves it
+    from Psi sampled on the grid (log|Psi| and sign, scaled by the peak):
+    rho1 within 1e-12 of it in exact arithmetic, as bisection's midpoint
+    is.  Otherwise bisection refines every eigenvalue in the window."""
+    lo, hi = window
     peak = np.max(log_mag)
     if math.isfinite(peak):
         found = _enclosed_eigenvalue(diag, off_sq, lo, hi, target, sign * np.exp(log_mag - peak))
@@ -509,13 +500,18 @@ def verify_solution(solution: QESSolution, level: VerifyLevel = VerifyLevel.FAST
         )
     two_e = 2.0 * solution.energy
     scale = max(1.0, abs(two_e))
-    coarse = _fd_grid(solution, support, 2400)
-    fine = FdGrid(coarse.r_min, coarse.r_max, 2 * 2400 + 1)
     delta = max(0.75, 0.02 * abs(two_e))
     window = (two_e - delta, two_e + delta)
-    potential = assemble_potential(solution)
-    ev_c = _nearest_fd_eigenvalue(potential, window, coarse, two_e, solution)
-    ev_f = _nearest_fd_eigenvalue(potential, window, fine, two_e, solution)
+    # One grid of 2 * 2400 + 1 points: its odd points are those of the
+    # 2400-point grid on the same support, bit for bit, and 2h is that grid's
+    # h.  So both resolutions read one bracket and one Psi.
+    r, h = _fd_points(_fd_grid(solution, support, 2 * 2400 + 1))
+    bracket = assemble_potential(solution).bracket(r)
+    log_mag, sign = eval_log_psi(solution, r)
+    ev_c, ev_f = (
+        _nearest_fd_eigenvalue(2.0 / (hk * hk) + bracket[at], 1.0 / hk**4, window, two_e, log_mag[at], sign[at])
+        for at, hk in ((slice(1, None, 2), 2.0 * h), (slice(None), h))
+    )
     if ev_c is None or ev_f is None:
         report.add("fd_eigenvalue_error", math.inf, 5e-3 * scale, passed=False)
         report.notes.append("fd oracle: window contained no eigenvalue")

@@ -655,7 +655,7 @@ class TestOnePassIsolation:
         # decides, and its float is the result.
         monkeypatch.setattr(oracle, "eval_log_psi", lambda solution, r: (np.log(r) - 0.5 * r * r, np.ones_like(r)))
         bisect_calls.clear()
-        assert oracle._nearest_fd_eigenvalue(pot, window, grid, target, quartic0) == want
+        assert _nearest(pot, window, grid, target, quartic0) == want
         assert len(bisect_calls) == 1
 
     @pytest.mark.parametrize("diag, v", [([3.0, 3.0], [1.0, 1.0]), ([2.0, 2.0, 2.0], [1.0, 0.0, -1.0])])
@@ -687,7 +687,7 @@ class TestFdSpectrumAgainstLdl:
                 got, want = fd_spectrum(pot, window, grid), _reference_spectrum(pot, window, grid)
                 assert len(got) == len(want) >= 1
                 assert np.max(np.abs(np.subtract(got, want))) <= _rounding_bound(grid)
-                nearest = oracle._nearest_fd_eigenvalue(pot, window, grid, two_e, sol)
+                nearest = _nearest(pot, window, grid, two_e, sol)
                 assert nearest in got
                 assert abs(nearest - two_e) == min(abs(v - two_e) for v in got)
 
@@ -731,6 +731,14 @@ def _pool_grids(sol):
     return assemble_potential(sol), (two_e - delta, two_e + delta), two_e, (coarse, fine)
 
 
+def _nearest(potential, window, grid, target, sol):
+    """`_nearest_fd_eigenvalue` on one grid built on its own: the FD matrix
+    of `_fd_problem`, and `sol`'s Psi sampled on the grid's points."""
+    lo, hi, diag, off_sq = oracle._fd_problem(potential, window, grid, 1e-12)
+    log_mag, sign = oracle.eval_log_psi(sol, oracle._fd_points(grid)[0])
+    return oracle._nearest_fd_eigenvalue(diag, off_sq, (lo, hi), target, log_mag, sign)
+
+
 def _no_bisection(*args, **kwargs):
     raise AssertionError("the eigenvalue was not proven from the trial vector")
 
@@ -749,7 +757,7 @@ class TestNearestFdEigenvalue:
     def test_empty_window(self, quartic0):
         # Any trial vector: an enclosure outside the window is not taken.
         pot, grid = PotentialSpec(0.0, 1.0, {}), FdGrid(1e-3, 12.0, 3000)
-        assert oracle._nearest_fd_eigenvalue(pot, (4.0, 6.0), grid, 5.0, quartic0) is None
+        assert _nearest(pot, (4.0, 6.0), grid, 5.0, quartic0) is None
 
     def test_pool_is_proven_without_bisection(self, cfg, monkeypatch):
         # On both grids of every pool entry the enclosure proves the
@@ -762,7 +770,7 @@ class TestNearestFdEigenvalue:
                 want = min(fd_spectrum(pot, window, grid), key=lambda v: abs(v - two_e))
                 with monkeypatch.context() as mp:
                     calls = _counting_pivots(mp)
-                    got = oracle._nearest_fd_eigenvalue(pot, window, grid, two_e, sol)
+                    got = _nearest(pot, window, grid, two_e, sol)
                 assert abs(got - want) <= _rounding_bound(grid)
                 assert len(calls) == 2
 
@@ -805,7 +813,7 @@ class TestNearestFdEigenvalue:
             assert rho == pytest.approx(7.6, abs=0.2)
             want = _bisected_nearest(pot, window, grid, two_e)
             bisect_calls.clear()
-            assert oracle._nearest_fd_eigenvalue(pot, window, grid, two_e, quartic1) == want
+            assert _nearest(pot, window, grid, two_e, quartic1) == want
             assert len(bisect_calls) == 1
 
     def test_root_moved_falls_back_to_the_bisection_verdict(self, quartic1, bisect_calls, monkeypatch):
@@ -840,6 +848,44 @@ class TestNearestFdEigenvalue:
         # In the window (6.25, 11.75) the level near 7 is proven, but it is
         # not the one nearest 10.
         assert oracle._enclosed_eigenvalue(diag, off_sq, 6.25, 11.75, 10.0, gauss) is None
+
+
+class TestOneFdGrid:
+    """FULL verification builds one FD grid of 2 * 2400 + 1 points and reads
+    the 2400-point grid off its odd points, with h doubled."""
+
+    @pytest.mark.parametrize("k", [2000, 2400, 3001])
+    def test_odd_points_are_the_k_point_grid(self, cfg, k):
+        for sol in _verify_pool(cfg):
+            coarse = default_fd_grid(sol, k)
+            (r_c, h_c), (r_f, h_f) = (oracle._fd_points(FdGrid(coarse.r_min, coarse.r_max, n)) for n in (k, 2 * k + 1))
+            assert np.array_equal(r_f[1::2], r_c) and 2.0 * h_f == h_c
+
+    def test_both_resolutions_are_those_of_grids_built_apart(self, cfg, monkeypatch):
+        # The reference is the construction FULL verification used before:
+        # a 2400-point and a 4801-point grid on the same support, each with
+        # its own FD matrix and its own sample of Psi.
+        got = []
+        nearest = oracle._nearest_fd_eigenvalue
+        monkeypatch.setattr(oracle, "_nearest_fd_eigenvalue", lambda *args: got.append(nearest(*args)) or got[-1])
+        for sol in _verify_pool(cfg):
+            pot, window, two_e, grids = _pool_grids(sol)
+            want = [_nearest(pot, window, grid, two_e, sol) for grid in grids]
+            got.clear()
+            verify_solution(sol, VerifyLevel.FULL)
+            assert got == want
+
+    def test_one_bracket_and_one_psi_on_the_fd_grid(self, quartic1, monkeypatch):
+        # The residual and the support scan read neither, so each FULL
+        # verification makes one call of each, on the 4801 points.
+        calls = []
+        bracket, log_psi = PotentialSpec.bracket, oracle.eval_log_psi
+        monkeypatch.setattr(PotentialSpec, "bracket", lambda self, r: calls.append(("bracket", len(r))) or bracket(self, r))
+        monkeypatch.setattr(oracle, "eval_log_psi", lambda sol, r: calls.append(("psi", len(r))) or log_psi(sol, r))
+        for _ in range(2):
+            calls.clear()
+            assert verify_solution(quartic1, VerifyLevel.FULL).passed
+            assert sorted(calls) == [("bracket", 4801), ("psi", 4801)]
 
 
 class TestVerifySolution:
