@@ -30,7 +30,7 @@ import numpy as np
 
 from .bethe import BAE_TOL, IDENT_TOL
 from .bethe import Variable, bae_residuals, compute_w_coefficients, verify_polynomial_identity
-from .errors import GridInsufficient, InvalidParameter, MissingCoupling
+from .errors import GridInsufficient, InvalidParameter, MissingCoupling, NotIntegrable
 from .families import _POWERS, Case, QESSolution, _derives_ell, build_ode
 from .wavefunction import (
     _column,
@@ -185,20 +185,16 @@ class FdGrid:
             raise InvalidParameter("n_points >= 2000 required")
 
 
-def _fd_grid(solution: QESSolution, support: tuple | None, n_points: int) -> FdGrid:
-    """default_fd_grid on the support `wavefunction._supports` found, its ends
-    refined onto the fine scan (`wavefunction._support_ends`)."""
-    if support is None:
-        raise GridInsufficient("wavefunction support exceeds the scan range")
-    return FdGrid(*_support_ends(solution, support), n_points)
-
-
 def default_fd_grid(solution: QESSolution, n_points: int = 4000) -> FdGrid:
     """Grid bounds from the wavefunction support (amplitude below 1e-13
     of the peak at both ends, `wavefunction._supports`, the interval the
-    norm integrates on); raises GridInsufficient if no such bounds exist
-    within the scan range."""
-    return _fd_grid(solution, _supports([solution])[0], n_points)
+    norm integrates on), its ends refined onto the fine scan
+    (`wavefunction._support_ends`); raises GridInsufficient if no such
+    bounds exist within the scan range."""
+    support = _supports([solution])[0]
+    if support is None:
+        raise GridInsufficient("wavefunction support exceeds the scan range")
+    return FdGrid(*_support_ends(solution, support), n_points)
 
 
 def _fd_points(grid: FdGrid) -> tuple[np.ndarray, float]:
@@ -218,9 +214,9 @@ def _fd_problem(potential: PotentialSpec, energy_window: tuple, grid: FdGrid, to
     return lo, hi, 2.0 / (h * h) + potential.bracket(r), 1.0 / h**4
 
 
-def _bisect(diag: np.ndarray, off_sq: float, lo: float, hi: float, tol: float) -> np.ndarray:
-    """The refined eigenvalues in (lo, hi], as the midpoints of their final
-    intervals: Sturm bisection (Barth, Martin & Wilkinson 1967), one level
+def _bisect(diag: np.ndarray, off_sq: float, lo: float, hi: float, tol: float) -> tuple[int, np.ndarray]:
+    """The count of eigenvalues below lo, and the refined eigenvalues in
+    (lo, hi], as the midpoints of their final intervals: Sturm bisection (Barth, Martin & Wilkinson 1967), one level
     per step, with each distinct midpoint of a step counted once by
     `_negative_pivots`."""
     c = np.full(len(diag) - 1, -math.sqrt(off_sq))
@@ -238,7 +234,7 @@ def _bisect(diag: np.ndarray, off_sq: float, lo: float, hi: float, tol: float) -
         below = counts[which] >= ordinals
         highs = np.where(below, mids, highs)
         lows = np.where(below, lows, mids)
-    return 0.5 * (lows + highs)
+    return count_lo, 0.5 * (lows + highs)
 
 
 def fd_spectrum(
@@ -260,7 +256,7 @@ def fd_spectrum(
     positive number.
     """
     lo, hi, diag, off_sq = _fd_problem(potential, energy_window, grid, tol)
-    return [float(x) for x in _bisect(diag, off_sq, lo, hi, tol)]
+    return [float(x) for x in _bisect(diag, off_sq, lo, hi, tol)[1]]
 
 
 # The width to which verification resolves the FD eigenvalue nearest 2E.
@@ -362,9 +358,9 @@ def _kato_temple(rho: float, eps: float, alpha: float, beta: float) -> tuple[flo
 
 def _enclosed_eigenvalue(
     diag: np.ndarray, off_sq: float, lo: float, hi: float, target: float, v: np.ndarray
-) -> float | None:
-    """The eigenvalue nearest `target`, proven from the trial vector v, or
-    None when the proof fails.
+) -> tuple[float, int] | None:
+    """The eigenvalue nearest `target`, proven from the trial vector v, and
+    the count of eigenvalues below it, or None when the proof fails.
 
     With rho the Rayleigh quotient of v, one inverse-iteration step,
     x = (T - rho I)^-1 v, gives rho1 and eps1 = ||T x - rho1 x|| / ||x||.
@@ -379,7 +375,8 @@ def _enclosed_eigenvalue(
         rho1 - eps1^2 / (rho + g - rho1) <= lam <= rho1 + eps1^2 / (rho1 - rho + g).
     rho1 is returned when that enclosure lies inside (rho - g, rho + g)
     and the window (lo, hi], is at most `_NEAREST_TOL` wide, and lies
-    nearer the target than rho +- g, so lam is the nearest."""
+    nearer the target than rho +- g, so lam is the nearest; the count at
+    rho - g is the count below lam."""
     off = -math.sqrt(off_sq)
     c = np.full(len(diag) - 1, off)
     rho, _ = _rayleigh(diag, off, v)
@@ -400,15 +397,15 @@ def _enclosed_eigenvalue(
     if not (isolated and nearest and high - low <= _NEAREST_TOL):
         return None
     below, above = (_negative_pivots(diag - shift, c) for shift in (alpha, beta))
-    return rho1 if above - below == 1 else None
+    return (rho1, below) if above - below == 1 else None
 
 
 def _nearest_fd_eigenvalue(
     diag: np.ndarray, off_sq: float, window: tuple, target: float, log_mag: np.ndarray, sign: np.ndarray
-) -> float | None:
+) -> tuple[float, int] | None:
     """The eigenvalue in the window (lo, hi] nearest `target` of the FD
     matrix (diagonal, squared off-diagonal), to the rounding of the matrix,
-    or None when the window holds none.  `_enclosed_eigenvalue` proves it
+    and the count of eigenvalues below it, or None when the window holds none.  `_enclosed_eigenvalue` proves it
     from Psi sampled on the grid (log|Psi| and sign, scaled by the peak):
     rho1 within 1e-12 of it in exact arithmetic, as bisection's midpoint
     is.  Otherwise bisection refines every eigenvalue in the window."""
@@ -418,8 +415,11 @@ def _nearest_fd_eigenvalue(
         found = _enclosed_eigenvalue(diag, off_sq, lo, hi, target, sign * np.exp(log_mag - peak))
         if found is not None:
             return found
-    found = _bisect(diag, off_sq, lo, hi, _NEAREST_TOL)
-    return float(found[np.argmin(np.abs(found - target))]) if len(found) else None
+    below, found = _bisect(diag, off_sq, lo, hi, _NEAREST_TOL)
+    if not len(found):
+        return None
+    i = int(np.argmin(np.abs(found - target)))
+    return float(found[i]), below + i
 
 
 # ----------------------------------------------------------------------
@@ -467,9 +467,15 @@ def verify_solution(solution: QESSolution, level: VerifyLevel = VerifyLevel.FAST
 
     FAST checks the root-system residuals (at most BAE_TOL), the polynomial
     identity (at most IDENT_TOL) and the radial-equation residual (at most
-    1e-9).  FULL additionally computes the norm, counts nodes and confirms
-    the energy against the finite-difference spectrum at two resolutions;
-    the norm and both FD grids come from one support scan.
+    1e-9).  FULL adds three checks, all from one support scan:
+    - norm_finite: the norm of |Psi|^2 is finite and positive;
+    - fd_eigenvalue_error: 2E against the nearest eigenvalue of the
+      finite-difference spectrum at two resolutions, read from one grid of
+      2 * 2400 + 1 points and its odd points (h doubled);
+    - node_count: |k - nodes|, at most 0, with k the count of fine-grid
+      eigenvalues below that nearest one and nodes those of Psi on r > 0
+      (Sturm's oscillation theorem); a note flags nodes != n.
+    A support beyond the scan fails all three, with a note.
     """
     level = VerifyLevel(level)
     report = VerificationReport()
@@ -477,10 +483,7 @@ def verify_solution(solution: QESSolution, level: VerifyLevel = VerifyLevel.FAST
         solution.problem,
         solution.derived.get("omega") if solution.problem.match_ell else None,
     )
-    if solution.roots.n:
-        bae = float(np.max(np.abs(bae_residuals(ode, solution.roots))))
-    else:
-        bae = 0.0
+    bae = float(np.max(np.abs(bae_residuals(ode, solution.roots)))) if solution.roots.n else 0.0
     report.add("bae_residual", bae, BAE_TOL)
     w = compute_w_coefficients(ode, solution.roots)
     report.add("identity_residual", verify_polynomial_identity(ode, solution.roots, w), IDENT_TOL)
@@ -488,43 +491,41 @@ def verify_solution(solution: QESSolution, level: VerifyLevel = VerifyLevel.FAST
     if level is VerifyLevel.FAST:
         return report
 
-    support = _supports([solution])[0]  # one scan for the norm and both FD grids
-    norm = _norm(solution, support)
+    support = _supports([solution])[0]  # one scan for the norm and the FD grid
+    try:
+        norm = _norm(solution, support)
+    except NotIntegrable as exc:  # no support, or a norm beyond the largest float
+        norm = math.inf
+        report.notes.append(f"norm: {exc}")
     report.add("norm_finite", norm, math.inf, passed=math.isfinite(norm) and norm > 0)
-    nodes = count_nodes(solution)
-    report.add("node_count", float(nodes), math.inf, passed=True)
-    if nodes != solution.problem.n:
-        report.notes.append(
-            f"energy ordering: branch labeled n={solution.problem.n} has "
-            f"{nodes} node(s) on r > 0"
-        )
     two_e = 2.0 * solution.energy
     scale = max(1.0, abs(two_e))
     delta = max(0.75, 0.02 * abs(two_e))
     window = (two_e - delta, two_e + delta)
-    # One grid of 2 * 2400 + 1 points: its odd points are those of the
-    # 2400-point grid on the same support, bit for bit, and 2h is that grid's
-    # h.  So both resolutions read one bracket and one Psi.
-    r, h = _fd_points(_fd_grid(solution, support, 2 * 2400 + 1))
-    bracket = assemble_potential(solution).bracket(r)
-    log_mag, sign = eval_log_psi(solution, r)
-    ev_c, ev_f = (
-        _nearest_fd_eigenvalue(2.0 / (hk * hk) + bracket[at], 1.0 / hk**4, window, two_e, log_mag[at], sign[at])
-        for at, hk in ((slice(1, None, 2), 2.0 * h), (slice(None), h))
-    )
-    if ev_c is None or ev_f is None:
-        report.add("fd_eigenvalue_error", math.inf, 5e-3 * scale, passed=False)
-        report.notes.append("fd oracle: window contained no eigenvalue")
-    else:
-        err_c = abs(ev_c - two_e)
-        err_f = abs(ev_f - two_e)
-        improving = err_f <= 0.6 * err_c + 1e-9 * scale
-        report.add(
-            "fd_eigenvalue_error",
-            err_f,
-            5e-3 * scale,
-            passed=(err_f <= 5e-3 * scale) and improving,
+    coarse = fine = None  # each (eigenvalue, count below it) when found
+    if support is not None:
+        # One grid of 2 * 2400 + 1 points: its odd points are those of the
+        # 2400-point grid on the same support, bit for bit, and 2h is that
+        # grid's h.  So both resolutions read one bracket and one Psi.
+        r, h = _fd_points(FdGrid(*_support_ends(solution, support), 2 * 2400 + 1))
+        bracket = assemble_potential(solution).bracket(r)
+        log_mag, sign = eval_log_psi(solution, r)
+        coarse, fine = (
+            _nearest_fd_eigenvalue(2.0 / (hk * hk) + bracket[at], 1.0 / hk**4, window, two_e, log_mag[at], sign[at])
+            for at, hk in ((slice(1, None, 2), 2.0 * h), (slice(None), h))
         )
+    nodes = count_nodes(solution)
+    report.add("node_count", abs(fine[1] - nodes) if fine else math.inf, 0.0)
+    if nodes != solution.problem.n:
+        report.notes.append(f"energy ordering: branch labeled n={solution.problem.n} has {nodes} node(s) on r > 0")
+    if coarse is None or fine is None:
+        report.add("fd_eigenvalue_error", math.inf, 5e-3 * scale, passed=False)
+        missing = "wavefunction support exceeds the scan range" if support is None else "window contained no eigenvalue"
+        report.notes.append(f"fd oracle: {missing}")
+    else:
+        err_c, err_f = abs(coarse[0] - two_e), abs(fine[0] - two_e)
+        improving = err_f <= 0.6 * err_c + 1e-9 * scale
+        report.add("fd_eigenvalue_error", err_f, 5e-3 * scale, passed=err_f <= 5e-3 * scale and improving)
         if err_f > 1e-9 * scale:
             order = math.log2(err_c / err_f) if err_f > 0 else float("inf")
             report.notes.append(f"fd oracle convergence order ~ {order:.2f}")

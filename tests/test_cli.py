@@ -174,6 +174,25 @@ class TestVerify:
         assert checks["fd_eigenvalue_error"]["value"] == 1e300
         assert checks["fd_eigenvalue_error"]["passed"] is False
 
+    def test_support_beyond_the_scan_is_reported(self, q0_doc, tmp_path, capsys):
+        # exp(-1e-30 r^2) in place of exp(-r^2 / 2) puts the peak of |Psi|
+        # past the support scan.  The norm, the FD eigenvalue and the node
+        # count fail with the value inf (written as 1e300), and the next
+        # document is still verified.
+        (doc,) = loads_documents(q0_doc.read_text())
+        wide = json.loads(json.dumps(doc))
+        wide["waveform"]["exp_coeffs"]["2"] = -1e-30
+        bad, report = tmp_path / "wide.json", tmp_path / "report.json"
+        bad.write_text(json.dumps([wide, doc]))
+        code, out, err = run(capsys, "verify", str(bad), "--out", str(report))
+        assert (code, err) == (3, "")
+        assert "document 0: FAIL" in out and "document 1: PASS" in out
+        first, second = loads_documents(report.read_text())
+        checks = {c["name"]: c for c in first["verification"]["checks"]}
+        for name in ("norm_finite", "node_count", "fd_eigenvalue_error"):
+            assert (checks[name]["value"], checks[name]["passed"]) == (1e300, False)
+        assert second["verification"]["passed"] is True
+
     def test_truncated_file(self, q0_doc, tmp_path, capsys):
         bad = tmp_path / "trunc.json"
         bad.write_text(q0_doc.read_text()[:40])

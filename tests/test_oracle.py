@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from qesolve import (
 )
 
 from qesolve import oracle, solve_bae, solve_family_detailed, wavefunction
-from qesolve.families import Family, build_ode
+from qesolve.families import Family, WaveForm, build_ode
 
 import residual_reference
 import sturm_reference
@@ -41,6 +42,11 @@ def quartic0(cfg_small):
 @pytest.fixture(scope="module")
 def quartic1(cfg):
     return solve_family(quartic_harmonic(n=1), cfg)[0]
+
+
+def _check(report, name):
+    (check,) = [c for c in report.checks if c.name == name]
+    return check
 
 
 def _tweak(solution, **changes):
@@ -621,7 +627,7 @@ class TestOnePassIsolation:
         (want,) = fd_spectrum(pot, (2.25, 3.75), grid)
         calls = _counting_pivots(monkeypatch)
         got = oracle._enclosed_eigenvalue(diag, off_sq, 2.25, 3.75, 3.0, ground)
-        assert got is not None and abs(got - want) <= _rounding_bound(grid)
+        assert got is not None and abs(got[0] - want) <= _rounding_bound(grid) and got[1] == 0
         # One pass: two shifts, symmetric about rho.
         rho, _ = oracle._rayleigh(diag, -math.sqrt(off_sq), ground)
         below, above = (float(diag[0] - a[0]) for a in calls)
@@ -732,11 +738,13 @@ def _pool_grids(sol):
 
 
 def _nearest(potential, window, grid, target, sol):
-    """`_nearest_fd_eigenvalue` on one grid built on its own: the FD matrix
-    of `_fd_problem`, and `sol`'s Psi sampled on the grid's points."""
+    """The eigenvalue `_nearest_fd_eigenvalue` finds on one grid built on
+    its own (the FD matrix of `_fd_problem`, and `sol`'s Psi sampled on the
+    grid's points), or None."""
     lo, hi, diag, off_sq = oracle._fd_problem(potential, window, grid, 1e-12)
     log_mag, sign = oracle.eval_log_psi(sol, oracle._fd_points(grid)[0])
-    return oracle._nearest_fd_eigenvalue(diag, off_sq, (lo, hi), target, log_mag, sign)
+    found = oracle._nearest_fd_eigenvalue(diag, off_sq, (lo, hi), target, log_mag, sign)
+    return None if found is None else found[0]
 
 
 def _no_bisection(*args, **kwargs):
@@ -746,7 +754,7 @@ def _no_bisection(*args, **kwargs):
 def _bisected_nearest(potential, window, grid, target) -> float:
     """The nearest eigenvalue as bisection alone finds it."""
     lo, hi, diag, off_sq = oracle._fd_problem(potential, window, grid, 1e-12)
-    found = oracle._bisect(diag, off_sq, lo, hi, 1e-12)
+    _, found = oracle._bisect(diag, off_sq, lo, hi, 1e-12)
     return float(found[np.argmin(np.abs(found - target))])
 
 
@@ -840,10 +848,10 @@ class TestNearestFdEigenvalue:
         diag, off_sq = _fd_matrix(pot, grid)
         r = oracle._fd_points(grid)[0]
         gauss = r**3 * np.exp(-0.5 * r * r)
-        for trial, (lo, hi) in ((gauss, (6.25, 7.75)), ((r * r - 3.5) * gauss, (10.25, 11.75))):
+        for ordinal, (trial, (lo, hi)) in enumerate(((gauss, (6.25, 7.75)), ((r * r - 3.5) * gauss, (10.25, 11.75)))):
             (want,) = fd_spectrum(pot, (lo, hi), grid)
             got = oracle._enclosed_eigenvalue(diag, off_sq, lo, hi, 0.5 * (lo + hi), trial)
-            assert got is not None and abs(got - want) <= _rounding_bound(grid)
+            assert got is not None and abs(got[0] - want) <= _rounding_bound(grid) and got[1] == ordinal
         assert oracle._enclosed_eigenvalue(diag, off_sq, 6.25, 7.75, 7.0, r**3 * np.exp(-0.45 * r * r)) is None
         # In the window (6.25, 11.75) the level near 7 is proven, but it is
         # not the one nearest 10.
@@ -873,7 +881,7 @@ class TestOneFdGrid:
             want = [_nearest(pot, window, grid, two_e, sol) for grid in grids]
             got.clear()
             verify_solution(sol, VerifyLevel.FULL)
-            assert got == want
+            assert [found[0] for found in got] == want
 
     def test_one_bracket_and_one_psi_on_the_fd_grid(self, quartic1, monkeypatch):
         # The residual and the support scan read neither, so each FULL
@@ -906,11 +914,53 @@ class TestVerifySolution:
 
     def test_energy_ordering_note(self, cfg):
         # A first-excited branch with a negative root has no node on r > 0;
-        # flagged in the notes, not failed.
+        # flagged in the notes, not failed: it is the ground state, and the
+        # FD eigenvalue nearest 2E has none below it.
         sols = solve_family(sextic(n=1, omega=1.0, e=0.0, d=0.5), cfg)
         report = verify_solution(sols[0], VerifyLevel.FULL)
         assert report.passed
         assert any("0 node" in note for note in report.notes)
+        assert _check(report, "node_count").value == 0.0
+
+    def test_node_count_of_the_pool_is_the_ordinal(self, cfg):
+        # Each pool state's nodes equal the fine-grid eigenvalues below the
+        # one nearest 2E, as the reference LDL^T counts them.
+        for sol in _verify_pool(cfg):
+            pot, window, two_e, (_, fine) = _pool_grids(sol)
+            nearest = _nearest(pot, window, fine, two_e, sol)
+            (below,) = sturm_reference._sturm_counts(*_fd_matrix(pot, fine), np.array([nearest - 1e-6]))
+            assert below == oracle.count_nodes(sol)
+            check = _check(verify_solution(sol, VerifyLevel.FULL), "node_count")
+            assert (check.value, check.tolerance, check.passed) == (0.0, 0.0, True)
+
+    def test_wrong_node_count_for_the_energy_fails(self, quartic1, bisect_calls):
+        # The n = 1 Psi (one node) with 2E at the lowest FD level of its own
+        # potential: its sample proves nothing there, bisection finds that
+        # level with no eigenvalue below it, and the check reads |0 - 1|.
+        pot = assemble_potential(quartic1)
+        fine = _pool_grids(quartic1)[3][1]
+        ground = fd_spectrum(pot, (-100.0, 2.0 * quartic1.energy - 1.0), fine)[0]
+        bisect_calls.clear()
+        report = verify_solution(_tweak(quartic1, energy=0.5 * ground), VerifyLevel.FULL)
+        check = _check(report, "node_count")
+        assert (check.value, check.passed) == (1.0, False)
+        assert len(bisect_calls) == 2
+        # The nodes match the label n = 1, so only the check sees this.
+        assert not any("energy ordering" in note for note in report.notes)
+
+    def test_support_beyond_the_scan_fails_three_checks(self, quartic0):
+        # exp(-1e-30 r^2) in place of exp(-r^2 / 2) puts the peak of |Psi|
+        # past the scan: the norm, the FD eigenvalue and the node count are
+        # not computed.
+        waveform = WaveForm(quartic0.waveform.leading_exponent, {**quartic0.waveform.exp_coeffs, 2: -1e-30})
+        wide = dataclasses.replace(quartic0, waveform=waveform)
+        report = verify_solution(wide, VerifyLevel.FULL)
+        failed = {c.name: c.value for c in report.checks if not c.passed}
+        assert {k: failed[k] for k in ("norm_finite", "node_count", "fd_eigenvalue_error")} == dict.fromkeys(
+            ("norm_finite", "node_count", "fd_eigenvalue_error"), math.inf
+        )
+        assert "norm: could not bracket the support of |Psi|^2" in report.notes
+        assert "fd oracle: wavefunction support exceeds the scan range" in report.notes
 
     def test_corrupted_root_fails_fast(self, quartic1):
         roots = quartic1.roots
