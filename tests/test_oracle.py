@@ -870,9 +870,8 @@ class TestOneFdGrid:
             assert np.array_equal(r_f[1::2], r_c) and 2.0 * h_f == h_c
 
     def test_both_resolutions_are_those_of_grids_built_apart(self, cfg, monkeypatch):
-        # The reference is the construction FULL verification used before:
-        # a 2400-point and a 4801-point grid on the same support, each with
-        # its own FD matrix and its own sample of Psi.
+        # The reference: a 2400-point and a 4801-point grid built apart on
+        # the same support, each with its own FD matrix and sample of Psi.
         got = []
         nearest = oracle._nearest_fd_eigenvalue
         monkeypatch.setattr(oracle, "_nearest_fd_eigenvalue", lambda *args: got.append(nearest(*args)) or got[-1])
