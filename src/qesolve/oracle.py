@@ -216,9 +216,9 @@ def _fd_problem(potential: PotentialSpec, energy_window: tuple, grid: FdGrid, to
 
 def _bisect(diag: np.ndarray, off_sq: float, lo: float, hi: float, tol: float) -> tuple[int, np.ndarray]:
     """The count of eigenvalues below lo, and the refined eigenvalues in
-    (lo, hi], as the midpoints of their final intervals: Sturm bisection (Barth, Martin & Wilkinson 1967), one level
-    per step, with each distinct midpoint of a step counted once by
-    `_negative_pivots`."""
+    (lo, hi], as the midpoints of their final intervals: Sturm bisection
+    (Barth, Martin & Wilkinson 1967), one level per step, with each
+    distinct midpoint of a step counted once by `_negative_pivots`."""
     c = np.full(len(diag) - 1, -math.sqrt(off_sq))
     count_lo, count_hi = (_negative_pivots(diag - x, c) for x in (lo, hi))
     ordinals = np.arange(count_lo + 1, count_hi + 1)
@@ -405,10 +405,11 @@ def _nearest_fd_eigenvalue(
 ) -> tuple[float, int] | None:
     """The eigenvalue in the window (lo, hi] nearest `target` of the FD
     matrix (diagonal, squared off-diagonal), to the rounding of the matrix,
-    and the count of eigenvalues below it, or None when the window holds none.  `_enclosed_eigenvalue` proves it
-    from Psi sampled on the grid (log|Psi| and sign, scaled by the peak):
-    rho1 within 1e-12 of it in exact arithmetic, as bisection's midpoint
-    is.  Otherwise bisection refines every eigenvalue in the window."""
+    and the count of eigenvalues below it; None when the window holds none.
+    `_enclosed_eigenvalue` proves it from Psi sampled on the grid (log|Psi|
+    and sign, scaled by the peak): rho1 within 1e-12 of it in exact
+    arithmetic, as bisection's midpoint is.  Otherwise bisection refines
+    every eigenvalue in the window."""
     lo, hi = window
     peak = np.max(log_mag)
     if math.isfinite(peak):
@@ -467,15 +468,12 @@ def verify_solution(solution: QESSolution, level: VerifyLevel = VerifyLevel.FAST
 
     FAST checks the root-system residuals (at most BAE_TOL), the polynomial
     identity (at most IDENT_TOL) and the radial-equation residual (at most
-    1e-9).  FULL adds three checks, all from one support scan:
-    - norm_finite: the norm of |Psi|^2 is finite and positive;
-    - fd_eigenvalue_error: 2E against the nearest eigenvalue of the
-      finite-difference spectrum at two resolutions, read from one grid of
-      2 * 2400 + 1 points and its odd points (h doubled);
-    - node_count: |k - nodes|, at most 0, with k the count of fine-grid
-      eigenvalues below that nearest one and nodes those of Psi on r > 0
-      (Sturm's oscillation theorem); a note flags nodes != n.
-    A support beyond the scan fails all three, with a note.
+    1e-9).  FULL adds, from one support scan, norm_finite (a finite
+    positive norm), fd_eigenvalue_error (2E against the nearest eigenvalue
+    of the finite-difference spectrum at two resolutions: one grid of
+    2 * 2400 + 1 points, and its odd points) and node_count (|k - nodes|,
+    at most 0, for k fine-grid eigenvalues below that one and the nodes of
+    Psi on r > 0); a support beyond the scan fails all three.
     """
     level = VerifyLevel(level)
     report = VerificationReport()
@@ -483,7 +481,10 @@ def verify_solution(solution: QESSolution, level: VerifyLevel = VerifyLevel.FAST
         solution.problem,
         solution.derived.get("omega") if solution.problem.match_ell else None,
     )
-    bae = float(np.max(np.abs(bae_residuals(ode, solution.roots)))) if solution.roots.n else 0.0
+    if solution.roots.n:
+        bae = float(np.max(np.abs(bae_residuals(ode, solution.roots))))
+    else:
+        bae = 0.0
     report.add("bae_residual", bae, BAE_TOL)
     w = compute_w_coefficients(ode, solution.roots)
     report.add("identity_residual", verify_polynomial_identity(ode, solution.roots, w), IDENT_TOL)

@@ -680,7 +680,7 @@ class TestFdSpectrumAgainstLdl:
 
     def test_verify_pool(self, cfg, monkeypatch):
         # Entry 5, the octic coulombic ground state, has 18 eigenvalues in
-        # its window: the nearest entry refines only those that can be nearest.
+        # its window, all of which the nearest entry's bisection refines.
         # The enclosure is switched off, so the nearest entry is the
         # bisection fallback's; TestNearestFdEigenvalue checks the enclosure.
         monkeypatch.setattr(oracle, "_enclosed_eigenvalue", lambda *args: None)
