@@ -18,7 +18,6 @@ from .bethe import (
     solve_bae,
     verify_polynomial_identity,
 )
-from .besselk import besselk
 from .errors import (
     ConstraintInfeasible,
     DenominatorBlowup,
@@ -64,6 +63,7 @@ from .oracle import (
 from .wavefunction import (
     IntegralKind,
     NormIntegralSpec,
+    besselk,
     count_nodes,
     eval_log_psi,
     eval_psi_log_derivatives,

@@ -25,7 +25,6 @@ from .errors import (
     NotIntegrable,
     UnsupportedKind,
 )
-from .besselk import besselk
 from .families import QESSolution
 
 _NODE_GUARD = 1e-12
@@ -225,7 +224,10 @@ def integrate_adaptive(f, a: float, b: float, rel_tol: float = 1e-10) -> float:
     `f` must accept a numpy array of abscissae.  The rule converges
     exponentially for an integrand analytic in a strip around [a, b] that
     is negligible at both ends (Trefethen & Weideman, SIAM Review 56,
-    2014), as |Psi|^2 is in u = ln r on the interval of `_supports`.
+    2014).  Both integrands here are entire: |Psi|^2 r in u = ln r is
+    negligible at both ends of the interval of `_supports`, and besselk's
+    exp(-x cosh t) cosh(nu t) is negligible at t = T and even in t, so the
+    rule on [0, T] is half the rule on [-T, T].
     Raises NotIntegrable when the levels still disagree at 2^14 intervals.
     """
     n = _FIRST_INTERVALS
@@ -302,6 +304,41 @@ class NormIntegralSpec:
         object.__setattr__(self, "kind", IntegralKind(self.kind))
         if not (self.nu > 0 and self.mu1 > 0 and self.mu2 > 0):
             raise InvalidParameter("nu, mu1, mu2 must all be positive")
+
+
+def besselk(nu: float, x: float) -> float:
+    """K_nu(x) for real order and x > 0 (K is even in the order): the integral
+    int_0^inf exp(-x cosh t) cosh(nu t) dt by `integrate_adaptive` on [0, T],
+    scaled by the peak of its log, at sinh t = nu/x, and cut at the T where
+    the log is 40 below it.  Returns inf beyond the largest float and 0.0
+    below the smallest; raises ValueError unless nu, x are finite and x > 0.
+    """
+    if not (math.isfinite(nu) and math.isfinite(x) and x > 0.0):
+        raise ValueError("besselk requires a finite order and a finite x > 0")
+    nu, x = abs(float(nu)), float(x)
+    top = math.asinh(nu / x)
+    # The peak of nu t - 2 x sinh^2(t/2), which bounds log(e^x exp(-x cosh t) cosh(nu t)).
+    peak = nu * top - 2.0 * x * math.sinh(0.5 * top) ** 2
+    # Past either end of the floats: above, nu > x and K >= e^(peak - x - 1) / sqrt(16 nu);
+    # below, K <= T e^(peak - x) with T < 1500.  A NaN peak (nu/x = inf) overflows.
+    if not -760.0 < peak - x < 1100.0:
+        return 0.0 if peak < x else math.inf
+    # T solves 2 x sinh^2(T/2) = nu T - peak + 40; the iteration rises to it from the peak.
+    end, last = top, -1.0
+    while end - last > 1e-9 * end:
+        end, last = 2.0 * math.asinh(math.sqrt((nu * end - peak + 40.0) / (2.0 * x))), end
+
+    def integrand(t: np.ndarray) -> np.ndarray:
+        # x (cosh t - 1) = 2 x sinh^2(t/2) loses nothing to cancellation near t = 0.
+        return np.exp(nu * t - 2.0 * x * np.sinh(0.5 * t) ** 2 - peak) * 0.5 * (1.0 + np.exp(-2.0 * nu * t))
+
+    total = integrate_adaptive(integrand, 0.0, end, rel_tol=1e-13)  # at 1e-14, exponents near 700 round apart
+    try:
+        # Two exact exponents: one rounded exponent near -600 costs ~6e-14 relative.
+        scale = math.exp(peak) * math.exp(-x) if max(peak, x) < 708.0 else math.exp(peak - x)
+    except OverflowError:
+        return math.inf
+    return scale * total
 
 
 def norm_closed_form(spec: NormIntegralSpec) -> float:

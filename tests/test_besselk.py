@@ -59,25 +59,6 @@ class TestGeneralOrder:
         for nu, x in ((0.7, 1.3), (2.2, 8.0)):
             assert besselk(-nu, x) == besselk(nu, x)
 
-    def test_branch_agreement_at_switch_points(self):
-        # Series vs continued fraction at x = 2, continued fraction vs
-        # asymptotic at x = 30, evaluated at the same point and order.
-        from qesolve.besselk import (
-            _k_asymptotic_one,
-            _k_continued_fraction,
-            _k_series,
-        )
-
-        for mu in (-0.5, -0.2, 0.0, 0.3, 0.5):
-            s0, s1 = _k_series(mu, 2.0)
-            c0, c1 = _k_continued_fraction(mu, 2.0)
-            assert s0 == pytest.approx(c0, rel=1e-13)
-            assert s1 == pytest.approx(c1, rel=1e-13)
-            c0, c1 = _k_continued_fraction(mu, 30.0)
-            a0, a1 = _k_asymptotic_one(mu, 30.0), _k_asymptotic_one(mu + 1, 30.0)
-            assert c0 == pytest.approx(a0, rel=1e-13)
-            assert c1 == pytest.approx(a1, rel=1e-13)
-
     def test_recurrence_consistency(self):
         # K_{nu+1} - K_{nu-1} = (2 nu / x) K_nu, with each order computed
         # through its own branch decomposition.
