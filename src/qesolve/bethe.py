@@ -129,9 +129,9 @@ class SolverConfig:
     starts: int = 200
 
     def __post_init__(self):
-        if not isinstance(self.seed, Integral) or self.seed < 0:
+        if not isinstance(self.seed, Integral) or isinstance(self.seed, bool) or self.seed < 0:
             raise InvalidParameter(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not isinstance(self.starts, Integral) or self.starts < 1:
+        if not isinstance(self.starts, Integral) or isinstance(self.starts, bool) or self.starts < 1:
             raise InvalidParameter(f"starts must be a positive integer, got {self.starts!r}")
 
 

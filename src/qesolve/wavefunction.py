@@ -1,4 +1,4 @@
-"""Closed-form wavefunction evaluation, nodes, support and normalization.
+"""Closed-form wavefunction evaluation, nodes, support, normalization and K_nu.
 
 Evaluation is in log-magnitude/sign form, so steep exponential factors
 never overflow, and in real arithmetic, the branches of one solve the rows
@@ -6,7 +6,9 @@ of one array pass; derivatives are analytic.  One scan of log|Psi| in
 u = ln r, on every 4th point of a grid computed once per process, finds the
 support (`_supports`) that the norm and the FD grid (`oracle.default_fd_grid`)
 use, and the norm is the trapezoidal sum of the scan's own samples of
-|Psi|^2 in u on it, checked against the sum over every other sample.
+|Psi|^2 in u on it, checked against the sum over every other sample.  The
+Bessel-K closed forms of `norm_closed_form` take K_nu from `besselk`, which
+integrates it by the same trapezoidal rule (`integrate_adaptive`).
 """
 
 from __future__ import annotations

@@ -36,17 +36,47 @@ def k_integral_oracle(nu, x):
 
 
 class TestHalfInteger:
-    @pytest.mark.parametrize("x", list(np.geomspace(0.1, 50.0, 25)))
+    @pytest.mark.parametrize("x", list(np.geomspace(1e-3, 600.0, 25)))
     def test_k_half(self, x):
         assert besselk(0.5, x) == pytest.approx(k_half(x), rel=1e-12)
 
-    @pytest.mark.parametrize("x", [0.2, 1.0, 1.9, 2.1, 7.0, 29.0, 31.0, 45.0])
+    @pytest.mark.parametrize("x", [1e-3, 0.2, 1.0, 1.9, 2.1, 7.0, 29.0, 31.0, 45.0, 200.0, 600.0])
     def test_k_three_and_five_half(self, x):
         assert besselk(1.5, x) == pytest.approx(k_three_half(x), rel=1e-12)
         assert besselk(2.5, x) == pytest.approx(k_five_half(x), rel=1e-12)
 
     def test_value_at_two(self):
         assert besselk(0.5, 2.0) == pytest.approx(0.11993777196806145, abs=1e-15)
+
+
+# K_nu(x) computed once with mpmath.besselk at 40 digits (mp.dps = 40),
+# rounded to the nearest float: small x, the x = 2 and x = 30 seams of the
+# series / continued fraction / asymptotic split this module once used,
+# large x and a large order.
+MPMATH_VALUES = [
+    (0.0, 1e-3, 7.023688800562382),
+    (0.3, 1e-3, 14.406547529041028),
+    (1.7, 2.0, 0.2042462642627467),
+    (0.3, 30.0, 2.1356270283260948e-14),
+    (4.2, 30.0, 2.8465803726034517e-14),
+    (7.0, 600.0, 1.4122887784147234e-262),
+    (50.0, 1.0, 3.406896854161702e77),
+]
+
+
+@pytest.mark.parametrize("nu, x, value", MPMATH_VALUES)
+def test_against_mpmath_values(nu, x, value):
+    assert besselk(nu, x) == pytest.approx(value, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "nu, x, value",
+    [(170.0, 1.0, math.inf), (800.0, 1.0, math.inf), (1e4, 1.0, math.inf), (1.0, 800.0, 0.0), (1e5, 1e5, 0.0)],
+)
+def test_beyond_the_floats(nu, x, value):
+    # K_170(1) ~ 3e355, K_800(1) ~ 3e2214, K_1(800) ~ 2e-349 and the
+    # orders 1e4 and 1e5 lie past either end of the floats.
+    assert besselk(nu, x) == value
 
 
 class TestGeneralOrder:
@@ -67,6 +97,9 @@ class TestGeneralOrder:
             rhs = (2 * nu / x) * besselk(nu, x)
             assert lhs == pytest.approx(rhs, rel=1e-11)
 
-    def test_rejects_nonpositive_x(self):
-        with pytest.raises(ValueError):
-            besselk(1.0, 0.0)
+    @pytest.mark.parametrize(
+        "nu, x", [(1.0, 0.0), (1.0, math.nan), (math.nan, 1.0), (math.inf, 1.0), (1.0, math.inf)]
+    )
+    def test_rejects_nonpositive_x(self, nu, x):
+        with pytest.raises(ValueError, match="besselk requires a finite order and a finite x > 0"):
+            besselk(nu, x)

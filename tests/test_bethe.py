@@ -10,6 +10,7 @@ from qesolve import (
     DenominatorBlowup,
     Family,
     FamilyProblem,
+    InvalidParameter,
     NonRealCoefficients,
     PolyODE,
     SolverConfig,
@@ -698,3 +699,27 @@ class TestNoSolution:
         ode = PolyODE((0, 0, 1, 0, 0), (1.0, 0, 0, 0, 0, 0))
         with pytest.raises(NoSolutionFound):
             solve_bae(ode, 1)
+
+
+class TestInputChecks:
+    def test_p_identically_zero_is_rejected(self):
+        with pytest.raises(ValueError, match="P\\(t\\) must not be identically zero"):
+            PolyODE((0, 0, 0, 0, 0), (1.0, 0, 0, 0, 0, 0))
+
+    @pytest.mark.parametrize("p, q, name, length", [((0, 0, 1, 0, 0, 0), (1.0,), "p", 5), ((0, 0, 1), (1.0,) * 7, "q", 6)])
+    def test_too_many_coefficients_are_rejected(self, p, q, name, length):
+        with pytest.raises(ValueError, match=f"^{name} accepts at most {length} coefficients$"):
+            PolyODE(p, q)
+
+    @pytest.mark.parametrize(
+        "field, value", [("seed", -1), ("seed", 1.0), ("seed", True), ("starts", 0), ("starts", 2.0), ("starts", True)]
+    )
+    def test_solver_config_rejects(self, field, value):
+        # A bool is an Integral, but no seed or start count: FamilyProblem
+        # rejects a boolean n the same way.
+        with pytest.raises(InvalidParameter, match=f"^{field} must be a"):
+            SolverConfig(**{field: value})
+
+    def test_negative_degree_is_rejected(self):
+        with pytest.raises(ValueError, match="n must be non-negative"):
+            solve_bae(QUARTIC_ODE, -1)

@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from qesolve import NoSolutionFound, families
 from qesolve.cli import EXIT_NO_SOLUTION, build_parser, main
 from qesolve.document import loads_documents
-from qesolve.families import Case, Family, FamilyProblem, solve_family_detailed
+from qesolve.families import BranchFailure, Case, Family, FamilyProblem, solve_family_detailed
 
 
 def run(capsys, *args):
@@ -90,6 +91,20 @@ class TestSolve:
             "--param", "e=0.5", "--param", "d=0.5", "--match-ell",
         )
         assert code == 2
+
+    def test_root_system_without_a_solution(self, capsys, monkeypatch):
+        # NoSolutionFound from the root solve is one failure with no roots;
+        # `qes solve` reports it and exits 2, not with an error line.
+        def unsolvable(ode, n, *, variable):
+            raise NoSolutionFound("no enumerated candidate was accepted")
+
+        monkeypatch.setattr(families, "solve_bae", unsolvable)
+        problem = FamilyProblem(Family.QUARTIC, Case.HARMONIC, 0, 0, {"omega": 1.0, "c": 0.0, "d": 0.5})
+        failure = BranchFailure(None, "NoSolutionFound", "no enumerated candidate was accepted")
+        assert solve_family_detailed(problem) == ([], [failure])
+        code, out, err = run(capsys, *SOLVE_Q0)
+        assert (code, out) == (EXIT_NO_SOLUTION, "")
+        assert err == "no admissible branch: NoSolutionFound: no enumerated candidate was accepted\n"
 
     def test_state_too_wide_to_normalize(self, capsys):
         # The only branch's norm raises NotIntegrable: no solution, not an error.
@@ -193,6 +208,15 @@ class TestVerify:
             assert (checks[name]["value"], checks[name]["passed"]) == (1e300, False)
         assert second["verification"]["passed"] is True
 
+    def test_one_bare_document(self, q0_doc, tmp_path, capsys):
+        # A file may hold one document rather than a list of them.
+        (doc,) = loads_documents(q0_doc.read_text())
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(bare))
+        assert (code, err) == (0, "")
+        assert out.startswith("document 0: PASS\n") and "document 1" not in out
+
     def test_truncated_file(self, q0_doc, tmp_path, capsys):
         bad = tmp_path / "trunc.json"
         bad.write_text(q0_doc.read_text()[:40])
@@ -242,6 +266,18 @@ class TestSample:
             got = [float(row[k]).hex() for k in ("r", "log_abs_psi", "psi1_over_psi")]
             assert got == [float(v).hex() for v in (r, log_mag, psi1)]
             assert int(row["sign"]) == sign
+
+    def test_point_at_a_node(self, tmp_path, capsys):
+        # At the node of the n = 1 quartic, Psi is 0 and Psi'/Psi has no
+        # value: the row reads sign 0 and psi1_over_psi nan.
+        path = tmp_path / "q1.json"
+        code, _, err = run(capsys, *SOLVE_Q0[:6], "1", *SOLVE_Q0[7:], "--out", str(path))
+        assert code == 0, err
+        node = loads_documents(path.read_text())[0]["roots"][0]["re"]
+        code, out, _ = run(capsys, "sample", str(path), "--rmin", repr(node), "--rmax", "2", "--points", "1")
+        assert code == 0
+        (row,) = csv.DictReader(io.StringIO(out))
+        assert (float(row["r"]), row["sign"], row["psi1_over_psi"]) == (node, "0", "nan")
 
     def test_rmin_zero_rejected(self, q0_doc, capsys):
         code, _, err = run(capsys, "sample", str(q0_doc), "--rmin", "0", "--rmax", "10")
@@ -293,6 +329,19 @@ class TestScan:
         code, solve_out, _ = run(capsys, *SOLVE_Q0)
         doc = loads_documents(solve_out)[0]
         assert doc["energy"] == float(row[2])
+
+    def test_rejected_values_are_error_rows(self, capsys):
+        # d <= 0 fails FamilyProblem's own check: those rows carry the
+        # error label, and the scan goes on to d = 1.
+        code, out, _ = run(
+            capsys,
+            "scan", "--family", "quartic", "--case", "harmonic", "--n", "0",
+            "--param", "omega=1", "--param", "c=0", "--sweep", "d=-1:1:3",
+        )
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(row["d"], row["error"]) for row in rows] == [("-1.0", "InvalidParameter"), ("0.0", "InvalidParameter"), ("1.0", "")]
+        assert rows[2]["passed"] == "true"
 
     def test_bad_sweep_spec(self, capsys):
         code, _, err = run(
@@ -383,6 +432,11 @@ BAD_DOCUMENTS = {
         ["sample", "INFINITE_LEADING_EXPONENT", "--rmin", "0.5", "--rmax", "2", "--points", "3"],
         ["verify", "INFINITE_DERIVED"],
         ["verify", "NAN_DIAGNOSTIC"],
+        [*SOLVE_Q0[:-2], "--param", "d"],
+        [*SOLVE_Q0[:-2], "--param", "d=half"],
+        ["sample", "DOC", "--rmin", "2", "--rmax", "1"],
+        ["scan", *SOLVE_Q0[1:-2], "--sweep", "d=a:1:3"],
+        ["scan", *SOLVE_Q0[1:-2], "--sweep", "d=0.5:1:0"],
     ],
     ids=[
         "index_past_end", "index_before_start", "negative_points", "zero_points",
@@ -391,7 +445,8 @@ BAD_DOCUMENTS = {
         "verify_variable_of_another_family", "verify_case_none", "verify_free_array",
         "verify_root_diagnostics_array", "verify_exp_coeffs_array", "verify_derived_array",
         "verify_diagnostics_array", "sample_infinite_root", "sample_infinite_leading_exponent",
-        "verify_infinite_derived", "verify_nan_diagnostic",
+        "verify_infinite_derived", "verify_nan_diagnostic", "param_without_equals",
+        "param_not_a_number", "rmax_not_above_rmin", "sweep_not_a_number", "sweep_without_steps",
     ],
 )
 def test_bad_input_exits_with_an_error_line(args, q0_doc, tmp_path, capsys):

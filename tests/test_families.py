@@ -13,7 +13,9 @@ from qesolve import (
     Family,
     FamilyProblem,
     InvalidCase,
+    InvalidExponent,
     InvalidParameter,
+    NoSolutionFound,
     ReductionLimit,
     RootSet,
     schrodinger_residual,
@@ -141,6 +143,16 @@ class TestBuildOde:
         with pytest.raises(InvalidParameter, match=rf"^constraint violated: {re.escape(rule)}$"):
             make()
 
+    def test_negative_n_is_rejected(self):
+        with pytest.raises(InvalidParameter, match="^n >= 0 required$"):
+            quartic_harmonic(n=-1)
+
+    def test_leading_exponent_must_be_positive(self):
+        # c = -2 at d = 0.5 makes the harmonic quartic's leading exponent
+        # 1 + c / sqrt(2d) = -1: Psi would not vanish at r = 0.
+        with pytest.raises(InvalidExponent, match="the leading exponent -1.0 must be positive"):
+            build_ode(quartic_harmonic(c=-2.0, d=0.5))
+
     @pytest.mark.parametrize("make", [sextic, decatic], ids=["sextic", "decatic"])
     def test_match_ell_without_omega_needs_one_given(self, make):
         # Match-ell mode may leave omega out; building the ODE or deriving
@@ -193,6 +205,18 @@ class TestQuartic:
         assert s.derived["a"] == pytest.approx(-(1.0 + r1), abs=1e-12)
         assert s.derived["b"] == pytest.approx(1.0 - r1 * r1, abs=1e-12)
         assert s.diagnostics["schrodinger_residual"] < 1e-9
+
+    @pytest.mark.parametrize(
+        "roots, message",
+        [
+            (RootSet(1, (complex(PLASTIC),), Variable.T_EQ_R2, 0.0, math.inf), "roots live in the wrong variable"),
+            (RootSet(0, (), Variable.R, 0.0, math.inf), "root count does not match problem degree"),
+        ],
+        ids=["variable", "degree"],
+    )
+    def test_derive_rejects_roots_of_another_problem(self, roots, message):
+        with pytest.raises(InvalidParameter, match=message):
+            derive_parameters(quartic_harmonic(n=1), roots)
 
     def test_derive_rejects_non_solution_roots(self, cfg):
         phi = (1.0 + math.sqrt(5.0)) / 2.0
@@ -538,6 +562,10 @@ class TestReduction:
         for key, d1 in r1.diffs.items():
             d2 = r2.diffs[key]
             assert d2 <= max(0.2 * d1, 1e-12), key
+
+    def test_problem_that_is_not_octic_raises(self):
+        with pytest.raises(InvalidParameter, match="reduction_check expects an octic problem"):
+            reduction_check(quartic_harmonic(n=1), ReductionLimit.TO_QUARTIC, 1e-3)
 
     @pytest.mark.parametrize("eps", [-1e-3, math.nan, math.inf])
     def test_eps_below_zero_or_not_finite_raises(self, eps):

@@ -90,6 +90,12 @@ class TestAssemblePotential:
         assert pot.ell == pytest.approx(0.0, abs=1e-13)
         assert pot.inverse_powers == {4: 0.5, 6: 0.5}
 
+    @pytest.mark.parametrize("top", [0.0, -0.5])
+    def test_top_coupling_must_be_positive(self, top):
+        # The highest inverse power must repel, or the potential has no floor at r = 0.
+        with pytest.raises(InvalidParameter, match="highest inverse-power coupling must be > 0"):
+            PotentialSpec(0.0, 1.0, {1: -1.0, 4: top})
+
 
 class TestSchrodingerResidual:
     def test_exact_solutions_are_at_rounding(self, quartic0, quartic1):
