@@ -334,7 +334,7 @@ def besselk(nu: float, x: float) -> float:
         # x (cosh t - 1) = 2 x sinh^2(t/2) loses nothing to cancellation near t = 0.
         return np.exp(nu * t - 2.0 * x * np.sinh(0.5 * t) ** 2 - peak) * 0.5 * (1.0 + np.exp(-2.0 * nu * t))
 
-    total = integrate_adaptive(integrand, 0.0, end, rel_tol=1e-13)  # at 1e-14, exponents near 700 round apart
+    total = integrate_adaptive(integrand, 0.0, end, rel_tol=1e-13)  # at 1e-14, exponents of ~1e4 round apart
     try:
         # Two exact exponents: one rounded exponent near -600 costs ~6e-14 relative.
         scale = math.exp(peak) * math.exp(-x) if max(peak, x) < 708.0 else math.exp(peak - x)
