@@ -318,21 +318,22 @@ def besselk(nu: float, x: float) -> float:
     if not (math.isfinite(nu) and math.isfinite(x) and x > 0.0):
         raise ValueError("besselk requires a finite order and a finite x > 0")
     nu, x = abs(float(nu)), float(x)
-    top = math.asinh(nu / x)
-    # The peak of nu t - 2 x sinh^2(t/2), which bounds log(e^x exp(-x cosh t) cosh(nu t)).
-    peak = nu * top - 2.0 * x * math.sinh(0.5 * top) ** 2
+    # The peak of nu t - x (cosh t - 1), at top = asinh(nu/x), bounds log(e^x exp(-x cosh t)
+    # cosh(nu t)); both are written so as not to overflow, and need not be exact.
+    top = math.log(nu + math.hypot(nu, x)) - math.log(x)
+    peak = nu * top - (math.hypot(nu, x) - x)
     # Past either end of the floats: above, nu > x and K >= e^(peak - x - 1) / sqrt(16 nu);
-    # below, K <= T e^(peak - x) with T < 1500.  A NaN peak (nu/x = inf) overflows.
+    # below, K <= T e^(peak - x) with T < 1500.
     if not -760.0 < peak - x < 1100.0:
         return 0.0 if peak < x else math.inf
     # T solves 2 x sinh^2(T/2) = nu T - peak + 40; the iteration rises to it from the peak.
     end, last = top, -1.0
     while end - last > 1e-9 * end:
-        end, last = 2.0 * math.asinh(math.sqrt((nu * end - peak + 40.0) / (2.0 * x))), end
+        end, last = 2.0 * math.asinh(math.sqrt(nu * end - peak + 40.0) / math.sqrt(2.0 * x)), end
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        # x (cosh t - 1) = 2 x sinh^2(t/2) loses nothing to cancellation near t = 0.
-        return np.exp(nu * t - 2.0 * x * np.sinh(0.5 * t) ** 2 - peak) * 0.5 * (1.0 + np.exp(-2.0 * nu * t))
+        s = np.sinh(0.5 * t)  # x (cosh t - 1) = 2 x s s: no cancellation near t = 0, no overflow of s s
+        return np.exp(nu * t - 2.0 * x * s * s - peak) * 0.5 * (1.0 + np.exp(-2.0 * nu * t))
 
     total = integrate_adaptive(integrand, 0.0, end, rel_tol=1e-13)  # at 1e-14, exponents of ~1e4 round apart
     try:

@@ -50,10 +50,12 @@ class TestHalfInteger:
 
 
 # K_nu(x) computed once with mpmath.besselk at 40 digits (mp.dps = 40),
-# rounded to the nearest float: small x, the x = 2 and x = 30 seams of the
-# series / continued fraction / asymptotic split this module once used,
-# large x and a large order.
+# rounded to the nearest float: subnormal and small x, the x = 2 and x = 30
+# seams of the series / continued fraction / asymptotic split this module
+# once used, large x and a large order.
 MPMATH_VALUES = [
+    (0.0, 5e-324, 744.5560034370396),
+    (0.5, 1e-310, 1.253314137315502e155),
     (0.0, 1e-3, 7.023688800562382),
     (0.3, 1e-3, 14.406547529041028),
     (1.7, 2.0, 0.2042462642627467),
