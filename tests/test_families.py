@@ -15,7 +15,6 @@ from qesolve import (
     InvalidCase,
     InvalidExponent,
     InvalidParameter,
-    NoSolutionFound,
     ReductionLimit,
     RootSet,
     schrodinger_residual,
