@@ -36,7 +36,7 @@ def k_integral_oracle(nu, x):
 
 
 class TestHalfInteger:
-    @pytest.mark.parametrize("x", list(np.geomspace(1e-3, 600.0, 25)))
+    @pytest.mark.parametrize("x", [*np.geomspace(0.1, 50.0, 25), *np.geomspace(1e-3, 600.0, 25)])
     def test_k_half(self, x):
         assert besselk(0.5, x) == pytest.approx(k_half(x), rel=1e-12)
 
