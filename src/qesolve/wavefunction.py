@@ -318,8 +318,8 @@ def besselk(nu: float, x: float) -> float:
     if not (math.isfinite(nu) and math.isfinite(x) and x > 0.0):
         raise ValueError("besselk requires a finite order and a finite x > 0")
     nu, x = abs(float(nu)), float(x)
-    # The peak of nu t - x (cosh t - 1), at top = asinh(nu/x), bounds log(e^x exp(-x cosh t)
-    # cosh(nu t)); both are written so as not to overflow, and need not be exact.
+    # The peak of nu t - x (cosh t - 1), at top = asinh(nu/x), bounds log(e^x exp(-x cosh t) cosh(nu t));
+    # both are written so as not to overflow, and need not be exact: one float scales integrand and result.
     top = math.log(nu + math.hypot(nu, x)) - math.log(x)
     peak = nu * top - (math.hypot(nu, x) - x)
     # Past either end of the floats: above, nu > x and K >= e^(peak - x - 1) / sqrt(16 nu);
@@ -337,7 +337,7 @@ def besselk(nu: float, x: float) -> float:
 
     total = integrate_adaptive(integrand, 0.0, end, rel_tol=1e-13)  # at 1e-14, exponents of ~1e4 round apart
     try:
-        # Two exact exponents: one rounded exponent near -600 costs ~6e-14 relative.
+        # Two factors: the rounding of peak - x near -600 would cost ~6e-14 relative.
         scale = math.exp(peak) * math.exp(-x) if max(peak, x) < 708.0 else math.exp(peak - x)
     except OverflowError:
         return math.inf
