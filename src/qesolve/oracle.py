@@ -38,7 +38,6 @@ from .wavefunction import (
     _norm,
     _positive,
     _root_parts,
-    _support_ends,
     _supports,
     count_nodes,
     eval_log_psi,
@@ -187,14 +186,13 @@ class FdGrid:
 
 def default_fd_grid(solution: QESSolution, n_points: int = 4000) -> FdGrid:
     """Grid bounds from the wavefunction support (amplitude below 1e-13
-    of the peak at both ends, `wavefunction._supports`, the interval the
-    norm integrates on), its ends refined onto the fine scan
-    (`wavefunction._support_ends`); raises GridInsufficient if no such
-    bounds exist within the scan range."""
+    of the peak at both ends, `wavefunction._supports`): the interval the
+    norm integrates on.  Raises GridInsufficient if no such bounds exist
+    within the scan range."""
     support = _supports([solution])[0]
     if support is None:
         raise GridInsufficient("wavefunction support exceeds the scan range")
-    return FdGrid(*_support_ends(solution, support), n_points)
+    return FdGrid(*support[:2], n_points)
 
 
 def _fd_points(grid: FdGrid) -> tuple[np.ndarray, float]:
@@ -508,7 +506,7 @@ def verify_solution(solution: QESSolution, level: VerifyLevel = VerifyLevel.FAST
         # One grid of 2 * 2400 + 1 points: its odd points are those of the
         # 2400-point grid on the same support, bit for bit, and 2h is that
         # grid's h.  So both resolutions read one bracket and one Psi.
-        r, h = _fd_points(FdGrid(*_support_ends(solution, support), 2 * 2400 + 1))
+        r, h = _fd_points(FdGrid(*support[:2], 2 * 2400 + 1))
         bracket = assemble_potential(solution).bracket(r)
         log_mag, sign = eval_log_psi(solution, r)
         coarse, fine = (

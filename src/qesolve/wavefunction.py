@@ -2,11 +2,12 @@
 
 Evaluation is in log-magnitude/sign form, so steep exponential factors
 never overflow, and in real arithmetic, the branches of one solve the rows
-of one array pass; derivatives are analytic.  One scan of log|Psi| in
-u = ln r, on every 4th point of a grid computed once per process, finds the
-support (`_supports`) that the norm and the FD grid (`oracle.default_fd_grid`)
-use, and the norm is the trapezoidal sum of the scan's own samples of
-|Psi|^2 in u on it, checked against the sum over every other sample.  The
+of one array pass; derivatives are analytic.  One 751-point scan of
+log|Psi| in u = ln r, on a grid computed once per process, finds the support
+(`_supports`): the interval that the norm integrates and the FD grid
+(`oracle.default_fd_grid`) spans.  The norm is the trapezoidal sum of the
+scan's own samples of |Psi|^2 in u on it, checked against the sum over every
+other sample.  The
 Bessel-K closed forms of `norm_closed_form` take K_nu from `besselk`, which
 integrates it by the same trapezoidal rule (`integrate_adaptive`).
 """
@@ -155,8 +156,8 @@ def count_nodes(solution: QESSolution) -> int:
 
 @lru_cache(maxsize=4)  # one entry per span
 def _scan_grid(span: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """u, r = e^u and ln r of the fine scan over |u| <= 4 span, read-only."""
-    u = np.linspace(-span * 4.0, span * 4.0, 3001)
+    """u, r = e^u and ln r of the 751-point scan over |u| <= 4 span, read-only."""
+    u = np.linspace(-span * 4.0, span * 4.0, 751)
     r = np.exp(u)
     grid = u, r, np.log(r)
     for a in grid:
@@ -166,53 +167,35 @@ def _scan_grid(span: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=32)  # holds the 24 of the families: p = -4..2 (not 0) at each span
 def _scan_power(span: float, p: int) -> np.ndarray:
-    """r^p on the fine scan over |u| <= 4 span, read-only."""
+    """r^p on the scan over |u| <= 4 span, read-only."""
     rp = _scan_grid(span)[1] ** float(p)
     rp.flags.writeable = False
     return rp
 
 
-def _scan(solutions: list[QESSolution], span: float, index) -> tuple:
-    """Per solution, log|Psi| at the points `index` (a slice, or ascending
-    indices) of the fine scan over |u| <= 4 span, the index of its peak, the
-    peak, and the last index at or before the peak and the first at or after
-    it where log|Psi| is 30 below the peak (-1 and 3001 where none is)."""
-    _, r, log_r = _scan_grid(span)
-    with np.errstate(all="ignore"):
-        log_mag, _ = _log_psi_rows(solutions, r[index], log_r[index], lambda p: _scan_power(span, p)[index], False)
-    log_mag, index = np.where(np.isfinite(log_mag), log_mag, -np.inf), np.arange(len(r))[index]
-    top, peak = index[log_mag.argmax(axis=1)], log_mag.max(axis=1)
-    below = log_mag <= peak[:, None] - 30.0
-    lo = np.where(below & (index <= top[:, None]), index, -1).max(axis=1)
-    return log_mag, top, peak, lo, np.where(below & (index >= top[:, None]), index, len(r)).min(axis=1)
-
-
 def _supports(solutions: list[QESSolution]) -> list[tuple | None]:
     """Per solution (of one solve, see `_log_deriv_arrays`), from one scan of
-    them all on every 4th fine point for span = 2, 3, 4.5, 7 in turn: (span,
-    lo, top, hi, peak, u, log_mag), the fine indices of the ends of the u = ln r
-    interval where log|Psi| is within 30 of its peak (amplitude ~1e-13) and of
-    the peak, the peak, and the samples of u and log|Psi| on it; None if no span does."""
-    out, left, coarse = [None] * len(solutions), list(range(len(solutions))), slice(0, 3001, 4)
+    them all for span = 2, 3, 4.5, 7 in turn: (r_lo, r_hi, peak, u, log_mag),
+    the ends in r of the u = ln r interval where log|Psi| is within 30 of its
+    peak (amplitude ~1e-13), the peak, and the samples of u and log|Psi| on
+    it; None if no span has both ends and the peak inside the scan."""
+    out, left = [None] * len(solutions), list(range(len(solutions)))
     for span in (2.0, 3.0, 4.5, 7.0):
         if not left:
             break
-        log_mag, top, peak, lo, hi = _scan([solutions[i] for i in left], span, coarse)
-        found = (lo >= 0) & (hi <= 3000) & (0 < top) & (top < 3000)
-        u = _scan_grid(span)[0]
+        u, r, log_r = _scan_grid(span)
+        with np.errstate(all="ignore"):
+            log_mag, _ = _log_psi_rows([solutions[i] for i in left], r, log_r, lambda p: _scan_power(span, p), False)
+        log_mag, index = np.where(np.isfinite(log_mag), log_mag, -np.inf), np.arange(len(u))
+        top, peak = log_mag.argmax(axis=1), log_mag.max(axis=1)
+        below = log_mag <= peak[:, None] - 30.0
+        lo = np.where(below & (index <= top[:, None]), index, -1).max(axis=1)
+        hi = np.where(below & (index >= top[:, None]), index, len(u)).min(axis=1)
+        found = (lo >= 0) & (hi < len(u)) & (0 < top) & (top < len(u) - 1)
         for j, a, b in zip(np.flatnonzero(found).tolist(), lo[found].tolist(), hi[found].tolist()):
-            out[left[j]] = (span, a, int(top[j]), b, float(peak[j]), u[a : b + 1 : 4], log_mag[j, a // 4 : b // 4 + 1])
+            out[left[j]] = (float(r[a]), float(r[b]), float(peak[j]), u[a : b + 1], log_mag[j, a : b + 1])
         left = [i for i, f in zip(left, found.tolist()) if not f]
     return out
-
-
-def _support_ends(solution: QESSolution, support: tuple) -> tuple[float, float]:
-    """r at the support's ends on the fine scan: the fine peak is sought within
-    3 points of the coarse one, and each end among the 3 points inside its own."""
-    span, lo, top, hi = support[:4]
-    index = np.array([*range(lo, lo + 4), *range(top - 3, top + 4), *range(hi - 3, hi + 1)])
-    _, _, _, lo, hi = _scan([solution], span, index)
-    return float(_scan_grid(span)[1][lo[0]]), float(_scan_grid(span)[1][hi[0]])
 
 
 # Intervals at which the trapezoidal rule starts, and past which it gives up.
@@ -248,7 +231,7 @@ def _norm(solution: QESSolution, support: tuple | None, rel_tol: float = 1e-10) 
     """norm_quadrature on the support `_supports` found."""
     if support is None:
         raise NotIntegrable("could not bracket the support of |Psi|^2")
-    peak, u, log_mag = support[4:]
+    peak, u, log_mag = support[2:]
     ua, ub = float(u[0]), float(u[-1])
     # 2 peak + ub bounds 2 log|Psi| + u on [ua, ub], so nothing overflows.
     shift = 2.0 * peak + ub

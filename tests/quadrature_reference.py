@@ -5,7 +5,7 @@ driver bisects the interval with the largest error estimate until the
 accumulated estimate meets the target.
 
 Kept as a test reference, with the two support scans that the package's
-one scan (`qesolve.wavefunction._support`) replaced: `norm_quadrature`
+one scan (`qesolve.wavefunction._supports`) replaced: `norm_quadrature`
 normalised by adaptive GK15 on its own 1,201-point scan of the log
 integrand, and `default_fd_grid` cut the FD grid's bounds from a 3,001-point
 scan of log|Psi|.

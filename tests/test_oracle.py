@@ -182,8 +182,8 @@ class TestOneResidualPass:
                 for sol, residual, support in zip(batch, oracle._residual_rows(batch), wavefunction._supports(batch)):
                     assert residual == oracle._residual_rows([sol])[0]
                     alone = wavefunction._supports([sol])[0]
-                    assert support[:5] == alone[:5]
-                    assert all(np.array_equal(x, y) for x, y in zip(support[5:], alone[5:]))
+                    assert support[:3] == alone[:3]
+                    assert all(np.array_equal(x, y) for x, y in zip(support[3:], alone[3:]))
             rows += len(solutions)
         assert rows == 630
 

@@ -246,13 +246,19 @@ class TestOneSupportScan:
             ref = quadrature_reference.norm_quadrature(sol, rel_tol=1e-13)
             assert abs(norm_quadrature(sol) - ref) <= 1e-12 * ref
 
-    def test_grid_is_the_reference_grid_bit_for_bit(self, draws, cfg):
-        # The coarse scan's ends, refined onto the fine scan, are the fine
-        # scan's own: on the draws, the pool and every `sweep` branch.
+    def test_grid_spans_the_norms_interval(self, draws, cfg):
+        # The FD grid's ends are the ends of the u interval the norm sums
+        # over.  On the draws, the pool and every `sweep` branch, each lies
+        # outside the end of the reference's 3,001-point scan, whose step is
+        # a quarter of the support scan's, by at most 3 of its steps.
         sweep = [sol for problem in _sweep_problems() for sol in solve_family(problem)]
         assert len(sweep) == 630
         for sol in draws + _verify_pool(cfg) + sweep:
-            assert default_fd_grid(sol, 2400) == quadrature_reference.default_fd_grid(sol, 2400)
+            grid, (_, _, _, u, _) = default_fd_grid(sol, 2400), wavefunction._supports([sol])[0]
+            assert (grid.r_min, grid.r_max) == tuple(np.exp(u[[0, -1]]).tolist())
+            ref, fine = quadrature_reference.default_fd_grid(sol, 2400), (u[1] - u[0]) / 4.0
+            beyond = (math.log(ref.r_min / grid.r_min), math.log(grid.r_max / ref.r_max))
+            assert all(-1e-12 <= b <= 3.0 * fine + 1e-12 for b in beyond)
 
     def test_looser_tolerance_stops_no_later(self, draws, psi_evaluations):
         calls = psi_evaluations
@@ -272,8 +278,7 @@ class TestOneSupportScan:
             calls.clear()
 
     def test_norm_is_summed_from_the_scan(self, draws, psi_evaluations):
-        # The draws' states need no sample past the scan's 751 (every 4th
-        # point of the fine scan).  NARROW fails the every-other-sample
+        # The draws' states need no sample past the scan's 751.  NARROW fails the every-other-sample
         # check, so its norm integrates the support afresh
         # (`integrate_adaptive`), and agrees with GK15.
         calls = psi_evaluations
@@ -289,7 +294,7 @@ class TestOneSupportScan:
     def test_scan_grid_is_read_only(self):
         u, r, log_r = wavefunction._scan_grid(2.0)
         r2 = wavefunction._scan_power(2.0, 2)
-        assert len(u) == 3001 and np.array_equal(r2, r * r)
+        assert len(u) == 751 and np.array_equal(r2, r * r)
         for cached in (u, r, log_r, r2):
             with pytest.raises(ValueError):
                 cached[0] = 0.0
