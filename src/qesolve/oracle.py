@@ -30,7 +30,8 @@ import numpy as np
 
 from .bethe import BAE_TOL, IDENT_TOL
 from .bethe import Variable, bae_residuals, compute_w_coefficients, verify_polynomial_identity
-from .errors import GridInsufficient, InvalidParameter, MissingCoupling, NotIntegrable
+from .errors import DenominatorBlowup, GridInsufficient, InvalidParameter, MissingCoupling
+from .errors import NonRealCoefficients, NotIntegrable
 from .families import _POWERS, Case, QESSolution, _derives_ell, build_ode
 from .wavefunction import (
     _column,
@@ -466,12 +467,15 @@ def verify_solution(solution: QESSolution, level: VerifyLevel = VerifyLevel.FAST
 
     FAST checks the root-system residuals (at most BAE_TOL), the polynomial
     identity (at most IDENT_TOL) and the radial-equation residual (at most
-    1e-9).  FULL adds, from one support scan, norm_finite (a finite
-    positive norm), fd_eigenvalue_error (2E against the nearest eigenvalue
-    of the finite-difference spectrum at two resolutions: one grid of
-    2 * 2400 + 1 points, and its odd points) and node_count (|k - nodes|,
-    at most 0, for k fine-grid eigenvalues below that one and the nodes of
-    Psi on r > 0); a support beyond the scan fails all three.
+    1e-9).  Roots that are no valid root set fail with the value inf and a
+    note: too close to each other or to a zero of P the first, with power
+    sums that are not real the second.  FULL adds, from one support scan,
+    norm_finite (a finite positive norm), fd_eigenvalue_error (2E against
+    the nearest eigenvalue of the finite-difference spectrum at two
+    resolutions: one grid of 2 * 2400 + 1 points, and its odd points) and
+    node_count (|k - nodes|, at most 0, for k fine-grid eigenvalues below
+    that one and the nodes of Psi on r > 0); a support beyond the scan
+    fails all three.
     """
     level = VerifyLevel(level)
     report = VerificationReport()
@@ -479,13 +483,18 @@ def verify_solution(solution: QESSolution, level: VerifyLevel = VerifyLevel.FAST
         solution.problem,
         solution.derived.get("omega") if solution.problem.match_ell else None,
     )
-    if solution.roots.n:
-        bae = float(np.max(np.abs(bae_residuals(ode, solution.roots))))
-    else:
-        bae = 0.0
+    try:
+        bae = float(np.max(np.abs(bae_residuals(ode, solution.roots)))) if solution.roots.n else 0.0
+    except DenominatorBlowup as exc:  # two roots, or a root and a zero of P, too close
+        bae = math.inf
+        report.notes.append(f"bae_residual: {exc}")
     report.add("bae_residual", bae, BAE_TOL)
-    w = compute_w_coefficients(ode, solution.roots)
-    report.add("identity_residual", verify_polynomial_identity(ode, solution.roots, w), IDENT_TOL)
+    try:
+        identity = verify_polynomial_identity(ode, solution.roots, compute_w_coefficients(ode, solution.roots))
+    except NonRealCoefficients as exc:
+        identity = math.inf
+        report.notes.append(f"identity_residual: {exc}")
+    report.add("identity_residual", identity, IDENT_TOL)
     report.add("schrodinger_residual", schrodinger_residual(solution), 1e-9)
     if level is VerifyLevel.FAST:
         return report

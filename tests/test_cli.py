@@ -208,6 +208,36 @@ class TestVerify:
             assert (checks[name]["value"], checks[name]["passed"]) == (1e300, False)
         assert second["verification"]["passed"] is True
 
+    @pytest.mark.parametrize(
+        "tamper, check, note",
+        [
+            (lambda roots: roots[0].update(im=0.3), "identity_residual", "a power sum has imaginary part"),
+            (lambda roots: roots.__setitem__(1, dict(roots[0])), "bae_residual", "roots are closer than SEP_TOL"),
+        ],
+        ids=["complex-root", "equal-roots"],
+    )
+    def test_invalid_root_set_is_reported(self, tmp_path, capsys, tamper, check, note):
+        # A root moved off the real axis (its power sums are not real) or
+        # onto another root (the root system divides by their distance)
+        # fails its check with the value inf (written as 1e300) and a note,
+        # and the next document is still verified.
+        path, report = tmp_path / "s2.json", tmp_path / "report.json"
+        args = ["--family", "sextic", "--n", "2", "--param", "omega=1", "--param", "e=-0.5", "--param", "d=0.5"]
+        code, _, err = run(capsys, "solve", *args, "--out", str(path))
+        assert code == 0, err
+        doc = loads_documents(path.read_text())[0]
+        bad = json.loads(json.dumps(doc))
+        tamper(bad["roots"])
+        path.write_text(json.dumps([bad, doc]))
+        code, out, err = run(capsys, "verify", str(path), "--out", str(report))
+        assert (code, err) == (3, "")
+        assert "document 0: FAIL" in out and "document 1: PASS" in out
+        first, second = loads_documents(report.read_text())
+        checks = {c["name"]: c for c in first["verification"]["checks"]}
+        assert (checks[check]["value"], checks[check]["passed"]) == (1e300, False)
+        assert f"{check}: {note}" in "\n".join(first["verification"]["notes"])
+        assert second["verification"]["passed"] is True
+
     def test_one_bare_document(self, q0_doc, tmp_path, capsys):
         # A file may hold one document rather than a list of them.
         (doc,) = loads_documents(q0_doc.read_text())
