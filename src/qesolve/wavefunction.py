@@ -7,9 +7,9 @@ log|Psi| in u = ln r, on a grid computed once per process, finds the support
 (`_supports`): the interval that the norm integrates and the FD grid
 (`oracle.default_fd_grid`) spans.  The norm is the trapezoidal sum of the
 scan's own samples of |Psi|^2 in u on it, checked against the sum over every
-other sample.  The
-Bessel-K closed forms of `norm_closed_form` take K_nu from `besselk`, which
-integrates it by the same trapezoidal rule (`integrate_adaptive`).
+other sample.  The Bessel-K closed forms of `norm_closed_form` take K_nu
+from `besselk`, which integrates it by the same trapezoidal rule
+(`integrate_adaptive`).
 """
 
 from __future__ import annotations
@@ -295,8 +295,11 @@ def besselk(nu: float, x: float) -> float:
     """K_nu(x) for real order and x > 0 (K is even in the order): the integral
     int_0^inf exp(-x cosh t) cosh(nu t) dt by `integrate_adaptive` on [0, T],
     scaled by the peak of its log, at sinh t = nu/x, and cut at the T where
-    the log is 40 below it.  Returns inf beyond the largest float and 0.0
-    below the smallest; raises ValueError unless nu, x are finite and x > 0.
+    the log is 40 below it.  The levels agree to 1e-13, or to the rounding
+    of the exponents, eps nu T, when that is larger: besselk(1.51e5, 1e5) is
+    within 5.5e-12 of K (one ulp of the order moves K by 3.5e-11 there).
+    Returns inf beyond the largest float and 0.0 below the smallest; raises
+    ValueError unless nu, x are finite and x > 0.
     """
     if not (math.isfinite(nu) and math.isfinite(x) and x > 0.0):
         raise ValueError("besselk requires a finite order and a finite x > 0")
@@ -318,7 +321,9 @@ def besselk(nu: float, x: float) -> float:
         s = np.sinh(0.5 * t)  # x (cosh t - 1) = 2 x s s: no cancellation near t = 0, no overflow of s s
         return np.exp(nu * t - 2.0 * x * s * s - peak) * 0.5 * (1.0 + np.exp(-2.0 * nu * t))
 
-    total = integrate_adaptive(integrand, 0.0, end, rel_tol=1e-13)  # at 1e-14, exponents of ~1e4 round apart
+    # The exponents reach nu T, and their rounding, ~eps nu T relative, keeps two
+    # levels apart by about that (at 1e-14, exponents of ~1e4 round apart).
+    total = integrate_adaptive(integrand, 0.0, end, rel_tol=max(1e-13, np.finfo(float).eps * nu * end))
     try:
         # Two factors: the rounding of peak - x near -600 would cost ~6e-14 relative.
         scale = math.exp(peak) * math.exp(-x) if max(peak, x) < 708.0 else math.exp(peak - x)

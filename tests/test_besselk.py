@@ -71,6 +71,15 @@ def test_against_mpmath_values(nu, x, value):
     assert besselk(nu, x) == pytest.approx(value, rel=1e-13)
 
 
+def test_large_order_near_its_argument():
+    # The exponents nu t and 2 x sinh^2(t/2) reach ~2e5, so their rounding
+    # keeps two trapezoidal levels ~1e-12 apart: the levels agree to
+    # eps nu T, not 1e-13.  The value is mpmath.quad of the integral at 40
+    # and 50 digits, split at the peak; one ulp of the order moves it by
+    # 3.5e-11.
+    assert besselk(1.51e5, 1e5) == pytest.approx(7.2533178417843972e55, rel=1e-11)
+
+
 @pytest.mark.parametrize(
     "nu, x, value",
     [(170.0, 1.0, math.inf), (800.0, 1.0, math.inf), (1e4, 1.0, math.inf), (1.0, 800.0, 0.0), (1e5, 1e5, 0.0)],
