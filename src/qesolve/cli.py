@@ -182,7 +182,7 @@ def cmd_scan(args) -> int:
     name, values = _parse_sweep(args.sweep)
     base = _parse_params(args.param)
     rows = []
-    derived_keys: list[str] = []
+    derived_keys: set[str] = set()
     any_solution = False
     for value in values:
         free = dict(base)
@@ -192,19 +192,11 @@ def cmd_scan(args) -> int:
         except QesError as exc:
             rows.append({name: float(value), "error": type(exc).__name__})
             continue
-        for idx, sol in enumerate(solutions):
-            any_solution = True
-            report = verify_solution(sol, VerifyLevel.FAST)
-            row = {name: float(value), "branch": idx, "energy": sol.energy}
-            for key in sorted(sol.derived):
-                row[key] = sol.derived[key]
-                if key not in derived_keys:
-                    derived_keys.append(key)
-            row["passed"] = "true" if report.passed else "false"
-            row["error"] = ""
-            rows.append(row)
-        for failure in failures:
-            rows.append({name: float(value), "error": failure.error})
+        reports = [verify_solution(s, VerifyLevel.FAST) for s in solutions]
+        rows.extend({name: float(value), **row, "error": ""} for row in _solution_rows(solutions, reports))
+        derived_keys.update(key for sol in solutions for key in sol.derived)
+        any_solution |= bool(solutions)
+        rows.extend({name: float(value), "error": failure.error} for failure in failures)
     _write_csv(rows, [name, "branch", "energy", *sorted(derived_keys), "passed", "error"], args.out)
     return EXIT_OK if any_solution else EXIT_NO_SOLUTION
 
