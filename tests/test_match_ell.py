@@ -341,6 +341,25 @@ class TestBorderedControls:
                     moved += 1
         assert moved > 100
 
+    def test_a_row_whose_residual_is_not_finite_is_dropped(self, monkeypatch):
+        # A root on P's zero at t = 0 makes its row's residue conditions
+        # infinite: the bordered steps drop the row before the stacked solve,
+        # so it keeps its start and omega, and the other rows end on the
+        # floats they reach alone.
+        starts, omegas, border, _ = _batch(STACKED[3])
+        stack = starts.astype(complex)
+        stack[1, 0] = 0.0
+        solved, solve = [], bethe._solve_rows
+        monkeypatch.setattr(bethe, "_solve_rows", lambda J, R: solved.append(R) or solve(J, R))
+        with np.errstate(all="ignore"):
+            assert not np.isfinite(bethe._residual_batch(bethe._at(border, omegas), stack)[1]).all()
+            T, omega = bethe._bordered_polish(border, stack, omegas)
+            alone = [bethe._bordered_polish(border, stack[i : i + 1], omegas[i : i + 1]) for i in (0, 2, 3)]
+        assert all(np.isfinite(R).all() for R in solved)
+        assert np.array_equal(T[1], stack[1]) and omega[1] == omegas[1]
+        for i, (t, om) in zip((0, 2, 3), alone):
+            assert np.array_equal(T[i], t[0]) and omega[i] == om[0] and not np.array_equal(T[i], stack[i])
+
     def test_a_mismatch_that_cannot_drop_below_1e_7_misses_the_ell(self, monkeypatch):
         # At a branch's W (not at the zero W of the match condition), the
         # closing formulas' mismatch is shifted by 2e-7, beyond any omega

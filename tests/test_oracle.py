@@ -680,6 +680,34 @@ class TestOnePassIsolation:
         assert oracle._enclosed_eigenvalue(diag, 1.0, 1.5, 2.5, 2.0, v) is None
 
 
+    @pytest.mark.filterwarnings("error")  # no invalid value reaches the quotients
+    def test_an_overflowing_step_proves_nothing(self):
+        # rho = -1 is an eigenvalue of [[0, -1], [-1, 0]] exactly, so the
+        # step's last pivot is Kahan's pivmin, and (T + I)^-1 (3, 3)
+        # overflows.
+        diag, v = np.zeros(2), np.array([3.0, 3.0])
+        assert oracle._rayleigh(diag, -1.0, v) == (-1.0, 0.0)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(oracle._tridiagonal_solve(diag + 1.0, np.array([-1.0]), v)).all()
+        assert oracle._enclosed_eigenvalue(diag, 1.0, -1.5, -0.5, -1.0, v) is None
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [math.inf, 0.0])
+    def test_a_step_not_finite_or_zero_takes_the_bisection_verdict(self, oscillator, bisect_calls, monkeypatch, value):
+        # The level near 3 is proven from the sampled ground state, unless
+        # the inverse-iteration step gives a vector that is not finite, or
+        # zero: then bisection decides, as it does with no trial vector.
+        pot, grid, diag, off_sq, ground = oscillator
+        window, target, sign = (2.25, 3.75), 3.0, np.ones_like(ground)
+        want = oracle._nearest_fd_eigenvalue(diag, off_sq, window, target, np.full_like(ground, -np.inf), sign)
+        assert oracle._nearest_fd_eigenvalue(diag, off_sq, window, target, np.log(ground), sign) != want
+        monkeypatch.setattr(oracle, "_tridiagonal_solve", lambda a, c, f: np.full_like(f, value))
+        assert oracle._enclosed_eigenvalue(diag, off_sq, *window, target, ground) is None
+        bisect_calls.clear()
+        assert oracle._nearest_fd_eigenvalue(diag, off_sq, window, target, np.log(ground), sign) == want
+        assert len(bisect_calls) == 1
+
+
 class TestFdSpectrumAgainstLdl:
     """fd_spectrum agrees with a multisection on the LDL^T reference counts
     to the rounding of the matrix."""
