@@ -112,9 +112,6 @@ ROUNDING_STEP = 1e-15
 # The largest imaginary part, relative to the largest coefficient, that the
 # polynomial identity lets S have.
 IMAG_TOL = 1e-8
-# Beyond this, a small residual just means that Q/P decays (possible when
-# deg Q < deg P), not that a solution exists.
-ESCAPE_RADIUS = 1000.0
 
 
 @dataclass(frozen=True)
@@ -138,10 +135,7 @@ class SolverConfig:
 def _canonical_order(roots: np.ndarray) -> np.ndarray:
     """The roots sorted by real part, then imaginary part: along the last
     axis, so each row of a stack on its own."""
-    order = np.lexsort((roots.imag, roots.real), axis=-1)
-    if roots.ndim == 1:
-        return roots[order]
-    return roots[np.arange(len(roots))[:, None], order]
+    return np.take_along_axis(roots, np.lexsort((roots.imag, roots.real), axis=-1), axis=-1)
 
 
 def _branch_key(roots) -> tuple:
@@ -237,14 +231,14 @@ def bae_residuals(ode: PolyODE, roots) -> np.ndarray:
     All residuals vanish exactly when the roots solve the root system.
     Complex roots give complex residuals; callers usually take the max norm.
     Raises DenominatorBlowup when |P| at a root is below DENOM_TOL or two
-    roots are closer than SEP_TOL.
+    roots are within SEP_TOL, the distinctness rule of `_accept`.
     """
     arr = _roots_of(roots)
     if len(arr) == 0:
         return np.zeros(0, dtype=complex)
     if np.min(np.abs(polyval(arr, ode.p, tensor=False))) < DENOM_TOL:
         raise DenominatorBlowup("a root coincides with a zero of P(t)")
-    if _separation(arr) < SEP_TOL:
+    if _separation(arr) <= SEP_TOL:
         raise DenominatorBlowup("roots are closer than SEP_TOL")
     return _residual_batch(ode, arr[None, :])[0]
 
@@ -343,9 +337,7 @@ def _residual_batch(ode: PolyODE | _Columns, T: np.ndarray) -> np.ndarray:
 def _residues(T: np.ndarray, f: np.ndarray) -> np.ndarray:
     """sum_{j != i} 2 / (t_i - t_j) + f_i, for each row of T, with f = Q/P
     at its roots."""
-    m, n = T.shape
-    if n == 1:
-        return f
+    n = T.shape[1]
     diff = T[:, :, None] - T[:, None, :]
     off = ~np.eye(n, dtype=bool)
     safe = np.where(off[None, :, :], diff, 1.0)
@@ -370,9 +362,7 @@ def _jacobian_batch(ode: PolyODE | _Columns, T: np.ndarray, pv=None, qv=None) ->
 def _residue_jacobian(T: np.ndarray, fp: np.ndarray) -> np.ndarray:
     """The Jacobian of `_residues` in the roots, for each row of T, with
     fp = (Q/P)' at its roots."""
-    m, n = T.shape
-    if n == 1:
-        return fp[:, :, None]
+    n = T.shape[1]
     diff = T[:, :, None] - T[:, None, :]
     off = ~np.eye(n, dtype=bool)
     safe = np.where(off[None, :, :], diff, 1.0)
@@ -390,21 +380,14 @@ def _at_rounding_level(x: np.ndarray, dx: np.ndarray) -> np.ndarray:
 
 def _starts(coeffs: np.ndarray) -> np.ndarray:
     """The roots of S = sum c_k t^k (c_n != 0) for each row c of coeffs, in
-    canonical order: what np.roots gives for c[::-1], from one stacked
-    companion-matrix eigvals per count z of trailing zero coefficients
-    (c_0 = ... = c_(z-1) = 0), with the z zero roots appended."""
+    canonical order, from one stacked companion-matrix eigvals: what
+    np.roots gives for c[::-1] where c_0 != 0, as for every candidate of a
+    family's ODE, whose matrix rows force c = 0 where c_0 = 0."""
     n = coeffs.shape[1] - 1
-    out = np.zeros((len(coeffs), n), dtype=complex)
-    zeros = np.argmax(coeffs != 0.0, axis=1)
-    for z in set(zeros.tolist()):  # not np.unique, which imports numpy.ma
-        rows = zeros == z
-        c, size = coeffs[rows, z:], n - z
-        if size:
-            companion = np.zeros((len(c), size, size))
-            companion[:, 0] = -c[:, -2::-1] / c[:, -1:]
-            companion[:, np.arange(1, size), np.arange(size - 1)] = 1.0
-            out[rows, :size] = np.linalg.eigvals(companion)
-    return _canonical_order(out)
+    companion = np.zeros((len(coeffs), n, n))
+    companion[:, :1] = (-coeffs[:, -2::-1] / coeffs[:, -1:])[:, None]
+    companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+    return _canonical_order(np.linalg.eigvals(companion).astype(complex))
 
 
 def _polish(ode: PolyODE | _Columns, T: np.ndarray) -> np.ndarray:
@@ -541,9 +524,9 @@ def _accept(ode: PolyODE | _Columns, T: np.ndarray, variable: Variable) -> list[
     """The branch of each row of T, or None where the filters reject it.
 
     Each root is paired with the root nearest its conjugate and the pairs
-    made exact (a root paired with itself exactly real).  The escape,
-    pairing, distinctness, denominator and residual filters then test every
-    row at once, in canonical order.  The identity filter then tests the
+    made exact (a root paired with itself exactly real).  The pairing,
+    distinctness, denominator and residual filters then test every row at
+    once, in canonical order.  The identity filter then tests the
     rows that pass them, all at once: their power sums must be real, their
     S real (`_closing_rows`, `_identity_rows`) and its identity residual
     below IDENT_TOL, so every accepted set passes both independent checks.
@@ -553,10 +536,9 @@ def _accept(ode: PolyODE | _Columns, T: np.ndarray, variable: Variable) -> list[
     keep = np.ones(len(T), dtype=bool)
     if n:
         rows = np.arange(len(T))[:, None]
-        keep = ~(np.max(np.abs(T), axis=1) > ESCAPE_RADIUS)
         partner = np.argmin(np.abs(T[:, :, None] - np.conj(T[:, None, :])), axis=2)
         mirror = np.conj(T[rows, partner])
-        keep &= (partner[rows, partner] == np.arange(n)).all(axis=1)
+        keep = (partner[rows, partner] == np.arange(n)).all(axis=1)
         keep &= ~(np.max(np.abs(T - mirror), axis=1) > CONJ_TOL)
         ordered = _canonical_order(0.5 * (T + mirror))
         sep = _separations(ordered)
@@ -802,13 +784,17 @@ def solve_bae(ode: PolyODE, n: int, *, variable: Variable = Variable.R) -> list[
     canonical key (sorted real parts, then imaginary parts), so the output
     is deterministic.
 
-    Raises NoSolutionFound when n > 0 and no enumerated candidate is
-    accepted.
+    Raises NoSolutionFound when n > 0 and deg Q < deg P, where Q/P
+    vanishes at infinity, so that a far-out root set passes every filter
+    (no family's ODE: there no root is too far out to be a branch), or no
+    enumerated candidate is accepted.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     if n == 0:
         return _branches(ode, np.zeros((1, 0), dtype=complex), variable)
+    if max(np.flatnonzero(ode.q), default=-1) < np.flatnonzero(ode.p)[-1]:
+        raise NoSolutionFound("deg Q < deg P: Q/P vanishes at infinity, so far-out roots pass every filter")
     A = _ode_matrix(ode, n)
     starts = _starts(_multiparameter(A, _shifts(n, A.shape[0] - n)))
     branches = _branches(ode, starts, variable)

@@ -18,7 +18,6 @@ from qesolve.bethe import (
     BAE_TOL,
     CONJ_TOL,
     DENOM_TOL,
-    ESCAPE_RADIUS,
     IDENT_TOL,
     SEP_TOL,
     PolyODE,
@@ -68,8 +67,6 @@ def accept_candidate(ode: PolyODE, roots: np.ndarray):
     """(ordered roots, residual, separation, W, identity residual) of the
     paired, canonically ordered roots, or None at the first filter that
     rejects them."""
-    if np.max(np.abs(roots)) > ESCAPE_RADIUS:
-        return None
     partner = np.argmin(np.abs(roots[:, None] - np.conj(roots)), axis=1)
     mirror = np.conj(roots[partner])
     if np.any(partner[partner] != np.arange(len(roots))) or np.max(np.abs(roots - mirror)) > CONJ_TOL:

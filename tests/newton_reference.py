@@ -18,7 +18,6 @@ import numpy as np
 from qesolve.bethe import (
     BAE_TOL,
     DEDUP_TOL,
-    ESCAPE_RADIUS,
     PolyODE,
     RootSet,
     SolverConfig,
@@ -45,6 +44,9 @@ BOX = 20.0
 NEWTON_FLOOR = 1e-13
 NEWTON_ITERATIONS = 100
 COEFF_TOL = 1e-9
+# A root-space row that moves beyond this radius is dropped: the search's
+# own escape rule, which `solve_bae`'s enumeration does not need.
+ESCAPE_RADIUS = 1000.0
 
 
 def _newton_steps(J: np.ndarray, R: np.ndarray) -> np.ndarray:

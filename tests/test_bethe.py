@@ -119,6 +119,16 @@ class TestBaeResiduals:
         with pytest.raises(DenominatorBlowup):
             bae_residuals(SEXTIC_ODE, [2.0, 2.0 + 1e-12])
 
+    def test_roots_exactly_sep_tol_apart_are_one_root(self):
+        # The distinctness rule of `_accept` (sep <= SEP_TOL rejects), so
+        # verification reports no finite residual for a set the solve rejects.
+        roots = np.array([1.0 + 5e-9j, 1.0 - 5e-9j])
+        assert bethe._separation(roots) == bethe.SEP_TOL
+        with pytest.raises(DenominatorBlowup, match="^roots are closer than SEP_TOL$"):
+            bae_residuals(SEXTIC_ODE, roots)
+        with np.errstate(all="ignore"):
+            assert bethe._accept(SEXTIC_ODE, roots[None, :], Variable.R) == [None]
+
     @pytest.mark.parametrize(
         "coeffs",
         [(1.0, -2.5, 3.0, 0.0, 1e-3), (0.1, 0.2, -0.3, 7.0, 0.0, 2.5e8),
@@ -695,10 +705,23 @@ class TestNoSolution:
         from qesolve import NoSolutionFound
 
         # Q a nonzero constant: the single residue condition Q(t)/P(t) = 0
-        # has no solution anywhere.
+        # has no solution anywhere, but far out every root set passes the
+        # filters, so deg Q < deg P is refused before any candidate.
         ode = PolyODE((0, 0, 1, 0, 0), (1.0, 0, 0, 0, 0, 0))
-        with pytest.raises(NoSolutionFound):
+        with pytest.raises(NoSolutionFound, match="^deg Q < deg P: "):
             solve_bae(ode, 1)
+        # Q = 0 has no degree: every root of degree 1 solves Q/P = 0.
+        with pytest.raises(NoSolutionFound, match="^deg Q < deg P: "):
+            solve_bae(PolyODE((1.0,), ()), 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_no_candidate_accepted_raises(self, n):
+        from qesolve import NoSolutionFound
+
+        # Q/P = 1: the residue conditions sum to n, never to 0.
+        ode = PolyODE((0, 0, 1, 0, 0), (0, 0, 1.0, 0, 0, 0))
+        with pytest.raises(NoSolutionFound, match=f"^no enumerated candidate of degree {n} was accepted$"):
+            solve_bae(ode, n)
 
 
 class TestInputChecks:

@@ -15,12 +15,14 @@ from qesolve import (
     PolyODE,
     RootSet,
     Variable,
+    VerifyLevel,
     compute_w_coefficients,
     derive_parameters,
     solve_bae,
     solve_family,
     solve_family_detailed,
     verify_polynomial_identity,
+    verify_solution,
 )
 from qesolve import bethe, families
 from qesolve.errors import NonRealCoefficients
@@ -84,7 +86,8 @@ SWEEP = [
 
 class TestStarts:
     """One stacked companion-matrix eigensolve gives each row the roots
-    that np.roots gives it, bit for bit, trailing zeros included."""
+    that np.roots gives it: bit for bit for every candidate, whose c_0 is
+    not 0."""
 
     def _reference(self, coeffs):
         return [bethe._canonical_order(np.roots(c[::-1]).astype(complex)) for c in coeffs]
@@ -97,7 +100,9 @@ class TestStarts:
             for row, expected in zip(got, self._reference(coeffs)):
                 assert _bits(row) == _bits(expected)
 
-    def test_trailing_zero_coefficients(self):
+    def test_zero_low_coefficients_give_exact_zero_roots(self):
+        # No candidate has c_0 = 0, but such a row still gets one exactly
+        # zero root per vanishing low coefficient, and np.roots' others.
         rng = np.random.default_rng(3)
         coeffs = rng.standard_normal((9, 6))
         coeffs[1, 0] = 0.0  # c_0 = 0: one zero root
@@ -105,10 +110,11 @@ class TestStarts:
         coeffs[5, :2] = 0.0
         coeffs[7, :5] = 0.0  # S = c_5 t^5: every root zero
         got = bethe._starts(coeffs)
-        assert np.count_nonzero(got[1] == 0) == 1 and np.count_nonzero(got[4] == 0) == 2
-        assert not got[7].any()
+        zeros = [np.count_nonzero(row == 0) for row in got]
+        assert zeros == [0, 1, 0, 0, 2, 2, 0, 5, 0]
         for row, expected in zip(got, self._reference(coeffs)):
-            assert _bits(row) == _bits(expected)
+            assert np.count_nonzero(expected == 0) == np.count_nonzero(row == 0)
+            assert np.max(np.abs(row - expected), initial=0.0) <= 1e-14 * np.max(np.abs(expected), initial=1.0)
 
     def test_degree_zero_rows_are_empty(self):
         assert bethe._starts(np.ones((3, 1))).shape == (3, 0)
@@ -181,8 +187,9 @@ class TestBatchedFilters:
                     assert branch.w == w and branch.identity_residual == identity
 
     def test_the_filters_reject_rows_as_the_one_row_filters_do(self):
-        # An escaped row, a lone complex root, two coincident roots and a
-        # root on the zero of P, beside an accepted row.
+        # A root moved 2000 out (the residual filter rejects it), a lone
+        # complex root, two coincident roots and a root on the zero of P,
+        # beside an accepted row.
         ode, variable = build_ode(_sweep_problem(Family.SEXTIC, 0, 3))
         branch = solve_bae(ode, 3, variable=variable)[0].as_array()
         rows = np.array([
@@ -497,3 +504,21 @@ class TestCandidateCount:
         monkeypatch.setattr(bethe, "_accept", drop_one)
         off = [(p.n, c - a) for p, c, a in _candidate_counts(monkeypatch, _acceptance_problems()[:30]) if c != a]
         assert len(dropped) == 1 and off == [(dropped[0], 1)]
+
+    def test_small_couplings_keep_their_far_branches(self, monkeypatch):
+        # At a small rate the states are wide and most roots lie far out,
+        # up to 1.6e7: every candidate is a branch, and each passes FAST.
+        problems = [
+            FamilyProblem(Family.QUARTIC, Case.HARMONIC, 2, 0.0, {"omega": 1e-8, "c": 0.0, "d": 0.5}),
+            FamilyProblem(Family.QUARTIC, Case.HARMONIC, 3, 0.0, {"omega": 1e-6, "c": 0.0, "d": 0.5}),
+            FamilyProblem(Family.SEXTIC, Case.HARMONIC, 3, 0.0, {"omega": 1e-6, "e": 0.5, "d": 0.5}),
+            FamilyProblem(Family.QUARTIC, Case.COULOMBIC, 3, 0.0, {"a": -1e-6, "c": 0.0, "d": 0.5}),
+            FamilyProblem(Family.DECATIC, Case.HARMONIC, 2, 0.0, {"omega": 1e-4, "b": 0.1, "c": 0.1, "d": 0.5}),
+        ]
+        counts = _candidate_counts(monkeypatch, problems)
+        assert [c for _, c, _ in counts] == [a for _, _, a in counts] == [6, 10, 4, 4, 2]
+        for problem in problems:
+            solutions, failures = solve_family_detailed(problem)
+            assert failures == [] and len(solutions) > 1
+            assert all(verify_solution(s, VerifyLevel.FAST).passed for s in solutions)
+            assert max(abs(z) for s in solutions for z in s.roots.roots) > 1000.0

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qesolve import Case, Family, FamilyProblem, bethe, families, solve_family, solve_family_detailed
+from qesolve import Case, Family, FamilyProblem, VerifyLevel, bethe, families, solve_family, solve_family_detailed
+from qesolve import verify_solution
 from qesolve.bethe import DEDUP_TOL, compute_w_coefficients, verify_polynomial_identity
 
 import match_reference
@@ -319,8 +320,20 @@ class TestRegressionDraws:
             failed = {f.detail.split(":")[0] for f in families._match_ell(problem)[1]}
             assert not failed.intersection(at_pencil), problem
             accepted += len(at_pencil)
-        assert accepted == 1890
+        assert accepted == 1893
         assert off >= 1
+
+    @pytest.mark.parametrize("draw, n", [(42, 5), (42, 6), (48, 5)])
+    def test_a_far_match_is_returned(self, draw, n):
+        # Sextic draws at ell = 0 whose smallest-omega match (omega ~ 0.01)
+        # has roots out to 1257-1831: no root is too far out to be a branch.
+        problem = regression_problems()[14 * draw + n]
+        assert (problem.family, problem.ell, problem.n) == (Family.SEXTIC, 0, n)
+        solutions, failures = solve_family_detailed(problem)
+        far = [s for s in solutions if max(abs(z) for z in s.roots.roots) > 1000.0]
+        assert failures == [] and len(solutions) == n + 1 and len(far) == 1
+        assert far[0].derived["omega"] < 0.011
+        assert verify_solution(far[0], VerifyLevel.FULL).passed
 
 
 class TestBorderedControls:
