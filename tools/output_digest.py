@@ -4,6 +4,7 @@
     python3 tools/output_digest.py --values > values.jsonl
     python3 tools/output_digest.py --acceptance [--values] > acceptance.jsonl
     python3 tools/output_digest.py --match [--values] > match.jsonl
+    python3 tools/output_digest.py --small [--values] > small.jsonl
     python3 tools/output_digest.py --compare old.jsonl new.jsonl
     python3 tools/output_digest.py --verify > verify.txt
     python3 tools/output_digest.py --verify --values > verify.jsonl
@@ -53,6 +54,12 @@ redrawn here: 60 draws from default_rng(12345), each a sextic and a
 decatic problem at one ell in 0..3, solved in match-ell mode at
 n = 0..6, 840 solves in all.  It checks a match-ell change on more and
 larger problems than the `match_ell` workload's 63 solves at n <= 3.
+
+With `--small` it digests, in the same two formats, wide states: the
+first 4 `--acceptance` coupling draws of each family and case, with the
+rate set to 1e-6 and to 1e-4 (omega; a to -1e-6 and -1e-4 in the
+coulombic case), solved at n = 0..5, 288 solves in all.  Their roots reach
+6e7, where those of the other sets stay below 2e3.
 
 With `--verify` it digests the `verify` benchmark workload instead: one
 line per entry of `VERIFY_POOL` (in `perfbench/workloads.py`), with its
@@ -105,20 +112,45 @@ def _values(op_label, solutions, failures) -> str:
     })
 
 
-def _acceptance_ops(workloads) -> list:
-    """The tier-1 acceptance sweep: 20 coupling draws per family, split over
-    its cases, each solved at n = 0..5 (80 draws, 480 solves)."""
-    from qesolve import Case, Family, FamilyProblem
-
-    ops = []
+def _acceptance_draws(workloads):
+    """(family, case, draw, free couplings, ell) of the tier-1 acceptance
+    sweep's 20 coupling draws per family, split over its cases."""
     for family, cases in workloads.FAMILY_CASES.items():
         rng = workloads.family_rng(family)
         for draw in range(20):
             case = cases[draw % len(cases)]
             free, ell = workloads.draw_couplings(family, case, rng)
+            yield family, case, draw, free, ell
+
+
+def _acceptance_ops(workloads) -> list:
+    """The tier-1 acceptance sweep: its 80 draws, each solved at n = 0..5
+    (480 solves)."""
+    from qesolve import FamilyProblem
+
+    return [
+        workloads.Op(f"acceptance {family}/{case} draw {draw} n={n}", FamilyProblem(family, case, n, ell, free))
+        for family, case, draw, free, ell in _acceptance_draws(workloads)
+        for n in range(6)
+    ]
+
+
+def _small_ops(workloads) -> list:
+    """The first 4 acceptance draws of each family and case at the rates
+    omega = 1e-6 and 1e-4 (a = -1e-6 and -1e-4), each solved at n = 0..5
+    (288 solves)."""
+    from qesolve import FamilyProblem
+
+    ops = []
+    for family, case, draw, free, ell in _acceptance_draws(workloads):
+        if draw >= 4 * len(workloads.FAMILY_CASES[family]):
+            continue
+        rate, sign = ("omega", 1.0) if case == "harmonic" else ("a", -1.0)
+        for value in (1e-6, 1e-4):
+            changed = {**free, rate: sign * value}
             for n in range(6):
-                problem = FamilyProblem(Family(family), Case(case), n, ell, free)
-                ops.append(workloads.Op(f"acceptance {family}/{case} draw {draw} n={n}", problem))
+                label = f"small {family}/{case} draw {draw} {rate}={sign * value:g} n={n}"
+                ops.append(workloads.Op(label, FamilyProblem(family, case, n, ell, changed)))
     return ops
 
 
@@ -143,7 +175,7 @@ def _match_ops(workloads) -> list:
     return ops
 
 
-def digest(values: bool, acceptance: bool, match: bool) -> None:
+def digest(values: bool, acceptance: bool, match: bool, small: bool) -> None:
     import workloads
     from qesolve.document import dumps_documents, solution_to_document
     from qesolve.oracle import VerifyLevel, verify_solution
@@ -152,6 +184,8 @@ def digest(values: bool, acceptance: bool, match: bool) -> None:
         runs = [(workloads.Sweep(), _acceptance_ops(workloads))]
     elif match:
         runs = [(workloads.MatchEll(), _match_ops(workloads))]
+    elif small:
+        runs = [(workloads.Sweep(), _small_ops(workloads))]
     else:
         runs = [(w, w.setup(seed=0, smoke=False)) for w in (workloads.Sweep(), workloads.MatchEll())]
     for workload, ops in runs:
@@ -349,7 +383,8 @@ if __name__ == "__main__":
     elif sorted(sys.argv[1:]) in (["--acceptance", "--verify"], ["--acceptance", "--values", "--verify"]):
         verify_acceptance_digest(values="--values" in sys.argv)
     elif sorted(sys.argv[1:]) in ([], ["--values"], ["--acceptance"], ["--acceptance", "--values"], ["--match"],
-                                  ["--match", "--values"]):
-        digest(values="--values" in sys.argv, acceptance="--acceptance" in sys.argv, match="--match" in sys.argv)
+                                  ["--match", "--values"], ["--small"], ["--small", "--values"]):
+        digest(values="--values" in sys.argv, acceptance="--acceptance" in sys.argv, match="--match" in sys.argv,
+               small="--small" in sys.argv)
     else:
         sys.exit(__doc__)
