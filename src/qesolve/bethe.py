@@ -337,12 +337,10 @@ def _residual_batch(ode: PolyODE | _Columns, T: np.ndarray) -> np.ndarray:
 def _residues(T: np.ndarray, f: np.ndarray) -> np.ndarray:
     """sum_{j != i} 2 / (t_i - t_j) + f_i, for each row of T, with f = Q/P
     at its roots."""
-    n = T.shape[1]
+    i = np.arange(T.shape[1])
     diff = T[:, :, None] - T[:, None, :]
-    off = ~np.eye(n, dtype=bool)
-    safe = np.where(off[None, :, :], diff, 1.0)
-    inv = np.where(off[None, :, :], 1.0 / safe, 0.0)
-    return 2.0 * inv.sum(axis=2) + f
+    diff[:, i, i] = math.inf  # so the term j = i is 1/inf = 0
+    return 2.0 * (1.0 / diff).sum(axis=2) + f
 
 
 def _derivative(c) -> np.ndarray:
@@ -362,14 +360,12 @@ def _jacobian_batch(ode: PolyODE | _Columns, T: np.ndarray, pv=None, qv=None) ->
 def _residue_jacobian(T: np.ndarray, fp: np.ndarray) -> np.ndarray:
     """The Jacobian of `_residues` in the roots, for each row of T, with
     fp = (Q/P)' at its roots."""
-    n = T.shape[1]
-    diff = T[:, :, None] - T[:, None, :]
-    off = ~np.eye(n, dtype=bool)
-    safe = np.where(off[None, :, :], diff, 1.0)
-    inv2 = np.where(off[None, :, :], 1.0 / (safe * safe), 0.0)
+    i = np.arange(T.shape[1])
+    square = (T[:, :, None] - T[:, None, :]) ** 2
+    square[:, i, i] = math.inf  # so the term j = i is 1/inf = 0
+    inv2 = 1.0 / square
     jac = 2.0 * inv2
-    idx = np.arange(n)
-    jac[:, idx, idx] = -2.0 * inv2.sum(axis=2) + fp
+    jac[:, i, i] = -2.0 * inv2.sum(axis=2) + fp
     return jac
 
 
