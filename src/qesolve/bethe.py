@@ -376,9 +376,9 @@ def _at_rounding_level(x: np.ndarray, dx: np.ndarray) -> np.ndarray:
 
 def _starts(coeffs: np.ndarray) -> np.ndarray:
     """The roots of S = sum c_k t^k (c_n != 0) for each row c of coeffs, in
-    canonical order, from one stacked companion-matrix eigvals: what
-    np.roots gives for c[::-1] where c_0 != 0, as for every candidate of a
-    family's ODE, whose matrix rows force c = 0 where c_0 = 0."""
+    canonical order, from one stacked companion-matrix eigvals.  Where
+    c_0 != 0 they are the roots np.roots gives for c[::-1]; no candidate has
+    c_0 = 0, since row 0 of the ODE matrix then forces c = 0."""
     n = coeffs.shape[1] - 1
     companion = np.zeros((len(coeffs), n, n))
     companion[:, :1] = (-coeffs[:, -2::-1] / coeffs[:, -1:])[:, None]
