@@ -11,22 +11,16 @@ and W is assembled from the root power sums.  The module enumerates all
 solutions, whichever W coefficients w0 .. w_(m-1) depend on the roots, as
 null vectors of the ODE's (n+m)x(n+1) matrix on polynomials of degree n at
 the real solutions of one m-parameter eigenproblem (`_multiparameter`, for
-m = 1 to 4).  The module builds both pencils that it solves: the root
-system's from the ODE (`solve_bae`), and the match-ell problem's from the
-`_Border` that `families._border` derives, Q affine in a parameter omega
-and a condition on W (`_border_pencil`, `_border_candidates`).  The
-candidates of one solve are taken in one batch: their roots from one
-stacked companion-matrix eigensolve (`_starts`), a Newton polish of every
-row at once (`_polish`), and array filters followed by the polynomial
-identity, evaluated for every row at once as the band product of
-P D^2 + Q D + W on S's coefficients (`_accept`); `_operator` is the one
-implementation of that product, and `_ode_matrix` applies it to the unit
-basis.  Each accepted branch carries the W coefficients and identity
-residual of that verification (`RootSet.w`): a `PolyODE` is P and Q only,
-and `verify_polynomial_identity` takes W as an argument.  The match-ell
-solve of `families` polishes its candidates in their roots and omega
-together, with the Newton system bordered by the border's condition
-(`_bordered_branches`).
+m = 1 to 4): the root system's (`solve_bae`) and the match-ell problem's,
+from the `_Border` that `families._border` derives (`_border_pencil`,
+`_border_candidates`).  The candidates of one solve are one batch: roots
+from one stacked eigensolve (`_starts`), one Newton loop for every row
+(`_newton`, on the residue conditions in `_polish`, bordered by the
+condition on W in `_bordered_polish`), P, Q and their derivatives at the
+roots from one evaluator (`_values`), and array filters and the polynomial
+identity (`_accept`, `_operator`).  Each accepted branch keeps the W and
+identity residual of that test (`RootSet.w`): a `PolyODE` is P and Q
+only, and `verify_polynomial_identity` takes W as an argument.
 """
 
 from __future__ import annotations
@@ -40,7 +34,6 @@ from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .errors import DenominatorBlowup, InvalidParameter, NonRealCoefficients, NoSolutionFound
 
@@ -106,7 +99,7 @@ SEP_TOL = 1e-8
 CONJ_TOL = 1e-8
 DENOM_TOL = 1e-12
 DEDUP_TOL = 1e-6
-# The polish stops once its step is at rounding level:
+# A Newton row stops once its step is at rounding level (`_newton`):
 # |step| <= ROUNDING_STEP * (1 + |x|), max norms.
 ROUNDING_STEP = 1e-15
 # The largest imaginary part, relative to the largest coefficient, that the
@@ -220,11 +213,6 @@ def _separations(T: np.ndarray) -> np.ndarray:
     return np.min(diff, axis=(1, 2))
 
 
-def _separation(roots: np.ndarray) -> float:
-    """Smallest distance between two roots (inf for fewer than two)."""
-    return float(_separations(roots[None, :])[0])
-
-
 def bae_residuals(ode: PolyODE, roots) -> np.ndarray:
     """Residuals sum_{j!=i} 2/(t_i - t_j) + Q(t_i)/P(t_i), one per root.
 
@@ -233,14 +221,13 @@ def bae_residuals(ode: PolyODE, roots) -> np.ndarray:
     Raises DenominatorBlowup when |P| at a root is below DENOM_TOL or two
     roots are within SEP_TOL, the distinctness rule of `_accept`.
     """
-    arr = _roots_of(roots)
-    if len(arr) == 0:
-        return np.zeros(0, dtype=complex)
-    if np.min(np.abs(polyval(arr, ode.p, tensor=False))) < DENOM_TOL:
+    arr = _roots_of(roots)[None, :]
+    p, q = _values(_stack(*_columns(ode)), arr)
+    if np.min(np.abs(p), initial=math.inf) < DENOM_TOL:
         raise DenominatorBlowup("a root coincides with a zero of P(t)")
-    if _separation(arr) <= SEP_TOL:
+    if _separations(arr)[0] <= SEP_TOL:
         raise DenominatorBlowup("roots are closer than SEP_TOL")
-    return _residual_batch(ode, arr[None, :])[0]
+    return _residues(arr, q / p)[0]
 
 
 def verify_polynomial_identity(ode: PolyODE, roots, w) -> float:
@@ -303,11 +290,9 @@ def _operator(ode: _Columns, w: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 class _Columns(NamedTuple):
-    """P and Q of one ODE per row of a (rows, n) stack of roots, as
-    coefficient columns: arrays of shape (5, rows, 1) and (6, rows, 1).
-    `polyval(T, c, tensor=False)` broadcasts them against the stack, so
-    each row meets its own floats, the ones it meets alone; a PolyODE,
-    which every row shares, broadcasts the same way."""
+    """P and Q of one ODE per row of a (rows, n) stack of roots, as columns
+    of shape (5, rows, 1) and (6, rows, 1), or (5 or 6, 1, 1) for one that
+    every row shares (`_columns`): each row meets the floats it meets alone."""
 
     p: np.ndarray
     q: np.ndarray
@@ -329,9 +314,28 @@ def _rows(ode: PolyODE | _Columns, index) -> PolyODE | _Columns:
     return _Columns(ode.p[:, index], ode.q[:, index]) if isinstance(ode, _Columns) else ode
 
 
+def _stack(*polys) -> np.ndarray:
+    """Coefficient columns (ascending, at most six, `_Columns`' shapes) as
+    one zero-padded (6, polys, rows or 1, 1) stack for `_values`."""
+    out = np.zeros((6, len(polys), max(len(c[0]) for c in polys), 1))
+    for k, c in enumerate(polys):
+        out[: len(c), k] = c
+    return out
+
+
+def _values(stack: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Each polynomial of a `_stack` at each root of T, (polys, rows, n), by
+    numpy polyval's Horner recurrence: its floats, which zero padding keeps."""
+    v = stack[-1] + T * 0
+    for c in stack[-2::-1]:
+        v = c + v * T
+    return v
+
+
 def _residual_batch(ode: PolyODE | _Columns, T: np.ndarray) -> np.ndarray:
     """Residue conditions, one row of roots per row of T."""
-    return _residues(T, polyval(T, ode.q, tensor=False) / polyval(T, ode.p, tensor=False))
+    p, q = _values(_stack(*_columns(ode)), T)
+    return _residues(T, q / p)
 
 
 def _residues(T: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -350,13 +354,6 @@ def _derivative(c) -> np.ndarray:
     return (c[1:].T * np.arange(1, len(c))).T
 
 
-def _jacobian_batch(ode: PolyODE | _Columns, T: np.ndarray, pv=None, qv=None) -> np.ndarray:
-    """The Jacobian of `_residual_batch`, from P and Q at T if given."""
-    pv, qv = (polyval(T, ode.p, tensor=False), polyval(T, ode.q, tensor=False)) if pv is None else (pv, qv)
-    fp = (polyval(T, _derivative(ode.q), tensor=False) * pv - qv * polyval(T, _derivative(ode.p), tensor=False)) / (pv * pv)
-    return _residue_jacobian(T, fp)
-
-
 def _residue_jacobian(T: np.ndarray, fp: np.ndarray) -> np.ndarray:
     """The Jacobian of `_residues` in the roots, for each row of T, with
     fp = (Q/P)' at its roots."""
@@ -367,11 +364,6 @@ def _residue_jacobian(T: np.ndarray, fp: np.ndarray) -> np.ndarray:
     jac = 2.0 * inv2
     jac[:, i, i] = -2.0 * inv2.sum(axis=2) + fp
     return jac
-
-
-def _at_rounding_level(x: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    """Per row: is the step dx, taken to reach x, at rounding level?"""
-    return np.max(np.abs(dx), axis=1) <= ROUNDING_STEP * (1.0 + np.max(np.abs(x), axis=1))
 
 
 def _starts(coeffs: np.ndarray) -> np.ndarray:
@@ -386,30 +378,49 @@ def _starts(coeffs: np.ndarray) -> np.ndarray:
     return _canonical_order(np.linalg.eigvals(companion).astype(complex))
 
 
-def _polish(ode: PolyODE | _Columns, T: np.ndarray) -> np.ndarray:
-    """Undamped Newton on every row of T until its step, a direct estimate
-    of the root error, is at rounding level.  A row stops early where its
-    step cannot be taken: a non-finite residual or step, or a singular
-    Jacobian.  Rows never mix, so each ends where it would alone."""
-    T = T.copy()
-    active = np.arange(len(T) if T.shape[1] else 0)  # an empty row has nothing to polish
+def _newton(X: np.ndarray, system, real: int = 0) -> np.ndarray:
+    """Undamped Newton on every row of X: `system(index, Y)` gives the
+    residuals (rows, d) and Jacobians (rows, d, d) of rows `index` at Y, and
+    the last `real` unknowns take the real part of their steps.  A row stops
+    after a step at rounding level, or, once its residual before the step
+    is within BAE_TOL, after a step no smaller than its last (a floor of
+    rounding noise), which it keeps; or where its step cannot be taken (a
+    non-finite residual or step, a singular Jacobian).  Rows never mix."""
+    X, d = X.copy(), X.shape[1]
+    active, last = np.arange(len(X) if d else 0), np.full(len(X), math.inf)  # an empty row has nothing to polish
     for _ in range(8):
         if not len(active):
             break
-        X, at = T[active], _rows(ode, active)
-        pv, qv = polyval(X, at.p, tensor=False), polyval(X, at.q, tensor=False)
-        R = _residues(X, qv / pv)  # `_residual_batch`, with P and Q kept for the Jacobian
+        Y = X[active]
+        R, J = system(active, Y)
         finite = np.isfinite(R).all(axis=1)
         if not finite.all():
-            active, X, R, at, pv, qv = active[finite], X[finite], R[finite], _rows(at, finite), pv[finite], qv[finite]
-        step = _solve_rows(_jacobian_batch(at, X, pv, qv), R)
+            active, Y, R, J = active[finite], Y[finite], R[finite], J[finite]
+        step = _solve_rows(J, R)
+        step[:, d - real :] = step[:, d - real :].real
         taken = np.isfinite(step).all(axis=1)
         if not taken.all():
-            active, X, step = active[taken], X[taken], step[taken]
-        X = X - step
-        T[active] = X
-        active = active[~_at_rounding_level(X, step)]
-    return T
+            active, Y, R, step = active[taken], Y[taken], R[taken], step[taken]
+        X[active] = Y = Y - step
+        size = np.max(np.abs(step), axis=1)
+        flat = (np.max(np.abs(R), axis=1) < BAE_TOL) & (size >= last[active])
+        done = (size <= ROUNDING_STEP * (1.0 + np.max(np.abs(Y), axis=1))) | flat
+        last[active] = size
+        active = active[~done]
+    return X
+
+
+def _polish(ode: PolyODE | _Columns, T: np.ndarray) -> np.ndarray:
+    """The roots of every row of T, polished by `_newton` on the residue
+    conditions; P, Q, P' and Q' form one `_stack` for the batch."""
+    c = _columns(ode)
+    stack = _stack(c.p, c.q, _derivative(c.p), _derivative(c.q))
+
+    def system(index, X):
+        p, q, dp, dq = _values(stack[:, :, index] if stack.shape[2] > 1 else stack, X)
+        return _residues(X, q / p), _residue_jacobian(X, (dq * p - q * dp) / (p * p))
+
+    return _newton(T, system)
 
 
 class _Border(NamedTuple):
@@ -431,27 +442,19 @@ def _at(border: _Border, omega: np.ndarray) -> _Columns:
 
 
 def _bordered_polish(border: _Border, T: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The roots of every row of T and its omega, polished by Newton on
+    """The roots of every row of T and its omega, polished by `_newton` on
     both: the n residue conditions at omega, bordered by the condition on
     w_j (Keller, *Numerical solution of bifurcation and nonlinear
     eigenvalue problems*, 1977).  Far from the roots, the closing formulas'
     powers of them would throw omega off, so a row whose residue
     conditions are not within BAE_TOL is first polished at its omega
-    (`_polish`), and the bordered steps start from there.  The
-    omega-column of the residue conditions is dQ(t_i)/P(t_i).  w_j is
-    affine in the power sums s1..s4 and the pair sum, and, with Q, in
-    omega, so its derivatives come from the closing formulas at unit sums.
-    P, Q0, dQ and their derivatives at the roots come from one product
-    with the roots' powers, which also give the sums.
-
-    A row stops after a step at rounding level, as in `_polish`, or no
-    smaller than its step before, which it keeps: an ill-conditioned row's
-    steps reach a floor of rounding noise above ROUNDING_STEP.  Returns the
-    roots and the omegas."""
+    (`_polish`).  The omega-column of the residue conditions is
+    dQ(t_i)/P(t_i).  w_j is affine in the power sums s1..s4 and the pair
+    sum, and, with Q, in omega, so its derivatives come from the closing
+    formulas at unit sums.  Returns the roots and the omegas."""
     n = T.shape[1]
-    polys = [border.ode.p + (0.0,), border.ode.q, border.dq]
-    # The coefficients of P, P', Q0, Q0', dQ and dQ', one column each, ascending to t^5.
-    coeffs = np.array([d for c in polys for d in (c, (*_derivative(c), 0.0))]).T
+    polys = [_column(c) for c in (border.ode.p, border.ode.q, border.dq)]
+    stack = _stack(*polys, *map(_derivative, polys))  # P, Q0, dQ and their derivatives, for the batch
     unit = np.eye(5, 6)  # the sums of six evaluations: each sum alone at 1, then all 0
     w_j = np.array([_closing_w(border.ode.p, border.ode.q, n, *unit)[border.j],
                     _closing_w((0.0,) * 5, border.dq, n, *unit)[border.j]])
@@ -459,19 +462,16 @@ def _bordered_polish(border: _Border, T: np.ndarray, omega: np.ndarray) -> tuple
     const, lin = w_j[:, 5], w_j[:, :5] - w_j[:, 5:]
     ode = _at(border, omega)
     far = ~(np.max(np.abs(_residual_batch(ode, T)), axis=1, initial=0.0) < BAE_TOL)
-    T = T.copy()
-    T[far] = _polish(_rows(ode, far), T[far])
     X = np.concatenate([T, omega[:, None]], axis=1).astype(complex)
-    active, last = np.arange(len(X)), np.full(len(X), math.inf)
-    for _ in range(8):
-        if not len(active):
-            break
-        Y = X[active]
+    if far.any():
+        X[far, :n] = _polish(_rows(ode, far), T[far])
+
+    def system(index, Y):
         t, om = Y[:, :n], Y[:, n].real
-        powers = t[:, :, None] ** np.arange(6)
-        pv, pd, q0, q0d, dq, dqd = np.moveaxis(powers @ coeffs, 2, 0)
+        pv, q0, dq, pd, q0d, dqd = _values(stack, t)
         qv, qd = q0 + om[:, None] * dq, q0d + om[:, None] * dqd
-        s = powers[:, :, 1:5].sum(axis=1)
+        powers = t[:, :, None] ** np.arange(5)
+        s = powers[:, :, 1:].sum(axis=1)
         sums = np.column_stack([s, 0.5 * (s[:, 0] * s[:, 0] - s[:, 1])])
         a = lin[0] + om[:, None] * lin[1]
         # d sums / d t_i: 1, 2 t_i, 3 t_i^2, 4 t_i^3 and s1 - t_i.
@@ -483,21 +483,9 @@ def _bordered_polish(border: _Border, T: np.ndarray, omega: np.ndarray) -> tuple
         J[:, n, n] = const[1] + sums @ lin[1] - border.slope
         # w_j less the value the condition gives it.
         off = const[0] + om * const[1] + (sums * a).sum(axis=1) - border.top - om * border.slope
-        R = np.column_stack([_residues(t, qv / pv), off])
-        finite = np.isfinite(R).all(axis=1)
-        if not finite.all():
-            active, Y, R, J = active[finite], Y[finite], R[finite], J[finite]
-        step = _solve_rows(J, R)
-        step[:, n] = step[:, n].real
-        taken = np.isfinite(step).all(axis=1)
-        if not taken.all():
-            active, Y, step = active[taken], Y[taken], step[taken]
-        Y = Y - step
-        X[active] = Y
-        size = np.max(np.abs(step), axis=1)
-        done = _at_rounding_level(Y, step) | (size >= last[active])
-        last[active] = size
-        active = active[~done]
+        return np.column_stack([_residues(t, qv / pv), off]), J
+
+    X = _newton(X, system, real=1)
     return X[:, :n], X[:, n].real
 
 
@@ -538,11 +526,10 @@ def _accept(ode: PolyODE | _Columns, T: np.ndarray, variable: Variable) -> list[
         keep &= ~(np.max(np.abs(T - mirror), axis=1) > CONJ_TOL)
         ordered = _canonical_order(0.5 * (T + mirror))
         sep = _separations(ordered)
-        pv = polyval(ordered, ode.p, tensor=False)
-        keep &= ~((sep <= SEP_TOL) | (np.min(np.abs(pv), axis=1) < DENOM_TOL))
+        p, q = _values(_stack(*_columns(ode)), ordered)
+        keep &= ~((sep <= SEP_TOL) | (np.min(np.abs(p), axis=1) < DENOM_TOL))
         res = np.full(len(T), math.nan)
-        f = polyval(ordered[keep], _rows(ode, keep).q, tensor=False) / pv[keep]  # `_residual_batch`, with P reused
-        res[keep] = np.max(np.abs(_residues(ordered[keep], f)), axis=1)
+        res[keep] = np.max(np.abs(_residues(ordered[keep], q[keep] / p[keep])), axis=1)
         keep &= ~(res >= BAE_TOL)
     index = np.flatnonzero(keep)
     at, roots = _rows(ode, index), ordered[index]
@@ -730,13 +717,17 @@ def _multiparameter(A: np.ndarray, Bs: list):
 
     Every eigenvalue mu_m within NEAR_REAL of the real axis gives c from
     its eigenvector y: y at {k, j, ..., j} over y at {j, ..., j} is
-    sqrt(m) c_k / c_j, read at the j of largest |c_j|.
+    sqrt(m) c_k / c_j, read at the j of largest |c_j|.  Raises
+    NoSolutionFound when the pencil overflows, so is not finite.
     """
     n, m = A.shape[1] - 1, len(Bs)
     Q = _parameter_change(m, _PROJECTION_SEED)
     changed = (Q.T @ np.array([A, *Bs]).reshape(m + 1, -1)).reshape(m + 1, *A.shape)
     E = _exterior_pencil([*changed[1:m], np.vstack([changed[m], -changed[0]])], n)
-    mu, Y = np.linalg.eig(np.linalg.solve(E[0], E[1]))
+    pencil = np.linalg.solve(E[0], E[1])
+    if not np.isfinite(pencil).all():
+        raise NoSolutionFound("the pencil is not finite: the ODE's coefficients overflow it")
+    mu, Y = np.linalg.eig(pencil)
     Y = Y.T[np.abs(mu.imag) <= NEAR_REAL * np.abs(mu)]
     mixed = _symmetric_basis(n, m).mixed
     pure = np.diag(mixed)
@@ -776,14 +767,14 @@ def solve_bae(ode: PolyODE, n: int, *, variable: Variable = Variable.R) -> list[
     polished roots, and each branch keeps that W and identity residual
     (`RootSet.w`, `RootSet.identity_residual`).  Walking the rows in
     order, one whose polished roots are within DEDUP_TOL of a branch
-    already kept is a duplicate.  The list is sorted by the
+    already kept is a duplicate (`_distinct`).  The list is sorted by the
     canonical key (sorted real parts, then imaginary parts), so the output
     is deterministic.
 
     Raises NoSolutionFound when n > 0 and deg Q < deg P, where Q/P
     vanishes at infinity, so that a far-out root set passes every filter
-    (no family's ODE: there no root is too far out to be a branch), or no
-    enumerated candidate is accepted.
+    (no family's ODE: there no root is too far out to be a branch), when
+    the pencil is not finite, or when no enumerated candidate is accepted.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -797,17 +788,24 @@ def solve_bae(ode: PolyODE, n: int, *, variable: Variable = Variable.R) -> list[
     rows = [i for i, branch in enumerate(branches) if branch is not None]
     if not rows:
         raise NoSolutionFound(f"no enumerated candidate of degree {n} was accepted")
-    roots = np.array([branches[i].roots for i in rows])
-    # near[i, j]: accepted row i's branch is within DEDUP_TOL of row j's.
     # A start that near a kept branch polishes to it, so the starts are not
     # compared, and a row that fails the filters hides no row.
-    near = np.max(np.abs(roots[None, :, :] - roots[:, None, :]), axis=2) < DEDUP_TOL
+    found = [branches[rows[i]] for i in _distinct(np.array([branches[i].roots for i in rows]))]
+    return sorted(found, key=lambda branch: _branch_key(branch.roots))
+
+
+def _distinct(roots: np.ndarray, omega: np.ndarray | None = None) -> list[int]:
+    """The rows kept of a (rows, n) stack of branches' roots, in order: a
+    row within DEDUP_TOL (max norm) of a row kept before it, and with each
+    row's omega given, its omega within DEDUP_TOL times that row's, is not."""
+    near = np.max(np.abs(roots[None, :, :] - roots[:, None, :]), axis=2, initial=0.0) < DEDUP_TOL
+    if omega is not None:
+        near &= np.abs(omega[:, None] - omega[None, :]) <= DEDUP_TOL * omega[None, :]
     kept: list[int] = []
-    for i in range(len(rows)):
+    for i in range(len(roots)):
         if not near[i, kept].any():
             kept.append(i)
-    found = [branches[rows[i]] for i in kept]
-    return sorted(found, key=lambda branch: _branch_key(branch.roots))
+    return kept
 
 
 def _border_pencil(border: _Border, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -35,7 +35,6 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .bethe import (
-    DEDUP_TOL,
     PolyODE,
     RootSet,
     SolverConfig,
@@ -45,8 +44,9 @@ from .bethe import (
     _border_candidates,
     _bordered_branches,
     _branch_key,
+    _distinct,
     _residual_batch,
-    _separation,
+    _separations,
     bae_residuals,
     compute_w_coefficients,
     solve_bae,
@@ -401,18 +401,18 @@ def solve_family_detailed(
 
     In match-ell mode (sextic, decatic) the branches are every match of the
     requested ell in OMEGA_RANGE (`_match_ell`); a given omega is not used.
-    No mode uses `cfg`: it is still taken, and ignored, because the
-    benchmark workloads pass one (see `SolverConfig`).
+    NoSolutionFound gives no solution and its one record.  No mode uses
+    `cfg`: it is still taken, and ignored, because the benchmark workloads
+    pass one (see `SolverConfig`).
     """
-    if problem.match_ell and _derives_ell(problem.family):
-        branches, failures = _match_ell(problem)
-    else:
-        g = _gauge(problem)
-        try:
-            branches = [(roots, g) for roots in solve_bae(g.ode, problem.n, variable=g.variable)]
-        except NoSolutionFound as exc:
-            return [], [BranchFailure(None, type(exc).__name__, str(exc))]
-        failures = []
+    try:
+        if problem.match_ell and _derives_ell(problem.family):
+            branches, failures = _match_ell(problem)
+        else:
+            g = _gauge(problem)
+            branches, failures = [(roots, g) for roots in solve_bae(g.ode, problem.n, variable=g.variable)], []
+    except NoSolutionFound as exc:
+        return [], [BranchFailure(None, type(exc).__name__, str(exc))]
     results = _branch_solutions(problem, branches)
     solutions = sorted((s for s in results if isinstance(s, QESSolution)), key=lambda s: _branch_key(s.roots.roots))
     return solutions, failures + [f for f in results if isinstance(f, BranchFailure)]
@@ -459,13 +459,11 @@ def _match_ell(problem: FamilyProblem) -> tuple[list[tuple[RootSet, _Gauge]], li
     the match condition of `_border`.  The closing formulas' rounding
     leaves omega off by up to ~1e-13 relative (and the roots of an
     ill-conditioned candidate further), so every candidate is polished in
-    its roots and omega together (its roots first at its omega where they
-    are far off), one `bethe._bordered_branches` batch per solve: the
-    residue conditions at omega, bordered by the match condition;
-    the filters of `solve_bae` then see each row at its final omega.  A
-    match is kept when it misses the ell by at most MATCH_TOL, at the W
-    that acceptance computed.  Two candidates that reach the same match
-    (within DEDUP_TOL in roots and relative omega) give it once.
+    its roots and omega together and filtered, one
+    `bethe._bordered_branches` batch per solve.  A match is kept when it
+    misses the ell by at most MATCH_TOL, at the W that acceptance
+    computed.  Two candidates that reach the same match (within DEDUP_TOL
+    in roots and relative omega, `bethe._distinct`) give it once.
     """
     n, target = problem.n, (problem.ell + 0.5) ** 2
     border, variable = _border(problem)
@@ -483,16 +481,16 @@ def _match_ell(problem: FamilyProblem) -> tuple[list[tuple[RootSet, _Gauge]], li
         if roots is None or not abs(miss) <= MATCH_TOL:
             with np.errstate(all="ignore"):
                 res = np.max(np.abs(_residual_batch(_at(border, np.array([candidate_omega])), start[None])), initial=0)
-            rejected = RootSet(n, tuple(complex(z) for z in start), variable, float(res), _separation(start))
+            sep = _separations(start[None])[0]
+            rejected = RootSet(n, tuple(complex(z) for z in start), variable, float(res), float(sep))
             reason = "the root filters reject it" if roots is None else f"it misses the ell by {miss:.3e}"
             detail = f"the match at omega = {candidate_omega:.9g}: {reason}"
             failures.append(BranchFailure(rejected, "ConstraintInfeasible", detail))
-        elif not any(
-            abs(omega - om) <= DEDUP_TOL * om and np.max(np.abs(roots.as_array() - r.as_array()), initial=0.0) < DEDUP_TOL
-            for r, om, _ in matches
-        ):
+        else:
             matches.append((roots, omega, g))
-    return [(roots, g) for roots, _, g in matches], failures
+    kept = _distinct(np.array([r.roots for r, _, _ in matches], dtype=complex).reshape(len(matches), n),
+                     np.array([om for _, om, _ in matches]))
+    return [(matches[i][0], matches[i][2]) for i in kept], failures
 
 
 # ----------------------------------------------------------------------

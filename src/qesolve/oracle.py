@@ -450,6 +450,9 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
     def add(self, name: str, value: float, tolerance: float, passed=None):
+        if math.isnan(value):
+            self.notes.append(f"{name}: evaluates to NaN")
+            value, passed = math.inf, False
         ok = bool(value <= tolerance) if passed is None else bool(passed)
         self.checks.append(CheckResult(name, float(value), float(tolerance), ok))
 
@@ -469,13 +472,14 @@ def verify_solution(solution: QESSolution, level: VerifyLevel = VerifyLevel.FAST
     identity (at most IDENT_TOL) and the radial-equation residual (at most
     1e-9).  Roots that are no valid root set fail with the value inf and a
     note: too close to each other or to a zero of P the first, with power
-    sums that are not real the second.  FULL adds, from one support scan,
-    norm_finite (a finite positive norm), fd_eigenvalue_error (2E against
-    the nearest eigenvalue of the finite-difference spectrum at two
-    resolutions: one grid of 2 * 2400 + 1 points, and its odd points) and
-    node_count (|k - nodes|, at most 0, for k fine-grid eigenvalues below
-    that one and the nodes of Psi on r > 0); a support beyond the scan
-    fails all three.
+    sums that are not real the second; so does a value that is NaN (roots
+    so far out that P and Q, or the closing formulas, overflow).
+    FULL adds, from one support scan, norm_finite (a finite positive
+    norm), fd_eigenvalue_error (2E against the nearest eigenvalue of the
+    finite-difference spectrum at two resolutions: one grid of
+    2 * 2400 + 1 points, and its odd points) and node_count (|k - nodes|,
+    at most 0, for k fine-grid eigenvalues below that one and the nodes of
+    Psi on r > 0); a support beyond the scan fails all three.
     """
     level = VerifyLevel(level)
     report = VerificationReport()

@@ -123,7 +123,7 @@ def _log_deriv_arrays(solutions: list[QESSolution], r: np.ndarray, keep: np.ndar
     for k in (slice(i, i + step) for i in range(0, len(r), step)):
         diff, b2 = v[k] - a[:, k], b[:, k] * b[:, k]
         q = diff * diff + b2
-        if ((q <= (_NODE_GUARD * (1.0 + size[:, k])) ** 2) & (True if keep is None else keep[k])).any():
+        if ((np.sqrt(q) <= _NODE_GUARD * (1.0 + size[:, k])) & (True if keep is None else keep[k])).any():
             raise NodeSingularity("evaluation point coincides with a node")
         with np.errstate(divide="ignore", invalid="ignore"):
             re = diff / q

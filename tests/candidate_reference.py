@@ -12,21 +12,21 @@ loop of `solve_bae` did.  The tests check that the batched step
 import math
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
+from numpy.polynomial.polynomial import polyder, polyval
 
 from qesolve.bethe import (
     BAE_TOL,
     CONJ_TOL,
     DENOM_TOL,
     IDENT_TOL,
+    ROUNDING_STEP,
     SEP_TOL,
     PolyODE,
     RootSet,
     Variable,
-    _at_rounding_level,
     _canonical_order,
-    _jacobian_batch,
     _residual_batch,
+    _residue_jacobian,
     compute_w_coefficients,
     verify_polynomial_identity,
 )
@@ -42,24 +42,39 @@ def separation(roots: np.ndarray) -> float:
     return float(np.min(np.abs(diff[~np.eye(n, dtype=bool)])))
 
 
+def at_rounding_level(x: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Per row: is the step dx, taken to reach x, at rounding level?"""
+    return np.max(np.abs(dx), axis=1) <= ROUNDING_STEP * (1.0 + np.max(np.abs(x), axis=1))
+
+
+def jacobian(ode: PolyODE, T: np.ndarray) -> np.ndarray:
+    """The Jacobian of the residue conditions for each row of roots of T,
+    with P, Q and their derivatives from numpy's polyval and polyder."""
+    pv, qv = polyval(T, ode.p, tensor=False), polyval(T, ode.q, tensor=False)
+    fp = (polyval(T, polyder(ode.q), tensor=False) * pv - qv * polyval(T, polyder(ode.p), tensor=False)) / (pv * pv)
+    return _residue_jacobian(T, fp)
+
+
 def polish(ode: PolyODE, roots: np.ndarray) -> tuple[np.ndarray, int]:
-    """Undamped Newton on one row until the step is at rounding level; stops
-    early where a step cannot be taken.  Returns the roots and the number
-    of steps taken."""
-    T, steps = roots[None, :], 0
+    """Undamped Newton on one row until the step is at rounding level or,
+    once the residual before it is within BAE_TOL, no smaller than the step
+    before; stops early where a step cannot be taken.  Returns the roots
+    and the number of steps taken."""
+    T, steps, last = roots[None, :], 0, math.inf
     for _ in range(8):
         R = _residual_batch(ode, T)
         if not np.all(np.isfinite(R)):
             break
         try:
-            step = np.linalg.solve(_jacobian_batch(ode, T), R[..., None])[..., 0]
+            step = np.linalg.solve(jacobian(ode, T), R[..., None])[..., 0]
         except np.linalg.LinAlgError:
             break
         if not np.all(np.isfinite(step)):
             break
-        T, steps = T - step, steps + 1
-        if _at_rounding_level(T, step)[0]:
+        T, steps, size = T - step, steps + 1, np.max(np.abs(step))
+        if at_rounding_level(T, step)[0] or (np.max(np.abs(R)) < BAE_TOL and size >= last):
             break
+        last = size
     return T[0], steps
 
 

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from qesolve import bethe, families
-from qesolve.bethe import DEDUP_TOL, RootSet, _residual_batch, _separation
+from qesolve.bethe import DEDUP_TOL, RootSet, _residual_batch, _separations
 from qesolve.families import MATCH_TOL, NO_MATCH, OMEGA_RANGE, BranchFailure, FamilyProblem
 
 
@@ -54,7 +54,7 @@ def match_ell(problem: FamilyProblem) -> tuple[list, list[BranchFailure]]:
             g0 = families._gauge(problem, candidate_omega)
             with np.errstate(all="ignore"):
                 res = float(np.max(np.abs(_residual_batch(g0.ode, start[None])), initial=0.0))
-            rejected = RootSet(n, tuple(complex(z) for z in start), g0.variable, res, _separation(start))
+            rejected = RootSet(n, tuple(complex(z) for z in start), g0.variable, res, float(_separations(start[None])[0]))
             reason = "the root filters reject it" if roots is None else f"it misses the ell by {miss:.3e}"
             detail = f"the match at omega = {candidate_omega:.9g}: {reason}"
             failures.append(BranchFailure(rejected, "ConstraintInfeasible", detail))

@@ -23,15 +23,14 @@ from qesolve.bethe import (
     SolverConfig,
     Variable,
     _accept,
-    _at_rounding_level,
     _branch_key,
     _branches,
     _canonical_order,
     _closing_w,
-    _jacobian_batch,
     _residual_batch,
 )
 
+from candidate_reference import at_rounding_level, jacobian
 from identity_reference import poly_from_roots
 
 # Half-width of the widest start box.
@@ -80,7 +79,7 @@ def _newton_batch(ode: PolyODE, starts: np.ndarray) -> np.ndarray:
             if not act.any():
                 break
             Ta, Ra = T[act], R[act]
-            step = _newton_steps(_jacobian_batch(ode, Ta), Ra)
+            step = _newton_steps(jacobian(ode, Ta), Ra)
             # Cap runaway steps before damping.
             mags = np.max(np.abs(step), axis=1)
             cap = 10.0 * (1.0 + np.max(np.abs(Ta), axis=1))
@@ -113,7 +112,7 @@ def _newton_batch(ode: PolyODE, starts: np.ndarray) -> np.ndarray:
             escaped = np.max(np.abs(T[moved]), axis=1) > ESCAPE_RADIUS
             fresh = np.isfinite(norms[moved]) & ~escaped
             alive[moved] &= fresh
-            settled = _at_rounding_level(T[moved], lam[ok, None] * step[ok]) & (norms[moved] < BAE_TOL)
+            settled = at_rounding_level(T[moved], lam[ok, None] * step[ok]) & (norms[moved] < BAE_TOL)
             done[moved] = alive[moved] & ((norms[moved] < NEWTON_FLOOR) | settled)
     good = alive & np.isfinite(norms) & (norms < BAE_TOL)
     return T[good]
@@ -201,7 +200,7 @@ def _coefficient_newton(ode: PolyODE, starts: np.ndarray) -> np.ndarray:
             A[moved] = trial[ok]
             R[moved] = Rt[ok]
             norms[moved] = np.max(np.abs(Rt[ok]), axis=1)
-            settled = _at_rounding_level(A[moved], lam[ok, None] * step[ok]) & (norms[moved] < COEFF_TOL)
+            settled = at_rounding_level(A[moved], lam[ok, None] * step[ok]) & (norms[moved] < COEFF_TOL)
             done[moved] = (norms[moved] < NEWTON_FLOOR) | settled
     return A[np.isfinite(norms) & (norms < COEFF_TOL)]
 

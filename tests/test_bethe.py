@@ -123,7 +123,7 @@ class TestBaeResiduals:
         # The distinctness rule of `_accept` (sep <= SEP_TOL rejects), so
         # verification reports no finite residual for a set the solve rejects.
         roots = np.array([1.0 + 5e-9j, 1.0 - 5e-9j])
-        assert bethe._separation(roots) == bethe.SEP_TOL
+        assert bethe._separations(roots[None, :])[0] == bethe.SEP_TOL
         with pytest.raises(DenominatorBlowup, match="^roots are closer than SEP_TOL$"):
             bae_residuals(SEXTIC_ODE, roots)
         with np.errstate(all="ignore"):
@@ -140,6 +140,31 @@ class TestBaeResiduals:
         from numpy.polynomial.polynomial import polyder
 
         assert np.array_equal(bethe._derivative(coeffs), polyder(coeffs))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 3), n=st.integers(0, 4), real=st.booleans(), per_row=st.booleans())
+    def test_values_have_polyvals_bits(self, data, rows, n, real, per_row):
+        # Each polynomial of a stack, zero-padded to six coefficients, gets
+        # the floats that polyval gives it unpadded, at real and complex
+        # roots, for a coefficient column per row or one that every row
+        # shares; its own top coefficients may be zero too.
+        from numpy.polynomial.polynomial import polyval
+
+        def floats(count):
+            value = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 1.0])
+            return np.array(data.draw(st.lists(value, min_size=count, max_size=count)))
+
+        T = floats(2 * rows * n).reshape(2, rows, n)
+        T = T[0] if real else T[0] + 1j * T[1]
+        polys = []
+        for length in data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=6)):
+            c = floats(length * (rows if per_row else 1)).reshape(length, -1, 1)
+            c[length - data.draw(st.integers(0, length)) :] = 0.0
+            polys.append(c)
+        values = bethe._values(bethe._stack(*polys), T)
+        assert values.shape == (len(polys), rows, n)
+        for got, c in zip(values, polys):
+            assert got.tobytes() == polyval(T, c, tensor=False).tobytes()
 
 
 class TestSolveBae:

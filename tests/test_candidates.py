@@ -2,6 +2,7 @@
 polish of every row, array filters, and the W coefficients and identity
 residual that each accepted branch carries on to the derivation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -147,7 +148,7 @@ class TestBatchedPolish:
         # The singular row's Jacobian fails the stacked solve, the pole row's
         # residual is infinite, and the settled row stops after one step.
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.solve(bethe._jacobian_batch(FREEZING_ODE, singular[None, :]), R[1:2, :, None])
+            np.linalg.solve(candidate_reference.jacobian(FREEZING_ODE, singular[None, :]), R[1:2, :, None])
         assert np.isfinite(R[1]).all() and not np.isfinite(R[4]).all()
         assert [steps for _, steps in reference] == [7, 0, 1, 6, 0, 8]
         for row, (expected, _), single in zip(got, reference, alone):
@@ -162,6 +163,22 @@ class TestBatchedPolish:
                 got = bethe._polish(ode, starts)
                 for row, start in zip(got, starts):
                     assert _bits(row) == _bits(candidate_reference.polish(ode, start)[0])
+
+    @pytest.mark.parametrize("draw, count", [(1, 6), (7, 5)])
+    def test_a_step_that_does_not_shrink_stops_only_a_converged_row(self, draw, count):
+        # Coulombic quartics at a = -1e-6, whose roots reach 6e7.  Some rows
+        # take a step no smaller than the one before while their residual
+        # is still above BAE_TOL: stopped there, they fail the filters, and
+        # these solves return 5 and 4 branches.
+        problem = _sweep_problem(Family.QUARTIC, draw, 5)
+        problem = dataclasses.replace(problem, free={**problem.free, "a": -1e-6})
+        assert len(_solve(problem)) == count
+        ode, _, coeffs = _candidate_rows(problem)
+        starts = bethe._starts(coeffs)
+        with np.errstate(all="ignore"):
+            got = bethe._polish(ode, starts)
+            for row, start in zip(got, starts):
+                assert _bits(row) == _bits(candidate_reference.polish(ode, start)[0])
 
 
 class TestBatchedFilters:

@@ -106,6 +106,22 @@ class TestSolve:
         assert (code, out) == (EXIT_NO_SOLUTION, "")
         assert err == "no admissible branch: NoSolutionFound: no enumerated candidate was accepted\n"
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--family", "quartic", "--n", "2", "--param", "omega=1e160", "--param", "c=0", "--param", "d=0.5"],
+            ["--family", "sextic", "--n", "2", "--match-ell", "--param", "e=1e300", "--param", "d=0.5"],
+        ],
+        ids=["root-system", "match-ell"],
+    )
+    def test_a_pencil_that_overflows(self, capsys, args):
+        # Couplings so large that the pencil's matrices (match-ell) or their
+        # products (omega = 1e160) overflow: no solution, not a traceback.
+        with np.errstate(all="ignore"):
+            code, out, err = run(capsys, "solve", *args)
+        assert (code, out) == (EXIT_NO_SOLUTION, "")
+        assert err == "no admissible branch: NoSolutionFound: the pencil is not finite: the ODE's coefficients overflow it\n"
+
     def test_state_too_wide_to_normalize(self, capsys):
         # The only branch's norm raises NotIntegrable: no solution, not an error.
         code, out, err = run(
@@ -237,6 +253,33 @@ class TestVerify:
         assert (checks[check]["value"], checks[check]["passed"]) == (1e300, False)
         assert f"{check}: {note}" in "\n".join(first["verification"]["notes"])
         assert second["verification"]["passed"] is True
+
+    @pytest.mark.parametrize(
+        "root, nan",
+        [(1e100, ["identity_residual"]), (1e155, ["bae_residual", "identity_residual"]),
+         (1e200, ["bae_residual", "identity_residual"])],
+    )
+    def test_a_root_far_out_is_reported(self, tmp_path, capsys, root, nan):
+        # The closing formulas multiply 0 by inf from a root of 1e100 on, and
+        # Q/P is inf/inf from 1e155 on: those checks evaluate to NaN and fail
+        # with the value inf (written as 1e300) and a note.  At 1e200 the
+        # radial residual's guard against a point on a node does not
+        # overflow into a node at every point.
+        path, report = tmp_path / "s1.json", tmp_path / "report.json"
+        args = ["--family", "sextic", "--n", "1", "--param", "omega=1", "--param", "e=0.5", "--param", "d=0.5"]
+        code, _, err = run(capsys, "solve", *args, "--out", str(path))
+        assert code == 0, err
+        docs = loads_documents(path.read_text())
+        docs[0]["roots"][0]["re"] = root
+        path.write_text(json.dumps(docs))
+        with np.errstate(all="ignore"):
+            code, out, err = run(capsys, "verify", str(path), "--out", str(report))
+        assert (code, err) == (3, "")
+        (doc,) = loads_documents(report.read_text())
+        checks = {c["name"]: c for c in doc["verification"]["checks"]}
+        for name in nan:
+            assert (checks[name]["value"], checks[name]["passed"]) == (1e300, False)
+            assert f"{name}: evaluates to NaN" in doc["verification"]["notes"]
 
     def test_one_bare_document(self, q0_doc, tmp_path, capsys):
         # A file may hold one document rather than a list of them.
