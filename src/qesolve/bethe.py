@@ -802,8 +802,8 @@ def _distinct(roots: np.ndarray, omega: np.ndarray | None = None) -> list[int]:
     if omega is not None:
         near &= np.abs(omega[:, None] - omega[None, :]) <= DEDUP_TOL * omega[None, :]
     kept: list[int] = []
-    for i in range(len(roots)):
-        if not near[i, kept].any():
+    for i, row in enumerate(near.tolist()):
+        if not any(row[j] for j in kept):
             kept.append(i)
     return kept
 
