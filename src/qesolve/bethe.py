@@ -692,6 +692,7 @@ def _exterior_pencil(factors: list, n: int) -> np.ndarray:
     return out
 
 
+@np.errstate(all="ignore")  # a pencil that overflows, or a c that is not finite, is rejected below
 def _multiparameter(A: np.ndarray, Bs: list):
     """The null vectors c, as rows, of the near-real solutions (w, c) of
     (A + w_1 B_1 + ... + w_m B_m) c = 0 for (n+m)x(n+1) matrices, whose c
@@ -733,8 +734,7 @@ def _multiparameter(A: np.ndarray, Bs: list):
     pure = np.diag(mixed)
     j = np.argmax(np.abs(Y[:, pure]), axis=1)
     rows = np.arange(len(Y))
-    with np.errstate(all="ignore"):
-        c = Y[rows[:, None], mixed[j]] / (math.sqrt(m) * Y[rows, pure[j]])[:, None]
+    c = Y[rows[:, None], mixed[j]] / (math.sqrt(m) * Y[rows, pure[j]])[:, None]
     c[rows, j] = 1.0
     c = c.real[np.isfinite(c).all(axis=1)]
     return c[c[:, -1] != 0.0]

@@ -3,9 +3,9 @@
 Two layers of checks exist beyond the polynomial identity of the root
 engine: a pointwise residual of the original radial equation using analytic
 log-derivatives in real arithmetic, one array pass per solve
-(`_residual_rows`), and a finite-difference eigenvalue oracle (Sturm
-bisection on counts made by guarded cyclic reduction) confirming that the
-constructed energy sits in the spectrum of the constructed potential.
+(`_residual_rows`), and a finite-difference eigenvalue oracle (its Sturm
+counts and its solve made by one guarded cyclic reduction, `_eliminate`)
+confirming that the energy sits in the spectrum of the constructed potential.
 
 Verification proves the FD eigenvalue nearest 2E from the closed-form Psi
 sampled on the grid: one inverse-iteration step sharpens the sample, its
@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 from numbers import Integral
 from typing import Mapping
 
@@ -217,9 +218,9 @@ def _bisect(diag: np.ndarray, off_sq: float, lo: float, hi: float, tol: float) -
     """The count of eigenvalues below lo, and the refined eigenvalues in
     (lo, hi], as the midpoints of their final intervals: Sturm bisection
     (Barth, Martin & Wilkinson 1967), one level per step, with each
-    distinct midpoint of a step counted once by `_negative_pivots`."""
+    distinct midpoint of a step counted once by `_eliminate`."""
     c = np.full(len(diag) - 1, -math.sqrt(off_sq))
-    count_lo, count_hi = (_negative_pivots(diag - x, c) for x in (lo, hi))
+    (count_lo, _), (count_hi, _) = (_eliminate(diag - x, c) for x in (lo, hi))
     ordinals = np.arange(count_lo + 1, count_hi + 1)
     lows, highs = np.full(len(ordinals), lo), np.full(len(ordinals), hi)
     while len(ordinals):
@@ -229,7 +230,7 @@ def _bisect(diag: np.ndarray, off_sq: float, lo: float, hi: float, tol: float) -
         if not (np.max(highs - lows) > tol and np.any((lows < mids) & (mids < highs))):
             break
         shifts, which = np.unique(mids, return_inverse=True)
-        counts = np.array([_negative_pivots(diag - s, c) for s in shifts.tolist()])
+        counts = np.array([_eliminate(diag - s, c)[0] for s in shifts.tolist()])
         below = counts[which] >= ordinals
         highs = np.where(below, mids, highs)
         lows = np.where(below, lows, mids)
@@ -248,11 +249,11 @@ def fd_spectrum(
     eigenvalues are isolated and refined by Sturm-sequence bisection until
     every interval is at most `tol` wide, or none can be split further in
     floating point (`_bisect`).  Each Sturm count is the number of negative
-    pivots of the guarded elimination `_factor`, which the verification
-    proof and its inverse-iteration solve share.  Returns an empty list
-    when the window holds none.  Raises InvalidParameter for a window that
-    is not finite with positive width, or a `tol` that is not a finite
-    positive number.
+    pivots of `_eliminate`, the guarded elimination that also makes the
+    verification proof's counts and its inverse-iteration solve.  Returns
+    an empty list when the window holds none.  Raises InvalidParameter for
+    a window that is not finite with positive width, or a `tol` that is not
+    a finite positive number.
     """
     lo, hi, diag, off_sq = _fd_problem(potential, energy_window, grid, tol)
     return [float(x) for x in _bisect(diag, off_sq, lo, hi, tol)[1]]
@@ -277,75 +278,60 @@ def _rayleigh(diag: np.ndarray, off: float, x: np.ndarray) -> tuple[float, float
 # exponentially level by level and may underflow; the rows then decouple to
 # rounding.
 @np.errstate(under="ignore")
-def _factor(a: np.ndarray, c: np.ndarray) -> tuple[list, list, list]:
-    """The pivots of the symmetric tridiagonal with diagonal `a` and
-    off-diagonal `c`: cyclic-reduction levels (Buzbee, Golub & Nielson
-    1970), each (pivots, left and right couplings), while every odd row is
-    at least half diagonally dominant (a smaller pivot would make the
-    counts depend on the elimination order in floating point), then the
-    LDL^T pivots of the rows left and their off-diagonal.  An LDL^T pivot
-    below the smallest normal float in size becomes minus that (Kahan's
-    pivmin, 1966); the recurrence runs on Python floats, so the next pivot
-    may be infinite but nothing raises."""
-    levels = []
+def _eliminate(a: np.ndarray, c: np.ndarray, f: np.ndarray | None = None) -> tuple[int, np.ndarray | None]:
+    """The negative pivots of the symmetric tridiagonal T with diagonal `a`
+    and off-diagonal `c` (its eigenvalues below 0 by Sylvester's law; for
+    diag - s, the Sturm count at s), and x with T x = f if f is given, else
+    None; x may hold infinities.  Cyclic-reduction levels (Buzbee, Golub &
+    Nielson 1970) count their odd rows' pivots, and reduce f for a solve,
+    while every odd row is at least half diagonally dominant (else the count
+    would depend on the elimination order in floating point); the rows left
+    run the LDL^T recurrence, pivots and forward substitution in one loop,
+    on Python floats: a pivot below the smallest normal float in size becomes
+    minus that (Kahan's pivmin, 1966), so the next may be inf; nothing raises."""
+    count, levels = 0, []
     while len(a) > 1:
         p, c_left, c_right = a[1::2], c[0::2], c[1::2]  # odd rows' pivots, couplings
         reach = np.abs(c_left)
         reach[: len(c_right)] += np.abs(c_right)
         if not np.all(2.0 * np.abs(p) >= reach):
             break
-        levels.append((p, c_left, c_right))
+        count += int(np.count_nonzero(p < 0.0))
         k = len(c_right)
+        if f is not None:
+            f_odd = f[1::2]
+            levels.append((p, c_left, c_right, f_odd))
+            f = f[0::2].copy()
+            f[: len(p)] -= c_left * f_odd / p
+            f[1 : k + 1] -= c_right * f_odd[:k] / p[:k]
         a = a[0::2].copy()
         a[: len(p)] -= c_left * c_left / p
         a[1 : k + 1] -= c_right * c_right / p[:k]
         c = -c_left[:k] * c_right / p[:k]
-    pivmin = float(np.finfo(float).tiny)
-    pivots, q = [], 1.0
-    for ai, ci in zip(a.tolist(), [0.0] + c.tolist()):
+    pivmin, c = float(np.finfo(float).tiny), c.tolist()
+    pivots, ys, q, y = [], [], 1.0, 0.0  # ys: f forward-substituted
+    for ai, ci, fi in zip(a.tolist(), [0.0] + c, repeat(0.0) if f is None else f.tolist()):
+        y = fi - ci * y / q
         q = ai - ci * ci / q
         q = -pivmin if abs(q) < pivmin else q
+        count += q < 0.0
         pivots.append(q)
-    return levels, pivots, c.tolist()
-
-
-def _negative_pivots(a: np.ndarray, c: np.ndarray) -> int:
-    """The eigenvalues below 0 of the tridiagonal `_factor` reduces: its
-    negative pivots (Sylvester's law of inertia).  For diag - s, the Sturm
-    count at s."""
-    levels, pivots, _ = _factor(a, c)
-    return sum(int(np.count_nonzero(p < 0.0)) for p, _, _ in levels) + sum(q < 0.0 for q in pivots)
-
-
-def _tridiagonal_solve(a: np.ndarray, c: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """x with T x = f, for the tridiagonal T of `_factor`: f is reduced level
-    by level, the rows left are solved by their LDL^T pivots, and back
-    substitution recovers the eliminated rows; x may hold infinities."""
-    levels, pivots, c = _factor(a, c)
-    eliminated = []  # each level's odd rows of f
-    for p, c_left, c_right in levels:
-        f_odd, k = f[1::2], len(c_right)
-        eliminated.append(f_odd)
-        f = f[0::2].copy()
-        f[: len(p)] -= c_left * f_odd / p
-        f[1 : k + 1] -= c_right * f_odd[:k] / p[:k]
-    y, yi = [], 0.0
-    for fi, ci, q in zip(f.tolist(), [0.0] + c, [1.0] + pivots):
-        yi = fi - ci * yi / q
-        y.append(yi)
+        ys.append(y)
+    if f is None:
+        return count, None
     x, after = [], 0.0
-    for q, yi, ci in zip(pivots[::-1], y[::-1], (c + [0.0])[::-1]):
-        after = (yi - ci * after) / q
+    for q, y, ci in zip(reversed(pivots), reversed(ys), reversed(c + [0.0])):
+        after = (y - ci * after) / q
         x.append(after)
     x = np.array(x[::-1])
-    for (p, c_left, c_right), f_odd in zip(reversed(levels), reversed(eliminated)):
+    for p, c_left, c_right, f_odd in reversed(levels):
         full = np.empty(len(x) + len(p))
         full[0::2] = x
         odd = f_odd - c_left * x[: len(p)]
         odd[: len(c_right)] -= c_right * x[1 : len(c_right) + 1]
         full[1::2] = odd / p
         x = full
-    return x
+    return count, x
 
 
 def _kato_temple(rho: float, eps: float, alpha: float, beta: float) -> tuple[float, float]:
@@ -361,14 +347,14 @@ def _enclosed_eigenvalue(
     """The eigenvalue nearest `target`, proven from the trial vector v, and
     the count of eigenvalues below it, or None when the proof fails.
 
-    With rho the Rayleigh quotient of v, one inverse-iteration step,
-    x = (T - rho I)^-1 v, gives rho1 and eps1 = ||T x - rho1 x|| / ||x||.
+    With rho the Rayleigh quotient of v, one inverse-iteration step (the
+    `_eliminate` solve x = (T - rho I)^-1 v) gives rho1 and eps1 = ||T x - rho1 x|| / ||x||.
     They size the half-width, with no search:
         g = min(half the window, max(4 |rho - target|, 4 |rho1 - rho|, 2 eps1, 4 eps1^2 / _NEAREST_TOL)),
     so rho1 and the target lie in the middle half of (rho - g, rho + g),
     the eigenvalue within eps1 of rho1 lies in it, and (unless the window
     caps g) the enclosure below is at most 2/3 `_NEAREST_TOL` wide.  When
-    one pass of two Sturm counts (`_negative_pivots`) shows exactly one
+    one pass of two Sturm counts (by `_eliminate` too) shows exactly one
     eigenvalue lam in it, Kato-Temple (Temple 1928, Kato 1949; Parlett,
     The Symmetric Eigenvalue Problem, ch. 10) bounds
         rho1 - eps1^2 / (rho + g - rho1) <= lam <= rho1 + eps1^2 / (rho1 - rho + g).
@@ -380,7 +366,7 @@ def _enclosed_eigenvalue(
     c = np.full(len(diag) - 1, off)
     rho, _ = _rayleigh(diag, off, v)
     with np.errstate(all="ignore"):  # a non-finite solution is rejected below
-        x = _tridiagonal_solve(diag - rho, c, v)
+        _, x = _eliminate(diag - rho, c, v)
         scale = np.max(np.abs(x))
     if not (math.isfinite(scale) and scale > 0.0):
         return None
@@ -395,7 +381,7 @@ def _enclosed_eigenvalue(
     nearest = max(abs(low - target), abs(high - target)) < min(target - alpha, beta - target)
     if not (isolated and nearest and high - low <= _NEAREST_TOL):
         return None
-    below, above = (_negative_pivots(diag - shift, c) for shift in (alpha, beta))
+    (below, _), (above, _) = (_eliminate(diag - shift, c) for shift in (alpha, beta))
     return (rho1, below) if above - below == 1 else None
 
 
@@ -487,19 +473,20 @@ def verify_solution(solution: QESSolution, level: VerifyLevel = VerifyLevel.FAST
         solution.problem,
         solution.derived.get("omega") if solution.problem.match_ell else None,
     )
-    try:
-        bae = float(np.max(np.abs(bae_residuals(ode, solution.roots)))) if solution.roots.n else 0.0
-    except DenominatorBlowup as exc:  # two roots, or a root and a zero of P, too close
-        bae = math.inf
-        report.notes.append(f"bae_residual: {exc}")
-    report.add("bae_residual", bae, BAE_TOL)
-    try:
-        identity = verify_polynomial_identity(ode, solution.roots, compute_w_coefficients(ode, solution.roots))
-    except NonRealCoefficients as exc:
-        identity = math.inf
-        report.notes.append(f"identity_residual: {exc}")
-    report.add("identity_residual", identity, IDENT_TOL)
-    report.add("schrodinger_residual", schrodinger_residual(solution), 1e-9)
+    with np.errstate(all="ignore"):  # roots far out overflow into a NaN, which `add` reports
+        try:
+            bae = float(np.max(np.abs(bae_residuals(ode, solution.roots)))) if solution.roots.n else 0.0
+        except DenominatorBlowup as exc:  # two roots, or a root and a zero of P, too close
+            bae = math.inf
+            report.notes.append(f"bae_residual: {exc}")
+        report.add("bae_residual", bae, BAE_TOL)
+        try:
+            identity = verify_polynomial_identity(ode, solution.roots, compute_w_coefficients(ode, solution.roots))
+        except NonRealCoefficients as exc:
+            identity = math.inf
+            report.notes.append(f"identity_residual: {exc}")
+        report.add("identity_residual", identity, IDENT_TOL)
+        report.add("schrodinger_residual", schrodinger_residual(solution), 1e-9)
     if level is VerifyLevel.FAST:
         return report
 

@@ -2,8 +2,9 @@
 
 `_sturm_counts` steps through the grid one row at a time, for every shift
 at once, with no cyclic reduction.  The tests check that
-`oracle._negative_pivots`, the count of the guarded elimination that
-bisection and the verification proof share, gives the same counts, and
+`oracle._eliminate`, the one guarded elimination that makes bisection's
+counts and the verification proof's counts and inverse-iteration solve,
+gives the same counts, and
 that `fd_spectrum` gives the eigenvalues of a multisection on these counts
 to the rounding of the matrix.
 """

@@ -341,7 +341,7 @@ class TestFdSpectrumBisection:
         # 18 FD eigenvalues in its FULL-verification window; ordinals that
         # share an interval share its midpoint's count.
         sol = solve_family(octic_coulombic(n=0), cfg)[0]
-        calls = _recording_pivots(monkeypatch)
+        calls = _recording_counts(monkeypatch)
         pot, grid = PotentialSpec(0.0, 1.0, {}), FdGrid(1e-3, 12.0, 3000)
         assert len(fd_spectrum(pot, (2.25, 3.75), grid)) == 1 and len(calls) == 2 + 41
         calls.clear()
@@ -377,7 +377,7 @@ class TestFdSpectrumBisection:
         if held == 0:
             first, second = fd_spectrum(pot, window, grid)[:2]
             window = (0.5 * (first + second) - 5.0, 0.5 * (first + second) + 5.0)
-        calls = _recording_pivots(monkeypatch)
+        calls = _recording_counts(monkeypatch)
         got = fd_spectrum(pot, window, grid)
         assert len(got) == held and len(calls) <= 2 + 49 * held
         _assert_at_their_ordinals(pot, window, grid, 1e-12, got)
@@ -431,7 +431,7 @@ class TestFdSpectrumBisection:
         diag, off_sq = _fd_matrix(pot, grid)
         c = np.full(len(diag) - 1, -math.sqrt(off_sq))
         shifts = [np.nextafter(ev, -math.inf), ev, np.nextafter(ev, math.inf)]
-        below = [oracle._negative_pivots(diag - s, c) for s in shifts]
+        below = [oracle._eliminate(diag - s, c)[0] for s in shifts]
         assert below in ([0, 0, 1], [0, 1, 1])
 
 
@@ -500,11 +500,11 @@ class TestSturmCounts:
     @pytest.mark.parametrize("n_points", [2000, 2001, 4801])
     @pytest.mark.parametrize("potential", [PotentialSpec(0.0, 1.0, {}), PotentialSpec(1.0, 0.0, {1: -1.0, 8: 0.5})])
     def test_proof_counts_are_the_ldl_counts(self, potential, n_points):
-        # Bisection and the verification proof count by `_negative_pivots`,
-        # on the pivots of `_tridiagonal_solve`'s elimination.
+        # Bisection and the verification proof count by `_eliminate`, the
+        # elimination that also makes the inverse-iteration solve.
         diag, off_sq, shifts = _ldl_check(potential, n_points)
         c = np.full(n_points - 1, -math.sqrt(off_sq))
-        got = [oracle._negative_pivots(diag - shift, c) for shift in shifts]
+        got = [oracle._eliminate(diag - shift, c)[0] for shift in shifts]
         assert got == list(sturm_reference._sturm_counts(diag, off_sq, shifts))
 
     def test_zero_pivot_counts_between_its_neighbours(self):
@@ -515,7 +515,7 @@ class TestSturmCounts:
         c = np.full(len(diag) - 1, -math.sqrt(off_sq))
         d0 = diag[0]
         shifts = [np.nextafter(d0, -math.inf), d0, np.nextafter(d0, math.inf)]
-        low, mid, high = (oracle._negative_pivots(diag - s, c) for s in shifts)
+        (low, _), (mid, _), (high, _) = (oracle._eliminate(diag - s, c) for s in shifts)
         assert low <= mid <= high
 
     @pytest.mark.parametrize("n_points", [2000, 4801])
@@ -528,8 +528,17 @@ class TestSturmCounts:
         c = np.full(n_points - 1, -math.sqrt(off_sq))
         shifts = np.concatenate([diag[:20], diag[-5:], [0.0, 1e30, -1e30, 2.0 * math.sqrt(off_sq)]])
         with np.errstate(all="raise"):
-            counts = [oracle._negative_pivots(diag - s, c) for s in shifts]
+            counts = [oracle._eliminate(diag - s, c)[0] for s in shifts]
         assert counts[-3] == n_points and counts[-2] == 0
+
+
+def _oscillator_system(n, shift):
+    """The radial oscillator's FD matrix on n rows from 0 to 12, shifted
+    (diagonal, off-diagonal), and a random right-hand side."""
+    h = 12.0 / (n + 1)
+    r = h * np.arange(1, n + 1)
+    a = 2.0 / (h * h) + r * r - (2.0 / (h * h) if shift == "mid-spectrum" else shift)
+    return a, np.full(n - 1, -1.0 / (h * h)), np.random.default_rng(n).standard_normal(n)
 
 
 class TestTridiagonalSolve:
@@ -543,13 +552,9 @@ class TestTridiagonalSolve:
         # for the LDL^T recurrence), below it (nine levels, one row left)
         # and to 2/h^2, mid-spectrum (the guard fails at once and the
         # recurrence solves every row).
-        h = 12.0 / (n + 1)
-        r = h * np.arange(1, n + 1)
-        a = 2.0 / (h * h) + r * r - (2.0 / (h * h) if shift == "mid-spectrum" else shift)
-        c = np.full(n - 1, -1.0 / (h * h))
-        f = np.random.default_rng(n).standard_normal(n)
+        a, c, f = _oscillator_system(n, shift)
         want = np.linalg.solve(np.diag(a) + np.diag(c, 1) + np.diag(c, -1), f)
-        got = oracle._tridiagonal_solve(a, c, f)
+        _, got = oracle._eliminate(a, c, f)
         assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
 
     def test_zero_diagonal_in_an_odd_row(self):
@@ -559,7 +564,43 @@ class TestTridiagonalSolve:
         c = np.ones(len(a) - 1)
         f = np.arange(1.0, len(a) + 1)
         want = np.linalg.solve(np.diag(a) + np.diag(c, 1) + np.diag(c, -1), f)
-        assert np.max(np.abs(oracle._tridiagonal_solve(a, c, f) - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(oracle._eliminate(a, c, f)[1] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestOneElimination:
+    """`_eliminate` with a right-hand side counts what it counts without
+    one: the solve and the count are one walk of the same elimination."""
+
+    @pytest.mark.parametrize("n", [257, 258])
+    @pytest.mark.parametrize("shift", [3.0, 1.5, "mid-spectrum"])
+    def test_on_the_dense_solve_matrices(self, n, shift):
+        a, c, f = _oscillator_system(n, shift)
+        (solved, x), (counted, none) = oracle._eliminate(a, c, f), oracle._eliminate(a, c)
+        assert x is not None and none is None
+        assert solved == counted == sturm_reference._sturm_counts(a, c[0] ** 2, np.zeros(1))[0]
+
+    def test_on_the_pool_at_rho_and_the_proof_shifts(self, cfg, monkeypatch):
+        # Each pool entry's coarse and fine FD matrix, shifted to the
+        # sampled Psi's rho (where the proof solves) and to rho +- g (where
+        # it counts, recorded): the counts with Psi as the right-hand side
+        # and without one agree, and at rho +- g they are the LDL^T
+        # reference's (on the shifted diagonal, at shift 0: the same floats).
+        for sol in _verify_pool(cfg):
+            pot, window, two_e, grids = _pool_grids(sol)
+            for grid in grids:
+                lo, hi, diag, off_sq = oracle._fd_problem(pot, window, grid, 1e-12)
+                log_mag, sign = oracle.eval_log_psi(sol, oracle._fd_points(grid)[0])
+                v = sign * np.exp(log_mag - log_mag.max())
+                c = np.full(len(diag) - 1, -math.sqrt(off_sq))
+                rho, _ = oracle._rayleigh(diag, c[0], v)
+                with monkeypatch.context() as mp:
+                    calls = _proof_counts(mp)
+                    assert oracle._enclosed_eigenvalue(diag, off_sq, lo, hi, two_e, v) is not None
+                assert len(calls) == 2
+                for a in [diag - rho, *calls]:
+                    assert oracle._eliminate(a, c, v)[0] == oracle._eliminate(a, c)[0]
+                for a in calls:
+                    assert oracle._eliminate(a, c)[0] == sturm_reference._sturm_counts(a, off_sq, np.zeros(1))[0]
 
 
 class TestKatoTemple:
@@ -597,24 +638,26 @@ def bisect_calls(monkeypatch):
     return calls
 
 
-def _recording_pivots(mp) -> list:
-    """Each `_negative_pivots` call's diagonal."""
+def _recording_counts(mp) -> list:
+    """The diagonal of each `_eliminate` call that counts and does not
+    solve (has no right-hand side)."""
     calls = []
-    inner = oracle._negative_pivots
+    inner = oracle._eliminate
 
-    def counted(a, c):
-        calls.append(a)
-        return inner(a, c)
+    def counted(a, c, f=None):
+        if f is None:
+            calls.append(a)
+        return inner(a, c, f)
 
-    mp.setattr(oracle, "_negative_pivots", counted)
+    mp.setattr(oracle, "_eliminate", counted)
     return calls
 
 
-def _counting_pivots(mp) -> list:
-    """Each `_negative_pivots` call's diagonal; `_bisect` must not run,
+def _proof_counts(mp) -> list:
+    """Each counting `_eliminate` call's diagonal; `_bisect` must not run,
     since a proof makes its two counts alone."""
     mp.setattr(oracle, "_bisect", _no_bisection)
-    return _recording_pivots(mp)
+    return _recording_counts(mp)
 
 
 class TestOnePassIsolation:
@@ -631,7 +674,7 @@ class TestOnePassIsolation:
     def test_a_vector_near_level_3_is_proven(self, oscillator, monkeypatch):
         pot, grid, diag, off_sq, ground = oscillator
         (want,) = fd_spectrum(pot, (2.25, 3.75), grid)
-        calls = _counting_pivots(monkeypatch)
+        calls = _proof_counts(monkeypatch)
         got = oracle._enclosed_eigenvalue(diag, off_sq, 2.25, 3.75, 3.0, ground)
         assert got is not None and abs(got[0] - want) <= _rounding_bound(grid) and got[1] == 0
         # One pass: two shifts, symmetric about rho.
@@ -648,7 +691,7 @@ class TestOnePassIsolation:
         mix = ground / np.linalg.norm(ground) + first / np.linalg.norm(first)
         assert oracle._rayleigh(diag, -math.sqrt(off_sq), mix)[0] == pytest.approx(5.0, abs=1e-3)
         c = np.full(len(diag) - 1, -math.sqrt(off_sq))
-        assert oracle._negative_pivots(diag - 4.5, c) == oracle._negative_pivots(diag - 5.5, c) == 1
+        assert oracle._eliminate(diag - 4.5, c)[0] == oracle._eliminate(diag - 5.5, c)[0] == 1
         assert oracle._enclosed_eigenvalue(diag, off_sq, 4.5, 5.5, 5.0, mix) is None
 
     def test_a_g_holding_two_levels_takes_the_bisection_verdict(self, oscillator, quartic0, bisect_calls, monkeypatch):
@@ -659,10 +702,10 @@ class TestOnePassIsolation:
         window, target = (-0.75, 9.25), 4.25
         want = _bisected_nearest(pot, window, grid, target)
         with monkeypatch.context() as mp:
-            calls = _counting_pivots(mp)
+            calls = _proof_counts(mp)
             assert oracle._enclosed_eigenvalue(diag, off_sq, *window, target, ground) is None
         c = np.full(len(diag) - 1, -math.sqrt(off_sq))
-        assert [oracle._negative_pivots(a, c) for a in calls] == [0, 2]
+        assert [oracle._eliminate(a, c)[0] for a in calls] == [0, 2]
         # The same trial vector through `_nearest_fd_eigenvalue`: bisection
         # decides, and its float is the result.
         monkeypatch.setattr(oracle, "eval_log_psi", lambda solution, r: (np.log(r) - 0.5 * r * r, np.ones_like(r)))
@@ -688,7 +731,7 @@ class TestOnePassIsolation:
         diag, v = np.zeros(2), np.array([3.0, 3.0])
         assert oracle._rayleigh(diag, -1.0, v) == (-1.0, 0.0)
         with np.errstate(over="ignore"):
-            assert not np.isfinite(oracle._tridiagonal_solve(diag + 1.0, np.array([-1.0]), v)).all()
+            assert not np.isfinite(oracle._eliminate(diag + 1.0, np.array([-1.0]), v)[1]).all()
         assert oracle._enclosed_eigenvalue(diag, 1.0, -1.5, -0.5, -1.0, v) is None
 
     @pytest.mark.filterwarnings("error")
@@ -701,7 +744,12 @@ class TestOnePassIsolation:
         window, target, sign = (2.25, 3.75), 3.0, np.ones_like(ground)
         want = oracle._nearest_fd_eigenvalue(diag, off_sq, window, target, np.full_like(ground, -np.inf), sign)
         assert oracle._nearest_fd_eigenvalue(diag, off_sq, window, target, np.log(ground), sign) != want
-        monkeypatch.setattr(oracle, "_tridiagonal_solve", lambda a, c, f: np.full_like(f, value))
+        eliminate = oracle._eliminate
+
+        def step(a, c, f=None):  # counts as before, a solve gives `value`
+            return eliminate(a, c) if f is None else (0, np.full_like(f, value))
+
+        monkeypatch.setattr(oracle, "_eliminate", step)
         assert oracle._enclosed_eigenvalue(diag, off_sq, *window, target, ground) is None
         bisect_calls.clear()
         assert oracle._nearest_fd_eigenvalue(diag, off_sq, window, target, np.log(ground), sign) == want
@@ -811,14 +859,14 @@ class TestNearestFdEigenvalue:
             for grid in grids:
                 want = min(fd_spectrum(pot, window, grid), key=lambda v: abs(v - two_e))
                 with monkeypatch.context() as mp:
-                    calls = _counting_pivots(mp)
+                    calls = _proof_counts(mp)
                     got = _nearest(pot, window, grid, two_e, sol)
                 assert abs(got - want) <= _rounding_bound(grid)
                 assert len(calls) == 2
 
     def test_full_verification_of_the_pool_without_bisection(self, cfg, monkeypatch):
         # One two-shift count pass per grid: 10 entries, 2 grids each.
-        calls = _counting_pivots(monkeypatch)
+        calls = _proof_counts(monkeypatch)
         for sol in _verify_pool(cfg):
             report = verify_solution(sol, VerifyLevel.FULL)
             assert report.passed, report.lines()
@@ -837,9 +885,9 @@ class TestNearestFdEigenvalue:
         log_mag, sign = oracle.eval_log_psi(sol, oracle._fd_points(coarse)[0])
         rho, eps0 = oracle._rayleigh(diag, -math.sqrt(off_sq), sign * np.exp(log_mag - log_mag.max()))
         c = np.full(len(diag) - 1, -math.sqrt(off_sq))
-        below, above = (oracle._negative_pivots(diag - s, c) for s in (rho - 2.0 * eps0, rho + 2.0 * eps0))
+        (below, _), (above, _) = (oracle._eliminate(diag - s, c) for s in (rho - 2.0 * eps0, rho + 2.0 * eps0))
         assert above - below == 2
-        calls = _counting_pivots(monkeypatch)
+        calls = _proof_counts(monkeypatch)
         assert verify_solution(sol, VerifyLevel.FULL).passed
         assert len(calls) == 4
 

@@ -14,7 +14,11 @@ host-speed samples, spreads widely.  Both workers run one BLAS thread.
 
 Prints one line per pair (the OLD and NEW pass times in ms and the speedup
 OLD/NEW), then the median of the per-pair speedups, the minimum and the
-number of pairs in which NEW was faster.
+number of pairs in which NEW was faster.  Then the claim rule on the pass
+times: OLD's median, quartiles and spread (q3 - q1 over the median), NEW's
+median, and `claimable: yes` only when NEW was faster in at least nine
+tenths of the pairs and its median is lower than OLD's by more than that
+spread (of OLD's median), else `claimable: no`.
 """
 
 import argparse
@@ -54,6 +58,14 @@ def worker(root: str, name: str) -> None:
             print(repr(one_pass()), file=proto, flush=True)
 
 
+def quartiles(xs: list) -> tuple:
+    """q1, median and q3 of xs, interpolated linearly (numpy.percentile's default)."""
+    if len(xs) == 1:
+        return xs[0], xs[0], xs[0]
+    q1, median, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, median, q3
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old")
@@ -75,7 +87,7 @@ def main() -> int:
         for proc in sides.values():
             if proc.stdout.readline().strip() != "ready":
                 raise SystemExit("a worker failed to set up")
-        speedups = []
+        speedups, passes = [], {"old": [], "new": []}
         for i in range(args.passes):
             times = {}
             for side in ("old", "new") if i % 2 == 0 else ("new", "old"):
@@ -83,6 +95,8 @@ def main() -> int:
                 sides[side].stdin.flush()
                 times[side] = float(sides[side].stdout.readline())
             speedups.append(times["old"] / times["new"])
+            for side in passes:
+                passes[side].append(times[side])
             print(f"pair {i:2d}: old {times['old'] * 1e3:8.1f} ms  new {times['new'] * 1e3:8.1f} ms  speedup {speedups[-1]:.3f}")
     finally:
         for proc in sides.values():
@@ -91,6 +105,16 @@ def main() -> int:
     wins = sum(s > 1.0 for s in speedups)
     print(f"{args.workload}: median speedup {statistics.median(speedups):.3f}, "
           f"minimum {min(speedups):.3f}, new faster in {wins} of {len(speedups)} pairs")
+    q1, old_median, q3 = quartiles(passes["old"])
+    spread = (q3 - q1) / old_median
+    new_median = statistics.median(passes["new"])
+    print(f"old passes: median {old_median * 1e3:.1f} ms, q1 {q1 * 1e3:.1f} ms, q3 {q3 * 1e3:.1f} ms, "
+          f"spread {spread:.3f} (q3 - q1 over the median)")
+    gain = (old_median - new_median) / old_median
+    print(f"new passes: median {new_median * 1e3:.1f} ms ({gain:+.3f} of the old median)")
+    claimable = 10 * wins >= 9 * len(speedups) and gain > spread
+    print(f"claimable: {'yes' if claimable else 'no'} (needs new faster in 9/10 of the pairs "
+          f"and a median gain above the spread)")
     return 0
 
 
